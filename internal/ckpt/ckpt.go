@@ -146,10 +146,7 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	}
 	if n > 0 {
 		c.Params = make([]float32, n)
-		for i := range c.Params {
-			c.Params[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
-			off += 4
-		}
+		getFloats(c.Params, body[off:])
 	}
 	return c, nil
 }

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -21,8 +20,9 @@ const (
 	// RecRoundOpen opens a round: the round number, the membership epoch,
 	// and the sampled cohort's member IDs.
 	RecRoundOpen RecordType = iota + 1
-	// RecMemberUpdate records one cohort member's decoded update vector as
-	// it was accepted into the round.
+	// RecMemberUpdate records one cohort member's update as it was accepted
+	// into the round: Data carries the encoded wire payload exactly as it
+	// arrived (logs written before that carry the decoded vector in Vec).
 	RecMemberUpdate
 	// RecOuterStep records the outer-optimizer step: Vec carries the
 	// post-step global parameters, so replay restores them bit-for-bit
@@ -38,8 +38,9 @@ const (
 	// RecBufferFold records one update folded into an async aggregator's
 	// staleness-weighted buffer: Round carries the dispatch task ID, Epoch
 	// the model version the member trained on, Member the member ID, and
-	// Vec the decoded update. Replay re-folds the pending (uncommitted)
-	// buffer so an async aggregator resumes mid-buffer.
+	// Data the update's wire payload as received (Vec, decoded, in older
+	// logs). Replay re-folds the pending (uncommitted) buffer so an async
+	// aggregator resumes mid-buffer.
 	RecBufferFold
 	// RecVersionCommit seals one async model-version commit (the async
 	// counterpart of RecRoundCommit, and an fsync point like it): Round
@@ -78,7 +79,7 @@ type Record struct {
 	Member string   // member ID (RecMemberUpdate) or state name (RecStateSnapshot)
 	IDs    []string // cohort member IDs (RecRoundOpen)
 	Vec    []float32
-	Data   []byte // opaque payload (e.g. an encoded wire payload to re-send)
+	Data   []byte // opaque payload (an encoded wire payload, as received or to re-send)
 }
 
 // Recovery is what OpenWAL reconstructed from disk: the compacted base
@@ -120,14 +121,13 @@ const maxRecordBytes = 1 << 30
 // WAL is an append-only, CRC-framed record log paired with a compacted
 // base checkpoint. One process owns a WAL directory at a time; Photon keys
 // the directory off the aggregator's -id, so a restarted aggregator finds
-// its own log. Append flushes every record to the OS and fsyncs on
+// its own log. Append writes every record to the OS and fsyncs on
 // round-commit records — the durability points of the round protocol.
 // Records between commits may be lost to a power cut, which is safe: resume
 // re-collects them from the (idempotent) members.
 type WAL struct {
 	dir  string
 	f    *os.File
-	w    *bufio.Writer
 	fail *Failpoint
 }
 
@@ -176,7 +176,7 @@ func OpenWAL(dir string, fail *Failpoint) (*WAL, *Recovery, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("ckpt: wal seek: %w", err)
 	}
-	return &WAL{dir: dir, f: f, w: bufio.NewWriterSize(f, 1<<16), fail: fail}, rv, nil
+	return &WAL{dir: dir, f: f, fail: fail}, rv, nil
 }
 
 // unwrapPathErr digs the os-level error out of Load's wrapping so IsNotExist
@@ -221,49 +221,50 @@ func replayRecords(raw []byte) ([]Record, int) {
 	}
 }
 
-// encodeRecord renders one record's frame: u32 payload length, payload,
-// u32 CRC-32 of the payload.
+// encodeRecord renders one record's frame — u32 payload length, payload,
+// u32 CRC-32 of the payload — into a single exactly-sized buffer.
 func encodeRecord(rec *Record) []byte {
-	var p bytes.Buffer
-	p.Grow(64 + 4*len(rec.Vec) + len(rec.Data))
-	var scratch [8]byte
-	u16 := func(v int) {
-		binary.LittleEndian.PutUint16(scratch[:2], uint16(v))
-		p.Write(scratch[:2])
-	}
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		p.Write(scratch[:4])
-	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		p.Write(scratch[:])
-	}
-	p.WriteByte(byte(rec.Type))
-	u64(uint64(rec.Round))
-	u64(rec.Epoch)
-	u16(len(rec.Member))
-	p.WriteString(rec.Member)
-	u16(len(rec.IDs))
+	size := 1 + 8 + 8 + 2 + len(rec.Member) + 2 + 4 + 4*len(rec.Vec) + 4 + len(rec.Data)
 	for _, id := range rec.IDs {
-		u16(len(id))
-		p.WriteString(id)
+		size += 2 + len(id)
 	}
-	u32(uint32(len(rec.Vec)))
-	for _, v := range rec.Vec {
-		u32(math.Float32bits(v))
+	le := binary.LittleEndian
+	out := make([]byte, 4, 8+size)
+	le.PutUint32(out, uint32(size))
+	out = append(out, byte(rec.Type))
+	out = le.AppendUint64(out, uint64(rec.Round))
+	out = le.AppendUint64(out, rec.Epoch)
+	out = le.AppendUint16(out, uint16(len(rec.Member)))
+	out = append(out, rec.Member...)
+	out = le.AppendUint16(out, uint16(len(rec.IDs)))
+	for _, id := range rec.IDs {
+		out = le.AppendUint16(out, uint16(len(id)))
+		out = append(out, id...)
 	}
-	u32(uint32(len(rec.Data)))
-	p.Write(rec.Data)
+	out = le.AppendUint32(out, uint32(len(rec.Vec)))
+	vec := out[len(out) : len(out)+4*len(rec.Vec)]
+	putFloats(vec, rec.Vec)
+	out = out[:len(out)+len(vec)]
+	out = le.AppendUint32(out, uint32(len(rec.Data)))
+	out = append(out, rec.Data...)
+	return le.AppendUint32(out, crc32.ChecksumIEEE(out[4:]))
+}
 
-	payload := p.Bytes()
-	out := make([]byte, 0, len(payload)+8)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(payload)))
-	out = append(out, scratch[:4]...)
-	out = append(out, payload...)
-	binary.LittleEndian.PutUint32(scratch[:4], crc32.ChecksumIEEE(payload))
-	out = append(out, scratch[:4]...)
-	return out
+// putFloats serializes v little-endian into dst (4·len(v) bytes); getFloats
+// is its inverse. Every journaled vector passes through one of them.
+//
+//photon:hotpath
+func putFloats(dst []byte, v []float32) {
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
+	}
+}
+
+//photon:hotpath
+func getFloats(v []float32, src []byte) {
+	for i := range v {
+		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 // decodeRecord parses one frame payload; ok=false marks it malformed.
@@ -317,10 +318,8 @@ func decodeRecord(p []byte) (Record, bool) {
 	}
 	if nVec > 0 {
 		rec.Vec = make([]float32, nVec)
-		for i := range rec.Vec {
-			rec.Vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[off:]))
-			off += 4
-		}
+		getFloats(rec.Vec, p[off:])
+		off += 4 * nVec
 	}
 	if !need(4) {
 		return rec, false
@@ -340,18 +339,14 @@ func decodeRecord(p []byte) (Record, bool) {
 	return rec, true
 }
 
-// Append journals one record: frame it, write it through the buffered
-// writer, flush to the OS, and fsync when the record is a round commit (the
-// round protocol's durability point). With a failpoint armed at
-// "wal:<type>", the record still lands — modeling a crash immediately
-// after the write — and Append returns ErrFailpoint for the caller to die
-// on.
+// Append journals one record: frame it, hand the frame to the OS in one
+// write, and fsync when the record is a round commit (the round protocol's
+// durability point). With a failpoint armed at "wal:<type>", the record
+// still lands — modeling a crash immediately after the write — and Append
+// returns ErrFailpoint for the caller to die on.
 func (w *WAL) Append(rec *Record) error {
-	if _, err := w.w.Write(encodeRecord(rec)); err != nil {
+	if _, err := w.f.Write(encodeRecord(rec)); err != nil {
 		return fmt.Errorf("ckpt: wal append: %w", err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("ckpt: wal flush: %w", err)
 	}
 	if rec.Type == RecRoundCommit || rec.Type == RecVersionCommit {
 		if err := w.f.Sync(); err != nil {
@@ -366,9 +361,6 @@ func (w *WAL) Append(rec *Record) error {
 
 // Sync forces everything appended so far to stable storage.
 func (w *WAL) Sync() error {
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("ckpt: wal flush: %w", err)
-	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("ckpt: wal sync: %w", err)
 	}
@@ -401,23 +393,18 @@ func (w *WAL) Compact(base *Checkpoint, carry []Record) error {
 		f.Close()
 		return fmt.Errorf("ckpt: wal seek: %w", err)
 	}
-	old := w.f
-	w.f, w.w = f, bufio.NewWriterSize(f, 1<<16)
-	old.Close()
+	w.f.Close()
+	w.f = f
 	if site := "wal:compact"; w.fail.Fire(site) {
 		return failErr(site)
 	}
 	return nil
 }
 
-// Close flushes and closes the log file.
+// Close syncs and closes the log file.
 func (w *WAL) Close() error {
-	ferr := w.w.Flush()
 	serr := w.f.Sync()
 	cerr := w.f.Close()
-	if ferr != nil {
-		return ferr
-	}
 	if serr != nil {
 		return serr
 	}

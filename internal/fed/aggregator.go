@@ -19,6 +19,7 @@ package fed
 import (
 	"context"
 	"fmt"
+	"log"
 	"math/rand"
 	"time"
 
@@ -177,7 +178,15 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			// Members that answered pre-crash are never re-trained — their
 			// data streams must not advance twice for one round.
 			for _, id := range pre.order {
-				preUpdates = append(preUpdates, pre.updates[id])
+				vec, err := s.decodeUpdate(pre.updates[id], len(a.global))
+				if err != nil {
+					// Treated as never journaled: the member is re-asked
+					// below and its cached reply answers.
+					log.Printf("fed: round %d: journaled update from %s skipped: %v", round, id, err)
+					delete(pre.updates, id)
+					continue
+				}
+				preUpdates = append(preUpdates, vec)
 				preMetrics = append(preMetrics, map[string]float64{})
 			}
 			for _, id := range pre.cohort {

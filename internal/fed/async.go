@@ -19,6 +19,7 @@ package fed
 import (
 	"context"
 	"fmt"
+	"log"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -87,11 +88,12 @@ const (
 // loop.
 type asyncArrival struct {
 	mc      *memberConn
-	task    int                // dispatch task ID the reply answers
-	version int                // global model version the update trained on
-	update  []float32          // decoded pseudo-gradient
-	meta    map[string]float64 // member-reported metrics (loss, phases)
-	latency time.Duration      // dispatch-to-reply wall time
+	task    int                 // dispatch task ID the reply answers
+	version int                 // global model version the update trained on
+	update  []float32           // decoded pseudo-gradient
+	payload link.EncodedPayload // the same update as it arrived, for the journal
+	meta    map[string]float64  // member-reported metrics (loss, phases)
+	latency time.Duration       // dispatch-to-reply wall time
 }
 
 type asyncAggregator struct {
@@ -209,14 +211,18 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 	// exactly (the global version is constant while a buffer fills), so a
 	// full buffer re-commits to bit-identical params.
 	for _, pf := range a.resume.pending {
-		if len(pf.vec) != len(a.global) {
-			return a.fail(a.version+1, fmt.Errorf("journaled fold has %d params, model has %d (config changed between runs?)", len(pf.vec), len(a.global)))
+		vec, err := a.s.decodeUpdate(pf.payload, len(a.global))
+		if err != nil {
+			// Treated as never journaled: the member shows as untrained at
+			// this version, its pump re-dispatches, its cached reply answers.
+			log.Printf("fed: journaled fold from %s (task %d) skipped: %v", pf.member, pf.task, err)
+			continue
 		}
 		stale := a.version - pf.trainedVersion
 		if stale < 0 {
 			stale = 0
 		}
-		a.fold(pf.member, pf.trainedVersion, stale, pf.vec, map[string]float64{})
+		a.fold(pf.member, pf.trainedVersion, stale, vec, map[string]float64{})
 		a.noteTrained(pf.member, pf.trainedVersion)
 	}
 	if a.bufCount >= a.kBuf {
@@ -293,7 +299,7 @@ func (a *asyncAggregator) admit(ar asyncArrival) error {
 	}
 	// Journal before folding: a crash after this append replays the fold,
 	// a crash before it folds nothing — either way no double-count.
-	if err := a.s.jrn.bufferFold(ar.task, ar.mc.id, uint64(ar.version), ar.update); err != nil {
+	if err := a.s.jrn.bufferFold(ar.task, ar.mc.id, uint64(ar.version), ar.payload); err != nil {
 		return err
 	}
 	a.fold(ar.mc.id, ar.version, stale, ar.update, ar.meta)
@@ -596,17 +602,10 @@ func (a *asyncAggregator) dispatch(mc *memberConn, ver int, enc link.EncodedPayl
 			if msg.Round != int32(task) {
 				continue // late reply to a superseded dispatch
 			}
-			// Size-check the declared element count before any codec
-			// allocates for it, exactly as the sync collect path does.
-			if msg.Payload.Elems != len(a.global) {
-				a.s.drop(mc, "update size mismatch")
-				mc.conn.Close()
-				return false
-			}
 			decSpan := a.s.tracer.Begin(obsv.PhaseDecode)
-			vec, derr := link.DecodePayload(a.s.codec, msg.Payload)
+			vec, derr := a.s.decodeUpdate(msg.Payload, len(a.global))
 			decSpan.End(traceID)
-			if derr != nil || len(vec) != len(a.global) {
+			if derr != nil {
 				a.s.drop(mc, "update decode failed")
 				mc.conn.Close()
 				return false
@@ -617,7 +616,7 @@ func (a *asyncAggregator) dispatch(mc *memberConn, ver int, enc link.EncodedPayl
 			}
 			a.noteTrained(mc.id, trained)
 			select {
-			case a.arrivals <- asyncArrival{mc: mc, task: task, version: trained, update: vec, meta: msg.Meta, latency: time.Since(start)}:
+			case a.arrivals <- asyncArrival{mc: mc, task: task, version: trained, update: vec, payload: msg.Payload, meta: msg.Meta, latency: time.Since(start)}:
 			case <-a.stop:
 			}
 			return true

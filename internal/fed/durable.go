@@ -5,7 +5,7 @@ package fed
 // record stream back into aggregator / relay state. The protocol per round:
 //
 //	round_open(round, epoch, cohort IDs)
-//	member_update(round, member, decoded vector)      — one per arrival
+//	member_update(round, member, wire payload)        — one per arrival
 //	outer_step(round, post-step global params)        — aggregation applied
 //	state_snapshot("outer", optimizer state)          — momentum buffers
 //	round_commit(round, epoch)                        — fsync barrier
@@ -25,7 +25,7 @@ package fed
 // An async (FedBuff-mode) aggregator journals its own protocol per version:
 //
 //	round_open(max leased task, member "lease")       — task-ID lease
-//	buffer_fold(task, trained version, member, vec)   — one per folded update
+//	buffer_fold(task, trained version, member, payload) — one per folded update
 //	outer_step(version, post-step global params)      — buffer committed
 //	state_snapshot("outer", optimizer state)          — momentum buffers
 //	version_commit(version, epoch)                    — fsync barrier
@@ -91,12 +91,15 @@ func (j *journal) roundOpen(round int, epoch uint64, cohort []string) error {
 	return j.wal.Append(&ckpt.Record{Type: ckpt.RecRoundOpen, Round: round, Epoch: epoch, IDs: cohort})
 }
 
-// memberUpdate journals one decoded client update as it arrives.
-func (j *journal) memberUpdate(round int, member string, vec []float32) error {
+// memberUpdate journals one client update as it arrives — the encoded wire
+// payload the member sent, not a re-serialisation of the decoded vector:
+// under a sparse or quantized codec that is a fraction of the bytes, and
+// Codec.Decode is stateless, so replay decodes it to the same bits.
+func (j *journal) memberUpdate(round int, member string, p link.EncodedPayload) error {
 	if !j.enabled() {
 		return nil
 	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecMemberUpdate, Round: round, Member: member, Vec: vec})
+	return j.wal.Append(&ckpt.Record{Type: ckpt.RecMemberUpdate, Round: round, Member: member, Data: encodePayloadBytes(p)})
 }
 
 // outerStep journals the post-step global parameters plus the outer
@@ -148,13 +151,14 @@ func (j *journal) upstreamReply(round, cohort int, p link.EncodedPayload) error 
 
 // bufferFold journals one update folded into the async staleness-weighted
 // buffer: the dispatch task ID, the model version the member trained on, and
-// the decoded vector. Appended before the in-memory fold, so a crash after
-// the append loses nothing and a crash before it folds nothing.
-func (j *journal) bufferFold(task int, member string, trainedVersion uint64, vec []float32) error {
+// the update's wire payload as received. Appended before the in-memory fold,
+// so a crash after the append loses nothing and a crash before it folds
+// nothing.
+func (j *journal) bufferFold(task int, member string, trainedVersion uint64, p link.EncodedPayload) error {
 	if !j.enabled() {
 		return nil
 	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecBufferFold, Round: task, Epoch: trainedVersion, Member: member, Vec: vec})
+	return j.wal.Append(&ckpt.Record{Type: ckpt.RecBufferFold, Round: task, Epoch: trainedVersion, Member: member, Data: encodePayloadBytes(p)})
 }
 
 // versionCommit seals one async model-version commit; like roundCommit it is
@@ -194,10 +198,10 @@ func (j *journal) compact(base *ckpt.Checkpoint, carry []ckpt.Record) error {
 type openRound struct {
 	round   int
 	epoch   uint64
-	cohort  []string             // journaled cohort member IDs
-	updates map[string][]float32 // journaled decoded updates by member
-	order   []string             // arrival order, for deterministic averaging
-	stepped bool                 // outer step already applied pre-crash
+	cohort  []string                       // journaled cohort member IDs
+	updates map[string]link.EncodedPayload // journaled updates by member, as received
+	order   []string                       // arrival order, for deterministic averaging
+	stepped bool                           // outer step already applied pre-crash
 
 	// Post-step state journaled for this round before the crash. It is
 	// kept on the open round — not folded into the resume state — because
@@ -245,14 +249,18 @@ func replayServerWAL(rv *ckpt.Recovery) *serverResume {
 				round:   rec.Round,
 				epoch:   rec.Epoch,
 				cohort:  rec.IDs,
-				updates: make(map[string][]float32, len(rec.IDs)),
+				updates: make(map[string]link.EncodedPayload, len(rec.IDs)),
 			}
 		case ckpt.RecMemberUpdate:
 			if res.open != nil && rec.Round == res.open.round && rec.Member != upstreamMember {
+				p, ok := journaledUpdate(&rec)
+				if !ok {
+					break // unreadable: as if never journaled, the member is re-asked
+				}
 				if _, dup := res.open.updates[rec.Member]; !dup {
 					res.open.order = append(res.open.order, rec.Member)
 				}
-				res.open.updates[rec.Member] = rec.Vec
+				res.open.updates[rec.Member] = p
 			}
 		case ckpt.RecOuterStep:
 			if res.open != nil && res.open.round == rec.Round {
@@ -301,10 +309,10 @@ func replayServerWAL(rv *ckpt.Recovery) *serverResume {
 
 // pendingFold is one journaled-but-uncommitted async buffer fold.
 type pendingFold struct {
-	task           int       // dispatch task ID the update answered
-	member         string    // member that produced it
-	trainedVersion int       // global model version it was trained on
-	vec            []float32 // decoded update
+	task           int                 // dispatch task ID the update answered
+	member         string              // member that produced it
+	trainedVersion int                 // global model version it was trained on
+	payload        link.EncodedPayload // the update as received
 }
 
 // asyncResume is the async-aggregator state recovered from a WAL replay.
@@ -340,15 +348,19 @@ func replayAsyncWAL(rv *ckpt.Recovery) *asyncResume {
 				res.maxTask = rec.Round
 			}
 		case ckpt.RecBufferFold:
+			if rec.Round > res.maxTask {
+				res.maxTask = rec.Round
+			}
+			p, ok := journaledUpdate(&rec)
+			if !ok {
+				break // unreadable: as if never journaled, the member is re-asked
+			}
 			res.pending = append(res.pending, pendingFold{
 				task:           rec.Round,
 				member:         rec.Member,
 				trainedVersion: int(rec.Epoch),
-				vec:            rec.Vec,
+				payload:        p,
 			})
-			if rec.Round > res.maxTask {
-				res.maxTask = rec.Round
-			}
 		case ckpt.RecOuterStep:
 			pendingGlobal = rec.Vec
 		case ckpt.RecStateSnapshot:
@@ -437,6 +449,17 @@ func encodePayloadBytes(p link.EncodedPayload) []byte {
 	binary.LittleEndian.PutUint32(out[1:5], uint32(p.Elems))
 	copy(out[5:], p.Data)
 	return out
+}
+
+// journaledUpdate reads a member_update / buffer_fold record's update as a
+// wire payload: the received payload from Data, or — a log written before
+// payloads were journaled — the decoded vector from Vec, wrapped in the
+// (lossless, always-accepted) dense encoding.
+func journaledUpdate(rec *ckpt.Record) (link.EncodedPayload, bool) {
+	if len(rec.Data) == 0 {
+		return link.Dense(rec.Vec), len(rec.Vec) > 0
+	}
+	return decodePayloadBytes(rec.Data)
 }
 
 // decodePayloadBytes reverses encodePayloadBytes.

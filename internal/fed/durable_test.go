@@ -1,0 +1,170 @@
+package fed
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"photon/internal/ckpt"
+	"photon/internal/link"
+)
+
+// TestJournaledPayloadReplaysLikeVec: a member update journaled as the wire
+// payload it arrived in (Record.Data, what the journal writes now) must
+// replay to the same bits as the same update journaled as its decoded vector
+// (Record.Vec, what logs written before that hold) — through a real log on
+// disk, for both the sync round records and the async fold records, under
+// every built-in codec.
+func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
+	const elems = 777
+	members := []string{"silo-a", "silo-b", "silo-c"}
+	for _, name := range []string{"dense", "flate", "q8", "topk:0.25"} {
+		t.Run(name, func(t *testing.T) {
+			session, err := link.NewCodec(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &server{codec: session}
+			rng := rand.New(rand.NewSource(7))
+			payloads := make([]link.EncodedPayload, len(members))
+			decoded := make([][]float32, len(members))
+			for i := range members {
+				v := make([]float32, elems)
+				for k := range v {
+					v[k] = float32(rng.NormFloat64()) * 0.02
+				}
+				enc, _ := link.NewCodec(name) // each member encodes with its own instance
+				if payloads[i], err = link.EncodeVector(enc, v); err != nil {
+					t.Fatal(err)
+				}
+				if decoded[i], err = s.decodeUpdate(payloads[i], elems); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// writeLog journals one open round and one pending async buffer,
+			// either the way the journal does now or the old Vec way.
+			writeLog := func(asPayload bool) *ckpt.Recovery {
+				dir := t.TempDir()
+				wal, _, err := ckpt.OpenWAL(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j := newJournal(wal)
+				if err := j.roundOpen(3, 1, members); err != nil {
+					t.Fatal(err)
+				}
+				for i, id := range members {
+					if asPayload {
+						err = j.memberUpdate(3, id, payloads[i])
+						if err == nil {
+							err = j.bufferFold(40+i, id, uint64(i), payloads[i])
+						}
+					} else {
+						err = wal.Append(&ckpt.Record{Type: ckpt.RecMemberUpdate, Round: 3, Member: id, Vec: decoded[i]})
+						if err == nil {
+							err = wal.Append(&ckpt.Record{Type: ckpt.RecBufferFold, Round: 40 + i, Epoch: uint64(i), Member: id, Vec: decoded[i]})
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				j.close()
+				reopened, rv, err := ckpt.OpenWAL(dir, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reopened.Close()
+				return rv
+			}
+
+			var folds [2][]float32
+			for li, asPayload := range []bool{false, true} {
+				rv := writeLog(asPayload)
+
+				open := replayServerWAL(rv).open
+				if open == nil || len(open.order) != len(members) {
+					t.Fatalf("asPayload=%v: sync replay lost the open round: %+v", asPayload, open)
+				}
+				var updates [][]float32
+				for i, id := range open.order {
+					if id != members[i] {
+						t.Fatalf("asPayload=%v: arrival order %v, want %v", asPayload, open.order, members)
+					}
+					vec, err := s.decodeUpdate(open.updates[id], elems)
+					if err != nil {
+						t.Fatalf("asPayload=%v: %s: %v", asPayload, id, err)
+					}
+					updates = append(updates, vec)
+				}
+				if folds[li], err = MeanDelta(updates); err != nil {
+					t.Fatal(err)
+				}
+
+				pending := replayAsyncWAL(rv).pending
+				if len(pending) != len(members) {
+					t.Fatalf("asPayload=%v: async replay kept %d folds, want %d", asPayload, len(pending), len(members))
+				}
+				for i, pf := range pending {
+					if pf.member != members[i] || pf.task != 40+i || pf.trainedVersion != i {
+						t.Fatalf("asPayload=%v: fold %d replayed as %+v", asPayload, i, pf)
+					}
+					vec, err := s.decodeUpdate(pf.payload, elems)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k := range vec {
+						if math.Float32bits(vec[k]) != math.Float32bits(decoded[i][k]) {
+							t.Fatalf("asPayload=%v: fold %d elem %d differs from the live decode", asPayload, i, k)
+						}
+					}
+				}
+			}
+			for k := range folds[0] {
+				if math.Float32bits(folds[0][k]) != math.Float32bits(folds[1][k]) {
+					t.Fatalf("elem %d: Vec log folds to %x, payload log to %x", k, math.Float32bits(folds[0][k]), math.Float32bits(folds[1][k]))
+				}
+			}
+		})
+	}
+}
+
+// TestUnreadableJournaledUpdateIsNotReplayed: a member_update / buffer_fold
+// record whose Data is not a payload is dropped by replay (the member is
+// re-asked); one that frames correctly but fails its codec survives replay
+// and is refused by decodeUpdate, which the resuming aggregator treats the
+// same way.
+func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
+	topk, _ := link.NewCodec("topk")
+	good, err := link.EncodeVector(topk, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := good
+	torn.Data = good.Data[:len(good.Data)-3] // no longer a pair multiple
+	rv := &ckpt.Recovery{Records: []ckpt.Record{
+		{Type: ckpt.RecRoundOpen, Round: 1, IDs: []string{"a", "b", "c"}},
+		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "a", Data: []byte{1, 2, 3}},
+		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "b", Data: encodePayloadBytes(torn)},
+		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "c", Data: encodePayloadBytes(good)},
+		{Type: ckpt.RecBufferFold, Round: 9, Member: "a", Data: []byte{4}},
+	}}
+	open := replayServerWAL(rv).open
+	if _, kept := open.updates["a"]; kept || len(open.order) != 2 {
+		t.Fatalf("unframed record replayed: order %v", open.order)
+	}
+	s := &server{codec: topk}
+	if _, err := s.decodeUpdate(open.updates["b"], good.Elems); err == nil {
+		t.Fatal("torn topk payload decoded")
+	}
+	if _, err := s.decodeUpdate(open.updates["c"], good.Elems+1); err == nil {
+		t.Fatal("payload for a different model size decoded")
+	}
+	if _, err := s.decodeUpdate(open.updates["c"], good.Elems); err != nil {
+		t.Fatal(err)
+	}
+	if res := replayAsyncWAL(rv); len(res.pending) != 0 || res.maxTask != 9 {
+		t.Fatalf("unframed fold replayed: %+v", res)
+	}
+}

@@ -731,7 +731,8 @@ func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, g
 
 	type reply struct {
 		mc       *memberConn
-		update   []float32 // nil when the member failed
+		update   []float32           // nil when the member failed
+		payload  link.EncodedPayload // update as it arrived, for the journal
 		meta     map[string]float64
 		latency  time.Duration
 		sendNs   int64 // model broadcast send duration
@@ -779,21 +780,11 @@ func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, g
 					if msg.Round != int32(round) {
 						continue // late reply from an earlier round
 					}
-					// The declared element count must match the model
-					// before any codec allocates for it: a mis-sized
-					// update can neither OOM the aggregator nor poison
-					// MeanDelta — the member is dropped instead.
-					if msg.Payload.Elems != len(global) {
-						s.drop(mc, "update size mismatch")
-						mc.conn.Close()
-						results <- reply{mc: mc}
-						return
-					}
 					decSpan := s.tracer.Begin(obsv.PhaseDecode)
-					vec, derr := link.DecodePayload(s.codec, msg.Payload)
+					vec, derr := s.decodeUpdate(msg.Payload, len(global))
 					srvDecNs := decSpan.End(traceID)
 					decNs.Add(srvDecNs)
-					if derr != nil || len(vec) != len(global) {
+					if derr != nil {
 						s.drop(mc, "update decode failed")
 						mc.conn.Close()
 						results <- reply{mc: mc}
@@ -801,7 +792,7 @@ func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, g
 					}
 					payloadBytes.Add(int64(msg.Payload.WireBytes()))
 					denseBytes.Add(int64(msg.Payload.Elems) * 4)
-					results <- reply{mc: mc, update: vec, meta: msg.Meta,
+					results <- reply{mc: mc, update: vec, payload: msg.Payload, meta: msg.Meta,
 						latency: time.Since(start), sendNs: sendNs, srvDecNs: srvDecNs}
 					return
 				case <-mc.dead:
@@ -851,9 +842,10 @@ func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, g
 		case r := <-results:
 			responded[r.mc.id] = true
 			if r.update != nil {
-				// Journal the decoded update before counting it: a crash
-				// after this append re-collects nothing from this member.
-				if jerr := s.jrn.memberUpdate(round, r.mc.id, r.update); jerr != nil {
+				// Journal the update (as received) before counting it: a
+				// crash after this append re-collects nothing from this
+				// member.
+				if jerr := s.jrn.memberUpdate(round, r.mc.id, r.payload); jerr != nil {
 					return nil, nil, wire, phases, false, jerr
 				}
 				updates = append(updates, r.update)
@@ -879,6 +871,22 @@ func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, g
 	}
 	collect()
 	return updates, clientMetrics, wire, phases, false, nil
+}
+
+// decodeUpdate decodes a member's update with the session codec. The
+// declared element count must match the model before any codec allocates
+// for it, so a mis-sized update can neither OOM the aggregator nor poison
+// the fold. Live arrivals and journaled payloads replayed on resume both
+// come through here.
+func (s *server) decodeUpdate(p link.EncodedPayload, elems int) ([]float32, error) {
+	if p.Elems != elems {
+		return nil, fmt.Errorf("fed: update has %d elements, model has %d", p.Elems, elems)
+	}
+	vec, err := link.DecodePayload(s.codec, p)
+	if err == nil && len(vec) != elems {
+		err = fmt.Errorf("fed: update decoded to %d elements, model has %d", len(vec), elems)
+	}
+	return vec, err
 }
 
 // waitAlive blocks until at least n members are alive. grace > 0 bounds the

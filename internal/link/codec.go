@@ -287,8 +287,9 @@ func EncodeVector(c Codec, v []float32) (EncodedPayload, error) {
 // DecodePayload decodes a received payload inside a negotiated session:
 // frames produced by the session codec decode through the (possibly
 // stateful) session instance, the lossless built-ins dense and flate are
-// always accepted (model-broadcast fallback for update-only codecs, and
-// legacy pre-codec frames), and anything else is a codec mismatch — the
+// always accepted (model-broadcast fallback for update-only codecs, WAL
+// records journaled as dense vectors), and anything else is a codec
+// mismatch — the
 // fail-fast half of the join-time negotiation, catching a peer that changed
 // codecs mid-stream.
 func DecodePayload(session Codec, p EncodedPayload) ([]float32, error) {
@@ -358,38 +359,66 @@ func (DenseCodec) Decode(p EncodedPayload) ([]float32, error) {
 
 // ---- flate ----
 
-// FlateCodec flate-compresses the dense representation, keeping whichever
-// form is smaller — incompressible payloads fall back to a dense encoding,
-// so the codec never grows the wire. Lossless.
+// FlateCodec is byte-plane flate: each float32 is split into its exponent
+// byte and a 3-byte sign+mantissa remainder. Trained weights and updates
+// cluster in a few dozen binades, so the exponent plane Huffman-codes to
+// about a quarter of its size, while the mantissa bits are noise no
+// entropy coder shrinks — they are stored raw instead of being dragged
+// through an LZ77 matcher. Whichever of this form and the dense one is
+// smaller is kept, so the codec never grows the wire. Lossless for every bit
+// pattern (NaN payloads, ±Inf, denormals, −0).
+//
+// Layout: u32 planeLen | planeLen bytes of Huffman-only deflate (inflating
+// to Elems exponent bytes) | 3·Elems remainder bytes (little-endian
+// sign<<23|mantissa).
 type FlateCodec struct{}
 
 // Name implements Codec.
 func (FlateCodec) Name() string { return "flate" }
 
 // Encode implements Codec.
+//
+//photon:allocok
 func (FlateCodec) Encode(v []float32) (EncodedPayload, error) {
-	if len(v) == 0 {
-		return EncodedPayload{}, nil
+	n := len(v)
+	if n < 4 {
+		// Shorter than the plane-length prefix alone: dense always wins.
+		return DenseCodec{}.Encode(v)
 	}
-	raw := payloadBytes(v)
-	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	// One dense-sized buffer serves both outcomes. The split parks the
+	// remainder in the buffer's last 3n bytes; the deflated plane then grows
+	// from offset 4 inside the first n (the capped slice keeps it off the
+	// remainder — a plane that outgrows it is the dense fallback anyway),
+	// and the remainder slides down behind it.
+	out := make([]byte, 4*n)
+	exp := make([]byte, n)
+	splitPlanes(exp, out[n:], v)
+	plane := bytes.NewBuffer(out[:4:n])
+	fw, err := flate.NewWriter(plane, flate.HuffmanOnly)
 	if err != nil {
 		return EncodedPayload{}, fmt.Errorf("flate init: %w", err)
 	}
-	if _, err := fw.Write(raw); err != nil {
+	if _, err := fw.Write(exp); err != nil {
 		return EncodedPayload{}, fmt.Errorf("flate write: %w", err)
 	}
 	if err := fw.Close(); err != nil {
 		return EncodedPayload{}, fmt.Errorf("flate close: %w", err)
 	}
-	if buf.Len() >= len(raw) {
-		return EncodedPayload{CodecID: CodecDense, Elems: len(v), Data: raw}, nil
+	end := plane.Len() // prefix + deflated plane
+	if end >= n {
+		packFloats(out, v)
+		return EncodedPayload{CodecID: CodecDense, Elems: n, Data: out}, nil
 	}
-	return EncodedPayload{CodecID: CodecFlate, Elems: len(v), Data: buf.Bytes()}, nil
+	binary.LittleEndian.PutUint32(out, uint32(end-4))
+	copy(out[end:], out[n:])
+	return EncodedPayload{CodecID: CodecFlate, Elems: n, Data: out[:end+3*n]}, nil
 }
 
-// Decode implements Codec.
+// Decode implements Codec. Every length is checked against Elems before
+// anything is allocated for it: the plane must inflate to exactly Elems
+// bytes with nothing left over, the remainder must be exactly 3·Elems.
+//
+//photon:allocok
 func (FlateCodec) Decode(p EncodedPayload) ([]float32, error) {
 	if p.IsZero() {
 		return nil, nil
@@ -397,15 +426,55 @@ func (FlateCodec) Decode(p EncodedPayload) ([]float32, error) {
 	if p.CodecID == CodecDense {
 		return DenseCodec{}.Decode(p)
 	}
-	fr := flate.NewReader(bytes.NewReader(p.Data))
-	raw, err := io.ReadAll(io.LimitReader(fr, int64(p.Elems)*4+1))
-	if err != nil {
-		return nil, fmt.Errorf("link: flate payload: %w", err)
+	n := p.Elems
+	if len(p.Data) < 4 {
+		return nil, fmt.Errorf("link: flate payload truncated (%d bytes)", len(p.Data))
 	}
-	if len(raw) != p.Elems*4 {
-		return nil, fmt.Errorf("link: flate payload inflates to %d bytes for %d elems", len(raw), p.Elems)
+	planeLen := int(binary.LittleEndian.Uint32(p.Data))
+	if rem := len(p.Data) - 4 - planeLen; rem != 3*n {
+		return nil, fmt.Errorf("link: flate payload has %d remainder bytes after a %d-byte plane for %d elems (want %d)", rem, planeLen, n, 3*n)
 	}
-	return floatsFromBytes(raw), nil
+	src := bytes.NewReader(p.Data[4 : 4+planeLen])
+	fr := flate.NewReader(src)
+	exp := make([]byte, n)
+	if _, err := io.ReadFull(fr, exp); err != nil {
+		return nil, fmt.Errorf("link: flate exponent plane short of %d elems: %w", n, err)
+	}
+	var extra [1]byte
+	if _, err := io.ReadFull(fr, extra[:]); err != io.EOF {
+		return nil, fmt.Errorf("link: flate exponent plane does not end at %d elems (%v)", n, err)
+	}
+	if src.Len() != 0 {
+		return nil, fmt.Errorf("link: flate exponent plane has %d trailing bytes", src.Len())
+	}
+	out := make([]float32, n)
+	joinPlanes(out, exp, p.Data[4+planeLen:])
+	return out, nil
+}
+
+// splitPlanes writes each element's exponent byte to exp and its sign and
+// mantissa (24 bits, little-endian) to rem; joinPlanes is its inverse.
+//
+//photon:hotpath
+func splitPlanes(exp, rem []byte, v []float32) {
+	rem = rem[:3*len(v)]
+	for i, x := range v {
+		b := math.Float32bits(x)
+		exp[i] = byte(b >> 23)
+		r := rem[3*i : 3*i+3]
+		r[0], r[1], r[2] = byte(b), byte(b>>8), byte(b>>16&0x7f|b>>24&0x80)
+	}
+}
+
+//photon:hotpath
+func joinPlanes(out []float32, exp, rem []byte) {
+	rem = rem[:3*len(out)]
+	exp = exp[:len(out)]
+	for i := range out {
+		r := rem[3*i : 3*i+3]
+		hi := uint32(r[2])
+		out[i] = math.Float32frombits(uint32(r[0]) | uint32(r[1])<<8 | (hi&0x7f)<<16 | uint32(exp[i])<<23 | (hi&0x80)<<24)
+	}
 }
 
 // ---- q8 ----
@@ -546,6 +615,12 @@ func (t *TopKCodec) keep() float64 {
 
 // Encode implements Codec. Layout: kept-count×(u32 index | f32 value).
 //
+// Selection is O(n) with no scratch copy of the vector: a float's magnitude
+// read as the integer bits&0x7fffffff sorts exactly like |x|, so two counting
+// passes (high 16 bits, then the low 15 inside the boundary bucket) pin the
+// k-th largest magnitude exactly. The update is folded into the residual in
+// place and the payload is emitted from it.
+//
 //photon:allocok
 func (t *TopKCodec) Encode(v []float32) (EncodedPayload, error) {
 	keep := t.keep()
@@ -561,110 +636,87 @@ func (t *TopKCodec) Encode(v []float32) (EncodedPayload, error) {
 	if len(t.residual) != len(v) {
 		return EncodedPayload{}, fmt.Errorf("update size changed: %d vs residual %d", len(v), len(t.residual))
 	}
-	// Error feedback: compensate with what previous rounds dropped.
-	work := make([]float32, len(v))
-	for i := range v {
-		work[i] = v[i] + t.residual[i]
+	k := int(math.Ceil(keep * float64(len(v))))
+	if k > len(v) {
+		k = len(v)
 	}
-	k := int(math.Ceil(keep * float64(len(work))))
-	if k > len(work) {
-		k = len(work)
-	}
-	mags := make([]float32, len(work))
-	for i, x := range work {
-		mags[i] = float32(math.Abs(float64(x)))
-	}
-	thresh := kthLargest(mags, k)
-	// Everything strictly above the threshold is always transmitted; only
-	// ties at exactly the threshold compete for the remaining slots, so
-	// density stays exact even for heavily quantized magnitude
-	// distributions without ever dropping a larger coordinate in favor of
-	// an earlier tie.
-	tieBudget := k
-	for _, m := range mags {
-		if m > thresh {
-			tieBudget--
-		}
-	}
-
-	data := make([]byte, 0, 8*k)
-	var idx [8]byte
-	for i, x := range work {
-		keepIt := mags[i] > thresh
-		if !keepIt && mags[i] == thresh && tieBudget > 0 {
-			keepIt = true
-			tieBudget--
-		}
-		if keepIt {
-			binary.LittleEndian.PutUint32(idx[0:], uint32(i))
-			binary.LittleEndian.PutUint32(idx[4:], math.Float32bits(x))
-			data = append(data, idx[:]...)
-			t.residual[i] = 0
-		} else {
-			t.residual[i] = x
-		}
-	}
+	thresh, ties := foldAndSelect(t.residual, v, k, make([]uint32, 1<<16))
+	data := make([]byte, 8*k)
+	emitTopK(data, t.residual, thresh, ties)
 	return EncodedPayload{CodecID: CodecTopK, Elems: len(v), Data: data}, nil
 }
 
-// kthLargest returns the k-th largest element of v (1-based, k in
-// [1,len(v)]) by quickselect over a scratch copy — expected O(n), versus
-// the O(n log n) full sort that would otherwise dominate every topk encode.
-//
-//photon:allocok
-func kthLargest(v []float32, k int) float32 {
-	s := append([]float32(nil), v...)
-	return quickselect(s, k-1)
-}
-
-// quickselect returns the element that would sit at descending-order index
-// target, partitioning s in place (expected O(n), no allocation).
+// magKey is |x| as an integer that orders like the magnitude (sign bit
+// cleared; IEEE-754 magnitudes are monotone in their bit pattern).
 //
 //photon:hotpath
-func quickselect(s []float32, target int) float32 {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		// Median-of-three pivot guards against sorted and constant inputs.
-		mid := lo + (hi-lo)/2
-		p := medianOf3(s[lo], s[mid], s[hi])
-		i, j := lo, hi
-		for i <= j {
-			for s[i] > p {
-				i++
-			}
-			for s[j] < p {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case target <= j:
-			hi = j
-		case target >= i:
-			lo = i
-		default:
-			return s[target]
+func magKey(x float32) uint32 { return math.Float32bits(x) & 0x7fffffff }
+
+// foldAndSelect applies error feedback — residual += v, compensating with
+// what previous rounds dropped — and returns the k-th largest magnitude key
+// of the sums plus how many coordinates at exactly that key still fit in k.
+// hist is 1<<16 zeroed counters.
+//
+//photon:hotpath
+func foldAndSelect(residual, v []float32, k int, hist []uint32) (thresh uint32, ties int) {
+	for i, x := range v {
+		s := x + residual[i]
+		residual[i] = s
+		hist[magKey(s)>>15]++
+	}
+	hi, above := kthBucket(hist, 0, k)
+	// Same again on the low key bits of that bucket's members.
+	low := hist[:1<<15]
+	for i := range low {
+		low[i] = 0
+	}
+	for _, s := range residual {
+		if key := magKey(s); key>>15 == hi {
+			low[key&0x7fff]++
 		}
 	}
-	return s[target]
+	lo, above := kthBucket(low, above, k)
+	return hi<<15 | lo, k - above
 }
 
+// kthBucket walks counts down from the largest bucket to the one holding
+// the k-th largest element, given that above elements rank higher than every
+// bucket; it returns that bucket and the number ranking strictly above it.
+//
 //photon:hotpath
-func medianOf3(a, b, c float32) float32 {
-	if a > b {
-		a, b = b, a
+func kthBucket(counts []uint32, above, k int) (uint32, int) {
+	b := len(counts) - 1
+	for ; above+int(counts[b]) < k; b-- {
+		above += int(counts[b])
 	}
-	if b > c {
-		b = c
+	return uint32(b), above
+}
+
+// emitTopK writes the kept (index, value) pairs and zeroes their residual.
+// Everything strictly above the threshold is always transmitted; only ties at
+// exactly the threshold compete, in index order, for the remaining slots — so
+// density stays exact even for heavily quantized magnitude distributions
+// without ever dropping a larger coordinate in favor of an earlier tie.
+//
+//photon:hotpath
+func emitTopK(data []byte, residual []float32, thresh uint32, ties int) {
+	off := 0
+	for i, x := range residual {
+		key := magKey(x)
+		if key < thresh {
+			continue
+		}
+		if key == thresh {
+			if ties == 0 {
+				continue
+			}
+			ties--
+		}
+		binary.LittleEndian.PutUint32(data[off:], uint32(i))
+		binary.LittleEndian.PutUint32(data[off+4:], math.Float32bits(x))
+		off += 8
+		residual[i] = 0
 	}
-	if a > b {
-		b = a
-	}
-	return b
 }
 
 // Decode implements Codec: scatter the pairs into a zero vector.

@@ -73,30 +73,47 @@ func BenchmarkCodecDecode(b *testing.B) {
 	}
 }
 
-// TestWriteCodecBenchJSON emits the codec throughput/ratio trajectory as
-// machine-readable JSON when BENCH_CODEC_JSON names an output path — the CI
-// hook behind BENCH_codec.json. It runs the same measurements as the Codec
-// benchmarks through testing.Benchmark, so `go test -bench=Codec` and the
-// JSON artifact can never drift apart.
+// codecBenchPoint is one measurement of every built-in codec; BENCH_codec.json
+// is a trajectory of them, oldest first.
+type codecBenchPoint struct {
+	Point   string            `json:"point"` // the PR or commit that measured it
+	Elems   int               `json:"payload_elems"`
+	Codecs  []codecBenchEntry `json:"codecs"`
+	Comment string            `json:"comment"`
+}
+
+type codecBenchEntry struct {
+	Codec        string  `json:"codec"`
+	WireBytes    int     `json:"wire_bytes"`
+	BytesPerElem float64 `json:"bytes_per_elem"`
+	Ratio        float64 `json:"ratio_vs_dense"`
+	EncodeMBps   float64 `json:"encode_mb_per_s"`
+	DecodeMBps   float64 `json:"decode_mb_per_s"`
+}
+
+// TestWriteCodecBenchJSON appends a codec throughput/ratio point to the
+// trajectory file BENCH_CODEC_JSON names (created when missing), labelled
+// with BENCH_POINT — the CI hook behind BENCH_codec.json. It runs the same
+// measurements as the Codec benchmarks through testing.Benchmark, so
+// `go test -bench=Codec` and the JSON artifact can never drift apart.
 func TestWriteCodecBenchJSON(t *testing.T) {
 	path := os.Getenv("BENCH_CODEC_JSON")
 	if path == "" {
 		t.Skip("BENCH_CODEC_JSON not set")
 	}
-	const n = 100_000
-	type entry struct {
-		Codec        string  `json:"codec"`
-		WireBytes    int     `json:"wire_bytes"`
-		BytesPerElem float64 `json:"bytes_per_elem"`
-		Ratio        float64 `json:"ratio_vs_dense"`
-		EncodeMBps   float64 `json:"encode_mb_per_s"`
-		DecodeMBps   float64 `json:"decode_mb_per_s"`
+	var trajectory struct {
+		Points []codecBenchPoint `json:"points"`
 	}
-	report := struct {
-		Elems   int     `json:"payload_elems"`
-		Codecs  []entry `json:"codecs"`
-		Comment string  `json:"comment"`
-	}{
+	if prev, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(prev, &trajectory); err != nil {
+			t.Fatalf("%s is not a codec trajectory: %v", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	const n = 100_000
+	report := codecBenchPoint{
+		Point:   os.Getenv("BENCH_POINT"),
 		Elems:   n,
 		Comment: "gaussian update payload; throughput in dense-equivalent MB/s",
 	}
@@ -129,7 +146,7 @@ func TestWriteCodecBenchJSON(t *testing.T) {
 				}
 			}
 		})
-		report.Codecs = append(report.Codecs, entry{
+		report.Codecs = append(report.Codecs, codecBenchEntry{
 			Codec:        name,
 			WireBytes:    enc.WireBytes(),
 			BytesPerElem: float64(enc.WireBytes()) / float64(n),
@@ -138,12 +155,13 @@ func TestWriteCodecBenchJSON(t *testing.T) {
 			DecodeMBps:   mbps(decRes),
 		})
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
+	trajectory.Points = append(trajectory.Points, report)
+	data, err := json.MarshalIndent(trajectory, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("wrote %s (%d codecs)\n", path, len(report.Codecs))
+	fmt.Printf("appended point %q to %s (%d codecs, %d points)\n", report.Point, path, len(report.Codecs), len(trajectory.Points))
 }

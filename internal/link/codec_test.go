@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -372,93 +372,176 @@ func TestCorruptedFrameRejected(t *testing.T) {
 	}
 }
 
-// encodeLegacyFrame emits a pre-codec wire frame (no codec-ID byte,
-// optionally flate-compressed dense floats) exactly as the previous
-// protocol release did.
-func encodeLegacyFrame(t *testing.T, v []float32, compress bool) []byte {
-	t.Helper()
-	payload := payloadBytes(v)
-	flags := byte(0)
-	if compress {
-		var fbuf bytes.Buffer
-		fw, _ := flate.NewWriter(&fbuf, flate.BestSpeed)
-		fw.Write(payload)
-		fw.Close()
-		if fbuf.Len() < len(payload) {
-			payload = append([]byte(nil), fbuf.Bytes()...)
-			flags = flagFlate
-		}
-	}
-	var body bytes.Buffer
-	body.WriteByte(byte(MsgModel))
-	body.WriteByte(flags)
-	writeU32(&body, 7) // round
-	writeU32(&body, 0) // id len
-	writeU32(&body, 0) // meta count
-	writeU32(&body, uint32(len(v)))
-	writeU32(&body, uint32(len(payload)))
-	body.Write(payload)
-	var out bytes.Buffer
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(body.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(body.Bytes()))
-	out.Write(hdr[:])
-	out.Write(body.Bytes())
-	return out.Bytes()
-}
-
-// TestLegacyFrameStillDecodable: frames from the pre-codec wire format
-// (dense and flate flavors) decode into the matching built-in codec's
-// payload for one release of backward compatibility.
-func TestLegacyFrameStillDecodable(t *testing.T) {
-	v := []float32{1, 0, 0, 0, -2.5, 0, 0, 0, 3}
-	for _, compress := range []bool{false, true} {
-		m, err := Decode(bytes.NewReader(encodeLegacyFrame(t, v, compress)))
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if m.Type != MsgModel || m.Round != 7 {
-			t.Fatalf("legacy header mangled: %+v", m)
-		}
-		got, err := m.Payload.Floats()
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if len(got) != len(v) {
-			t.Fatalf("legacy payload length %d", len(got))
-		}
-		for i := range v {
-			if got[i] != v[i] {
-				t.Fatalf("compress=%v: coordinate %d mangled", compress, i)
-			}
-		}
-	}
-}
-
-// Property: quickselect agrees with a full sort for the k-th largest.
-func TestKthLargestMatchesSort(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(500)
-		v := make([]float32, n)
-		for i := range v {
-			switch rng.Intn(3) {
-			case 0:
-				v[i] = float32(rng.NormFloat64())
-			case 1:
-				v[i] = float32(rng.Intn(4)) // heavy ties
-			default:
-				v[i] = 1
-			}
-		}
-		k := 1 + int(kRaw)%n
-		want := append([]float32(nil), v...)
-		sort.Slice(want, func(a, b int) bool { return want[a] > want[b] })
-		return kthLargest(v, k) == want[k-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+// TestPreCodecFrameRejected: the retired pre-codec frame layout (flag bit 1
+// clear, no codec-ID byte) is refused as a bad frame rather than guessed at —
+// its flate flavor would mis-decode under the byte-plane layout.
+func TestPreCodecFrameRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, sampleMessage()); err != nil {
 		t.Fatal(err)
+	}
+	for _, flags := range []byte{0, 1} { // old dense, old flate
+		raw := append([]byte(nil), buf.Bytes()...)
+		raw[13] = flags
+		binary.LittleEndian.PutUint32(raw[8:], crc32.ChecksumIEEE(raw[12:]))
+		if _, err := Decode(bytes.NewReader(raw)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("flags %#x: got %v, want ErrBadFrame", flags, err)
+		}
+	}
+}
+
+// refTopKEncode is the previous TopKCodec.Encode kept verbatim as the
+// selection reference: error feedback into a work copy, float magnitudes,
+// quickselect over a scratch copy for the k-th largest, then the same
+// strictly-above / ties-in-index-order emit.
+func refTopKEncode(residual, v []float32, keep float64) []byte {
+	work := make([]float32, len(v))
+	for i := range v {
+		work[i] = v[i] + residual[i]
+	}
+	k := int(math.Ceil(keep * float64(len(work))))
+	if k > len(work) {
+		k = len(work)
+	}
+	mags := make([]float32, len(work))
+	for i, x := range work {
+		mags[i] = float32(math.Abs(float64(x)))
+	}
+	thresh := refQuickselect(append([]float32(nil), mags...), k-1)
+	tieBudget := k
+	for _, m := range mags {
+		if m > thresh {
+			tieBudget--
+		}
+	}
+	data := make([]byte, 0, 8*k)
+	var idx [8]byte
+	for i, x := range work {
+		keepIt := mags[i] > thresh
+		if !keepIt && mags[i] == thresh && tieBudget > 0 {
+			keepIt = true
+			tieBudget--
+		}
+		if keepIt {
+			binary.LittleEndian.PutUint32(idx[0:], uint32(i))
+			binary.LittleEndian.PutUint32(idx[4:], math.Float32bits(x))
+			data = append(data, idx[:]...)
+			residual[i] = 0
+		} else {
+			residual[i] = x
+		}
+	}
+	return data
+}
+
+// refQuickselect returns the element at descending-order index target,
+// partitioning s in place.
+func refQuickselect(s []float32, target int) float32 {
+	median3 := func(a, b, c float32) float32 {
+		if a > b {
+			a, b = b, a
+		}
+		if b > c {
+			b = c
+		}
+		if a > b {
+			b = a
+		}
+		return b
+	}
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		p := median3(s[lo], s[lo+(hi-lo)/2], s[hi])
+		i, j := lo, hi
+		for i <= j {
+			for s[i] > p {
+				i++
+			}
+			for s[j] < p {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case target <= j:
+			hi = j
+		case target >= i:
+			lo = i
+		default:
+			return s[target]
+		}
+	}
+	return s[target]
+}
+
+// TestTopKRadixMatchesQuickselect is the golden equivalence pin for the
+// radix-histogram selection: over seeded vectors — gaussian, all-equal,
+// heavy ties, mixed signs and zeros, denormals and huge magnitudes — and
+// k from 1 to n, three consecutive encodes (so the residual carries) must
+// produce byte-identical payloads and bit-identical residuals to the
+// quickselect reference.
+func TestTopKRadixMatchesQuickselect(t *testing.T) {
+	shapes := map[string]func(rng *rand.Rand, i int) float32{
+		"gaussian":  func(rng *rand.Rand, _ int) float32 { return float32(rng.NormFloat64()) * 0.02 },
+		"all-equal": func(*rand.Rand, int) float32 { return 0.5 },
+		"all-zero":  func(*rand.Rand, int) float32 { return 0 },
+		"heavy-tie": func(rng *rand.Rand, _ int) float32 { return float32(rng.Intn(4)) - 1.5 },
+		"signed-tie": func(rng *rand.Rand, i int) float32 {
+			if i%2 == 0 {
+				return -1
+			}
+			return float32(rng.Intn(2))
+		},
+		"extremes": func(rng *rand.Rand, _ int) float32 {
+			switch rng.Intn(5) {
+			case 0:
+				return math.Float32frombits(uint32(rng.Intn(1 << 23))) // denormal
+			case 1:
+				return math.MaxFloat32 * float32(rng.Float64()-0.5)
+			case 2:
+				return float32(math.Copysign(0, -1))
+			default:
+				return float32(rng.NormFloat64())
+			}
+		},
+		// Same high 16 key bits everywhere: the second counting pass decides.
+		"one-bucket": func(rng *rand.Rand, _ int) float32 {
+			return math.Float32frombits(0x3f800000 | uint32(rng.Intn(1<<15)))
+		},
+	}
+	for name, gen := range shapes {
+		for _, n := range []int{1, 2, 7, 64, 1000} {
+			for _, keep := range []float64{1e-9, 0.1, 0.5, 0.999, 1} { // 1e-9 → k=1
+				rng := rand.New(rand.NewSource(int64(n)*31 + int64(keep*1000)))
+				codec := &TopKCodec{Keep: keep}
+				refResidual := make([]float32, n)
+				for round := 0; round < 3; round++ {
+					v := make([]float32, n)
+					for i := range v {
+						v[i] = gen(rng, i)
+					}
+					want := refTopKEncode(refResidual, v, keep)
+					enc, err := codec.Encode(v)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(enc.Data, want) {
+						t.Fatalf("%s n=%d keep=%g round %d: payload differs from the quickselect reference (%d vs %d bytes)",
+							name, n, keep, round, len(enc.Data), len(want))
+					}
+					for i := range refResidual {
+						if math.Float32bits(codec.residual[i]) != math.Float32bits(refResidual[i]) {
+							t.Fatalf("%s n=%d keep=%g round %d: residual[%d] = %x, reference %x",
+								name, n, keep, round, i, math.Float32bits(codec.residual[i]), math.Float32bits(refResidual[i]))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -500,5 +583,126 @@ func TestDecodeRejectsOversizedLengthPrefix(t *testing.T) {
 	binary.LittleEndian.PutUint32(raw[8:], crc32.ChecksumIEEE(raw[12:]))
 	if _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("oversized payload length prefix accepted")
+	}
+}
+
+// TestFlateBitExactOnAdversarialPatterns: the byte-plane split must put
+// every one of the 32 bits back where it came from — NaNs with payloads,
+// signalling NaNs, ±Inf, denormals, −0, and exponent/mantissa boundary
+// values — both when the plane form wins and when dense does.
+func TestFlateBitExactOnAdversarialPatterns(t *testing.T) {
+	patterns := []uint32{
+		0x00000000, 0x80000000, // ±0
+		0x00000001, 0x807fffff, 0x007fffff, // denormals
+		0x00800000, 0x80800000, // smallest normals
+		0x7f7fffff, 0xff7fffff, // ±MaxFloat32
+		0x7f800000, 0xff800000, // ±Inf
+		0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x7fffffff, 0xffffffff, 0x7fa5a5a5, // NaNs
+		0x3f800000, 0xbf800000, 0x3f7fffff, 0x3f800001, 0x00ff00ff, 0xff00ff00, 0xaaaaaaaa, 0x55555555,
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 3, 4, 5, len(patterns), 4096} {
+		for _, fill := range []string{"patterns", "random-bits", "gaussian"} {
+			v := make([]float32, n)
+			for i := range v {
+				switch fill {
+				case "patterns":
+					v[i] = math.Float32frombits(patterns[i%len(patterns)])
+				case "random-bits":
+					v[i] = math.Float32frombits(rng.Uint32())
+				default:
+					v[i] = float32(rng.NormFloat64()) * 0.02
+				}
+			}
+			enc, err := EncodeVector(FlateCodec{}, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if enc.WireBytes() > 4*n {
+				t.Fatalf("%s n=%d: %d wire bytes exceeds dense", fill, n, enc.WireBytes())
+			}
+			if fill == "gaussian" && n == 4096 && enc.CodecID != CodecFlate {
+				t.Fatalf("gaussian weights fell back to codec %d", enc.CodecID)
+			}
+			got, err := DecodePayload(nil, enc)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", fill, n, err)
+			}
+			if len(got) != n {
+				t.Fatalf("%s n=%d: decoded %d elems", fill, n, len(got))
+			}
+			for i := range v {
+				if math.Float32bits(got[i]) != math.Float32bits(v[i]) {
+					t.Fatalf("%s n=%d: elem %d %08x came back %08x", fill, n, i, math.Float32bits(v[i]), math.Float32bits(got[i]))
+				}
+			}
+		}
+	}
+}
+
+// TestFlateHostilePayloads: every way a byte-plane payload can disagree
+// with its own framing is an error, checked before the output is allocated.
+func TestFlateHostilePayloads(t *testing.T) {
+	v := make([]float32, 512)
+	rng := rand.New(rand.NewSource(12))
+	for i := range v {
+		v[i] = float32(rng.NormFloat64()) * 0.02
+	}
+	good, err := EncodeVector(FlateCodec{}, v)
+	if err != nil || good.CodecID != CodecFlate {
+		t.Fatalf("setup: codec %d, err %v", good.CodecID, err)
+	}
+	planeLen := int(binary.LittleEndian.Uint32(good.Data))
+	deflate := func(b []byte) []byte {
+		var buf bytes.Buffer
+		fw, _ := flate.NewWriter(&buf, flate.HuffmanOnly)
+		fw.Write(b)
+		fw.Close()
+		return buf.Bytes()
+	}
+	// reframe builds a payload from an arbitrary plane and remainder with a
+	// consistent length prefix, so only the named defect is on trial.
+	reframe := func(plane, rem []byte) []byte {
+		out := binary.LittleEndian.AppendUint32(nil, uint32(len(plane)))
+		return append(append(out, plane...), rem...)
+	}
+	plane, rem := good.Data[4:4+planeLen], good.Data[4+planeLen:]
+	exp := make([]byte, len(v))
+	for i, x := range v {
+		exp[i] = byte(math.Float32bits(x) >> 23)
+	}
+	prefixLie := append([]byte(nil), good.Data...)
+	binary.LittleEndian.PutUint32(prefixLie, uint32(planeLen+1))
+	hugePrefix := append([]byte(nil), good.Data...)
+	binary.LittleEndian.PutUint32(hugePrefix, math.MaxUint32)
+
+	cases := []struct {
+		name  string
+		elems int
+		data  []byte
+	}{
+		{"no prefix", len(v), good.Data[:3]},
+		{"truncated payload", len(v), good.Data[:len(good.Data)-1]},
+		{"truncated plane", len(v), reframe(plane[:planeLen-2], rem)},
+		{"short remainder", len(v), reframe(plane, rem[:len(rem)-3])},
+		{"long remainder", len(v), reframe(plane, append(append([]byte(nil), rem...), 0, 0, 0))},
+		{"trailing bytes in plane", len(v), reframe(append(append([]byte(nil), plane...), 0xAA), rem)},
+		{"plane inflates short", len(v), reframe(deflate(exp[:len(exp)-1]), rem)},
+		{"plane inflates long", len(v), reframe(deflate(append(exp, 0x7f)), rem)},
+		{"plane is not deflate", len(v), reframe(bytes.Repeat([]byte{0xff}, planeLen), rem)},
+		{"prefix claims remainder byte", len(v), prefixLie},
+		{"prefix exceeds payload", len(v), hugePrefix},
+		{"elems too large", len(v) + 1, good.Data},
+		{"elems too small", len(v) - 1, good.Data},
+		{"elems huge", MaxPayloadElems, good.Data},
+	}
+	for _, tc := range cases {
+		dec, err := FlateCodec{}.Decode(EncodedPayload{CodecID: CodecFlate, Elems: tc.elems, Data: tc.data})
+		if err == nil {
+			t.Errorf("%s: decoded %d elems, want an error", tc.name, len(dec))
+		}
+	}
+	if _, err := (FlateCodec{}).Decode(good); err != nil {
+		t.Fatalf("control payload rejected: %v", err)
 	}
 }

@@ -61,7 +61,10 @@ func TestEncodeDecodeEmptyFields(t *testing.T) {
 }
 
 func TestFlateCodecShrinksRedundantPayload(t *testing.T) {
-	payload := make([]float32, 50000) // all zeros: maximally compressible
+	// All zeros is the byte-plane layout's best case: the exponent plane
+	// Huffman-codes to one bit per element, the sign+mantissa remainder is
+	// stored raw, so the floor is 3 + 1/8 bytes per element.
+	payload := make([]float32, 50000)
 	plain, err := EncodeVector(DenseCodec{}, payload)
 	if err != nil {
 		t.Fatal(err)
@@ -70,8 +73,8 @@ func TestFlateCodecShrinksRedundantPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.WireBytes() >= plain.WireBytes()/10 {
-		t.Fatalf("compression ineffective: %d vs %d bytes", comp.WireBytes(), plain.WireBytes())
+	if comp.CodecID != CodecFlate || comp.WireBytes() > plain.WireBytes()*79/100 {
+		t.Fatalf("compression ineffective: codec %d, %d vs %d bytes", comp.CodecID, comp.WireBytes(), plain.WireBytes())
 	}
 	got, err := FlateCodec{}.Decode(comp)
 	if err != nil {

@@ -3,82 +3,7 @@ package link
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// TopK is the sparsifying post-processor Section 4 alludes to under
-// "compression and pruning techniques": only the Keep-fraction of
-// largest-magnitude update coordinates are transmitted (the rest become
-// zero, which the flate layer then compresses away). Residuals are
-// accumulated locally and added to the next update (error feedback), so
-// sparsification delays rather than discards small coordinates.
-//
-// Deprecated: the TopKCodec wire codec ("topk") carries the same
-// error-feedback sparsification in a sparse index/value wire format that
-// actually shrinks transmission; the post-processor only simulates it on
-// dense floats. It remains for dense-pipeline experiments.
-type TopK struct {
-	Keep float64 // fraction of coordinates kept (0 < Keep ≤ 1)
-
-	residual []float32
-}
-
-// Name implements PostProcessor.
-func (t *TopK) Name() string { return "topk" }
-
-// Apply implements PostProcessor.
-func (t *TopK) Apply(update []float32) ([]float32, error) {
-	if t.Keep <= 0 || t.Keep > 1 {
-		return nil, fmt.Errorf("keep fraction %v out of (0,1]", t.Keep)
-	}
-	if t.residual == nil {
-		t.residual = make([]float32, len(update))
-	}
-	if len(t.residual) != len(update) {
-		return nil, fmt.Errorf("update size changed: %d vs %d", len(update), len(t.residual))
-	}
-	// Error feedback: compensate with what previous rounds dropped.
-	for i := range update {
-		update[i] += t.residual[i]
-	}
-	k := int(math.Ceil(t.Keep * float64(len(update))))
-	if k >= len(update) {
-		for i := range t.residual {
-			t.residual[i] = 0
-		}
-		return update, nil
-	}
-	mags := make([]float32, len(update))
-	for i, v := range update {
-		mags[i] = float32(math.Abs(float64(v)))
-	}
-	sorted := append([]float32(nil), mags...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] > sorted[b] })
-	thresh := sorted[k-1]
-	for i, v := range update {
-		if mags[i] >= thresh {
-			t.residual[i] = 0
-		} else {
-			t.residual[i] = v
-			update[i] = 0
-		}
-	}
-	return update, nil
-}
-
-// Sparsity returns the fraction of zero coordinates in v.
-func Sparsity(v []float32) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	z := 0
-	for _, x := range v {
-		if x == 0 {
-			z++
-		}
-	}
-	return float64(z) / float64(len(v))
-}
 
 // QuantizeInt8 quantizes v into int8 codes with one float32 scale per block
 // of blockSize elements (absmax scaling), the lossy wire format the
@@ -161,32 +86,4 @@ func dequantizeInto(out []float32, codes []int8, scales []float32, blockSize int
 	for i, c := range codes {
 		out[i] = float32(c) * scales[i/blockSize]
 	}
-}
-
-// Quantize8 is a PostProcessor applying an int8 quantize→dequantize round
-// trip, simulating the 4x-smaller lossy wire format while keeping the
-// aggregation pipeline in float32. The introduced error is bounded by half
-// a quantization step per coordinate.
-//
-// Deprecated: the Q8Codec wire codec ("q8") transmits the int8 codes and
-// block scales themselves, so the 4x reduction reaches the wire instead of
-// being simulated. It remains for dense-pipeline experiments.
-type Quantize8 struct {
-	BlockSize int // 0 → 256
-}
-
-// Name implements PostProcessor.
-func (Quantize8) Name() string { return "quantize8" }
-
-// Apply implements PostProcessor.
-func (q Quantize8) Apply(update []float32) ([]float32, error) {
-	bs := q.BlockSize
-	if bs == 0 {
-		bs = 256
-	}
-	codes, scales, err := QuantizeInt8(update, bs)
-	if err != nil {
-		return nil, err
-	}
-	return DequantizeInt8(codes, scales, bs)
 }

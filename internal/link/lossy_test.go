@@ -8,74 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestTopKSparsifies(t *testing.T) {
-	tk := &TopK{Keep: 0.1}
-	u := make([]float32, 100)
-	for i := range u {
-		u[i] = float32(i + 1) // magnitudes 1..100
-	}
-	out, err := tk.Apply(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := Sparsity(out); s < 0.89 || s > 0.91 {
-		t.Fatalf("sparsity: got %v want ~0.9", s)
-	}
-	// The largest coordinates must survive.
-	for i := 90; i < 100; i++ {
-		if out[i] == 0 {
-			t.Fatalf("top coordinate %d was dropped", i)
-		}
-	}
-}
-
-func TestTopKErrorFeedback(t *testing.T) {
-	// A coordinate repeatedly below the threshold must eventually be sent
-	// once its residual accumulates.
-	tk := &TopK{Keep: 0.5}
-	sent := float32(0)
-	for round := 0; round < 10; round++ {
-		u := []float32{0.1, 1.0} // index 0 always loses the top-k race
-		out, err := tk.Apply(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sent += out[0]
-	}
-	// With error feedback, when index 0 is finally transmitted it carries
-	// the accumulated residual; over 10 rounds total mass ≈ 10·0.1 − final
-	// residual. Without feedback sent would be exactly 0.
-	if sent == 0 {
-		t.Fatal("error feedback never flushed the small coordinate")
-	}
-}
-
-func TestTopKValidation(t *testing.T) {
-	if _, err := (&TopK{Keep: 0}).Apply([]float32{1}); err == nil {
-		t.Fatal("keep=0 accepted")
-	}
-	if _, err := (&TopK{Keep: 1.5}).Apply([]float32{1}); err == nil {
-		t.Fatal("keep>1 accepted")
-	}
-	tk := &TopK{Keep: 0.5}
-	if _, err := tk.Apply(make([]float32, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Apply(make([]float32, 5)); err == nil {
-		t.Fatal("size change accepted")
-	}
-	// Keep=1 passes everything through.
-	tk1 := &TopK{Keep: 1}
-	u := []float32{1, -2, 3}
-	out, err := tk1.Apply(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Sparsity(out) != 0 {
-		t.Fatal("keep=1 must not sparsify")
-	}
-}
-
 func TestQuantizeInt8RoundTripErrorBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := make([]float32, 1000)
@@ -124,31 +56,6 @@ func TestQuantizeInt8Degenerate(t *testing.T) {
 	}
 	if _, err := DequantizeInt8(make([]int8, 10), []float32{1}, 4); err == nil {
 		t.Fatal("mismatched scales accepted")
-	}
-}
-
-func TestQuantize8PostProcessor(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	u := make([]float32, 500)
-	for i := range u {
-		u[i] = float32(rng.NormFloat64() * 0.01)
-	}
-	orig := append([]float32(nil), u...)
-	out, err := Quantize8{}.Apply(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxErr float64
-	for i := range out {
-		if e := math.Abs(float64(out[i] - orig[i])); e > maxErr {
-			maxErr = e
-		}
-	}
-	if maxErr == 0 {
-		t.Fatal("quantization suspiciously lossless for random floats")
-	}
-	if maxErr > 0.001 { // generous: absmax/127/2 for 0.01-scale values
-		t.Fatalf("quantization error too large: %v", maxErr)
 	}
 }
 

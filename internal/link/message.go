@@ -146,12 +146,9 @@ type Message struct {
 
 const (
 	magic = 0x50484F54 // "PHOT"
-	// flagFlate marks a legacy (pre-codec) frame whose payload bytes are
-	// flate-compressed dense floats. Decode-only: current frames always
-	// set flagCodec instead.
-	flagFlate = 1 << 0
-	// flagCodec marks the current payload section: codec ID + element
-	// count + codec-native bytes.
+	// flagCodec marks the payload section layout: codec ID + element count
+	// + codec-native bytes. Every frame sets it; bit 0 belonged to the
+	// retired pre-codec format and stays unassigned.
 	flagCodec   = 1 << 1
 	maxIDLen    = 1 << 10
 	maxMetaKeys = 1 << 12
@@ -177,32 +174,41 @@ func Encode(w io.Writer, m *Message) error {
 		return fmt.Errorf("link: payload too large (%d bytes)", len(m.Payload.Data))
 	}
 
-	var body bytes.Buffer
-	body.WriteByte(byte(m.Type))
-	body.WriteByte(flagCodec)
-	writeU32(&body, uint32(m.Round))
-	writeU32(&body, uint32(len(m.ClientID)))
-	body.WriteString(m.ClientID)
-	writeU32(&body, uint32(len(m.Meta)))
-	for _, k := range sortedKeys(m.Meta) {
-		writeU32(&body, uint32(len(k)))
-		body.WriteString(k)
-		writeU64(&body, math.Float64bits(m.Meta[k]))
+	// The frame is written as two pieces — header plus everything up to the
+	// payload bytes, then the payload bytes themselves — so a model-sized
+	// payload is never staged through a second buffer; the CRC runs over
+	// both in place.
+	keys := sortedKeys(m.Meta)
+	size := 12 + 2 + 4 + 4 + len(m.ClientID) + 4 + 1 + 4 + 4
+	for _, k := range keys {
+		size += 4 + len(k) + 8
 	}
-	body.WriteByte(m.Payload.CodecID)
-	writeU32(&body, uint32(m.Payload.Elems))
-	writeU32(&body, uint32(len(m.Payload.Data)))
-	body.Write(m.Payload.Data)
+	le := binary.LittleEndian
+	head := make([]byte, 12, size)
+	head = append(head, byte(m.Type), flagCodec)
+	head = le.AppendUint32(head, uint32(m.Round))
+	head = le.AppendUint32(head, uint32(len(m.ClientID)))
+	head = append(head, m.ClientID...)
+	head = le.AppendUint32(head, uint32(len(m.Meta)))
+	for _, k := range keys {
+		head = le.AppendUint32(head, uint32(len(k)))
+		head = append(head, k...)
+		head = le.AppendUint64(head, math.Float64bits(m.Meta[k]))
+	}
+	head = append(head, m.Payload.CodecID)
+	head = le.AppendUint32(head, uint32(m.Payload.Elems))
+	head = le.AppendUint32(head, uint32(len(m.Payload.Data)))
 
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(body.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(body.Bytes()))
-	if _, err := w.Write(hdr[:]); err != nil {
+	le.PutUint32(head[0:], magic)
+	le.PutUint32(head[4:], uint32(len(head)-12+len(m.Payload.Data)))
+	le.PutUint32(head[8:], crc32.Update(crc32.ChecksumIEEE(head[12:]), crc32.IEEETable, m.Payload.Data))
+	if _, err := w.Write(head); err != nil {
 		return fmt.Errorf("link: write header: %w", err)
 	}
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("link: write body: %w", err)
+	if len(m.Payload.Data) > 0 {
+		if _, err := w.Write(m.Payload.Data); err != nil {
+			return fmt.Errorf("link: write body: %w", err)
+		}
 	}
 	return nil
 }
@@ -210,10 +216,9 @@ func Encode(w io.Writer, m *Message) error {
 // ErrBadFrame reports a corrupted or foreign frame on the wire.
 var ErrBadFrame = errors.New("link: bad frame")
 
-// Decode reads one message from the wire. Both current (codec-tagged) and
-// legacy (dense/flate) payload sections are accepted; legacy payloads map
-// onto the dense and flate codec IDs, so one release of old peers and old
-// checkpoint streams stays readable.
+// Decode reads one message from the wire. The returned Payload.Data aliases
+// the frame body Decode read and checksummed (one allocation per frame, no
+// second copy of the payload); the message owns it.
 func Decode(r io.Reader) (*Message, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -293,13 +298,12 @@ func Decode(r io.Reader) (*Message, error) {
 		m.Meta[string(k)] = math.Float64frombits(v)
 	}
 
-	codecID := uint8(0)
-	if flags&flagCodec != 0 {
-		cid, err := b.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated codec id", ErrBadFrame)
-		}
-		codecID = cid
+	if flags&flagCodec == 0 {
+		return nil, fmt.Errorf("%w: pre-codec frame (flags %#x)", ErrBadFrame, flags)
+	}
+	codecID, err := b.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("%w: truncated codec id", ErrBadFrame)
 	}
 	nElems, err := readU32(b)
 	if err != nil {
@@ -312,30 +316,16 @@ func Decode(r io.Reader) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Bound the allocation by the bytes actually present in the frame — a
-	// corrupted length prefix must not allocate gigabytes before ReadFull
-	// can fail.
+	// The payload is whatever the length prefix claims of the bytes actually
+	// present in the frame — a corrupted prefix can claim no more.
 	if int64(nBytes) > int64(b.Len()) {
 		return nil, fmt.Errorf("%w: payload length %d exceeds frame", ErrBadFrame, nBytes)
-	}
-	raw := make([]byte, nBytes)
-	if _, err := io.ReadFull(b, raw); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload", ErrBadFrame)
 	}
 	if nElems == 0 && nBytes == 0 {
 		return m, nil // canonical empty payload
 	}
-	if flags&flagCodec == 0 {
-		// Legacy pre-codec frame: raw dense floats, optionally
-		// flate-compressed. Map onto the matching built-in codec.
-		codecID = CodecDense
-		if flags&flagFlate != 0 {
-			codecID = CodecFlate
-		} else if uint32(len(raw)) != nElems*4 {
-			return nil, fmt.Errorf("%w: payload size %d for %d elems", ErrBadFrame, len(raw), nElems)
-		}
-	}
-	m.Payload = EncodedPayload{CodecID: codecID, Elems: int(nElems), Data: raw}
+	rest := body[len(body)-b.Len():]
+	m.Payload = EncodedPayload{CodecID: codecID, Elems: int(nElems), Data: rest[:nBytes:nBytes]}
 	return m, nil
 }
 
@@ -364,18 +354,6 @@ func sortedKeys(m map[string]float64) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func writeU32(b *bytes.Buffer, v uint32) {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	b.Write(buf[:])
-}
-
-func writeU64(b *bytes.Buffer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.Write(buf[:])
 }
 
 func readU32(r io.Reader) (uint32, error) {

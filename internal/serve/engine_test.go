@@ -92,60 +92,68 @@ func TestEngineScoreMatchesEval(t *testing.T) {
 // TestEngineContinuousBatching is the mid-batch scheduling pin: with a
 // 2-slot batch occupied by one long request, short requests must rotate
 // through the second slot and complete while the long one is still decoding.
+//
+// Nothing here depends on wall time. Admission is FIFO, so submitting the long
+// request first binds it to one slot before any short is looked at, and the
+// shorts then contend for the other; completion order is read from the
+// engine's own retirement events (emitted by the scheduler goroutine in the
+// order it retires sequences), not from which observer goroutine wakes first.
 func TestEngineContinuousBatching(t *testing.T) {
 	m := testModel(3)
 	e := NewEngine(m, Config{MaxBatch: 2, MaxSeq: 128, Queue: 8})
 	defer e.Close()
 
-	order := make(chan string, 4)
-	long, err := e.Submit(Request{Prompt: []int{1, 2}, MaxNew: 90})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Give the scheduler a moment to admit the long request so the shorts
-	// contend for the one remaining slot.
-	time.Sleep(10 * time.Millisecond)
-	shorts := make([]<-chan Result, 3)
-	for i := range shorts {
-		ch, err := e.Submit(Request{Prompt: []int{5}, MaxNew: 3})
+	const longNew, shortNew, nShort = 90, 3, 3
+	results := make([]<-chan Result, 0, 1+nShort)
+	submit := func(req Request) {
+		t.Helper()
+		ch, err := e.Submit(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shorts[i] = ch
+		results = append(results, ch)
 	}
-	go func() {
-		r := <-long
+	submit(Request{Prompt: []int{1, 2}, MaxNew: longNew})
+	for i := 0; i < nShort; i++ {
+		submit(Request{Prompt: []int{5}, MaxNew: shortNew})
+	}
+
+	// The shorts need nShort*shortNew decode steps through one slot; the long
+	// request needs longNew. Batched, the shorts retire first; served one
+	// request at a time (no mid-batch admission) the long one would.
+	var order []int
+	for range results {
+		ev := <-e.Events()
+		if ev.Kind != EventCompleted {
+			t.Fatalf("event kind %v, want completed", ev.Kind)
+		}
+		order = append(order, ev.Tokens)
+	}
+	want := []int{shortNew, shortNew, shortNew, longNew}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("retirement order (tokens per request) %v, want %v: short requests should finish mid-batch before the long one", order, want)
+		}
+	}
+	for i, ch := range results {
+		r := <-ch
 		if r.Err != nil {
-			t.Errorf("long request failed: %v", r.Err)
+			t.Fatalf("request %d failed: %v", i, r.Err)
 		}
-		if len(r.Tokens) != 90 {
-			t.Errorf("long request returned %d tokens", len(r.Tokens))
+		wantTok := shortNew
+		if i == 0 {
+			wantTok = longNew
 		}
-		order <- "long"
-	}()
-	go func() {
-		for _, ch := range shorts {
-			r := <-ch
-			if r.Err != nil {
-				t.Errorf("short request failed: %v", r.Err)
-			}
-			if len(r.Tokens) != 3 {
-				t.Errorf("short request returned %d tokens", len(r.Tokens))
-			}
+		if len(r.Tokens) != wantTok {
+			t.Fatalf("request %d returned %d tokens, want %d", i, len(r.Tokens), wantTok)
 		}
-		order <- "shorts"
-	}()
-	first := <-order
-	second := <-order
-	if first != "shorts" || second != "long" {
-		t.Fatalf("completion order %s, %s: short requests should finish mid-batch before the long one", first, second)
 	}
 	st := e.Stats()
 	if st.Completed != 4 {
 		t.Fatalf("stats report %d completed, want 4", st.Completed)
 	}
-	if st.TokensOut != 90+3*3 {
-		t.Fatalf("stats report %d tokens out, want 99", st.TokensOut)
+	if st.TokensOut != longNew+nShort*shortNew {
+		t.Fatalf("stats report %d tokens out, want %d", st.TokensOut, longNew+nShort*shortNew)
 	}
 }
 
