@@ -24,33 +24,6 @@ import (
 	"photon/internal/obsv"
 )
 
-// resolveCodecFlag maps the deprecated -compress flag onto -codec when the
-// operator set it explicitly; an explicit -codec always wins.
-func resolveCodecFlag(codec *string, compress bool) {
-	compressSet, codecSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "compress":
-			compressSet = true
-		case "codec":
-			codecSet = true
-		}
-	})
-	if !compressSet {
-		return
-	}
-	if codecSet {
-		log.Printf("warning: -compress is deprecated and ignored when -codec is given")
-		return
-	}
-	if compress {
-		*codec = "flate"
-	} else {
-		*codec = "dense"
-	}
-	log.Printf("warning: -compress is deprecated; use -codec=%s", *codec)
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("photon-agg: ")
@@ -61,7 +34,6 @@ func main() {
 		rounds     = flag.Int("rounds", 10, "federated rounds")
 		server     = flag.String("server", "fedavg", "server optimizer (see photon.ServerOptimizers)")
 		codec      = flag.String("codec", "flate", "wire codec for parameter payloads (dense, flate, q8, topk:<keep>, ...)")
-		compress   = flag.Bool("compress", true, "deprecated: use -codec=flate (or -codec=dense to disable)")
 		seed       = flag.Int64("seed", 1, "run seed")
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "heartbeat interval; members missing 3 beats are evicted (0 disables)")
 		deadline   = flag.Duration("deadline", 0, "per-round deadline; late members become stragglers (0 waits forever)")
@@ -78,7 +50,6 @@ func main() {
 		asyncAlpha = flag.Float64("async-alpha", 0.5, "async: staleness discount exponent; weight = 1/(1+staleness)^alpha")
 	)
 	flag.Parse()
-	resolveCodecFlag(codec, *compress)
 
 	tier := 0
 	if *parent != "" {

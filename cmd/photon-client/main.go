@@ -35,19 +35,12 @@ func main() {
 		batch     = flag.Int("batch", 4, "local batch size (Bl)")
 		lr        = flag.Float64("lr", 3e-3, "peak learning rate")
 		codec     = flag.String("codec", "", "require this wire codec from the aggregator (empty accepts whatever it announces)")
-		compress  = flag.Bool("compress", true, "deprecated: codec choice is announced by the aggregator; see -codec")
 		seed      = flag.Int64("seed", 1, "run seed")
 		retry     = flag.Int("reconnect", 5, "reconnect attempts after a lost session (0 disables)")
 		ckpt      = flag.String("ckpt", "", "local checkpoint path for crash recovery (optional)")
 		metricsAt = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty disables)")
 	)
 	flag.Parse()
-	_ = *compress // deprecated: the aggregator announces the codec
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "compress" {
-			log.Printf("warning: -compress is deprecated and has no effect; the aggregator announces the wire codec (use -codec=flate to require it)")
-		}
-	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

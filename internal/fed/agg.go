@@ -198,61 +198,30 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	if sampler == nil {
 		sampler = UniformSampler{}
 	}
-	// Codec simulation state: the model-broadcast encoder is shared (one
-	// encode per round), while each client index keeps its own update
-	// codec so error-feedback residuals accumulate per client exactly as
-	// they would on real client processes.
-	var modelCodec link.Codec
-	var clientCodecs []link.Codec
-	if cfg.Codec != "" {
-		c, err := link.NewCodec(cfg.Codec)
-		if err != nil {
-			return nil, fmt.Errorf("fed: %w", err)
-		}
-		modelCodec = link.ModelCodec(c)
-		clientCodecs = make([]link.Codec, len(cfg.Clients))
+	// Codec simulation state, per tier: the model-broadcast encoder is
+	// shared (one encode per round), while each client index — and, in the
+	// hierarchical simulation, each relay — keeps its own update codec, so
+	// error-feedback residuals (topk) accumulate per owner exactly as they
+	// would on real client and relay processes.
+	modelCodec, clientCodec, err := simCodecs(cfg.Codec, len(cfg.Clients))
+	if err != nil {
+		return nil, fmt.Errorf("fed: %w", err)
 	}
-	clientCodec := func(i int) (link.Codec, error) {
-		if clientCodecs[i] == nil {
-			var err error
-			if clientCodecs[i], err = link.NewCodec(cfg.Codec); err != nil {
-				return nil, err
-			}
-		}
-		return clientCodecs[i], nil
-	}
-
-	// Hierarchical simulation state: the parent tier's model-broadcast
-	// encoder plus one upstream codec instance per relay, so error-feedback
-	// codecs (topk) accumulate residuals per relay exactly as a networked
-	// fed.Relay does.
 	tiers := cfg.Tiers
 	if tiers <= 0 {
 		tiers = 1
 	}
 	relays := cfg.effectiveRelays()
-	var upModelCodec link.Codec
-	var relayCodecs []link.Codec
 	upName := cfg.UpstreamCodec
 	if upName == "" {
 		upName = cfg.Codec
 	}
-	if tiers == 2 && upName != "" {
-		c, err := link.NewCodec(upName)
-		if err != nil {
+	var upModelCodec link.Codec
+	var relayCodec func(int) (link.Codec, error)
+	if tiers == 2 {
+		if upModelCodec, relayCodec, err = simCodecs(upName, relays); err != nil {
 			return nil, fmt.Errorf("fed: upstream codec: %w", err)
 		}
-		upModelCodec = link.ModelCodec(c)
-		relayCodecs = make([]link.Codec, relays)
-	}
-	relayCodec := func(g int) (link.Codec, error) {
-		if relayCodecs[g] == nil {
-			var err error
-			if relayCodecs[g], err = link.NewCodec(upName); err != nil {
-				return nil, err
-			}
-		}
-		return relayCodecs[g], nil
 	}
 	var writer *ckpt.AsyncWriter
 	var ckptErrSeen bool
@@ -281,12 +250,9 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 		for i := range dropped {
 			dropped[i] = cfg.DropoutProb > 0 && rng.Float64() < cfg.DropoutProb
 		}
-		// 52-bit trace IDs match the networked tiers' float64 Meta limit,
-		// so simulated and real runs share one identifier space.
-		traceID := traceRng.Uint64() & (1<<52 - 1)
-		if traceID == 0 {
-			traceID = 1
-		}
+		// The same 52-bit trace IDs as the networked tiers, so simulated
+		// and real runs share one identifier space.
+		traceID := mintTrace(traceRng)
 		roundStart := time.Now()
 
 		// Under a codec, clients train from the decoded broadcast — for a
@@ -300,37 +266,17 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 		var parentDown, parentUp int64
 		relayGlobal := global
 		if upModelCodec != nil {
-			encStart := time.Now()
-			encUp, err := link.EncodeVector(upModelCodec, global)
-			wire.encNs += time.Since(encStart).Nanoseconds()
-			if err != nil {
+			var err error
+			if relayGlobal, parentDown, err = wire.roundTrip(upModelCodec, global, relays); err != nil {
 				return nil, fmt.Errorf("fed: round %d: %w", round, err)
 			}
-			decStart := time.Now()
-			if relayGlobal, err = link.DecodePayload(upModelCodec, encUp); err != nil {
-				return nil, fmt.Errorf("fed: round %d: %w", round, err)
-			}
-			wire.decNs += time.Since(decStart).Nanoseconds()
-			parentDown = int64(relays) * int64(encUp.WireBytes())
-			wire.payloadBytes += parentDown
-			wire.denseBytes += int64(relays) * int64(len(global)) * 4
 		}
 		trainGlobal := relayGlobal
 		if modelCodec != nil {
-			encStart := time.Now()
-			encModel, err := link.EncodeVector(modelCodec, relayGlobal)
-			wire.encNs += time.Since(encStart).Nanoseconds()
-			if err != nil {
+			var err error
+			if trainGlobal, downBytes, err = wire.roundTrip(modelCodec, relayGlobal, len(cohortIdx)); err != nil {
 				return nil, fmt.Errorf("fed: round %d: %w", round, err)
 			}
-			decStart := time.Now()
-			if trainGlobal, err = link.DecodePayload(modelCodec, encModel); err != nil {
-				return nil, fmt.Errorf("fed: round %d: %w", round, err)
-			}
-			wire.decNs += time.Since(decStart).Nanoseconds()
-			downBytes = int64(len(cohortIdx)) * int64(encModel.WireBytes())
-			wire.payloadBytes += downBytes
-			wire.denseBytes += int64(len(cohortIdx)) * int64(len(global)) * 4
 		}
 
 		type outcome struct {
@@ -391,20 +337,11 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("fed: round %d: %w", round, err)
 				}
-				encStart := time.Now()
-				encUpd, err := link.EncodeVector(codec, upd)
-				wire.encNs += time.Since(encStart).Nanoseconds()
-				if err != nil {
+				var n int64
+				if upd, n, err = wire.roundTrip(codec, upd, 1); err != nil {
 					return nil, fmt.Errorf("fed: round %d client %s: %w", round, cfg.Clients[cohortIdx[i]].ID, err)
 				}
-				decStart := time.Now()
-				if upd, err = link.DecodePayload(codec, encUpd); err != nil {
-					return nil, fmt.Errorf("fed: round %d client %s: %w", round, cfg.Clients[cohortIdx[i]].ID, err)
-				}
-				wire.decNs += time.Since(decStart).Nanoseconds()
-				upBytes += int64(encUpd.WireBytes())
-				wire.payloadBytes += int64(encUpd.WireBytes())
-				wire.denseBytes += int64(encUpd.Elems) * 4
+				upBytes += n
 			}
 			updates = append(updates, upd)
 			clientMetrics = append(clientMetrics, o.res.Metrics)
@@ -444,20 +381,11 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 					if err != nil {
 						return nil, fmt.Errorf("fed: round %d: %w", round, err)
 					}
-					encStart := time.Now()
-					encMean, err := link.EncodeVector(codec, mean)
-					wire.encNs += time.Since(encStart).Nanoseconds()
-					if err != nil {
+					var n int64
+					if mean, n, err = wire.roundTrip(codec, mean, 1); err != nil {
 						return nil, fmt.Errorf("fed: round %d relay %d: %w", round, g, err)
 					}
-					decStart := time.Now()
-					if mean, err = link.DecodePayload(codec, encMean); err != nil {
-						return nil, fmt.Errorf("fed: round %d relay %d: %w", round, g, err)
-					}
-					wire.decNs += time.Since(decStart).Nanoseconds()
-					parentUp += int64(encMean.WireBytes())
-					wire.payloadBytes += int64(encMean.WireBytes())
-					wire.denseBytes += int64(encMean.Elems) * 4
+					parentUp += n
 				}
 				rootUpdates = append(rootUpdates, mean)
 			}
@@ -572,6 +500,54 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 		return nil, err
 	}
 	return &Result{History: hist, Global: global, FinalModel: globalModel}, runErr
+}
+
+// simCodecs builds one tier's simulated codec state for Run: the shared
+// model-broadcast encoder and an accessor over n per-owner update codec
+// instances, created on first use. An empty name simulates no codec (nil
+// encoder).
+func simCodecs(name string, n int) (link.Codec, func(int) (link.Codec, error), error) {
+	if name == "" {
+		return nil, nil, nil
+	}
+	c, err := link.NewCodec(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	owned := make([]link.Codec, n)
+	return link.ModelCodec(c), func(i int) (link.Codec, error) {
+		if owned[i] == nil {
+			var err error
+			if owned[i], err = link.NewCodec(name); err != nil {
+				return nil, err
+			}
+		}
+		return owned[i], nil
+	}, nil
+}
+
+// roundTrip is the simulator's stand-in for one wire crossing: encode v
+// with codec, decode it back (for a lossy codec, the perturbed values the
+// receiver would train or fold from), and charge the wall time and the
+// payload — sent to `copies` receivers — to the round's accounting. It
+// returns the decoded vector and the encoded bytes charged.
+func (w *roundWire) roundTrip(codec link.Codec, v []float32, copies int) ([]float32, int64, error) {
+	encStart := time.Now()
+	enc, err := link.EncodeVector(codec, v)
+	w.encNs += time.Since(encStart).Nanoseconds()
+	if err != nil {
+		return nil, 0, err
+	}
+	decStart := time.Now()
+	out, err := link.DecodePayload(codec, enc)
+	if err != nil {
+		return nil, 0, err
+	}
+	w.decNs += time.Since(decStart).Nanoseconds()
+	bytes := int64(copies) * int64(enc.WireBytes())
+	w.payloadBytes += bytes
+	w.denseBytes += int64(copies) * int64(enc.Elems) * 4
+	return out, bytes, nil
 }
 
 func norm2(x []float32) float64 {

@@ -1,23 +1,31 @@
 package fed
 
-// The mode-pluggable aggregation core behind Serve. Serve owns everything
-// around the seam — listener, handshakes, membership, liveness, WAL/registry
-// setup, shutdown — and hands the assembled aggState to exactly one
-// Aggregator implementation:
+// The aggregation core behind Serve and RunRelay. A networked round has four
+// roles, each written once and shared by every driver:
 //
-//   - syncAggregator: the deadline-based synchronous round loop (sample a
-//     cohort, broadcast, collect until the deadline, fold with MeanDelta,
-//     emit one outer step per round).
-//   - asyncAggregator (async.go): the FedBuff-style asynchronous mode
-//     (broadcast continuously-versioned models, fold arrivals into a
-//     staleness-weighted buffer, emit a commit every K folds).
+//   - member session (session.go): the member side — join, echo heartbeats,
+//     answer each model broadcast with one update, redeliver from the reply
+//     cache. A leaf's work step trains; a relay's collects its cohort.
+//   - ask (server.go): the aggregator's exchange with one member — send the
+//     model, await the matching update, decode and validate it.
+//   - collect: the preamble of a deadline-bounded window — wait for the
+//     membership floor, pick the cohort.
+//   - seal: the tail of every window — wire/churn accounting, evaluation,
+//     history, OnRound, observers, journal commit, registry, compaction.
 //
-// Both modes are the same collect → fold → emit state machine; they differ
-// only in what bounds a collect window (a deadline vs a buffer count) and
-// in how a fold weighs its inputs (uniform mean vs staleness weights).
+// What is left in a driver is what actually differs between them: when a
+// collect window closes, and where the fold goes.
+//
+//   - syncAggregator: a window closes at the round deadline; the uniform
+//     mean steps the outer optimizer.
+//   - asyncAggregator (async.go): a window closes after K arrivals; they
+//     fold into a staleness-weighted buffer that steps the outer optimizer.
+//   - relay (relay.go): a window is one parent round; the cohort mean,
+//     folded through the outer optimizer, goes upstream.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -35,21 +43,9 @@ import (
 // rather than the run length.
 const compactEvery = 8
 
-// Aggregator is the aggregation-core seam: one collect → fold → emit state
-// machine with a synchronous and an asynchronous implementation. run drives
-// the machine to completion and returns Serve's result; it is unexported
-// because implementations share the package-private server plumbing.
-type Aggregator interface {
-	// Mode names the aggregation mode ("sync" or "async") for logs and
-	// registry lineage.
-	Mode() string
-
-	run(ctx context.Context) (*Result, error)
-}
-
-// aggState is everything Serve assembles before handing control to an
-// Aggregator: server plumbing, model and optimizer state, run bookkeeping,
-// and the finish/fail exits that package (possibly partial) results.
+// aggState is what every driver aggregates over: server plumbing, model and
+// optimizer state, run bookkeeping, and the durable side. A relay builds
+// one with no model, Validation, or registry.
 type aggState struct {
 	s   *server
 	cfg ServerConfig
@@ -65,31 +61,246 @@ type aggState struct {
 	global      []float32
 	hist        *metrics.History
 
+	// jrn journals state transitions when the durable control plane is on;
+	// nil (all methods no-ops) otherwise. Only the driver's single-threaded
+	// loop appends, so the journal needs no locking of its own.
+	jrn      *journal
 	registry *ckpt.Registry
 	lineage  map[string]string
 
-	// finish packages the (possibly partial) run: completed rounds are
-	// never discarded, even when the run ends on a membership or
-	// no-progress error. fail routes a loop error through finish,
-	// downgrading the exit to abrupt when an armed crash point fired.
-	finish func(error) (*Result, error)
-	fail   func(int, error) (*Result, error)
+	// commitRec is the record type that seals a window in the journal (a
+	// round commit unless the driver says otherwise), and carry, when
+	// non-nil, supplies the driver's records that must survive
+	// a compaction beside the outer-optimizer snapshot.
+	commitRec ckpt.RecordType
+	carry     func() []ckpt.Record
+	commits   int
+
+	// Wire-accounting windows tile the run with no gaps: each window starts
+	// where the previous one ended, so traffic between exchanges
+	// (heartbeats during aggregation and evaluation, rejoin waits) is
+	// attributed to the next record rather than lost, and the per-record
+	// sums add up to the meter's cumulative totals.
+	sentPrev, recvPrev int64
+
+	// crashed is set when an armed crash point fired: the exit must look
+	// like a crash to the members, not a clean shutdown.
+	crashed bool
+}
+
+// newAggState builds what Serve and RunRelay share before any connection is
+// accepted: the cohort-side server, the aggregation state with cfg's cohort
+// bounds and defaults resolved, and — with cfg.WALDir set — the journal,
+// whose prior contents are returned for the driver to replay. The caller
+// closes a.jrn.
+func newAggState(cfg ServerConfig) (*aggState, *ckpt.Recovery, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	a := &aggState{
+		s: s, cfg: cfg, hist: &metrics.History{}, commitRec: ckpt.RecRoundCommit,
+		k: cfg.ClientsPerRound, minClients: cfg.MinClients, evalEvery: cfg.EvalEvery, rng: cfg.Rng,
+	}
+	if a.k <= 0 || a.k > cfg.ExpectClients {
+		a.k = cfg.ExpectClients
+	}
+	if a.minClients < 1 {
+		a.minClients = 1
+	}
+	if a.evalEvery <= 0 {
+		a.evalEvery = 1
+	}
+	if a.rng == nil {
+		a.rng = rand.New(rand.NewSource(cfg.Seed))
+	}
+	if cfg.WALDir == "" {
+		return a, nil, nil
+	}
+	wal, recovered, err := ckpt.OpenWAL(cfg.WALDir, cfg.Failpoint)
+	if err != nil {
+		return nil, nil, err
+	}
+	a.jrn = newJournal(wal)
+	return a, recovered, nil
+}
+
+// finish packages the (possibly partial) run: completed rounds are never
+// discarded, even when the run ends on a membership or no-progress error.
+func (a *aggState) finish(err error) (*Result, error) {
+	if lerr := a.globalModel.Params().LoadFlat(a.global); lerr != nil {
+		return nil, lerr
+	}
+	return &Result{History: a.hist, Global: a.global, FinalModel: a.globalModel}, err
+}
+
+// fail routes a loop error through finish, downgrading the exit to abrupt
+// when it is an armed crash point firing.
+func (a *aggState) fail(round int, err error) (*Result, error) {
+	if errors.Is(err, ckpt.ErrFailpoint) {
+		a.crashed = true
+	}
+	return a.finish(fmt.Errorf("fed: round %d: %w", round, err))
+}
+
+// rejoinGrace is how long a window waits for the membership floor before
+// the driver gives up on it.
+func (a *aggState) rejoinGrace() time.Duration {
+	if a.cfg.RoundDeadline > 0 {
+		return a.cfg.RoundDeadline
+	}
+	return 10 * time.Second
+}
+
+// mintTrace draws a fresh trace ID from the dedicated trace stream. Meta
+// values ride the wire as float64, so trace IDs are confined to 52 bits —
+// they survive the float round-trip exactly.
+func mintTrace(rng *rand.Rand) uint64 {
+	id := rng.Uint64() & (1<<52 - 1)
+	if id == 0 {
+		id = 1
+	}
+	return id
+}
+
+// window is one collect window on its way to becoming a round record. The
+// driver pre-fills what only it knows (participants, depth, update norm,
+// loss, version and staleness); exchangeRound adds the codec and
+// critical-path accounting; seal stamps the rest.
+type window struct {
+	rec    metrics.Round
+	start  time.Time
+	pn     obsv.PhaseNanos
+	epoch  uint64         // membership epoch journaled on the commit
+	folded bool           // the window advanced state: commit it
+	stale  map[string]int // per-member version lag for observers (async only)
+	sealed time.Time      // when seal stamped WallMs; the next async window opens here
+}
+
+func (a *aggState) open(round int, traceID uint64, start time.Time) *window {
+	return &window{rec: metrics.Round{Round: round, TraceID: traceID}, start: start}
+}
+
+// collect is the preamble of a deadline-bounded window: hold it until the
+// membership floor is met — giving evicted members a grace period to rejoin
+// — then pick who is asked. Normally that is a fresh health-weighted draw;
+// when a WAL replay handed the window back partially done (reopened), it is
+// the journaled cohort's members whose updates were lost, so nobody who
+// answered before the crash trains the round twice.
+func (a *aggState) collect(ctx context.Context, reopened *openRound) ([]*memberConn, error) {
+	if err := a.s.waitAlive(ctx, a.minClients, a.rejoinGrace()); err != nil {
+		return nil, err
+	}
+	var ids []string
+	if reopened != nil {
+		for _, id := range reopened.cohort {
+			if _, done := reopened.updates[id]; !done {
+				ids = append(ids, id)
+			}
+		}
+	} else {
+		for _, info := range a.s.reg.SampleCohort(a.rng, a.k, a.cfg.OverProvision) {
+			ids = append(ids, info.ID)
+		}
+	}
+	cohort := make([]*memberConn, 0, len(ids))
+	for _, id := range ids {
+		if mc := a.s.get(id); mc != nil {
+			cohort = append(cohort, mc)
+		}
+	}
+	return cohort, nil
+}
+
+// seal closes a window: measure its share of the wire and the churn,
+// evaluate when due, emit the record (history, OnRound, observers), and —
+// when the window advanced state — commit it and periodically fold the log
+// into the base checkpoint so replay time stays bounded. The order is the
+// same for every driver, so crash points land between the same record
+// pairs: the outer step is journaled before the record exists, the commit
+// after observers saw it.
+func (a *aggState) seal(w *window) error {
+	s, rec := a.s, &w.rec
+	// Real wire traffic measured over the window, frame headers and
+	// heartbeats included — not an element-count estimate.
+	sent, recv := s.meter.Totals()
+	rec.WireSentBytes, rec.WireRecvBytes = sent-a.sentPrev, recv-a.recvPrev
+	rec.CommBytes = rec.WireSentBytes + rec.WireRecvBytes
+	a.sentPrev, a.recvPrev = sent, recv
+	churn := s.reg.RoundDelta()
+	rec.Joins = churn.Joins + churn.Rejoins
+	rec.Evictions = churn.Evictions
+	rec.Stragglers = churn.Stragglers
+	rec.HeartbeatRTTMs = churn.HeartbeatRTTMs
+	rec.HeartbeatRTTP99Ms = churn.HeartbeatRTTP99Ms
+	if a.cfg.Validation != nil && (rec.Round%a.evalEvery == 0 || rec.Round == a.cfg.Rounds) {
+		evalSpan := s.tracer.Begin(obsv.PhaseEval)
+		if err := a.globalModel.Params().LoadFlat(a.global); err != nil {
+			return err
+		}
+		rec.ValPPL = a.cfg.Validation.Evaluate(a.globalModel)
+		w.pn.Add(obsv.PhaseEval, evalSpan.End(rec.TraceID))
+	}
+	w.sealed = time.Now()
+	rec.WallMs = float64(w.sealed.Sub(w.start).Nanoseconds()) / 1e6
+	rec.Phases = w.pn.Breakdown()
+	a.hist.Append(*rec)
+	if a.cfg.OnRound != nil {
+		a.cfg.OnRound(*rec)
+	}
+	s.publishRound(*rec, w.stale)
+	if !w.folded {
+		return nil
+	}
+	if err := a.commit(rec.Round, w.epoch); err != nil {
+		return err
+	}
+	if !a.jrn.enabled() || a.commits%compactEvery != 0 {
+		return nil
+	}
+	snap := make([]float32, len(a.global))
+	copy(snap, a.global)
+	base := &ckpt.Checkpoint{Round: rec.Round, Meta: map[string]float64{"loss": rec.TrainLoss}, Params: snap}
+	// The base checkpoint holds params only, so the outer optimizer's
+	// momentum must be carried into the fresh log segment or a
+	// post-compaction resume would lose it.
+	var carry []ckpt.Record
+	if st := snapshotOuter(a.cfg.Outer); st != nil {
+		carry = append(carry, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: rec.Round, Member: snapOuter, Vec: st})
+	}
+	if a.carry != nil {
+		carry = append(carry, a.carry()...)
+	}
+	return a.jrn.wal.Compact(base, carry)
+}
+
+// commit makes a window durable: the journal's one fsync, then the registry
+// publish of the checkpoint it produced.
+func (a *aggState) commit(round int, epoch uint64) error {
+	if err := a.jrn.commit(a.commitRec, round, epoch); err != nil {
+		return err
+	}
+	a.commits++
+	if a.registry != nil {
+		publishRegistry(a.registry, round, a.global, a.lineage)
+	}
+	return nil
 }
 
 // syncAggregator is the deadline-based synchronous mode: one collect →
-// fold → emit cycle per round, stragglers dropped (and down-weighted) at
+// fold → seal cycle per round, stragglers dropped (and down-weighted) at
 // the round deadline.
 type syncAggregator struct {
 	*aggState
 	resume *serverResume
+	// depth is the aggregation depth stamped on round records: 1 until a
+	// relay identifies itself, then sticky at 2 — an empty round (every
+	// relay straggled) does not mean the topology collapsed to flat.
+	depth int
 }
 
-func (a *syncAggregator) Mode() string { return "sync" }
-
 func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
-	s, cfg, resume := a.s, a.cfg, a.resume
-	startRound := resume.committed + 1
-	commits := 0
+	cfg, resume := a.cfg, a.resume
 
 	// emptyRounds counts consecutive rounds that aggregated zero updates
 	// (every cohort member straggled past the deadline or failed). A few
@@ -98,45 +309,20 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 	const maxEmptyRounds = 3
 	emptyRounds := 0
 
-	// Wire-accounting windows tile the run with no gaps: each round's
-	// window starts where the previous one ended, so traffic between
-	// exchanges (heartbeats during aggregation and evaluation, rejoin
-	// waits) is attributed to the next recorded round rather than lost,
-	// and the per-round sums add up to the meter's cumulative totals.
-	sentPrev, recvPrev := s.meter.Totals()
-	// depth is the aggregation depth stamped on round records: 1 until a
-	// relay identifies itself, then sticky at 2 — an empty round (every
-	// relay straggled) does not mean the topology collapsed to flat.
-	depth := 1
 	var runErr error
-	for round := startRound; round <= cfg.Rounds; round++ {
+	for round := resume.committed + 1; round <= cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
 			runErr = err
 			break
 		}
-		// Membership floor: give evicted members a grace window to rejoin
-		// before declaring the run dead.
-		rejoinGrace := cfg.RoundDeadline
-		if rejoinGrace <= 0 {
-			rejoinGrace = 10 * time.Second
-		}
-		if err := s.waitAlive(ctx, a.minClients, rejoinGrace); err != nil {
-			if ctx.Err() != nil {
-				runErr = ctx.Err()
-				break
-			}
-			return a.finish(fmt.Errorf("fed: round %d: %w", round, err))
-		}
-
 		// A WAL replay may hand this round back partially done: pre carries
 		// the journaled cohort and the updates that already arrived before
 		// the crash. Consume it exactly once.
 		var pre *openRound
 		if resume.open != nil && resume.open.round == round {
-			pre = resume.open
-			resume.open = nil
+			pre, resume.open = resume.open, nil
 		}
-		epoch := s.membershipEpoch()
+		epoch := a.s.membershipEpoch()
 
 		if pre != nil && pre.stepped {
 			// The crash hit after the outer step: the journaled post-step
@@ -156,12 +342,8 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 						return a.fail(round, err)
 					}
 				}
-				if err := s.jrn.roundCommit(round, epoch); err != nil {
+				if err := a.commit(round, epoch); err != nil {
 					return a.fail(round, err)
-				}
-				commits++
-				if a.registry != nil {
-					publishRegistry(a.registry, round, a.global, a.lineage)
 				}
 				emptyRounds = 0
 				continue
@@ -169,69 +351,52 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			pre.stepped = false
 		}
 
-		var cohort []*memberConn
-		var preUpdates [][]float32
-		var preMetrics []map[string]float64
+		// Journaled pre-crash updates come first (their arrival order is
+		// the log order), freshly collected ones after.
+		var updates [][]float32
+		var clientMetrics []map[string]float64
 		if pre != nil {
-			// Re-open the journaled cohort: keep the updates that survived
-			// in the log, re-ask only the members whose updates were lost.
-			// Members that answered pre-crash are never re-trained — their
-			// data streams must not advance twice for one round.
 			for _, id := range pre.order {
-				vec, err := s.decodeUpdate(pre.updates[id], len(a.global))
+				vec, err := a.s.decodeUpdate(pre.updates[id], len(a.global))
 				if err != nil {
 					// Treated as never journaled: the member is re-asked
-					// below and its cached reply answers.
+					// and its cached reply answers.
 					log.Printf("fed: round %d: journaled update from %s skipped: %v", round, id, err)
 					delete(pre.updates, id)
 					continue
 				}
-				preUpdates = append(preUpdates, vec)
-				preMetrics = append(preMetrics, map[string]float64{})
+				updates = append(updates, vec)
+				clientMetrics = append(clientMetrics, map[string]float64{})
 			}
-			for _, id := range pre.cohort {
-				if _, done := pre.updates[id]; done {
-					continue
-				}
-				if mc := s.get(id); mc != nil {
-					cohort = append(cohort, mc)
-				}
+		}
+		cohort, err := a.collect(ctx, pre)
+		if err != nil {
+			if ctx.Err() != nil {
+				runErr = ctx.Err()
+				break
 			}
-			if len(cohort) == 0 && len(preUpdates) == 0 {
-				// Nothing journaled and nobody reconnected yet: retry the
-				// round as a fresh draw against the refreshed membership.
-				round--
-				continue
+			return a.finish(fmt.Errorf("fed: round %d: %w", round, err))
+		}
+		if len(cohort) == 0 && len(updates) == 0 {
+			// Sampled members vanished between the wait and the draw (or
+			// nothing was journaled and nobody reconnected yet); retry the
+			// round as a fresh draw against the refreshed membership.
+			round--
+			continue
+		}
+		if pre == nil {
+			ids := make([]string, len(cohort))
+			for i, mc := range cohort {
+				ids[i] = mc.id
 			}
-		} else {
-			cohortInfos := s.reg.SampleCohort(a.rng, a.k, cfg.OverProvision)
-			cohort = make([]*memberConn, 0, len(cohortInfos))
-			ids := make([]string, 0, len(cohortInfos))
-			for _, info := range cohortInfos {
-				if mc := s.get(info.ID); mc != nil {
-					cohort = append(cohort, mc)
-					ids = append(ids, info.ID)
-				}
-			}
-			if len(cohort) == 0 {
-				// Sampled members vanished between the wait and the draw;
-				// retry the round against the refreshed membership.
-				round--
-				continue
-			}
-			if err := s.jrn.roundOpen(round, epoch, ids); err != nil {
+			if err := a.jrn.roundOpen(round, epoch, ids); err != nil {
 				return a.fail(round, err)
 			}
 		}
 
-		// Meta values ride the wire as float64, so trace IDs are confined
-		// to 52 bits — they survive the float round-trip exactly.
-		traceID := a.traceRng.Uint64() & (1<<52 - 1)
-		if traceID == 0 {
-			traceID = 1
-		}
-		roundStart := time.Now()
-		updates, clientMetrics, wire, phases, interrupted, err := s.exchangeRound(ctx, round, traceID, a.global, cohort, pre != nil)
+		w := a.open(round, mintTrace(a.traceRng), time.Now())
+		w.epoch = epoch
+		fresh, freshMetrics, interrupted, err := a.s.exchangeRound(ctx, w, a.global, cohort, pre != nil, a.jrn)
 		if err != nil {
 			return a.fail(round, err)
 		}
@@ -239,129 +404,47 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			runErr = ctx.Err()
 			break
 		}
-		// Journaled pre-crash updates come first (their arrival order is
-		// the log order), freshly collected ones after.
-		if len(preUpdates) > 0 {
-			updates = append(preUpdates, updates...)
-			clientMetrics = append(preMetrics, clientMetrics...)
-		}
-		sentAfter, recvAfter := s.meter.Totals()
-		sentRound, recvRound := sentAfter-sentPrev, recvAfter-recvPrev
-		sentPrev, recvPrev = sentAfter, recvAfter
-
-		// Depth 2 once any member identifies itself as an aggregation
-		// tier (a relay stamps CohortKey on its upstream updates).
-		for _, m := range clientMetrics {
-			if _, ok := m[link.CohortKey]; ok {
-				depth = 2
-				break
-			}
-		}
-
-		churn := s.reg.RoundDelta()
-		rec := metrics.Round{
-			Round:   round,
-			Clients: len(updates),
-			Depth:   depth,
-			// Real wire traffic measured over the round's window, frame
-			// headers and heartbeats included — not an element-count
-			// estimate.
-			WireSentBytes:     sentRound,
-			WireRecvBytes:     recvRound,
-			CommBytes:         sentRound + recvRound,
-			EncodeMs:          float64(wire.encNs) / 1e6,
-			DecodeMs:          float64(wire.decNs) / 1e6,
-			Joins:             churn.Joins + churn.Rejoins,
-			Evictions:         churn.Evictions,
-			Stragglers:        churn.Stragglers,
-			HeartbeatRTTMs:    churn.HeartbeatRTTMs,
-			HeartbeatRTTP99Ms: churn.HeartbeatRTTP99Ms,
-			TraceID:           traceID,
-		}
-		if wire.denseBytes > 0 {
-			rec.CompressionRatio = float64(wire.payloadBytes) / float64(wire.denseBytes)
+		updates = append(updates, fresh...)
+		if err := a.step(w, updates, append(clientMetrics, freshMetrics...)); err != nil {
+			return a.fail(round, err)
 		}
 		if len(updates) > 0 {
-			aggSpan := s.tracer.Begin(obsv.PhaseAggregate)
-			delta, err := MeanDelta(updates)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Outer.Step(a.global, delta, round)
-			// Journal the post-step params (bit-for-bit restore on replay,
-			// no re-aggregation) plus the optimizer's momentum state.
-			if err := s.jrn.outerStep(round, a.global, cfg.Outer); err != nil {
-				return a.fail(round, err)
-			}
-			phases.pn.Add(obsv.PhaseAggregate, aggSpan.End(traceID))
-			rec.UpdateNorm = norm2(delta)
-			rec.TrainLoss = metrics.AggMetrics(clientMetrics)["loss"]
-		}
-		if cfg.Validation != nil && (round%a.evalEvery == 0 || round == cfg.Rounds) {
-			evalSpan := s.tracer.Begin(obsv.PhaseEval)
-			if err := a.globalModel.Params().LoadFlat(a.global); err != nil {
-				return nil, err
-			}
-			rec.ValPPL = cfg.Validation.Evaluate(a.globalModel)
-			phases.pn.Add(obsv.PhaseEval, evalSpan.End(traceID))
-		}
-		rec.WallMs = float64(time.Since(roundStart).Nanoseconds()) / 1e6
-		rec.Phases = phases.pn.Breakdown()
-		rec.SlowestID = phases.slowestID
-		if phases.slowestID != "" {
-			rec.SlowestPhase = phases.slowestPhase.String()
-		}
-		a.hist.Append(rec)
-		if cfg.OnRound != nil {
-			cfg.OnRound(rec)
-		}
-		s.publishRound(rec, nil)
-		if len(updates) > 0 {
-			// Seal the round (the journal's one fsync), publish the
-			// committed checkpoint, and periodically fold the log into the
-			// base checkpoint so replay time stays bounded.
-			if err := s.jrn.roundCommit(round, epoch); err != nil {
-				return a.fail(round, err)
-			}
-			commits++
-			if a.registry != nil {
-				publishRegistry(a.registry, round, a.global, a.lineage)
-			}
-			if commits%compactEvery == 0 {
-				snap := make([]float32, len(a.global))
-				copy(snap, a.global)
-				base := &ckpt.Checkpoint{Round: round, Meta: map[string]float64{"loss": rec.TrainLoss}, Params: snap}
-				// The base checkpoint holds params only, so the outer
-				// optimizer's momentum must be carried into the fresh
-				// log segment or a post-compaction resume would lose it.
-				var carry []ckpt.Record
-				if st := snapshotOuter(cfg.Outer); st != nil {
-					carry = append(carry, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: round, Member: snapOuter, Vec: st})
-				}
-				if err := s.jrn.compact(base, carry); err != nil {
-					return a.fail(round, err)
-				}
-			}
-		}
-		if len(updates) == 0 {
-			if emptyRounds++; emptyRounds >= maxEmptyRounds {
-				return a.finish(fmt.Errorf("fed: no client updates for %d consecutive rounds", emptyRounds))
-			}
-		} else {
 			emptyRounds = 0
+		} else if emptyRounds++; emptyRounds >= maxEmptyRounds {
+			return a.finish(fmt.Errorf("fed: no client updates for %d consecutive rounds", emptyRounds))
 		}
 	}
-
 	return a.finish(runErr)
 }
 
-// mintTrace draws a fresh 52-bit trace ID from the dedicated trace stream
-// (Meta values ride the wire as float64, so trace IDs must survive the
-// float round-trip exactly).
-func (a *aggState) mintTrace() uint64 {
-	id := a.traceRng.Uint64() & (1<<52 - 1)
-	if id == 0 {
-		id = 1
+// step is where the sync fold goes: the uniform mean of the round's updates
+// steps the outer optimizer on the global model, the post-step state is
+// journaled (bit-for-bit restore on replay, no re-aggregation), and the
+// window is sealed. An empty round seals without committing.
+func (a *syncAggregator) step(w *window, updates [][]float32, clientMetrics []map[string]float64) error {
+	// Depth 2 once any member identifies itself as an aggregation tier (a
+	// relay stamps CohortKey on its upstream updates).
+	for _, m := range clientMetrics {
+		if _, ok := m[link.CohortKey]; ok {
+			a.depth = 2
+			break
+		}
 	}
-	return id
+	w.rec.Clients, w.rec.Depth = len(updates), a.depth
+	if len(updates) > 0 {
+		aggSpan := a.s.tracer.Begin(obsv.PhaseAggregate)
+		delta, err := MeanDelta(updates)
+		if err != nil {
+			return err
+		}
+		a.cfg.Outer.Step(a.global, delta, w.rec.Round)
+		if err := a.jrn.outerStep(w.rec.Round, a.global, a.cfg.Outer); err != nil {
+			return err
+		}
+		w.pn.Add(obsv.PhaseAggregate, aggSpan.End(w.rec.TraceID))
+		w.rec.UpdateNorm = norm2(delta)
+		w.rec.TrainLoss = metrics.AggMetrics(clientMetrics)["loss"]
+		w.folded = true
+	}
+	return a.seal(w)
 }

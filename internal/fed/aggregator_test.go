@@ -1,0 +1,145 @@
+package fed
+
+import (
+	"context"
+	"errors"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"photon/internal/link"
+	"photon/internal/metrics"
+	"photon/internal/nn"
+	"photon/internal/testutil"
+)
+
+// TestSyncStepErrorKeepsCompletedHistory: a fold that cannot aggregate its
+// updates (ragged lengths — unreachable through decodeUpdate, so fed in
+// directly) must end the run through fail, whose Result still carries every
+// completed round, and must leave the global model untouched.
+func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
+	cfg := tinyCfg()
+	st, _, err := newAggState(ServerConfig{ModelConfig: cfg, Rounds: 3, ExpectClients: 2, Outer: FedAvg{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.globalModel = nn.NewModel(cfg, rand.New(rand.NewSource(1)))
+	st.global = st.globalModel.Params().Flatten(nil)
+	a := &syncAggregator{aggState: st, resume: &serverResume{}, depth: 1}
+	n := len(st.global)
+	update := func(n int) []float32 {
+		u := make([]float32, n)
+		for i := range u {
+			u[i] = 1e-3
+		}
+		return u
+	}
+	loss := []map[string]float64{{"loss": 2}, {"loss": 4}}
+
+	if err := a.step(a.open(1, 1, time.Now()), [][]float32{update(n), update(n)}, loss); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]float32(nil), st.global...)
+	stepErr := a.step(a.open(2, 2, time.Now()), [][]float32{update(n), update(n - 1)}, loss)
+	if stepErr == nil {
+		t.Fatal("ragged updates folded")
+	}
+	res, err := a.fail(2, stepErr)
+	if !errors.Is(err, stepErr) {
+		t.Fatalf("fail lost the cause: %v", err)
+	}
+	if res == nil || res.History.Len() != 1 || res.History.Rounds[0].Round != 1 || res.History.Rounds[0].TrainLoss != 3 {
+		t.Fatalf("partial result does not carry the completed round: %+v", res)
+	}
+	for i := range before {
+		if res.Global[i] != before[i] {
+			t.Fatalf("failed fold moved the global model at %d", i)
+		}
+	}
+}
+
+// TestHostileNonFiniteUpdateIsEvicted: a member whose updates decode to NaN
+// or Inf is dropped exactly like one whose updates fail to decode — in the
+// sync round loop and in the async pumps — and the global model stays
+// finite on the honest member's contributions alone.
+func TestHostileNonFiniteUpdateIsEvicted(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		async *AsyncConfig
+		bad   float32
+	}{
+		{"sync/NaN", nil, float32(math.NaN())},
+		{"sync/Inf", nil, float32(math.Inf(-1))},
+		{"async/NaN", &AsyncConfig{K: 1}, float32(math.NaN())},
+		{"async/Inf", &AsyncConfig{K: 1}, float32(math.Inf(1))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
+			l, err := link.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			go func() {
+				conn, err := link.Dial(l.Addr())
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				_ = ServeClient(ctx, conn, makeClients(t, tinyCfg(), 1)[0], tinySpec())
+			}()
+			// The hostile member speaks the protocol correctly and answers
+			// every model with a well-sized vector holding one bad value.
+			go func() {
+				conn, err := link.Dial(l.Addr())
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				if _, err := Handshake(conn, "hostile", ""); err != nil {
+					return
+				}
+				for {
+					msg, err := conn.Recv()
+					if err != nil || msg.Type != link.MsgModel {
+						return
+					}
+					poison := make([]float32, msg.Payload.Elems)
+					poison[len(poison)/2] = tc.bad
+					conn.Send(&link.Message{Type: link.MsgUpdate, Round: msg.Round, ClientID: "hostile",
+						Meta: map[string]float64{"loss": 1, link.VersionKey: msg.Meta[link.VersionKey]}, Payload: link.Dense(poison)})
+				}
+			}()
+
+			evictions := 0
+			res, err := Serve(ctx, l, ServerConfig{
+				ModelConfig:   tinyCfg(),
+				Seed:          5,
+				Rounds:        3,
+				ExpectClients: 2,
+				Outer:         FedAvg{},
+				Async:         tc.async,
+				OnRound:       func(r metrics.Round) { evictions += r.Evictions },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if evictions != 1 {
+				t.Fatalf("hostile member caused %d evictions, want 1", evictions)
+			}
+			for _, r := range res.History.Rounds {
+				if r.Clients != 1 {
+					t.Fatalf("round %d folded %d updates, want the honest member's alone", r.Round, r.Clients)
+				}
+			}
+			for i, v := range res.Global {
+				if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+					t.Fatalf("global[%d] = %v after a hostile member", i, v)
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,7 @@
 package fed
 
-// asyncAggregator is the FedBuff-style asynchronous implementation of the
-// Aggregator seam. The synchronous loop's collect window is a round
+// asyncAggregator is the FedBuff-style asynchronous driver over aggState
+// (see aggregator.go). The synchronous loop's collect window is a round
 // deadline; here it is a buffer count: one dispatcher goroutine ("pump")
 // per connected member keeps a continuously-versioned model task in flight,
 // every reply is folded into a staleness-weighted buffer the moment it
@@ -84,16 +84,11 @@ const (
 	leaseBlock = 1 << 16
 )
 
-// asyncArrival is one decoded member reply handed from a pump to the run
-// loop.
+// asyncArrival is one member's answer handed from a pump to the run loop.
 type asyncArrival struct {
-	mc      *memberConn
-	task    int                 // dispatch task ID the reply answers
-	version int                 // global model version the update trained on
-	update  []float32           // decoded pseudo-gradient
-	payload link.EncodedPayload // the same update as it arrived, for the journal
-	meta    map[string]float64  // member-reported metrics (loss, phases)
-	latency time.Duration       // dispatch-to-reply wall time
+	answer
+	task    int // dispatch task ID the reply answers
+	version int // global model version the update trained on
 }
 
 type asyncAggregator struct {
@@ -114,8 +109,7 @@ type asyncAggregator struct {
 	taskCtr       atomic.Int64
 	leasedThrough int
 
-	pumpMu sync.Mutex
-	pumps  map[*memberConn]struct{}
+	pumps  map[*memberConn]struct{} // run-loop-only
 	pumpWg sync.WaitGroup
 
 	// Pump-shared state. version is the committed global model version;
@@ -130,20 +124,17 @@ type asyncAggregator struct {
 	lastTrained map[string]int // newest version each member has answered
 	traceID     uint64         // trace ID stamped on the filling buffer's dispatches
 
-	// Buffer state, run-loop-only.
+	// Buffer state, run-loop-only. win is the filling buffer's window: it
+	// opened when the previous version committed, and accumulates fold time
+	// until the K-th fold seals it.
 	buf         []float32
 	bufWeight   float64
 	bufCount    int
 	bufStale    float64
 	bufMetrics  []map[string]float64
 	lastContrib map[string]int // newest trained version folded per member
-	foldNs      int64
-	pn          obsv.PhaseNanos
+	win         *window
 	depth       int
-	commits     int
-	lastCommit  time.Time
-	sentPrev    int64
-	recvPrev    int64
 
 	// Cached instruments, so the fold path does one registry lookup per
 	// run instead of one per update.
@@ -186,11 +177,15 @@ func newAsyncAggregator(st *aggState, resume *asyncResume) *asyncAggregator {
 	a.version = resume.committed
 	a.taskCtr.Store(int64(resume.maxTask))
 	a.leasedThrough = resume.maxTask
-	a.traceID = st.mintTrace()
+	a.traceID = mintTrace(st.traceRng)
+	st.commitRec = ckpt.RecVersionCommit
+	// The task-ID lease must survive compaction, or a restart could re-mint
+	// IDs that were in flight at the crash.
+	st.carry = func() []ckpt.Record {
+		return []ckpt.Record{{Type: ckpt.RecRoundOpen, Round: a.leasedThrough, Member: asyncLeaseMember}}
+	}
 	return a
 }
-
-func (a *asyncAggregator) Mode() string { return "async" }
 
 func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 	// Pumps must be gone before Serve's shutdown path touches the member
@@ -199,12 +194,7 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 		close(a.stop)
 		a.pumpWg.Wait()
 	}()
-	grace := a.cfg.RoundDeadline
-	if grace <= 0 {
-		grace = 10 * time.Second
-	}
-	a.lastCommit = time.Now()
-	a.sentPrev, a.recvPrev = a.s.meter.Totals()
+	a.win = a.open(a.version+1, a.traceID, time.Now())
 
 	// Resume: re-fold the journaled pending buffer in log order — without
 	// re-journaling, the records are already durable. The weights replay
@@ -218,19 +208,10 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 			log.Printf("fed: journaled fold from %s (task %d) skipped: %v", pf.member, pf.task, err)
 			continue
 		}
-		stale := a.version - pf.trainedVersion
-		if stale < 0 {
-			stale = 0
-		}
-		a.fold(pf.member, pf.trainedVersion, stale, vec, map[string]float64{})
+		a.fold(pf.member, pf.trainedVersion, vec, map[string]float64{})
 		a.noteTrained(pf.member, pf.trainedVersion)
 	}
-	if a.bufCount >= a.kBuf {
-		if err := a.commit(); err != nil {
-			return a.fail(a.version+1, err)
-		}
-	}
-	if err := a.ensureLease(); err != nil {
+	if err := a.flush(); err != nil {
 		return a.fail(a.version+1, err)
 	}
 	a.startPumps()
@@ -245,16 +226,12 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 		case err := <-a.fatal:
 			return a.fail(a.version+1, err)
 		case ar := <-a.arrivals:
-			if err := a.admit(ar); err != nil {
-				return a.fail(a.version+1, err)
+			err := a.admit(ar)
+			if err == nil {
+				err = a.flush()
 			}
-			if a.bufCount >= a.kBuf {
-				if err := a.commit(); err != nil {
-					return a.fail(a.version+1, err)
-				}
-				if err := a.ensureLease(); err != nil {
-					return a.fail(a.version+1, err)
-				}
+			if err != nil {
+				return a.fail(a.version+1, err)
 			}
 		case <-tick.C:
 			// The ticker adopts pumps for members that joined after the
@@ -269,12 +246,8 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 				belowSince = time.Time{}
 			} else if belowSince.IsZero() {
 				belowSince = time.Now()
-			} else if time.Since(belowSince) > grace {
-				if alive := a.s.reg.AliveCount(); alive == 0 {
-					return a.finish(fmt.Errorf("fed: version %d: all clients lost", a.version+1))
-				} else {
-					return a.finish(fmt.Errorf("fed: version %d: %d alive members, need %d", a.version+1, alive, a.minClients))
-				}
+			} else if time.Since(belowSince) > a.rejoinGrace() {
+				return a.finish(fmt.Errorf("fed: version %d: %w", a.version+1, a.s.belowFloor(a.minClients)))
 			}
 		}
 	}
@@ -293,26 +266,24 @@ func (a *asyncAggregator) admit(ar asyncArrival) error {
 		a.cRejected.Inc()
 		return nil
 	}
-	stale := a.version - ar.version
-	if stale < 0 {
-		stale = 0
-	}
 	// Journal before folding: a crash after this append replays the fold,
 	// a crash before it folds nothing — either way no double-count.
-	if err := a.s.jrn.bufferFold(ar.task, ar.mc.id, uint64(ar.version), ar.payload); err != nil {
+	if err := a.jrn.bufferFold(ar.task, ar.mc.id, uint64(ar.version), ar.payload); err != nil {
 		return err
 	}
-	a.fold(ar.mc.id, ar.version, stale, ar.update, ar.meta)
+	a.fold(ar.mc.id, ar.version, ar.update, ar.meta)
 	a.s.reg.ObserveRound(ar.mc.id, ar.latency, cluster.OutcomeOK)
 	return nil
 }
 
-// fold accumulates one update into the staleness-weighted buffer.
-func (a *asyncAggregator) fold(member string, version, stale int, vec []float32, meta map[string]float64) {
+// fold accumulates one update, trained on the given model version, into the
+// staleness-weighted buffer.
+func (a *asyncAggregator) fold(member string, version int, vec []float32, meta map[string]float64) {
+	stale := max(a.version-version, 0)
 	w := 1 / math.Pow(1+float64(stale), a.alpha)
 	span := a.s.tracer.Begin(obsv.PhaseAggregate)
 	foldUpdate(a.buf, vec, float32(w))
-	a.foldNs += span.End(a.traceID)
+	a.win.pn.Add(obsv.PhaseAggregate, span.End(a.traceID))
 	a.bufWeight += w
 	a.bufCount++
 	a.bufStale += float64(stale)
@@ -337,12 +308,14 @@ func foldUpdate(buf, u []float32, w float32) {
 	}
 }
 
-// commit seals the buffer into a new global model version: weighted mean,
-// outer step, journal, eval, record, fsync, publish — the same order the
-// sync loop emits in, so crash points land between the same record pairs.
+// commit is where the async fold goes: the buffer's weighted mean steps the
+// outer optimizer into a new global model version, the post-step state is
+// journaled, and the window is sealed — the same order the sync loop emits
+// in, so crash points land between the same record pairs.
 func (a *asyncAggregator) commit() error {
 	newVersion := a.version + 1
-	epoch := a.s.membershipEpoch()
+	w := a.win
+	w.epoch = a.s.membershipEpoch()
 	span := a.s.tracer.Begin(obsv.PhaseAggregate)
 	// The buffer holds Σ wᵢ·uᵢ; scale by 1/Σwᵢ in place for the weighted
 	// mean pseudo-gradient.
@@ -360,89 +333,45 @@ func (a *asyncAggregator) commit() error {
 	a.encVersion = -1
 	close(a.verWait)
 	a.verWait = make(chan struct{})
-	traceID := a.traceID
-	a.traceID = a.mintTrace()
+	a.traceID = mintTrace(a.traceRng)
 	a.mu.Unlock()
-	a.pn.Add(obsv.PhaseAggregate, a.foldNs+span.End(traceID))
-	if err := a.s.jrn.outerStep(newVersion, a.global, a.cfg.Outer); err != nil {
+	w.pn.Add(obsv.PhaseAggregate, span.End(w.rec.TraceID))
+	if err := a.jrn.outerStep(newVersion, a.global, a.cfg.Outer); err != nil {
 		return err
 	}
-	sentAfter, recvAfter := a.s.meter.Totals()
-	sentRound, recvRound := sentAfter-a.sentPrev, recvAfter-a.recvPrev
-	a.sentPrev, a.recvPrev = sentAfter, recvAfter
-	churn := a.s.reg.RoundDelta()
-	rec := metrics.Round{
-		Round:             newVersion,
-		Clients:           a.bufCount,
-		Depth:             a.depth,
-		WireSentBytes:     sentRound,
-		WireRecvBytes:     recvRound,
-		CommBytes:         sentRound + recvRound,
-		Joins:             churn.Joins + churn.Rejoins,
-		Evictions:         churn.Evictions,
-		Stragglers:        churn.Stragglers,
-		HeartbeatRTTMs:    churn.HeartbeatRTTMs,
-		HeartbeatRTTP99Ms: churn.HeartbeatRTTP99Ms,
-		TraceID:           traceID,
-		ModelVersion:      newVersion,
-		BufferFill:        a.bufCount,
-		MeanStaleness:     a.bufStale / float64(a.bufCount),
-	}
-	rec.UpdateNorm = norm2(delta)
-	rec.TrainLoss = metrics.AggMetrics(a.bufMetrics)["loss"]
-	if a.cfg.Validation != nil && (newVersion%a.evalEvery == 0 || newVersion == a.cfg.Rounds) {
-		evalSpan := a.s.tracer.Begin(obsv.PhaseEval)
-		if err := a.globalModel.Params().LoadFlat(a.global); err != nil {
-			return err
-		}
-		rec.ValPPL = a.cfg.Validation.Evaluate(a.globalModel)
-		a.pn.Add(obsv.PhaseEval, evalSpan.End(traceID))
-	}
-	rec.WallMs = float64(time.Since(a.lastCommit).Nanoseconds()) / 1e6
-	a.lastCommit = time.Now()
-	rec.Phases = a.pn.Breakdown()
-	a.hist.Append(rec)
-	if a.cfg.OnRound != nil {
-		a.cfg.OnRound(rec)
-	}
-	a.s.publishRound(rec, a.staleSnapshot())
-	// Seal the version (the journal's one fsync per commit), publish the
-	// checkpoint, and periodically fold the log into the base checkpoint.
-	if err := a.s.jrn.versionCommit(newVersion, epoch); err != nil {
+	w.rec.Clients, w.rec.Depth = a.bufCount, a.depth
+	w.rec.ModelVersion, w.rec.BufferFill = newVersion, a.bufCount
+	w.rec.MeanStaleness = a.bufStale / float64(a.bufCount)
+	w.rec.UpdateNorm = norm2(delta)
+	w.rec.TrainLoss = metrics.AggMetrics(a.bufMetrics)["loss"]
+	w.folded, w.stale = true, a.staleSnapshot()
+	if err := a.seal(w); err != nil {
 		return err
-	}
-	a.commits++
-	if a.registry != nil {
-		publishRegistry(a.registry, newVersion, a.global, a.lineage)
-	}
-	if a.commits%compactEvery == 0 {
-		snap := make([]float32, len(a.global))
-		copy(snap, a.global)
-		base := &ckpt.Checkpoint{Round: newVersion, Meta: map[string]float64{"loss": rec.TrainLoss}, Params: snap}
-		var carry []ckpt.Record
-		if st := snapshotOuter(a.cfg.Outer); st != nil {
-			carry = append(carry, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: newVersion, Member: snapOuter, Vec: st})
-		}
-		// The task-ID lease must survive compaction, or a restart could
-		// re-mint IDs that were in flight at the crash.
-		carry = append(carry, ckpt.Record{Type: ckpt.RecRoundOpen, Round: a.leasedThrough, Member: asyncLeaseMember})
-		if err := a.s.jrn.compact(base, carry); err != nil {
-			return err
-		}
 	}
 	a.gVersion.Set(float64(newVersion))
 	a.gFill.Set(0)
-	// Reset the buffer for the next window. The commit consumed the slice
-	// in place, so zero it rather than reallocate.
+	// Reset the buffer for the next window, which opens where this one was
+	// sealed. The commit consumed the slice in place, so zero it rather
+	// than reallocate.
 	for i := range a.buf {
 		a.buf[i] = 0
 	}
 	a.bufWeight, a.bufStale = 0, 0
 	a.bufCount = 0
 	a.bufMetrics = a.bufMetrics[:0]
-	a.foldNs = 0
-	a.pn = obsv.PhaseNanos{}
+	a.win = a.open(newVersion+1, a.traceID, w.sealed)
 	return nil
+}
+
+// flush commits the buffer once it holds K folds, and keeps the task-ID
+// lease ahead of the dispatch counter.
+func (a *asyncAggregator) flush() error {
+	if a.bufCount >= a.kBuf {
+		if err := a.commit(); err != nil {
+			return err
+		}
+	}
+	return a.ensureLease()
 }
 
 // ensureLease tops up the durable task-ID lease when the counter gets
@@ -452,7 +381,7 @@ func (a *asyncAggregator) ensureLease() error {
 		return nil
 	}
 	next := int(a.taskCtr.Load()) + leaseBlock
-	if err := a.s.jrn.taskLease(next); err != nil {
+	if err := a.jrn.taskLease(next); err != nil {
 		return err
 	}
 	a.leasedThrough = next
@@ -465,13 +394,8 @@ func (a *asyncAggregator) ensureLease() error {
 // away.
 func (a *asyncAggregator) startPumps() {
 	for _, mc := range a.s.snapshot() {
-		a.pumpMu.Lock()
-		_, have := a.pumps[mc]
-		if !have {
+		if _, have := a.pumps[mc]; !have {
 			a.pumps[mc] = struct{}{}
-		}
-		a.pumpMu.Unlock()
-		if !have {
 			a.pumpWg.Add(1)
 			go a.pump(mc)
 		}
@@ -495,11 +419,7 @@ func (a *asyncAggregator) staleSnapshot() map[string]int {
 	defer a.mu.Unlock()
 	out := make(map[string]int, len(a.lastTrained))
 	for id, v := range a.lastTrained {
-		s := a.version - v
-		if s < 0 {
-			s = 0
-		}
-		out[id] = s
+		out[id] = max(a.version-v, 0)
 	}
 	return out
 }
@@ -559,16 +479,11 @@ func (a *asyncAggregator) pump(mc *memberConn) {
 	}
 }
 
-// dispatch sends one versioned model task and waits for its reply,
-// delivering it to the run loop. It returns false when the pump should
-// exit (member lost or run over).
+// dispatch asks the member one versioned model task and delivers its answer
+// to the run loop. It returns false when the pump should exit (member lost
+// or run over).
 func (a *asyncAggregator) dispatch(mc *memberConn, ver int, enc link.EncodedPayload, traceID uint64) bool {
 	task := int(a.taskCtr.Add(1))
-	// Drain a stale reply from a superseded dispatch.
-	select {
-	case <-mc.updates:
-	default:
-	}
 	meta := map[string]float64{
 		link.TraceKey:   float64(traceID),
 		link.VersionKey: float64(ver),
@@ -582,48 +497,18 @@ func (a *asyncAggregator) dispatch(mc *memberConn, ver int, enc link.EncodedPayl
 	if sendTO <= 0 {
 		sendTO = 30 * time.Second
 	}
-	start := time.Now()
-	span := a.s.tracer.Begin(obsv.PhaseBroadcast)
-	err := mc.conn.SendTimeout(&link.Message{
-		Type:    link.MsgModel,
-		Round:   int32(task),
-		Meta:    meta,
-		Payload: enc,
-	}, sendTO)
-	span.End(traceID)
-	if err != nil {
-		a.s.drop(mc, "model send failed")
-		mc.conn.Close()
+	ans, ok := a.s.ask(mc, task, meta, enc, sendTO, a.stop)
+	if !ok {
 		return false
 	}
-	for {
-		select {
-		case msg := <-mc.updates:
-			if msg.Round != int32(task) {
-				continue // late reply to a superseded dispatch
-			}
-			decSpan := a.s.tracer.Begin(obsv.PhaseDecode)
-			vec, derr := a.s.decodeUpdate(msg.Payload, len(a.global))
-			decSpan.End(traceID)
-			if derr != nil {
-				a.s.drop(mc, "update decode failed")
-				mc.conn.Close()
-				return false
-			}
-			trained := ver
-			if v, okv := msg.Meta[link.VersionKey]; okv {
-				trained = int(v)
-			}
-			a.noteTrained(mc.id, trained)
-			select {
-			case a.arrivals <- asyncArrival{mc: mc, task: task, version: trained, update: vec, payload: msg.Payload, meta: msg.Meta, latency: time.Since(start)}:
-			case <-a.stop:
-			}
-			return true
-		case <-mc.dead:
-			return false
-		case <-a.stop:
-			return false
-		}
+	trained := ver
+	if v, okv := ans.meta[link.VersionKey]; okv {
+		trained = int(v)
 	}
+	a.noteTrained(mc.id, trained)
+	select {
+	case a.arrivals <- asyncArrival{answer: ans, task: task, version: trained}:
+	case <-a.stop:
+	}
+	return true
 }

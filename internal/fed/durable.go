@@ -77,6 +77,19 @@ func newJournal(w *ckpt.WAL) *journal {
 
 func (j *journal) enabled() bool { return j != nil && j.wal != nil }
 
+// append journals recs in order.
+func (j *journal) append(recs ...ckpt.Record) error {
+	if !j.enabled() {
+		return nil
+	}
+	for i := range recs {
+		if err := j.wal.Append(&recs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (j *journal) close() {
 	if j.enabled() {
 		j.wal.Close()
@@ -85,10 +98,7 @@ func (j *journal) close() {
 
 // roundOpen journals the start of a round with its sampled cohort.
 func (j *journal) roundOpen(round int, epoch uint64, cohort []string) error {
-	if !j.enabled() {
-		return nil
-	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecRoundOpen, Round: round, Epoch: epoch, IDs: cohort})
+	return j.append(ckpt.Record{Type: ckpt.RecRoundOpen, Round: round, Epoch: epoch, IDs: cohort})
 }
 
 // memberUpdate journals one client update as it arrives — the encoded wire
@@ -97,9 +107,9 @@ func (j *journal) roundOpen(round int, epoch uint64, cohort []string) error {
 // Codec.Decode is stateless, so replay decodes it to the same bits.
 func (j *journal) memberUpdate(round int, member string, p link.EncodedPayload) error {
 	if !j.enabled() {
-		return nil
+		return nil // skip the payload copy
 	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecMemberUpdate, Round: round, Member: member, Data: encodePayloadBytes(p)})
+	return j.append(ckpt.Record{Type: ckpt.RecMemberUpdate, Round: round, Member: member, Data: encodePayloadBytes(p)})
 }
 
 // outerStep journals the post-step global parameters plus the outer
@@ -107,46 +117,45 @@ func (j *journal) memberUpdate(round int, member string, p link.EncodedPayload) 
 // re-running the order-sensitive float32 aggregation.
 func (j *journal) outerStep(round int, global []float32, outer OuterOpt) error {
 	if !j.enabled() {
-		return nil
+		return nil // skip the state copy
 	}
-	if err := j.wal.Append(&ckpt.Record{Type: ckpt.RecOuterStep, Round: round, Vec: global}); err != nil {
-		return err
-	}
+	recs := []ckpt.Record{{Type: ckpt.RecOuterStep, Round: round, Vec: global}}
 	if st := snapshotOuter(outer); st != nil {
-		return j.wal.Append(&ckpt.Record{Type: ckpt.RecStateSnapshot, Round: round, Member: snapOuter, Vec: st})
+		recs = append(recs, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: round, Member: snapOuter, Vec: st})
 	}
-	return nil
+	return j.append(recs...)
 }
 
-// roundCommit seals a round; this is the journal's only fsync.
-func (j *journal) roundCommit(round int, epoch uint64) error {
+// commit seals a window — a sync or relay round (RecRoundCommit) or an async
+// model version (RecVersionCommit). It is the journal's fsync barrier.
+func (j *journal) commit(typ ckpt.RecordType, round int, epoch uint64) error {
+	return j.append(ckpt.Record{Type: typ, Round: round, Epoch: epoch})
+}
+
+// upstreamReply journals what a relay sent upstream for a round: the exact
+// encoded bytes, so redelivery after a crash re-sends them without
+// re-encoding (which would double-apply an error-feedback codec's
+// residual), and the upstream codec's residual after producing them.
+func (j *journal) upstreamReply(round, cohort int, p link.EncodedPayload, codec link.Codec) error {
 	if !j.enabled() {
-		return nil
+		return nil // skip the payload and residual copies
 	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecRoundCommit, Round: round, Epoch: epoch})
+	return j.append(upstreamReplyRecords(round, cohort, p, codec)...)
 }
 
-// codecSnapshot journals a stateful upstream codec's residual (relay side).
-func (j *journal) codecSnapshot(round int, state []float32) error {
-	if !j.enabled() || len(state) == 0 {
-		return nil
-	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecStateSnapshot, Round: round, Member: snapCodec, Vec: state})
-}
-
-// upstreamReply journals the exact encoded bytes a relay sent upstream for
-// a round, so redelivery after a crash re-sends them without re-encoding
-// (which would double-apply an error-feedback codec's residual). cohort is
-// the update count folded into the reply, stashed in the Epoch field so
-// redelivery can restamp the CohortKey meta.
-func (j *journal) upstreamReply(round, cohort int, p link.EncodedPayload) error {
-	if !j.enabled() {
-		return nil
-	}
-	return j.wal.Append(&ckpt.Record{
+// upstreamReplyRecords renders a relay's reply as journal records. cohort
+// is the update count folded into the reply, stashed in the Epoch field so
+// redelivery can restamp the CohortKey meta; a stateless codec has no
+// residual record.
+func upstreamReplyRecords(round, cohort int, p link.EncodedPayload, codec link.Codec) []ckpt.Record {
+	recs := []ckpt.Record{{
 		Type: ckpt.RecMemberUpdate, Round: round, Epoch: uint64(cohort),
 		Member: upstreamMember, Data: encodePayloadBytes(p),
-	})
+	}}
+	if state := link.CodecState(codec); len(state) > 0 {
+		recs = append(recs, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: round, Member: snapCodec, Vec: state})
+	}
+	return recs
 }
 
 // bufferFold journals one update folded into the async staleness-weighted
@@ -156,18 +165,9 @@ func (j *journal) upstreamReply(round, cohort int, p link.EncodedPayload) error 
 // nothing.
 func (j *journal) bufferFold(task int, member string, trainedVersion uint64, p link.EncodedPayload) error {
 	if !j.enabled() {
-		return nil
+		return nil // skip the payload copy
 	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecBufferFold, Round: task, Epoch: trainedVersion, Member: member, Data: encodePayloadBytes(p)})
-}
-
-// versionCommit seals one async model-version commit; like roundCommit it is
-// the journal's fsync barrier.
-func (j *journal) versionCommit(version int, epoch uint64) error {
-	if !j.enabled() {
-		return nil
-	}
-	return j.wal.Append(&ckpt.Record{Type: ckpt.RecVersionCommit, Round: version, Epoch: epoch})
+	return j.append(ckpt.Record{Type: ckpt.RecBufferFold, Round: task, Epoch: trainedVersion, Member: member, Data: encodePayloadBytes(p)})
 }
 
 // taskLease journals (and fsyncs) a dispatch task-ID lease: every ID up to
@@ -185,19 +185,9 @@ func (j *journal) taskLease(leasedThrough int) error {
 	return j.wal.Sync()
 }
 
-// compact folds committed state into the base checkpoint and truncates the
-// log; carry holds any records for the still-open round.
-func (j *journal) compact(base *ckpt.Checkpoint, carry []ckpt.Record) error {
-	if !j.enabled() {
-		return nil
-	}
-	return j.wal.Compact(base, carry)
-}
-
 // openRound is a partially-completed round reconstructed from the WAL.
 type openRound struct {
 	round   int
-	epoch   uint64
 	cohort  []string                       // journaled cohort member IDs
 	updates map[string]link.EncodedPayload // journaled updates by member, as received
 	order   []string                       // arrival order, for deterministic averaging
@@ -218,7 +208,6 @@ type openRound struct {
 // serverResume is the aggregator state recovered from a WAL replay.
 type serverResume struct {
 	committed int        // last committed round (0: none)
-	epoch     uint64     // membership epoch at last commit
 	global    []float32  // post-step params as of the newest outer_step / base
 	outer     []float32  // outer optimizer state as of the newest snapshot
 	open      *openRound // in-flight round, nil when cleanly committed
@@ -247,7 +236,6 @@ func replayServerWAL(rv *ckpt.Recovery) *serverResume {
 			}
 			res.open = &openRound{
 				round:   rec.Round,
-				epoch:   rec.Epoch,
 				cohort:  rec.IDs,
 				updates: make(map[string]link.EncodedPayload, len(rec.IDs)),
 			}
@@ -284,7 +272,6 @@ func replayServerWAL(rv *ckpt.Recovery) *serverResume {
 		case ckpt.RecRoundCommit:
 			if rec.Round > res.committed {
 				res.committed = rec.Round
-				res.epoch = rec.Epoch
 			}
 			if res.open != nil && res.open.round <= rec.Round {
 				// The commit seals the open round: its post-step state is
@@ -318,7 +305,6 @@ type pendingFold struct {
 // asyncResume is the async-aggregator state recovered from a WAL replay.
 type asyncResume struct {
 	committed int           // last committed model version (0: none)
-	epoch     uint64        // membership epoch at last commit
 	global    []float32     // params as of the newest *sealed* commit / base
 	outer     []float32     // outer state as of the newest sealed snapshot
 	pending   []pendingFold // folds journaled after the last commit, in order
@@ -377,7 +363,6 @@ func replayAsyncWAL(rv *ckpt.Recovery) *asyncResume {
 		case ckpt.RecVersionCommit:
 			if rec.Round > res.committed {
 				res.committed = rec.Round
-				res.epoch = rec.Epoch
 			}
 			if pendingGlobal != nil {
 				res.global = pendingGlobal
@@ -392,53 +377,41 @@ func replayAsyncWAL(rv *ckpt.Recovery) *asyncResume {
 	return res
 }
 
-// relayResume is the relay state recovered from a WAL replay.
-type relayResume struct {
-	committed int                 // last upstream round this relay completed
-	reply     link.EncodedPayload // encoded upstream reply for that round
-	replyOK   bool
-	cohort    int       // update count folded into that reply
-	codec     []float32 // upstream codec residual after that round
-}
-
-// replayRelayWAL folds a recovery into relay resume state.
-func replayRelayWAL(rv *ckpt.Recovery) *relayResume {
-	res := &relayResume{}
+// recoverReply seeds a relay's parent-side session from its journal: the last
+// committed upstream reply becomes the session's cached reply, and the codec
+// residual that produced it is restored into the codec the next handshake
+// instantiates. Only committed replies are safe to redeliver: an uncommitted
+// reply may never have left the socket, and its residual snapshot may be
+// torn away by the same crash.
+func (m *memberSession) recoverReply(rv *ckpt.Recovery) {
 	if rv == nil {
-		return res
+		return
 	}
-	var pendingReply link.EncodedPayload
-	var pendingOK bool
-	pendingRound, pendingCohort := 0, 0
-	var pendingCodec []float32
+	var reply link.EncodedPayload
+	var replyOK bool
+	var round, cohort int
+	var codec []float32
 	for _, rec := range rv.Records {
 		switch rec.Type {
 		case ckpt.RecMemberUpdate:
 			if rec.Member == upstreamMember {
 				if p, ok := decodePayloadBytes(rec.Data); ok {
-					pendingReply, pendingOK = p, true
-					pendingRound, pendingCohort = rec.Round, int(rec.Epoch)
+					reply, replyOK = p, true
+					round, cohort = rec.Round, int(rec.Epoch)
 				}
 			}
 		case ckpt.RecStateSnapshot:
 			if rec.Member == snapCodec {
-				pendingCodec = rec.Vec
+				codec = rec.Vec
 			}
 		case ckpt.RecRoundCommit:
-			// Only committed replies are safe to redeliver: an uncommitted
-			// reply may never have left the socket, and its residual
-			// snapshot may be torn away by the same crash.
-			if rec.Round > res.committed {
-				res.committed = rec.Round
-			}
-			if pendingOK && pendingRound == rec.Round {
-				res.reply, res.replyOK = pendingReply, true
-				res.cohort = pendingCohort
-				res.codec = pendingCodec
+			if replyOK && round == rec.Round {
+				m.cacheOK, m.cacheRound, m.cacheReply = true, int32(round), reply
+				m.cacheSticky = map[string]float64{link.CohortKey: float64(cohort)}
+				m.restore = codec
 			}
 		}
 	}
-	return res
 }
 
 // encodePayloadBytes flattens an EncodedPayload for a WAL record's Data

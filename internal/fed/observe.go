@@ -200,15 +200,7 @@ func parseObserve(msg *link.Message) ObserveEvent {
 // it works against any fleet configuration and never occupies a
 // membership slot. It is the client half of the photon-top dashboard.
 func Observe(ctx context.Context, conn *link.Conn, fn func(ObserveEvent)) error {
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
+	defer closeOnDone(ctx, conn)()
 	msg, err := conn.RecvTimeout(handshakeTimeout)
 	if err != nil {
 		return fmt.Errorf("fed: observe handshake: %w", err)

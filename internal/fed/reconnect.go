@@ -97,26 +97,37 @@ func RunResilientClient(ctx context.Context, dial func(context.Context) (*link.C
 		})
 	}
 
+	session := &Session{Client: client, Spec: spec, Codec: rc.Codec}
+	return serveResilient(ctx, dial, client.ID, rc, func(ctx context.Context, conn *link.Conn) error {
+		return session.ServeConn(ctx, conn, onRound...)
+	})
+}
+
+// serveResilient is the one redial loop behind RunResilientClient and
+// RunRelay: dial once (a failure here is a configuration error and reports
+// immediately), run serve over the connection, and when it ends on a lost
+// transport redial with backoff and serve again. A clean end (nil), a
+// cancelled ctx (ctx.Err()), and deterministic session errors (protocol
+// violation, training failure — they would just recur, since a successful
+// redial resets the attempt budget) all return without retrying.
+func serveResilient(ctx context.Context, dial func(context.Context) (*link.Conn, error), id string, rc ReconnectConfig, serve func(context.Context, *link.Conn) error) error {
 	conn, err := dial(ctx)
 	if err != nil {
 		return err
 	}
-	session := &Session{Client: client, Spec: spec, Codec: rc.Codec}
 	for {
-		err := session.ServeConn(ctx, conn, onRound...)
+		err := serve(ctx, conn)
 		conn.Close()
-		if err == nil || ctx.Err() != nil {
-			return err // clean shutdown, or cancellation
+		if err == nil {
+			return nil
 		}
-		// Only transport failures are worth retrying: a deterministic
-		// session error (protocol violation, training failure) would just
-		// recur forever, since a successful redial resets the attempt
-		// budget.
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
 		if rc.MaxAttempts <= 0 || !errors.Is(err, ErrSessionLost) {
 			return err
 		}
-		conn, err = redial(ctx, dial, client.ID, rc, err)
-		if err != nil {
+		if conn, err = redial(ctx, dial, id, rc, err); err != nil {
 			return err
 		}
 	}

@@ -2,7 +2,6 @@ package fed
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -96,48 +95,18 @@ func (c *RelayConfig) validate() error {
 	return c.ModelConfig.Validate()
 }
 
-// relay is the running state: the cohort-side server plus the parent-side
-// session (negotiated upstream codec, persistent across reconnects so
-// error-feedback codecs keep their residuals).
+// relay is the running state: an aggState over the cohort-side server (its
+// collect and seal are the aggregator's) plus the parent-side member
+// session, whose work step is serve.
 type relay struct {
-	cfg   RelayConfig
-	srv   *server
-	outer OuterOpt
-	rng   *rand.Rand
-	want  int // model parameter count, for payload size checks
+	*aggState
+	up memberSession
 
-	upEnc     link.Codec
-	upEncName string
-
-	hist      *metrics.History
-	global    []float32 // last decoded global broadcast
 	scratch   []float32 // outer-step scratch, reused across rounds
-	sentPrev  int64     // cohort meter windows (tile the run, no gaps)
-	recvPrev  int64
-	lastRound int32 // highest parent round served, skipped on stale redelivery
-
-	// jrn journals served rounds when RelayConfig.WALDir is set (nil
-	// otherwise), and the cache* fields hold the last upstream reply —
-	// in-memory always, WAL-recovered across restarts — so a resuming
-	// parent's re-broadcast (ResumeKey) is answered from the cache instead
-	// of re-running a cohort exchange whose data streams already advanced.
-	jrn         *journal
-	cacheOK     bool
-	cacheRound  int32
-	cacheReply  link.EncodedPayload
-	cacheCohort int
-	// Version stamp of the cached reply, for async parents: an async
-	// aggregator redelivers a model *version* under a fresh round (task)
-	// number, so the cache also matches on the version. In-memory only —
-	// a WAL-recovered cache redelivers by round match as before.
-	cacheHasVer  bool
-	cacheVersion float64
+	lastRound int32     // highest parent round served on this connection
 	// lastVer is the newest global model version seen from an async parent
 	// (0 under a sync parent), stamped on this tier's round records.
 	lastVer int
-	// pendingCodec is a WAL-recovered upstream-codec residual, applied
-	// once the parent handshake instantiates the codec.
-	pendingCodec []float32
 }
 
 // RunRelay serves a relay aggregator until the parent ends the session:
@@ -161,466 +130,173 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 	if outer == nil {
 		outer = FedAvg{LR: 1}
 	}
-	rng := cfg.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	srv, err := newServer(ServerConfig{
+	// Durable relay: the WAL is read back before serving.
+	st, recovered, err := newAggState(ServerConfig{
 		ModelConfig:       cfg.ModelConfig,
+		Seed:              cfg.Seed,
+		Rng:               cfg.Rng,
+		ExpectClients:     cfg.ExpectClients,
+		ClientsPerRound:   cfg.ClientsPerRound,
+		MinClients:        cfg.MinClients,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		MissedBeats:       cfg.MissedBeats,
 		RoundDeadline:     cfg.RoundDeadline,
+		OverProvision:     cfg.OverProvision,
 		Codec:             cfg.Codec,
+		Outer:             outer,
+		OnRound:           cfg.OnRound,
+		WALDir:            cfg.WALDir,
+		Failpoint:         cfg.Failpoint,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer st.jrn.close()
 	r := &relay{
-		cfg:   cfg,
-		srv:   srv,
-		outer: outer,
-		rng:   rng,
-		want:  int(cfg.ModelConfig.ParamCount()),
-		hist:  &metrics.History{},
+		aggState: st,
+		up: memberSession{
+			id:      cfg.ID,
+			name:    "relay " + cfg.ID,
+			require: cfg.Parent.Codec,
+			want:    int(cfg.ModelConfig.ParamCount()),
+			tracer:  st.s.tracer,
+		},
 	}
-	r.cfg.Parent.fill()
+	// A compaction must keep what a restart redelivers from, and a restart
+	// seeds the session's reply cache with the last committed reply.
+	st.carry = r.replyCarry
+	r.up.recoverReply(recovered)
+	cfg.Parent.fill()
 
-	// Durable relay: replay the WAL before serving, recovering the last
-	// committed upstream reply and the codec residual that produced it.
-	if cfg.WALDir != "" {
-		wal, rv, werr := ckpt.OpenWAL(cfg.WALDir, cfg.Failpoint)
-		if werr != nil {
-			return nil, werr
-		}
-		r.jrn = newJournal(wal)
-		defer r.jrn.close()
-		if rec := replayRelayWAL(rv); rec.replyOK {
-			r.cacheOK = true
-			r.cacheRound = int32(rec.committed)
-			r.cacheReply = rec.reply
-			r.cacheCohort = rec.cohort
-			r.pendingCodec = rec.codec
-		}
-	}
-
-	stopLoops := srv.startLoops(ctx, l)
-	watchDone := make(chan struct{})
-	watcherExited := make(chan struct{})
-	go func() {
-		defer close(watcherExited)
-		select {
-		case <-ctx.Done():
-			srv.expireMemberIO()
-		case <-watchDone:
-		}
-	}()
+	stop := st.s.startLoops(ctx, l)
 	graceful := false
-	defer func() {
-		stopLoops()
-		close(watchDone)
-		<-watcherExited
-		srv.closeObservers()
-		srv.shutdownMembers(graceful)
-	}()
+	defer func() { stop(graceful) }()
 
 	// The cohort assembles before the relay announces itself upstream.
-	if err := r.waitCohort(ctx); err != nil {
+	if err := st.s.waitAlive(ctx, cfg.ExpectClients, 0); err != nil {
 		return nil, err
 	}
-
-	conn, err := dial(ctx)
-	if err != nil {
-		return nil, err
-	}
-	finish := func(err error) (*Result, error) {
-		res := &Result{History: r.hist, Global: r.global}
-		if r.global != nil {
-			model := nn.NewModel(cfg.ModelConfig, rand.New(rand.NewSource(cfg.Seed)))
-			if lerr := model.Params().LoadFlat(r.global); lerr != nil {
-				return nil, lerr
-			}
-			res.FinalModel = model
-		}
-		return res, err
-	}
-	for {
-		err := r.serveParentConn(ctx, conn)
-		conn.Close()
-		if err == nil {
-			graceful = true
-			return finish(nil)
-		}
-		if ctx.Err() != nil {
-			graceful = true // operator-initiated stop, not a crash
-			return finish(ctx.Err())
-		}
-		if r.cfg.Parent.MaxAttempts <= 0 || !errors.Is(err, ErrSessionLost) {
-			return finish(err)
-		}
-		conn, err = redial(ctx, dial, cfg.ID, r.cfg.Parent, err)
-		if err != nil {
-			return finish(err)
+	err = serveResilient(ctx, dial, cfg.ID, cfg.Parent, func(ctx context.Context, conn *link.Conn) error {
+		// Round numbering is per parent RUN, not global: a restarted parent
+		// starts over at round 1, so the stale-redelivery guard resets with
+		// each fresh connection.
+		r.lastRound = 0
+		return r.up.serveConn(ctx, conn, r.serve)
+	})
+	// A clean end and an operator-initiated stop shut the cohort down
+	// gracefully; anything else is a crash.
+	graceful = err == nil || ctx.Err() != nil
+	res := &Result{History: r.hist, Global: r.global}
+	if r.global != nil {
+		res.FinalModel = nn.NewModel(cfg.ModelConfig, rand.New(rand.NewSource(cfg.Seed)))
+		if lerr := res.FinalModel.Params().LoadFlat(r.global); lerr != nil {
+			return nil, lerr
 		}
 	}
+	return res, err
 }
 
-// waitCohort blocks until ExpectClients cohort members joined.
-func (r *relay) waitCohort(ctx context.Context) error {
-	return r.srv.waitAlive(ctx, r.cfg.ExpectClients, 0)
-}
-
-// serveParentConn runs one parent connection's worth of the relay session:
-// handshake under the relay's ID, then serve parent rounds until
-// MsgShutdown or connection loss (wrapped in ErrSessionLost for the
-// reconnect loop).
-func (r *relay) serveParentConn(ctx context.Context, conn *link.Conn) error {
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
-	name, err := Handshake(conn, r.cfg.ID, r.cfg.Parent.Codec)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
+// serve is the relay's work step: bridge one parent round onto the cohort —
+// run the cohort tier's exchange under its own deadline on the decoded
+// broadcast, fold the surviving updates through the outer optimizer, and
+// hand back one pseudo-gradient for upstream. A round whose cohort
+// delivered nothing replies nothing — the parent's deadline counts the
+// relay as a straggler and the run moves on. A resumed round (one whose
+// cached reply the session could not use) re-runs the exchange with the
+// resume flag propagated downstream, so leaf clients that already trained
+// it answer from their own caches.
+func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
+	resumed := t.msg.Meta[link.ResumeKey] != 0
+	if t.msg.Round <= r.lastRound && !resumed {
+		return nil, nil // stale redelivery
 	}
-	// The upstream codec lives on the relay, not the connection: a topk
-	// uplink's error-feedback residual survives parent reconnects, so
-	// coordinates dropped before a crash still reach later rounds.
-	if r.upEnc == nil || r.upEncName != name {
-		codec, err := link.NewCodec(name) // validated by Handshake
-		if err != nil {
-			return err
-		}
-		r.upEnc, r.upEncName = codec, name
-		// A WAL-recovered residual belongs to this freshly created codec;
-		// a codec that survived in-process already carries its state.
-		if err := link.RestoreCodecState(r.upEnc, r.pendingCodec); err != nil {
-			return err
-		}
-	}
-	r.pendingCodec = nil
-	// Round numbering is per parent RUN, not global: a restarted parent
-	// starts over at round 1, so the stale-redelivery guard resets with
-	// each fresh connection. Within one connection the models channel's
-	// latest-wins buffer already discards superseded broadcasts.
-	r.lastRound = 0
-
-	// Dedicated parent reader: heartbeats are echoed inline even while a
-	// cohort round is in flight, so a relay busy with a slow cohort reads
-	// as alive-but-straggling upstream rather than dead. Models are
-	// latest-wins — if the parent deadlined past rounds, the relay jumps
-	// to the current one.
-	models := make(chan *link.Message, 1)
-	ctrl := make(chan *link.Message, 4)
-	readErr := make(chan error, 1)
-	go func() {
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				readErr <- err
-				return
-			}
-			switch msg.Type {
-			case link.MsgHeartbeat:
-				conn.Send(&link.Message{Type: link.MsgHeartbeat, Meta: msg.Meta})
-			case link.MsgModel:
-				select {
-				case models <- msg:
-				default:
-					select {
-					case <-models:
-					default:
-					}
-					select {
-					case models <- msg:
-					default:
-					}
-				}
-			default:
-				select {
-				case ctrl <- msg:
-				default:
-				}
-			}
-		}
-	}()
-
-	for {
-		var msg *link.Message
-		select {
-		case msg = <-ctrl:
-		default:
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case err := <-readErr:
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fed: relay %s recv: %w: %w", r.cfg.ID, ErrSessionLost, err)
-			case msg = <-ctrl:
-			case msg = <-models:
-			}
-		}
-		switch msg.Type {
-		case link.MsgShutdown:
-			return nil
-		case link.MsgModel:
-			if err := r.serveRound(ctx, conn, msg); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("fed: relay %s: unexpected message type %d", r.cfg.ID, msg.Type)
-		}
-	}
-}
-
-// serveRound bridges one parent round onto the cohort: decode the global
-// broadcast, run the cohort tier's exchange under its own deadline, fold
-// the surviving updates through the outer optimizer, and forward one
-// pseudo-gradient upstream. A round whose cohort delivered nothing sends
-// nothing — the parent's deadline counts the relay as a straggler and the
-// run moves on.
-func (r *relay) serveRound(ctx context.Context, conn *link.Conn, msg *link.Message) error {
-	round := msg.Round
-	resumed := msg.Meta[link.ResumeKey] != 0
-	ver, hasVer := msg.Meta[link.VersionKey]
-	if resumed && r.cacheOK &&
-		(round == r.cacheRound || (hasVer && r.cacheHasVer && ver == r.cacheVersion)) {
-		// A durably-resuming parent lost this round's reply; re-send the
-		// cached (possibly WAL-recovered) bytes verbatim. Re-encoding
-		// would double-apply an error-feedback codec's residual, and
-		// re-running the exchange would advance cohort data streams twice.
-		meta := map[string]float64{
-			link.TraceKey:  msg.Meta[link.TraceKey],
-			link.CohortKey: float64(r.cacheCohort),
-		}
-		if r.cacheHasVer {
-			meta[link.VersionKey] = r.cacheVersion
-		}
-		err := conn.Send(&link.Message{
-			Type:     link.MsgUpdate,
-			Round:    round,
-			ClientID: r.cfg.ID,
-			Meta:     meta,
-			Payload:  r.cacheReply,
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return fmt.Errorf("fed: relay %s send: %w: %w", r.cfg.ID, ErrSessionLost, err)
-		}
-		r.lastRound = round
-		return nil
-	}
-	if round <= r.lastRound && !resumed {
-		return nil // stale redelivery after a reconnect
-	}
-	if r.want > 0 && msg.Payload.Elems != r.want {
-		return fmt.Errorf("fed: relay %s round %d: model payload carries %d elems, want %d",
-			r.cfg.ID, round, msg.Payload.Elems, r.want)
+	round, global := int(t.msg.Round), t.global
+	r.global = global
+	if ver, ok := t.msg.Meta[link.VersionKey]; ok {
+		r.lastVer = int(ver)
 	}
 	// The parent's trace ID attributes everything this round does — the
 	// cohort exchange included, since it is propagated downstream on the
 	// cohort broadcasts — to the root round that caused it.
-	traceID := uint64(msg.Meta[link.TraceKey])
-	roundStart := time.Now()
-	decSpan := r.srv.tracer.Begin(obsv.PhaseDecode)
-	global, err := link.DecodePayload(r.upEnc, msg.Payload)
-	decNs := decSpan.End(traceID)
-	if err != nil {
-		return fmt.Errorf("fed: relay %s round %d model: %w", r.cfg.ID, round, err)
-	}
-	r.global = global
+	w := r.open(round, uint64(t.msg.Meta[link.TraceKey]), t.start)
+	w.rec.Tier, w.rec.Depth, w.rec.ModelVersion = 1, 1, r.lastVer
+	// This tier's codec cost covers both connections: the parent
+	// broadcast's decode here, the cohort exchange's on top.
+	w.rec.DecodeMs = float64(t.decNs) / 1e6
+	w.pn.Add(obsv.PhaseDecode, t.decNs)
 
-	// Give an emptied cohort a rejoin window before running the round; if
-	// nobody comes back the round is simply skipped upstream.
-	minClients := r.cfg.MinClients
-	if minClients < 1 {
-		minClients = 1
-	}
-	grace := r.cfg.RoundDeadline
-	if grace <= 0 {
-		grace = 10 * time.Second
-	}
-	if err := r.srv.waitAlive(ctx, minClients, grace); err != nil {
+	// An emptied cohort gets a rejoin window; if nobody comes back the
+	// round is simply skipped upstream.
+	cohort, err := r.collect(ctx, nil)
+	if err != nil {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
-		r.record(int(round), nil, nil, roundWire{decNs: decNs}, 0, traceID, roundPhases{}, roundStart)
-		r.lastRound = round
-		return nil
+		r.lastRound = t.msg.Round
+		return nil, r.seal(w)
 	}
-
-	k := r.cfg.ClientsPerRound
-	if k <= 0 || k > r.cfg.ExpectClients {
-		k = r.cfg.ExpectClients
-	}
-	cohortInfos := r.srv.reg.SampleCohort(r.rng, k, r.cfg.OverProvision)
-	cohort := make([]*memberConn, 0, len(cohortInfos))
-	for _, info := range cohortInfos {
-		if mc := r.srv.get(info.ID); mc != nil {
-			cohort = append(cohort, mc)
-		}
-	}
-	exStart := time.Now()
-	// A resumed round with no usable cache re-runs the cohort exchange and
-	// propagates the resume flag downstream, so leaf clients that already
-	// trained this round answer from their own caches.
-	updates, clientMetrics, wire, phases, interrupted, err := r.srv.exchangeRound(ctx, int(round), traceID, global, cohort, resumed)
-	exchangeNs := time.Since(exStart).Nanoseconds()
-	wire.decNs += decNs
-	phases.pn.Add(obsv.PhaseDecode, decNs)
+	updates, clientMetrics, interrupted, err := r.s.exchangeRound(ctx, w, global, cohort, resumed, nil)
 	if err != nil {
-		return err // server-side encode failure: deterministic, not retryable
+		return nil, err // server-side encode failure: deterministic, not retryable
 	}
 	if interrupted {
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
-	r.lastRound = round
-
+	r.lastRound = t.msg.Round
 	if len(updates) == 0 {
-		r.record(int(round), nil, nil, wire, 0, traceID, phases, roundStart)
-		return nil
+		return nil, r.seal(w)
 	}
 
-	aggSpan := r.srv.tracer.Begin(obsv.PhaseAggregate)
+	aggSpan := r.s.tracer.Begin(obsv.PhaseAggregate)
 	delta, err := MeanDelta(updates)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Reuse OuterOpt for the fold: apply it to a scratch copy of the
-	// broadcast parameters and forward θ_global − θ_local, computed in
-	// place on the scratch buffer (dead after the subtraction) so a
-	// long-running relay allocates nothing per round. Under the default
-	// FedAvg(ηs=1) this is exactly the cohort-mean pseudo-gradient, so a
-	// two-tier mean of equal cohorts equals the flat mean.
+	// Where the relay's fold goes: apply the outer optimizer to a scratch
+	// copy of the broadcast parameters and forward θ_global − θ_local,
+	// computed in place on the scratch buffer (dead after the subtraction)
+	// so a long-running relay allocates nothing per round. Under the
+	// default FedAvg(ηs=1) this is exactly the cohort-mean pseudo-gradient,
+	// so a two-tier mean of equal cohorts equals the flat mean.
 	if len(r.scratch) != len(global) {
 		r.scratch = make([]float32, len(global))
 	}
 	copy(r.scratch, global)
-	r.outer.Step(r.scratch, delta, int(round))
+	r.cfg.Outer.Step(r.scratch, delta, round)
 	for i := range r.scratch {
 		r.scratch[i] = global[i] - r.scratch[i]
 	}
 	upward := r.scratch
-	phases.pn.Add(obsv.PhaseAggregate, aggSpan.End(traceID))
+	w.pn.Add(obsv.PhaseAggregate, aggSpan.End(w.rec.TraceID))
 
 	meta := metrics.AggMetrics(clientMetrics)
 	meta[link.CohortKey] = float64(len(updates))
-	encSpan := r.srv.tracer.Begin(obsv.PhaseEncode)
-	encUpd, err := link.EncodeVector(r.upEnc, upward)
-	upEncNs := encSpan.End(traceID)
-	wire.encNs += upEncNs
-	phases.pn.Add(obsv.PhaseEncode, upEncNs)
-	if err != nil {
-		return fmt.Errorf("fed: relay %s round %d update: %w", r.cfg.ID, round, err)
-	}
-	// Upstream phase self-report. AggMetrics just averaged the cohort's
-	// own ph_*/trace keys into meta — overwrite them with this tier's
-	// values: the parent must see the relay's cohort-exchange wall as its
-	// "train" time and this connection's codec costs, not a mean of the
-	// leaves'.
-	meta[link.TraceKey] = float64(traceID)
-	meta[link.PhaseTrainNsKey] = float64(exchangeNs)
-	meta[link.PhaseEncNsKey] = float64(upEncNs)
-	meta[link.PhaseDecNsKey] = float64(decNs)
-	if hasVer {
-		// Echo the trained version upstream so an async parent can weight
-		// this pseudo-gradient by its staleness — two-tier async composes.
-		meta[link.VersionKey] = ver
-		r.lastVer = int(ver)
-	}
-	// Cache before sending: the cohort exchange ran and the upstream
-	// codec's residual advanced, so if the parent crashes mid-send its
-	// resumed re-broadcast (ResumeKey) must get these exact bytes back —
-	// re-running the exchange or re-encoding would advance cohort streams
-	// and the error-feedback state twice for one round.
-	r.cacheOK, r.cacheRound, r.cacheCohort = true, round, len(updates)
-	r.cacheReply = encUpd
-	r.cacheHasVer, r.cacheVersion = hasVer, ver
-	err = conn.Send(&link.Message{
-		Type:     link.MsgUpdate,
-		Round:    round,
-		ClientID: r.cfg.ID,
-		Meta:     meta,
-		Payload:  encUpd,
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return fmt.Errorf("fed: relay %s send: %w: %w", r.cfg.ID, ErrSessionLost, err)
-	}
-	// Journal the reply (bytes, residual, commit) so the cache survives a
-	// relay restart. A journal error is fatal — an armed failpoint here
-	// models the relay crashing right after the record lands.
-	if err := r.jrn.upstreamReply(int(round), len(updates), encUpd); err != nil {
-		return err
-	}
-	if err := r.jrn.codecSnapshot(int(round), link.CodecState(r.upEnc)); err != nil {
-		return err
-	}
-	if err := r.jrn.roundCommit(int(round), 0); err != nil {
-		return err
-	}
-	r.record(int(round), updates, clientMetrics, wire, norm2(upward), traceID, phases, roundStart)
-	return nil
+	w.rec.Clients, w.rec.UpdateNorm, w.rec.TrainLoss = len(updates), norm2(upward), meta["loss"]
+	return &roundReply{
+		update: upward,
+		meta:   meta,
+		sticky: map[string]float64{link.CohortKey: float64(len(updates))},
+		sent: func(st sentReply) error {
+			w.rec.EncodeMs += float64(st.encNs) / 1e6
+			w.pn.Add(obsv.PhaseEncode, st.encNs)
+			// Journal the reply (bytes and residual here, the commit in
+			// seal) so the cache survives a relay restart. A journal error
+			// is fatal — an armed failpoint here models the relay crashing
+			// right after the record lands.
+			if err := r.jrn.upstreamReply(round, len(updates), st.payload, r.up.enc); err != nil {
+				return err
+			}
+			w.folded = true
+			return r.seal(w)
+		},
+	}, nil
 }
 
-// record stamps one relay-tier round onto the history: cohort-side wire
-// bytes over the round's meter window (tiling the run with no gaps), codec
-// wall times, churn, the Tier/Depth position, and — carried over from the
-// parent's broadcast — the root round's trace ID, which is what lets an
-// observer join this tier's phase breakdown to the root record it belongs
-// to.
-func (r *relay) record(round int, updates [][]float32, clientMetrics []map[string]float64, wire roundWire, updateNorm float64, traceID uint64, phases roundPhases, start time.Time) {
-	sent, recv := r.srv.meter.Totals()
-	sentRound, recvRound := sent-r.sentPrev, recv-r.recvPrev
-	r.sentPrev, r.recvPrev = sent, recv
-	churn := r.srv.reg.RoundDelta()
-	rec := metrics.Round{
-		Round:             round,
-		Clients:           len(updates),
-		Tier:              1,
-		Depth:             1,
-		UpdateNorm:        updateNorm,
-		WireSentBytes:     sentRound,
-		WireRecvBytes:     recvRound,
-		CommBytes:         sentRound + recvRound,
-		EncodeMs:          float64(wire.encNs) / 1e6,
-		DecodeMs:          float64(wire.decNs) / 1e6,
-		Joins:             churn.Joins + churn.Rejoins,
-		Evictions:         churn.Evictions,
-		Stragglers:        churn.Stragglers,
-		HeartbeatRTTMs:    churn.HeartbeatRTTMs,
-		HeartbeatRTTP99Ms: churn.HeartbeatRTTP99Ms,
-		TraceID:           traceID,
-		ModelVersion:      r.lastVer,
-		WallMs:            float64(time.Since(start).Nanoseconds()) / 1e6,
-		Phases:            phases.pn.Breakdown(),
-		SlowestID:         phases.slowestID,
-	}
-	if phases.slowestID != "" {
-		rec.SlowestPhase = phases.slowestPhase.String()
-	}
-	if wire.denseBytes > 0 {
-		rec.CompressionRatio = float64(wire.payloadBytes) / float64(wire.denseBytes)
-	}
-	if len(clientMetrics) > 0 {
-		rec.TrainLoss = metrics.AggMetrics(clientMetrics)["loss"]
-	}
-	r.hist.Append(rec)
-	if r.cfg.OnRound != nil {
-		r.cfg.OnRound(rec)
-	}
-	r.srv.publishRound(rec, nil)
+// replyCarry renders the session's cached reply as the records a compacted
+// log must keep for recoverReply: the reply, the residual, and the commit
+// that makes them safe to redeliver.
+func (r *relay) replyCarry() []ckpt.Record {
+	round := int(r.up.cacheRound)
+	recs := upstreamReplyRecords(round, int(r.up.cacheSticky[link.CohortKey]), r.up.cacheReply, r.up.enc)
+	return append(recs, ckpt.Record{Type: ckpt.RecRoundCommit, Round: round})
 }

@@ -2,10 +2,9 @@ package fed
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,11 +22,6 @@ import (
 // stray connection that never sends MsgJoin is dropped without ever
 // counting toward the membership.
 const joinTimeout = 10 * time.Second
-
-// handshakeTimeout bounds the client's wait for the aggregator's codec
-// announcement; a pre-codec aggregator never announces, so waiting past
-// this is a configuration error, not a transient.
-const handshakeTimeout = 10 * time.Second
 
 // ServerConfig configures a networked aggregator (the Agg component) that
 // coordinates real LLM-C processes over the link protocol.
@@ -146,11 +140,9 @@ type server struct {
 	// estimates.
 	meter *link.Meter
 
-	// jrn journals round-state transitions when the durable control plane
-	// is on (ServerConfig.WALDir); nil (all methods no-ops) otherwise.
-	// Only exchangeRound's single-threaded collect loop appends member
-	// updates, so the journal needs no locking of its own.
-	jrn *journal
+	// totals sums codec work (decode time, encoded and dense payload bytes)
+	// over every ask, the way meter sums wire bytes.
+	totals wireTotals
 
 	mu    sync.Mutex
 	conns map[string]*memberConn
@@ -226,14 +218,19 @@ func (s *server) removeObserver(conn *link.Conn) {
 	}
 }
 
-func (s *server) closeObservers() {
+// observerConns snapshots the attached observers.
+func (s *server) observerConns() []*link.Conn {
 	s.obsMu.Lock()
+	defer s.obsMu.Unlock()
 	conns := make([]*link.Conn, 0, len(s.observers))
 	for c := range s.observers {
 		conns = append(conns, c)
 	}
-	s.obsMu.Unlock()
-	for _, c := range conns {
+	return conns
+}
+
+func (s *server) closeObservers() {
+	for _, c := range s.observerConns() {
 		// Best-effort goodbye so a tailing dashboard can distinguish a
 		// clean end-of-run from a lost aggregator.
 		c.SendTimeout(&link.Message{Type: link.MsgShutdown}, time.Second)
@@ -247,14 +244,8 @@ func (s *server) closeObservers() {
 // non-nil, carries per-member staleness in versions (async mode only; the
 // synchronous loop passes nil).
 func (s *server) publishRound(rec metrics.Round, stale map[string]int) {
-	s.obsMu.Lock()
-	n := len(s.observers)
-	conns := make([]*link.Conn, 0, n)
-	for c := range s.observers {
-		conns = append(conns, c)
-	}
-	s.obsMu.Unlock()
-	if n == 0 {
+	conns := s.observerConns()
+	if len(conns) == 0 {
 		return
 	}
 	msg := observeMessage(rec, s.reg.Alive(), stale)
@@ -266,16 +257,29 @@ func (s *server) publishRound(rec metrics.Round, stale map[string]int) {
 }
 
 // startLoops launches the accept loop (and, when configured, the liveness
-// loop) and returns a stop function that cancels both and waits for them to
-// exit. The accept loop admits members for the whole run, so evicted or
-// crashed members can rejoin at any time.
-func (s *server) startLoops(ctx context.Context, l *link.Listener) (stop func()) {
+// loop) and returns the stop function that ends the serving side: cancel
+// and wait for the loops, say goodbye to observers, and end every member
+// session (see shutdownMembers for graceful vs abrupt). The accept loop
+// admits members for the whole run, so evicted or crashed members can
+// rejoin at any time.
+func (s *server) startLoops(ctx context.Context, l *link.Listener) (stop func(graceful bool)) {
 	loopCtx, cancel := context.WithCancel(ctx)
 	var loops sync.WaitGroup
-	loops.Add(1)
+	loops.Add(2)
 	go func() {
 		defer loops.Done()
 		s.acceptLoop(loopCtx, l)
+	}()
+	// On cancellation, expire in-flight member I/O via deadlines. Deadlines
+	// only — a round waiter stuck in an unbounded model Send holds the
+	// connection's send mutex, which is exactly what the deadline must
+	// break before the shutdown path can deliver MsgShutdown.
+	go func() {
+		defer loops.Done()
+		<-loopCtx.Done()
+		if ctx.Err() != nil {
+			s.expireMemberIO()
+		}
 	}()
 	if s.cfg.HeartbeatInterval > 0 {
 		loops.Add(1)
@@ -284,9 +288,11 @@ func (s *server) startLoops(ctx context.Context, l *link.Listener) (stop func())
 			s.livenessLoop(loopCtx)
 		}()
 	}
-	return func() {
+	return func(graceful bool) {
 		cancel()
 		loops.Wait()
+		s.closeObservers()
+		s.shutdownMembers(graceful)
 	}
 }
 
@@ -363,170 +369,77 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 	if err := cfg.ModelConfig.Validate(); err != nil {
 		return nil, err
 	}
-	k := cfg.ClientsPerRound
-	if k <= 0 || k > cfg.ExpectClients {
-		k = cfg.ExpectClients
-	}
-	minClients := cfg.MinClients
-	if minClients < 1 {
-		minClients = 1
-	}
-	s, err := newServer(cfg)
+	// Durable control plane: open the WAL (reading back any prior journal)
+	// and the registry before accepting a single connection, so a restart
+	// that cannot recover fails fast instead of re-training from scratch.
+	st, recovered, err := newAggState(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	// Durable control plane: open the registry and the WAL (replaying any
-	// prior journal) before accepting a single connection, so a restart
-	// that cannot recover fails fast instead of re-training from scratch.
-	var registry *ckpt.Registry
+	defer st.jrn.close()
 	if cfg.RegistryDir != "" {
-		if registry, err = ckpt.OpenRegistry(cfg.RegistryDir); err != nil {
+		if st.registry, err = ckpt.OpenRegistry(cfg.RegistryDir); err != nil {
 			return nil, err
 		}
 	}
-	resume := &serverResume{}
-	aResume := &asyncResume{}
-	if cfg.WALDir != "" {
-		wal, rv, werr := ckpt.OpenWAL(cfg.WALDir, cfg.Failpoint)
-		if werr != nil {
-			return nil, werr
-		}
-		s.jrn = newJournal(wal)
-		defer s.jrn.close()
-		// The two modes journal different record sequences, so each replays
-		// its own: a WAL written in one mode does not resume the other.
-		if cfg.Async != nil {
-			aResume = replayAsyncWAL(rv)
-		} else {
-			resume = replayServerWAL(rv)
-		}
-	}
+	s := st.s
 
 	// The accept loop admits members for the entire run. Handshakes run in
 	// their own goroutines so a stray connection that never sends MsgJoin
 	// can neither hold a membership slot nor stall other joiners.
-	stopLoops := s.startLoops(ctx, l)
-
-	// On cancellation, expire in-flight member I/O via deadlines. Deadlines
-	// only — a round waiter stuck in an unbounded model Send holds the
-	// connection's send mutex, which is exactly what the deadline must
-	// break before the shutdown path below can deliver MsgShutdown.
-	watchDone := make(chan struct{})
-	watcherExited := make(chan struct{})
-	go func() {
-		defer close(watcherExited)
-		select {
-		case <-ctx.Done():
-			s.expireMemberIO()
-		case <-watchDone:
-		}
-	}()
+	stop := s.startLoops(ctx, l)
 
 	// Shutdown: stop admitting, then deliver MsgShutdown to every member
 	// still connected and give each a bounded grace period to read it
-	// before the connection is torn down. An armed-failpoint exit flips
-	// graceful off: the members see a dropped connection — exactly what a
+	// before the connection is torn down. An armed-failpoint exit is
+	// abrupt instead: the members see a dropped connection — exactly what a
 	// real aggregator crash looks like — and resilient clients reconnect
 	// to the restarted process instead of shutting down cleanly.
-	graceful := true
-	defer func() {
-		stopLoops()
-		close(watchDone)
-		<-watcherExited
-		s.closeObservers()
-		s.shutdownMembers(graceful)
-	}()
+	defer func() { stop(!st.crashed) }()
 
 	// Initial membership: wait (ctx-bounded) for the expected cohort.
 	if err := s.waitAlive(ctx, cfg.ExpectClients, 0); err != nil {
 		return nil, err
 	}
 
-	rng := cfg.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	// traceRng mints round trace IDs from its own stream so tracing never
-	// perturbs the cohort-sampling draws (run determinism is seeded).
-	traceRng := rand.New(rand.NewSource(int64(uint64(cfg.Seed) ^ 0x9E3779B97F4A7C15)))
-	globalModel := nn.NewModel(cfg.ModelConfig, rng)
+	// The trace stream is separate so tracing never perturbs the
+	// cohort-sampling draws (run determinism is seeded).
+	st.traceRng = rand.New(rand.NewSource(int64(uint64(cfg.Seed) ^ 0x9E3779B97F4A7C15)))
 	// The model init always draws from rng — even on resume — so the rng
 	// stream stays aligned with an uninterrupted run's cohort sampling;
 	// the recovered params then overwrite the fresh init in place.
-	global := globalModel.Params().Flatten(nil)
-	if cfg.Async != nil {
-		if aResume.global != nil {
-			if len(aResume.global) != len(global) {
-				return nil, fmt.Errorf("fed: WAL params have %d elements, model has %d (config changed between runs?)", len(aResume.global), len(global))
-			}
-			copy(global, aResume.global)
-		}
-		if err := restoreOuter(cfg.Outer, aResume.outer); err != nil {
-			return nil, err
-		}
-	} else if resume.global != nil || resume.committed > 0 || resume.open != nil {
-		if resume.global != nil {
-			if len(resume.global) != len(global) {
-				return nil, fmt.Errorf("fed: WAL params have %d elements, model has %d (config changed between runs?)", len(resume.global), len(global))
-			}
-			copy(global, resume.global)
-		}
-		if err := restoreOuter(cfg.Outer, resume.outer); err != nil {
-			return nil, err
-		}
-	}
-	hist := &metrics.History{}
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
-	// finish packages the (possibly partial) run: completed rounds are
-	// never discarded, even when the run ends on a membership or
-	// no-progress error.
-	finish := func(err error) (*Result, error) {
-		if lerr := globalModel.Params().LoadFlat(global); lerr != nil {
-			return nil, lerr
-		}
-		return &Result{History: hist, Global: global, FinalModel: globalModel}, err
-	}
-	// fail routes a round-loop error through finish, downgrading the exit
-	// to abrupt when it is an armed crash point firing.
-	fail := func(round int, err error) (*Result, error) {
-		if errors.Is(err, ckpt.ErrFailpoint) {
-			graceful = false
-		}
-		return finish(fmt.Errorf("fed: round %d: %w", round, err))
-	}
+	st.globalModel = nn.NewModel(cfg.ModelConfig, st.rng)
+	st.global = st.globalModel.Params().Flatten(nil)
 	// lineage stamps registry manifests with enough to reproduce the job.
-	lineage := map[string]string{
+	st.lineage = map[string]string{
 		"job": fmt.Sprintf("seed=%d rounds=%d expect=%d cohort=%d codec=%s outer=%s params=%d",
-			cfg.Seed, cfg.Rounds, cfg.ExpectClients, k, s.codecName, cfg.Outer.Name(), len(global)),
+			cfg.Seed, cfg.Rounds, cfg.ExpectClients, st.k, s.codecName, cfg.Outer.Name(), len(st.global)),
 	}
-	st := &aggState{
-		s:           s,
-		cfg:         cfg,
-		k:           k,
-		minClients:  minClients,
-		evalEvery:   evalEvery,
-		rng:         rng,
-		traceRng:    traceRng,
-		globalModel: globalModel,
-		global:      global,
-		hist:        hist,
-		registry:    registry,
-		lineage:     lineage,
-		finish:      finish,
-		fail:        fail,
-	}
-	var core Aggregator
+
+	// The two modes journal different record sequences, so each replays its
+	// own: a WAL written in one mode does not resume the other.
+	var run func(context.Context) (*Result, error)
+	var wasGlobal, wasOuter []float32
 	if cfg.Async != nil {
-		core = newAsyncAggregator(st, aResume)
+		resume := replayAsyncWAL(recovered)
+		wasGlobal, wasOuter = resume.global, resume.outer
+		st.lineage["mode"], run = "async", newAsyncAggregator(st, resume).run
 	} else {
-		core = &syncAggregator{aggState: st, resume: resume}
+		resume := replayServerWAL(recovered)
+		wasGlobal, wasOuter = resume.global, resume.outer
+		st.lineage["mode"], run = "sync", (&syncAggregator{aggState: st, resume: resume, depth: 1}).run
 	}
-	lineage["mode"] = core.Mode()
-	return core.run(ctx)
+	if wasGlobal != nil {
+		if len(wasGlobal) != len(st.global) {
+			return nil, fmt.Errorf("fed: WAL params have %d elements, model has %d (config changed between runs?)", len(wasGlobal), len(st.global))
+		}
+		copy(st.global, wasGlobal)
+	}
+	if err := restoreOuter(cfg.Outer, wasOuter); err != nil {
+		return nil, err
+	}
+	st.sentPrev, st.recvPrev = s.meter.Totals()
+	return run(ctx)
 }
 
 // acceptLoop admits connections until ctx is cancelled, handing each off to
@@ -555,15 +468,7 @@ func (s *server) acceptLoop(ctx context.Context, l *link.Listener) {
 // side effects, so a mixed fleet can never corrupt a round.
 func (s *server) handshake(ctx context.Context, conn *link.Conn) {
 	// Unblock the bounded Recv early if the server is shutting down.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
+	defer closeOnDone(ctx, conn)()
 	announce := &link.Message{
 		Type:     link.MsgCodecAnnounce,
 		ClientID: s.codecName,
@@ -638,18 +543,7 @@ func (s *server) readLoop(mc *memberConn) {
 		case link.MsgUpdate:
 			// Latest-wins: a stale straggler reply never blocks the reader
 			// or shadows the current round's update.
-			select {
-			case mc.updates <- msg:
-			default:
-				select {
-				case <-mc.updates:
-				default:
-				}
-				select {
-				case mc.updates <- msg:
-				default:
-				}
-			}
+			offerLatest(mc.updates, msg)
 		default:
 			// Ignore anything else (duplicate joins, metrics-only frames).
 		}
@@ -680,7 +574,7 @@ func (s *server) livenessLoop(ctx context.Context) {
 			}
 			for _, id := range s.reg.ExpireDead() {
 				if mc := s.get(id); mc != nil {
-					s.remove(mc)
+					s.drop(mc, "missed heartbeats") // already evicted: this forgets the connection
 					mc.conn.Close()
 				}
 			}
@@ -688,7 +582,7 @@ func (s *server) livenessLoop(ctx context.Context) {
 	}
 }
 
-// roundWire is one round's codec accounting: encode/decode wall time and
+// roundWire is one window's codec accounting: encode/decode wall time and
 // the encoded-vs-dense payload volume the compression ratio is derived
 // from.
 type roundWire struct {
@@ -698,110 +592,125 @@ type roundWire struct {
 	denseBytes   int64 // what the same payloads would cost as dense float32
 }
 
-// roundPhases is one round's critical-path phase accounting: the phase
-// accumulator plus straggler attribution (the last member to answer, and
-// the phase that member spent the most time in).
-type roundPhases struct {
-	pn           obsv.PhaseNanos
-	slowestID    string
-	slowestPhase obsv.Phase
+// wireTotals sums the codec side of every ask since the server started;
+// like the meter, a window reads its share as a difference.
+type wireTotals struct {
+	decNs, payloadBytes, denseBytes atomic.Int64
 }
 
-// exchangeRound encodes the global model once with the negotiated codec,
-// broadcasts it to the cohort, and collects codec-decoded updates until
-// every member answers or fails, the round deadline expires, or ctx is
-// cancelled (interrupted=true discards the round). A member whose update
-// fails to decode is dropped — a codec disagreement must never silently
-// poison the aggregate. err is only non-nil for a server-side encode
-// failure (a broken codec), which aborts the run.
+func (t *wireTotals) load() roundWire {
+	return roundWire{decNs: t.decNs.Load(), payloadBytes: t.payloadBytes.Load(), denseBytes: t.denseBytes.Load()}
+}
+
+// answer is one member's reply to one model task.
+type answer struct {
+	mc       *memberConn
+	update   []float32           // decoded pseudo-gradient; nil when the member failed
+	payload  link.EncodedPayload // the same update as it arrived, for the journal
+	meta     map[string]float64  // member-reported metrics (loss, phases, trained version)
+	latency  time.Duration       // send-to-reply wall time
+	sendNs   int64               // model send duration
+	srvDecNs int64               // server-side decode of the update
+}
+
+// ask is the aggregator's half of one exchange with one member, the same in
+// every mode: send the encoded model as task (the MsgModel round number the
+// member echoes), await the update that answers it, and decode it. meta is
+// stamped on the frame (trace, version, resume) and only read. A member
+// whose send fails or whose update fails to decode is dropped — a codec
+// disagreement or a poisoned vector must never reach a fold. ok is false
+// when the member failed (a.update is nil) or stop closed first.
+func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model link.EncodedPayload, sendTimeout time.Duration, stop <-chan struct{}) (a answer, ok bool) {
+	a.mc = mc
+	traceID := uint64(meta[link.TraceKey])
+	// Drain a stale reply to a superseded task.
+	select {
+	case <-mc.updates:
+	default:
+	}
+	start := time.Now()
+	sendSpan := s.tracer.Begin(obsv.PhaseBroadcast)
+	err := mc.conn.SendTimeout(&link.Message{
+		Type:    link.MsgModel,
+		Round:   int32(task),
+		Meta:    meta,
+		Payload: model,
+	}, sendTimeout)
+	a.sendNs = sendSpan.End(traceID)
+	if err != nil {
+		s.drop(mc, "model send failed")
+		mc.conn.Close()
+		return a, false
+	}
+	s.totals.payloadBytes.Add(int64(model.WireBytes()))
+	s.totals.denseBytes.Add(int64(model.Elems) * 4)
+	for {
+		select {
+		case msg := <-mc.updates:
+			if msg.Round != int32(task) {
+				continue // late reply to an earlier task
+			}
+			decSpan := s.tracer.Begin(obsv.PhaseDecode)
+			vec, derr := s.decodeUpdate(msg.Payload, model.Elems)
+			a.srvDecNs = decSpan.End(traceID)
+			s.totals.decNs.Add(a.srvDecNs)
+			if derr != nil {
+				s.drop(mc, "update decode failed")
+				mc.conn.Close()
+				return a, false
+			}
+			s.totals.payloadBytes.Add(int64(msg.Payload.WireBytes()))
+			s.totals.denseBytes.Add(int64(msg.Payload.Elems) * 4)
+			a.update, a.payload, a.meta = vec, msg.Payload, msg.Meta
+			a.latency = time.Since(start)
+			return a, true
+		case <-mc.dead:
+			return a, false
+		case <-stop:
+			return a, false
+		}
+	}
+}
+
+// exchangeRound runs window w's broadcast and collection: encode global
+// once with the negotiated codec, ask every cohort member, and gather the
+// decoded updates until all answer or fail, the round deadline expires, or
+// ctx is cancelled (interrupted=true discards the round). Each update is
+// journaled to jrn (nil: not at all), in arrival order, before it is
+// counted: a crash after the append re-collects nothing from that member.
+// err is non-nil only for a server-side encode failure (a broken codec) or
+// a journal error, either of which aborts the run.
 //
-// traceID is the round-scoped trace identifier stamped on every MsgModel;
-// members echo it (and their per-phase self-reports) on their MsgUpdate,
-// which is how phases returns a full critical-path breakdown: the slowest
-// successful member's latency is split into broadcast (measured send),
-// member train/encode/decode (self-reported), server decode (measured per
-// member), and a wire residual.
-func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, global []float32, cohort []*memberConn, resume bool) (updates [][]float32, clientMetrics []map[string]float64, wire roundWire, phases roundPhases, interrupted bool, err error) {
+// w.rec.TraceID is stamped on every MsgModel; members echo it (and their
+// per-phase self-reports) on their MsgUpdate, which is how w gets a full
+// critical-path breakdown: the slowest successful member's latency is split
+// into broadcast (measured send), member train/encode/decode
+// (self-reported), server decode (measured per member), and a wire
+// residual. The codec wall times and compression ratio land on w.rec.
+func (s *server) exchangeRound(ctx context.Context, w *window, global []float32, cohort []*memberConn, resume bool, jrn *journal) (updates [][]float32, clientMetrics []map[string]float64, interrupted bool, err error) {
+	round, traceID := w.rec.Round, w.rec.TraceID
 	encSpan := s.tracer.Begin(obsv.PhaseEncode)
 	encModel, err := link.EncodeVector(s.modelEnc, global)
 	if err != nil {
-		return nil, nil, wire, phases, false, err
+		return nil, nil, false, err
 	}
-	wire.encNs = encSpan.End(traceID)
+	encNs := encSpan.End(traceID)
+	base := s.totals.load()
 
-	type reply struct {
-		mc       *memberConn
-		update   []float32           // nil when the member failed
-		payload  link.EncodedPayload // update as it arrived, for the journal
-		meta     map[string]float64
-		latency  time.Duration
-		sendNs   int64 // model broadcast send duration
-		srvDecNs int64 // server-side decode of this member's update
+	meta := map[string]float64{link.TraceKey: float64(traceID)}
+	if resume {
+		// Redelivery of an in-flight round after a crash: a member that
+		// already trained it re-sends its cached update instead of
+		// advancing its data stream a second time.
+		meta[link.ResumeKey] = 1
 	}
-	results := make(chan reply, len(cohort))
+	results := make(chan answer, len(cohort))
 	stop := make(chan struct{})
 	defer close(stop)
-
-	var decNs, payloadBytes, denseBytes atomic.Int64
 	for _, mc := range cohort {
 		go func(mc *memberConn) {
-			// Drain any stale straggler update from a previous round.
-			select {
-			case <-mc.updates:
-			default:
-			}
-			start := time.Now()
-			meta := map[string]float64{link.TraceKey: float64(traceID)}
-			if resume {
-				// Redelivery of an in-flight round after a crash: a member
-				// that already trained it re-sends its cached update
-				// instead of advancing its data stream a second time.
-				meta[link.ResumeKey] = 1
-			}
-			sendSpan := s.tracer.Begin(obsv.PhaseBroadcast)
-			err := mc.conn.SendTimeout(&link.Message{
-				Type:    link.MsgModel,
-				Round:   int32(round),
-				Meta:    meta,
-				Payload: encModel,
-			}, s.cfg.RoundDeadline)
-			sendNs := sendSpan.End(traceID)
-			if err != nil {
-				s.drop(mc, "model send failed")
-				mc.conn.Close()
-				results <- reply{mc: mc}
-				return
-			}
-			payloadBytes.Add(int64(encModel.WireBytes()))
-			denseBytes.Add(int64(len(global)) * 4)
-			for {
-				select {
-				case msg := <-mc.updates:
-					if msg.Round != int32(round) {
-						continue // late reply from an earlier round
-					}
-					decSpan := s.tracer.Begin(obsv.PhaseDecode)
-					vec, derr := s.decodeUpdate(msg.Payload, len(global))
-					srvDecNs := decSpan.End(traceID)
-					decNs.Add(srvDecNs)
-					if derr != nil {
-						s.drop(mc, "update decode failed")
-						mc.conn.Close()
-						results <- reply{mc: mc}
-						return
-					}
-					payloadBytes.Add(int64(msg.Payload.WireBytes()))
-					denseBytes.Add(int64(msg.Payload.Elems) * 4)
-					results <- reply{mc: mc, update: vec, payload: msg.Payload, meta: msg.Meta,
-						latency: time.Since(start), sendNs: sendNs, srvDecNs: srvDecNs}
-					return
-				case <-mc.dead:
-					results <- reply{mc: mc}
-					return
-				case <-stop:
-					return
-				}
-			}
+			a, _ := s.ask(mc, round, meta, encModel, s.cfg.RoundDeadline, stop)
+			results <- a // buffered for the whole cohort: never blocks, even after stop
 		}(mc)
 	}
 
@@ -813,47 +722,24 @@ func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, g
 	}
 	// slow tracks the slowest successful member: its latency dominates the
 	// round's wall time, so its phase split IS the round's critical path.
-	var slow reply
-	collect := func() {
-		wire.decNs = decNs.Load()
-		wire.payloadBytes = payloadBytes.Load()
-		wire.denseBytes = denseBytes.Load()
-		if slow.mc == nil {
-			return
-		}
-		memberTrain := int64(slow.meta[link.PhaseTrainNsKey])
-		memberEnc := int64(slow.meta[link.PhaseEncNsKey])
-		memberDec := int64(slow.meta[link.PhaseDecNsKey])
-		phases.pn.Add(obsv.PhaseBroadcast, slow.sendNs)
-		phases.pn.Add(obsv.PhaseTrain, memberTrain)
-		phases.pn.Add(obsv.PhaseEncode, wire.encNs+memberEnc)
-		phases.pn.Add(obsv.PhaseDecode, memberDec+slow.srvDecNs)
-		// Whatever the latency doesn't account for is wire transfer (plus
-		// scheduling slack). Legacy members report no phase keys, so for
-		// them the whole latency after the send lands here.
-		wireNs := slow.latency.Nanoseconds() - slow.sendNs - memberTrain - memberEnc - memberDec - slow.srvDecNs
-		phases.pn.Add(obsv.PhaseWire, wireNs)
-		phases.slowestID = slow.mc.id
-		phases.slowestPhase = phases.pn.Slowest()
-	}
+	var slow answer
 	responded := make(map[string]bool, len(cohort))
+gather:
 	for len(responded) < len(cohort) {
 		select {
-		case r := <-results:
-			responded[r.mc.id] = true
-			if r.update != nil {
-				// Journal the update (as received) before counting it: a
-				// crash after this append re-collects nothing from this
-				// member.
-				if jerr := s.jrn.memberUpdate(round, r.mc.id, r.payload); jerr != nil {
-					return nil, nil, wire, phases, false, jerr
-				}
-				updates = append(updates, r.update)
-				clientMetrics = append(clientMetrics, r.meta)
-				s.reg.ObserveRound(r.mc.id, r.latency, cluster.OutcomeOK)
-				if slow.mc == nil || r.latency > slow.latency {
-					slow = r
-				}
+		case a := <-results:
+			responded[a.mc.id] = true
+			if a.update == nil {
+				continue
+			}
+			if err := jrn.memberUpdate(round, a.mc.id, a.payload); err != nil {
+				return nil, nil, false, err
+			}
+			updates = append(updates, a.update)
+			clientMetrics = append(clientMetrics, a.meta)
+			s.reg.ObserveRound(a.mc.id, a.latency, cluster.OutcomeOK)
+			if slow.mc == nil || a.latency > slow.latency {
+				slow = a
 			}
 		case <-deadlineC:
 			// Deadline: aggregate the partial round; everyone who has not
@@ -863,30 +749,59 @@ func (s *server) exchangeRound(ctx context.Context, round int, traceID uint64, g
 					s.reg.ObserveRound(mc.id, s.cfg.RoundDeadline, cluster.OutcomeStraggler)
 				}
 			}
-			collect()
-			return updates, clientMetrics, wire, phases, false, nil
+			break gather
 		case <-ctx.Done():
-			return nil, nil, wire, phases, true, nil
+			return nil, nil, true, nil
 		}
 	}
-	collect()
-	return updates, clientMetrics, wire, phases, false, nil
+
+	wire := s.totals.load()
+	w.rec.EncodeMs += float64(encNs) / 1e6
+	w.rec.DecodeMs += float64(wire.decNs-base.decNs) / 1e6
+	if dense := wire.denseBytes - base.denseBytes; dense > 0 {
+		w.rec.CompressionRatio = float64(wire.payloadBytes-base.payloadBytes) / float64(dense)
+	}
+	if slow.mc != nil {
+		memberTrain := int64(slow.meta[link.PhaseTrainNsKey])
+		memberEnc := int64(slow.meta[link.PhaseEncNsKey])
+		memberDec := int64(slow.meta[link.PhaseDecNsKey])
+		w.pn.Add(obsv.PhaseBroadcast, slow.sendNs)
+		w.pn.Add(obsv.PhaseTrain, memberTrain)
+		w.pn.Add(obsv.PhaseEncode, encNs+memberEnc)
+		w.pn.Add(obsv.PhaseDecode, memberDec+slow.srvDecNs)
+		// Whatever the latency doesn't account for is wire transfer (plus
+		// scheduling slack). Legacy members report no phase keys, so for
+		// them the whole latency after the send lands here.
+		w.pn.Add(obsv.PhaseWire, slow.latency.Nanoseconds()-slow.sendNs-memberTrain-memberEnc-memberDec-slow.srvDecNs)
+		w.rec.SlowestID = slow.mc.id
+		w.rec.SlowestPhase = w.pn.Slowest().String()
+	}
+	return updates, clientMetrics, false, nil
 }
 
-// decodeUpdate decodes a member's update with the session codec. The
-// declared element count must match the model before any codec allocates
-// for it, so a mis-sized update can neither OOM the aggregator nor poison
-// the fold. Live arrivals and journaled payloads replayed on resume both
-// come through here.
+// decodeUpdate is the single door every update passes on its way to a
+// fold — live sync and async arrivals and both WAL replays. The declared
+// element count must match the model before any codec allocates for it, so
+// a mis-sized update can neither OOM the aggregator nor poison the fold,
+// and the decoded values must all be finite: one NaN or Inf from a hostile
+// or diverged member would otherwise spread to every parameter it touches.
 func (s *server) decodeUpdate(p link.EncodedPayload, elems int) ([]float32, error) {
 	if p.Elems != elems {
 		return nil, fmt.Errorf("fed: update has %d elements, model has %d", p.Elems, elems)
 	}
 	vec, err := link.DecodePayload(s.codec, p)
-	if err == nil && len(vec) != elems {
-		err = fmt.Errorf("fed: update decoded to %d elements, model has %d", len(vec), elems)
+	if err != nil {
+		return nil, err
 	}
-	return vec, err
+	if len(vec) != elems {
+		return nil, fmt.Errorf("fed: update decoded to %d elements, model has %d", len(vec), elems)
+	}
+	for i, v := range vec {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 { // exponent all ones: NaN or ±Inf
+			return nil, fmt.Errorf("fed: update element %d is %v", i, v)
+		}
+	}
+	return vec, nil
 }
 
 // waitAlive blocks until at least n members are alive. grace > 0 bounds the
@@ -908,14 +823,18 @@ func (s *server) waitAlive(ctx context.Context, n int, grace time.Duration) erro
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-deadlineC:
-			if alive := s.reg.AliveCount(); alive == 0 {
-				return fmt.Errorf("all clients lost")
-			} else {
-				return fmt.Errorf("%d alive members, need %d", alive, n)
-			}
+			return s.belowFloor(n)
 		case <-tick.C:
 		}
 	}
+}
+
+// belowFloor describes a membership that stayed short of n alive members.
+func (s *server) belowFloor(n int) error {
+	if alive := s.reg.AliveCount(); alive > 0 {
+		return fmt.Errorf("%d alive members, need %d", alive, n)
+	}
+	return fmt.Errorf("all clients lost")
 }
 
 // drop evicts a member whose connection mc failed — unless a newer
@@ -933,16 +852,6 @@ func (s *server) drop(mc *memberConn, reason string) {
 	}
 }
 
-// remove deletes a member's connection entry without evicting (used when
-// the registry already evicted it, e.g. for missed heartbeats).
-func (s *server) remove(mc *memberConn) {
-	s.mu.Lock()
-	if s.conns[mc.id] == mc {
-		delete(s.conns, mc.id)
-	}
-	s.mu.Unlock()
-}
-
 func (s *server) get(id string) *memberConn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -957,336 +866,4 @@ func (s *server) snapshot() []*memberConn {
 		out = append(out, mc)
 	}
 	return out
-}
-
-// ErrSessionLost marks a ServeClient failure caused by connection I/O —
-// the session was healthy but the transport died. It is the class of
-// failure RunResilientClient reconnects on; protocol violations and
-// training errors are deterministic and not worth retrying.
-var ErrSessionLost = errors.New("fed: session lost")
-
-// Handshake performs the client half of the join protocol on a fresh
-// connection: wait for the aggregator's codec announcement, verify the
-// codec is locally available (and equals require, when non-empty), and ack
-// by sending MsgJoin with the announced wire ID echoed. It returns the
-// negotiated codec name. Codec disagreements return descriptive permanent
-// errors; transport failures are wrapped in ErrSessionLost so resilient
-// clients know a retry is worthwhile.
-func Handshake(conn *link.Conn, clientID, require string) (string, error) {
-	msg, err := conn.RecvTimeout(handshakeTimeout)
-	if err != nil {
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return "", fmt.Errorf("fed: no codec announcement from aggregator within %v (pre-codec aggregator?)", handshakeTimeout)
-		}
-		return "", fmt.Errorf("fed: handshake: %w: %w", ErrSessionLost, err)
-	}
-	if msg.Type != link.MsgCodecAnnounce {
-		return "", fmt.Errorf("fed: handshake: aggregator sent message type %d before its codec announcement", msg.Type)
-	}
-	name := msg.ClientID
-	announcedID := uint8(msg.Meta[link.CodecIDKey])
-	if require != "" && require != name {
-		return "", fmt.Errorf("fed: codec mismatch: aggregator announced %q, client requires %q", name, require)
-	}
-	if _, err := link.NewCodec(name); err != nil {
-		return "", fmt.Errorf("fed: aggregator announced a codec this client cannot provide: %w", err)
-	}
-	if id := link.CodecWireID(name); id != announcedID {
-		return "", fmt.Errorf("fed: codec %q wire id disagreement: aggregator says %d, local registration says %d", name, announcedID, id)
-	}
-	join := &link.Message{
-		Type:     link.MsgJoin,
-		ClientID: clientID,
-		Meta:     map[string]float64{link.CodecIDKey: float64(announcedID)},
-	}
-	if err := conn.Send(join); err != nil {
-		return "", fmt.Errorf("fed: join: %w: %w", ErrSessionLost, err)
-	}
-	return name, nil
-}
-
-// Session is a client's long-lived attachment to an aggregator: the local
-// client, its training recipe, and the negotiated wire codec. The codec
-// instance — including any error-feedback state a lossy codec carries, such
-// as the topk residual — lives on the Session, so it survives connection
-// churn: a resilient client reuses one Session across reconnects and
-// dropped coordinates are still delivered in later rounds.
-type Session struct {
-	Client *Client
-	Spec   LocalSpec
-	// Codec, when non-empty, requires the aggregator to announce exactly
-	// this codec name; empty accepts whatever the aggregator announces
-	// (negotiation is server-driven).
-	Codec string
-
-	enc     link.Codec
-	encName string
-
-	// Last delivered update, kept for idempotent redelivery: when a
-	// WAL-resuming aggregator re-broadcasts an in-flight round (ResumeKey
-	// set) this client already trained, the cached encoded reply is
-	// re-sent verbatim instead of training the round again — the data
-	// stream and the codec's error-feedback state must not advance twice
-	// for one round. Like the codec, the cache lives on the Session so it
-	// survives reconnects.
-	cacheOK    bool
-	cacheRound int32
-	cacheReply link.EncodedPayload
-	cacheLoss  float64
-	// Async aggregators key redelivery by model version rather than round
-	// number (async dispatch task IDs are unique per send, so a resumed
-	// dispatch of the same version arrives under a fresh round number).
-	cacheHasVer  bool
-	cacheVersion float64
-}
-
-// ServeConn runs one connection's worth of the session: handshake, then
-// answer MsgModel rounds with codec-encoded MsgUpdate replies until
-// MsgShutdown (or connection loss). Heartbeat pings are echoed immediately
-// — even while a round is training, thanks to the dedicated reader
-// goroutine — so a slow client is seen as alive-but-straggling rather than
-// dead. stepBase for the shared schedule is derived from the round number,
-// which also makes a rejoining client resume at the aggregator's current
-// round. Cancelling ctx closes the connection to unblock a pending receive
-// and returns ctx.Err(). onRound observers, if any, see one record per
-// completed round (client-side loss and measured wire bytes, no PPL).
-func (s *Session) ServeConn(ctx context.Context, conn *link.Conn, onRound ...func(metrics.Round)) error {
-	client, spec := s.Client, s.Spec
-	if err := spec.Validate(); err != nil {
-		return err
-	}
-	watchDone := make(chan struct{})
-	defer close(watchDone)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-watchDone:
-		}
-	}()
-	name, err := Handshake(conn, client.ID, s.Codec)
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	if s.enc == nil || s.encName != name {
-		codec, err := link.NewCodec(name) // validated by Handshake
-		if err != nil {
-			return err
-		}
-		s.enc, s.encName = codec, name
-	}
-
-	// The reader answers heartbeats inline — even while a round is training
-	// — and routes models and control messages to the training loop. Send
-	// is safe concurrently with the training loop's update uploads (Conn
-	// serializes senders). Models are latest-wins: if the aggregator
-	// deadlined past rounds while this client was still training, the
-	// superseded broadcasts are dropped and the client jumps straight to
-	// the current round — the backlog can never grow, so the reader is
-	// never blocked off the heartbeat path and a chronically slow client
-	// stays visible as alive-but-straggling instead of being evicted dead.
-	models := make(chan *link.Message, 1)
-	ctrl := make(chan *link.Message, 4)
-	readErr := make(chan error, 1)
-	go func() {
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				readErr <- err
-				return
-			}
-			switch msg.Type {
-			case link.MsgHeartbeat:
-				conn.Send(&link.Message{Type: link.MsgHeartbeat, Meta: msg.Meta})
-			case link.MsgModel:
-				select {
-				case models <- msg:
-				default:
-					select {
-					case <-models:
-					default:
-					}
-					select {
-					case models <- msg:
-					default:
-					}
-				}
-			default:
-				select {
-				case ctrl <- msg:
-				default:
-				}
-			}
-		}
-	}()
-
-	prevStats := conn.Stats()
-	for {
-		var msg *link.Message
-		// A pending control message (shutdown) takes priority over a
-		// pending model broadcast.
-		select {
-		case msg = <-ctrl:
-		default:
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case err := <-readErr:
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fed: client %s recv: %w: %w", client.ID, ErrSessionLost, err)
-			case msg = <-ctrl:
-			case msg = <-models:
-			}
-		}
-		switch msg.Type {
-		case link.MsgShutdown:
-			return nil
-		case link.MsgModel:
-			// Idempotent redelivery: a resumed broadcast of a round this
-			// client already trained is answered from the cache — no
-			// decode, no training, no stream advance. Sync aggregators
-			// re-broadcast under the same round number; async ones dispatch
-			// the same model *version* under a fresh task ID, so the cache
-			// also matches on the version stamp.
-			ver, hasVer := msg.Meta[link.VersionKey]
-			if msg.Meta[link.ResumeKey] != 0 && s.cacheOK &&
-				(msg.Round == s.cacheRound || (hasVer && s.cacheHasVer && ver == s.cacheVersion)) {
-				meta := map[string]float64{"loss": s.cacheLoss}
-				if traceID := msg.Meta[link.TraceKey]; traceID != 0 {
-					meta[link.TraceKey] = traceID
-				}
-				if s.cacheHasVer {
-					meta[link.VersionKey] = s.cacheVersion
-				}
-				err := conn.Send(&link.Message{
-					Type:     link.MsgUpdate,
-					Round:    msg.Round,
-					ClientID: client.ID,
-					Meta:     meta,
-					Payload:  s.cacheReply,
-				})
-				if err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					return fmt.Errorf("fed: client %s send: %w: %w", client.ID, ErrSessionLost, err)
-				}
-				continue
-			}
-			// Size-check before decoding so a corrupt or hostile element
-			// count can never drive a model-sized allocation past the
-			// local replica's actual parameter count.
-			if want := client.NumParams(); want > 0 && msg.Payload.Elems != want {
-				return fmt.Errorf("fed: client %s round %d: model payload carries %d elems, want %d",
-					client.ID, msg.Round, msg.Payload.Elems, want)
-			}
-			decStart := time.Now()
-			global, err := link.DecodePayload(s.enc, msg.Payload)
-			decNs := time.Since(decStart).Nanoseconds()
-			if err != nil {
-				return fmt.Errorf("fed: client %s round %d model: %w", client.ID, msg.Round, err)
-			}
-			stepBase := (int(msg.Round) - 1) * spec.Steps
-			trainStart := time.Now()
-			res, err := client.RunRound(ctx, global, stepBase, spec)
-			trainNs := time.Since(trainStart).Nanoseconds()
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fed: client %s round %d: %w", client.ID, msg.Round, err)
-			}
-			encStart := time.Now()
-			encUpd, err := link.EncodeVector(s.enc, res.Update)
-			encNs := time.Since(encStart).Nanoseconds()
-			if err != nil {
-				return fmt.Errorf("fed: client %s round %d update: %w", client.ID, msg.Round, err)
-			}
-			// Phase self-reports let the aggregator split this member's
-			// round latency into compute vs codec vs wire; the trace ID
-			// echo attributes the reply to the root round that caused it.
-			// res.Metrics is a fresh per-round map, safe to extend.
-			res.Metrics[link.PhaseTrainNsKey] = float64(trainNs)
-			res.Metrics[link.PhaseEncNsKey] = float64(encNs)
-			res.Metrics[link.PhaseDecNsKey] = float64(decNs)
-			traceID := uint64(msg.Meta[link.TraceKey])
-			if traceID != 0 {
-				res.Metrics[link.TraceKey] = float64(traceID)
-			}
-			if hasVer {
-				// Echo the trained model version so an async aggregator can
-				// compute this update's staleness when it finally folds.
-				res.Metrics[link.VersionKey] = ver
-			}
-			// Cache before sending: the round is trained, so the stream and
-			// error-feedback state have advanced. If the aggregator crashes
-			// mid-send and this reply never lands, the resumed broadcast
-			// must hit the cache — retraining would advance the stream a
-			// second time for the same round.
-			s.cacheOK, s.cacheRound = true, msg.Round
-			s.cacheReply, s.cacheLoss = encUpd, res.Metrics["loss"]
-			s.cacheHasVer, s.cacheVersion = hasVer, ver
-			err = conn.Send(&link.Message{
-				Type:     link.MsgUpdate,
-				Round:    msg.Round,
-				ClientID: client.ID,
-				Meta:     res.Metrics,
-				Payload:  encUpd,
-			})
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return fmt.Errorf("fed: client %s send: %w: %w", client.ID, ErrSessionLost, err)
-			}
-			cur := conn.Stats()
-			rec := metrics.Round{
-				Round:     int(msg.Round),
-				TrainLoss: res.Metrics["loss"],
-				Clients:   1,
-				// Measured wire traffic since the previous record: this
-				// round's model down and update up, plus interleaved
-				// heartbeats (round 1 absorbs the handshake).
-				WireSentBytes: cur.SentBytes - prevStats.SentBytes,
-				WireRecvBytes: cur.RecvBytes - prevStats.RecvBytes,
-				CommBytes:     (cur.SentBytes - prevStats.SentBytes) + (cur.RecvBytes - prevStats.RecvBytes),
-				EncodeMs:      float64(encNs) / 1e6,
-				DecodeMs:      float64(decNs) / 1e6,
-			}
-			if dense := int64(msg.Payload.Elems+len(res.Update)) * 4; dense > 0 {
-				rec.CompressionRatio = float64(msg.Payload.WireBytes()+encUpd.WireBytes()) / float64(dense)
-			}
-			rec.TraceID = traceID
-			if hasVer {
-				rec.ModelVersion = int(ver)
-			}
-			rec.WallMs = float64(time.Since(decStart).Nanoseconds()) / 1e6
-			var pn obsv.PhaseNanos
-			pn.Add(obsv.PhaseDecode, decNs)
-			pn.Add(obsv.PhaseTrain, trainNs)
-			pn.Add(obsv.PhaseEncode, encNs)
-			rec.Phases = pn.Breakdown()
-			prevStats = cur
-			for _, fn := range onRound {
-				fn(rec)
-			}
-		default:
-			return fmt.Errorf("fed: client %s: unexpected message type %d", client.ID, msg.Type)
-		}
-	}
-}
-
-// ServeClient runs an LLM-C against a connected aggregator under a
-// single-connection Session that accepts whatever codec the aggregator
-// announces. See Session.ServeConn for the protocol; resilient clients
-// that must keep codec state across reconnects build a Session directly.
-func ServeClient(ctx context.Context, conn *link.Conn, client *Client, spec LocalSpec, onRound ...func(metrics.Round)) error {
-	s := &Session{Client: client, Spec: spec}
-	return s.ServeConn(ctx, conn, onRound...)
 }

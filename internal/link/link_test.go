@@ -451,80 +451,6 @@ func TestPipelineOrderAndErrors(t *testing.T) {
 	}
 }
 
-// Property: secure-aggregation masks cancel — the sum of masked updates
-// equals the sum of the plain updates within float tolerance, for any client
-// count and session seed.
-func TestSecureAggregationCancellation(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := 2 + int(nRaw)%6
-		dim := 32
-		rng := rand.New(rand.NewSource(seed))
-		sa := SecureAggregator{SessionSeed: seed, NumClients: n}
-
-		plain := make([][]float32, n)
-		masked := make([][]float32, n)
-		for i := range plain {
-			plain[i] = make([]float32, dim)
-			masked[i] = make([]float32, dim)
-			for k := range plain[i] {
-				plain[i][k] = float32(rng.NormFloat64())
-				masked[i][k] = plain[i][k]
-			}
-			if err := sa.Mask(i, masked[i]); err != nil {
-				return false
-			}
-		}
-		wantSum, err := SumMasked(plain)
-		if err != nil {
-			return false
-		}
-		gotSum, err := SumMasked(masked)
-		if err != nil {
-			return false
-		}
-		for k := range wantSum {
-			if math.Abs(float64(wantSum[k]-gotSum[k])) > 1e-3 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSecureAggregationHidesIndividual(t *testing.T) {
-	sa := SecureAggregator{SessionSeed: 7, NumClients: 4}
-	u := make([]float32, 16) // all zeros
-	masked := make([]float32, 16)
-	if err := sa.Mask(0, masked); err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for i := range u {
-		if masked[i] != u[i] {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("mask left the update unchanged — no privacy")
-	}
-	if err := sa.Mask(9, masked); err == nil {
-		t.Fatal("out-of-range client accepted")
-	}
-}
-
-func TestSumMaskedErrors(t *testing.T) {
-	if _, err := SumMasked(nil); err == nil {
-		t.Fatal("empty aggregation accepted")
-	}
-	if _, err := SumMasked([][]float32{{1, 2}, {1}}); err == nil {
-		t.Fatal("ragged aggregation accepted")
-	}
-}
-
 // Property: frame round trip is exact for arbitrary payloads under both
 // lossless codecs.
 func TestFrameRoundTripProperty(t *testing.T) {

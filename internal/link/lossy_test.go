@@ -1,7 +1,6 @@
 package link
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -87,87 +86,5 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestECDHSecAggCancellation(t *testing.T) {
-	const n, dim = 4, 64
-	parties, err := RunSecAggSession(context.Background(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	plain := make([][]float32, n)
-	masked := make([][]float32, n)
-	for i := range plain {
-		plain[i] = make([]float32, dim)
-		masked[i] = make([]float32, dim)
-		for k := range plain[i] {
-			plain[i][k] = float32(rng.NormFloat64())
-			masked[i][k] = plain[i][k]
-		}
-		if err := parties[i].Mask(masked[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Individual updates are hidden...
-	hidden := false
-	for k := range plain[0] {
-		if plain[0][k] != masked[0][k] {
-			hidden = true
-			break
-		}
-	}
-	if !hidden {
-		t.Fatal("mask left update unchanged")
-	}
-	// ...but the sums agree.
-	wantSum, err := SumMasked(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSum, err := SumMasked(masked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range wantSum {
-		if math.Abs(float64(wantSum[k]-gotSum[k])) > 1e-3 {
-			t.Fatalf("masks did not cancel at %d: %v vs %v", k, wantSum[k], gotSum[k])
-		}
-	}
-}
-
-func TestECDHSecAggPairwiseSeedsMatch(t *testing.T) {
-	a, err := NewSecAggParty(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSecAggParty(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.AgreeWith(1, b.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AgreeWith(0, a.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-	if a.seeds[1] != b.seeds[0] {
-		t.Fatal("ECDH-derived pairwise seeds disagree")
-	}
-	if err := a.AgreeWith(0, a.PublicKey()); err == nil {
-		t.Fatal("self-agreement accepted")
-	}
-	if err := a.AgreeWith(2, []byte{1, 2}); err == nil {
-		t.Fatal("malformed peer key accepted")
-	}
-}
-
-func TestRunSecAggSessionValidation(t *testing.T) {
-	if _, err := RunSecAggSession(context.Background(), 1); err == nil {
-		t.Fatal("single-party session accepted")
-	}
-	if p, err := NewSecAggParty(0); err != nil || p.Mask([]float32{1}) == nil {
-		t.Fatal("masking without agreed peers should error")
 	}
 }

@@ -104,61 +104,3 @@ func (NaNGuard) Apply(update []float32) ([]float32, error) {
 	}
 	return update, nil
 }
-
-// SecureAggregator implements pairwise additive-mask secure aggregation
-// (Bonawitz et al.): each client pair (i, j) shares a seed; client i adds
-// PRG(seed) when i < j and subtracts it when i > j, so individual updates
-// are hidden but the sum over all clients is exact. Seeds are derived from a
-// session secret here; a production deployment would agree on them with a
-// key exchange, which does not change the masking arithmetic.
-type SecureAggregator struct {
-	SessionSeed int64
-	NumClients  int
-}
-
-// Mask applies client clientIdx's masks in place.
-func (s SecureAggregator) Mask(clientIdx int, update []float32) error {
-	if clientIdx < 0 || clientIdx >= s.NumClients {
-		return fmt.Errorf("link: client index %d out of range [0,%d)", clientIdx, s.NumClients)
-	}
-	for j := 0; j < s.NumClients; j++ {
-		if j == clientIdx {
-			continue
-		}
-		sign := float32(1)
-		lo, hi := clientIdx, j
-		if lo > hi {
-			lo, hi = hi, lo
-			sign = -1
-		}
-		rng := rand.New(rand.NewSource(s.pairSeed(lo, hi)))
-		for k := range update {
-			update[k] += sign * float32(rng.NormFloat64())
-		}
-	}
-	return nil
-}
-
-func (s SecureAggregator) pairSeed(lo, hi int) int64 {
-	return s.SessionSeed ^ (int64(lo)*1_000_003 + int64(hi)*7919 + 13)
-}
-
-// SumMasked aggregates masked updates; with all clients present the masks
-// cancel exactly (up to float32 rounding) and the result equals the sum of
-// the unmasked updates.
-func SumMasked(updates [][]float32) ([]float32, error) {
-	if len(updates) == 0 {
-		return nil, fmt.Errorf("link: no updates to aggregate")
-	}
-	n := len(updates[0])
-	out := make([]float32, n)
-	for i, u := range updates {
-		if len(u) != n {
-			return nil, fmt.Errorf("link: update %d has %d elems, want %d", i, len(u), n)
-		}
-		for k, v := range u {
-			out[k] += v
-		}
-	}
-	return out, nil
-}

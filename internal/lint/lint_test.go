@@ -104,9 +104,9 @@ func TestNoWallclockFixtures(t *testing.T) {
 	checkFixture(t, NoWallclock, "wallclockbad", "wallclockgood")
 }
 
-// TestCtxFirstFixtures includes the regression shape of the RunSecAggSession
-// violation photon-vet surfaced on its first run over the repo: an exported
-// Run* API in a wire-facing package that did not take a context.
+// TestCtxFirstFixtures includes the regression shape of the violation
+// photon-vet surfaced on its first run over the repo: an exported Run* API
+// in a wire-facing package that did not take a context.
 func TestCtxFirstFixtures(t *testing.T) {
 	checkFixture(t, CtxFirst, "ctxfirstbad", "ctxfirstbad/internal/serve", "ctxfirstgood/internal/link")
 }

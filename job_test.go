@@ -297,7 +297,7 @@ func TestJobNetworkedBackends(t *testing.T) {
 		WithAddr("127.0.0.1:0"), // kernel-assigned free port, reported by Addr()
 		WithExpectClients(clients),
 		WithRounds(3),
-		WithCompression(true),
+		WithCodec("flate"),
 	)
 	var aggEvents []RoundEvent
 	eventsDone := make(chan struct{})
@@ -335,7 +335,7 @@ func TestJobNetworkedBackends(t *testing.T) {
 				WithAddr(addr),
 				WithClientID(string(rune('a'+i))),
 				WithShard(i),
-				WithCompression(true),
+				WithCodec("flate"),
 			).Run(context.Background())
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)

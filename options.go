@@ -55,7 +55,6 @@ type jobConfig struct {
 	shard         int
 	codec         string
 	codecSet      bool
-	compress      bool
 
 	parent        string
 	tiers         int
@@ -181,14 +180,6 @@ func WithShard(shard int) JobOption { return func(c *jobConfig) { c.shard = shar
 func WithCodec(name string) JobOption {
 	return func(c *jobConfig) { c.codec = name; c.codecSet = true }
 }
-
-// WithCompression flate-compresses parameter payloads on the wire
-// (networked backends).
-//
-// Deprecated: use WithCodec("flate"); WithCompression(true) is now exactly
-// that, and WithCodec also unlocks the lossy q8/topk codecs. An explicit
-// WithCodec wins when both are given.
-func WithCompression(on bool) JobOption { return func(c *jobConfig) { c.compress = on } }
 
 // WithParent turns the aggregator backend into a relay: the job still
 // listens on WithAddr and serves its WithExpectClients cohort with the full
@@ -342,13 +333,7 @@ func (c *jobConfig) fill() {
 		c.localSteps = 16
 	}
 	if c.codec == "" {
-		// Honor the deprecated WithCompression flag: it was the only way
-		// to shrink the wire before codecs existed.
-		if c.compress {
-			c.codec = "flate"
-		} else {
-			c.codec = "dense"
-		}
+		c.codec = "dense"
 	}
 	switch c.backend {
 	case BackendCentralized:

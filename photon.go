@@ -30,14 +30,9 @@
 //     turns an aggregator job into a relay that joins a parent while
 //     serving its own cohort, and WithTiers/WithRelays/WithPlan simulate
 //     the same hierarchy in-process. Round telemetry carries Tier/Depth.
-//
-// The legacy blocking entry points (Pretrain, PretrainCentralized,
-// ServeAggregator, JoinAsClient) remain as deprecated thin wrappers over
-// the Job API.
 package photon
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -92,79 +87,6 @@ const (
 	// DiLoCo is the outer-Nesterov baseline (ηs=0.1, µ=0.9).
 	DiLoCo ServerOptimizer = "diloco"
 )
-
-// Options configures Pretrain. Zero values select the paper-faithful
-// defaults documented per field.
-//
-// Deprecated: build a Job with NewJob and the With* options instead;
-// Options remains for the legacy Pretrain entry point.
-type Options struct {
-	Size ModelSize // default SizeTiny
-
-	Clients         int // federation population (default 4)
-	ClientsPerRound int // K; default = Clients (full participation)
-	Rounds          int // federated rounds (default 20)
-	LocalSteps      int // τ local steps per round (default 16)
-	BatchSize       int // Bl hardware batch size (default 4)
-	SeqLen          int // training sequence length (default 16)
-
-	MaxLR  float64         // peak learning rate (default 3e-3, the high-LR recipe)
-	Server ServerOptimizer // default FedAvg
-
-	// Heterogeneous assigns each client one distinct Pile-like source
-	// instead of IID shards of the C4-like corpus.
-	Heterogeneous bool
-
-	// DropoutProb injects per-round client failures.
-	DropoutProb float64
-
-	// CheckpointPath enables per-round async checkpointing of the global
-	// model.
-	CheckpointPath string
-
-	// ResumeFrom loads a checkpoint written via CheckpointPath and
-	// continues training from it: the global model is restored and round
-	// numbering (and the learning-rate schedule) picks up where the
-	// checkpoint left off.
-	ResumeFrom string
-
-	// StopAtPPL halts once validation perplexity reaches the target.
-	StopAtPPL float64
-
-	// ClipUpdateNorm applies NaN-guarding and L2-clipping post-processing
-	// to client updates before aggregation.
-	ClipUpdateNorm float64
-
-	Seed int64 // default 1
-}
-
-// jobOptions translates the legacy struct to the functional-option form.
-func (o Options) jobOptions() []JobOption {
-	opts := []JobOption{
-		WithBackend(BackendFederated),
-		WithModel(o.Size),
-		WithClients(o.Clients),
-		WithClientsPerRound(o.ClientsPerRound),
-		WithRounds(o.Rounds),
-		WithLocalSteps(o.LocalSteps),
-		WithBatchSize(o.BatchSize),
-		WithSeqLen(o.SeqLen),
-		WithMaxLR(o.MaxLR),
-		WithDropout(o.DropoutProb),
-		WithClipUpdateNorm(o.ClipUpdateNorm),
-		WithCheckpoint(o.CheckpointPath),
-		WithResume(o.ResumeFrom),
-		WithStopAtPPL(o.StopAtPPL),
-		WithSeed(o.Seed),
-	}
-	if o.Server != "" {
-		opts = append(opts, WithServerOptimizer(string(o.Server)))
-	}
-	if o.Heterogeneous {
-		opts = append(opts, WithDataSource("pile"))
-	}
-	return opts
-}
 
 // RoundStat is one round of training progress.
 type RoundStat struct {
@@ -254,20 +176,6 @@ func (r *Result) NumParams() int {
 		return 0
 	}
 	return r.model.NumParams()
-}
-
-// Pretrain runs federated pre-training end to end in a single process and
-// returns the trained global model with its training history.
-//
-// Deprecated: use NewJob(...).Run(ctx) with BackendFederated, which adds
-// cancellation and live Events telemetry. Pretrain remains as a thin
-// wrapper and is equivalent to running the job with context.Background().
-func Pretrain(o Options) (*Result, error) {
-	res, err := NewJob(o.jobOptions()...).Run(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // TopologyPlan is one aggregation option evaluated by PlanDeployment.

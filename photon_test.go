@@ -1,16 +1,16 @@
 package photon
 
 import (
+	"context"
 	"math"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"photon/internal/ckpt"
 )
 
-func TestPretrainDefaultsConverge(t *testing.T) {
-	res, err := Pretrain(Options{Rounds: 8})
+func TestJobDefaultsConverge(t *testing.T) {
+	res, err := NewJob(WithRounds(8)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,18 +25,21 @@ func TestPretrainDefaultsConverge(t *testing.T) {
 	}
 }
 
-func TestPretrainUnknownSize(t *testing.T) {
-	if _, err := Pretrain(Options{Size: "enormous"}); err == nil {
+func TestJobUnknownSize(t *testing.T) {
+	if _, err := NewJob(WithModel("enormous")).Run(context.Background()); err == nil {
 		t.Fatal("unknown size accepted")
+	}
+	if _, err := NewJob(WithBackend(BackendCentralized), WithModel("nope")).Run(context.Background()); err == nil {
+		t.Fatal("unknown size accepted by the centralized backend")
 	}
 	if _, err := ModelConfig(Size7B); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestPretrainServerOptimizers(t *testing.T) {
+func TestJobServerOptimizers(t *testing.T) {
 	for _, s := range []ServerOptimizer{FedAvg, FedMom, DiLoCo} {
-		res, err := Pretrain(Options{Rounds: 2, Server: s})
+		res, err := NewJob(WithRounds(2), WithServerOptimizer(string(s))).Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -44,13 +47,10 @@ func TestPretrainServerOptimizers(t *testing.T) {
 			t.Fatalf("%s: %d stats", s, len(res.Stats))
 		}
 	}
-	if _, err := Pretrain(Options{Server: "adamw"}); err == nil {
-		t.Fatal("invalid server optimizer accepted")
-	}
 }
 
-func TestPretrainHeterogeneous(t *testing.T) {
-	res, err := Pretrain(Options{Rounds: 4, Heterogeneous: true})
+func TestJobHeterogeneous(t *testing.T) {
+	res, err := NewJob(WithRounds(4), WithDataSource("pile")).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +59,9 @@ func TestPretrainHeterogeneous(t *testing.T) {
 	}
 }
 
-func TestPretrainCheckpointAndGenerate(t *testing.T) {
+func TestJobCheckpointAndGenerate(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.ckpt")
-	res, err := Pretrain(Options{Rounds: 3, CheckpointPath: path})
+	res, err := NewJob(WithRounds(3), WithCheckpoint(path)).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,21 +72,9 @@ func TestPretrainCheckpointAndGenerate(t *testing.T) {
 	if len(toks) != 12 {
 		t.Fatalf("generated %d tokens", len(toks))
 	}
-}
-
-func TestPretrainCentralized(t *testing.T) {
-	res, err := PretrainCentralized(CentralizedOptions{Steps: 120})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FinalPerplexity >= 50 {
-		t.Fatalf("centralized baseline did not learn: %v", res.FinalPerplexity)
-	}
-	if _, err := PretrainCentralized(CentralizedOptions{Size: "nope"}); err == nil {
-		t.Fatal("unknown size accepted")
-	}
-	if _, err := PretrainCentralized(CentralizedOptions{Workers: 100}); err == nil {
-		t.Fatal("too many workers accepted")
+	// A missing checkpoint is a clean error.
+	if _, err := NewJob(WithRounds(1), WithResume(path+".missing")).Run(context.Background()); err == nil {
+		t.Fatal("missing resume checkpoint accepted")
 	}
 }
 
@@ -162,65 +150,21 @@ func TestPlanDeploymentCommScaling(t *testing.T) {
 	}
 }
 
-func TestNetworkedAggregatorAndClients(t *testing.T) {
-	const clients = 2
-	resCh := make(chan *Result, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		res, err := ServeAggregator(AggregatorOptions{
-			Addr: "127.0.0.1:39077", Rounds: 3, ExpectClients: clients, Compress: true,
-		})
-		resCh <- res
-		errCh <- err
-	}()
-
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Retry until the aggregator is listening.
-			for attempt := 0; attempt < 50; attempt++ {
-				err := JoinAsClient(ClientOptions{
-					Addr: "127.0.0.1:39077", ID: string(rune('a' + i)), Shard: i, Compress: true,
-				})
-				if err == nil {
-					return
-				}
-			}
-			t.Errorf("client %d never joined", i)
-		}(i)
+func TestJobNetworkedValidation(t *testing.T) {
+	client := func(opts ...JobOption) error {
+		_, err := NewJob(append([]JobOption{WithBackend(BackendClient), WithAddr("127.0.0.1:1")}, opts...)...).Run(context.Background())
+		return err
 	}
-	wg.Wait()
-	res := <-resCh
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Stats) != 3 {
-		t.Fatalf("want 3 rounds, got %d", len(res.Stats))
-	}
-	for _, s := range res.Stats {
-		if s.Clients != clients {
-			t.Fatalf("round %d: %d clients", s.Round, s.Clients)
-		}
-	}
-}
-
-func TestJoinAsClientValidation(t *testing.T) {
-	if err := JoinAsClient(ClientOptions{Addr: "127.0.0.1:1", Shard: 99, ID: "x"}); err == nil {
+	if err := client(WithClientID("x"), WithShard(99)); err == nil {
 		t.Fatal("bad shard accepted")
 	}
-	if err := JoinAsClient(ClientOptions{Addr: "127.0.0.1:1"}); err == nil {
+	if err := client(); err == nil {
 		t.Fatal("missing ID accepted")
 	}
-	if err := ServeAggregatorErr(); err == nil {
+	if _, err := NewJob(WithBackend(BackendAggregator), WithAddr("127.0.0.1:0")).Run(context.Background()); err == nil {
 		t.Fatal("ExpectClients=0 accepted")
 	}
-}
-
-// ServeAggregatorErr exercises the ExpectClients validation without binding
-// a socket.
-func ServeAggregatorErr() error {
-	_, err := ServeAggregator(AggregatorOptions{Addr: "127.0.0.1:0", ExpectClients: 0})
-	return err
+	if _, err := NewJob(WithBackend(BackendCentralized), WithWorkers(100)).Run(context.Background()); err == nil {
+		t.Fatal("too many workers accepted")
+	}
 }
