@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -102,36 +103,43 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// Telemetry: keep the freshest completion snapshot and print it on a
-	// timer, so a busy server logs at a bounded rate.
+	// Telemetry: one engine snapshot per tick feeds /healthz (retired
+	// requests are the progress counter — there are no training rounds here —
+	// and the active batch is the cohort) and, unless -stats is 0, the stats
+	// line; a busy server logs at a bounded rate and pays for percentiles
+	// only here.
 	go func() {
-		var last serve.Event
-		var seen bool
-		var tick <-chan time.Time
-		if *stats > 0 {
-			t := time.NewTicker(*stats)
-			defer t.Stop()
-			tick = t.C
+		every := *stats
+		if every <= 0 {
+			every = 10 * time.Second // /healthz keeps advancing with the line off
 		}
+		t := time.NewTicker(every)
+		defer t.Stop()
+		started := time.Now()
+		var retired int64
 		for {
 			select {
-			case ev, ok := <-eng.Events():
-				if !ok {
-					return
-				}
-				last, seen = ev, true
-				// No training rounds here: report retired requests as the
-				// progress counter and the active batch as the cohort.
-				health.Observe(int(ev.Stats.Completed+ev.Stats.Expired), ev.Stats.Active)
-			case <-tick:
-				if !seen {
-					continue
-				}
-				s := last.Stats
-				fmt.Printf("stats: active=%d queued=%d done=%d expired=%d tok/s=%.0f p50=%s p99=%s\n",
-					s.Active, s.QueueDepth, s.Completed, s.Expired, s.TokensPerSec,
-					s.P50.Round(time.Millisecond), s.P99.Round(time.Millisecond))
+			case <-ctx.Done():
+				return
+			case <-t.C:
 			}
+			s := eng.Stats()
+			if s.Completed+s.Expired == retired {
+				continue
+			}
+			retired = s.Completed + s.Expired
+			health.Observe(int(retired), s.Active)
+			if *stats <= 0 {
+				continue
+			}
+			// tok/s counts sampled tokens, prefill/s the prompt and scored
+			// tokens requests brought in, reuse the share of those a
+			// retained KV prefix served without feeding them.
+			in := float64(s.PrefillTokens + s.ReusedTokens)
+			fmt.Printf("stats: active=%d queued=%d done=%d expired=%d tok/s=%.0f prefill/s=%.0f reuse=%.2f p50=%s p99=%s\n",
+				s.Active, s.QueueDepth, s.Completed, s.Expired, s.TokensPerSec,
+				in/time.Since(started).Seconds(), float64(s.ReusedTokens)/math.Max(in, 1),
+				s.P50.Round(10*time.Microsecond), s.P99.Round(10*time.Microsecond))
 		}
 	}()
 
@@ -142,5 +150,6 @@ func main() {
 	}
 	eng.Close()
 	s := eng.Stats()
-	log.Printf("done: %d completed, %d expired, %d tokens out", s.Completed, s.Expired, s.TokensOut)
+	log.Printf("done: %d completed, %d expired, %d tokens out, %d prefilled, %d reused",
+		s.Completed, s.Expired, s.TokensOut, s.PrefillTokens, s.ReusedTokens)
 }

@@ -12,6 +12,13 @@
 // rather than waiting for the whole batch to drain. That is the continuous
 // batching of Orca/vLLM, scaled down to this codebase's single-process
 // model.
+//
+// A retired slot keeps its prefix: the free pool remembers which tokens each
+// KV cache holds, and a scoring request is bound to the free slot sharing the
+// longest leading run with it, truncates the cache to that run and prefills
+// only the rest. Evaluation traffic (one request per candidate over the same
+// demos‖prompt) mostly repeats the previous request, so most of its prefill
+// is already in a slot. Generation never consumes a prefix — see admit.
 package serve
 
 import (
@@ -113,15 +120,15 @@ const (
 	EventExpired
 )
 
-// Event is one request's completion record with an engine snapshot attached,
-// emitted on the Events channel (best-effort: slow consumers drop events,
-// never the serving path).
+// Event is one request's completion record, emitted on the Events channel
+// (best-effort: slow consumers drop events, never the serving path). Call
+// Stats for the engine-wide snapshot.
 type Event struct {
 	Kind     EventKind
-	Tokens   int // tokens generated (or scored)
+	Tokens   int // tokens generated, or continuation tokens scored
+	Reused   int // leading tokens served from a retained KV prefix
 	Queued   time.Duration
 	Duration time.Duration
-	Stats    Stats
 }
 
 // Stats is a point-in-time engine snapshot.
@@ -137,6 +144,12 @@ type Stats struct {
 	TokensOut int64
 	// TokensPerSec is TokensOut over the engine's uptime.
 	TokensPerSec float64
+	// PrefillTokens counts prompt and scored-sequence tokens fed through the
+	// model; ReusedTokens those a retained KV prefix made unnecessary. Their
+	// sum is the tokens retired requests brought in, and
+	// ReusedTokens/(PrefillTokens+ReusedTokens) the prefix-reuse share.
+	PrefillTokens int64
+	ReusedTokens  int64
 	// P50 and P99 are request-latency percentiles over a sliding window of
 	// recent completions.
 	P50, P99 time.Duration
@@ -151,10 +164,20 @@ type pending struct {
 	enqueued time.Time
 }
 
+// kvSlot is one preallocated KV cache of the pool, with what it remembers
+// while free: held[i] is the token whose K/V rows sit at position i of st
+// (empty when the slot holds nothing reusable), retired orders slots by when
+// they came back (0 = never used).
+type kvSlot struct {
+	st      *nn.DecodeState
+	held    []int // capacity MaxSeq, never grows
+	retired uint64
+}
+
 // seqSlot is one active sequence in the batch.
 type seqSlot struct {
 	p       *pending
-	st      *nn.DecodeState
+	kv      *kvSlot
 	rng     *rand.Rand
 	sampler nn.Sampler
 	out     []int
@@ -164,6 +187,7 @@ type seqSlot struct {
 	score     bool
 	seq       []int // scoring: prompt‖cont
 	promptLen int
+	reused    int   // scoring: leading tokens of seq already in kv
 	prompt    []int // generation: truncated prompt (or the seed token)
 }
 
@@ -184,15 +208,18 @@ type Engine struct {
 	completed int64
 	expired   int64
 	tokensOut int64
+	prefill   int64
+	reused    int64
 	active    int
 	lat       []time.Duration // latency ring
 	latPos    int
 	closed    bool
 
-	// step scratch, owned by the scheduler goroutine
-	states []*nn.DecodeState
-	toks   [][]int
-	rows   []int
+	// owned by the scheduler goroutine: the retire stamp and step scratch
+	retireSeq uint64 // source of kvSlot.retired
+	states    []*nn.DecodeState
+	toks      [][]int
+	rows      []int
 
 	// process-wide scrape instruments (obsv.Default), cached at construction
 	// so the hot path never touches the registry lock. All updates are
@@ -203,6 +230,8 @@ type Engine struct {
 	insCompleted *obsv.Counter
 	insExpired   *obsv.Counter
 	insTokens    *obsv.Counter
+	insPrefill   *obsv.Counter
+	insReused    *obsv.Counter
 }
 
 // NewEngine starts an engine over m. The engine takes exclusive ownership of
@@ -224,6 +253,8 @@ func NewEngine(m *nn.Model, cfg Config) *Engine {
 		insCompleted: obsv.Default.Counter("photon_serve_completed_total", "Requests completed successfully."),
 		insExpired:   obsv.Default.Counter("photon_serve_expired_total", "Requests expired at their deadline."),
 		insTokens:    obsv.Default.Counter("photon_serve_tokens_total", "Tokens sampled across all requests."),
+		insPrefill:   obsv.Default.Counter("photon_serve_prefill_tokens_total", "Prompt and scored-sequence tokens fed through the model."),
+		insReused:    obsv.Default.Counter("photon_serve_prefix_reused_tokens_total", "Leading tokens served from a retained KV prefix instead of being fed."),
 	}
 	go e.loop()
 	return e
@@ -296,11 +327,13 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := Stats{
-		QueueDepth: len(e.reqs),
-		Active:     e.active,
-		Completed:  e.completed,
-		Expired:    e.expired,
-		TokensOut:  e.tokensOut,
+		QueueDepth:    len(e.reqs),
+		Active:        e.active,
+		Completed:     e.completed,
+		Expired:       e.expired,
+		TokensOut:     e.tokensOut,
+		PrefillTokens: e.prefill,
+		ReusedTokens:  e.reused,
 	}
 	if up := time.Since(e.started).Seconds(); up > 0 {
 		s.TokensPerSec = float64(e.tokensOut) / up
@@ -320,9 +353,9 @@ func (e *Engine) loop() {
 	defer close(e.done)
 	defer close(e.events)
 
-	free := make([]*nn.DecodeState, e.cfg.MaxBatch)
+	free := make([]*kvSlot, e.cfg.MaxBatch)
 	for i := range free {
-		free[i] = e.m.NewDecodeState(e.cfg.MaxSeq)
+		free[i] = &kvSlot{st: e.m.NewDecodeState(e.cfg.MaxSeq), held: make([]int, 0, e.cfg.MaxSeq)}
 	}
 	var active []*seqSlot
 
@@ -388,12 +421,23 @@ func (e *Engine) drainAndFail(active []*seqSlot, fail func(*pending, error)) {
 	}
 }
 
-// admit validates a request and binds it to a free KV slot. Returns nil when
-// the request was rejected (its result is already delivered).
-func (e *Engine) admit(p *pending, free *[]*nn.DecodeState, fail func(*pending, error)) *seqSlot {
+// admit validates a request and binds it to the free KV slot whose held
+// tokens share the longest prefix with it, truncating the cache to that prefix
+// so only the rest is fed. Ties go to the least recently retired slot: an
+// unrelated request evicts the coldest prefix, and never-used slots go first.
+//
+// Only K/V rows are cached, not hidden states, so the row predicting cont[0]
+// must be computed in this request's forward: a scoring request reuses at most
+// promptLen-1 tokens. A generation request reuses none and leaves the slot
+// holding nothing, because continuing a truncated cache matches a fresh
+// prefill to float tolerance (the kernels pair rows differently), which is
+// inside scoring's 1e-4 contract but not generation's token-exact one.
+//
+// Returns nil when the request was rejected (its result is already delivered).
+func (e *Engine) admit(p *pending, free *[]*kvSlot, fail func(*pending, error)) *seqSlot {
 	req := &p.req
 	if !req.Deadline.IsZero() && time.Now().After(req.Deadline) {
-		e.retireCounters(0, true)
+		e.retireCounters(0, true, 0, 0)
 		fail(p, ErrDeadline)
 		return nil
 	}
@@ -442,11 +486,42 @@ func (e *Engine) admit(p *pending, free *[]*nn.DecodeState, fail func(*pending, 
 		s.rng = rand.New(rand.NewSource(req.Seed))
 		s.out = make([]int, 0, req.MaxNew)
 	}
-	st := (*free)[len(*free)-1]
-	*free = (*free)[:len(*free)-1]
-	st.Reset()
-	s.st = st
+	limit := 0
+	if s.score {
+		limit = s.promptLen - 1
+	}
+	best := 0
+	for i, kv := range *free {
+		n := commonPrefix(kv.held, s.seq, limit)
+		if n > s.reused || n == s.reused && kv.retired < (*free)[best].retired {
+			best, s.reused = i, n
+		}
+	}
+	kv := (*free)[best]
+	last := len(*free) - 1
+	(*free)[best] = (*free)[last]
+	*free = (*free)[:last]
+	kv.st.Truncate(s.reused)
+	// A score is fed whole in one step, so what the slot will hold at retire
+	// is known now; len(seq)-1 ≤ MaxSeq was checked above, held never grows.
+	kv.held = kv.held[:s.reused]
+	if s.score {
+		kv.held = append(kv.held, s.seq[s.reused:len(s.seq)-1]...)
+	}
+	s.kv = kv
 	return s
+}
+
+// commonPrefix returns how many leading tokens a and b share, up to limit.
+//
+//photon:hotpath
+func commonPrefix(a, b []int, limit int) int {
+	limit = min(limit, len(a), len(b))
+	n := 0
+	for n < limit && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 // step runs one mixed prefill/decode forward over the active batch, samples
@@ -456,40 +531,48 @@ func (e *Engine) admit(p *pending, free *[]*nn.DecodeState, fail func(*pending, 
 // allocates nothing.
 //
 //photon:hotpath
-func (e *Engine) step(active []*seqSlot, free *[]*nn.DecodeState) []*seqSlot {
+func (e *Engine) step(active []*seqSlot, free *[]*kvSlot) []*seqSlot {
 	if len(active) == 0 {
 		return active
 	}
 	e.states = e.states[:0]
 	e.toks = e.toks[:0]
 	for _, s := range active {
-		e.states = append(e.states, s.st) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
-		e.toks = append(e.toks, s.feed()) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
+		e.states = append(e.states, s.kv.st) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
+		e.toks = append(e.toks, s.feed())    //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
 	}
 	h := e.m.Decode(e.states, e.toks)
 
 	// Gather exactly the logit rows each sequence needs.
 	e.rows = e.rows[:0]
 	off := 0
+	sampled := int64(0)
 	for i, s := range active {
 		n := len(e.toks[i])
 		if s.score {
 			// Rows for positions promptLen-1 … len(seq)-2: each predicts
-			// the next continuation token.
-			for r := s.promptLen - 1; r < n; r++ {
+			// the next continuation token. The fed rows start at position
+			// reused.
+			for r := s.promptLen - 1 - s.reused; r < n; r++ {
 				e.rows = append(e.rows, off+r) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
 			}
 		} else {
 			e.rows = append(e.rows, off+n-1) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
+			sampled++
 		}
 		off += n
 	}
 	logits := e.m.DecodeLogits(h, e.rows)
 
+	// Counted before any result goes out, like retire's counters.
+	e.mu.Lock()
+	e.tokensOut += sampled
+	e.mu.Unlock()
+	e.insTokens.Add(sampled)
+
 	now := time.Now()
 	out := active[:0]
 	row := 0
-	sampled := int64(0)
 	for _, s := range active {
 		if s.score {
 			var lp float64
@@ -503,7 +586,6 @@ func (e *Engine) step(active []*seqSlot, free *[]*nn.DecodeState) []*seqSlot {
 		}
 		next := s.sampler.Sample(s.rng, logits.Row(row), s.p.req.Opts)
 		row++
-		sampled++
 		s.out = append(s.out, next) //photon:nolint hotpath-alloc -- capacity preallocated to MaxNew at admit
 		s.tok[0] = next
 		switch {
@@ -515,59 +597,63 @@ func (e *Engine) step(active []*seqSlot, free *[]*nn.DecodeState) []*seqSlot {
 			out = append(out, s) //photon:nolint hotpath-alloc -- filters in place over active's backing array
 		}
 	}
-	e.mu.Lock()
-	e.tokensOut += sampled
-	e.mu.Unlock()
-	e.insTokens.Add(sampled)
 	return out
 }
 
-// feed returns the tokens this sequence contributes to the next forward: its
-// whole prompt (or scored prefix) on the first step, the last sampled token
+// feed returns the tokens this sequence contributes to the next forward: the
+// scored sequence past its reused prefix (a score takes one step), or the
+// whole prompt on a generation's first step and the last sampled token
 // afterwards.
 //
 //photon:hotpath
 func (s *seqSlot) feed() []int {
-	if s.st.Len() == 0 {
-		if s.score {
-			return s.seq[:len(s.seq)-1]
-		}
+	switch {
+	case s.score:
+		return s.seq[s.reused : len(s.seq)-1]
+	case s.kv.st.Len() == 0:
 		return s.prompt
 	}
 	return s.tok[:]
 }
 
-// retire completes a sequence: result out, slot back in the pool, telemetry.
-// Runs once per sequence, not per token, so it may allocate (the Event copy,
-// the latency ring growth before the window fills).
+// retire completes a sequence: slot back in the pool, counters, result out,
+// telemetry — in that order, so a caller holding a result finds it counted in
+// Stats. Runs once per sequence, not per token, so it may allocate (the
+// latency ring growth before the window fills).
 //
 //photon:allocok
-func (e *Engine) retire(s *seqSlot, free *[]*nn.DecodeState, res Result, expired bool, now time.Time) {
+func (e *Engine) retire(s *seqSlot, free *[]*kvSlot, res Result, expired bool, now time.Time) {
 	res.Queued = s.started.Sub(s.p.enqueued)
 	res.Duration = now.Sub(s.p.enqueued)
-	*free = append(*free, s.st)
-	s.p.res <- res
+	e.retireSeq++
+	s.kv.retired = e.retireSeq
+	*free = append(*free, s.kv)
 
-	e.retireCounters(res.Duration, expired)
-	kind := EventCompleted
-	if expired {
-		kind = EventExpired
-	}
 	ev := Event{
-		Kind:     kind,
+		Kind:     EventCompleted,
 		Tokens:   len(res.Tokens),
+		Reused:   s.reused,
 		Queued:   res.Queued,
 		Duration: res.Duration,
-		Stats:    e.Stats(),
 	}
+	fed := len(s.prompt)
+	if s.score {
+		ev.Tokens = len(s.seq) - s.promptLen
+		fed = len(s.seq) - 1 - s.reused
+	}
+	if expired {
+		ev.Kind = EventExpired
+	}
+	e.retireCounters(res.Duration, expired, fed, s.reused)
+	s.p.res <- res
 	select {
 	case e.events <- ev:
 	default: // slow consumer: drop telemetry, never block serving
 	}
 }
 
-// retireCounters updates completion counters and the latency ring.
-func (e *Engine) retireCounters(d time.Duration, expired bool) {
+// retireCounters updates completion and token counters and the latency ring.
+func (e *Engine) retireCounters(d time.Duration, expired bool, fed, reused int) {
 	if expired {
 		e.insExpired.Inc()
 	} else {
@@ -576,7 +662,11 @@ func (e *Engine) retireCounters(d time.Duration, expired bool) {
 	if d > 0 {
 		e.insLatency.Observe(d.Seconds())
 	}
+	e.insPrefill.Add(int64(fed))
+	e.insReused.Add(int64(reused))
 	e.mu.Lock()
+	e.prefill += int64(fed)
+	e.reused += int64(reused)
 	if expired {
 		e.expired++
 	} else {

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -251,8 +255,8 @@ func TestEngineClose(t *testing.T) {
 	}
 }
 
-// TestEngineEvents checks the telemetry stream carries completions with a
-// coherent snapshot.
+// TestEngineEvents checks the telemetry stream carries completions, and that
+// the snapshot read after one is coherent with it.
 func TestEngineEvents(t *testing.T) {
 	m := testModel(8)
 	e := NewEngine(m, Config{MaxBatch: 2, MaxSeq: 64})
@@ -269,10 +273,320 @@ func TestEngineEvents(t *testing.T) {
 		if ev.Tokens != 4 {
 			t.Fatalf("event reports %d tokens, want 4", ev.Tokens)
 		}
-		if ev.Duration <= 0 || ev.Stats.Completed < 1 || ev.Stats.P50 <= 0 {
-			t.Fatalf("incoherent event snapshot: %+v", ev)
+		if st := e.Stats(); ev.Duration <= 0 || st.Completed < 1 || st.P50 <= 0 {
+			t.Fatalf("incoherent event %+v / snapshot %+v", ev, st)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no event delivered")
+	}
+}
+
+// The retention tests below run the engine next to a twin of its model (same
+// seed, same weights): the engine owns its model, the twin computes the
+// in-process references while requests are in flight.
+
+func randTokens(rng *rand.Rand, n, vocab int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = rng.Intn(vocab)
+	}
+	return out
+}
+
+// twinLogProb is the in-process reference for a served score, with the
+// engine's convention that an empty prompt is scored after seed token 0.
+func twinLogProb(twin *nn.Model, prompt, cont []int) float64 {
+	if len(prompt) == 0 {
+		prompt = []int{0}
+	}
+	return eval.ContinuationLogProb(twin, prompt, cont)
+}
+
+// scoreChecked scores prompt‖cont through the engine, holds it to the 1e-4
+// scoring contract against the twin, and returns how many tokens the request
+// reused and fed.
+func scoreChecked(t *testing.T, e *Engine, twin *nn.Model, prompt, cont []int) (reused, fed int64) {
+	t.Helper()
+	before := e.Stats()
+	got, err := e.Score(prompt, cont)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := twinLogProb(twin, prompt, cont); math.Abs(got-want) > 1e-4 {
+		t.Fatalf("score(%v | %v) = %g through the engine, %g in-process", cont, prompt, got, want)
+	}
+	after := e.Stats()
+	return after.ReusedTokens - before.ReusedTokens, after.PrefillTokens - before.PrefillTokens
+}
+
+// TestEngineRetentionSharedContext is the evaluation shape: one context, one
+// request per candidate. Every request after the first feeds only the last
+// context token and its candidate.
+func TestEngineRetentionSharedContext(t *testing.T) {
+	e, twin := NewEngine(testModel(40), Config{MaxBatch: 2, MaxSeq: 64}), testModel(40)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(40))
+	ctx := randTokens(rng, 11, twin.Cfg.VocabSize)
+	total := 0
+	for i := 0; i < 3; i++ {
+		cont := randTokens(rng, 3, twin.Cfg.VocabSize)
+		scoreChecked(t, e, twin, ctx, cont)
+		total += len(ctx) + len(cont) - 1
+	}
+	st := e.Stats()
+	if want := int64(2 * (len(ctx) - 1)); st.ReusedTokens != want {
+		t.Fatalf("reused %d tokens over three candidates, want %d", st.ReusedTokens, want)
+	}
+	if want := int64(total) - st.ReusedTokens; st.PrefillTokens != want {
+		t.Fatalf("prefilled %d tokens, want %d", st.PrefillTokens, want)
+	}
+}
+
+// TestEngineRetentionInterleaved pins the longest-prefix pick: two contexts
+// taking turns on two slots each keep their own slot. A LIFO pool would hand
+// every request the slot the other context just left.
+func TestEngineRetentionInterleaved(t *testing.T) {
+	e, twin := NewEngine(testModel(41), Config{MaxBatch: 2, MaxSeq: 64}), testModel(41)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(41))
+	ctxs := [][]int{randTokens(rng, 9, twin.Cfg.VocabSize), randTokens(rng, 13, twin.Cfg.VocabSize)}
+	ctxs[1][0] = (ctxs[0][0] + 1) % twin.Cfg.VocabSize // nothing in common
+	for round := 0; round < 4; round++ {
+		for _, ctx := range ctxs {
+			reused, _ := scoreChecked(t, e, twin, ctx, randTokens(rng, 2, twin.Cfg.VocabSize))
+			want := int64(len(ctx) - 1)
+			if round == 0 {
+				want = 0
+			}
+			if reused != want {
+				t.Fatalf("round %d, context of %d tokens: reused %d, want %d", round, len(ctx), reused, want)
+			}
+		}
+	}
+}
+
+// TestEngineRetentionEvictsColdest: three unrelated contexts on two slots. A
+// miss takes the least recently retired slot, so the context used last
+// survives and the one before it does not.
+func TestEngineRetentionEvictsColdest(t *testing.T) {
+	e, twin := NewEngine(testModel(42), Config{MaxBatch: 2, MaxSeq: 64}), testModel(42)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(42))
+	var ctxs [3][]int
+	for i := range ctxs {
+		ctxs[i] = randTokens(rng, 10, twin.Cfg.VocabSize)
+		ctxs[i][0] = i // pairwise distinct from the first token on
+	}
+	for step, c := range []struct {
+		ctx int
+		hit bool
+	}{
+		{0, false}, {1, false}, // fill both slots
+		{2, false}, // evicts 0, the colder one
+		{1, true},  // 1 survived
+		{0, false}, // 0 did not; evicts 2
+		{1, true},
+		{2, false}, // evicts 0
+		{2, true},
+	} {
+		reused, _ := scoreChecked(t, e, twin, ctxs[c.ctx], randTokens(rng, 2, twin.Cfg.VocabSize))
+		want := int64(0)
+		if c.hit {
+			want = int64(len(ctxs[c.ctx]) - 1)
+		}
+		if reused != want {
+			t.Fatalf("step %d (context %d): reused %d, want %d", step, c.ctx, reused, want)
+		}
+	}
+}
+
+// TestEngineRetentionPartialPrefix: reuse stops where the request diverges
+// from what the slot holds, and never reaches the row that predicts the first
+// continuation token (only K/V are cached, so that row must be fed).
+func TestEngineRetentionPartialPrefix(t *testing.T) {
+	e, twin := NewEngine(testModel(43), Config{MaxBatch: 1, MaxSeq: 64}), testModel(43)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(43))
+	vocab := twin.Cfg.VocabSize
+	ctx := randTokens(rng, 14, vocab)
+	scoreChecked(t, e, twin, ctx, randTokens(rng, 3, vocab))
+
+	const k = 6
+	fork := slices.Concat(ctx[:k], []int{(ctx[k] + 1) % vocab}, randTokens(rng, 4, vocab))
+	if reused, fed := scoreChecked(t, e, twin, fork, randTokens(rng, 2, vocab)); reused != k || fed != int64(len(fork)+2-1-k) {
+		t.Fatalf("diverging at %d: reused %d, fed %d", k, reused, fed)
+	}
+	// The slot now holds fork‖…; a request that is a strict prefix of it
+	// could match all of itself and is capped at promptLen-1.
+	if reused, _ := scoreChecked(t, e, twin, fork[:5], fork[5:8]); reused != 4 {
+		t.Fatalf("strict prefix of the held tokens: reused %d, want promptLen-1 = 4", reused)
+	}
+}
+
+// TestEngineRetentionShortPrompts: an empty prompt (scored after seed token 0)
+// and a one-token prompt have no reusable prefix, however often they repeat.
+func TestEngineRetentionShortPrompts(t *testing.T) {
+	e, twin := NewEngine(testModel(44), Config{MaxBatch: 1, MaxSeq: 64}), testModel(44)
+	defer e.Close()
+	cont := []int{5, 9, 2}
+	for _, prompt := range [][]int{nil, nil, {0}, {7}, {7}} {
+		if reused, fed := scoreChecked(t, e, twin, prompt, cont); reused != 0 || fed != int64(len(cont)) {
+			t.Fatalf("prompt %v: reused %d, fed %d, want 0 and %d", prompt, reused, fed, len(cont))
+		}
+	}
+}
+
+// TestEngineRetentionGenerationExcluded: generation keeps its token-exact
+// contract on a slot that just served a score over the same tokens, and
+// leaves the slot holding nothing for the score that follows.
+func TestEngineRetentionGenerationExcluded(t *testing.T) {
+	e, twin := NewEngine(testModel(45), Config{MaxBatch: 1, MaxSeq: 64}), testModel(45)
+	defer e.Close()
+	rng := rand.New(rand.NewSource(45))
+	ctx, cont := randTokens(rng, 10, twin.Cfg.VocabSize), randTokens(rng, 3, twin.Cfg.VocabSize)
+	opts := nn.SampleOpts{Temperature: 0.8, TopK: 12}
+
+	scoreChecked(t, e, twin, ctx, cont)
+	before := e.Stats()
+	res := e.Do(Request{Prompt: ctx, MaxNew: 8, Opts: opts, Seed: 7})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	want := twin.GenerateOpts(rand.New(rand.NewSource(7)), ctx, 8, opts)
+	if !slices.Equal(res.Tokens, want) {
+		t.Fatalf("generation after a score: served %v, in-process %v", res.Tokens, want)
+	}
+	after := e.Stats()
+	if after.ReusedTokens != before.ReusedTokens || after.PrefillTokens-before.PrefillTokens != int64(len(ctx)) {
+		t.Fatalf("generation reused %d and prefilled %d tokens, want 0 and %d",
+			after.ReusedTokens-before.ReusedTokens, after.PrefillTokens-before.PrefillTokens, len(ctx))
+	}
+	if reused, _ := scoreChecked(t, e, twin, ctx, cont); reused != 0 {
+		t.Fatalf("score after a generation reused %d tokens of a slot that holds nothing", reused)
+	}
+}
+
+// TestEngineRetentionRandomStream holds both contracts over a seeded stream
+// of mixed traffic: scores and generations over a handful of contexts, cut and
+// perturbed at random so prefixes share anything from nothing to everything,
+// at 1–4 requests in flight on three slots. A failure names its seed; rerun
+// with -run 'TestEngineRetentionRandomStream/seed=N'.
+func TestEngineRetentionRandomStream(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { randomStream(t, seed) })
+	}
+}
+
+func randomStream(t *testing.T, seed int64) {
+	const requests = 320
+	type item struct {
+		req        Request
+		wantScore  float64
+		wantTokens []int
+	}
+	twin := testModel(seed)
+	vocab := twin.Cfg.VocabSize
+	rng := rand.New(rand.NewSource(seed))
+	var ctxs [5][]int
+	for i := range ctxs {
+		ctxs[i] = randTokens(rng, 4+rng.Intn(20), vocab)
+	}
+	items := make([]item, requests)
+	for i := range items {
+		ctx := ctxs[rng.Intn(len(ctxs))]
+		prompt := slices.Clone(ctx[:rng.Intn(len(ctx)+1)])
+		if rng.Intn(3) == 0 {
+			prompt = append(prompt, randTokens(rng, 1+rng.Intn(3), vocab)...)
+		}
+		it := &items[i]
+		if rng.Intn(4) == 0 {
+			it.req = Request{Prompt: prompt, MaxNew: 1 + rng.Intn(6), Seed: rng.Int63(),
+				Opts: nn.SampleOpts{Temperature: 0.8 * float64(rng.Intn(2)), TopK: 12}}
+			it.wantTokens = twin.GenerateOpts(rand.New(rand.NewSource(it.req.Seed)), prompt, it.req.MaxNew, it.req.Opts)
+			continue
+		}
+		it.req = Request{Prompt: prompt, Cont: randTokens(rng, 1+rng.Intn(4), vocab)}
+		it.wantScore = twinLogProb(twin, prompt, it.req.Cont)
+	}
+
+	e := NewEngine(testModel(seed), Config{MaxBatch: 3, MaxSeq: 64})
+	defer e.Close()
+	for conc := 1; conc <= 4; conc++ {
+		phase := items[(conc-1)*requests/4 : conc*requests/4]
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < conc; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1) - 1)
+					if i >= len(phase) {
+						return
+					}
+					it, res := &phase[i], e.Do(phase[i].req)
+					switch {
+					case res.Err != nil:
+						t.Errorf("conc %d request %d: %v", conc, i, res.Err)
+					case len(it.req.Cont) == 0 && !slices.Equal(res.Tokens, it.wantTokens):
+						t.Errorf("conc %d request %d: generated %v, in-process %v", conc, i, res.Tokens, it.wantTokens)
+					case len(it.req.Cont) > 0 && math.Abs(res.LogProb-it.wantScore) > 1e-4:
+						t.Errorf("conc %d request %d: score %g, in-process %g", conc, i, res.LogProb, it.wantScore)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if st := e.Stats(); st.Completed != requests || st.ReusedTokens == 0 {
+		t.Fatalf("stream completed %d of %d requests and reused %d tokens", st.Completed, requests, st.ReusedTokens)
+	}
+}
+
+// TestEngineStepZeroAllocOnHits drives admit and step by hand (the engine's
+// own scheduler stays parked on its empty queue, touching nothing) and pins
+// the hot path: a step over a request that reuses a retained prefix allocates
+// nothing, like a step over one that does not.
+func TestEngineStepZeroAllocOnHits(t *testing.T) {
+	m := testModel(46)
+	e := NewEngine(m, Config{MaxBatch: 1, MaxSeq: 64})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(46))
+	ctx := randTokens(rng, 12, m.Cfg.VocabSize)
+
+	const runs = 32
+	fail := func(_ *pending, err error) { t.Fatal(err) }
+	// One slot per measured step. Binding every free slot before stepping any
+	// spreads the context over all of them (a lone request would keep hitting
+	// the same one); the passes also fill the latency ring and show the decode
+	// workspace the hit shape.
+	free := make([]*kvSlot, runs+1)
+	for i := range free {
+		free[i] = &kvSlot{st: m.NewDecodeState(64), held: make([]int, 0, 64)}
+	}
+	admitAll := func() (batches [][]*seqSlot) {
+		for len(free) > 0 {
+			p := &pending{req: Request{Prompt: ctx, Cont: randTokens(rng, 2, m.Cfg.VocabSize)}, res: make(chan Result, 1), enqueued: time.Now()}
+			batches = append(batches, []*seqSlot{e.admit(p, &free, fail)})
+		}
+		return batches
+	}
+	for done := 0; done < latWindow+runs; done += runs + 1 {
+		for _, a := range admitAll() {
+			e.step(a, &free)
+		}
+	}
+	admitted := admitAll()
+	for _, a := range admitted {
+		if a[0].reused != len(ctx)-1 {
+			t.Fatalf("warm slot reused %d tokens, want %d", a[0].reused, len(ctx)-1)
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		e.step(admitted[i], &free)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("step over a prefix hit allocated %v times per run, want 0", allocs)
 	}
 }
