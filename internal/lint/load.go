@@ -21,6 +21,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -229,6 +230,10 @@ func (p *Program) load(path, dir string, chain []string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Skip what GOOS/GOARCH excludes by file name or //go:build line.
+		if ok, err := build.Default.MatchFile(dir, name); err == nil && !ok {
 			continue
 		}
 		f, err := parser.ParseFile(p.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -116,3 +116,11 @@ func variadicCall(vals ...int) int {
 func spreadsVariadic() int {
 	return variadicCall(1, 2, 3) // want "variadic call in hotpath function spreadsVariadic allocates the argument slice"
 }
+
+// scaleAsm is a body-less (assembly) declaration nobody vouched for.
+func scaleAsm(x *float32, n int)
+
+//photon:hotpath
+func callsUnannotatedAsm(x []float32) {
+	scaleAsm(&x[0], len(x)) // want "neither //photon:hotpath nor //photon:allocok"
+}

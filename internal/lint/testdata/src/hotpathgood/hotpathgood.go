@@ -103,3 +103,15 @@ func foldWeighted(buf, u []float32, w float32) {
 		buf[i] += w * u[i]
 	}
 }
+
+// sumAsm is a body-less (assembly) declaration: its annotation is the
+// author's claim, and hotpath callers may rely on it.
+//
+//go:noescape
+//photon:hotpath
+func sumAsm(x *float32, n int) float32
+
+//photon:hotpath
+func callsAnnotatedAsm(x []float32) float32 {
+	return sumAsm(&x[0], len(x))
+}

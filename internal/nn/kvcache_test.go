@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"photon/internal/tensor"
 )
 
 // decodeCfg is a multi-layer configuration so the equivalence tests cover
@@ -206,5 +208,63 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 	step()
 	if allocs := testing.AllocsPerRun(2*maxSeq, step); allocs != 0 {
 		t.Fatalf("steady-state decode step allocates %.1f times", allocs)
+	}
+}
+
+// rowInvariantKernels probes whether this machine's tensor kernels give a
+// matrix row the same bits whatever tile it is computed in (the assembly
+// micro-kernels do; the portable loops differ at rounding level). nn cannot
+// see which path tensor chose, so the bitwise test below asks the arithmetic.
+func rowInvariantKernels() bool {
+	rng := rand.New(rand.NewSource(67))
+	a, b := tensor.NewMatrix(5, 29), tensor.NewMatrix(29, 37)
+	tensor.RandNormal(rng, a.Data, 0, 1)
+	tensor.RandNormal(rng, b.Data, 0, 1)
+	c, row := tensor.NewMatrix(5, 37), tensor.NewMatrix(1, 37)
+	tensor.MatMul(c, a, b)
+	for i := 0; i < 5; i++ {
+		tensor.MatMul(row, tensor.FromSlice(1, 29, a.Row(i)), b)
+		for j, v := range row.Data {
+			if math.Float32bits(v) != math.Float32bits(c.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestDecodeOneAtATimeBitwiseEqualsPrefill is the strong form of the
+// tolerance tests above: where the kernels are row-invariant, a prompt fed
+// to a DecodeState in one call and the same tokens fed one Decode call at a
+// time give bitwise-equal logits at every position — 23 rows in one matmul
+// tile differently from 23 single rows, and must not matter.
+func TestDecodeOneAtATimeBitwiseEqualsPrefill(t *testing.T) {
+	if !rowInvariantKernels() {
+		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
+	}
+	rng := rand.New(rand.NewSource(71))
+	cfg := Config{VocabSize: 256, Dim: 64, Heads: 4, Blocks: 4, ExpRatio: 4, SeqLen: 32}
+	m := NewModel(cfg, rng)
+	seq := make([]int, 23)
+	rows := make([]int, len(seq))
+	for i := range seq {
+		seq[i], rows[i] = rng.Intn(cfg.VocabSize), i
+	}
+
+	at := m.NewDecodeState(len(seq))
+	want := m.DecodeLogits(m.Decode([]*DecodeState{at}, [][]int{seq}), rows).Clone()
+
+	st := m.NewDecodeState(len(seq))
+	differ := 0
+	for i := range seq {
+		got := m.DecodeLogits(m.Decode([]*DecodeState{st}, [][]int{seq[i : i+1]}), []int{0})
+		for j, v := range got.Row(0) {
+			if math.Float32bits(v) != math.Float32bits(want.At(i, j)) {
+				differ++
+			}
+		}
+	}
+	if differ != 0 {
+		t.Fatalf("%d of %d logits differ bitwise between prefill and token-at-a-time decode", differ, len(want.Data))
 	}
 }

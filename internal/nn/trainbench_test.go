@@ -58,6 +58,8 @@ func BenchmarkTrainStep(b *testing.B) {
 	b.StopTimer()
 	nsPerStep := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(float64(tokens)/(nsPerStep/1e9), "tokens/s")
+	// The count hw.MFU uses: forward + backward ≈ 3× the forward FLOPs.
+	b.ReportMetric(3*cfg.FLOPsPerToken()*float64(tokens)/nsPerStep, "GFLOP/s")
 }
 
 // BenchmarkForwardBackward isolates loss+gradient compute (no optimizer).

@@ -28,9 +28,7 @@ func BenchmarkMatMul(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				MatMul(c, a, bb)
 			}
-			b.StopTimer()
-			flops := 2 * float64(sh.m) * float64(sh.k) * float64(sh.n)
-			b.ReportMetric(flops/(float64(b.Elapsed().Nanoseconds())/float64(b.N)), "flops/ns")
+			reportGFLOPs(b, 2*float64(sh.m)*float64(sh.k)*float64(sh.n))
 		})
 	}
 }
@@ -45,6 +43,15 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMulTransB(c, a, bb)
 	}
+	reportGFLOPs(b, 2*512*64*256)
+}
+
+// reportGFLOPs stops the timer and reports achieved GFLOP/s for a benchmark
+// whose iteration performs flopsPerOp floating-point operations; read it
+// against BenchmarkFMAPeak's figure for the same core.
+func reportGFLOPs(b *testing.B, flopsPerOp float64) {
+	b.StopTimer()
+	b.ReportMetric(flopsPerOp*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 }
 
 // BenchmarkBatchAttentionKernels times the three batched kernels that make

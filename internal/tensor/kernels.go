@@ -6,16 +6,18 @@ import (
 )
 
 // This file holds the band-level compute kernels the worker pool executes.
-// The micro-kernel strategy mirrors a classic register-tiled sgemm:
+// Their flops go through eight micro-kernels that share streamed loads across
+// four rows, as a register-tiled sgemm does — axpy, axpy4, axpy4p2, axpy4in,
+// axpy4in2 (rows accumulate) and Dot, dot4, dot4x2 (rows reduce, the Bᵀ
+// kernels) — under kcBlock-deep K panels that keep A and B slices in L1/L2.
 //
-//   - axpy4: four A rows are multiplied against one streamed B row, so each
-//     load of B feeds four C rows (4x arithmetic intensity on the B stream).
-//   - dot4: one streamed A row feeds four simultaneous dot products against
-//     four B rows (the Bᵀ kernels).
-//   - axpy4in: four streamed X rows accumulate into one Y row (causal P·V).
-//   - 2D cache blocking: the shared K dimension is walked in kcBlock-sized
-//     panels so the active slices of A and B stay resident in L1/L2 while a
-//     band of C is produced.
+// Each micro-kernel is a Go loop — the reference, and what every machine but
+// an amd64 with AVX2+FMA runs — behind an assembly body (kernels_amd64.s)
+// taken when useAVX2, set once at init from CPUID, says so. There every
+// axpy-family element is one FMA chain in p order and every dot one fixed
+// lane tree, so a row's bits do not depend on the tile, pair, remainder row
+// or pool band that computed it (in Go they do, at rounding level); the two
+// paths agree within 1e-6 of Σ|terms|.
 //
 // All kernels operate on [lo, hi) bands of their outer dimension so the pool
 // can split work without synchronization: each band owns its C rows.
@@ -70,7 +72,7 @@ func bandMatMul(c, a, b *Matrix, lo, hi int, accum bool) {
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*n : (i+1)*n]
 			for p := p0; p < p1; p++ {
-				if av := ai[p]; av != 0 {
+				if av := ai[p]; useAVX2 || av != 0 {
 					axpy(av, bd[p*n:(p+1)*n], ci)
 				}
 			}
@@ -217,7 +219,7 @@ func causalMatMulItem(c, a, b *Matrix) {
 				b.Data[(p+2)*n:(p+3)*n], b.Data[(p+3)*n:(p+4)*n], ci)
 		}
 		for ; p < end; p++ {
-			if av := ai[p]; av != 0 {
+			if av := ai[p]; useAVX2 || av != 0 {
 				axpy(av, b.Data[p*n:(p+1)*n], ci)
 			}
 		}
@@ -489,6 +491,10 @@ func axpy4(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32) {
 	y1 = y1[:n]
 	y2 = y2[:n]
 	y3 = y3[:n]
+	if useAVX2 && n > 0 {
+		axpy4AVX2(a0, a1, a2, a3, &x[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
+		return
+	}
 	for i, xv := range x {
 		y0[i] += a0 * xv
 		y1[i] += a1 * xv
@@ -507,6 +513,10 @@ func axpy4in(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 	x1 = x1[:n]
 	x2 = x2[:n]
 	x3 = x3[:n]
+	if useAVX2 && n > 0 {
+		axpy4inAVX2(a0, a1, a2, a3, &x0[0], &x1[0], &x2[0], &x3[0], &y[0], n)
+		return
+	}
 	for i := range y {
 		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
 	}
@@ -521,6 +531,9 @@ func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 	y1 = y1[:n]
 	y2 = y2[:n]
 	y3 = y3[:n]
+	if useAVX2 && n > 0 {
+		return dot4AVX2(&x[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
+	}
 	for i, xv := range x {
 		s0 += xv * y0[i]
 		s1 += xv * y1[i]
@@ -542,6 +555,10 @@ func axpy4p2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x, z, y0, y1, y2, y3 []floa
 	y1 = y1[:n]
 	y2 = y2[:n]
 	y3 = y3[:n]
+	if useAVX2 && n > 0 {
+		axpy4p2AVX2(a0, a1, a2, a3, b0, b1, b2, b3, &x[0], &z[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
+		return
+	}
 	for i, xv := range x {
 		zv := z[i]
 		y0[i] += a0*xv + b0*zv
@@ -563,6 +580,10 @@ func axpy4in2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x0, x1, x2, x3, y, z []flo
 	x2 = x2[:n]
 	x3 = x3[:n]
 	z = z[:n]
+	if useAVX2 && n > 0 {
+		axpy4in2AVX2(a0, a1, a2, a3, b0, b1, b2, b3, &x0[0], &x1[0], &x2[0], &x3[0], &y[0], &z[0], n)
+		return
+	}
 	for i := range y {
 		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
 		y[i] += a0*v0 + a1*v1 + a2*v2 + a3*v3
@@ -581,6 +602,9 @@ func dot4x2(x0, x1, y0, y1, y2, y3 []float32) (s00, s01, s02, s03, s10, s11, s12
 	y1 = y1[:n]
 	y2 = y2[:n]
 	y3 = y3[:n]
+	if useAVX2 && n > 0 {
+		return dot4x2AVX2(&x0[0], &x1[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
+	}
 	for i, v0 := range x0 {
 		v1 := x1[i]
 		b0, b1, b2, b3 := y0[i], y1[i], y2[i], y3[i]

@@ -1,0 +1,481 @@
+package tensor
+
+import (
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+)
+
+// forEachKernelPath runs f on the Go loops and, where the CPU has them, on
+// the assembly bodies. Flipping useAVX2 is safe between dispatches: the pool
+// is idle whenever a kernel call has returned.
+func forEachKernelPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	useAVX2 = false
+	t.Run("go", f)
+	if !hasAVX2FMA() {
+		t.Log("CPU lacks AVX2+FMA: assembly path not exercised")
+		return
+	}
+	useAVX2 = true
+	t.Run("avx2", f)
+}
+
+// requireAVX2 pins the assembly path for the rest of the test.
+func requireAVX2(t *testing.T) {
+	t.Helper()
+	if !hasAVX2FMA() {
+		t.Skip("CPU lacks AVX2+FMA")
+	}
+	saved := useAVX2
+	t.Cleanup(func() { useAVX2 = saved })
+	useAVX2 = true
+}
+
+// TestExistingSuitesOnBothKernelPaths reruns the package's kernel suites
+// with the switch forced each way, so the Go reference keeps its coverage on
+// machines where init selects the assembly.
+func TestExistingSuitesOnBothKernelPaths(t *testing.T) {
+	suites := []struct {
+		name string
+		f    func(*testing.T)
+	}{
+		{"MatMulMatchesNaive", TestMatMulMatchesNaive},
+		{"MatMulOverwritesOutput", TestMatMulOverwritesOutput},
+		{"MatMulAccum", TestMatMulAccum},
+		{"MatMulTransA", TestMatMulTransA},
+		{"MatMulTransAAccumAddsToExisting", TestMatMulTransAAccumAddsToExisting},
+		{"MatMulTransB", TestMatMulTransB},
+		{"DotAxpyScale", TestDotAxpyScale},
+		{"MatMulTransposeProperty", TestMatMulTransposeProperty},
+		{"BatchMatMulMatchesNaive", TestBatchMatMulMatchesNaive},
+		{"BatchMatMulTransBMatchesNaive", TestBatchMatMulTransBMatchesNaive},
+		{"BatchMatMulTransAMatchesNaive", TestBatchMatMulTransAMatchesNaive},
+		{"CausalBatchKernelsMatchDense", TestCausalBatchKernelsMatchDense},
+		{"ParallelKernelsLargeShapes", TestParallelKernelsLargeShapes},
+		{"AttendDecodeMatchesReference", TestAttendDecodeMatchesReference},
+		{"AttendDecodeMatchesTrainingKernels", TestAttendDecodeMatchesTrainingKernels},
+		{"AttendDecodeIncrementalMatchesPrefill", TestAttendDecodeIncrementalMatchesPrefill},
+	}
+	forEachKernelPath(t, func(t *testing.T) {
+		for _, s := range suites {
+			t.Run(s.name, s.f)
+		}
+	})
+}
+
+// guarded returns a length-n slice starting at an odd offset inside a larger
+// buffer whose other elements hold a sentinel, with values of either sign
+// and magnitudes spanning 1e-3…1e3.
+func guarded(rng *rand.Rand, n int) (buf, s []float32) {
+	const sentinel = 12345.678
+	off := 1 + 2*rng.Intn(3)
+	buf = make([]float32, off+n+5)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	s = buf[off : off+n : off+n]
+	for i := range s {
+		v := float32(math.Pow(10, 6*rng.Float64()-3))
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		s[i] = v
+	}
+	return buf, s
+}
+
+// checkGuards fails if anything outside s changed in buf.
+func checkGuards(t *testing.T, what string, n int, buf, s []float32) {
+	t.Helper()
+	off := len(buf) - 5 - len(s)
+	for i, v := range buf {
+		if (i < off || i >= off+len(s)) && v != 12345.678 {
+			t.Fatalf("%s n=%d: wrote outside its operand at buf[%d]", what, n, i)
+		}
+	}
+}
+
+// kernelCase is one micro-kernel called through its wrapper on nops slice
+// operands of length n, the first outs of them written. run returns any
+// scalar results.
+type kernelCase struct {
+	name   string
+	nops   int
+	outs   int
+	driver int // the operand whose length the wrapper takes as n
+	run    func(c [8]float32, ops [][]float32) []float32
+	// bound of output o at element i (elementwise kernels) or of scalar
+	// result o (dot kernels, i = -1), given the operands before the call.
+	bound func(c [8]float32, ops [][]float32, o, i int) float64
+}
+
+func absDot(x, y []float32) float64 {
+	var s float64
+	for i := range x {
+		s += math.Abs(float64(x[i]) * float64(y[i]))
+	}
+	return s
+}
+
+func a64(v float32) float64 { return math.Abs(float64(v)) }
+
+var kernelCases = []kernelCase{
+	{"axpy", 2, 1, 1,
+		func(c [8]float32, o [][]float32) []float32 { axpy(c[0], o[1], o[0]); return nil },
+		func(c [8]float32, o [][]float32, _, i int) float64 { return a64(o[0][i]) + a64(c[0]*o[1][i]) }},
+	{"axpy4", 5, 4, 4,
+		func(c [8]float32, o [][]float32) []float32 {
+			axpy4(c[0], c[1], c[2], c[3], o[4], o[0], o[1], o[2], o[3])
+			return nil
+		},
+		func(c [8]float32, o [][]float32, r, i int) float64 { return a64(o[r][i]) + a64(c[r]*o[4][i]) }},
+	{"axpy4p2", 6, 4, 4,
+		func(c [8]float32, o [][]float32) []float32 {
+			axpy4p2(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], o[4], o[5], o[0], o[1], o[2], o[3])
+			return nil
+		},
+		func(c [8]float32, o [][]float32, r, i int) float64 {
+			return a64(o[r][i]) + a64(c[r]*o[4][i]) + a64(c[4+r]*o[5][i])
+		}},
+	{"axpy4in", 5, 1, 0,
+		func(c [8]float32, o [][]float32) []float32 {
+			axpy4in(c[0], c[1], c[2], c[3], o[1], o[2], o[3], o[4], o[0])
+			return nil
+		},
+		func(c [8]float32, o [][]float32, _, i int) float64 {
+			return a64(o[0][i]) + a64(c[0]*o[1][i]) + a64(c[1]*o[2][i]) + a64(c[2]*o[3][i]) + a64(c[3]*o[4][i])
+		}},
+	{"axpy4in2", 6, 2, 0,
+		func(c [8]float32, o [][]float32) []float32 {
+			axpy4in2(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], o[2], o[3], o[4], o[5], o[0], o[1])
+			return nil
+		},
+		func(c [8]float32, o [][]float32, r, i int) float64 {
+			k := c[4*r:]
+			return a64(o[r][i]) + a64(k[0]*o[2][i]) + a64(k[1]*o[3][i]) + a64(k[2]*o[4][i]) + a64(k[3]*o[5][i])
+		}},
+	{"Dot", 2, 0, 0,
+		func(_ [8]float32, o [][]float32) []float32 { return []float32{Dot(o[0], o[1])} },
+		func(_ [8]float32, o [][]float32, _, _ int) float64 { return absDot(o[0], o[1]) }},
+	{"dot4", 5, 0, 0,
+		func(_ [8]float32, o [][]float32) []float32 {
+			s0, s1, s2, s3 := dot4(o[0], o[1], o[2], o[3], o[4])
+			return []float32{s0, s1, s2, s3}
+		},
+		func(_ [8]float32, o [][]float32, r, _ int) float64 { return absDot(o[0], o[1+r]) }},
+	{"dot4x2", 6, 0, 0,
+		func(_ [8]float32, o [][]float32) []float32 {
+			s00, s01, s02, s03, s10, s11, s12, s13 := dot4x2(o[0], o[1], o[2], o[3], o[4], o[5])
+			return []float32{s00, s01, s02, s03, s10, s11, s12, s13}
+		},
+		func(_ [8]float32, o [][]float32, r, _ int) float64 { return absDot(o[r/4], o[2+r%4]) }},
+}
+
+// TestAsmKernelsMatchGo compares each assembly micro-kernel with the Go loop
+// it stands in for, for every length 0…67, on operands at odd offsets: within
+// 1e-6 of Σ|terms| per result, nothing written outside the outputs.
+func TestAsmKernelsMatchGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(18))
+	for _, kc := range kernelCases {
+		for n := 0; n <= 67; n++ {
+			var coef [8]float32
+			for i := range coef {
+				coef[i] = float32(rng.NormFloat64())
+			}
+			bufs, ops := make([][]float32, kc.nops), make([][]float32, kc.nops)
+			ref, before := make([][]float32, kc.nops), make([][]float32, kc.nops)
+			for i := range ops {
+				bufs[i], ops[i] = guarded(rng, n)
+				ref[i], before[i] = slices.Clone(ops[i]), slices.Clone(ops[i])
+			}
+			useAVX2 = false
+			want := kc.run(coef, ref)
+			useAVX2 = true
+			got := kc.run(coef, ops)
+			for r := range want {
+				if d := math.Abs(float64(got[r] - want[r])); d > 1e-6*kc.bound(coef, before, r, -1) {
+					t.Fatalf("%s n=%d result %d: asm %g, go %g", kc.name, n, r, got[r], want[r])
+				}
+			}
+			for o := 0; o < kc.nops; o++ {
+				checkGuards(t, kc.name, n, bufs[o], ops[o])
+				for i := range ops[o] {
+					d := math.Abs(float64(ops[o][i] - ref[o][i]))
+					if o >= kc.outs && d != 0 {
+						t.Fatalf("%s n=%d: input operand %d modified at %d", kc.name, n, o, i)
+					}
+					if o < kc.outs && d > 1e-6*kc.bound(coef, before, o, i) {
+						t.Fatalf("%s n=%d out %d[%d]: asm %g, go %g", kc.name, n, o, i, ops[o][i], ref[o][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsPanicOnShortOperand pins the wrappers' contract on both paths:
+// an operand shorter than the driving length panics before anything is read.
+func TestKernelsPanicOnShortOperand(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(19))
+		for _, kc := range kernelCases {
+			for short := 0; short < kc.nops; short++ {
+				if short == kc.driver {
+					continue
+				}
+				for _, n := range []int{1, 8, 13} {
+					ops := make([][]float32, kc.nops)
+					for i := range ops {
+						_, ops[i] = guarded(rng, n)
+					}
+					_, ops[short] = guarded(rng, n-1)
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("%s n=%d: no panic with operand %d one short", kc.name, n, short)
+							}
+						}()
+						kc.run([8]float32{1, 1, 1, 1, 1, 1, 1, 1}, ops)
+					}()
+				}
+			}
+		}
+		for _, e := range elementwise {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: no panic on length mismatch", e.name)
+					}
+				}()
+				e.op(make([]float32, 9), make([]float32, 8))
+			}()
+		}
+	})
+}
+
+type elemOp struct {
+	name string
+	op   func(dst, src []float32)
+}
+
+// elementwise are the length-checked two-operand helpers; the first three
+// involve no multiply-add.
+var elementwise = []elemOp{
+	{"Add", Add}, {"Sub", Sub}, {"Hadamard", Hadamard},
+	{"Axpy", func(dst, src []float32) { Axpy(0.7, src, dst) }},
+}
+
+// TestElementwiseBitwiseEqualGo: Add, Sub, Hadamard and Scale involve no
+// fused multiply-add, so the vector bodies must reproduce the Go loops bit
+// for bit — every length 0…67, unaligned starts.
+func TestElementwiseBitwiseEqualGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(20))
+	unfused := append(elementwise[:3:3], elemOp{"Scale", func(dst, _ []float32) { Scale(-1.7, dst) }})
+	for _, e := range unfused {
+		for n := 0; n <= 67; n++ {
+			dbuf, dst := guarded(rng, n)
+			_, src := guarded(rng, n)
+			want := slices.Clone(dst)
+			useAVX2 = false
+			e.op(want, src)
+			useAVX2 = true
+			e.op(dst, src)
+			checkGuards(t, e.name, n, dbuf, dst)
+			if i := sameBits(dst, want); i >= 0 {
+				t.Fatalf("%s n=%d [%d]: asm %x, go %x", e.name, n, i, math.Float32bits(dst[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// sameBits reports the first index where two rows differ bitwise, or -1.
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// poison zeroes a scattering of a's entries and plants ±Inf and NaN in b, so
+// a row's 0·Inf terms show whether a kernel skipped them.
+func poison(rng *rand.Rand, a, b *Matrix) {
+	for i := range a.Data {
+		if rng.Intn(3) == 0 {
+			a.Data[i] = 0
+		}
+	}
+	for _, v := range []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())} {
+		b.Data[rng.Intn(len(b.Data))] = v
+	}
+}
+
+// TestTileInvarianceBitwise pins the numerics rule of kernels_amd64.s: on
+// the assembly path, row i of every product is bitwise what evaluating row i
+// alone gives — whichever tile, pair, remainder row, vector lane or pool band
+// computed it — at GOMAXPROCS 1 and 2, and with non-finite inputs too.
+func TestTileInvarianceBitwise(t *testing.T) {
+	requireAVX2(t)
+	shapes := [][3]int{{11, 29, 37}, {7, 13, 19}, {5, 131, 9}, {37, 67, 45}, {6, 7, 3}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, withNaN := range []bool{false, true} {
+			for _, sh := range shapes {
+				m, k, n := sh[0], sh[1], sh[2]
+				rng := rand.New(rand.NewSource(int64(m*1000 + k)))
+				fail := func(what string, i, j int) {
+					t.Fatalf("%s %dx%dx%d procs=%d nan=%v: row %d differs from its solo evaluation at column %d",
+						what, m, k, n, procs, withNaN, i, j)
+				}
+
+				a, b := randMatrix(rng, m, k), randMatrix(rng, k, n)
+				if withNaN {
+					poison(rng, a, b)
+				}
+				c0 := randMatrix(rng, m, n)
+				c, acc := NewMatrix(m, n), c0.Clone()
+				MatMul(c, a, b)
+				MatMulAccum(acc, a, b)
+				for i := 0; i < m; i++ {
+					ai := FromSlice(1, k, a.Row(i))
+					solo := NewMatrix(1, n)
+					MatMul(solo, ai, b)
+					if j := sameBits(c.Row(i), solo.Data); j >= 0 {
+						fail("MatMul", i, j)
+					}
+					copy(solo.Data, c0.Row(i))
+					MatMulAccum(solo, ai, b)
+					if j := sameBits(acc.Row(i), solo.Data); j >= 0 {
+						fail("MatMulAccum", i, j)
+					}
+				}
+
+				bt := randMatrix(rng, n, k)
+				if withNaN {
+					poison(rng, a, bt)
+				}
+				MatMulTransB(c, a, bt)
+				for i := 0; i < m; i++ {
+					solo := NewMatrix(1, n)
+					MatMulTransB(solo, FromSlice(1, k, a.Row(i)), bt)
+					if j := sameBits(c.Row(i), solo.Data); j >= 0 {
+						fail("MatMulTransB", i, j)
+					}
+				}
+
+				at := randMatrix(rng, k, m) // C[m,n] += atᵀ·b
+				if withNaN {
+					poison(rng, at, b)
+				}
+				acc = c0.Clone()
+				MatMulTransAAccum(acc, at, b)
+				for i := 0; i < m; i++ {
+					col := NewMatrix(k, 1)
+					for p := 0; p < k; p++ {
+						col.Data[p] = at.At(p, i)
+					}
+					solo := FromSlice(1, n, slices.Clone(c0.Row(i)))
+					MatMulTransAAccum(solo, col, b)
+					if j := sameBits(acc.Row(i), solo.Data); j >= 0 {
+						fail("MatMulTransAAccum", i, j)
+					}
+				}
+
+				// Causal batched products: items of [m,m]·[m,n] and [m,k]·[m,k]ᵀ.
+				const batch = 3
+				p, v := randMatrix(rng, batch*m, m), randMatrix(rng, batch*m, n)
+				q, kk := randMatrix(rng, batch*m, k), randMatrix(rng, batch*m, k)
+				if withNaN {
+					poison(rng, p, v)
+					poison(rng, q, kk)
+				}
+				ctx, sc := NewMatrix(batch*m, n), NewMatrix(batch*m, m)
+				BatchMatMulCausal(ctx, p, v, batch)
+				BatchMatMulTransBCausal(sc, q, kk, batch)
+				for it := 0; it < batch; it++ {
+					for i := 0; i < m; i++ {
+						r, end := it*m+i, i+1
+						solo := NewMatrix(1, n)
+						MatMul(solo, FromSlice(1, end, p.Row(r)[:end]), FromSlice(end, n, v.Data[it*m*n:(it*m+end)*n]))
+						if j := sameBits(ctx.Row(r), solo.Data); j >= 0 {
+							fail("BatchMatMulCausal", r, j)
+						}
+						solo = NewMatrix(1, end)
+						MatMulTransB(solo, FromSlice(1, k, q.Row(r)), FromSlice(end, k, kk.Data[it*m*k:(it*m+end)*k]))
+						if j := sameBits(sc.Row(r)[:end], solo.Data); j >= 0 {
+							fail("BatchMatMulTransBCausal", r, j)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAttendDecodeZeroProbPositionIndependent: a cached key whose attention
+// probability underflows to exactly 0 still multiplies its value row, whether
+// it falls in a 4-row group or in the remainder — an Inf there poisons the
+// context either way on the assembly path (the Go tail alone skips it).
+func TestAttendDecodeZeroProbPositionIndependent(t *testing.T) {
+	requireAVX2(t)
+	const d, krows = 8, 6
+	for _, infRow := range []int{0, 4} { // 0: inside the group of four; 4: remainder
+		rng := rand.New(rand.NewSource(22))
+		it := DecodeItem{Q: randSlice(rng, d), K: randSlice(rng, krows*d), V: randSlice(rng, krows*d),
+			Probs: make([]float32, krows), Ctx: make([]float32, d), QRows: 1, KRows: krows, Slope: 200}
+		for x := 0; x < d; x++ {
+			it.V[infRow*d+x] = float32(math.Inf(1))
+		}
+		AttendDecode([]DecodeItem{it}, 0.1)
+		if it.Probs[infRow] != 0 {
+			t.Fatalf("probability of key %d is %g, want an exact 0", infRow, it.Probs[infRow])
+		}
+		for x, v := range it.Ctx {
+			if !math.IsNaN(float64(v)) {
+				t.Fatalf("Inf value row %d: ctx[%d] = %g, want NaN from 0·Inf", infRow, x, v)
+			}
+		}
+	}
+}
+
+// TestSwitchOffRunsGoLoops: with useAVX2 false the wrappers run the Go
+// loops, whose multiply and add round separately — a fused body would differ
+// from the explicitly rounded expectation below on almost every element.
+func TestSwitchOffRunsGoLoops(t *testing.T) {
+	requireAVX2(t)
+	useAVX2 = false
+	rng := rand.New(rand.NewSource(21))
+	_, x := guarded(rng, 67)
+	_, y := guarded(rng, 67)
+	want := make([]float32, 67)
+	for i := range want {
+		want[i] = y[i] + float32(0.3*x[i])
+	}
+	axpy(0.3, x, y)
+	if j := sameBits(y, want); j >= 0 {
+		t.Fatalf("axpy with the switch off is not the unfused Go loop at %d", j)
+	}
+}
+
+// BenchmarkFMAPeak measures the core's AVX2 FMA roofline: ten independent
+// 8-lane VFMADD231PS chains and no memory traffic. Achieved / peak for the
+// kernels is BenchmarkMatMul's GFLOP/s over this one's.
+func BenchmarkFMAPeak(b *testing.B) {
+	if !hasAVX2FMA() {
+		b.Skip("CPU lacks AVX2+FMA")
+	}
+	const iters = 1 << 16
+	for i := 0; i < b.N; i++ {
+		fmaPeakAVX2(iters)
+	}
+	reportGFLOPs(b, 160*iters)
+}

@@ -1,0 +1,44 @@
+//go:build !amd64
+
+package tensor
+
+// No assembly here: the empty bodies only let the guarded calls compile.
+const useAVX2 = false
+
+//photon:hotpath
+func axpyAVX2(a float32, x, y *float32, n int) {}
+
+//photon:hotpath
+func axpy4AVX2(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 *float32, n int) {}
+
+//photon:hotpath
+func axpy4p2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x, z, y0, y1, y2, y3 *float32, n int) {}
+
+//photon:hotpath
+func axpy4inAVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y *float32, n int) {}
+
+//photon:hotpath
+func axpy4in2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x0, x1, x2, x3, y, z *float32, n int) {}
+
+//photon:hotpath
+func dotAVX2(x, y *float32, n int) (s float32) { return }
+
+//photon:hotpath
+func dot4AVX2(x, y0, y1, y2, y3 *float32, n int) (s0, s1, s2, s3 float32) { return }
+
+//photon:hotpath
+func dot4x2AVX2(x0, x1, y0, y1, y2, y3 *float32, n int) (s00, s01, s02, s03, s10, s11, s12, s13 float32) {
+	return
+}
+
+//photon:hotpath
+func addAVX2(dst, src *float32, n int) {}
+
+//photon:hotpath
+func subAVX2(dst, src *float32, n int) {}
+
+//photon:hotpath
+func mulAVX2(dst, src *float32, n int) {}
+
+//photon:hotpath
+func scaleAVX2(a float32, x *float32, n int) {}

@@ -146,6 +146,10 @@ func MatMulTransB(c, a, b *Matrix) {
 //photon:hotpath
 func axpy(a float32, x, y []float32) {
 	y = y[:len(x)]
+	if useAVX2 && len(x) > 0 {
+		axpyAVX2(a, &x[0], &y[0], len(x))
+		return
+	}
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
 		y[i] += a * x[i]
@@ -165,9 +169,6 @@ func Axpy(a float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}
-	if len(x) == 0 {
-		return
-	}
 	axpy(a, x, y)
 }
 
@@ -177,6 +178,9 @@ func Axpy(a float32, x, y []float32) {
 //photon:hotpath
 func Dot(x, y []float32) float32 {
 	y = y[:len(x)]
+	if useAVX2 && len(x) > 0 {
+		return dotAVX2(&x[0], &y[0], len(x))
+	}
 	var s0, s1, s2, s3 float32
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
@@ -196,6 +200,10 @@ func Dot(x, y []float32) float32 {
 //
 //photon:hotpath
 func Scale(a float32, x []float32) {
+	if useAVX2 && len(x) > 0 {
+		scaleAVX2(a, &x[0], len(x))
+		return
+	}
 	for i := range x {
 		x[i] *= a
 	}
@@ -207,6 +215,10 @@ func Scale(a float32, x []float32) {
 func Add(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: Add length mismatch")
+	}
+	if useAVX2 && len(src) > 0 {
+		addAVX2(&dst[0], &src[0], len(src))
+		return
 	}
 	for i, v := range src {
 		dst[i] += v
@@ -220,6 +232,10 @@ func Sub(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: Sub length mismatch")
 	}
+	if useAVX2 && len(src) > 0 {
+		subAVX2(&dst[0], &src[0], len(src))
+		return
+	}
 	for i, v := range src {
 		dst[i] -= v
 	}
@@ -231,6 +247,10 @@ func Sub(dst, src []float32) {
 func Hadamard(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: Hadamard length mismatch")
+	}
+	if useAVX2 && len(src) > 0 {
+		mulAVX2(&dst[0], &src[0], len(src))
+		return
 	}
 	for i, v := range src {
 		dst[i] *= v
