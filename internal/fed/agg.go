@@ -18,24 +18,6 @@ import (
 	"photon/internal/topo"
 )
 
-// Sampler selects the client cohort for a round.
-type Sampler interface {
-	// Sample returns the indices of the clients participating in the round.
-	Sample(rng *rand.Rand, population, k int) []int
-}
-
-// UniformSampler draws K distinct clients uniformly (Algorithm 1 line 4).
-type UniformSampler struct{}
-
-// Sample implements Sampler via a partial Fisher-Yates shuffle.
-func (UniformSampler) Sample(rng *rand.Rand, population, k int) []int {
-	if k > population {
-		k = population
-	}
-	perm := rng.Perm(population)
-	return perm[:k]
-}
-
 // RunConfig configures a federated training run in the in-process simulator.
 type RunConfig struct {
 	ModelConfig nn.Config
@@ -53,15 +35,11 @@ type RunConfig struct {
 	Clients         []*Client
 	Outer           OuterOpt
 	Spec            LocalSpec
-	Sampler         Sampler // nil → UniformSampler
 
 	// Validation is evaluated on the global model every EvalEvery rounds
 	// (and always on the final round). Nil disables evaluation.
 	Validation *data.ValidationSet
 	EvalEvery  int
-
-	// Post is the update post-processing pipeline (Algorithm 1 line 27).
-	Post link.Pipeline
 
 	// Codec, when non-empty, routes every model broadcast and client
 	// update through the named wire codec exactly as the networked path
@@ -166,11 +144,12 @@ type Result struct {
 }
 
 // Run executes Algorithm 1 in a single process: the global model is
-// initialized from the seed, and each round samples a cohort, trains all
-// cohort clients concurrently (each in its own goroutine with its own model
-// replica and data stream), aggregates surviving updates into a
-// pseudo-gradient, and applies the outer optimizer. It is deterministic for
-// a fixed config.
+// initialized from the seed, and each round samples K distinct clients
+// uniformly (line 4), trains them concurrently (each in its own goroutine
+// with its own model replica and data stream), folds the surviving updates
+// in cohort order into a pseudo-gradient, and applies the outer optimizer.
+// A survivor whose update is not finite is dropped like a dropout. It is
+// deterministic for a fixed config.
 //
 // Cancelling ctx stops the run promptly — in-flight clients abort between
 // local steps and the interrupted round is discarded — and Run returns the
@@ -194,10 +173,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	}
 	global := globalModel.Params().Flatten(nil)
 
-	sampler := cfg.Sampler
-	if sampler == nil {
-		sampler = UniformSampler{}
-	}
 	// Codec simulation state, per tier: the model-broadcast encoder is
 	// shared (one encode per round), while each client index — and, in the
 	// hierarchical simulation, each relay — keeps its own update codec, so
@@ -218,10 +193,15 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	}
 	var upModelCodec link.Codec
 	var relayCodec func(int) (link.Codec, error)
+	// A tiered run folds each survivor into its relay group first and the
+	// relay means into fold after.
+	var fold meanFold
+	var groups []meanFold
 	if tiers == 2 {
 		if upModelCodec, relayCodec, err = simCodecs(upName, relays); err != nil {
 			return nil, fmt.Errorf("fed: upstream codec: %w", err)
 		}
+		groups = make([]meanFold, relays)
 	}
 	var writer *ckpt.AsyncWriter
 	var ckptErrSeen bool
@@ -243,7 +223,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 			runErr = err
 			break
 		}
-		cohortIdx := sampler.Sample(rng, len(cfg.Clients), cfg.ClientsPerRound)
+		cohortIdx := rng.Perm(len(cfg.Clients))[:min(cfg.ClientsPerRound, len(cfg.Clients))]
 		// Draw dropout decisions up front so parallel execution stays
 		// deterministic.
 		dropped := make([]bool, len(cohortIdx))
@@ -310,10 +290,12 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 			break
 		}
 
-		var updates [][]float32
+		fold.reset(len(global))
+		for g := range groups {
+			groups[g].reset(len(global))
+		}
 		var clientMetrics []map[string]float64
-		var updGroups []int // tiered: surviving update → relay group
-		lossAware, _ := sampler.(LossAware)
+		var aggNs int64 // fold and outer step
 		for i := range outcomes {
 			o := outcomes[i]
 			if !o.ok {
@@ -323,15 +305,6 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 				continue // dropped or cancelled client
 			}
 			upd := o.res.Update
-			if len(cfg.Post) > 0 {
-				var err error
-				upd, err = cfg.Post.Apply(upd)
-				if err != nil {
-					// A rejected update (e.g. NaN guard) is treated as a
-					// dropout: the round proceeds with survivors.
-					continue
-				}
-			}
 			if modelCodec != nil {
 				codec, err := clientCodec(cohortIdx[i])
 				if err != nil {
@@ -343,67 +316,61 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 				}
 				upBytes += n
 			}
-			updates = append(updates, upd)
+			// A diverged client is dropped, as the networked tiers evict it.
+			if checkFinite(upd) != nil {
+				continue
+			}
 			clientMetrics = append(clientMetrics, o.res.Metrics)
+			foldStart := time.Now()
 			if tiers == 2 {
 				// Static fleet partition: client index ci always belongs to
 				// relay ci·R/N, exactly like a deployment where each relay
 				// serves a fixed slice of the fleet — so per-relay
 				// error-feedback residuals stay with the same client set
 				// across rounds regardless of cohort sampling order.
-				updGroups = append(updGroups, cohortIdx[i]*relays/len(cfg.Clients))
+				groups[cohortIdx[i]*relays/len(cfg.Clients)].add(upd, 1)
+			} else {
+				fold.add(upd, 1)
 			}
-			if lossAware != nil {
-				lossAware.ObserveLoss(cohortIdx[i], o.res.Metrics["loss"])
-			}
+			aggNs += time.Since(foldStart).Nanoseconds()
 		}
+		survivors := len(clientMetrics)
 
-		// Hierarchical fold: each relay group's survivors fold into a
-		// group mean (optionally crossing the upstream codec, per-relay
-		// error feedback included), and the root aggregates relay means.
-		rootUpdates := updates
-		if tiers == 2 && len(updates) > 0 {
-			groups := make([][][]float32, relays)
-			for j, u := range updates {
-				groups[updGroups[j]] = append(groups[updGroups[j]], u)
+		// Hierarchical fold: each relay group's mean (optionally crossing
+		// the upstream codec, per-relay error feedback included) folds into
+		// the root in group order.
+		for g := range groups {
+			if groups[g].n == 0 {
+				continue // an emptied cohort sends nothing upstream
 			}
-			rootUpdates = nil
-			for g := range groups {
-				if len(groups[g]) == 0 {
-					continue // an emptied cohort sends nothing upstream
-				}
-				mean, err := MeanDelta(groups[g])
+			mean := groups[g].mean()
+			if upModelCodec != nil {
+				codec, err := relayCodec(g)
 				if err != nil {
-					return nil, err
+					return nil, fmt.Errorf("fed: round %d: %w", round, err)
 				}
-				if upModelCodec != nil {
-					codec, err := relayCodec(g)
-					if err != nil {
-						return nil, fmt.Errorf("fed: round %d: %w", round, err)
-					}
-					var n int64
-					if mean, n, err = wire.roundTrip(codec, mean, 1); err != nil {
-						return nil, fmt.Errorf("fed: round %d relay %d: %w", round, g, err)
-					}
-					parentUp += n
+				var n int64
+				if mean, n, err = wire.roundTrip(codec, mean, 1); err != nil {
+					return nil, fmt.Errorf("fed: round %d relay %d: %w", round, g, err)
 				}
-				rootUpdates = append(rootUpdates, mean)
+				parentUp += n
 			}
+			fold.add(mean, 1)
 		}
 
 		paramBytes := int64(len(global)) * 4
 		rec := metrics.Round{
 			Round:   round,
-			Clients: len(updates),
+			Clients: survivors,
 			Depth:   tiers,
 			// Model broadcast to the sampled cohort plus surviving uploads
 			// (plus, when tiered, the parent tier's relay exchanges).
-			CommBytes: int64(len(cohortIdx))*paramBytes + int64(len(updates))*paramBytes,
+			CommBytes: int64(len(cohortIdx)+survivors) * paramBytes,
 		}
 		if tiers == 2 && upModelCodec == nil {
-			rec.CommBytes += int64(relays+len(rootUpdates)) * paramBytes
+			rec.CommBytes += int64(relays+fold.n) * paramBytes
 			rec.WireSentBytes = int64(relays) * paramBytes
-			rec.WireRecvBytes = int64(len(rootUpdates)) * paramBytes
+			rec.WireRecvBytes = int64(fold.n) * paramBytes
 		}
 		if modelCodec != nil || upModelCodec != nil {
 			// Codec accounting: the round pays for encoded payload bytes
@@ -416,7 +383,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 				// Upstream-only codec: the leaf tier still moves raw dense
 				// vectors, so charge them at the element-count estimate —
 				// otherwise CommBytes would silently drop a whole tier.
-				rec.CommBytes += int64(len(cohortIdx))*paramBytes + int64(len(updates))*paramBytes
+				rec.CommBytes += int64(len(cohortIdx)+survivors) * paramBytes
 			}
 			rec.WireSentBytes = downBytes
 			rec.WireRecvBytes = upBytes
@@ -430,21 +397,11 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 				rec.CompressionRatio = float64(wire.payloadBytes) / float64(wire.denseBytes)
 			}
 		}
-		var aggNs int64
-		if len(rootUpdates) > 0 {
+		if fold.n > 0 {
 			aggStart := time.Now()
-			var delta []float32
-			var err error
-			if ca, ok := cfg.Outer.(CohortAggregator); ok {
-				delta, err = ca.Aggregate(rootUpdates)
-			} else {
-				delta, err = MeanDelta(rootUpdates)
-			}
-			if err != nil {
-				return nil, err
-			}
+			delta := fold.mean()
 			cfg.Outer.Step(global, delta, round)
-			aggNs = time.Since(aggStart).Nanoseconds()
+			aggNs += time.Since(aggStart).Nanoseconds()
 			rec.UpdateNorm = norm2(delta)
 			rec.TrainLoss = metrics.AggMetrics(clientMetrics)["loss"]
 		}

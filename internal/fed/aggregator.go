@@ -1,6 +1,6 @@
 package fed
 
-// The aggregation core behind Serve and RunRelay. A networked round has four
+// The aggregation core behind Serve and RunRelay. A networked round has five
 // roles, each written once and shared by every driver:
 //
 //   - member session (session.go): the member side — join, echo heartbeats,
@@ -10,18 +10,21 @@ package fed
 //     model, await the matching update, decode and validate it.
 //   - collect: the preamble of a deadline-bounded window — wait for the
 //     membership floor, pick the cohort.
+//   - fold (outeropt.go): every update is added to one meanFold as it
+//     arrives; the window's mean steps the outer optimizer.
 //   - seal: the tail of every window — wire/churn accounting, evaluation,
 //     history, OnRound, observers, journal commit, registry, compaction.
 //
 // What is left in a driver is what actually differs between them: when a
-// collect window closes, and where the fold goes.
+// collect window closes, at what weight an update folds, and where the
+// outer step goes.
 //
-//   - syncAggregator: a window closes at the round deadline; the uniform
-//     mean steps the outer optimizer.
+//   - syncAggregator: a window closes at the round deadline; updates fold
+//     at weight 1 and the outer step updates the global model.
 //   - asyncAggregator (async.go): a window closes after K arrivals; they
-//     fold into a staleness-weighted buffer that steps the outer optimizer.
-//   - relay (relay.go): a window is one parent round; the cohort mean,
-//     folded through the outer optimizer, goes upstream.
+//     fold at their staleness weight and the outer step commits a version.
+//   - relay (relay.go): a window is one parent round; updates fold at
+//     weight 1 and the outer step's delta goes upstream.
 
 import (
 	"context"
@@ -60,6 +63,7 @@ type aggState struct {
 	globalModel *nn.Model
 	global      []float32
 	hist        *metrics.History
+	fold        meanFold // the open window's updates; driver-loop-only
 
 	// jrn journals state transitions when the durable control plane is on;
 	// nil (all methods no-ops) otherwise. Only the driver's single-threaded
@@ -351,9 +355,9 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			pre.stepped = false
 		}
 
-		// Journaled pre-crash updates come first (their arrival order is
+		// Journaled pre-crash updates fold first (their arrival order is
 		// the log order), freshly collected ones after.
-		var updates [][]float32
+		a.fold.reset(len(a.global))
 		var clientMetrics []map[string]float64
 		if pre != nil {
 			for _, id := range pre.order {
@@ -365,7 +369,7 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 					delete(pre.updates, id)
 					continue
 				}
-				updates = append(updates, vec)
+				a.fold.add(vec, 1)
 				clientMetrics = append(clientMetrics, map[string]float64{})
 			}
 		}
@@ -377,7 +381,7 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			}
 			return a.finish(fmt.Errorf("fed: round %d: %w", round, err))
 		}
-		if len(cohort) == 0 && len(updates) == 0 {
+		if len(cohort) == 0 && a.fold.n == 0 {
 			// Sampled members vanished between the wait and the draw (or
 			// nothing was journaled and nobody reconnected yet); retry the
 			// round as a fresh draw against the refreshed membership.
@@ -396,7 +400,7 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 
 		w := a.open(round, mintTrace(a.traceRng), time.Now())
 		w.epoch = epoch
-		fresh, freshMetrics, interrupted, err := a.s.exchangeRound(ctx, w, a.global, cohort, pre != nil, a.jrn)
+		freshMetrics, interrupted, err := a.s.exchangeRound(ctx, w, a.global, cohort, pre != nil, a.jrn, &a.fold)
 		if err != nil {
 			return a.fail(round, err)
 		}
@@ -404,11 +408,10 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			runErr = ctx.Err()
 			break
 		}
-		updates = append(updates, fresh...)
-		if err := a.step(w, updates, append(clientMetrics, freshMetrics...)); err != nil {
+		if err := a.step(w, append(clientMetrics, freshMetrics...)); err != nil {
 			return a.fail(round, err)
 		}
-		if len(updates) > 0 {
+		if a.fold.n > 0 {
 			emptyRounds = 0
 		} else if emptyRounds++; emptyRounds >= maxEmptyRounds {
 			return a.finish(fmt.Errorf("fed: no client updates for %d consecutive rounds", emptyRounds))
@@ -417,11 +420,11 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 	return a.finish(runErr)
 }
 
-// step is where the sync fold goes: the uniform mean of the round's updates
-// steps the outer optimizer on the global model, the post-step state is
-// journaled (bit-for-bit restore on replay, no re-aggregation), and the
-// window is sealed. An empty round seals without committing.
-func (a *syncAggregator) step(w *window, updates [][]float32, clientMetrics []map[string]float64) error {
+// step is where the sync fold goes: the uniform mean of the round's folded
+// updates steps the outer optimizer on the global model, the post-step
+// state is journaled (bit-for-bit restore on replay, no re-aggregation), and
+// the window is sealed. An empty round seals without committing.
+func (a *syncAggregator) step(w *window, clientMetrics []map[string]float64) error {
 	// Depth 2 once any member identifies itself as an aggregation tier (a
 	// relay stamps CohortKey on its upstream updates).
 	for _, m := range clientMetrics {
@@ -430,13 +433,10 @@ func (a *syncAggregator) step(w *window, updates [][]float32, clientMetrics []ma
 			break
 		}
 	}
-	w.rec.Clients, w.rec.Depth = len(updates), a.depth
-	if len(updates) > 0 {
+	w.rec.Clients, w.rec.Depth = a.fold.n, a.depth
+	if a.fold.n > 0 {
 		aggSpan := a.s.tracer.Begin(obsv.PhaseAggregate)
-		delta, err := MeanDelta(updates)
-		if err != nil {
-			return err
-		}
+		delta := a.fold.mean()
 		a.cfg.Outer.Step(a.global, delta, w.rec.Round)
 		if err := a.jrn.outerStep(w.rec.Round, a.global, a.cfg.Outer); err != nil {
 			return err

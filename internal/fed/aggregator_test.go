@@ -8,42 +8,48 @@ import (
 	"testing"
 	"time"
 
+	"photon/internal/ckpt"
 	"photon/internal/link"
 	"photon/internal/metrics"
 	"photon/internal/nn"
 	"photon/internal/testutil"
 )
 
-// TestSyncStepErrorKeepsCompletedHistory: a fold that cannot aggregate its
-// updates (ragged lengths — unreachable through decodeUpdate, so fed in
-// directly) must end the run through fail, whose Result still carries every
-// completed round, and must leave the global model untouched.
+// TestSyncStepErrorKeepsCompletedHistory: a step that fails (here a crash
+// point armed on round 2's outer_step journal record, the way the crash
+// sweeps arm it) must end the run through fail, whose Result still carries
+// every completed round, with the crash as the cause.
 func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	cfg := tinyCfg()
-	st, _, err := newAggState(ServerConfig{ModelConfig: cfg, Rounds: 3, ExpectClients: 2, Outer: FedAvg{}})
+	fp := &ckpt.Failpoint{}
+	st, _, err := newAggState(ServerConfig{ModelConfig: cfg, Rounds: 3, ExpectClients: 2, Outer: FedAvg{},
+		WALDir: t.TempDir(), Failpoint: fp})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.jrn.close()
 	st.globalModel = nn.NewModel(cfg, rand.New(rand.NewSource(1)))
 	st.global = st.globalModel.Params().Flatten(nil)
 	a := &syncAggregator{aggState: st, resume: &serverResume{}, depth: 1}
-	n := len(st.global)
-	update := func(n int) []float32 {
-		u := make([]float32, n)
-		for i := range u {
-			u[i] = 1e-3
-		}
-		return u
+	update := make([]float32, len(st.global))
+	for i := range update {
+		update[i] = 1e-3
 	}
 	loss := []map[string]float64{{"loss": 2}, {"loss": 4}}
+	step := func(round int) error {
+		a.fold.reset(len(st.global))
+		a.fold.add(update, 1)
+		a.fold.add(update, 1)
+		return a.step(a.open(round, uint64(round), time.Now()), loss)
+	}
 
-	if err := a.step(a.open(1, 1, time.Now()), [][]float32{update(n), update(n)}, loss); err != nil {
+	if err := step(1); err != nil {
 		t.Fatal(err)
 	}
-	before := append([]float32(nil), st.global...)
-	stepErr := a.step(a.open(2, 2, time.Now()), [][]float32{update(n), update(n - 1)}, loss)
-	if stepErr == nil {
-		t.Fatal("ragged updates folded")
+	fp.Arm("wal:outer_step")
+	stepErr := step(2)
+	if !errors.Is(stepErr, ckpt.ErrFailpoint) {
+		t.Fatalf("armed outer_step did not fail the step: %v", stepErr)
 	}
 	res, err := a.fail(2, stepErr)
 	if !errors.Is(err, stepErr) {
@@ -51,11 +57,6 @@ func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	}
 	if res == nil || res.History.Len() != 1 || res.History.Rounds[0].Round != 1 || res.History.Rounds[0].TrainLoss != 3 {
 		t.Fatalf("partial result does not carry the completed round: %+v", res)
-	}
-	for i := range before {
-		if res.Global[i] != before[i] {
-			t.Fatalf("failed fold moved the global model at %d", i)
-		}
 	}
 }
 

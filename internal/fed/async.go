@@ -124,12 +124,10 @@ type asyncAggregator struct {
 	lastTrained map[string]int // newest version each member has answered
 	traceID     uint64         // trace ID stamped on the filling buffer's dispatches
 
-	// Buffer state, run-loop-only. win is the filling buffer's window: it
-	// opened when the previous version committed, and accumulates fold time
-	// until the K-th fold seals it.
-	buf         []float32
-	bufWeight   float64
-	bufCount    int
+	// Buffer state, run-loop-only: the staleness-weighted updates go into
+	// aggState's fold, the rest is their bookkeeping. win is the filling
+	// buffer's window: it opened when the previous version committed, and
+	// accumulates fold time until the K-th fold seals it.
 	bufStale    float64
 	bufMetrics  []map[string]float64
 	lastContrib map[string]int // newest trained version folded per member
@@ -160,7 +158,6 @@ func newAsyncAggregator(st *aggState, resume *asyncResume) *asyncAggregator {
 		verWait:     make(chan struct{}),
 		encVersion:  -1,
 		lastTrained: make(map[string]int),
-		buf:         make([]float32, len(st.global)),
 		lastContrib: make(map[string]int),
 		depth:       1,
 		cFolds: obsv.Default.Counter("photon_async_folds_total",
@@ -178,12 +175,11 @@ func newAsyncAggregator(st *aggState, resume *asyncResume) *asyncAggregator {
 	a.taskCtr.Store(int64(resume.maxTask))
 	a.leasedThrough = resume.maxTask
 	a.traceID = mintTrace(st.traceRng)
+	st.fold.reset(len(st.global))
 	st.commitRec = ckpt.RecVersionCommit
 	// The task-ID lease must survive compaction, or a restart could re-mint
 	// IDs that were in flight at the crash.
-	st.carry = func() []ckpt.Record {
-		return []ckpt.Record{{Type: ckpt.RecRoundOpen, Round: a.leasedThrough, Member: asyncLeaseMember}}
-	}
+	st.carry = func() []ckpt.Record { return []ckpt.Record{leaseRecord(a.leasedThrough)} }
 	return a
 }
 
@@ -208,7 +204,7 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 			log.Printf("fed: journaled fold from %s (task %d) skipped: %v", pf.member, pf.task, err)
 			continue
 		}
-		a.fold(pf.member, pf.trainedVersion, vec, map[string]float64{})
+		a.bufferUpdate(pf.member, pf.trainedVersion, vec, map[string]float64{})
 		a.noteTrained(pf.member, pf.trainedVersion)
 	}
 	if err := a.flush(); err != nil {
@@ -271,21 +267,19 @@ func (a *asyncAggregator) admit(ar asyncArrival) error {
 	if err := a.jrn.bufferFold(ar.task, ar.mc.id, uint64(ar.version), ar.payload); err != nil {
 		return err
 	}
-	a.fold(ar.mc.id, ar.version, ar.update, ar.meta)
+	a.bufferUpdate(ar.mc.id, ar.version, ar.update, ar.meta)
 	a.s.reg.ObserveRound(ar.mc.id, ar.latency, cluster.OutcomeOK)
 	return nil
 }
 
-// fold accumulates one update, trained on the given model version, into the
+// bufferUpdate folds one update, trained on the given model version, into the
 // staleness-weighted buffer.
-func (a *asyncAggregator) fold(member string, version int, vec []float32, meta map[string]float64) {
+func (a *asyncAggregator) bufferUpdate(member string, version int, vec []float32, meta map[string]float64) {
 	stale := max(a.version-version, 0)
 	w := 1 / math.Pow(1+float64(stale), a.alpha)
 	span := a.s.tracer.Begin(obsv.PhaseAggregate)
-	foldUpdate(a.buf, vec, float32(w))
+	a.fold.add(vec, w)
 	a.win.pn.Add(obsv.PhaseAggregate, span.End(a.traceID))
-	a.bufWeight += w
-	a.bufCount++
 	a.bufStale += float64(stale)
 	a.bufMetrics = append(a.bufMetrics, meta)
 	a.lastContrib[member] = version
@@ -293,19 +287,8 @@ func (a *asyncAggregator) fold(member string, version int, vec []float32, meta m
 		a.depth = 2
 	}
 	a.cFolds.Inc()
-	a.gFill.Set(float64(a.bufCount))
+	a.gFill.Set(float64(a.fold.n))
 	a.gStale.Set(float64(stale))
-}
-
-// foldUpdate accumulates one staleness-weighted update into the buffer:
-// buf[i] += w·u[i]. Every update the fleet produces passes through this
-// loop exactly once — it is the async core's innermost hot path.
-//
-//photon:hotpath
-func foldUpdate(buf, u []float32, w float32) {
-	for i, v := range u {
-		buf[i] += w * v
-	}
 }
 
 // commit is where the async fold goes: the buffer's weighted mean steps the
@@ -317,13 +300,7 @@ func (a *asyncAggregator) commit() error {
 	w := a.win
 	w.epoch = a.s.membershipEpoch()
 	span := a.s.tracer.Begin(obsv.PhaseAggregate)
-	// The buffer holds Σ wᵢ·uᵢ; scale by 1/Σwᵢ in place for the weighted
-	// mean pseudo-gradient.
-	inv := float32(1 / a.bufWeight)
-	for i := range a.buf {
-		a.buf[i] *= inv
-	}
-	delta := a.buf
+	delta := a.fold.mean()
 	// The optimizer mutates global in place while pumps may be encoding
 	// it, so the step shares the mu section that also publishes the new
 	// version, invalidates the broadcast cache, and wakes waiting pumps.
@@ -339,9 +316,9 @@ func (a *asyncAggregator) commit() error {
 	if err := a.jrn.outerStep(newVersion, a.global, a.cfg.Outer); err != nil {
 		return err
 	}
-	w.rec.Clients, w.rec.Depth = a.bufCount, a.depth
-	w.rec.ModelVersion, w.rec.BufferFill = newVersion, a.bufCount
-	w.rec.MeanStaleness = a.bufStale / float64(a.bufCount)
+	w.rec.Clients, w.rec.Depth = a.fold.n, a.depth
+	w.rec.ModelVersion, w.rec.BufferFill = newVersion, a.fold.n
+	w.rec.MeanStaleness = a.bufStale / float64(a.fold.n)
 	w.rec.UpdateNorm = norm2(delta)
 	w.rec.TrainLoss = metrics.AggMetrics(a.bufMetrics)["loss"]
 	w.folded, w.stale = true, a.staleSnapshot()
@@ -351,13 +328,9 @@ func (a *asyncAggregator) commit() error {
 	a.gVersion.Set(float64(newVersion))
 	a.gFill.Set(0)
 	// Reset the buffer for the next window, which opens where this one was
-	// sealed. The commit consumed the slice in place, so zero it rather
-	// than reallocate.
-	for i := range a.buf {
-		a.buf[i] = 0
-	}
-	a.bufWeight, a.bufStale = 0, 0
-	a.bufCount = 0
+	// sealed.
+	a.fold.reset(len(a.global))
+	a.bufStale = 0
 	a.bufMetrics = a.bufMetrics[:0]
 	a.win = a.open(newVersion+1, a.traceID, w.sealed)
 	return nil
@@ -366,7 +339,7 @@ func (a *asyncAggregator) commit() error {
 // flush commits the buffer once it holds K folds, and keeps the task-ID
 // lease ahead of the dispatch counter.
 func (a *asyncAggregator) flush() error {
-	if a.bufCount >= a.kBuf {
+	if a.fold.n >= a.kBuf {
 		if err := a.commit(); err != nil {
 			return err
 		}

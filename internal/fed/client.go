@@ -66,11 +66,12 @@ type Client struct {
 
 	// Round scratch, reused across rounds so long-running simulations with
 	// many clients do not reallocate two model-size vectors per client per
-	// round. The returned RoundResult.Update aliases updateBuf: it is valid
-	// until this client's next RunRound, which is exactly the aggregation
-	// window (updates are folded into the round delta before the next round
-	// starts).
+	// round. The returned RoundResult.Update aliases updateBuf (subFold's sum
+	// for a sub-federated client): it is valid until this client's next
+	// RunRound, which is exactly the aggregation window (updates are folded
+	// into the round delta before the next round starts).
 	localBuf, updateBuf []float32
+	subFold             meanFold
 }
 
 // NewClient builds an LLM-C with its own model replica (weights are
@@ -177,31 +178,23 @@ func addProximalGrad(ps nn.ParamSet, global []float32, mu float32) {
 
 // runSubFederation implements the low-bandwidth intra-silo path: each
 // sub-node trains independently from the same starting point on its own
-// stream partition, and the client averages the node models into one update
-// before replying to the aggregator.
+// stream partition, and the client folds the node updates as they return
+// into one update before replying to the aggregator. Averaging node
+// *updates* equals averaging node models (line 24): θt − mean(θ_i) =
+// mean(θt − θ_i).
 func (c *Client) runSubFederation(ctx context.Context, global []float32, stepBase int, spec LocalSpec) (RoundResult, error) {
-	updates := make([][]float32, 0, len(c.SubNodes))
-	clientMetrics := make([]map[string]float64, 0, len(c.SubNodes))
+	c.subFold.reset(len(global))
+	agg := map[string]float64{}
 	for _, node := range c.SubNodes {
 		res, err := node.RunRound(ctx, global, stepBase, spec)
 		if err != nil {
 			return RoundResult{}, fmt.Errorf("fed: sub-node %s: %w", node.ID, err)
 		}
-		updates = append(updates, res.Update)
-		clientMetrics = append(clientMetrics, res.Metrics)
-	}
-	// Averaging node *updates* equals averaging node models (line 24):
-	// θt − mean(θ_i) = mean(θt − θ_i).
-	mean, err := MeanDelta(updates)
-	if err != nil {
-		return RoundResult{}, err
-	}
-	agg := map[string]float64{}
-	for _, m := range clientMetrics {
-		for k, v := range m {
-			agg[k] += v / float64(len(clientMetrics))
+		c.subFold.add(res.Update, 1)
+		for k, v := range res.Metrics {
+			agg[k] += v / float64(len(c.SubNodes))
 		}
 	}
 	agg["subnodes"] = float64(len(c.SubNodes))
-	return RoundResult{Update: mean, Metrics: agg}, nil
+	return RoundResult{Update: c.subFold.mean(), Metrics: agg}, nil
 }

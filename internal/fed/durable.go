@@ -179,10 +179,16 @@ func (j *journal) taskLease(leasedThrough int) error {
 	if !j.enabled() {
 		return nil
 	}
-	if err := j.wal.Append(&ckpt.Record{Type: ckpt.RecRoundOpen, Round: leasedThrough, Member: asyncLeaseMember}); err != nil {
+	if err := j.append(leaseRecord(leasedThrough)); err != nil {
 		return err
 	}
 	return j.wal.Sync()
+}
+
+// leaseRecord renders a task-ID lease as the record taskLease journals and a
+// compaction carries.
+func leaseRecord(leasedThrough int) ckpt.Record {
+	return ckpt.Record{Type: ckpt.RecRoundOpen, Round: leasedThrough, Member: asyncLeaseMember}
 }
 
 // openRound is a partially-completed round reconstructed from the WAL.

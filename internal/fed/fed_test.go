@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"photon/internal/ckpt"
@@ -345,44 +344,6 @@ func TestRunCheckpoints(t *testing.T) {
 	}
 }
 
-func TestRunPostPipelineClips(t *testing.T) {
-	res, err := Run(context.Background(), baseRun(t, func(c *RunConfig) {
-		c.Post = link.Pipeline{link.ClipL2{MaxNorm: 0.001}, link.NaNGuard{}}
-		c.Rounds = 2
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.History.Rounds {
-		if r.UpdateNorm > 0.0011 {
-			t.Fatalf("post-process clip not applied: norm %v", r.UpdateNorm)
-		}
-	}
-}
-
-func TestUniformSamplerProperties(t *testing.T) {
-	f := func(seed int64, popRaw, kRaw uint8) bool {
-		pop := 1 + int(popRaw)%20
-		k := 1 + int(kRaw)%25 // may exceed pop: must clamp
-		rng := rand.New(rand.NewSource(seed))
-		idx := (UniformSampler{}).Sample(rng, pop, k)
-		if len(idx) != min(k, pop) {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, i := range idx {
-			if i < 0 || i >= pop || seen[i] {
-				return false
-			}
-			seen[i] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNetworkedFederation(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := tinyCfg()
@@ -439,13 +400,6 @@ func TestServeRejectsBadConfig(t *testing.T) {
 	if _, err := Serve(context.Background(), l, ServerConfig{}); err == nil {
 		t.Fatal("empty server config accepted")
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestServeDropsMisSizedUpdate: a member whose update declares an element

@@ -1,0 +1,300 @@
+package fed
+
+import (
+	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"photon/internal/data"
+	"photon/internal/link"
+	"photon/internal/nn"
+	"photon/internal/opt"
+	"photon/internal/tensor"
+	"photon/internal/testutil"
+)
+
+// foldDigest hashes everything a run's fold decides: the final global
+// model's bits and, per round, the participant count, loss, perplexity,
+// update norm, and byte accounting.
+func foldDigest(res *Result) string {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, v := range res.Global {
+		put(uint64(math.Float32bits(v)))
+	}
+	for _, r := range res.History.Rounds {
+		put(uint64(r.Clients))
+		put(math.Float64bits(r.TrainLoss))
+		put(math.Float64bits(r.ValPPL))
+		put(math.Float64bits(r.UpdateNorm))
+		put(uint64(r.CommBytes))
+		put(uint64(r.WireSentBytes))
+		put(uint64(r.WireRecvBytes))
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// simFoldRun runs a three-round fed.Run over baseRun with mutate applied.
+func simFoldRun(mutate func(*testing.T, *RunConfig)) func(*testing.T) *Result {
+	return func(t *testing.T) *Result {
+		cfg := baseRun(t, func(c *RunConfig) {
+			c.Rounds = 3
+			mutate(t, c)
+		})
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+}
+
+// netFoldRun is a three-round, two-member networked sync FedMom run over
+// loopback. With two members the fold is a two-term sum, which is
+// order-free, so arrival order cannot move a bit; only the wire-byte fields
+// depend on timing, and they are zeroed.
+func netFoldRun(t *testing.T) *Result {
+	testutil.VerifyNoLeaks(t)
+	cfg := tinyCfg()
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	done := make(chan struct{}, 2)
+	for _, c := range makeClients(t, cfg, 2) {
+		go func(c *Client) {
+			defer func() { done <- struct{}{} }()
+			conn, err := link.Dial(l.Addr())
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			_ = ServeClient(ctx, conn, c, tinySpec())
+		}(c)
+	}
+	res, err := Serve(ctx, l, ServerConfig{
+		ModelConfig:   cfg,
+		Seed:          11,
+		Rounds:        3,
+		ExpectClients: 2,
+		Outer:         NewFedMom(1, 0.9),
+		Validation:    data.NewValidationSet(data.C4Like(cfg.VocabSize), 8, 16, 999),
+		EvalEvery:     1,
+	})
+	<-done
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range res.History.Rounds {
+		r := &res.History.Rounds[i]
+		r.CommBytes, r.WireSentBytes, r.WireRecvBytes = 0, 0, 0
+	}
+	return res
+}
+
+// TestFoldBitExact pins five runs that cover every sync-weight fold site —
+// the simulator flat and tiered, a sub-federated silo, and the networked
+// aggregator — to digests of their results, at GOMAXPROCS 1 and 2. A fold
+// that changes the summation order or the rounding of the mean moves a
+// digest. The digests hold only where the tensor kernels are row-invariant
+// (the assembly path); elsewhere the test skips.
+func TestFoldBitExact(t *testing.T) {
+	if !testutil.RowInvariantKernels() {
+		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
+	}
+	for _, tc := range []struct {
+		name, want string
+		run        func(*testing.T) *Result
+	}{
+		{"flat-dense-k3", "b67335ef779c139f", simFoldRun(func(_ *testing.T, c *RunConfig) {
+			c.ClientsPerRound, c.Codec = 3, "dense"
+		})},
+		{"flat-q8-dropout-fedmom", "648670abc0d19c9d", simFoldRun(func(_ *testing.T, c *RunConfig) {
+			c.Codec, c.DropoutProb, c.Outer = "q8", 0.25, NewFedMom(1, 0.9)
+		})},
+		{"tiered-topk-flate-diloco", "628232756dd157a7", simFoldRun(func(_ *testing.T, c *RunConfig) {
+			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "topk:0.1", "flate"
+			c.Outer = NewDiLoCo(0.1, 0.9)
+		})},
+		{"subfed-silo", "a35a36d470eeb2b1", simFoldRun(func(t *testing.T, c *RunConfig) {
+			nodes := makeClients(t, tinyCfg(), 4)
+			c.Clients = []*Client{{ID: "silo", SubNodes: nodes[:2]}, nodes[2], nodes[3]}
+			c.ClientsPerRound = 3
+		})},
+		{"networked-sync-fedmom", "3b331116d2a525a4", netFoldRun},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, procs := range []int{1, 2} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := foldDigest(tc.run(t))
+				runtime.GOMAXPROCS(prev)
+				if got != tc.want {
+					t.Errorf("GOMAXPROCS=%d: digest %s, want %s", procs, got, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// refMeanDelta is MeanDelta as it was before meanFold existed: hold the
+// cohort, sum it with tensor.Add, scale by 1/float32(n).
+func refMeanDelta(updates [][]float32) ([]float32, error) {
+	if len(updates) == 0 {
+		return nil, fmt.Errorf("fed: no client updates to aggregate")
+	}
+	n := len(updates[0])
+	out := make([]float32, n)
+	for i, u := range updates {
+		if len(u) != n {
+			return nil, fmt.Errorf("fed: update %d has %d params, want %d", i, len(u), n)
+		}
+		tensor.Add(out, u)
+	}
+	tensor.Scale(1/float32(len(updates)), out)
+	return out, nil
+}
+
+// foldUpdates returns k distinct length-n updates as overlapping windows of
+// one random buffer, so 64 updates of 1<<20 elements cost one vector.
+func foldUpdates(rng *rand.Rand, k, n int) [][]float32 {
+	buf := make([]float32, n+k)
+	for i := range buf {
+		buf[i] = float32(rng.NormFloat64())
+	}
+	out := make([][]float32, k)
+	for i := range out {
+		out[i] = buf[i : i+n]
+	}
+	return out
+}
+
+// TestMeanFoldAtWeightOneIsHeldMean: folding at weight 1 is bit-for-bit the
+// held-cohort mean it replaced, for every cohort size and vector length the
+// kernels treat differently (empty, scalar tail, one vector, both).
+func TestMeanFoldAtWeightOneIsHeldMean(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var f meanFold
+	for _, n := range []int{0, 1, 7, 8, 67, 1 << 20} {
+		all := foldUpdates(rng, 64, n)
+		for k := 1; k <= len(all); k++ {
+			want, err := refMeanDelta(all[:k])
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.reset(n)
+			for _, u := range all[:k] {
+				f.add(u, 1)
+			}
+			got := f.mean()
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("n=%d k=%d elem %d: fold %x, held mean %x", n, k, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+			if f.n != k || f.weight != float64(k) {
+				t.Fatalf("n=%d k=%d: fold counted %d updates of weight %v", n, k, f.n, f.weight)
+			}
+		}
+	}
+}
+
+// TestMeanFoldWeightedMatchesFloat64: at staleness weights the fold is the
+// weighted mean Σwᵢuᵢ/Σwᵢ to within 1e-6 of a float64 reference.
+func TestMeanFoldWeightedMatchesFloat64(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 67
+	var f meanFold
+	for k := 1; k <= 64; k++ {
+		updates := foldUpdates(rng, k, n)
+		ws := make([]float64, k)
+		f.reset(n)
+		for i, u := range updates {
+			ws[i] = 1 / math.Pow(1+float64(rng.Intn(8)), 0.5)
+			f.add(u, ws[i])
+		}
+		got := f.mean()
+		for j := 0; j < n; j++ {
+			var num, den float64
+			for i, u := range updates {
+				num += ws[i] * float64(u[j])
+				den += ws[i]
+			}
+			if d := math.Abs(float64(got[j]) - num/den); d > 1e-6 {
+				t.Fatalf("k=%d elem %d: fold %v, float64 %v (|Δ| %g)", k, j, got[j], num/den, d)
+			}
+		}
+	}
+}
+
+// TestMeanFoldReuseAllocatesNothing: a fold reset to the same length reuses
+// its buffer, so a long-running aggregator folds without allocating.
+func TestMeanFoldReuseAllocatesNothing(t *testing.T) {
+	u := make([]float32, 1000)
+	var f meanFold
+	f.reset(len(u))
+	if allocs := testing.AllocsPerRun(20, func() {
+		f.reset(len(u))
+		f.add(u, 1)
+		f.add(u, 0.5)
+		f.mean()
+	}); allocs != 0 {
+		t.Fatalf("reset+add+mean allocates %.1f times", allocs)
+	}
+}
+
+// TestRunDropsNonFiniteUpdates: a simulated client whose training diverges
+// to NaN/Inf is dropped the way the networked aggregator evicts one, so a
+// run where every client diverges aggregates nothing and leaves the global
+// model exactly at its initialisation.
+func TestRunDropsNonFiniteUpdates(t *testing.T) {
+	cfg := baseRun(t, func(c *RunConfig) {
+		c.Rounds = 2
+		c.Spec.Schedule = opt.Constant(1e30)
+	})
+	init := nn.NewModel(cfg.ModelConfig, rand.New(rand.NewSource(cfg.Seed))).Params().Flatten(nil)
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.History.Rounds {
+		if r.Clients != 0 {
+			t.Fatalf("round %d folded %d diverged updates", r.Round, r.Clients)
+		}
+	}
+	for i := range init {
+		if math.Float32bits(res.Global[i]) != math.Float32bits(init[i]) {
+			t.Fatalf("global[%d] = %v, init %v", i, res.Global[i], init[i])
+		}
+	}
+	if ppl := res.History.FinalPPL(); math.IsNaN(ppl) || math.IsInf(ppl, 0) {
+		t.Fatalf("final perplexity %v", ppl)
+	}
+}
+
+// TestCheckFinite: the guard every fold input passes rejects NaN and both
+// infinities wherever they sit, and accepts the extremes of the finite
+// range.
+func TestCheckFinite(t *testing.T) {
+	if err := checkFinite([]float32{0, -1, math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		if checkFinite([]float32{1, 2, bad}) == nil {
+			t.Fatalf("%v accepted", bad)
+		}
+	}
+}

@@ -30,137 +30,6 @@ func siloWith(nodes, gpusPerNode int, rdma bool) hw.Silo {
 	return s
 }
 
-func TestTiesMergeSignElection(t *testing.T) {
-	ties := &TiesMerge{Keep: 1.0}
-	// Coordinate 0: two positive contributors outweigh one negative.
-	// Coordinate 1: one large negative outweighs two small positives.
-	updates := [][]float32{
-		{2, 0.5},
-		{3, 0.5},
-		{-1, -4},
-	}
-	out, err := ties.Aggregate(updates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(float64(out[0])-2.5) > 1e-6 { // mean of {2, 3}
-		t.Fatalf("coord 0: got %v want 2.5", out[0])
-	}
-	if out[1] != -4 { // only the elected-sign contributor
-		t.Fatalf("coord 1: got %v want -4", out[1])
-	}
-}
-
-func TestTiesMergeTrim(t *testing.T) {
-	ties := &TiesMerge{Keep: 0.25}
-	u := []float32{10, 0.1, 0.2, 0.3} // only the largest survives trimming
-	out, err := ties.Aggregate([][]float32{u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 10 {
-		t.Fatalf("top coordinate lost: %v", out)
-	}
-	for i := 1; i < 4; i++ {
-		if out[i] != 0 {
-			t.Fatalf("trimmed coordinate %d survived: %v", i, out[i])
-		}
-	}
-}
-
-func TestTiesMergeErrors(t *testing.T) {
-	ties := &TiesMerge{}
-	if _, err := ties.Aggregate(nil); err == nil {
-		t.Fatal("empty cohort accepted")
-	}
-	if _, err := ties.Aggregate([][]float32{{1}, {1, 2}}); err == nil {
-		t.Fatal("ragged updates accepted")
-	}
-}
-
-func TestTiesMergeInFederation(t *testing.T) {
-	// TIES must train successfully end to end on heterogeneous data.
-	cfg := tinyCfg()
-	pile := data.PileLike(cfg.VocabSize)
-	part, err := data.BySourcePartition(pile, 4, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clients := make([]*Client, 4)
-	for i := range clients {
-		clients[i] = NewClient(part.SourceNames[i], cfg, part.ClientStreams[i],
-			opt.NewAdamW(cfg.Beta1, cfg.Beta2, 0.01))
-	}
-	val := data.NewValidationSet(data.NewMixtureSource("pile", pile, nil), 8, 16, 999)
-	res, err := Run(context.Background(), RunConfig{
-		ModelConfig: cfg, Seed: 1, Rounds: 6, ClientsPerRound: 4,
-		Clients: clients, Outer: &TiesMerge{Keep: 0.5}, Spec: tinySpec(),
-		Validation: val, EvalEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History.FinalPPL() >= 64 {
-		t.Fatalf("TIES federation did not learn: %v", res.History.FinalPPL())
-	}
-}
-
-func TestPowerOfChoiceBiasesToHighLoss(t *testing.T) {
-	p := &PowerOfChoice{D: 4}
-	// Observe: client 3 has the worst loss among explored.
-	p.ObserveLoss(0, 1.0)
-	p.ObserveLoss(1, 2.0)
-	p.ObserveLoss(2, 1.5)
-	p.ObserveLoss(3, 9.0)
-	rng := rand.New(rand.NewSource(1))
-	counts := map[int]int{}
-	for trial := 0; trial < 200; trial++ {
-		for _, idx := range p.Sample(rng, 4, 1) {
-			counts[idx]++
-		}
-	}
-	// With D=4 (all candidates) and K=1, the highest-loss client must win
-	// every draw.
-	if counts[3] != 200 {
-		t.Fatalf("power-of-choice should always pick the worst client: %v", counts)
-	}
-}
-
-func TestPowerOfChoiceExploresUnobserved(t *testing.T) {
-	p := &PowerOfChoice{D: 10}
-	p.ObserveLoss(0, 100) // explored, terrible
-	rng := rand.New(rand.NewSource(2))
-	picked := p.Sample(rng, 10, 3)
-	// Unobserved clients rank as +Inf loss and must fill the cohort before
-	// any observed one.
-	for _, idx := range picked {
-		if idx == 0 {
-			t.Fatal("observed client displaced an unexplored one")
-		}
-	}
-	if len(picked) != 3 {
-		t.Fatalf("cohort size %d", len(picked))
-	}
-}
-
-func TestPowerOfChoiceInFederation(t *testing.T) {
-	cfg := tinyCfg()
-	clients := makeClients(t, cfg, 6)
-	res, err := Run(context.Background(), RunConfig{
-		ModelConfig: cfg, Seed: 1, Rounds: 5, ClientsPerRound: 2,
-		Clients: clients, Outer: FedAvg{}, Spec: tinySpec(),
-		Sampler:    &PowerOfChoice{},
-		Validation: data.NewValidationSet(data.C4Like(cfg.VocabSize), 8, 16, 999),
-		EvalEvery:  5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.History.Len() != 5 {
-		t.Fatalf("rounds: %d", res.History.Len())
-	}
-}
-
 func TestFedProxLimitsDrift(t *testing.T) {
 	cfg := tinyCfg()
 	global := nn.NewModel(cfg, rand.New(rand.NewSource(7))).Params().Flatten(nil)

@@ -4,10 +4,9 @@
 // server-side outer optimizers (FedAvg, FedAvg with server momentum, and
 // DiLoCo's outer Nesterov SGD used as the state-of-the-art baseline), the
 // LLM client local training pipeline with stateless AdamW, hardware-driven
-// strategy selection including nested sub-federations (lines 19–25), update
-// post-processing, dropout handling, checkpointing, and both a deterministic
-// in-process simulation driver and a real networked aggregator/client over
-// the link transport.
+// strategy selection including nested sub-federations (lines 19–25), dropout
+// handling, checkpointing, and both a deterministic in-process simulation
+// driver and a real networked aggregator/client over the link transport.
 package fed
 
 import (
@@ -185,14 +184,53 @@ func MeanDelta(updates [][]float32) ([]float32, error) {
 	if len(updates) == 0 {
 		return nil, fmt.Errorf("fed: no client updates to aggregate")
 	}
-	n := len(updates[0])
-	out := make([]float32, n)
+	var f meanFold
+	f.reset(len(updates[0]))
 	for i, u := range updates {
-		if len(u) != n {
-			return nil, fmt.Errorf("fed: update %d has %d params, want %d", i, len(u), n)
+		if len(u) != len(f.sum) {
+			return nil, fmt.Errorf("fed: update %d has %d params, want %d", i, len(u), len(f.sum))
 		}
-		tensor.Add(out, u)
+		f.add(u, 1)
 	}
-	tensor.Scale(1/float32(len(updates)), out)
-	return out, nil
+	return f.mean(), nil
+}
+
+// meanFold is the one fold every tier aggregates with: each update is added
+// to a running weighted sum as it arrives, so no driver holds a cohort. Sync,
+// relay, simulator and sub-federation fold at weight 1, async at 1/(1+s)^α.
+// At weight 1 add rounds u+sum once, as tensor.Add does, and
+// float32(1/float64(n)) == 1/float32(n) for n ≤ 2²², so the uniform mean is
+// bit-for-bit the sum-then-scale of a held cohort.
+type meanFold struct {
+	sum    []float32
+	weight float64 // Σ weights folded
+	n      int     // updates folded
+}
+
+// reset empties the fold for n-element updates, reusing its buffer.
+func (f *meanFold) reset(n int) {
+	if cap(f.sum) < n {
+		f.sum = make([]float32, n)
+	}
+	f.sum = f.sum[:n]
+	clear(f.sum)
+	f.weight, f.n = 0, 0
+}
+
+// add folds one update at weight w: sum += w·u.
+//
+//photon:hotpath
+func (f *meanFold) add(u []float32, w float64) {
+	tensor.Axpy(float32(w), u, f.sum)
+	f.weight += w
+	f.n++
+}
+
+// mean scales the sum by 1/Σw in place and returns it: the weighted mean,
+// valid until the next reset. It needs at least one add.
+//
+//photon:hotpath
+func (f *meanFold) mean() []float32 {
+	tensor.Scale(float32(1/f.weight), f.sum)
+	return f.sum
 }

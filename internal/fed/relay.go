@@ -235,7 +235,8 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 		r.lastRound = t.msg.Round
 		return nil, r.seal(w)
 	}
-	updates, clientMetrics, interrupted, err := r.s.exchangeRound(ctx, w, global, cohort, resumed, nil)
+	r.fold.reset(len(global))
+	clientMetrics, interrupted, err := r.s.exchangeRound(ctx, w, global, cohort, resumed, nil, &r.fold)
 	if err != nil {
 		return nil, err // server-side encode failure: deterministic, not retryable
 	}
@@ -243,15 +244,13 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 		return nil, ctx.Err()
 	}
 	r.lastRound = t.msg.Round
-	if len(updates) == 0 {
+	folded := r.fold.n
+	if folded == 0 {
 		return nil, r.seal(w)
 	}
 
 	aggSpan := r.s.tracer.Begin(obsv.PhaseAggregate)
-	delta, err := MeanDelta(updates)
-	if err != nil {
-		return nil, err
-	}
+	delta := r.fold.mean()
 	// Where the relay's fold goes: apply the outer optimizer to a scratch
 	// copy of the broadcast parameters and forward θ_global − θ_local,
 	// computed in place on the scratch buffer (dead after the subtraction)
@@ -270,12 +269,12 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 	w.pn.Add(obsv.PhaseAggregate, aggSpan.End(w.rec.TraceID))
 
 	meta := metrics.AggMetrics(clientMetrics)
-	meta[link.CohortKey] = float64(len(updates))
-	w.rec.Clients, w.rec.UpdateNorm, w.rec.TrainLoss = len(updates), norm2(upward), meta["loss"]
+	meta[link.CohortKey] = float64(folded)
+	w.rec.Clients, w.rec.UpdateNorm, w.rec.TrainLoss = folded, norm2(upward), meta["loss"]
 	return &roundReply{
 		update: upward,
 		meta:   meta,
-		sticky: map[string]float64{link.CohortKey: float64(len(updates))},
+		sticky: map[string]float64{link.CohortKey: float64(folded)},
 		sent: func(st sentReply) error {
 			w.rec.EncodeMs += float64(st.encNs) / 1e6
 			w.pn.Add(obsv.PhaseEncode, st.encNs)
@@ -283,7 +282,7 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 			// seal) so the cache survives a relay restart. A journal error
 			// is fatal — an armed failpoint here models the relay crashing
 			// right after the record lands.
-			if err := r.jrn.upstreamReply(round, len(updates), st.payload, r.up.enc); err != nil {
+			if err := r.jrn.upstreamReply(round, folded, st.payload, r.up.enc); err != nil {
 				return err
 			}
 			w.folded = true

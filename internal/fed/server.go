@@ -673,13 +673,13 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 }
 
 // exchangeRound runs window w's broadcast and collection: encode global
-// once with the negotiated codec, ask every cohort member, and gather the
-// decoded updates until all answer or fail, the round deadline expires, or
-// ctx is cancelled (interrupted=true discards the round). Each update is
-// journaled to jrn (nil: not at all), in arrival order, before it is
-// counted: a crash after the append re-collects nothing from that member.
-// err is non-nil only for a server-side encode failure (a broken codec) or
-// a journal error, either of which aborts the run.
+// once with the negotiated codec, ask every cohort member, and fold each
+// decoded update into fold at weight 1 until all answer or fail, the round
+// deadline expires, or ctx is cancelled (interrupted=true discards the
+// round). Each update is journaled to jrn (nil: not at all) before it is
+// folded: a crash after the append re-collects nothing from that member.
+// It returns the folded members' metrics in fold order. err is non-nil only
+// for a server-side encode failure (a broken codec) or a journal error.
 //
 // w.rec.TraceID is stamped on every MsgModel; members echo it (and their
 // per-phase self-reports) on their MsgUpdate, which is how w gets a full
@@ -687,12 +687,12 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 // into broadcast (measured send), member train/encode/decode
 // (self-reported), server decode (measured per member), and a wire
 // residual. The codec wall times and compression ratio land on w.rec.
-func (s *server) exchangeRound(ctx context.Context, w *window, global []float32, cohort []*memberConn, resume bool, jrn *journal) (updates [][]float32, clientMetrics []map[string]float64, interrupted bool, err error) {
+func (s *server) exchangeRound(ctx context.Context, w *window, global []float32, cohort []*memberConn, resume bool, jrn *journal, fold *meanFold) (clientMetrics []map[string]float64, interrupted bool, err error) {
 	round, traceID := w.rec.Round, w.rec.TraceID
 	encSpan := s.tracer.Begin(obsv.PhaseEncode)
 	encModel, err := link.EncodeVector(s.modelEnc, global)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	encNs := encSpan.End(traceID)
 	base := s.totals.load()
@@ -733,9 +733,9 @@ gather:
 				continue
 			}
 			if err := jrn.memberUpdate(round, a.mc.id, a.payload); err != nil {
-				return nil, nil, false, err
+				return nil, false, err
 			}
-			updates = append(updates, a.update)
+			fold.add(a.update, 1)
 			clientMetrics = append(clientMetrics, a.meta)
 			s.reg.ObserveRound(a.mc.id, a.latency, cluster.OutcomeOK)
 			if slow.mc == nil || a.latency > slow.latency {
@@ -751,7 +751,7 @@ gather:
 			}
 			break gather
 		case <-ctx.Done():
-			return nil, nil, true, nil
+			return nil, true, nil
 		}
 	}
 
@@ -776,15 +776,14 @@ gather:
 		w.rec.SlowestID = slow.mc.id
 		w.rec.SlowestPhase = w.pn.Slowest().String()
 	}
-	return updates, clientMetrics, false, nil
+	return clientMetrics, false, nil
 }
 
 // decodeUpdate is the single door every update passes on its way to a
 // fold — live sync and async arrivals and both WAL replays. The declared
 // element count must match the model before any codec allocates for it, so
 // a mis-sized update can neither OOM the aggregator nor poison the fold,
-// and the decoded values must all be finite: one NaN or Inf from a hostile
-// or diverged member would otherwise spread to every parameter it touches.
+// and the decoded values must pass checkFinite.
 func (s *server) decodeUpdate(p link.EncodedPayload, elems int) ([]float32, error) {
 	if p.Elems != elems {
 		return nil, fmt.Errorf("fed: update has %d elements, model has %d", p.Elems, elems)
@@ -796,12 +795,22 @@ func (s *server) decodeUpdate(p link.EncodedPayload, elems int) ([]float32, erro
 	if len(vec) != elems {
 		return nil, fmt.Errorf("fed: update decoded to %d elements, model has %d", len(vec), elems)
 	}
-	for i, v := range vec {
-		if math.Float32bits(v)&0x7f800000 == 0x7f800000 { // exponent all ones: NaN or ±Inf
-			return nil, fmt.Errorf("fed: update element %d is %v", i, v)
-		}
+	if err := checkFinite(vec); err != nil {
+		return nil, err
 	}
 	return vec, nil
+}
+
+// checkFinite rejects an update holding a NaN or ±Inf, which would spread to
+// every parameter it touches. Every fold input passes it: decodeUpdate on the
+// networked tiers, fed.Run on each survivor.
+func checkFinite(vec []float32) error {
+	for i, v := range vec {
+		if math.Float32bits(v)&0x7f800000 == 0x7f800000 { // exponent all ones: NaN or ±Inf
+			return fmt.Errorf("fed: update element %d is %v", i, v)
+		}
+	}
+	return nil
 }
 
 // waitAlive blocks until at least n members are alive. grace > 0 bounds the

@@ -366,91 +366,6 @@ func TestRecvTimeoutIdleExpiryReusable(t *testing.T) {
 	}
 }
 
-func TestClipL2(t *testing.T) {
-	u := []float32{3, 4}
-	out, err := ClipL2{MaxNorm: 1}.Apply(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var norm float64
-	for _, v := range out {
-		norm += float64(v) * float64(v)
-	}
-	if math.Abs(math.Sqrt(norm)-1) > 1e-5 {
-		t.Fatalf("post-clip norm %v", math.Sqrt(norm))
-	}
-	// Below the cap: untouched.
-	u2 := []float32{0.1, 0.1}
-	out2, _ := ClipL2{MaxNorm: 1}.Apply(u2)
-	if out2[0] != 0.1 {
-		t.Fatal("clip modified an in-budget update")
-	}
-	// Disabled.
-	u3 := []float32{30, 40}
-	out3, _ := ClipL2{}.Apply(u3)
-	if out3[0] != 30 {
-		t.Fatal("MaxNorm=0 must disable clipping")
-	}
-}
-
-func TestDPNoise(t *testing.T) {
-	u := make([]float32, 10000)
-	out, err := DPNoise{Sigma: 0.5, Rng: rand.New(rand.NewSource(1))}.Apply(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mean, varr float64
-	for _, v := range out {
-		mean += float64(v)
-	}
-	mean /= float64(len(out))
-	for _, v := range out {
-		d := float64(v) - mean
-		varr += d * d
-	}
-	varr /= float64(len(out))
-	if math.Abs(mean) > 0.05 || math.Abs(math.Sqrt(varr)-0.5) > 0.05 {
-		t.Fatalf("noise moments off: mean=%v std=%v", mean, math.Sqrt(varr))
-	}
-	if _, err := (DPNoise{Sigma: -1}).Apply(u); err == nil {
-		t.Fatal("negative sigma accepted")
-	}
-	if _, err := (DPNoise{Sigma: 1}).Apply(u); err == nil {
-		t.Fatal("missing rng accepted")
-	}
-	// Sigma 0 is a no-op without an RNG.
-	if _, err := (DPNoise{}).Apply(u); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNaNGuard(t *testing.T) {
-	if _, err := (NaNGuard{}).Apply([]float32{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (NaNGuard{}).Apply([]float32{1, float32(math.NaN())}); err == nil {
-		t.Fatal("NaN accepted")
-	}
-	if _, err := (NaNGuard{}).Apply([]float32{float32(math.Inf(1))}); err == nil {
-		t.Fatal("Inf accepted")
-	}
-}
-
-func TestPipelineOrderAndErrors(t *testing.T) {
-	p := Pipeline{ClipL2{MaxNorm: 1}, NaNGuard{}}
-	out, err := p.Apply([]float32{30, 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] > 1 {
-		t.Fatal("pipeline did not clip")
-	}
-	p2 := Pipeline{NaNGuard{}}
-	if _, err := p2.Apply([]float32{float32(math.NaN())}); err == nil {
-		t.Fatal("pipeline swallowed error")
-	}
-}
-
 // Property: frame round trip is exact for arbitrary payloads under both
 // lossless codecs.
 func TestFrameRoundTripProperty(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"testing"
 
-	"photon/internal/tensor"
+	"photon/internal/testutil"
 )
 
 // decodeCfg is a multi-layer configuration so the equivalence tests cover
@@ -211,35 +211,13 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// rowInvariantKernels probes whether this machine's tensor kernels give a
-// matrix row the same bits whatever tile it is computed in (the assembly
-// micro-kernels do; the portable loops differ at rounding level). nn cannot
-// see which path tensor chose, so the bitwise test below asks the arithmetic.
-func rowInvariantKernels() bool {
-	rng := rand.New(rand.NewSource(67))
-	a, b := tensor.NewMatrix(5, 29), tensor.NewMatrix(29, 37)
-	tensor.RandNormal(rng, a.Data, 0, 1)
-	tensor.RandNormal(rng, b.Data, 0, 1)
-	c, row := tensor.NewMatrix(5, 37), tensor.NewMatrix(1, 37)
-	tensor.MatMul(c, a, b)
-	for i := 0; i < 5; i++ {
-		tensor.MatMul(row, tensor.FromSlice(1, 29, a.Row(i)), b)
-		for j, v := range row.Data {
-			if math.Float32bits(v) != math.Float32bits(c.At(i, j)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // TestDecodeOneAtATimeBitwiseEqualsPrefill is the strong form of the
 // tolerance tests above: where the kernels are row-invariant, a prompt fed
 // to a DecodeState in one call and the same tokens fed one Decode call at a
 // time give bitwise-equal logits at every position — 23 rows in one matmul
 // tile differently from 23 single rows, and must not matter.
 func TestDecodeOneAtATimeBitwiseEqualsPrefill(t *testing.T) {
-	if !rowInvariantKernels() {
+	if !testutil.RowInvariantKernels() {
 		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
 	}
 	rng := rand.New(rand.NewSource(71))

@@ -30,7 +30,7 @@ const (
 	PhaseEncode                 // codec encode, both sides
 	PhaseWire                   // wire transfer residual (latency minus accounted work)
 	PhaseDecode                 // codec decode, both sides
-	PhaseAggregate              // MeanDelta + outer-optimizer step
+	PhaseAggregate              // fold + outer-optimizer step
 	PhaseEval                   // validation perplexity
 	NumPhases                   // number of phases (array sizing)
 )

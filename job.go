@@ -213,10 +213,6 @@ func (j *Job) runFederated(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var post link.Pipeline
-	if c.clipUpdateNorm > 0 {
-		post = link.Pipeline{link.NaNGuard{}, link.ClipL2{MaxNorm: c.clipUpdateNorm}}
-	}
 	// Extended decay period (Appendix C.1): decay over 4x the planned run so
 	// the high learning rate persists, with the PaperCosine 1% warmup.
 	period := 4 * c.rounds * c.localSteps
@@ -250,7 +246,6 @@ func (j *Job) runFederated(ctx context.Context) (*Result, error) {
 		},
 		Validation:     data.NewValidationSet(valSrc, 16, cfg.SeqLen, 987654),
 		EvalEvery:      c.evalEvery,
-		Post:           post,
 		Codec:          c.codec,
 		Tiers:          c.tiers,
 		Relays:         c.relays,

@@ -42,7 +42,6 @@ type jobConfig struct {
 	dataSource string
 
 	dropoutProb    float64
-	clipUpdateNorm float64
 	checkpointPath string
 	resumeFrom     string
 	stopAtPPL      float64
@@ -127,12 +126,6 @@ func WithDataSource(name string) JobOption { return func(c *jobConfig) { c.dataS
 
 // WithDropout injects per-round client failures with probability p.
 func WithDropout(p float64) JobOption { return func(c *jobConfig) { c.dropoutProb = p } }
-
-// WithClipUpdateNorm applies NaN-guarding and L2-clipping post-processing
-// to client updates before aggregation (0 disables).
-func WithClipUpdateNorm(maxNorm float64) JobOption {
-	return func(c *jobConfig) { c.clipUpdateNorm = maxNorm }
-}
 
 // WithCheckpoint enables per-round async checkpointing of the global model.
 func WithCheckpoint(path string) JobOption { return func(c *jobConfig) { c.checkpointPath = path } }
