@@ -36,7 +36,8 @@ var allowedStdPkgs = map[string]bool{
 // allowedStdFuncs are individually vetted non-allocating stdlib functions
 // and methods (by types.Func.FullName) that hotpath code legitimately needs:
 // mutex ops around ring buffers and free lists, monotonic clock reads for
-// span instrumentation, and the GOMAXPROCS probe gating parallel dispatch.
+// span instrumentation, the GOMAXPROCS probe gating parallel dispatch, and
+// the processor yield of a spin-wait.
 var allowedStdFuncs = map[string]bool{
 	"(*sync.Mutex).Lock":           true,
 	"(*sync.Mutex).Unlock":         true,
@@ -56,6 +57,7 @@ var allowedStdFuncs = map[string]bool{
 	"(time.Duration).Milliseconds": true,
 	"(time.Duration).Seconds":      true,
 	"runtime.GOMAXPROCS":           true,
+	"runtime.Gosched":              true,
 	// encoding/binary's fixed-endian accessors write into caller-provided
 	// buffers; the ByteOrder values are package singletons, so calls through
 	// them never allocate.

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,6 +64,19 @@ func (w *widget) step() { w.n++ }
 //photon:hotpath
 func methodCall(w *widget) {
 	w.step()
+}
+
+// spinUntil is a spin-wait hand-off: an atomic flag re-checked with the
+// processor yielded between checks.
+//
+//photon:hotpath
+func spinUntil(flag *atomic.Bool, budget time.Duration) bool {
+	for start := time.Now(); time.Since(start) < budget; runtime.Gosched() {
+		if flag.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 //photon:hotpath

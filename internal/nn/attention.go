@@ -29,10 +29,6 @@ type Attention struct {
 	q, k, v    *tensor.Matrix // per-head panels [B·H·T, d]
 	probs      *tensor.Matrix // attention probabilities [B·H·T, T]
 	batch, seq int
-
-	// decItems is the ragged work-item scratch for the KV-cached decode
-	// path; kept on the layer so a steady-state decode step reuses it.
-	decItems []tensor.DecodeItem
 }
 
 // NewAttention creates the attention sublayer.
@@ -148,84 +144,6 @@ func (a *Attention) Forward(ws *Workspace, x *tensor.Matrix, batch, seq int) *te
 	return a.Out.Forward(ws, ctx)
 }
 
-// decodeForward is the KV-cached attention step for a mixed prefill/decode
-// batch. x holds the ΣTi new rows of all sequences concatenated; lens[i] is
-// states[i]'s cached length before this call and counts[i] its new-row count.
-// Each head's new K/V rows are written straight into the sequence's layer
-// cache, and attention runs as one ragged AttendDecode dispatch over
-// (sequence × head) items — steady-state decode touches each cached row once
-// instead of recomputing the whole prefix.
-//
-//photon:hotpath
-func (a *Attention) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, states []*DecodeState, lens, counts []int) *tensor.Matrix {
-	hd := a.HeadDim
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	total := x.Rows
-
-	qkv := a.QKV.Forward(ws, x) // [ΣTi, 3D]
-
-	// Per-(sequence × head) query and context panels. Sequence i's block
-	// starts at row rowOff·Heads and holds Heads consecutive panels of
-	// counts[i] rows each.
-	qP := ws.Take(total*a.Heads, hd)
-	ctxP := ws.Take(total*a.Heads, hd)
-	probTotal := 0
-	for i := range states {
-		probTotal += counts[i] * (lens[i] + counts[i]) * a.Heads
-	}
-	probs := ws.Take(probTotal, 1)
-
-	ni := len(states) * a.Heads
-	a.decItems = growDecodeItems(a.decItems, ni)
-
-	rowOff, probOff, it := 0, 0, 0
-	for i, s := range states {
-		qn, kn := counts[i], lens[i]+counts[i]
-		stride := s.maxSeq * hd
-		for h := 0; h < a.Heads; h++ {
-			base := rowOff*a.Heads + h*qn
-			qo, ko, vo := h*hd, a.Dim+h*hd, 2*a.Dim+h*hd
-			kc := s.k[layer][h*stride : h*stride+kn*hd]
-			vc := s.v[layer][h*stride : h*stride+kn*hd]
-			for t := 0; t < qn; t++ {
-				src := qkv.Row(rowOff + t)
-				copy(qP.Row(base+t), src[qo:qo+hd])
-				copy(kc[(lens[i]+t)*hd:(lens[i]+t+1)*hd], src[ko:ko+hd])
-				copy(vc[(lens[i]+t)*hd:(lens[i]+t+1)*hd], src[vo:vo+hd])
-			}
-			a.decItems[it] = tensor.DecodeItem{
-				Q:     qP.Data[base*hd : (base+qn)*hd],
-				K:     kc,
-				V:     vc,
-				Probs: probs.Data[probOff : probOff+qn*kn],
-				Ctx:   ctxP.Data[base*hd : (base+qn)*hd],
-				QRows: qn,
-				KRows: kn,
-				Slope: a.sl[h],
-			}
-			probOff += qn * kn
-			it++
-		}
-		rowOff += qn
-	}
-	tensor.AttendDecode(a.decItems, scale)
-
-	ctx := ws.Take(total, a.Dim) // concatenated head outputs
-	rowOff = 0
-	for i := range states {
-		qn := counts[i]
-		for h := 0; h < a.Heads; h++ {
-			base := rowOff*a.Heads + h*qn
-			off := h * hd
-			for t := 0; t < qn; t++ {
-				copy(ctx.Row(rowOff + t)[off:off+hd], ctxP.Row(base+t))
-			}
-		}
-		rowOff += qn
-	}
-	return a.Out.Forward(ws, ctx)
-}
-
 // Backward propagates gradients through the attention sublayer and returns
 // dX. Parameter gradients accumulate into the projection layers.
 //
@@ -257,15 +175,4 @@ func (a *Attention) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 	dqkv := ws.Take(batch*seq, 3*a.Dim)
 	a.scatterPanels(dqkv, dq, dk, dv, batch, seq)
 	return a.QKV.Backward(ws, dqkv)
-}
-
-// growDecodeItems is the cap-grow pattern for the ragged decode work-item
-// scratch: amortized reallocation off the hot path.
-//
-//photon:allocok
-func growDecodeItems(buf []tensor.DecodeItem, n int) []tensor.DecodeItem {
-	if cap(buf) < n {
-		return make([]tensor.DecodeItem, n, n+n/2)
-	}
-	return buf[:n]
 }

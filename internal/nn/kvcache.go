@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"photon/internal/tensor"
 )
@@ -13,8 +14,8 @@ import (
 // turning the O(T²)-forwards generation loop into O(T) incremental steps.
 //
 // A DecodeState belongs to a single Model (the cache layout is derived from
-// its configuration) and, like the model itself, is not safe for concurrent
-// use. The buffers are allocated once at construction; steady-state decoding
+// its configuration) and, like a Decoder, is not safe for concurrent use.
+// The buffers are allocated once at construction; steady-state decoding
 // never grows them.
 type DecodeState struct {
 	k, v    [][]float32 // per layer: Heads panels of maxSeq·headDim
@@ -73,18 +74,41 @@ func (s *DecodeState) Truncate(n int) {
 	s.n = n
 }
 
-// decodeWorkspace returns the model's dedicated decode arena, created lazily
-// with the size-class retention policy: decode scratch shapes grow with the
-// cache length, and power-of-two buckets keep the steady state allocation-
-// free where exact-size buckets would miss on every step.
+// Decoder is one goroutine's KV-cached decode scratch over a model's
+// weights: a workspace under the size-class retention policy (decode scratch
+// shapes grow with the cache length, and power-of-two buckets keep the
+// steady state allocation-free where exact-size buckets would miss on every
+// step) plus the ragged-batch bookkeeping. Decoding only reads the model, so
+// decoders over one model may run concurrently on disjoint DecodeStates —
+// the serve engine runs one per core. A single Decoder, like a DecodeState,
+// is not safe for concurrent use.
+type Decoder struct {
+	m      *Model
+	ws     *Workspace
+	flat   []int               // flattened new tokens across the decode batch
+	lens   []int               // per-sequence cached length before the step
+	counts []int               // per-sequence new-token count
+	items  []tensor.DecodeItem // ragged (sequence × head) attention work items
+}
+
+// NewDecoder returns a decoder over m's weights with its own scratch.
 //
 //photon:allocok
-func (m *Model) decodeWorkspace() *Workspace {
-	if m.decWS == nil {
-		m.decWS = NewWorkspace()
-		m.decWS.SetSizeClasses(true)
+func (m *Model) NewDecoder() *Decoder {
+	ws := NewWorkspace()
+	ws.SetSizeClasses(true)
+	return &Decoder{m: m, ws: ws}
+}
+
+// decoder returns the model's own decoder, behind Decode and DecodeLogits,
+// created lazily.
+//
+//photon:allocok
+func (m *Model) decoder() *Decoder {
+	if m.dec == nil {
+		m.dec = m.NewDecoder()
 	}
-	return m.decWS
+	return m.dec
 }
 
 // Decode runs one incremental forward over a batch of sequences: tokens[i]
@@ -100,10 +124,30 @@ func (m *Model) decodeWorkspace() *Workspace {
 // The result holds the final hidden states for all new rows — the rows of
 // sequence i start at offset Σ_{j<i} len(tokens[j]) — and lives in the
 // model's decode workspace: it is valid until the next Decode call. Use
-// DecodeLogits to turn selected rows into next-token logits.
+// DecodeLogits to turn selected rows into next-token logits. Decode is
+// Decoder.Decode on the model's own decoder.
 //
 //photon:hotpath
 func (m *Model) Decode(states []*DecodeState, tokens [][]int) *tensor.Matrix {
+	return m.decoder().Decode(states, tokens)
+}
+
+// DecodeLogits computes next-token logits for the selected rows of a hidden
+// matrix returned by Decode. Generation needs only each sequence's last row;
+// continuation scoring needs every continuation row — gathering first keeps
+// the [rows, Vocab] product as small as the caller's actual need. The result
+// lives in the decode workspace and is valid until the next Decode call.
+//
+//photon:hotpath
+func (m *Model) DecodeLogits(h *tensor.Matrix, rows []int) *tensor.Matrix {
+	return m.decoder().DecodeLogits(h, rows)
+}
+
+// Decode is Model.Decode on this decoder's scratch; its result is valid until
+// the decoder's next Decode.
+//
+//photon:hotpath
+func (d *Decoder) Decode(states []*DecodeState, tokens [][]int) *tensor.Matrix {
 	if len(states) == 0 || len(states) != len(tokens) {
 		panic(fmt.Sprintf("nn: Decode: %d states, %d token slices", len(states), len(tokens)))
 	}
@@ -118,57 +162,143 @@ func (m *Model) Decode(states []*DecodeState, tokens [][]int) *tensor.Matrix {
 		}
 		total += len(tk)
 	}
-	ws := m.decodeWorkspace()
+	m, ws := d.m, d.ws
 	ws.Reset()
 
-	m.decFlat = growInt(m.decFlat, total)
-	m.decLens = growInt(m.decLens, len(states))
-	m.decCounts = growInt(m.decCounts, len(states))
+	d.flat = growInt(d.flat, total)
+	d.lens = growInt(d.lens, len(states))
+	d.counts = growInt(d.counts, len(states))
 	off := 0
 	for i, tk := range tokens {
-		copy(m.decFlat[off:], tk)
+		copy(d.flat[off:], tk)
 		off += len(tk)
-		m.decLens[i] = states[i].n
-		m.decCounts[i] = len(tk)
+		d.lens[i] = states[i].n
+		d.counts[i] = len(tk)
 	}
 
-	x := m.Embed.Forward(ws, m.decFlat[:total])
+	x := m.Embed.forward(ws, d.flat)
 	for li, b := range m.Blocks {
-		x = b.decodeForward(ws, x, li, states, m.decLens[:len(states)], m.decCounts[:len(states)])
+		x = d.block(b, x, li, states)
 	}
-	h := m.LNF.Forward(ws, x)
+	h := m.LNF.forward(ws, x, nil, nil)
 	for i, tk := range tokens {
 		states[i].n += len(tk)
 	}
 	return h
 }
 
-// DecodeLogits computes next-token logits for the selected rows of a hidden
-// matrix returned by Decode. Generation needs only each sequence's last row;
-// continuation scoring needs every continuation row — gathering first keeps
-// the [rows, Vocab] product as small as the caller's actual need. The result
-// lives in the decode workspace and is valid until the next Decode call.
+// DecodeLogits is Model.DecodeLogits on this decoder's scratch.
 //
 //photon:hotpath
-func (m *Model) DecodeLogits(h *tensor.Matrix, rows []int) *tensor.Matrix {
-	ws := m.decodeWorkspace()
-	g := ws.Take(len(rows), m.Cfg.Dim)
+func (d *Decoder) DecodeLogits(h *tensor.Matrix, rows []int) *tensor.Matrix {
+	m := d.m
+	g := d.ws.Take(len(rows), m.Cfg.Dim)
 	for i, r := range rows {
 		copy(g.Row(i), h.Row(r))
 	}
-	logits := ws.Take(len(rows), m.Cfg.VocabSize)
+	logits := d.ws.Take(len(rows), m.Cfg.VocabSize)
 	tensor.MatMulTransB(logits, g, &m.embMat)
 	return logits
 }
 
-// decodeForward is Block.Forward for the incremental path: same residual
-// structure, attention replaced by the KV-cached variant.
+// block is Block.Forward for the incremental path: same residual structure,
+// attention replaced by the KV-cached variant, no backward caches written.
 //
 //photon:hotpath
-func (b *Block) decodeForward(ws *Workspace, x *tensor.Matrix, layer int, states []*DecodeState, lens, counts []int) *tensor.Matrix {
-	h := b.Attn.decodeForward(ws, b.LN1.Forward(ws, x), layer, states, lens, counts)
+func (d *Decoder) block(b *Block, x *tensor.Matrix, layer int, states []*DecodeState) *tensor.Matrix {
+	ws := d.ws
+	h := d.attend(b.Attn, b.LN1.forward(ws, x, nil, nil), layer, states)
 	tensor.Add(h.Data, x.Data) // residual 1
-	mo := b.FC2.Forward(ws, b.Act.Forward(ws, b.FC1.Forward(ws, b.LN2.Forward(ws, h))))
+	mo := b.FC2.forward(ws, gelu(ws, b.FC1.forward(ws, b.LN2.forward(ws, h, nil, nil))))
 	tensor.Add(mo.Data, h.Data) // residual 2
 	return mo
+}
+
+// attend is the KV-cached attention step for a mixed prefill/decode batch.
+// x holds the ΣTi new rows of all sequences concatenated; d.lens[i] is
+// states[i]'s cached length before this call and d.counts[i] its new-row
+// count. Each head's new K/V rows are written straight into the sequence's
+// layer cache, and attention runs as one ragged AttendDecode dispatch over
+// (sequence × head) items — steady-state decode touches each cached row once
+// instead of recomputing the whole prefix.
+//
+//photon:hotpath
+func (d *Decoder) attend(a *Attention, x *tensor.Matrix, layer int, states []*DecodeState) *tensor.Matrix {
+	ws, lens, counts := d.ws, d.lens, d.counts
+	hd := a.HeadDim
+	scale := float32(1 / math.Sqrt(float64(hd)))
+	total := x.Rows
+
+	qkv := a.QKV.forward(ws, x) // [ΣTi, 3D]
+
+	// Per-(sequence × head) query and context panels. Sequence i's block
+	// starts at row rowOff·Heads and holds Heads consecutive panels of
+	// counts[i] rows each.
+	qP := ws.Take(total*a.Heads, hd)
+	ctxP := ws.Take(total*a.Heads, hd)
+	probTotal := 0
+	for i := range states {
+		probTotal += counts[i] * (lens[i] + counts[i]) * a.Heads
+	}
+	probs := ws.Take(probTotal, 1)
+
+	d.items = growDecodeItems(d.items, len(states)*a.Heads)
+
+	rowOff, probOff, it := 0, 0, 0
+	for i, s := range states {
+		qn, kn := counts[i], lens[i]+counts[i]
+		stride := s.maxSeq * hd
+		for h := 0; h < a.Heads; h++ {
+			base := rowOff*a.Heads + h*qn
+			qo, ko, vo := h*hd, a.Dim+h*hd, 2*a.Dim+h*hd
+			kc := s.k[layer][h*stride : h*stride+kn*hd]
+			vc := s.v[layer][h*stride : h*stride+kn*hd]
+			for t := 0; t < qn; t++ {
+				src := qkv.Row(rowOff + t)
+				copy(qP.Row(base+t), src[qo:qo+hd])
+				copy(kc[(lens[i]+t)*hd:(lens[i]+t+1)*hd], src[ko:ko+hd])
+				copy(vc[(lens[i]+t)*hd:(lens[i]+t+1)*hd], src[vo:vo+hd])
+			}
+			d.items[it] = tensor.DecodeItem{
+				Q:     qP.Data[base*hd : (base+qn)*hd],
+				K:     kc,
+				V:     vc,
+				Probs: probs.Data[probOff : probOff+qn*kn],
+				Ctx:   ctxP.Data[base*hd : (base+qn)*hd],
+				QRows: qn,
+				KRows: kn,
+				Slope: a.sl[h],
+			}
+			probOff += qn * kn
+			it++
+		}
+		rowOff += qn
+	}
+	tensor.AttendDecode(d.items, scale)
+
+	ctx := ws.Take(total, a.Dim) // concatenated head outputs
+	rowOff = 0
+	for i := range states {
+		qn := counts[i]
+		for h := 0; h < a.Heads; h++ {
+			base := rowOff*a.Heads + h*qn
+			off := h * hd
+			for t := 0; t < qn; t++ {
+				copy(ctx.Row(rowOff + t)[off:off+hd], ctxP.Row(base+t))
+			}
+		}
+		rowOff += qn
+	}
+	return a.Out.forward(ws, ctx)
+}
+
+// growDecodeItems is the cap-grow pattern for the ragged decode work-item
+// scratch: amortized reallocation off the hot path.
+//
+//photon:allocok
+func growDecodeItems(buf []tensor.DecodeItem, n int) []tensor.DecodeItem {
+	if cap(buf) < n {
+		return make([]tensor.DecodeItem, n, n+n/2)
+	}
+	return buf[:n]
 }

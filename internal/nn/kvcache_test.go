@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"photon/internal/testutil"
@@ -244,5 +245,87 @@ func TestDecodeOneAtATimeBitwiseEqualsPrefill(t *testing.T) {
 	}
 	if differ != 0 {
 		t.Fatalf("%d of %d logits differ bitwise between prefill and token-at-a-time decode", differ, len(want.Data))
+	}
+}
+
+// TestDecodersShareModelConcurrently is the contract the serve engine's
+// per-core shards stand on: two Decoders over one model, each decoding its
+// own half of a batch on its own goroutine at the same time, give what one
+// decoder gives over the whole batch — bitwise where the kernels are
+// row-invariant, ≤1e-5 elsewhere. Under -race it also shows that decoding
+// writes nothing shared: no layer cache, no model scratch.
+func TestDecodersShareModelConcurrently(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	cfg := Config{VocabSize: 256, Dim: 64, Heads: 4, Blocks: 4, ExpRatio: 4, SeqLen: 32}
+	m := NewModel(cfg, rng)
+	const seqs, steps, maxSeq = 6, 12, 64
+	prompts := make([][]int, seqs)
+	next := make([][]int, seqs) // the token fed to sequence i at each step
+	for i := range prompts {
+		prompts[i] = make([]int, 3+rng.Intn(12))
+		for j := range prompts[i] {
+			prompts[i][j] = rng.Intn(cfg.VocabSize)
+		}
+		next[i] = make([]int, steps)
+		for j := range next[i] {
+			next[i][j] = rng.Intn(cfg.VocabSize)
+		}
+	}
+
+	// run decodes sequences [lo, hi) on d: the prompts in one mixed prefill,
+	// then one token a step, and returns each step's last-row logits.
+	run := func(d *Decoder, lo, hi int) [][][]float32 {
+		states := make([]*DecodeState, hi-lo)
+		toks := make([][]int, hi-lo)
+		rows := make([]int, hi-lo)
+		for i := range states {
+			states[i] = m.NewDecodeState(maxSeq)
+			toks[i] = prompts[lo+i]
+		}
+		out := make([][][]float32, hi-lo)
+		for step := 0; step <= steps; step++ {
+			off := 0
+			for i := range toks {
+				off += len(toks[i])
+				rows[i] = off - 1
+			}
+			logits := d.DecodeLogits(d.Decode(states, toks), rows)
+			for i := range states {
+				out[i] = append(out[i], append([]float32(nil), logits.Row(i)...))
+				if step < steps {
+					toks[i] = next[lo+i][step : step+1]
+				}
+			}
+		}
+		return out
+	}
+
+	want := run(m.NewDecoder(), 0, seqs)
+	var halves [2][][][]float32
+	var wg sync.WaitGroup
+	for h := range halves {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			halves[h] = run(m.NewDecoder(), h*seqs/2, (h+1)*seqs/2)
+		}()
+	}
+	wg.Wait()
+	got := append(halves[0], halves[1]...)
+
+	bitwise := testutil.RowInvariantKernels()
+	for i := range want {
+		for step := range want[i] {
+			d := maxAbsDiff(got[i][step], want[i][step])
+			if bitwise {
+				for j, v := range got[i][step] {
+					if math.Float32bits(v) != math.Float32bits(want[i][step][j]) {
+						t.Fatalf("sequence %d step %d: logit %d is %g on a shard decoder, %g over the whole batch", i, step, j, v, want[i][step][j])
+					}
+				}
+			} else if d > 1e-5 {
+				t.Fatalf("sequence %d step %d: shard decoders diverge from one decoder by %g", i, step, d)
+			}
+		}
 	}
 }

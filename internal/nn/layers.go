@@ -47,6 +47,14 @@ func (l *Linear) Params() ParamSet {
 //photon:hotpath
 func (l *Linear) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	l.x = x
+	return l.forward(ws, x)
+}
+
+// forward is Forward without the backward cache. The decode path calls it
+// directly, so decoders sharing the layer's weights never write to the layer.
+//
+//photon:hotpath
+func (l *Linear) forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	y := ws.Take(x.Rows, l.Out)
 	tensor.MatMul(y, x, &l.wMat)
 	if l.B != nil {
@@ -94,13 +102,22 @@ func (ln *LayerNorm) Params() ParamSet { return ParamSet{ln.G, ln.B} }
 
 const lnEps = 1e-5
 
-// Forward normalizes each row of x.
+// Forward normalizes each row of x, caching the normalized rows and their
+// reciprocal stds for backward.
 //
 //photon:hotpath
 func (ln *LayerNorm) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
-	y := ws.Take(x.Rows, x.Cols)
 	ln.xhat = ws.Take(x.Rows, x.Cols)
 	ln.rstd = growF32(ln.rstd, x.Rows)
+	return ln.forward(ws, x, ln.xhat, ln.rstd)
+}
+
+// forward is Forward's body. xhat and rstd receive the backward cache; the
+// decode path passes nil for both and the layer is only read.
+//
+//photon:hotpath
+func (ln *LayerNorm) forward(ws *Workspace, x, xhat *tensor.Matrix, rstd []float32) *tensor.Matrix {
+	y := ws.Take(x.Rows, x.Cols)
 	d := float64(x.Cols)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
@@ -115,12 +132,17 @@ func (ln *LayerNorm) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 			varr += dv * dv
 		}
 		varr /= d
-		rstd := float32(1 / math.Sqrt(varr+lnEps))
-		ln.rstd[i] = rstd
-		xh := ln.xhat.Row(i)
+		r := float32(1 / math.Sqrt(varr+lnEps))
 		yr := y.Row(i)
+		// Without a cache the normalized value is parked in y's own row,
+		// which the next statement overwrites: the same arithmetic either way.
+		xh := yr
+		if xhat != nil {
+			rstd[i] = r
+			xh = xhat.Row(i)
+		}
 		for j, v := range row {
-			h := (v - float32(mean)) * rstd
+			h := (v - float32(mean)) * r
 			xh[j] = h
 			yr[j] = ln.G.Data[j]*h + ln.B.Data[j]
 		}
@@ -174,6 +196,13 @@ type GELU struct {
 //photon:hotpath
 func (g *GELU) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	g.x = x
+	return gelu(ws, x)
+}
+
+// gelu is GELU.Forward without the backward cache.
+//
+//photon:hotpath
+func gelu(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	y := ws.Take(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		y.Data[i] = geluScalar(v)
@@ -233,6 +262,13 @@ func (e *Embedding) Params() ParamSet { return ParamSet{e.W} }
 //photon:hotpath
 func (e *Embedding) Forward(ws *Workspace, tokens []int) *tensor.Matrix {
 	e.tokens = tokens
+	return e.forward(ws, tokens)
+}
+
+// forward is Forward without the backward cache.
+//
+//photon:hotpath
+func (e *Embedding) forward(ws *Workspace, tokens []int) *tensor.Matrix {
 	y := ws.Take(len(tokens), e.Dim)
 	for i, id := range tokens {
 		if id < 0 || id >= e.Vocab {

@@ -99,13 +99,10 @@ type Model struct {
 	ceInv    float32
 	ceFn     func(lo, hi int) // persistent closure for the parallel loss bands
 
-	// KV-cached decode scratch (see kvcache.go). decWS is a separate arena
-	// under the size-class retention policy so the shape churn of growing
-	// caches never disturbs training's exact-size reuse.
-	decWS     *Workspace
-	decFlat   []int // flattened new tokens across the decode batch
-	decLens   []int // per-sequence cached length before the step
-	decCounts []int // per-sequence new-token count
+	// dec is the model's own KV-cached decoder (see kvcache.go), behind
+	// Decode/DecodeLogits. Its arena is separate from ws so the shape churn
+	// of growing caches never disturbs training's exact-size reuse.
+	dec *Decoder
 
 	// Generation scratch: a recycled single-sequence cache plus the fixed
 	// one-element slices the per-token decode loop feeds to Decode.

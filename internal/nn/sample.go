@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"photon/internal/tensor"
 )
@@ -41,8 +40,15 @@ type Sampler struct {
 
 // Sample draws one token from logits. It is the sanctioned amortized-
 // allocation boundary of the decode loop: scratch follows the cap-grow
-// pattern and the candidate sort runs in place, so a warm sampler allocates
-// nothing per token (pinned by the serve steady-state allocation test).
+// pattern and the candidates are ordered in place, so a warm sampler
+// allocates nothing per token (pinned by TestSamplerSelectMatchesSort and the
+// serve steady-state allocation tests).
+//
+// Only the candidates are ordered: under top-k, the k first tokens are
+// selected and sorted and the rest of the vocabulary is left as it lies; the
+// whole vocabulary is sorted only for top-p without top-k. The order is
+// strict (probability descending, lower id first), so the candidates and
+// their order — and therefore the token — are those a full sort gives.
 //
 //photon:allocok
 func (s *Sampler) Sample(rng *rand.Rand, logits []float32, o SampleOpts) int {
@@ -73,12 +79,13 @@ func (s *Sampler) Sample(rng *rand.Rand, logits []float32, o SampleOpts) int {
 		s.idx[j] = j
 	}
 	m := n
-	if (o.TopK > 0 && o.TopK < n) || (o.TopP > 0 && o.TopP < 1) {
-		sort.Sort(&byProb{p: s.probs, idx: s.idx})
-		if o.TopK > 0 && o.TopK < m {
-			m = o.TopK
-		}
-		if o.TopP > 0 && o.TopP < 1 {
+	topP := o.TopP > 0 && o.TopP < 1
+	if o.TopK > 0 && o.TopK < n {
+		m = o.TopK
+	}
+	if m < n || topP {
+		s.sortFirst(0, n, m)
+		if topP {
 			target := o.TopP * sum
 			var acc float64
 			for j := 0; j < m; j++ {
@@ -107,20 +114,65 @@ func (s *Sampler) Sample(rng *rand.Rand, logits []float32, o SampleOpts) int {
 	return s.idx[m-1]
 }
 
-// byProb orders token indices by descending probability, lower id first on
-// ties (the determinism contract). A pointer receiver keeps sort.Sort from
-// allocating.
-type byProb struct {
-	p   []float32
-	idx []int
+// sortFirst orders s.idx[lo:hi) so that its positions below k (absolute
+// positions, lo < k) hold the range's first tokens under the candidate order,
+// in that order — the whole range sorted when k ≥ hi — and leaves the rest in
+// some order. It is a quicksort that never descends into a part lying wholly
+// at or past k: O(n + k log k) comparisons expected.
+//
+//photon:hotpath
+func (s *Sampler) sortFirst(lo, hi, k int) {
+	p, idx := s.probs, s.idx
+	for hi-lo > 12 {
+		q := s.partition(lo, hi)
+		if q+1 < k {
+			s.sortFirst(q+1, hi, k)
+		}
+		hi = q
+	}
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && precedes(p, idx[j], idx[j-1]); j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
+		}
+	}
 }
 
-func (b *byProb) Len() int { return len(b.idx) }
-func (b *byProb) Less(i, j int) bool {
-	pi, pj := b.p[b.idx[i]], b.p[b.idx[j]]
-	if pi != pj {
-		return pi > pj
+// partition splits s.idx[lo:hi) (at least three entries) around a
+// median-of-three pivot and returns the pivot's final position: the tokens
+// before it precede it, the tokens after it follow it.
+//
+//photon:hotpath
+func (s *Sampler) partition(lo, hi int) int {
+	p, idx := s.probs, s.idx
+	mid, last := lo+(hi-lo)/2, hi-1
+	if precedes(p, idx[mid], idx[lo]) {
+		idx[lo], idx[mid] = idx[mid], idx[lo]
 	}
-	return b.idx[i] < b.idx[j]
+	if precedes(p, idx[last], idx[mid]) {
+		idx[mid], idx[last] = idx[last], idx[mid]
+		if precedes(p, idx[mid], idx[lo]) {
+			idx[lo], idx[mid] = idx[mid], idx[lo]
+		}
+	}
+	idx[lo], idx[mid] = idx[mid], idx[lo]
+	pivot, q := idx[lo], lo
+	for i := lo + 1; i < hi; i++ {
+		if precedes(p, idx[i], pivot) {
+			q++
+			idx[q], idx[i] = idx[i], idx[q]
+		}
+	}
+	idx[lo], idx[q] = idx[q], idx[lo]
+	return q
 }
-func (b *byProb) Swap(i, j int) { b.idx[i], b.idx[j] = b.idx[j], b.idx[i] }
+
+// precedes is the candidate order: higher probability first, lower token id
+// on ties (the determinism contract).
+//
+//photon:hotpath
+func precedes(p []float32, a, b int) bool {
+	if p[a] != p[b] {
+		return p[a] > p[b]
+	}
+	return a < b
+}

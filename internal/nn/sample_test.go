@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"photon/internal/tensor"
@@ -146,6 +147,147 @@ func TestGenerateOptsSampledDeterministic(t *testing.T) {
 		}
 		if a[i] < 0 || a[i] >= m.Cfg.VocabSize {
 			t.Fatalf("token %d out of vocabulary: %d", i, a[i])
+		}
+	}
+}
+
+// refSample is Sample as it was before candidate selection: the whole
+// vocabulary sorted through sort.Interface whenever a filter applies. Kept
+// verbatim as the oracle for TestSamplerSelectMatchesSort.
+func refSample(s *Sampler, rng *rand.Rand, logits []float32, o SampleOpts) int {
+	if o.Greedy() {
+		return tensor.ArgMax(logits)
+	}
+	n := len(logits)
+	inv := 1 / o.Temperature
+
+	// Unnormalized softmax with max subtraction; sum carries the normalizer.
+	s.probs = growF32(s.probs, n)
+	maxV := logits[0]
+	for _, v := range logits[1:] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	var sum float64
+	for j, v := range logits {
+		e := math.Exp(float64(v-maxV) * inv)
+		s.probs[j] = float32(e)
+		sum += e
+	}
+
+	// Candidate set: all tokens, optionally cut down by top-k then top-p.
+	s.idx = growInt(s.idx, n)
+	for j := range s.idx {
+		s.idx[j] = j
+	}
+	m := n
+	if (o.TopK > 0 && o.TopK < n) || (o.TopP > 0 && o.TopP < 1) {
+		sort.Sort(&byProb{p: s.probs, idx: s.idx})
+		if o.TopK > 0 && o.TopK < m {
+			m = o.TopK
+		}
+		if o.TopP > 0 && o.TopP < 1 {
+			target := o.TopP * sum
+			var acc float64
+			for j := 0; j < m; j++ {
+				acc += float64(s.probs[s.idx[j]])
+				if acc >= target {
+					m = j + 1
+					break
+				}
+			}
+		}
+	}
+
+	// Renormalize over the candidates and invert the CDF.
+	var csum float64
+	for j := 0; j < m; j++ {
+		csum += float64(s.probs[s.idx[j]])
+	}
+	r := rng.Float64() * csum
+	var acc float64
+	for j := 0; j < m-1; j++ {
+		acc += float64(s.probs[s.idx[j]])
+		if r <= acc {
+			return s.idx[j]
+		}
+	}
+	return s.idx[m-1]
+}
+
+// byProb orders token indices by descending probability, lower id first on
+// ties (the determinism contract). A pointer receiver keeps sort.Sort from
+// allocating.
+type byProb struct {
+	p   []float32
+	idx []int
+}
+
+func (b *byProb) Len() int { return len(b.idx) }
+func (b *byProb) Less(i, j int) bool {
+	pi, pj := b.p[b.idx[i]], b.p[b.idx[j]]
+	if pi != pj {
+		return pi > pj
+	}
+	return b.idx[i] < b.idx[j]
+}
+func (b *byProb) Swap(i, j int) { b.idx[i], b.idx[j] = b.idx[j], b.idx[i] }
+
+// TestSamplerSelectMatchesSort holds Sample to refSample over every filter
+// shape the sampler has — vocabularies of 1 to 2048, top-k from off through
+// 1, 2, 20, n−1 and n, top-p off and on, temperatures either side of 1 and
+// greedy — on logits with planted probability ties (repeated values, so the
+// lower-id rule decides). Each case draws from two generators with the same
+// seed; the tokens must agree and so must the generators' next output, so
+// Sample consumes exactly the random stream the full sort did. A warm Sample
+// allocates nothing.
+func TestSamplerSelectMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var got, want Sampler
+	draws := 0
+	for _, n := range []int{1, 5, 256, 2048} {
+		logits := make([]float32, n)
+		for _, k := range []int{0, 1, 2, 20, n - 1, n} {
+			for _, p := range []float64{0, 0.5, 0.95} {
+				for _, temp := range []float64{0, 0.3, 0.7, 1, 1.8} {
+					o := SampleOpts{Temperature: temp, TopK: k, TopP: p}
+					seed := rng.Int63()
+					ra, rb := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					for trial := 0; trial < 8; trial++ {
+						// A few distinct levels, so most tokens tie with
+						// others; every second trial uses continuous values.
+						levels := 1 + rng.Intn(6)
+						for j := range logits {
+							if trial%2 == 0 {
+								logits[j] = float32(rng.Intn(levels)) / 2
+							} else {
+								logits[j] = float32(rng.NormFloat64() * 2)
+							}
+						}
+						a, b := got.Sample(ra, logits, o), refSample(&want, rb, logits, o)
+						if a != b {
+							t.Fatalf("n=%d %+v trial %d: Sample picked %d, the full sort %d", n, o, trial, a, b)
+						}
+						if x, y := ra.Int63(), rb.Int63(); x != y {
+							t.Fatalf("n=%d %+v trial %d: random streams diverged after the draw", n, o, trial)
+						}
+						draws++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d draws identical to the full sort", draws)
+
+	logits := make([]float32, 256)
+	for j := range logits {
+		logits[j] = float32(rng.NormFloat64())
+	}
+	for _, o := range []SampleOpts{{Temperature: 0.7, TopK: 20}, {Temperature: 1, TopP: 0.9}, {Temperature: 1, TopK: 40, TopP: 0.9}} {
+		got.Sample(rng, logits, o)
+		if allocs := testing.AllocsPerRun(50, func() { got.Sample(rng, logits, o) }); allocs != 0 {
+			t.Fatalf("%+v: a warm Sample allocates %v times", o, allocs)
 		}
 	}
 }

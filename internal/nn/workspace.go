@@ -16,9 +16,10 @@ import "photon/internal/tensor"
 // the first step every Take is served from a free list, so a warm step
 // performs zero heap allocations (asserted by TestTrainStepZeroAlloc).
 //
-// A Workspace is owned by a single Model and is not safe for concurrent use;
-// concurrent replicas (DDP workers, federated clients) each own their model
-// and therefore their workspace.
+// A Workspace is owned by a single Model or Decoder and is not safe for
+// concurrent use; concurrent replicas (DDP workers, federated clients) each
+// own their model and therefore their workspace, and concurrent decoders over
+// one model each own theirs.
 type Workspace struct {
 	free map[int][]*tensor.Matrix // element count -> recycled matrices
 	used []*tensor.Matrix         // taken since the last Reset

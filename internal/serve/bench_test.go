@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -114,83 +112,5 @@ func BenchmarkServeSequential(b *testing.B) {
 			}
 			b.ReportMetric(tps, "tokens/s")
 		})
-	}
-}
-
-// TestWriteServeBenchJSON emits the serving-throughput curve as JSON when
-// BENCH_SERVE_JSON names an output path — the CI hook behind
-// BENCH_serve.json. For each concurrency level it measures continuous
-// batching (MaxBatch = concurrency) against the sequential baseline
-// (MaxBatch = 1) on the same offered load, recording aggregate tokens/s and
-// request-latency percentiles.
-func TestWriteServeBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_SERVE_JSON")
-	if path == "" {
-		t.Skip("BENCH_SERVE_JSON not set")
-	}
-	type point struct {
-		Concurrency     int     `json:"concurrency"`
-		TokensPerSec    float64 `json:"tokens_per_sec"`
-		P50us           int64   `json:"p50_us"`
-		P99us           int64   `json:"p99_us"`
-		SeqTokensPerSec float64 `json:"sequential_tokens_per_sec"`
-		SeqP50us        int64   `json:"sequential_p50_us"`
-		SeqP99us        int64   `json:"sequential_p99_us"`
-		Speedup         float64 `json:"continuous_vs_sequential"`
-	}
-	measure := func(maxBatch, requests int) (float64, time.Duration, time.Duration) {
-		m := serveBenchModel()
-		e := NewEngine(m, Config{MaxBatch: maxBatch, MaxSeq: 64, Queue: 64})
-		defer e.Close()
-		runServeLoad(e, requests) // warm
-		best := 0.0
-		var p50, p99 time.Duration
-		for rep := 0; rep < 3; rep++ {
-			tps, a, b := runServeLoad(e, requests)
-			if tps > best {
-				best, p50, p99 = tps, a, b
-			}
-		}
-		return best, p50, p99
-	}
-	var points []point
-	for _, conc := range []int{1, 2, 4, 8} {
-		requests := 4 * conc
-		ct, cp50, cp99 := measure(conc, requests)
-		st, sp50, sp99 := measure(1, requests)
-		points = append(points, point{
-			Concurrency:     conc,
-			TokensPerSec:    ct,
-			P50us:           cp50.Microseconds(),
-			P99us:           cp99.Microseconds(),
-			SeqTokensPerSec: st,
-			SeqP50us:        sp50.Microseconds(),
-			SeqP99us:        sp99.Microseconds(),
-			Speedup:         ct / st,
-		})
-	}
-	report := struct {
-		Config    string  `json:"config"`
-		PromptLen int     `json:"prompt_len"`
-		MaxNew    int     `json:"max_new"`
-		Points    []point `json:"points"`
-		Comment   string  `json:"comment"`
-	}{
-		Config:    "serve-bench",
-		PromptLen: benchPromptLen,
-		MaxNew:    benchMaxNew,
-		Points:    points,
-		Comment:   "KV-cached continuous batching (MaxBatch=concurrency) vs sequential baseline (MaxBatch=1) on identical offered load; best of 3 waves per point. Row-paired matmul microkernels amortize weight traffic from batch 4 up, so the win appears at >=4 concurrent sequences",
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		fmt.Printf("conc %d: continuous %.0f tok/s vs sequential %.0f tok/s (%.2fx), p50 %dus p99 %dus\n",
-			p.Concurrency, p.TokensPerSec, p.SeqTokensPerSec, p.Speedup, p.P50us, p.P99us)
 	}
 }

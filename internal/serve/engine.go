@@ -6,12 +6,22 @@
 // The engine owns the model exclusively. One scheduler goroutine runs a
 // decode loop that admits queued requests into free batch slots, prefills
 // their prompts in the same forward that decodes the running sequences
-// (mixed ragged batches are what nn.Model.Decode is built for), samples one
+// (mixed ragged batches are what nn.Decoder.Decode is built for), samples one
 // token per running sequence per step, and retires sequences the moment they
 // finish — a new request takes over the freed slot on the very next step
 // rather than waiting for the whole batch to drain. That is the continuous
 // batching of Orca/vLLM, scaled down to this codebase's single-process
 // model.
+//
+// A step uses every core: the scheduler deals the running sequences into
+// contiguous shards, one per core, and each shard runs the whole step body —
+// forward, logit rows, sample or score — on its own nn.Decoder over the one
+// set of weights. The scheduler goroutine runs the first shard; engine-owned
+// helper goroutines, one per further core, run the others. A helper spins
+// briefly between steps before it parks (see latch), so back-to-back steps
+// hand off without a futex wake. Admission, counters, retirement and result
+// delivery stay on the scheduler goroutine, in batch order. On one core there
+// are no helpers and a step is one shard.
 //
 // A retired slot keeps its prefix: the free pool remembers which tokens each
 // KV cache holds, and a scoring request is bound to the free slot sharing the
@@ -25,8 +35,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"photon/internal/nn"
@@ -47,6 +59,9 @@ var (
 	ErrDeadline = errors.New("serve: deadline exceeded")
 	// ErrTooLong reports a request that cannot fit the per-sequence cache.
 	ErrTooLong = errors.New("serve: request exceeds max sequence length")
+	// ErrBadToken reports a request carrying a token id outside the model's
+	// vocabulary.
+	ErrBadToken = errors.New("serve: token id outside the vocabulary")
 )
 
 // Config sizes the engine.
@@ -185,10 +200,71 @@ type seqSlot struct {
 	started time.Time
 
 	score     bool
-	seq       []int // scoring: prompt‖cont
-	promptLen int
-	reused    int   // scoring: leading tokens of seq already in kv
-	prompt    []int // generation: truncated prompt (or the seed token)
+	seq       []int   // scoring: prompt‖cont
+	promptLen int     // scoring
+	reused    int     // scoring: leading tokens of seq already in kv
+	lp        float64 // scoring: the result, set by the step that feeds seq
+	prompt    []int   // generation: truncated prompt (or the seed token)
+}
+
+// shard is one core's part of a step: a contiguous run of the batch and the
+// decoder and scratch it is stepped with (reset to [:0] every step). Shard 0
+// runs on the scheduler goroutine; each other shard has a helper goroutine,
+// handed its run by work and reporting back on done.
+type shard struct {
+	seqs   []*seqSlot // this step's sequences; nil tells a helper to exit
+	dec    *nn.Decoder
+	states []*nn.DecodeState
+	toks   [][]int
+	rows   []int
+
+	work, done latch
+}
+
+// spinFor is how long a waiting latch keeps checking before it parks: longer
+// than the scheduler's work between two steps plus a client's round trip for
+// the next request, so a busy engine seldom parks a helper, and short enough
+// that an idle one costs next to nothing.
+const spinFor = 400 * time.Microsecond
+
+// latch passes a signal from one goroutine to another. The waiter re-checks
+// for spinFor, yielding the processor on every check so the connection
+// goroutines keep running, and only then parks on a channel: between busy
+// cores a hand-off is a cache-line transfer, not a futex wake. Parking at
+// once gave up about a third of what sharding gains, at two sequences in
+// flight and at eight. One goroutine signals and one waits, alternately.
+type latch struct {
+	set, parked atomic.Bool
+	wake        chan struct{} // capacity 1
+}
+
+// signal wakes the waiter, or lets its next wait return at once.
+//
+//photon:hotpath
+func (l *latch) signal() {
+	l.set.Store(true)
+	if l.parked.CompareAndSwap(true, false) {
+		l.wake <- struct{}{}
+	}
+}
+
+// wait returns once the signal is set and clears it.
+//
+//photon:hotpath
+func (l *latch) wait() {
+	for start := time.Now(); time.Since(start) < spinFor; runtime.Gosched() {
+		if l.set.Load() {
+			l.set.Store(false)
+			return
+		}
+	}
+	l.parked.Store(true)
+	// Reclaiming parked means signal has not seen it and will not send;
+	// losing it means signal has, and a wake is on its way.
+	if !l.set.Load() || !l.parked.CompareAndSwap(true, false) {
+		<-l.wake
+	}
+	l.set.Store(false)
 }
 
 // Engine is the continuous-batching scheduler. Construct with NewEngine,
@@ -215,11 +291,10 @@ type Engine struct {
 	latPos    int
 	closed    bool
 
-	// owned by the scheduler goroutine: the retire stamp and step scratch
+	// owned by the scheduler goroutine: the retire stamp and the step's
+	// per-core shards (shards[1:] each run on a helper goroutine)
 	retireSeq uint64 // source of kvSlot.retired
-	states    []*nn.DecodeState
-	toks      [][]int
-	rows      []int
+	shards    []*shard
 
 	// process-wide scrape instruments (obsv.Default), cached at construction
 	// so the hot path never touches the registry lock. All updates are
@@ -234,8 +309,9 @@ type Engine struct {
 	insReused    *obsv.Counter
 }
 
-// NewEngine starts an engine over m. The engine takes exclusive ownership of
-// the model until Close.
+// NewEngine starts an engine over m, with one helper goroutine per core
+// beyond the first (at most MaxBatch-1). The engine takes exclusive ownership
+// of the model until Close.
 func NewEngine(m *nn.Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults(m)
 	e := &Engine{
@@ -255,6 +331,14 @@ func NewEngine(m *nn.Model, cfg Config) *Engine {
 		insTokens:    obsv.Default.Counter("photon_serve_tokens_total", "Tokens sampled across all requests."),
 		insPrefill:   obsv.Default.Counter("photon_serve_prefill_tokens_total", "Prompt and scored-sequence tokens fed through the model."),
 		insReused:    obsv.Default.Counter("photon_serve_prefix_reused_tokens_total", "Leading tokens served from a retained KV prefix instead of being fed."),
+	}
+	for i := 0; i < min(runtime.GOMAXPROCS(0), cfg.MaxBatch); i++ {
+		sh := &shard{dec: m.NewDecoder()}
+		sh.work.wake, sh.done.wake = make(chan struct{}, 1), make(chan struct{}, 1)
+		e.shards = append(e.shards, sh)
+		if i > 0 {
+			go helper(sh)
+		}
 	}
 	go e.loop()
 	return e
@@ -348,10 +432,18 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// loop is the scheduler: admit → step → retire, forever.
+// loop is the scheduler: admit → step → retire, forever. On the way out it
+// stops the helpers, so when Close returns no engine goroutine is left.
 func (e *Engine) loop() {
 	defer close(e.done)
 	defer close(e.events)
+	defer func() {
+		for _, sh := range e.shards[1:] {
+			sh.seqs = nil
+			sh.work.signal()
+			sh.done.wait()
+		}
+	}()
 
 	free := make([]*kvSlot, e.cfg.MaxBatch)
 	for i := range free {
@@ -441,6 +533,14 @@ func (e *Engine) admit(p *pending, free *[]*kvSlot, fail func(*pending, error)) 
 		fail(p, ErrDeadline)
 		return nil
 	}
+	for _, toks := range [2][]int{req.Prompt, req.Cont} {
+		for _, t := range toks {
+			if t < 0 || t >= e.m.Cfg.VocabSize {
+				fail(p, fmt.Errorf("%w: id %d, vocabulary %d", ErrBadToken, t, e.m.Cfg.VocabSize))
+				return nil
+			}
+		}
+	}
 	s := &seqSlot{p: p, started: time.Now()}
 	if len(req.Cont) > 0 {
 		s.score = true
@@ -526,45 +626,33 @@ func commonPrefix(a, b []int, limit int) int {
 
 // step runs one mixed prefill/decode forward over the active batch, samples
 // or scores, and retires finished sequences (returning their slots to free).
-// This is the serving hot path: per-token work reuses engine-owned scratch
-// (states/toks/rows reset to [:0] each step) so a steady-state decode step
-// allocates nothing.
+// The batch is split into shards (see split) that step at the same time, one
+// per core; then the counters, retirements and results go out on this
+// goroutine in batch order. This is the serving hot path: per-token work
+// reuses shard-owned scratch, so a steady-state decode step allocates
+// nothing.
 //
 //photon:hotpath
 func (e *Engine) step(active []*seqSlot, free *[]*kvSlot) []*seqSlot {
 	if len(active) == 0 {
 		return active
 	}
-	e.states = e.states[:0]
-	e.toks = e.toks[:0]
-	for _, s := range active {
-		e.states = append(e.states, s.kv.st) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
-		e.toks = append(e.toks, s.feed())    //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
+	n := e.split(active)
+	for _, sh := range e.shards[1:n] {
+		sh.work.signal()
 	}
-	h := e.m.Decode(e.states, e.toks)
-
-	// Gather exactly the logit rows each sequence needs.
-	e.rows = e.rows[:0]
-	off := 0
-	sampled := int64(0)
-	for i, s := range active {
-		n := len(e.toks[i])
-		if s.score {
-			// Rows for positions promptLen-1 … len(seq)-2: each predicts
-			// the next continuation token. The fed rows start at position
-			// reused.
-			for r := s.promptLen - 1 - s.reused; r < n; r++ {
-				e.rows = append(e.rows, off+r) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
-			}
-		} else {
-			e.rows = append(e.rows, off+n-1) //photon:nolint hotpath-alloc -- engine scratch, reset to [:0] per step
-			sampled++
-		}
-		off += n
+	e.shards[0].run()
+	for _, sh := range e.shards[1:n] {
+		sh.done.wait()
 	}
-	logits := e.m.DecodeLogits(h, e.rows)
 
 	// Counted before any result goes out, like retire's counters.
+	sampled := int64(0)
+	for _, s := range active {
+		if !s.score {
+			sampled++
+		}
+	}
 	e.mu.Lock()
 	e.tokensOut += sampled
 	e.mu.Unlock()
@@ -572,23 +660,10 @@ func (e *Engine) step(active []*seqSlot, free *[]*kvSlot) []*seqSlot {
 
 	now := time.Now()
 	out := active[:0]
-	row := 0
 	for _, s := range active {
-		if s.score {
-			var lp float64
-			for j := 0; j < len(s.seq)-s.promptLen; j++ {
-				r := logits.Row(row)
-				lp += float64(r[s.seq[s.promptLen+j]]) - tensor.LogSumExpRow(r)
-				row++
-			}
-			e.retire(s, free, Result{LogProb: lp, Tokens: nil}, false, now)
-			continue
-		}
-		next := s.sampler.Sample(s.rng, logits.Row(row), s.p.req.Opts)
-		row++
-		s.out = append(s.out, next) //photon:nolint hotpath-alloc -- capacity preallocated to MaxNew at admit
-		s.tok[0] = next
 		switch {
+		case s.score:
+			e.retire(s, free, Result{LogProb: s.lp}, false, now)
 		case len(s.out) >= s.p.req.MaxNew:
 			e.retire(s, free, Result{Tokens: s.out}, false, now)
 		case !s.p.req.Deadline.IsZero() && now.After(s.p.req.Deadline):
@@ -598,6 +673,104 @@ func (e *Engine) step(active []*seqSlot, free *[]*kvSlot) []*seqSlot {
 		}
 	}
 	return out
+}
+
+// split deals active into contiguous shards — one per core, at most one per
+// sequence — balanced by the tokens each sequence feeds this step, and
+// returns how many shards it used. The live GOMAXPROCS caps the count, so a
+// step under GOMAXPROCS 1 is one shard on this goroutine.
+//
+//photon:hotpath
+func (e *Engine) split(active []*seqSlot) int {
+	n := min(len(e.shards), len(active), runtime.GOMAXPROCS(0))
+	total := 0
+	for _, s := range active {
+		total += len(s.feed())
+	}
+	lo, acc := 0, 0
+	for k := 0; k < n; k++ {
+		hi := len(active)
+		if k < n-1 {
+			// At least one sequence, then more while under the shard's share
+			// of the total and while the shards after it can still get one.
+			hi = lo + 1
+			acc += len(active[lo].feed())
+			for hi < len(active)-(n-1-k) && acc < total*(k+1)/n {
+				acc += len(active[hi].feed())
+				hi++
+			}
+		}
+		e.shards[k].seqs = active[lo:hi]
+		lo = hi
+	}
+	return n
+}
+
+// helper runs sh's part of every step it is handed, until the scheduler
+// hands it no sequences.
+//
+//photon:hotpath
+func helper(sh *shard) {
+	for {
+		sh.work.wait()
+		if sh.seqs == nil {
+			sh.done.signal()
+			return
+		}
+		sh.run()
+		sh.done.signal()
+	}
+}
+
+// run is the step body over the shard's sequences, on its own decoder: one
+// mixed forward, exactly the logit rows each sequence needs, then a token
+// sampled onto each generation and each score's log-probability summed.
+//
+//photon:hotpath
+func (sh *shard) run() {
+	sh.states = sh.states[:0]
+	sh.toks = sh.toks[:0]
+	for _, s := range sh.seqs {
+		sh.states = append(sh.states, s.kv.st) //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+		sh.toks = append(sh.toks, s.feed())    //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+	}
+	h := sh.dec.Decode(sh.states, sh.toks)
+
+	sh.rows = sh.rows[:0]
+	off := 0
+	for i, s := range sh.seqs {
+		n := len(sh.toks[i])
+		if s.score {
+			// Rows for positions promptLen-1 … len(seq)-2: each predicts
+			// the next continuation token. The fed rows start at position
+			// reused.
+			for r := s.promptLen - 1 - s.reused; r < n; r++ {
+				sh.rows = append(sh.rows, off+r) //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+			}
+		} else {
+			sh.rows = append(sh.rows, off+n-1) //photon:nolint hotpath-alloc -- shard scratch, reset to [:0] per step
+		}
+		off += n
+	}
+	logits := sh.dec.DecodeLogits(h, sh.rows)
+
+	row := 0
+	for _, s := range sh.seqs {
+		if s.score {
+			var lp float64
+			for j := 0; j < len(s.seq)-s.promptLen; j++ {
+				r := logits.Row(row)
+				lp += float64(r[s.seq[s.promptLen+j]]) - tensor.LogSumExpRow(r)
+				row++
+			}
+			s.lp = lp
+			continue
+		}
+		next := s.sampler.Sample(s.rng, logits.Row(row), s.p.req.Opts)
+		row++
+		s.out = append(s.out, next) //photon:nolint hotpath-alloc -- capacity preallocated to MaxNew at admit
+		s.tok[0] = next
+	}
 }
 
 // feed returns the tokens this sequence contributes to the next forward: the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 
 	"photon/internal/eval"
 	"photon/internal/nn"
+	"photon/internal/testutil"
 )
 
 func testModel(seed int64) *nn.Model {
@@ -589,4 +591,219 @@ func TestEngineStepZeroAllocOnHits(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("step over a prefix hit allocated %v times per run, want 0", allocs)
 	}
+}
+
+// TestEngineRejectsBadTokens: a token id outside the vocabulary, in a prompt
+// or in a continuation, fails that request with ErrBadToken, and the engine
+// goes on serving the next one.
+func TestEngineRejectsBadTokens(t *testing.T) {
+	m := testModel(9)
+	vocab := m.Cfg.VocabSize
+	e := NewEngine(m, Config{MaxBatch: 2, MaxSeq: 64})
+	defer e.Close()
+	for _, bad := range []Request{
+		{Prompt: []int{1, vocab}, MaxNew: 3},
+		{Prompt: []int{-1}, MaxNew: 3},
+		{Prompt: []int{1, 2}, Cont: []int{3, vocab + 5}},
+		{Prompt: []int{1, 2}, Cont: []int{-3}},
+	} {
+		if res := e.Do(bad); !errors.Is(res.Err, ErrBadToken) {
+			t.Fatalf("request %+v returned %v, want ErrBadToken", bad, res.Err)
+		}
+		if res := e.Do(Request{Prompt: []int{1, 2}, MaxNew: 3}); res.Err != nil || len(res.Tokens) != 3 {
+			t.Fatalf("engine after a bad request: %d tokens, err %v", len(res.Tokens), res.Err)
+		}
+	}
+}
+
+// withProcs runs the rest of the test at GOMAXPROCS n. The engine sizes its
+// shards when it is built, so build it after this.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestEngineOneCoreHasNoHelpers: at GOMAXPROCS 1 the engine starts no helper
+// and every step is one shard on the scheduler goroutine, the engine as it
+// was before it sharded.
+func TestEngineOneCoreHasNoHelpers(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	withProcs(t, 1)
+	m := testModel(51)
+	want := m.GenerateOpts(rand.New(rand.NewSource(3)), []int{4, 5}, 6, nn.SampleOpts{Temperature: 0.7, TopK: 20})
+	e := NewEngine(m, Config{MaxBatch: 8, MaxSeq: 64})
+	defer e.Close()
+	if len(e.shards) != 1 {
+		t.Fatalf("engine at GOMAXPROCS 1 built %d shards, want 1", len(e.shards))
+	}
+	res := e.Do(Request{Prompt: []int{4, 5}, MaxNew: 6, Seed: 3, Opts: nn.SampleOpts{Temperature: 0.7, TopK: 20}})
+	if res.Err != nil || !slices.Equal(res.Tokens, want) {
+		t.Fatalf("served %v (err %v), in-process %v", res.Tokens, res.Err, want)
+	}
+}
+
+// TestEngineShardedStepMatchesAlone holds a two-core engine to the serving
+// contract with eight mixed requests in flight, so the steps run as two
+// shards on two goroutines: every generation reproduces the request served
+// alone token for token (where the kernels are row-invariant; elsewhere only
+// its length is checked) and every score matches eval.ContinuationLogProb
+// within 1e-4.
+func TestEngineShardedStepMatchesAlone(t *testing.T) {
+	withProcs(t, 2)
+	const seed = 47
+	twin := testModel(seed)
+	vocab := twin.Cfg.VocabSize
+	rng := rand.New(rand.NewSource(seed))
+	type item struct {
+		req        Request
+		wantTokens []int
+		wantScore  float64
+	}
+	items := make([]item, 24)
+	for i := range items {
+		prompt := randTokens(rng, 1+rng.Intn(14), vocab)
+		if i%2 == 0 {
+			req := Request{Prompt: prompt, MaxNew: 4 + rng.Intn(20), Seed: rng.Int63(),
+				Opts: nn.SampleOpts{Temperature: 0.7, TopK: 20}}
+			items[i] = item{req: req, wantTokens: twin.GenerateOpts(rand.New(rand.NewSource(req.Seed)), prompt, req.MaxNew, req.Opts)}
+			continue
+		}
+		cont := randTokens(rng, 1+rng.Intn(5), vocab)
+		items[i] = item{req: Request{Prompt: prompt, Cont: cont}, wantScore: twinLogProb(twin, prompt, cont)}
+	}
+
+	e := NewEngine(testModel(seed), Config{MaxBatch: 8, MaxSeq: 64, Queue: 32})
+	defer e.Close()
+	if len(e.shards) != 2 {
+		t.Fatalf("engine at GOMAXPROCS 2 built %d shards, want 2", len(e.shards))
+	}
+	exact := testutil.RowInvariantKernels()
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(items); i = int(next.Add(1) - 1) {
+				it := &items[i]
+				res := e.Do(it.req)
+				switch {
+				case res.Err != nil:
+					t.Errorf("request %d: %v", i, res.Err)
+				case len(it.req.Cont) > 0:
+					if math.Abs(res.LogProb-it.wantScore) > 1e-4 {
+						t.Errorf("request %d: score %g, in-process %g", i, res.LogProb, it.wantScore)
+					}
+				case len(res.Tokens) != it.req.MaxNew || exact && !slices.Equal(res.Tokens, it.wantTokens):
+					t.Errorf("request %d: generated %v, served alone %v", i, res.Tokens, it.wantTokens)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestEngineShardedStepZeroAlloc drives admit and step by hand on a two-core
+// engine, eight generations in the batch, and pins a warm two-shard step at
+// zero allocations. testing.AllocsPerRun would pin GOMAXPROCS to 1 (one
+// shard), so this reads the process's malloc count around the steps instead.
+func TestEngineShardedStepZeroAlloc(t *testing.T) {
+	withProcs(t, 2)
+	m := testModel(48)
+	e := NewEngine(m, Config{MaxBatch: 8, MaxSeq: 64})
+	defer e.Close()
+	rng := rand.New(rand.NewSource(48))
+	prompts := make([][]int, 8)
+	for i := range prompts {
+		prompts[i] = randTokens(rng, 3+i, m.Cfg.VocabSize)
+	}
+	free := make([]*kvSlot, 8)
+	for i := range free {
+		free[i] = &kvSlot{st: m.NewDecodeState(64), held: make([]int, 0, 64)}
+	}
+	fail := func(_ *pending, err error) { t.Fatal(err) }
+	const maxNew = 24
+	// Each pass admits the same eight requests and steps them until they
+	// retire. The first pass warms the decoders' workspaces for every shape
+	// the second will see; the second's first step warms the new samplers,
+	// and its last retires everything, so the steps between are measured.
+	for pass := 0; pass < 2; pass++ {
+		var active []*seqSlot
+		for i, prompt := range prompts {
+			p := &pending{req: Request{Prompt: prompt, MaxNew: maxNew, Seed: int64(i),
+				Opts: nn.SampleOpts{Temperature: 0.7, TopK: 20}}, res: make(chan Result, 1), enqueued: time.Now()}
+			active = append(active, e.admit(p, &free, fail))
+		}
+		active = e.step(active, &free)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for step := 1; step < maxNew-1; step++ {
+			active = e.step(active, &free)
+		}
+		runtime.ReadMemStats(&after)
+		if steps := uint64(maxNew - 2); pass == 1 && (after.Mallocs-before.Mallocs)/steps != 0 {
+			t.Fatalf("a warm two-shard step allocates: %d mallocs over %d steps", after.Mallocs-before.Mallocs, steps)
+		}
+		if active = e.step(active, &free); len(active) != 0 {
+			t.Fatalf("%d sequences still active after %d steps", len(active), maxNew)
+		}
+	}
+}
+
+// helpersParked reports whether every helper is parked waiting for work.
+func (e *Engine) helpersParked() bool {
+	for _, sh := range e.shards[1:] {
+		if !sh.work.parked.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEngineParksIdleHelpers: once the engine has nothing to do, its helpers
+// stop spinning and park, so an idle server costs no CPU.
+func TestEngineParksIdleHelpers(t *testing.T) {
+	withProcs(t, 2)
+	e := NewEngine(testModel(49), Config{MaxBatch: 4, MaxSeq: 64})
+	defer e.Close()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res := e.Do(Request{Prompt: []int{1 + i}, MaxNew: 16, Seed: int64(i)}); res.Err != nil {
+				t.Error(res.Err)
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(5 * time.Second)
+	for !e.helpersParked() {
+		if time.Now().After(deadline) {
+			t.Fatal("helpers still spinning 5s after the engine went idle")
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestEngineCloseStopsHelpers: Close leaves no engine goroutine behind,
+// helpers included, whether they were parked or had just been busy.
+func TestEngineCloseStopsHelpers(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	withProcs(t, 2)
+	e := NewEngine(testModel(50), Config{MaxBatch: 4, MaxSeq: 64})
+	chs := make([]<-chan Result, 4)
+	for i := range chs {
+		ch, err := e.Submit(Request{Prompt: []int{2 + i}, MaxNew: 8, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chs[i] = ch
+	}
+	for _, ch := range chs {
+		if res := <-ch; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	e.Close()
 }

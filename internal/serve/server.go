@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -48,7 +49,9 @@ func tokensToPayload(tokens []int) link.EncodedPayload {
 	return link.Dense(f)
 }
 
-// payloadToTokens unpacks a dense float32 payload back to token ids.
+// payloadToTokens unpacks a dense float32 payload back to token ids,
+// rejecting any value that is not one: negative, fractional, NaN, or past
+// the 2²⁴ a float32 holds exactly.
 func payloadToTokens(p link.EncodedPayload) ([]int, error) {
 	f, err := link.DecodePayload(nil, p)
 	if err != nil {
@@ -56,6 +59,9 @@ func payloadToTokens(p link.EncodedPayload) ([]int, error) {
 	}
 	tokens := make([]int, len(f))
 	for i, v := range f {
+		if !(v >= 0 && v <= 1<<24) || float64(v) != math.Trunc(float64(v)) {
+			return nil, fmt.Errorf("serve: token %d is %v, not a token id", i, v)
+		}
 		tokens[i] = int(v)
 	}
 	return tokens, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -147,5 +148,43 @@ func TestServerDeadlinePropagation(t *testing.T) {
 	_, err := client.Generate([]int{1}, 4000, GenOpts{Deadline: 5 * time.Millisecond})
 	if err == nil {
 		t.Fatal("deadline-bounded long request should fail")
+	}
+}
+
+// TestServerBadToken: a request carrying an id the model does not have —
+// past the vocabulary, or negative, which the wire decoder refuses before the
+// engine sees it — comes back as an error result, and the next request on the
+// same connection is served.
+func TestServerBadToken(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	m := testModel(15)
+	vocab := m.Cfg.VocabSize
+	client, shutdown := startServer(t, m, Config{MaxBatch: 2, MaxSeq: 64})
+	defer shutdown()
+
+	for _, bad := range []func() error{
+		func() error { _, err := client.Generate([]int{1, vocab}, 3, GenOpts{}); return err },
+		func() error { _, err := client.Score([]int{1, 2}, []int{vocab + 1}); return err },
+		func() error { _, err := client.Generate([]int{-1, 2}, 3, GenOpts{}); return err },
+	} {
+		if err := bad(); err == nil {
+			t.Fatal("request with an out-of-vocabulary token succeeded")
+		}
+		if out, err := client.Generate([]int{1, 2}, 3, GenOpts{}); err != nil || len(out) != 3 {
+			t.Fatalf("connection after a bad token: %d tokens, err %v", len(out), err)
+		}
+	}
+}
+
+// TestPayloadToTokensRejectsNonIds: token payloads are float32 on the wire;
+// only the exact non-negative integers a float32 holds decode to ids.
+func TestPayloadToTokensRejectsNonIds(t *testing.T) {
+	if got, err := payloadToTokens(link.Dense([]float32{0, 7, 1 << 24})); err != nil || !slices.Equal(got, []int{0, 7, 1 << 24}) {
+		t.Fatalf("valid ids decoded to %v, %v", got, err)
+	}
+	for _, v := range []float32{-1, 2.5, float32(math.NaN()), float32(math.Inf(1)), 1<<24 + 2} {
+		if got, err := payloadToTokens(link.Dense([]float32{3, v})); err == nil {
+			t.Fatalf("payload value %v decoded to ids %v", v, got)
+		}
 	}
 }

@@ -174,25 +174,30 @@ func satMul(a, b int) int {
 
 // dispatch splits [0, items) into bands and runs kernel t on the pool,
 // executing serially inline when the flop volume does not justify the
-// fan-out. The caller runs the first band itself so a dispatch never leaves
-// the calling core idle.
+// fan-out. A band is a whole number of the kernel's row tiles (rowTile), so
+// the split never drops rows to a one-row loop; when one band covers every
+// item, that is inline too. The caller runs the first band itself so a
+// dispatch never leaves the calling core idle.
 //
 //photon:hotpath
 func dispatch(items, volumePerItem int, t task) {
 	if items <= 0 {
 		return
 	}
-	if items < 2 || runtime.GOMAXPROCS(0) <= 1 || satMul(items, volumePerItem) < parallelThreshold {
+	step := items
+	if items >= 2 && runtime.GOMAXPROCS(0) > 1 && satMul(items, volumePerItem) >= parallelThreshold {
+		ensurePool()
+		bands := min(poolSize, items)
+		step = (items + bands - 1) / bands
+		if tile := rowTile(t.kind); step%tile != 0 {
+			step += tile - step%tile
+		}
+	}
+	if step >= items {
 		t.lo, t.hi = 0, items
 		runTask(&t)
 		return
 	}
-	ensurePool()
-	bands := poolSize
-	if bands > items {
-		bands = items
-	}
-	step := (items + bands - 1) / bands
 	g := getGroup(int32((items + step - 1) / step))
 	for lo := step; lo < items; lo += step {
 		hi := lo + step
@@ -212,6 +217,23 @@ func dispatch(items, volumePerItem int, t task) {
 		<-g.done
 	}
 	putGroup(g)
+}
+
+// rowTile is the number of rows kernel k's micro-kernel computes together:
+// a band cut below it sends those rows through the one-row remainder loop,
+// which streams the other operand once per row instead of once per tile. A
+// serve decode shard's 4-row MLP products sit at the fan-out threshold; cut
+// into two 2-row bands they were slower than one band on one core.
+//
+//photon:hotpath
+func rowTile(k kernelKind) int {
+	switch k {
+	case kMatMul, kMatMulAccum:
+		return 4
+	case kMatMulTransB, kMatMulTransAAccum:
+		return 2
+	}
+	return 1
 }
 
 // Parallel runs fn over contiguous bands of [0, items) on the package worker
