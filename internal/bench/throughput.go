@@ -15,9 +15,9 @@ import (
 // TrainBenchShape is the canonical Quick-scale throughput shape: long enough
 // sequences that attention carries a realistic share of the FLOPs, small
 // enough that a full step runs in milliseconds on one core. It is shared by
-// the committed BENCH_train.json emitter (internal/nn trainbench_test.go)
-// and the train-throughput experiment so the two measurements can never
-// drift apart.
+// BenchmarkTrainStep (internal/nn trainbench_test.go) and the
+// train-throughput experiment so the two measurements can never drift
+// apart.
 func TrainBenchShape() (cfg nn.Config, batchSize int) {
 	return nn.Config{Name: "bench", Blocks: 2, Dim: 64, Heads: 4, ExpRatio: 4,
 		VocabSize: 256, SeqLen: 256, Beta1: 0.9, Beta2: 0.95}, 2
@@ -39,9 +39,9 @@ func TrainStep(m *nn.Model, batch nn.Batch, optimizer opt.Optimizer, lr float64)
 // (zero grads + forward + backward + clip + AdamW) and reports wall time per
 // step, tokens/sec, and heap allocations per step (which should be zero).
 //
-// This is the in-repo analogue of the committed BENCH_train.json artifact:
-// `photon-bench -exp train-throughput` regenerates the measurement at any
-// scale on any machine.
+// `photon-bench -exp train-throughput` measures it at any scale on any
+// machine; end-to-end training throughput claims come from BENCHMARK.json's
+// fed-sync-compute workload and the BENCH_e2e.json ledger.
 func TrainThroughput(ctx context.Context, w io.Writer, scale Scale) error {
 	type shape struct {
 		name  string

@@ -279,6 +279,7 @@ func Decode(r io.Reader) (*Message, error) {
 	if nMeta > 0 {
 		m.Meta = make(map[string]float64, nMeta)
 	}
+	var prev string
 	for i := uint32(0); i < nMeta; i++ {
 		kLen, err := readU32(b)
 		if err != nil {
@@ -291,15 +292,25 @@ func Decode(r io.Reader) (*Message, error) {
 		if _, err := io.ReadFull(b, k); err != nil {
 			return nil, fmt.Errorf("%w: truncated meta", ErrBadFrame)
 		}
+		// Encode writes the keys sorted; a repeated or out-of-order key is
+		// not a frame it produced, and decoding it would silently drop one.
+		key := string(k)
+		if i > 0 && key <= prev {
+			return nil, fmt.Errorf("%w: meta key %q out of order", ErrBadFrame, key)
+		}
+		prev = key
 		v, err := readU64(b)
 		if err != nil {
 			return nil, err
 		}
-		m.Meta[string(k)] = math.Float64frombits(v)
+		m.Meta[key] = math.Float64frombits(v)
 	}
 
 	if flags&flagCodec == 0 {
 		return nil, fmt.Errorf("%w: pre-codec frame (flags %#x)", ErrBadFrame, flags)
+	}
+	if flags != flagCodec {
+		return nil, fmt.Errorf("%w: unknown flags %#x", ErrBadFrame, flags)
 	}
 	codecID, err := b.ReadByte()
 	if err != nil {
@@ -316,12 +327,13 @@ func Decode(r io.Reader) (*Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The payload is whatever the length prefix claims of the bytes actually
-	// present in the frame — a corrupted prefix can claim no more.
-	if int64(nBytes) > int64(b.Len()) {
-		return nil, fmt.Errorf("%w: payload length %d exceeds frame", ErrBadFrame, nBytes)
+	// The payload is exactly the rest of the frame: a length prefix that
+	// claims more than is there, or leaves bytes over, is corrupted.
+	if int64(nBytes) != int64(b.Len()) {
+		return nil, fmt.Errorf("%w: payload length %d, frame holds %d", ErrBadFrame, nBytes, b.Len())
 	}
 	if nElems == 0 && nBytes == 0 {
+		m.Payload.CodecID = codecID
 		return m, nil // canonical empty payload
 	}
 	rest := body[len(body)-b.Len():]

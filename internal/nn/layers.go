@@ -182,9 +182,6 @@ func (ln *LayerNorm) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
-// geluCoef is √(2/π) for the tanh GELU approximation.
-const geluCoef = 0.7978845608028654
-
 // GELU applies the tanh-approximated Gaussian error linear unit into a
 // workspace matrix and caches the input for backward.
 type GELU struct {
@@ -204,9 +201,7 @@ func (g *GELU) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 //photon:hotpath
 func gelu(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	y := ws.Take(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		y.Data[i] = geluScalar(v)
-	}
+	tensor.GELU(y.Data, x.Data)
 	return y
 }
 
@@ -215,25 +210,8 @@ func gelu(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 //photon:hotpath
 func (g *GELU) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 	dx := ws.Take(dy.Rows, dy.Cols)
-	for i, v := range g.x.Data {
-		dx.Data[i] = dy.Data[i] * geluGradScalar(v)
-	}
+	tensor.GELUGrad(dx.Data, g.x.Data, dy.Data)
 	return dx
-}
-
-//photon:hotpath
-func geluScalar(x float32) float32 {
-	xf := float64(x)
-	return float32(0.5 * xf * (1 + math.Tanh(geluCoef*(xf+0.044715*xf*xf*xf))))
-}
-
-//photon:hotpath
-func geluGradScalar(x float32) float32 {
-	xf := float64(x)
-	inner := geluCoef * (xf + 0.044715*xf*xf*xf)
-	t := math.Tanh(inner)
-	dInner := geluCoef * (1 + 3*0.044715*xf*xf)
-	return float32(0.5*(1+t) + 0.5*xf*(1-t*t)*dInner)
 }
 
 // Embedding maps token ids to dense vectors. The same table is used as the

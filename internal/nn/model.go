@@ -297,23 +297,9 @@ func (m *Model) ceBand(lo, hi int) {
 		// Training path: one fused exp pass produces both the softmax
 		// gradient row and the log-sum-exp for the loss.
 		drow := dlogits.Row(r)
-		maxV := lrow[0]
-		for _, v := range lrow[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		for j, v := range lrow {
-			e := math.Exp(float64(v - maxV))
-			drow[j] = float32(e)
-			sum += e
-		}
+		maxV, sum := tensor.ExpRow(drow, lrow)
 		m.ceNLL[r] = float64(maxV) + math.Log(sum) - float64(lrow[tgt])
-		scale := inv / float32(sum)
-		for j := range drow {
-			drow[j] *= scale
-		}
+		tensor.Scale(inv/float32(sum), drow)
 		drow[tgt] -= inv
 	}
 }

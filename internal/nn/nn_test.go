@@ -331,10 +331,17 @@ func TestGradAccumulationProperty(t *testing.T) {
 }
 
 func TestGELUGradNumerical(t *testing.T) {
+	gelu := func(x float32) float64 {
+		y := []float32{0}
+		tensor.GELU(y, []float32{x})
+		return float64(y[0])
+	}
 	for _, x := range []float32{-3, -1, -0.1, 0, 0.1, 1, 3} {
 		const eps = 1e-3
-		num := (float64(geluScalar(x+eps)) - float64(geluScalar(x-eps))) / (2 * eps)
-		ana := float64(geluGradScalar(x))
+		num := (gelu(x+eps) - gelu(x-eps)) / (2 * eps)
+		dx := []float32{0}
+		tensor.GELUGrad(dx, []float32{x}, []float32{1})
+		ana := float64(dx[0])
 		if math.Abs(num-ana) > 1e-3 {
 			t.Fatalf("GELU grad at %v: numeric %v analytic %v", x, num, ana)
 		}

@@ -1,10 +1,7 @@
 package nn_test
 
 import (
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"os"
 	"testing"
 
 	"photon/internal/bench"
@@ -13,8 +10,8 @@ import (
 )
 
 // benchConfig is the Quick-scale throughput shape, shared with the
-// train-throughput experiment (bench.TrainBenchShape) so the committed
-// BENCH_train.json and `photon-bench -exp train-throughput` measure the
+// train-throughput experiment (bench.TrainBenchShape) so
+// BenchmarkTrainStep and `photon-bench -exp train-throughput` measure the
 // same workload.
 func benchConfig() nn.Config {
 	cfg, _ := bench.TrainBenchShape()
@@ -105,94 +102,4 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 	b.StopTimer()
 	nsPerStep := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 	b.ReportMetric(float64(tokens)/(nsPerStep/1e9), "tokens/s")
-}
-
-// prePRBaseline is the pre-kernel/pre-workspace BenchmarkTrainStep result
-// (commit 4de1506, this benchmark shape), recorded so the committed
-// BENCH_train.json carries the first two points of the training-throughput
-// trajectory. The timing was taken in the same machine window as the
-// committed "current" measurement (interleaved runs of the two test
-// binaries — the build host has variable hypervisor CPU steal, so only
-// same-window comparisons are meaningful; repeated A/B rounds measured
-// 2.0–2.8×, min-vs-min 2.3×). The allocation figures are deterministic.
-var prePRBaseline = struct {
-	NsPerStep     float64
-	TokensPerSec  float64
-	BytesPerStep  int64
-	AllocsPerStep int64
-}{200464446, 2554, 10627440, 142}
-
-// TestWriteTrainBenchJSON emits the training-throughput trajectory as
-// machine-readable JSON when BENCH_TRAIN_JSON names an output path — the CI
-// hook behind BENCH_train.json. It runs the same measurement as
-// BenchmarkTrainStep through testing.Benchmark so the committed artifact and
-// `go test -bench=Step` can never drift apart.
-func TestWriteTrainBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_TRAIN_JSON")
-	if path == "" {
-		t.Skip("BENCH_TRAIN_JSON not set")
-	}
-	cfg := benchConfig()
-	rng := rand.New(rand.NewSource(1))
-	m := nn.NewModel(cfg, rng)
-	batch := benchBatch(rng, cfg, 2)
-	optimizer := opt.NewAdamW(cfg.Beta1, cfg.Beta2, 0.01)
-	tokens := batch.Tokens()
-
-	bench.TrainStep(m, batch, optimizer, 1e-4)
-
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bench.TrainStep(m, batch, optimizer, 1e-4)
-		}
-	})
-	nsPerStep := float64(res.T.Nanoseconds()) / float64(res.N)
-	type point struct {
-		NsPerStep     float64 `json:"ns_per_step"`
-		TokensPerSec  float64 `json:"tokens_per_sec"`
-		BytesPerStep  int64   `json:"bytes_per_step"`
-		AllocsPerStep int64   `json:"allocs_per_step"`
-	}
-	report := struct {
-		Config          string  `json:"config"`
-		BatchSize       int     `json:"batch_size"`
-		SeqLen          int     `json:"seq_len"`
-		TokensPerStep   int     `json:"tokens_per_step"`
-		Current         point   `json:"current"`
-		Baseline        point   `json:"baseline_pre_kernels"`
-		SpeedupVsBase   float64 `json:"speedup_vs_baseline"`
-		PairedSpeedup   string  `json:"paired_speedup"`
-		BaselineComment string  `json:"baseline_comment"`
-		Comment         string  `json:"comment"`
-	}{
-		Config:        cfg.Name,
-		BatchSize:     batch.Size(),
-		SeqLen:        cfg.SeqLen,
-		TokensPerStep: tokens,
-		Current: point{
-			NsPerStep:     nsPerStep,
-			TokensPerSec:  float64(tokens) / (nsPerStep / 1e9),
-			BytesPerStep:  res.AllocedBytesPerOp(),
-			AllocsPerStep: res.AllocsPerOp(),
-		},
-		Baseline: point{
-			NsPerStep:     prePRBaseline.NsPerStep,
-			TokensPerSec:  prePRBaseline.TokensPerSec,
-			BytesPerStep:  prePRBaseline.BytesPerStep,
-			AllocsPerStep: prePRBaseline.AllocsPerStep,
-		},
-		SpeedupVsBase:   prePRBaseline.NsPerStep / nsPerStep,
-		PairedSpeedup:   "interleaved same-window A/B vs commit 4de1506: 2.0-2.8x (min-vs-min 2.3x)",
-		BaselineComment: "scalar-loop attention + per-step allocations, commit 4de1506",
-		Comment:         "full train step (zero grads + fwd + bwd + clip + AdamW) at Quick scale",
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("wrote %s (%.0f tokens/s, %.2fx vs baseline)\n", path, report.Current.TokensPerSec, report.SpeedupVsBase)
 }

@@ -82,3 +82,58 @@ func testSlopes(heads int) []float32 {
 	}
 	return slopes
 }
+
+// reportElements stops the timer and reports elements/s for a benchmark whose
+// iteration transforms perOp elements.
+func reportElements(b *testing.B, perOp int) {
+	b.StopTimer()
+	b.ReportMetric(float64(perOp)*float64(b.N)/b.Elapsed().Seconds(), "elements/s")
+}
+
+// BenchmarkExp measures the transcendental bodies at train-step shapes: the
+// cross-entropy row (exp and its float64 sum over a 256-entry vocabulary) and
+// GELU forward and backward over one d=64, T=128, B=2 MLP activation (tanh,
+// which takes exp above |x| = 0.625).
+func BenchmarkExp(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	b.Run("ExpRow-256", func(b *testing.B) {
+		x, dst := randMatrix(rng, 64, 256), NewMatrix(64, 256)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < x.Rows; r++ {
+				ExpRow(dst.Row(r), x.Row(r))
+			}
+		}
+		reportElements(b, len(x.Data))
+	})
+	x, dy, dst := randMatrix(rng, 256, 256), randMatrix(rng, 256, 256), NewMatrix(256, 256)
+	b.Run("GELU", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GELU(dst.Data, x.Data)
+		}
+		reportElements(b, len(x.Data))
+	})
+	b.Run("GELUGrad", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GELUGrad(dst.Data, x.Data, dy.Data)
+		}
+		reportElements(b, len(x.Data))
+	})
+}
+
+// BenchmarkCausalSoftmax measures the fused attention score epilogue at the
+// fed-sync-compute shape (B·H = 8 items, T = 128); elements are the causal
+// support's entries.
+func BenchmarkCausalSoftmax(b *testing.B) {
+	const items, seq, heads = 8, 128, 4
+	rng := rand.New(rand.NewSource(5))
+	src := randMatrix(rng, items*seq, seq)
+	s := NewMatrix(items*seq, seq)
+	slopes := testSlopes(heads)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(s.Data, src.Data)
+		CausalSoftmaxRows(s, items/heads, heads, slopes, 0.25)
+	}
+	reportElements(b, items*seq*(seq+1)/2)
+}

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // DecodeItem is one (sequence × head) unit of KV-cached incremental
 // attention. Unlike the training-path batched kernels, items are ragged: each
@@ -82,24 +79,7 @@ func bandAttendDecode(items []DecodeItem, scale float32, lo, hi int) {
 			}
 
 			// Scale + ALiBi bias + softmax, matching bandCausalSoftmax.
-			maxV := float32(math.Inf(-1))
-			for j := 0; j < end; j++ {
-				v := probs[j]*scale + it.Slope*float32(j-pos)
-				probs[j] = v
-				if v > maxV {
-					maxV = v
-				}
-			}
-			var sum float64
-			for j := 0; j < end; j++ {
-				e := float32(math.Exp(float64(probs[j] - maxV)))
-				probs[j] = e
-				sum += float64(e)
-			}
-			inv := float32(1 / sum)
-			for j := 0; j < end; j++ {
-				probs[j] *= inv
-			}
+			softmaxExp(probs, biasMax(probs, scale, it.Slope, pos))
 
 			// Context: probs·V over the causal prefix.
 			ctx := it.Ctx[r*d : (r+1)*d]

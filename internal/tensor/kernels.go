@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file holds the band-level compute kernels the worker pool executes.
 // Their flops go through eight micro-kernels that share streamed loads across
@@ -300,27 +297,8 @@ func bandCausalSoftmax(s *Matrix, heads int, sl []float32, scale float32, lo, hi
 		slope := sl[it%heads]
 		for i := 0; i < seq; i++ {
 			row := s.Data[(it*seq+i)*seq : (it*seq+i+1)*seq]
-			maxV := float32(math.Inf(-1))
-			for j := 0; j <= i; j++ {
-				v := row[j]*scale + slope*float32(j-i)
-				row[j] = v
-				if v > maxV {
-					maxV = v
-				}
-			}
-			var sum float64
-			for j := 0; j <= i; j++ {
-				e := float32(math.Exp(float64(row[j] - maxV)))
-				row[j] = e
-				sum += float64(e)
-			}
-			inv := float32(1 / sum)
-			for j := 0; j <= i; j++ {
-				row[j] *= inv
-			}
-			for j := i + 1; j < seq; j++ {
-				row[j] = 0
-			}
+			softmaxExp(row[:i+1], biasMax(row[:i+1], scale, slope, i))
+			clear(row[i+1:])
 		}
 	}
 }

@@ -55,3 +55,32 @@ func mulAVX2(dst, src *float32, n int)
 func scaleAVX2(a float32, x *float32, n int)
 
 func fmaPeakAVX2(iters int) // 160·iters flops from registers: BenchmarkFMAPeak
+
+//go:noescape
+//photon:hotpath
+func expSumAVX2(dst, x *float32, n int, m float32, sum float64, rounded bool) (done int, s float64)
+
+//go:noescape
+//photon:hotpath
+func maxAVX2(x *float32, n int) float32
+
+//go:noescape
+//photon:hotpath
+func biasMaxAVX2(row *float32, n int, scale, slope float32, pos int) float32
+
+//go:noescape
+//photon:hotpath
+func geluAVX2(dst, x *float32, n int)
+
+//go:noescape
+//photon:hotpath
+func geluGradAVX2(dx, x, dy *float32, n int)
+
+// expAVX2 and tanhAVX2 are the two lane bodies on float64 slices, for the
+// tests that hold them to math.Exp and math.Tanh bit for bit.
+
+//go:noescape
+func expAVX2(dst, src *float64, n int) (done int)
+
+//go:noescape
+func tanhAVX2(dst, src *float64, n int)

@@ -12,9 +12,16 @@
 //     fixed tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); the n mod 8 tail then
 //     accumulates by FMA into the sum, in order.
 //   - add/sub/mul/scale: no fused operation, bitwise equal to the Go loops.
+//   - exp, tanh and the softmax, cross-entropy and GELU bodies built on them:
+//     bitwise equal to the Go loops. Each float64 lane of EXP4 runs the
+//     instruction sequence of math.Exp's FMA path (math.archExp, avxfma),
+//     and a lane outside its normal range goes back to math.Exp; TANH4 is
+//     math.tanh's source order with unfused operations, as Go compiles it at
+//     GOAMD64=v1; float32 scores, maxima and sums round where the Go loops do.
 //
 // Every function takes element counts n ≥ 1 checked by its wrapper and reads
-// or writes exactly n elements per operand.
+// or writes exactly n elements per operand (the transcendental bodies: the
+// first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima).
 
 #include "textflag.h"
 
@@ -538,5 +545,407 @@ loop:
 	VFMADD231PS Y10, Y10, Y9
 	DECQ CX
 	JNZ  loop
+	VZEROUPPER
+	RET
+
+// Constants of the transcendental bodies, each in 32 bytes so it can be a
+// ymm memory operand: math.archExp's (the same literals as
+// $GOROOT/src/math/exp_amd64.s), math.tanh's, GELU's, and the int32 lanes of
+// the exponent range check and the ALiBi offsets.
+#define F64X4(off, v) \
+	DATA tc<>+(off)(SB)/8, v; \
+	DATA tc<>+(off+8)(SB)/8, v; \
+	DATA tc<>+(off+16)(SB)/8, v; \
+	DATA tc<>+(off+24)(SB)/8, v
+#define I32X8(off, v) \
+	DATA tc<>+(off)(SB)/4, v; \
+	DATA tc<>+(off+4)(SB)/4, v; \
+	DATA tc<>+(off+8)(SB)/4, v; \
+	DATA tc<>+(off+12)(SB)/4, v; \
+	DATA tc<>+(off+16)(SB)/4, v; \
+	DATA tc<>+(off+20)(SB)/4, v; \
+	DATA tc<>+(off+24)(SB)/4, v; \
+	DATA tc<>+(off+28)(SB)/4, v
+
+F64X4(0, $1.4426950408889634073599246810018920)                  // log2(e)
+F64X4(32, $0.69314718055966295651160180568695068359375)          // ln(2), upper
+F64X4(64, $0.28235290563031577122588448175013436025525412068e-12) // ln(2), lower
+F64X4(96, $0.0625)
+F64X4(128, $2.4801587301587301587e-5) // Taylor coefficients, highest first
+F64X4(160, $1.9841269841269841270e-4)
+F64X4(192, $1.3888888888888888889e-3)
+F64X4(224, $8.3333333333333333333e-3)
+F64X4(256, $4.1666666666666666667e-2)
+F64X4(288, $1.6666666666666666667e-1)
+F64X4(320, $0.5)
+F64X4(352, $1.0)
+F64X4(384, $2.0)
+F64X4(416, $0xbfeedc5baafd6f4b)     // tanhP[0] = -9.64399179425052238628e-1
+F64X4(448, $0xc058d26a0e26682d)     // tanhP[1] = -9.92877231001918586564e1
+F64X4(480, $0xc0993ac030580563)     // tanhP[2] = -1.61468768441708447952e3
+F64X4(512, $0x405c33f28a581b86)     // tanhQ[0] = 1.12811678491632931402e2
+F64X4(544, $0x40a176fa0e5535fa)     // tanhQ[1] = 2.23548839060100448583e3
+F64X4(576, $0x40b2ec102442040c)     // tanhQ[2] = 4.84406305325125486048e3
+F64X4(608, $0.625)
+F64X4(640, $45.0)                   // cap on |x| before exp in tanh
+F64X4(672, $0x8000000000000000)     // sign bit
+F64X4(704, $0x7fffffffffffffff)     // all but the sign bit
+F64X4(736, $0x3fe9884533d43651)     // GELU √(2/π) = 0.7978845608028654
+F64X4(768, $0x3fa6e4e26d4801f7)     // 0.044715
+F64X4(800, $0x3fc12ba9d1f60179)     // 3·0.044715, folded as Go folds it
+I32X8(832, $1023)                   // exponent bias
+I32X8(864, $1)                      // smallest normal biased exponent
+I32X8(896, $2046)                   // largest
+DATA tc<>+928(SB)/4, $0             // ALiBi lane offsets 0…7
+DATA tc<>+932(SB)/4, $1
+DATA tc<>+936(SB)/4, $2
+DATA tc<>+940(SB)/4, $3
+DATA tc<>+944(SB)/4, $4
+DATA tc<>+948(SB)/4, $5
+DATA tc<>+952(SB)/4, $6
+DATA tc<>+956(SB)/4, $7
+I32X8(960, $8)
+I32X8(992, $0xff800000)             // float32 −Inf
+GLOBL tc<>(SB), RODATA|NOPTR, $1024
+
+// EXP4 sets Y0 = exp(Y0) in four float64 lanes by math.archExp's FMA path,
+// instruction for instruction: k = round(x·log2e) by VCVTPD2DQ (CVTSD2SL
+// there), r = (x − k·ln2u − k·ln2l)/16 by two fused negated multiply-adds,
+// the degree-7 Taylor polynomial by VFMADD213 in Horner order, four
+// squarings of (1 + r·p) by VADDPD/VMULPD with the last one fused, then ·2^k
+// with 2^k built from the biased exponent b = k + 1023, left in X2. The
+// result is exact only where b is in [1, 2046] (EXPFLAGS). Clobbers Y1, Y2.
+#define EXP4 \
+	VMULPD       tc<>+0(SB), Y0, Y1; \
+	VCVTPD2DQY   Y1, X2; \
+	VCVTDQ2PD    X2, Y1; \
+	VFNMADD231PD tc<>+32(SB), Y1, Y0; \
+	VFNMADD231PD tc<>+64(SB), Y1, Y0; \
+	VMULPD       tc<>+96(SB), Y0, Y0; \
+	VMOVUPD      tc<>+128(SB), Y1; \
+	VFMADD213PD  tc<>+160(SB), Y0, Y1; \
+	VFMADD213PD  tc<>+192(SB), Y0, Y1; \
+	VFMADD213PD  tc<>+224(SB), Y0, Y1; \
+	VFMADD213PD  tc<>+256(SB), Y0, Y1; \
+	VFMADD213PD  tc<>+288(SB), Y0, Y1; \
+	VFMADD213PD  tc<>+320(SB), Y0, Y1; \
+	VFMADD213PD  tc<>+352(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       tc<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       tc<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       tc<>+384(SB), Y0, Y1; \
+	VMULPD       Y1, Y0, Y0; \
+	VADDPD       tc<>+384(SB), Y0, Y1; \
+	VFMADD213PD  tc<>+352(SB), Y1, Y0; \
+	VPADDD       tc<>+832(SB), X2, X2; \
+	VPMOVZXDQ    X2, Y1; \
+	VPSLLQ       $52, Y1, Y1; \
+	VMULPD       Y1, Y0, Y0
+
+// EXPFLAGS sets DX to one bit per lane of the last EXP4 whose b is outside
+// [1, 2046]: NaN, ±Inf, overflow, and a denormal or zero result. There
+// archExp branches, so the lane's value is wrong and the caller recomputes
+// it with math.Exp. Clobbers X1, X3.
+#define EXPFLAGS \
+	VMOVDQU   tc<>+864(SB), X3; \
+	VPCMPGTD  X2, X3, X3; \
+	VPCMPGTD  tc<>+896(SB), X2, X1; \
+	VPOR      X1, X3, X3; \
+	VMOVMSKPS X3, DX
+
+// TANH4 sets Y5 = tanh(Y4) in four float64 lanes. It evaluates both branches
+// of math.tanh with its operations in source order, none fused: the small
+// one x + x·s·P(s)/Q(s) with s = x², and the large one 1 − 2/(exp(2z)+1)
+// with z = |x|, each given the sign of x (which also turns the small
+// branch's +0 for x = −0 into math.tanh's −0), then takes the large one
+// where z ≥ 0.625. z is first capped at 45, past math.tanh's ±1 clamp at
+// 44.0148…: there 2/(exp(2z)+1) < 2⁻¹²⁶, so the large branch rounds to ±1
+// exactly, and below it exp's argument 2z ≤ 88.03 is always in EXP4's exact
+// range. A NaN fails the comparison and keeps the small branch's NaN, as
+// math.tanh does. Keeps Y4; clobbers Y0–Y3, Y6, Y7.
+#define TANH4 \
+	VANDPD    tc<>+704(SB), Y4, Y6; \
+	VANDPD    tc<>+672(SB), Y4, Y3; \
+	VMINPD    tc<>+640(SB), Y6, Y0; \
+	VADDPD    Y0, Y0, Y0; \
+	EXP4; \
+	VADDPD    tc<>+352(SB), Y0, Y0; \
+	VMOVUPD   tc<>+384(SB), Y1; \
+	VDIVPD    Y0, Y1, Y1; \
+	VMOVUPD   tc<>+352(SB), Y7; \
+	VSUBPD    Y1, Y7, Y7; \
+	VORPD     Y3, Y7, Y7; \
+	VMULPD    Y4, Y4, Y0; \
+	VMULPD    Y0, Y4, Y2; \
+	VMULPD    tc<>+416(SB), Y0, Y1; \
+	VADDPD    tc<>+448(SB), Y1, Y1; \
+	VMULPD    Y0, Y1, Y1; \
+	VADDPD    tc<>+480(SB), Y1, Y1; \
+	VMULPD    Y2, Y1, Y1; \
+	VADDPD    tc<>+512(SB), Y0, Y2; \
+	VMULPD    Y0, Y2, Y2; \
+	VADDPD    tc<>+544(SB), Y2, Y2; \
+	VMULPD    Y0, Y2, Y2; \
+	VADDPD    tc<>+576(SB), Y2, Y2; \
+	VDIVPD    Y2, Y1, Y1; \
+	VADDPD    Y1, Y4, Y5; \
+	VORPD     Y3, Y5, Y5; \
+	VCMPPD    $0x1d, tc<>+608(SB), Y6, Y0; \
+	VBLENDVPD Y0, Y7, Y5, Y5
+
+// GELUINNER sets Y4 = √(2/π)·(x + 0.044715·x·x·x) for x in Y8, unfused and
+// in Go's order.
+#define GELUINNER \
+	VMULPD tc<>+768(SB), Y8, Y4; \
+	VMULPD Y8, Y4, Y4; \
+	VMULPD Y8, Y4, Y4; \
+	VADDPD Y4, Y8, Y4; \
+	VMULPD tc<>+736(SB), Y4, Y4
+
+// HMAX8 reduces the eight float32 lanes of Y0 (none NaN) to their maximum in
+// X0. T is a scratch X register.
+#define HMAX8(T) \
+	VEXTRACTF128 $1, Y0, T; \
+	VMAXPS       T, X0, X0; \
+	VPERMILPS    $0x4e, X0, T; \
+	VMAXPS       T, X0, X0; \
+	VPERMILPS    $0xb1, X0, T; \
+	VMAXPS       T, X0, X0
+
+// func expAVX2(dst, src *float64, n int) (done int)
+// dst[i] = exp(src[i]) for whole groups of four, stopping before the first
+// group with a lane EXP4 flags; done is the number of elements written.
+TEXT ·expAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JLT  done
+loop:
+	VMOVUPD (SI)(AX*8), Y0
+	EXP4
+	EXPFLAGS
+	TESTL   DX, DX
+	JNZ     done
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	SUBQ    $4, CX
+	JGE     loop
+done:
+	MOVQ AX, done+24(FP)
+	VZEROUPPER
+	RET
+
+// func tanhAVX2(dst, src *float64, n int)
+// dst[i] = tanh(src[i]) for the first 4·⌊n/4⌋ elements.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JLT  done
+loop:
+	VMOVUPD (SI)(AX*8), Y4
+	TANH4
+	VMOVUPD Y5, (DI)(AX*8)
+	ADDQ    $4, AX
+	SUBQ    $4, CX
+	JGE     loop
+done:
+	VZEROUPPER
+	RET
+
+// func expSumAVX2(dst, x *float32, n int, m float32, sum float64, rounded bool) (done int, s float64)
+// For whole groups of four: e = exp(float64(x[i] − m)) with the subtraction
+// in float32; dst[i] = float32(e) unless dst is nil; s = sum + Σ e in i
+// order, one scalar add per element, of float64(float32(e)) when rounded.
+// Stops before the first group with a lane EXP4 flags, which it leaves
+// unwritten; done is the number of elements consumed.
+TEXT ·expSumAVX2(SB), NOSPLIT, $0-64
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS m+24(FP), X4
+	VMOVSD       sum+32(FP), X5
+	MOVBQZX      rounded+40(FP), R9
+	XORQ         AX, AX
+	SUBQ         $4, CX
+	JLT          done
+loop:
+	VMOVUPS    (SI)(AX*4), X0
+	VSUBPS     X4, X0, X0
+	VCVTPS2PD  X0, Y0
+	EXP4
+	EXPFLAGS
+	TESTL      DX, DX
+	JNZ        done
+	VCVTPD2PSY Y0, X1
+	TESTQ      DI, DI
+	JZ         add
+	VMOVUPS    X1, (DI)(AX*4)
+	TESTQ      R9, R9
+	JZ         add
+	VCVTPS2PD  X1, Y0
+add:
+	VADDSD       X0, X5, X5
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X5, X5
+	VEXTRACTF128 $1, Y0, X0
+	VADDSD       X0, X5, X5
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X5, X5
+	ADDQ         $4, AX
+	SUBQ         $4, CX
+	JGE          loop
+done:
+	MOVQ   AX, done+48(FP)
+	VMOVSD X5, s+56(FP)
+	VZEROUPPER
+	RET
+
+// func maxAVX2(x *float32, n int) float32
+// The largest non-NaN element of x, −Inf if there is none. Each lane keeps
+// v only when v > its maximum, as the Go scan does, so a NaN never enters.
+TEXT ·maxAVX2(SB), NOSPLIT, $0-20
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VMOVUPS      tc<>+992(SB), Y0
+	XORQ         AX, AX
+	SUBQ         $8, CX
+	JLT          reduce
+loop:
+	VMOVUPS (SI)(AX*4), Y1
+	VMAXPS  Y0, Y1, Y0
+	ADDQ    $8, AX
+	SUBQ    $8, CX
+	JGE     loop
+reduce:
+	HMAX8(X1)
+	ADDQ $8, CX
+	JZ   done
+tloop:
+	VMOVSS (SI)(AX*4), X1
+	VMAXSS X0, X1, X0
+	INCQ   AX
+	DECQ   CX
+	JNZ    tloop
+done:
+	VMOVSS X0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func biasMaxAVX2(row *float32, n int, scale, slope float32, pos int) float32
+// row[j] = row[j]·scale + slope·float32(j − pos) in place, unfused, and the
+// largest non-NaN result as maxAVX2 finds it.
+TEXT ·biasMaxAVX2(SB), NOSPLIT, $0-36
+	MOVQ         row+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSS scale+16(FP), Y4
+	VBROADCASTSS slope+20(FP), Y5
+	MOVQ         pos+24(FP), BX
+	NEGQ         BX
+	VMOVQ        BX, X6
+	VPBROADCASTD X6, Y6
+	VPADDD       tc<>+928(SB), Y6, Y6
+	VMOVUPS      tc<>+992(SB), Y0
+	XORQ         AX, AX
+	SUBQ         $8, CX
+	JLT          reduce
+loop:
+	VMULPS    (SI)(AX*4), Y4, Y1
+	VCVTDQ2PS Y6, Y2
+	VMULPS    Y5, Y2, Y2
+	VADDPS    Y2, Y1, Y1
+	VMOVUPS   Y1, (SI)(AX*4)
+	VMAXPS    Y0, Y1, Y0
+	VPADDD    tc<>+960(SB), Y6, Y6
+	ADDQ      $8, AX
+	SUBQ      $8, CX
+	JGE       loop
+reduce:
+	HMAX8(X1)
+	ADDQ $8, CX
+	JZ   done
+tloop:
+	VMULSS     (SI)(AX*4), X4, X1
+	LEAQ       (AX)(BX*1), DX
+	VCVTSI2SSQ  DX, X2, X2
+	VMULSS     X5, X2, X2
+	VADDSS     X2, X1, X1
+	VMOVSS     X1, (SI)(AX*4)
+	VMAXSS     X0, X1, X0
+	INCQ       AX
+	DECQ       CX
+	JNZ        tloop
+done:
+	VMOVSS X0, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func geluAVX2(dst, x *float32, n int)
+// dst[i] = float32(0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))) in float64,
+// for the first 4·⌊n/4⌋ elements.
+TEXT ·geluAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JLT  done
+loop:
+	VCVTPS2PD  (SI)(AX*4), Y8
+	VMULPD     tc<>+320(SB), Y8, Y9
+	GELUINNER
+	TANH4
+	VADDPD     tc<>+352(SB), Y5, Y5
+	VMULPD     Y9, Y5, Y5
+	VCVTPD2PSY Y5, X5
+	VMOVUPS    X5, (DI)(AX*4)
+	ADDQ       $4, AX
+	SUBQ       $4, CX
+	JGE        loop
+done:
+	VZEROUPPER
+	RET
+
+// func geluGradAVX2(dx, x, dy *float32, n int)
+// dx[i] = dy[i]·float32(0.5·(1+t) + 0.5·x·(1−t²)·√(2/π)·(1 + 3·0.044715·x²))
+// with t the forward's tanh, for the first 4·⌊n/4⌋ elements.
+TEXT ·geluGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ dy+16(FP), R8
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JLT  done
+loop:
+	VCVTPS2PD  (SI)(AX*4), Y8
+	GELUINNER
+	VMULPD     tc<>+800(SB), Y8, Y10
+	VMULPD     Y8, Y10, Y10
+	VADDPD     tc<>+352(SB), Y10, Y10
+	VMULPD     tc<>+736(SB), Y10, Y10
+	VMULPD     tc<>+320(SB), Y8, Y9
+	TANH4
+	VADDPD     tc<>+352(SB), Y5, Y11
+	VMULPD     tc<>+320(SB), Y11, Y11
+	VMULPD     Y5, Y5, Y5
+	VMOVUPD    tc<>+352(SB), Y12
+	VSUBPD     Y5, Y12, Y12
+	VMULPD     Y9, Y12, Y12
+	VMULPD     Y10, Y12, Y12
+	VADDPD     Y12, Y11, Y11
+	VCVTPD2PSY Y11, X11
+	VMULPS     (R8)(AX*4), X11, X11
+	VMOVUPS    X11, (DI)(AX*4)
+	ADDQ       $4, AX
+	SUBQ       $4, CX
+	JGE        loop
+done:
 	VZEROUPPER
 	RET

@@ -42,3 +42,20 @@ func mulAVX2(dst, src *float32, n int) {}
 
 //photon:hotpath
 func scaleAVX2(a float32, x *float32, n int) {}
+
+//photon:hotpath
+func expSumAVX2(dst, x *float32, n int, m float32, sum float64, rounded bool) (done int, s float64) {
+	return
+}
+
+//photon:hotpath
+func maxAVX2(x *float32, n int) (m float32) { return }
+
+//photon:hotpath
+func biasMaxAVX2(row *float32, n int, scale, slope float32, pos int) (m float32) { return }
+
+//photon:hotpath
+func geluAVX2(dst, x *float32, n int) {}
+
+//photon:hotpath
+func geluGradAVX2(dx, x, dy *float32, n int) {}

@@ -286,22 +286,7 @@ func SoftmaxRow(x []float32) {
 	if len(x) == 0 {
 		return
 	}
-	maxV := x[0]
-	for _, v := range x[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for i, v := range x {
-		e := float32(math.Exp(float64(v - maxV)))
-		x[i] = e
-		sum += float64(e)
-	}
-	inv := float32(1 / sum)
-	for i := range x {
-		x[i] *= inv
-	}
+	softmaxExp(x, rowMax(x))
 }
 
 // LogSumExpRow returns log(Σ exp(x_i)) computed stably.
@@ -311,16 +296,7 @@ func LogSumExpRow(x []float32) float64 {
 	if len(x) == 0 {
 		return math.Inf(-1)
 	}
-	maxV := x[0]
-	for _, v := range x[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var sum float64
-	for _, v := range x {
-		sum += math.Exp(float64(v - maxV))
-	}
+	maxV, sum := ExpRow(nil, x)
 	return float64(maxV) + math.Log(sum)
 }
 
