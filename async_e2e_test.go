@@ -9,10 +9,7 @@ package photon
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"testing"
@@ -36,11 +33,9 @@ func asyncServerConfig(seed int64, versions, k int, outer fed.OuterOpt) fed.Serv
 // asyncRun is one finished async fleet run: the server's round records with
 // their commit arrival times, plus the fast client's per-round times.
 type asyncRun struct {
-	recs      []metrics.Round
-	commitAt  []time.Time
-	fastAt    []time.Time
-	elapsed   time.Duration
-	finalLoss float64
+	recs     []metrics.Round
+	commitAt []time.Time
+	fastAt   []time.Time
 }
 
 // runStragglerFleet runs a 2-client fleet where d1 trains stepsRatio x more
@@ -102,7 +97,6 @@ func runStragglerFleet(t *testing.T, async bool, versions, fastSteps, slowSteps 
 	if async {
 		cfg.Async = &fed.AsyncConfig{K: 1, Alpha: 0.5}
 	}
-	start := time.Now()
 	if _, err := fed.Serve(context.Background(), l, cfg); err != nil {
 		t.Fatalf("async=%v server: %v", async, err)
 	}
@@ -111,10 +105,6 @@ func runStragglerFleet(t *testing.T, async bool, versions, fastSteps, slowSteps 
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	out.elapsed = time.Since(start)
-	if n := len(out.recs); n > 0 {
-		out.finalLoss = out.recs[n-1].TrainLoss
-	}
 	return out
 }
 
@@ -150,29 +140,21 @@ func commitRate(ts []time.Time) float64 {
 // synchronous commit rate, with the median commit interval within 1.5x of
 // the fast client's own round interval — and the straggler's late updates
 // must land with nonzero recorded staleness rather than gating commits.
-// Straggler-fleet shape shared by TestAsyncStraggler and the bench-JSON
-// emitter. The step counts are chosen so the slow member is ~10x slower in
-// wall time once the fixed per-dispatch overhead (encode/wire/decode of the
-// tiny model, ~15ms on loopback) is added to both members' training time.
-// The async version count exceeds the step ratio because the straggler's
-// first arrival lands at a commit index bounded by the wall-time ratio,
-// which can approach the step ratio when compute dominates overhead (e.g.
-// under the race detector) — 60 versions guarantee the arrival lands inside
-// the run on any machine.
-const (
-	stragglerFastSteps     = 2
-	stragglerSlowSteps     = 100
-	stragglerAsyncVersions = 60
-	stragglerSyncRounds    = 4
-)
-
 func TestAsyncStraggler(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
+	// The step counts are chosen so the slow member is ~10x slower in wall
+	// time once the fixed per-dispatch overhead (encode/wire/decode of the
+	// tiny model, ~15ms on loopback) is added to both members' training time.
+	// The async version count exceeds the step ratio because the straggler's
+	// first arrival lands at a commit index bounded by the wall-time ratio,
+	// which can approach the step ratio when compute dominates overhead (e.g.
+	// under the race detector) — 60 versions guarantee the arrival lands
+	// inside the run on any machine.
 	const (
-		fastSteps     = stragglerFastSteps
-		slowSteps     = stragglerSlowSteps
-		asyncVersions = stragglerAsyncVersions
-		syncRounds    = stragglerSyncRounds
+		fastSteps     = 2
+		slowSteps     = 100
+		asyncVersions = 60
+		syncRounds    = 4
 	)
 	async := runStragglerFleet(t, true, asyncVersions, fastSteps, slowSteps)
 	syncRun := runStragglerFleet(t, false, syncRounds, fastSteps, slowSteps)
@@ -250,82 +232,14 @@ func asyncControlRun(t *testing.T, seed int64, versions, k int, outer fed.OuterO
 	return res.Global
 }
 
-// asyncCrashResumeRun is crashResumeRun's async twin: two resilient clients
-// against a WAL-journaling FedBuff aggregator whose failpoint arms after
-// version 2 commits; the first life dies on the armed append, the second
-// resumes on the same WAL directory — re-folding any journaled mid-buffer
-// state — and must reach the final version.
+// asyncCrashResumeRun is crashResumeRun's async twin: crashRestart over a
+// FedBuff aggregator, whose second life re-folds any journaled mid-buffer
+// state and must reach the final version.
 func asyncCrashResumeRun(t *testing.T, site string, seed int64, versions, k int, newOuter func() fed.OuterOpt) (*fed.Result, map[string]map[int]int) {
 	t.Helper()
-	walDir := t.TempDir()
-	l, err := link.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	addr := l.Addr()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	var mu sync.Mutex
-	served := map[string]map[int]int{}
-	clientDone := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		id := fmt.Sprintf("d%d", i)
-		go func(i int, id string) {
-			clientDone <- fed.RunResilientClient(ctx, func(ctx context.Context) (*link.Conn, error) {
-				return link.DialContext(ctx, addr)
-			}, netClient(t, id, i), netSpec(), fed.ReconnectConfig{
-				MaxAttempts:    100,
-				InitialBackoff: 20 * time.Millisecond,
-				MaxBackoff:     200 * time.Millisecond,
-			}, func(r metrics.Round) {
-				mu.Lock()
-				if served[id] == nil {
-					served[id] = map[int]int{}
-				}
-				served[id][r.Round]++
-				mu.Unlock()
-			})
-		}(i, id)
-	}
-
-	fp := &ckpt.Failpoint{}
-	cfg := asyncServerConfig(seed, versions, k, newOuter())
-	cfg.WALDir, cfg.Failpoint = walDir, fp
-	cfg.OnRound = func(r metrics.Round) {
-		if r.Round == 2 {
-			fp.Arm(site)
-		}
-	}
-	if _, err := fed.Serve(context.Background(), l, cfg); err == nil || !errors.Is(err, ckpt.ErrFailpoint) {
-		t.Fatalf("site %s: first life did not die on the armed crash point: %v", site, err)
-	}
-	if !fp.Fired() {
-		t.Fatalf("site %s: failpoint armed but never fired", site)
-	}
-
-	l2, err := link.Listen(addr)
-	if err != nil {
-		t.Fatalf("site %s: re-listen on %s: %v", site, addr, err)
-	}
-	defer l2.Close()
-	cfg2 := asyncServerConfig(seed, versions, k, newOuter())
-	cfg2.WALDir = walDir
-	res, err := fed.Serve(context.Background(), l2, cfg2)
-	if err != nil {
-		t.Fatalf("site %s: resumed run: %v", site, err)
-	}
-	for i := 0; i < 2; i++ {
-		if cerr := <-clientDone; cerr != nil {
-			t.Fatalf("site %s: resilient client: %v", site, cerr)
-		}
-	}
-	if res.History.Len() == 0 || res.History.Rounds[res.History.Len()-1].Round != versions {
-		t.Fatalf("site %s: resumed run did not reach version %d: %d records", site, versions, res.History.Len())
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	res, served, _ := crashRestart(t, site, func() fed.ServerConfig {
+		return asyncServerConfig(seed, versions, k, newOuter())
+	})
 	return res, served
 }
 
@@ -365,60 +279,4 @@ func TestAsyncCrashPointSweep(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestWriteAsyncBenchJSON emits the async-vs-sync straggler measurement as
-// machine-readable JSON when BENCH_ASYNC_JSON names an output path — the CI
-// hook behind the BENCH_async.json trajectory artifact. It reuses the exact
-// fleet TestAsyncStraggler runs, so the artifact and the test can never
-// drift apart.
-func TestWriteAsyncBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_ASYNC_JSON")
-	if path == "" {
-		t.Skip("BENCH_ASYNC_JSON not set")
-	}
-	const (
-		fastSteps     = stragglerFastSteps
-		slowSteps     = stragglerSlowSteps
-		asyncVersions = stragglerAsyncVersions
-		syncRounds    = stragglerSyncRounds
-	)
-	async := runStragglerFleet(t, true, asyncVersions, fastSteps, slowSteps)
-	syncRun := runStragglerFleet(t, false, syncRounds, fastSteps, slowSteps)
-	var staleSum float64
-	for _, r := range async.recs {
-		staleSum += r.MeanStaleness
-	}
-	aRate, sRate := commitRate(async.commitAt), commitRate(syncRun.commitAt)
-	report := struct {
-		AsyncVersions      int     `json:"async_versions"`
-		SyncRounds         int     `json:"sync_rounds"`
-		StragglerRatio     int     `json:"straggler_step_ratio"`
-		AsyncCommitsPerSec float64 `json:"async_commits_per_sec"`
-		SyncCommitsPerSec  float64 `json:"sync_commits_per_sec"`
-		CommitSpeedup      float64 `json:"commit_rate_speedup"`
-		AsyncMeanStaleness float64 `json:"async_mean_staleness"`
-		AsyncFinalLoss     float64 `json:"async_final_train_loss"`
-		SyncFinalLoss      float64 `json:"sync_final_train_loss"`
-		Comment            string  `json:"comment"`
-	}{
-		AsyncVersions:      asyncVersions,
-		SyncRounds:         syncRounds,
-		StragglerRatio:     slowSteps / fastSteps,
-		AsyncCommitsPerSec: aRate,
-		SyncCommitsPerSec:  sRate,
-		CommitSpeedup:      aRate / sRate,
-		AsyncMeanStaleness: staleSum / float64(len(async.recs)),
-		AsyncFinalLoss:     async.finalLoss,
-		SyncFinalLoss:      syncRun.finalLoss,
-		Comment:            "2-client TCP loopback fleet with a 10x compute straggler: FedBuff (K=1, alpha=0.5) commit rate vs the barrier-synchronized control, tiny model",
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: %.1fx commit speedup", path, report.CommitSpeedup)
 }

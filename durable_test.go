@@ -67,14 +67,28 @@ func controlRun(t *testing.T, seed int64, rounds int, outer fed.OuterOpt) []floa
 	return res.Global
 }
 
-// crashResumeRun runs the crash/restart choreography once: two resilient
-// clients train against a WAL-journaling aggregator whose failpoint is
-// armed at site after round 2 commits; the aggregator dies on the armed
-// append, is restarted on the same WAL directory, and must finish the run.
-// It returns the resumed run's result plus each client's per-round served
-// counts (every count must be 1 — a round trained twice would advance the
-// client's data stream off the control trajectory).
+// crashResumeRun runs crashRestart over durableServerConfig, publishing to
+// regDir when it is non-empty.
 func crashResumeRun(t *testing.T, site string, seed int64, rounds int, newOuter func() fed.OuterOpt, regDir string) (*fed.Result, map[string]map[int]int) {
+	t.Helper()
+	res, served, _ := crashRestart(t, site, func() fed.ServerConfig {
+		cfg := durableServerConfig(seed, rounds, newOuter())
+		cfg.RegistryDir = regDir
+		return cfg
+	})
+	return res, served
+}
+
+// crashRestart runs the crash/restart choreography once, sync or async:
+// two resilient clients train against a WAL-journaling aggregator (newCfg
+// builds each life's config) whose failpoint is armed at site once round 2
+// is recorded; the aggregator dies on the armed append, is restarted on the
+// same WAL directory, and must finish the run. It returns the resumed run's
+// result, each client's per-round served counts (every count must be 1 — a
+// round trained twice would advance the client's data stream off the control
+// trajectory), and how many times the aggregator's OnRound recorded each
+// round or version across both lives.
+func crashRestart(t *testing.T, site string, newCfg func() fed.ServerConfig) (*fed.Result, map[string]map[int]int, map[int]int) {
 	t.Helper()
 	walDir := t.TempDir()
 	l, err := link.Listen("127.0.0.1:0")
@@ -112,12 +126,16 @@ func crashResumeRun(t *testing.T, site string, seed int64, rounds int, newOuter 
 		}(i, id)
 	}
 
-	// First life: arm the crash point once the run is warm (after round 2
-	// commits), so the armed append fires mid-run rather than at startup.
+	// First life: arm the crash point once the run is warm (when round 2 is
+	// recorded), so the armed append fires mid-run rather than at startup.
+	// OnRound runs on the goroutine that called Serve, so recorded needs no
+	// lock.
+	recorded := map[int]int{}
 	fp := &ckpt.Failpoint{}
-	cfg := durableServerConfig(seed, rounds, newOuter())
-	cfg.WALDir, cfg.RegistryDir, cfg.Failpoint = walDir, regDir, fp
+	cfg := newCfg()
+	cfg.WALDir, cfg.Failpoint = walDir, fp
 	cfg.OnRound = func(r metrics.Round) {
+		recorded[r.Round]++
 		if r.Round == 2 {
 			fp.Arm(site)
 		}
@@ -136,8 +154,9 @@ func crashResumeRun(t *testing.T, site string, seed int64, rounds int, newOuter 
 		t.Fatalf("site %s: re-listen on %s: %v", site, addr, err)
 	}
 	defer l2.Close()
-	cfg2 := durableServerConfig(seed, rounds, newOuter())
-	cfg2.WALDir, cfg2.RegistryDir = walDir, regDir
+	cfg2 := newCfg()
+	cfg2.WALDir = walDir
+	cfg2.OnRound = func(r metrics.Round) { recorded[r.Round]++ }
 	res, err := fed.Serve(context.Background(), l2, cfg2)
 	if err != nil {
 		t.Fatalf("site %s: resumed run: %v", site, err)
@@ -147,12 +166,12 @@ func crashResumeRun(t *testing.T, site string, seed int64, rounds int, newOuter 
 			t.Fatalf("site %s: resilient client: %v", site, cerr)
 		}
 	}
-	if res.History.Len() == 0 || res.History.Rounds[res.History.Len()-1].Round != rounds {
-		t.Fatalf("site %s: resumed run did not reach round %d: %d records", site, rounds, res.History.Len())
+	if res.History.Len() == 0 || res.History.Rounds[res.History.Len()-1].Round != cfg.Rounds {
+		t.Fatalf("site %s: resumed run did not reach round %d: %d records", site, cfg.Rounds, res.History.Len())
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	return res, served
+	return res, served, recorded
 }
 
 func maxAbsDiff(a, b []float32) float64 {
@@ -252,6 +271,46 @@ func TestCrashPointSweep(t *testing.T) {
 				t.Fatalf("site %s: resumed run diverged from control: max |Δ| = %g", site, diff)
 			}
 		})
+	}
+}
+
+// TestEveryRoundRecordedOnceAcrossCrash kills and restarts the aggregator
+// at every crash site of both sweeps and counts the aggregator's OnRound
+// records over both lives: each round (sync) or version (async) 1..N must be
+// recorded exactly once. A resumed window whose outer step was journaled but
+// never committed must be redone and sealed in the second life — not adopted
+// silently, which leaves it with no record, event, history entry, or
+// evaluation in either life. FedMom makes the state_snapshot site exist.
+func TestEveryRoundRecordedOnceAcrossCrash(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const rounds = 5
+	newOuter := func() fed.OuterOpt { return fed.NewFedMom(1, 0.9) }
+	for _, mode := range []struct {
+		name   string
+		sites  []ckpt.RecordType
+		newCfg func() fed.ServerConfig
+	}{
+		{"sync", []ckpt.RecordType{
+			ckpt.RecRoundOpen, ckpt.RecMemberUpdate, ckpt.RecOuterStep,
+			ckpt.RecStateSnapshot, ckpt.RecRoundCommit,
+		}, func() fed.ServerConfig { return durableServerConfig(77, rounds, newOuter()) }},
+		{"async", []ckpt.RecordType{
+			ckpt.RecBufferFold, ckpt.RecOuterStep,
+			ckpt.RecStateSnapshot, ckpt.RecVersionCommit,
+		}, func() fed.ServerConfig { return asyncServerConfig(83, rounds, 2, newOuter()) }},
+	} {
+		for _, rt := range mode.sites {
+			site := "wal:" + rt.String()
+			t.Run(mode.name+"/"+rt.String(), func(t *testing.T) {
+				_, served, recorded := crashRestart(t, site, mode.newCfg)
+				assertNoDoubleTraining(t, site, served)
+				for r := 1; r <= rounds; r++ {
+					if recorded[r] != 1 {
+						t.Errorf("site %s: round %d recorded %d times across the crash, want 1 (%v)", site, r, recorded[r], recorded)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -18,6 +18,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"photon/internal/obsv"
 )
 
 // State is a member's lifecycle position.
@@ -150,39 +152,12 @@ func (s *Stats) add(o Stats, beats int, rttSum time.Duration) {
 	}
 }
 
-// rttSketchSize bounds the quantile sketch: a plain ring of the most
-// recent beats. Deterministic (no sampling randomness), O(1) per beat,
-// and 256 entries is plenty for a p99 over a round window.
-const rttSketchSize = 256
+// rttSketchSize is how many of the most recent beats the p99 is read over.
+const rttSketchSize = obsv.RingSize
 
-type rttSketch struct {
-	ring [rttSketchSize]time.Duration
-	pos  int
-	n    int
-}
-
-func (s *rttSketch) add(d time.Duration) {
-	s.ring[s.pos] = d
-	s.pos = (s.pos + 1) % rttSketchSize
-	if s.n < rttSketchSize {
-		s.n++
-	}
-}
-
-func (s *rttSketch) reset() { s.pos, s.n = 0, 0 }
-
-// p99Ms sorts a copy of the retained beats and returns the 99th
-// percentile in milliseconds (0 when empty).
-func (s *rttSketch) p99Ms() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	buf := make([]time.Duration, s.n)
-	copy(buf, s.ring[:s.n])
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	// Same index rule as serve.Engine's latency ring, so "p99" means the
-	// same thing across the codebase.
-	return float64(buf[(s.n*99)/100]) / float64(time.Millisecond)
+// p99Ms reads a beat ring's 99th percentile in milliseconds.
+func p99Ms(r *obsv.Ring) float64 {
+	return float64(r.Percentile(99)) / float64(time.Millisecond)
 }
 
 // Registry tracks federation membership. All methods are safe for
@@ -200,8 +175,8 @@ type Registry struct {
 	winRTTSum time.Duration
 	totBeats  int
 	totRTTSum time.Duration
-	winRTT    rttSketch
-	totRTT    rttSketch
+	winRTT    obsv.Ring
+	totRTT    obsv.Ring
 }
 
 // New builds a registry. The zero Config is valid: no liveness expiry, the
@@ -298,8 +273,8 @@ func (r *Registry) Heartbeat(id string, rtt time.Duration) bool {
 		r.winRTTSum += rtt
 		r.totBeats++
 		r.totRTTSum += rtt
-		r.winRTT.add(rtt)
-		r.totRTT.add(rtt)
+		r.winRTT.Add(rtt)
+		r.totRTT.Add(rtt)
 	}
 	return true
 }
@@ -459,10 +434,10 @@ func (r *Registry) RoundDelta() Stats {
 	defer r.mu.Unlock()
 	var out Stats
 	out.add(r.window, r.winBeats, r.winRTTSum)
-	out.HeartbeatRTTP99Ms = r.winRTT.p99Ms()
+	out.HeartbeatRTTP99Ms = p99Ms(&r.winRTT)
 	r.window = Stats{}
 	r.winBeats, r.winRTTSum = 0, 0
-	r.winRTT.reset()
+	r.winRTT.Reset()
 	return out
 }
 
@@ -472,7 +447,7 @@ func (r *Registry) Totals() Stats {
 	defer r.mu.Unlock()
 	var out Stats
 	out.add(r.totals, r.totBeats, r.totRTTSum)
-	out.HeartbeatRTTP99Ms = r.totRTT.p99Ms()
+	out.HeartbeatRTTP99Ms = p99Ms(&r.totRTT)
 	return out
 }
 

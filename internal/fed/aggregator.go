@@ -187,22 +187,17 @@ func (a *aggState) open(round int, traceID uint64, start time.Time) *window {
 
 // collect is the preamble of a deadline-bounded window: hold it until the
 // membership floor is met — giving evicted members a grace period to rejoin
-// — then pick who is asked. Normally that is a fresh health-weighted draw;
-// when a WAL replay handed the window back partially done (reopened), it is
-// the journaled cohort's members whose updates were lost, so nobody who
-// answered before the crash trains the round twice.
-func (a *aggState) collect(ctx context.Context, reopened *openRound) ([]*memberConn, error) {
+// — then pick who is asked. Normally (reask nil) that is a fresh
+// health-weighted draw; when a WAL replay handed the window back partially
+// done, reask is the journaled cohort's members whose updates were lost
+// (possibly none, but not nil), so nobody who answered before the crash
+// trains the round twice.
+func (a *aggState) collect(ctx context.Context, reask []string) ([]*memberConn, error) {
 	if err := a.s.waitAlive(ctx, a.minClients, a.rejoinGrace()); err != nil {
 		return nil, err
 	}
-	var ids []string
-	if reopened != nil {
-		for _, id := range reopened.cohort {
-			if _, done := reopened.updates[id]; !done {
-				ids = append(ids, id)
-			}
-		}
-	} else {
+	ids := reask
+	if ids == nil {
 		for _, info := range a.s.reg.SampleCohort(a.rng, a.k, a.cfg.OverProvision) {
 			ids = append(ids, info.ID)
 		}
@@ -296,7 +291,7 @@ func (a *aggState) commit(round int, epoch uint64) error {
 // the round deadline.
 type syncAggregator struct {
 	*aggState
-	resume *serverResume
+	resume *walResume
 	// depth is the aggregation depth stamped on round records: 1 until a
 	// relay identifies itself, then sticky at 2 — an empty round (every
 	// relay straggled) does not mean the topology collapsed to flat.
@@ -319,61 +314,38 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			runErr = err
 			break
 		}
-		// A WAL replay may hand this round back partially done: pre carries
-		// the journaled cohort and the updates that already arrived before
-		// the crash. Consume it exactly once.
-		var pre *openRound
-		if resume.open != nil && resume.open.round == round {
-			pre, resume.open = resume.open, nil
-		}
-		epoch := a.s.membershipEpoch()
-
-		if pre != nil && pre.stepped {
-			// The crash hit after the outer step: the journaled post-step
-			// state is trusted only when it is complete — params plus the
-			// outer snapshot when the optimizer is stateful. A crash that
-			// landed between the two records left post-step params next to
-			// pre-step momentum; using them together would corrupt the
-			// trajectory, so the incomplete pair is discarded and the step
-			// is redone below from the journaled updates instead.
-			if snapshotOuter(cfg.Outer) == nil || pre.snapped {
-				if len(pre.postGlobal) != len(a.global) {
-					return a.fail(round, fmt.Errorf("journaled step has %d params, model has %d", len(pre.postGlobal), len(a.global)))
-				}
-				copy(a.global, pre.postGlobal)
-				if pre.snapped {
-					if err := restoreOuter(cfg.Outer, pre.postOuter); err != nil {
-						return a.fail(round, err)
-					}
-				}
-				if err := a.commit(round, epoch); err != nil {
-					return a.fail(round, err)
-				}
-				emptyRounds = 0
-				continue
-			}
-			pre.stepped = false
-		}
-
-		// Journaled pre-crash updates fold first (their arrival order is
-		// the log order), freshly collected ones after.
+		// A WAL replay may hand this round back opened but unsealed (consumed
+		// exactly once): the updates journaled before the crash fold first,
+		// in log order, and only the cohort members they do not cover are
+		// re-asked. The round then steps and seals like any other.
 		a.fold.reset(len(a.global))
 		var clientMetrics []map[string]float64
-		if pre != nil {
-			for _, id := range pre.order {
-				vec, err := a.s.decodeUpdate(pre.updates[id], len(a.global))
+		var reask []string
+		resumed := resume.open == round
+		if resumed {
+			resume.open = 0
+			done := make(map[string]bool, len(resume.pending))
+			for _, u := range resume.pending {
+				vec, err := a.s.decodeUpdate(u.payload, len(a.global))
 				if err != nil {
 					// Treated as never journaled: the member is re-asked
 					// and its cached reply answers.
-					log.Printf("fed: round %d: journaled update from %s skipped: %v", round, id, err)
-					delete(pre.updates, id)
+					log.Printf("fed: round %d: journaled update from %s skipped: %v", round, u.member, err)
 					continue
 				}
 				a.fold.add(vec, 1)
 				clientMetrics = append(clientMetrics, map[string]float64{})
+				done[u.member] = true
+			}
+			reask = make([]string, 0, len(resume.cohort))
+			for _, id := range resume.cohort {
+				if !done[id] {
+					reask = append(reask, id)
+				}
 			}
 		}
-		cohort, err := a.collect(ctx, pre)
+		epoch := a.s.membershipEpoch()
+		cohort, err := a.collect(ctx, reask)
 		if err != nil {
 			if ctx.Err() != nil {
 				runErr = ctx.Err()
@@ -388,7 +360,7 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			round--
 			continue
 		}
-		if pre == nil {
+		if !resumed {
 			ids := make([]string, len(cohort))
 			for i, mc := range cohort {
 				ids[i] = mc.id
@@ -400,7 +372,7 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 
 		w := a.open(round, mintTrace(a.traceRng), time.Now())
 		w.epoch = epoch
-		freshMetrics, interrupted, err := a.s.exchangeRound(ctx, w, a.global, cohort, pre != nil, a.jrn, &a.fold)
+		freshMetrics, interrupted, err := a.s.exchangeRound(ctx, w, a.global, cohort, resumed, a.jrn, &a.fold)
 		if err != nil {
 			return a.fail(round, err)
 		}
@@ -422,8 +394,8 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 
 // step is where the sync fold goes: the uniform mean of the round's folded
 // updates steps the outer optimizer on the global model, the post-step
-// state is journaled (bit-for-bit restore on replay, no re-aggregation), and
-// the window is sealed. An empty round seals without committing.
+// state is journaled (adopted on replay once the commit seals it), and the
+// window is sealed. An empty round seals without committing.
 func (a *syncAggregator) step(w *window, clientMetrics []map[string]float64) error {
 	// Depth 2 once any member identifies itself as an aggregation tier (a
 	// relay stamps CohortKey on its upstream updates).

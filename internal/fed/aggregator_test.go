@@ -30,7 +30,7 @@ func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	defer st.jrn.close()
 	st.globalModel = nn.NewModel(cfg, rand.New(rand.NewSource(1)))
 	st.global = st.globalModel.Params().Flatten(nil)
-	a := &syncAggregator{aggState: st, resume: &serverResume{}, depth: 1}
+	a := &syncAggregator{aggState: st, resume: &walResume{}, depth: 1}
 	update := make([]float32, len(st.global))
 	for i := range update {
 		update[i] = 1e-3

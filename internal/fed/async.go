@@ -93,7 +93,7 @@ type asyncArrival struct {
 
 type asyncAggregator struct {
 	*aggState
-	resume *asyncResume
+	resume *walResume
 
 	kBuf      int
 	alpha     float64
@@ -143,7 +143,7 @@ type asyncAggregator struct {
 	gVersion  *obsv.Gauge
 }
 
-func newAsyncAggregator(st *aggState, resume *asyncResume) *asyncAggregator {
+func newAsyncAggregator(st *aggState, resume *walResume) *asyncAggregator {
 	cfg := st.cfg.Async.norm()
 	a := &asyncAggregator{
 		aggState:    st,
@@ -196,16 +196,16 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 	// re-journaling, the records are already durable. The weights replay
 	// exactly (the global version is constant while a buffer fills), so a
 	// full buffer re-commits to bit-identical params.
-	for _, pf := range a.resume.pending {
-		vec, err := a.s.decodeUpdate(pf.payload, len(a.global))
+	for _, u := range a.resume.pending {
+		vec, err := a.s.decodeUpdate(u.payload, len(a.global))
 		if err != nil {
 			// Treated as never journaled: the member shows as untrained at
 			// this version, its pump re-dispatches, its cached reply answers.
-			log.Printf("fed: journaled fold from %s (task %d) skipped: %v", pf.member, pf.task, err)
+			log.Printf("fed: journaled fold from %s (task %d) skipped: %v", u.member, u.task, err)
 			continue
 		}
-		a.bufferUpdate(pf.member, pf.trainedVersion, vec, map[string]float64{})
-		a.noteTrained(pf.member, pf.trainedVersion)
+		a.bufferUpdate(u.member, u.trained, vec, map[string]float64{})
+		a.noteTrained(u.member, u.trained)
 	}
 	if err := a.flush(); err != nil {
 		return a.fail(a.version+1, err)

@@ -1,42 +1,34 @@
 package fed
 
 // Durable control plane: the journal wraps the ckpt write-ahead log with
-// fed-level record semantics, and the replay functions fold a recovered
-// record stream back into aggregator / relay state. The protocol per round:
+// fed-level record semantics, and replayWAL folds a recovered record stream
+// back into aggregator state. A sync aggregator journals per round, an async
+// (FedBuff-mode) one per model version:
 //
-//	round_open(round, epoch, cohort IDs)
-//	member_update(round, member, wire payload)        — one per arrival
-//	outer_step(round, post-step global params)        — aggregation applied
-//	state_snapshot("outer", optimizer state)          — momentum buffers
-//	round_commit(round, epoch)                        — fsync barrier
+//	sync                                  async
+//	round_open(round, epoch, cohort IDs)  round_open(max task, "lease") — task-ID lease
+//	member_update(round, member, payload) buffer_fold(task, version, member, payload)
+//	outer_step(round, post-step params)   outer_step(version, post-step params)
+//	state_snapshot("outer", opt state)    state_snapshot("outer", opt state)
+//	round_commit(round, epoch)            version_commit(version, epoch)
 //
-// Everything before round_commit is cheap (buffered appends); the commit
-// record is the only fsync, so journaling adds one disk flush per round.
-// A crash between records leaves a prefix the WAL replays verbatim: the
-// resumed aggregator re-opens the in-flight round, keeps the journaled
-// member updates, and only re-asks members whose updates were lost.
+// Everything before the commit is cheap (buffered appends); the commit
+// record is the only fsync, so journaling adds one disk flush per window.
+// A crash between records leaves a prefix the WAL replays verbatim, and both
+// drivers recover it by one rule: an outer_step and its state_snapshot are
+// trusted only once a commit seals them. Otherwise the resumed driver redoes
+// the step from the updates journaled after the last commit, folded in log
+// order — the order they were folded in before the crash — so the redo is
+// bit-exact. A sync round re-asks only the cohort members those updates do
+// not cover; an async buffer re-folds without asking anyone. The lease
+// records ensure a restarted async aggregator never reuses a dispatch task
+// ID that may have trained a member before the crash.
 //
 // Relays journal a smaller protocol: the encoded upstream reply bytes
 // (member "up"), the upstream codec's error-feedback residual
 // (state_snapshot "codec"), and a commit per served round. Re-encoding an
 // update after a crash would double-apply the top-k residual, so the relay
 // journals the exact bytes it sent and replays them on redelivery.
-//
-// An async (FedBuff-mode) aggregator journals its own protocol per version:
-//
-//	round_open(max leased task, member "lease")       — task-ID lease
-//	buffer_fold(task, trained version, member, payload) — one per folded update
-//	outer_step(version, post-step global params)      — buffer committed
-//	state_snapshot("outer", optimizer state)          — momentum buffers
-//	version_commit(version, epoch)                    — fsync barrier
-//
-// The fold records between two version commits are the pending buffer; a
-// crash mid-buffer replays them and the resumed aggregator re-folds without
-// re-asking the members. Post-step state is only trusted once its
-// version_commit sealed it — otherwise the step is redone from the journaled
-// folds, which is bit-exact (same updates, same order, same weights). The
-// lease records ensure a restarted aggregator never reuses a dispatch task
-// ID that may have trained a member before the crash.
 
 import (
 	"encoding/binary"
@@ -113,8 +105,8 @@ func (j *journal) memberUpdate(round int, member string, p link.EncodedPayload) 
 }
 
 // outerStep journals the post-step global parameters plus the outer
-// optimizer's state. Replay restores the params bit-for-bit instead of
-// re-running the order-sensitive float32 aggregation.
+// optimizer's state. Replay adopts the pair once the window's commit seals
+// it.
 func (j *journal) outerStep(round int, global []float32, outer OuterOpt) error {
 	if !j.enabled() {
 		return nil // skip the state copy
@@ -191,193 +183,83 @@ func leaseRecord(leasedThrough int) ckpt.Record {
 	return ckpt.Record{Type: ckpt.RecRoundOpen, Round: leasedThrough, Member: asyncLeaseMember}
 }
 
-// openRound is a partially-completed round reconstructed from the WAL.
-type openRound struct {
-	round   int
-	cohort  []string                       // journaled cohort member IDs
-	updates map[string]link.EncodedPayload // journaled updates by member, as received
-	order   []string                       // arrival order, for deterministic averaging
-	stepped bool                           // outer step already applied pre-crash
-
-	// Post-step state journaled for this round before the crash. It is
-	// kept on the open round — not folded into the resume state — because
-	// a crash can land between the outer_step record and its state
-	// snapshot: the params would be post-step but the momentum pre-step.
-	// The resume path only trusts the pair when it is complete (snapped,
-	// or the outer optimizer is stateless); otherwise it redoes the step
-	// from the journaled updates.
-	postGlobal []float32
-	postOuter  []float32
-	snapped    bool
+// pendingUpdate is one update journaled after the last commit.
+type pendingUpdate struct {
+	member  string              // member that produced it
+	task    int                 // async: dispatch task ID it answered
+	trained int                 // async: global model version it was trained on
+	payload link.EncodedPayload // the update as received
 }
 
-// serverResume is the aggregator state recovered from a WAL replay.
-type serverResume struct {
-	committed int        // last committed round (0: none)
-	global    []float32  // post-step params as of the newest outer_step / base
-	outer     []float32  // outer optimizer state as of the newest snapshot
-	open      *openRound // in-flight round, nil when cleanly committed
+// walResume is the aggregator state a WAL replay recovers, for either driver.
+type walResume struct {
+	committed int             // last committed round or version (0: none)
+	global    []float32       // params as of the newest sealed step / base
+	outer     []float32       // outer optimizer state as of the newest sealed snapshot
+	open      int             // sync: round opened after the last commit (0: none)
+	cohort    []string        // sync: that round's journaled cohort
+	pending   []pendingUpdate // updates journaled after the last commit, in log order
+	maxTask   int             // async: highest task ID leased or journaled
 }
 
-// replayServerWAL folds a recovery into aggregator resume state. The WAL
-// layer already guarantees Records is a valid prefix; replay is therefore
-// infallible — unknown or out-of-order records are skipped, never fatal.
-func replayServerWAL(rv *ckpt.Recovery) *serverResume {
-	res := &serverResume{}
+// replayWAL folds a recovery into resume state. foldRec is the record type
+// the driver journals its updates as: member_update (sync) or buffer_fold
+// (async). Post-step state is adopted only when a commit seals it; an
+// unsealed step is discarded for the driver to redo from pending (see the
+// file comment). The WAL layer guarantees Records is a valid prefix, so
+// replay is infallible: unknown or out-of-order records are skipped.
+func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
+	res := &walResume{}
 	if rv == nil {
 		return res
 	}
 	if rv.Base != nil {
-		res.committed = rv.Base.Round
-		res.global = rv.Base.Params
+		res.committed, res.global = rv.Base.Round, rv.Base.Params
 	}
+	var stepGlobal, stepOuter []float32 // the unsealed step, if any
 	for _, rec := range rv.Records {
 		switch rec.Type {
 		case ckpt.RecRoundOpen:
-			if rec.Member != "" {
-				// An async task-ID lease (member "lease"), not a cohort
-				// open; a sync replay over an async log must not invent an
-				// in-flight round from it.
-				break
-			}
-			res.open = &openRound{
-				round:   rec.Round,
-				cohort:  rec.IDs,
-				updates: make(map[string]link.EncodedPayload, len(rec.IDs)),
-			}
-		case ckpt.RecMemberUpdate:
-			if res.open != nil && rec.Round == res.open.round && rec.Member != upstreamMember {
-				p, ok := journaledUpdate(&rec)
-				if !ok {
-					break // unreadable: as if never journaled, the member is re-asked
-				}
-				if _, dup := res.open.updates[rec.Member]; !dup {
-					res.open.order = append(res.open.order, rec.Member)
-				}
-				res.open.updates[rec.Member] = p
-			}
-		case ckpt.RecOuterStep:
-			if res.open != nil && res.open.round == rec.Round {
-				res.open.stepped = true
-				res.open.postGlobal = rec.Vec
+			if rec.Member == asyncLeaseMember {
+				res.maxTask = max(res.maxTask, rec.Round)
 			} else {
-				res.global = rec.Vec
+				res.open, res.cohort = rec.Round, rec.IDs
 			}
-		case ckpt.RecStateSnapshot:
-			if rec.Member != snapOuter {
+		case ckpt.RecMemberUpdate, ckpt.RecBufferFold:
+			if rec.Type == ckpt.RecBufferFold {
+				res.maxTask = max(res.maxTask, rec.Round)
+			}
+			if rec.Type != foldRec {
 				break
-			}
-			if res.open != nil && res.open.round == rec.Round {
-				res.open.postOuter = rec.Vec
-				res.open.snapped = true
-			} else {
-				// A compacted log carries the committed outer state as a
-				// bare snapshot record with no surrounding round.
-				res.outer = rec.Vec
-			}
-		case ckpt.RecRoundCommit:
-			if rec.Round > res.committed {
-				res.committed = rec.Round
-			}
-			if res.open != nil && res.open.round <= rec.Round {
-				// The commit seals the open round: its post-step state is
-				// now the durable truth.
-				if res.open.stepped {
-					res.global = res.open.postGlobal
-					if res.open.snapped {
-						res.outer = res.open.postOuter
-					}
-				}
-				res.open = nil
-			}
-		}
-	}
-	// A round opened at or before the last commit is stale (possible only
-	// with a reordered or hand-edited log); drop it rather than replay it.
-	if res.open != nil && res.open.round <= res.committed {
-		res.open = nil
-	}
-	return res
-}
-
-// pendingFold is one journaled-but-uncommitted async buffer fold.
-type pendingFold struct {
-	task           int                 // dispatch task ID the update answered
-	member         string              // member that produced it
-	trainedVersion int                 // global model version it was trained on
-	payload        link.EncodedPayload // the update as received
-}
-
-// asyncResume is the async-aggregator state recovered from a WAL replay.
-type asyncResume struct {
-	committed int           // last committed model version (0: none)
-	global    []float32     // params as of the newest *sealed* commit / base
-	outer     []float32     // outer state as of the newest sealed snapshot
-	pending   []pendingFold // folds journaled after the last commit, in order
-	maxTask   int           // highest task ID leased or observed in the log
-}
-
-// replayAsyncWAL folds a recovery into async resume state. Post-step state
-// (outer_step + its snapshot) is only adopted once a version_commit seals
-// it; an unsealed step is discarded and redone from the pending folds, which
-// reproduces it bit-for-bit — same updates, same order, same staleness
-// weights (the global version is constant while a buffer fills, so replayed
-// staleness equals the original).
-func replayAsyncWAL(rv *ckpt.Recovery) *asyncResume {
-	res := &asyncResume{}
-	if rv == nil {
-		return res
-	}
-	if rv.Base != nil {
-		res.committed = rv.Base.Round
-		res.global = rv.Base.Params
-	}
-	var pendingGlobal, pendingOuter []float32
-	for _, rec := range rv.Records {
-		switch rec.Type {
-		case ckpt.RecRoundOpen:
-			if rec.Member == asyncLeaseMember && rec.Round > res.maxTask {
-				res.maxTask = rec.Round
-			}
-		case ckpt.RecBufferFold:
-			if rec.Round > res.maxTask {
-				res.maxTask = rec.Round
 			}
 			p, ok := journaledUpdate(&rec)
 			if !ok {
 				break // unreadable: as if never journaled, the member is re-asked
 			}
-			res.pending = append(res.pending, pendingFold{
-				task:           rec.Round,
-				member:         rec.Member,
-				trainedVersion: int(rec.Epoch),
-				payload:        p,
-			})
+			res.pending = append(res.pending, pendingUpdate{member: rec.Member, task: rec.Round, trained: int(rec.Epoch), payload: p})
 		case ckpt.RecOuterStep:
-			pendingGlobal = rec.Vec
+			stepGlobal, stepOuter = rec.Vec, nil
 		case ckpt.RecStateSnapshot:
 			if rec.Member != snapOuter {
 				break
 			}
-			if pendingGlobal != nil {
-				pendingOuter = rec.Vec
+			if stepGlobal != nil {
+				stepOuter = rec.Vec
 			} else {
 				// A compacted log carries the committed outer state as a
-				// bare snapshot with no preceding step record.
+				// bare snapshot with no step before it.
 				res.outer = rec.Vec
 			}
-		case ckpt.RecVersionCommit:
-			if rec.Round > res.committed {
-				res.committed = rec.Round
+		case ckpt.RecRoundCommit, ckpt.RecVersionCommit:
+			res.committed = max(res.committed, rec.Round)
+			if stepGlobal != nil {
+				res.global = stepGlobal
 			}
-			if pendingGlobal != nil {
-				res.global = pendingGlobal
-				if pendingOuter != nil {
-					res.outer = pendingOuter
-				}
+			if stepOuter != nil {
+				res.outer = stepOuter
 			}
-			pendingGlobal, pendingOuter = nil, nil
-			res.pending = res.pending[:0]
+			stepGlobal, stepOuter = nil, nil
+			res.open, res.cohort, res.pending = 0, nil, res.pending[:0]
 		}
 	}
 	return res

@@ -83,18 +83,18 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 			for li, asPayload := range []bool{false, true} {
 				rv := writeLog(asPayload)
 
-				open := replayServerWAL(rv).open
-				if open == nil || len(open.order) != len(members) {
-					t.Fatalf("asPayload=%v: sync replay lost the open round: %+v", asPayload, open)
+				res := replayWAL(rv, ckpt.RecMemberUpdate)
+				if res.open != 3 || len(res.pending) != len(members) {
+					t.Fatalf("asPayload=%v: sync replay lost the open round: %+v", asPayload, res)
 				}
 				var updates [][]float32
-				for i, id := range open.order {
-					if id != members[i] {
-						t.Fatalf("asPayload=%v: arrival order %v, want %v", asPayload, open.order, members)
+				for i, u := range res.pending {
+					if u.member != members[i] {
+						t.Fatalf("asPayload=%v: arrival order %+v, want %v", asPayload, res.pending, members)
 					}
-					vec, err := s.decodeUpdate(open.updates[id], elems)
+					vec, err := s.decodeUpdate(u.payload, elems)
 					if err != nil {
-						t.Fatalf("asPayload=%v: %s: %v", asPayload, id, err)
+						t.Fatalf("asPayload=%v: %s: %v", asPayload, u.member, err)
 					}
 					updates = append(updates, vec)
 				}
@@ -102,12 +102,12 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				pending := replayAsyncWAL(rv).pending
+				pending := replayWAL(rv, ckpt.RecBufferFold).pending
 				if len(pending) != len(members) {
 					t.Fatalf("asPayload=%v: async replay kept %d folds, want %d", asPayload, len(pending), len(members))
 				}
 				for i, pf := range pending {
-					if pf.member != members[i] || pf.task != 40+i || pf.trainedVersion != i {
+					if pf.member != members[i] || pf.task != 40+i || pf.trained != i {
 						t.Fatalf("asPayload=%v: fold %d replayed as %+v", asPayload, i, pf)
 					}
 					vec, err := s.decodeUpdate(pf.payload, elems)
@@ -150,21 +150,25 @@ func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
 		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "c", Data: encodePayloadBytes(good)},
 		{Type: ckpt.RecBufferFold, Round: 9, Member: "a", Data: []byte{4}},
 	}}
-	open := replayServerWAL(rv).open
-	if _, kept := open.updates["a"]; kept || len(open.order) != 2 {
-		t.Fatalf("unframed record replayed: order %v", open.order)
+	res := replayWAL(rv, ckpt.RecMemberUpdate)
+	updates := map[string]link.EncodedPayload{}
+	for _, u := range res.pending {
+		updates[u.member] = u.payload
+	}
+	if _, kept := updates["a"]; kept || len(res.pending) != 2 {
+		t.Fatalf("unframed record replayed: pending %+v", res.pending)
 	}
 	s := &server{codec: topk}
-	if _, err := s.decodeUpdate(open.updates["b"], good.Elems); err == nil {
+	if _, err := s.decodeUpdate(updates["b"], good.Elems); err == nil {
 		t.Fatal("torn topk payload decoded")
 	}
-	if _, err := s.decodeUpdate(open.updates["c"], good.Elems+1); err == nil {
+	if _, err := s.decodeUpdate(updates["c"], good.Elems+1); err == nil {
 		t.Fatal("payload for a different model size decoded")
 	}
-	if _, err := s.decodeUpdate(open.updates["c"], good.Elems); err != nil {
+	if _, err := s.decodeUpdate(updates["c"], good.Elems); err != nil {
 		t.Fatal(err)
 	}
-	if res := replayAsyncWAL(rv); len(res.pending) != 0 || res.maxTask != 9 {
+	if res := replayWAL(rv, ckpt.RecBufferFold); len(res.pending) != 0 || res.maxTask != 9 {
 		t.Fatalf("unframed fold replayed: %+v", res)
 	}
 }

@@ -391,6 +391,46 @@ func TestNetworkedFederation(t *testing.T) {
 	}
 }
 
+// TestServeClientNilObserver: a nil round observer is skipped, not called.
+// Calling it panicked in the reply's sent hook, after the update was already
+// on the wire, and took the client process down.
+func TestServeClientNilObserver(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cfg := tinyCfg()
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	clientErr := make(chan error, 2)
+	for _, c := range makeClients(t, cfg, 2) {
+		go func(c *Client) {
+			conn, err := link.Dial(l.Addr())
+			if err != nil {
+				clientErr <- err
+				return
+			}
+			defer conn.Close()
+			clientErr <- ServeClient(ctx, conn, c, tinySpec(), nil)
+		}(c)
+	}
+	res, err := Serve(ctx, l, ServerConfig{ModelConfig: cfg, Seed: 3, Rounds: 2, ExpectClients: 2, Outer: FedAvg{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.History.Len() != 2 {
+		t.Fatalf("want 2 rounds, got %d", res.History.Len())
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-clientErr; err != nil {
+			t.Fatalf("client with a nil observer: %v", err)
+		}
+	}
+}
+
 func TestServeRejectsBadConfig(t *testing.T) {
 	l, err := link.Listen("127.0.0.1:0")
 	if err != nil {

@@ -416,30 +416,30 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 			cfg.Seed, cfg.Rounds, cfg.ExpectClients, st.k, s.codecName, cfg.Outer.Name(), len(st.global)),
 	}
 
-	// The two modes journal different record sequences, so each replays its
-	// own: a WAL written in one mode does not resume the other.
-	var run func(context.Context) (*Result, error)
-	var wasGlobal, wasOuter []float32
+	// One replay for both modes; they differ only in the record type that
+	// journals an update, so a WAL written in one mode does not resume the
+	// other.
+	foldRec := ckpt.RecMemberUpdate
 	if cfg.Async != nil {
-		resume := replayAsyncWAL(recovered)
-		wasGlobal, wasOuter = resume.global, resume.outer
-		st.lineage["mode"], run = "async", newAsyncAggregator(st, resume).run
-	} else {
-		resume := replayServerWAL(recovered)
-		wasGlobal, wasOuter = resume.global, resume.outer
-		st.lineage["mode"], run = "sync", (&syncAggregator{aggState: st, resume: resume, depth: 1}).run
+		foldRec = ckpt.RecBufferFold
 	}
-	if wasGlobal != nil {
-		if len(wasGlobal) != len(st.global) {
-			return nil, fmt.Errorf("fed: WAL params have %d elements, model has %d (config changed between runs?)", len(wasGlobal), len(st.global))
+	resume := replayWAL(recovered, foldRec)
+	if resume.global != nil {
+		if len(resume.global) != len(st.global) {
+			return nil, fmt.Errorf("fed: WAL params have %d elements, model has %d (config changed between runs?)", len(resume.global), len(st.global))
 		}
-		copy(st.global, wasGlobal)
+		copy(st.global, resume.global)
 	}
-	if err := restoreOuter(cfg.Outer, wasOuter); err != nil {
+	if err := restoreOuter(cfg.Outer, resume.outer); err != nil {
 		return nil, err
 	}
 	st.sentPrev, st.recvPrev = s.meter.Totals()
-	return run(ctx)
+	if cfg.Async != nil {
+		st.lineage["mode"] = "async"
+		return newAsyncAggregator(st, resume).run(ctx)
+	}
+	st.lineage["mode"] = "sync"
+	return (&syncAggregator{aggState: st, resume: resume, depth: 1}).run(ctx)
 }
 
 // acceptLoop admits connections until ctx is cancelled, handing each off to

@@ -399,7 +399,7 @@ type Session struct {
 // resume at the aggregator's current round. Cancelling ctx closes the
 // connection to unblock a pending receive and returns ctx.Err(). onRound
 // observers, if any, see one record per completed round (client-side loss
-// and measured wire bytes, no PPL).
+// and measured wire bytes, no PPL); nil entries are skipped.
 func (s *Session) ServeConn(ctx context.Context, conn *link.Conn, onRound ...func(metrics.Round)) error {
 	if err := s.Spec.Validate(); err != nil {
 		return err
@@ -447,7 +447,9 @@ func (s *Session) train(onRound []func(metrics.Round)) roundWork {
 				pn.Add(obsv.PhaseEncode, st.encNs)
 				rec.Phases = pn.Breakdown()
 				for _, fn := range onRound {
-					fn(rec)
+					if fn != nil {
+						fn(rec)
+					}
 				}
 				return nil
 			},

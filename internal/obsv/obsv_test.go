@@ -11,6 +11,31 @@ import (
 	"photon/internal/testutil"
 )
 
+// TestRingPercentile: the ring reads percentiles by the n·p/100 index rule
+// over the RingSize newest samples, and Reset empties it.
+func TestRingPercentile(t *testing.T) {
+	var r Ring
+	if got := r.Percentile(99); got != 0 {
+		t.Fatalf("empty ring p99 = %v, want 0", got)
+	}
+	for i := 100; i >= 1; i-- {
+		r.Add(time.Duration(i))
+	}
+	if p50, p99 := r.Percentile(50), r.Percentile(99); p50 != 51 || p99 != 100 {
+		t.Fatalf("p50, p99 = %v, %v over 1..100, want 51, 100", p50, p99)
+	}
+	for i := 0; i < RingSize; i++ {
+		r.Add(7)
+	}
+	if got := r.Percentile(99); got != 7 {
+		t.Fatalf("p99 after overflow = %v, want 7 (only the newest %d kept)", got, RingSize)
+	}
+	r.Reset()
+	if got := r.Percentile(50); got != 0 {
+		t.Fatalf("p50 after Reset = %v, want 0", got)
+	}
+}
+
 func TestPhaseNanos(t *testing.T) {
 	var pn PhaseNanos
 	pn.Add(PhaseTrain, 3e6)

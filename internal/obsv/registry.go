@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing instrument.
@@ -96,6 +97,44 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 //
 //photon:hotpath
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+
+// RingSize is how many of the most recent samples a Ring keeps.
+const RingSize = 256
+
+// Ring is the exact-percentile counterpart of Histogram: the RingSize most
+// recent durations, copied and sorted on read. It is deterministic, O(1) per
+// sample, and unsynchronised; its owner holds whatever lock guards it.
+type Ring struct {
+	buf    [RingSize]time.Duration
+	pos, n int
+}
+
+// Add records d, overwriting the oldest sample once the ring is full.
+//
+//photon:hotpath
+func (r *Ring) Add(d time.Duration) {
+	r.buf[r.pos] = d
+	r.pos = (r.pos + 1) % RingSize
+	if r.n < RingSize {
+		r.n++
+	}
+}
+
+// Reset forgets every sample.
+func (r *Ring) Reset() { r.pos, r.n = 0, 0 }
+
+// Percentile returns the sample at index n·p/100 of the retained samples in
+// ascending order (0 when there are none) — the one index rule behind every
+// p50 and p99 in the codebase.
+func (r *Ring) Percentile(p int) time.Duration {
+	if r.n == 0 {
+		return 0
+	}
+	sorted := make([]time.Duration, r.n)
+	copy(sorted, r.buf[:r.n])
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted[(r.n*p)/100]
+}
 
 type instrument struct {
 	name, help, kind string

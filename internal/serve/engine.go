@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,7 +170,7 @@ type Stats struct {
 }
 
 // latWindow bounds the latency ring the percentiles are computed over.
-const latWindow = 256
+const latWindow = obsv.RingSize
 
 type pending struct {
 	req      Request
@@ -287,8 +286,7 @@ type Engine struct {
 	prefill   int64
 	reused    int64
 	active    int
-	lat       []time.Duration // latency ring
-	latPos    int
+	lat       obsv.Ring // request latencies
 	closed    bool
 
 	// owned by the scheduler goroutine: the retire stamp and the step's
@@ -422,13 +420,7 @@ func (e *Engine) Stats() Stats {
 	if up := time.Since(e.started).Seconds(); up > 0 {
 		s.TokensPerSec = float64(e.tokensOut) / up
 	}
-	if n := len(e.lat); n > 0 {
-		tmp := make([]time.Duration, n)
-		copy(tmp, e.lat)
-		sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-		s.P50 = tmp[n/2]
-		s.P99 = tmp[(n*99)/100]
-	}
+	s.P50, s.P99 = e.lat.Percentile(50), e.lat.Percentile(99)
 	return s
 }
 
@@ -846,12 +838,7 @@ func (e *Engine) retireCounters(d time.Duration, expired bool, fed, reused int) 
 		e.completed++
 	}
 	if d > 0 {
-		if len(e.lat) < latWindow {
-			e.lat = append(e.lat, d)
-		} else {
-			e.lat[e.latPos] = d
-			e.latPos = (e.latPos + 1) % latWindow
-		}
+		e.lat.Add(d)
 	}
 	e.mu.Unlock()
 }

@@ -3,12 +3,10 @@ package photon
 // End-to-end tests for networked two-tier aggregation through the Job API:
 // a parent aggregator job, relay jobs (WithParent) serving their own
 // cohorts, and leaf client jobs — plus the flat-vs-tiered parent-link wire
-// measurement behind the BENCH_topo.json trajectory artifact.
+// measurement.
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -296,56 +294,4 @@ func TestWithPlanDrivesTieredSim(t *testing.T) {
 			t.Fatalf("round %d compression ratio %.3f, want within (0,1)", s.Round, s.CompressionRatio)
 		}
 	}
-}
-
-// TestWriteTopoBenchJSON emits the flat-vs-two-tier parent-link wire
-// measurement as machine-readable JSON when BENCH_TOPO_JSON names an output
-// path — the CI hook behind the BENCH_topo.json trajectory artifact. It
-// reuses the exact fleets the e2e tests run, so the artifact and the tests
-// can never drift apart.
-func TestWriteTopoBenchJSON(t *testing.T) {
-	path := os.Getenv("BENCH_TOPO_JSON")
-	if path == "" {
-		t.Skip("BENCH_TOPO_JSON not set")
-	}
-	const rounds = 3
-	flat := runFlatFleet(t, rounds, "dense")
-	tiered := runTieredFleet(t, rounds, "topk:0.1", "dense")
-	flatBytes := parentWireBytes(flat)
-	tieredBytes := parentWireBytes(tiered.parent)
-	var relayBytes int64
-	for _, r := range tiered.relays {
-		relayBytes += parentWireBytes(r)
-	}
-	report := struct {
-		Rounds            int     `json:"rounds"`
-		Clients           int     `json:"clients"`
-		Relays            int     `json:"relays"`
-		UpstreamCodec     string  `json:"upstream_codec"`
-		CohortCodec       string  `json:"cohort_codec"`
-		FlatParentBytes   int64   `json:"flat_parent_wire_bytes"`
-		TieredParentBytes int64   `json:"tiered_parent_wire_bytes"`
-		TieredRelayBytes  int64   `json:"tiered_relay_tier_wire_bytes"`
-		ParentRatio       float64 `json:"tiered_vs_flat_parent_ratio"`
-		Comment           string  `json:"comment"`
-	}{
-		Rounds:            rounds,
-		Clients:           4,
-		Relays:            2,
-		UpstreamCodec:     "topk:0.1",
-		CohortCodec:       "dense",
-		FlatParentBytes:   flatBytes,
-		TieredParentBytes: tieredBytes,
-		TieredRelayBytes:  relayBytes,
-		ParentRatio:       float64(tieredBytes) / float64(flatBytes),
-		Comment:           "measured TCP frame bytes at the global aggregator, 2 relays x 2 clients vs flat 4 clients, tiny model",
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s: parent ratio %.3f", path, report.ParentRatio)
 }
