@@ -2,8 +2,8 @@ package photon
 
 import "photon/internal/metrics"
 
-// RoundEvent is one round's live training telemetry, streamed on
-// Job.Events while a run is in progress.
+// RoundEvent is one round's training telemetry: streamed live on
+// Job.Events while a run is in progress, and kept in Result.Stats.
 type RoundEvent struct {
 	// Round is the 1-based federated round (or, for the centralized
 	// backend, the optimizer step of the evaluation record). Resumed runs
@@ -40,9 +40,6 @@ type RoundEvent struct {
 	// UpdateNorm is the L2 norm of the aggregated pseudo-gradient (0 for
 	// the centralized and client backends).
 	UpdateNorm float64
-	// SimSeconds is the simulated wall-clock time consumed so far when the
-	// run carries a time model, 0 otherwise.
-	SimSeconds float64
 
 	// Tier is the emitting node's distance from the global aggregator: 0
 	// for the root (and the in-process backends), 1 for a relay job's own
@@ -139,7 +136,6 @@ func eventFromRound(r metrics.Round) RoundEvent {
 		EncodeMs:          r.EncodeMs,
 		DecodeMs:          r.DecodeMs,
 		UpdateNorm:        r.UpdateNorm,
-		SimSeconds:        r.SimSeconds,
 		Tier:              r.Tier,
 		Depth:             r.Depth,
 		Joins:             r.Joins,

@@ -10,7 +10,6 @@ import (
 	"photon/internal/metrics"
 	"photon/internal/nn"
 	"photon/internal/opt"
-	"photon/internal/topo"
 )
 
 // Config describes a centralized training run (Algorithm 2). Workers = 1 is
@@ -37,11 +36,6 @@ type Config struct {
 	Validation *data.ValidationSet
 	EvalEvery  int // evaluate every this many steps (0 → every 50)
 	StopAtPPL  float64
-
-	// TimeModel, when set, accrues simulated wall time with the DDP cost
-	// structure: local compute per step plus a per-step RAR gradient
-	// exchange among Workers.
-	TimeModel *topo.Model
 
 	// OnRound, when non-nil, is called synchronously with each evaluation
 	// record right after it is appended to the history.
@@ -90,19 +84,22 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	master := nn.NewModel(cfg.ModelConfig, initRng)
 	init := master.Params().Flatten(nil)
 
-	workers := make([]*nn.Model, cfg.Workers)
-	opts := make([]opt.Optimizer, cfg.Workers)
+	g := &Group{
+		Replicas: make([]*nn.Model, cfg.Workers),
+		Opts:     make([]opt.Optimizer, cfg.Workers),
+		Streams:  cfg.Streams,
+	}
 	newOpt := cfg.NewOptimizer
 	if newOpt == nil {
 		mc := cfg.ModelConfig
 		newOpt = func() opt.Optimizer { return opt.NewAdamW(mc.Beta1, mc.Beta2, 0.01) }
 	}
-	for w := range workers {
-		workers[w] = nn.NewModel(cfg.ModelConfig, rand.New(rand.NewSource(1)))
-		if err := workers[w].Params().LoadFlat(init); err != nil {
+	for w := range g.Replicas {
+		g.Replicas[w] = nn.NewModel(cfg.ModelConfig, rand.New(rand.NewSource(1)))
+		if err := g.Replicas[w].Params().LoadFlat(init); err != nil {
 			return nil, err
 		}
-		opts[w] = newOpt()
+		g.Opts[w] = newOpt()
 	}
 
 	evalEvery := cfg.EvalEvery
@@ -110,13 +107,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		evalEvery = 50
 	}
 	hist := &metrics.History{}
-	simTime := 0.0
-	// Per-step scratch is hoisted out of the loop and every model owns a
-	// scratch workspace, so the steady-state step loop below performs no
-	// heap allocations: with many in-process workers the GC would otherwise
-	// dominate the simulation.
-	losses := make([]float64, cfg.Workers)
-	grads := make([][]float32, cfg.Workers)
 
 	var runErr error
 	commBytes := int64(0)
@@ -125,56 +115,25 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			runErr = err
 			break
 		}
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				batch := cfg.Streams[w].NextBatch(cfg.BatchSize, cfg.SeqLen)
-				workers[w].Params().ZeroGrads()
-				losses[w] = workers[w].ForwardBackward(batch)
-				grads[w] = flattenGrads(workers[w].Params(), grads[w])
-			}(w)
-		}
-		wg.Wait()
-
-		if err := RingAllReduce(grads); err != nil {
+		if err := g.Step(cfg.BatchSize, cfg.SeqLen, cfg.Schedule.LR(step-1), cfg.ClipNorm); err != nil {
 			return nil, err
 		}
-		invN := 1 / float32(cfg.Workers)
-		lr := cfg.Schedule.LR(step - 1)
 		var meanLoss float64
-		for _, l := range losses {
+		for _, l := range g.Losses {
 			meanLoss += l / float64(cfg.Workers)
-		}
-		for w := 0; w < cfg.Workers; w++ {
-			loadGrads(workers[w].Params(), grads[w], invN)
-			if cfg.ClipNorm > 0 {
-				workers[w].Params().ClipGradNorm(cfg.ClipNorm)
-			}
-			opts[w].Step(workers[w].Params(), lr)
-		}
-
-		if cfg.TimeModel != nil {
-			tm := *cfg.TimeModel
-			tm.LocalSteps = 1
-			simTime += tm.LocalComputeTime() + tm.CommTime(topo.RAR, cfg.Workers)
 		}
 		if cfg.Workers > 1 {
 			// Ring-AllReduce moves ~2·(N−1)/N of the gradient vector per
 			// worker each step.
 			n := int64(cfg.Workers)
-			commBytes += 2 * (n - 1) * int64(len(grads[0])) * 4
+			commBytes += 2 * (n - 1) * int64(len(init)) * 4
 		}
 
 		if step%evalEvery == 0 || step == cfg.Steps {
-			rec := metrics.Round{
-				Round: step, TrainLoss: meanLoss, SimSeconds: simTime,
-				Clients: cfg.Workers, CommBytes: commBytes,
-			}
+			rec := metrics.Round{Round: step, TrainLoss: meanLoss, Clients: cfg.Workers, CommBytes: commBytes}
 			commBytes = 0
 			if cfg.Validation != nil {
-				rec.ValPPL = cfg.Validation.Evaluate(workers[0])
+				rec.ValPPL = cfg.Validation.Evaluate(g.Replicas[0])
 			}
 			hist.Append(rec)
 			if cfg.OnRound != nil {
@@ -185,7 +144,60 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 	}
-	return &Result{History: hist, FinalModel: workers[0]}, runErr
+	return &Result{History: hist, FinalModel: g.Replicas[0]}, runErr
+}
+
+// Group is a set of data-parallel replicas that step in lockstep, each with
+// its own optimizer and data stream. Its per-step scratch is kept across
+// steps, and every model owns a scratch workspace, so a warm Step performs
+// no heap allocations: with many in-process replicas the GC would otherwise
+// dominate the simulation.
+type Group struct {
+	Replicas []*nn.Model
+	Opts     []opt.Optimizer
+	Streams  []data.Stream
+
+	// Losses holds each replica's loss from the last Step, in replica order.
+	Losses []float64
+	grads  [][]float32
+}
+
+// Step is one synchronous data-parallel step: every replica computes
+// gradients on its own stream's next micro-batch concurrently, a real
+// Ring-AllReduce sums them, and every replica scales the sum by 1/n, clips
+// it to clipNorm (0 disables) and steps its optimizer at lr. Replicas that
+// start bit-identical stay bit-identical.
+func (g *Group) Step(batchSize, seqLen int, lr, clipNorm float64) error {
+	n := len(g.Replicas)
+	if len(g.grads) != n {
+		g.grads, g.Losses = make([][]float32, n), make([]float64, n)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			batch := g.Streams[w].NextBatch(batchSize, seqLen)
+			ps := g.Replicas[w].Params()
+			ps.ZeroGrads()
+			g.Losses[w] = g.Replicas[w].ForwardBackward(batch)
+			g.grads[w] = flattenGrads(ps, g.grads[w])
+		}(w)
+	}
+	wg.Wait()
+	if err := RingAllReduce(g.grads); err != nil {
+		return err
+	}
+	inv := 1 / float32(n)
+	for w := 0; w < n; w++ {
+		ps := g.Replicas[w].Params()
+		loadGrads(ps, g.grads[w], inv)
+		if clipNorm > 0 {
+			ps.ClipGradNorm(clipNorm)
+		}
+		g.Opts[w].Step(ps, lr)
+	}
+	return nil
 }
 
 func flattenGrads(ps nn.ParamSet, dst []float32) []float32 {

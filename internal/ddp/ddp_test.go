@@ -2,15 +2,19 @@ package ddp
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"photon/internal/data"
 	"photon/internal/nn"
 	"photon/internal/opt"
-	"photon/internal/topo"
+	"photon/internal/testutil"
 )
 
 func tinyCfg() nn.Config {
@@ -198,19 +202,43 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestRunSimulatedTimeChargesPerStep(t *testing.T) {
-	cfg := baseConfig(2)
-	cfg.Steps = 4
-	cfg.EvalEvery = 1
-	cfg.TimeModel = &topo.Model{ModelSizeMB: 10, BandwidthMBps: 100, Throughput: 2, LocalSteps: 999}
-	res, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestRunDigest pins a 2-worker, 6-step run (final params and every history
+// record) at GOMAXPROCS 1 and 2. A change to the step's summation order,
+// scaling or clipping moves it. It holds only where the tensor kernels are
+// row-invariant (the assembly path); elsewhere the test skips.
+func TestRunDigest(t *testing.T) {
+	if !testutil.RowInvariantKernels() {
+		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
 	}
-	perStep := 1/2.0 + 2*10.0*(2-1)/(2*100.0) // compute + RAR comm per step
-	last := res.History.Rounds[len(res.History.Rounds)-1]
-	if math.Abs(last.SimSeconds-4*perStep) > 1e-9 {
-		t.Fatalf("sim time: got %v want %v", last.SimSeconds, 4*perStep)
+	const want = "81fcfc87e6e3dd54"
+	for _, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		cfg := baseConfig(2)
+		cfg.Steps, cfg.EvalEvery = 6, 2
+		res, err := Run(context.Background(), cfg)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var b [8]byte
+		put := func(v uint64) {
+			binary.LittleEndian.PutUint64(b[:], v)
+			h.Write(b[:])
+		}
+		for _, v := range res.FinalModel.Params().Flatten(nil) {
+			put(uint64(math.Float32bits(v)))
+		}
+		for _, r := range res.History.Rounds {
+			put(uint64(r.Round))
+			put(uint64(r.Clients))
+			put(math.Float64bits(r.TrainLoss))
+			put(math.Float64bits(r.ValPPL))
+			put(uint64(r.CommBytes))
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("GOMAXPROCS=%d: digest %s, want %s", procs, got, want)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,7 +16,6 @@ import (
 	"photon/internal/metrics"
 	"photon/internal/nn"
 	"photon/internal/obsv"
-	"photon/internal/topo"
 )
 
 // RunConfig configures a federated training run in the in-process simulator.
@@ -72,11 +72,6 @@ type RunConfig struct {
 	// fails to return its update with this probability. The aggregator
 	// applies a partial update from survivors (the PS/AR behavior).
 	DropoutProb float64
-
-	// TimeModel, when set, accrues simulated wall-clock time per round under
-	// Topology, populating History.SimSeconds (Appendix B.1 model).
-	TimeModel *topo.Model
-	Topology  topo.Topology
 
 	// CheckpointPath, when non-empty, asynchronously checkpoints the global
 	// model each round (Algorithm 1 line 11).
@@ -143,320 +138,272 @@ type Result struct {
 	FinalModel *nn.Model
 }
 
-// Run executes Algorithm 1 in a single process: the global model is
-// initialized from the seed, and each round samples K distinct clients
-// uniformly (line 4), trains them concurrently (each in its own goroutine
-// with its own model replica and data stream), folds the surviving updates
-// in cohort order into a pseudo-gradient, and applies the outer optimizer.
-// A survivor whose update is not finite is dropped like a dropout. It is
-// deterministic for a fixed config.
+// simulator is the in-process driver over aggState. Its exchange stands in
+// for Serve's: the cohort trains in this process and every payload crosses
+// a codec round trip instead of a wire. Per tier it holds the shared
+// model-broadcast encoder and per-owner update codecs — each client index
+// and, when tiered, each relay keeps its own, so error-feedback residuals
+// (topk) accumulate per owner as on real client and relay processes — and a
+// tiered run's relay groups, which fold before the root does.
+type simulator struct {
+	*aggState
+	rc            RunConfig
+	tiers, relays int
+
+	modelCodec, upModelCodec link.Codec
+	clientCodec, relayCodec  func(int) (link.Codec, error)
+	groups                   []meanFold
+	wire                     roundWire // the open round's payload volume
+}
+
+// Run executes Algorithm 1 in a single process. It is a driver over the
+// aggregation core and differs from Serve only in its exchange: each round
+// samples K distinct clients uniformly (line 4), trains them concurrently
+// (each in its own goroutine with its own model replica and data stream),
+// and folds the surviving updates in cohort order. A survivor whose update
+// is not finite is dropped like a dropout. The outer step, evaluation,
+// history, OnRound and result are the sync driver's. It is deterministic
+// for a fixed config.
 //
-// Cancelling ctx stops the run promptly — in-flight clients abort between
-// local steps and the interrupted round is discarded — and Run returns the
-// partial Result for the completed rounds together with ctx.Err().
+// An error mid-run returns the partial Result for the completed rounds
+// together with the error, as Serve does. Cancelling ctx stops the run
+// promptly the same way: in-flight clients abort between local steps, the
+// interrupted round is discarded, and Run returns ctx.Err().
 func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := cfg.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
+	x := &simulator{
+		aggState: newAggState(ServerConfig{
+			ModelConfig: cfg.ModelConfig, Seed: cfg.Seed, Rng: cfg.Rng,
+			// seal evaluates the run's last round whatever EvalEvery says.
+			Rounds:        cfg.StartRound + cfg.Rounds,
+			ExpectClients: len(cfg.Clients), ClientsPerRound: cfg.ClientsPerRound,
+			Outer: cfg.Outer, Validation: cfg.Validation, EvalEvery: cfg.EvalEvery, OnRound: cfg.OnRound,
+		}),
+		rc: cfg, tiers: max(cfg.Tiers, 1), relays: cfg.effectiveRelays(),
 	}
-	// traceRng mints per-round trace IDs from its own stream so tracing
-	// never perturbs cohort sampling or dropout draws.
-	traceRng := rand.New(rand.NewSource(int64(uint64(cfg.Seed) ^ 0x9E3779B97F4A7C15)))
-	globalModel := nn.NewModel(cfg.ModelConfig, rng)
-	if cfg.InitParams != nil {
-		if err := globalModel.Params().LoadFlat(cfg.InitParams); err != nil {
-			return nil, fmt.Errorf("fed: InitParams: %w", err)
-		}
+	if err := x.initModel(cfg.InitParams); err != nil {
+		return nil, err
 	}
-	global := globalModel.Params().Flatten(nil)
-
-	// Codec simulation state, per tier: the model-broadcast encoder is
-	// shared (one encode per round), while each client index — and, in the
-	// hierarchical simulation, each relay — keeps its own update codec, so
-	// error-feedback residuals (topk) accumulate per owner exactly as they
-	// would on real client and relay processes.
-	modelCodec, clientCodec, err := simCodecs(cfg.Codec, len(cfg.Clients))
-	if err != nil {
+	var err error
+	if x.modelCodec, x.clientCodec, err = simCodecs(cfg.Codec, len(cfg.Clients)); err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
 	}
-	tiers := cfg.Tiers
-	if tiers <= 0 {
-		tiers = 1
-	}
-	relays := cfg.effectiveRelays()
-	upName := cfg.UpstreamCodec
-	if upName == "" {
-		upName = cfg.Codec
-	}
-	var upModelCodec link.Codec
-	var relayCodec func(int) (link.Codec, error)
-	// A tiered run folds each survivor into its relay group first and the
-	// relay means into fold after.
-	var fold meanFold
-	var groups []meanFold
-	if tiers == 2 {
-		if upModelCodec, relayCodec, err = simCodecs(upName, relays); err != nil {
+	if x.tiers == 2 {
+		up := cfg.UpstreamCodec
+		if up == "" {
+			up = cfg.Codec
+		}
+		if x.upModelCodec, x.relayCodec, err = simCodecs(up, x.relays); err != nil {
 			return nil, fmt.Errorf("fed: upstream codec: %w", err)
 		}
-		groups = make([]meanFold, relays)
+		x.groups = make([]meanFold, x.relays)
 	}
+	return x.run(ctx)
+}
+
+func (x *simulator) run(ctx context.Context) (*Result, error) {
 	var writer *ckpt.AsyncWriter
 	var ckptErrSeen bool
-	if cfg.CheckpointPath != "" {
-		writer = ckpt.NewAsyncWriter(cfg.CheckpointPath)
+	if x.rc.CheckpointPath != "" {
+		writer = ckpt.NewAsyncWriter(x.rc.CheckpointPath)
 		defer writer.Close()
 	}
-
-	hist := &metrics.History{}
-	simTime := 0.0
-	evalEvery := cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
-
-	var runErr error
-	for round := cfg.StartRound + 1; round <= cfg.StartRound+cfg.Rounds; round++ {
+	for round := x.rc.StartRound + 1; round <= x.cfg.Rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			runErr = err
-			break
+			return x.finish(err)
 		}
-		cohortIdx := rng.Perm(len(cfg.Clients))[:min(cfg.ClientsPerRound, len(cfg.Clients))]
-		// Draw dropout decisions up front so parallel execution stays
-		// deterministic.
-		dropped := make([]bool, len(cohortIdx))
-		for i := range dropped {
-			dropped[i] = cfg.DropoutProb > 0 && rng.Float64() < cfg.DropoutProb
+		w := x.open(round, mintTrace(x.traceRng), time.Now())
+		clientMetrics, err := x.exchange(ctx, w)
+		if ctx.Err() != nil {
+			return x.finish(ctx.Err()) // the interrupted round is discarded
 		}
-		// The same 52-bit trace IDs as the networked tiers, so simulated
-		// and real runs share one identifier space.
-		traceID := mintTrace(traceRng)
-		roundStart := time.Now()
-
-		// Under a codec, clients train from the decoded broadcast — for a
-		// lossy codec the same perturbed parameters a real remote client
-		// would receive — and the encoded size is what the round pays for.
-		// In a tiered simulation the broadcast chains through both tiers:
-		// root → relays under the upstream codec, relays → cohort under
-		// the leaf codec.
-		var wire roundWire
-		var downBytes, upBytes int64
-		var parentDown, parentUp int64
-		relayGlobal := global
-		if upModelCodec != nil {
-			var err error
-			if relayGlobal, parentDown, err = wire.roundTrip(upModelCodec, global, relays); err != nil {
-				return nil, fmt.Errorf("fed: round %d: %w", round, err)
-			}
+		if err == nil {
+			err = x.step(w, clientMetrics)
 		}
-		trainGlobal := relayGlobal
-		if modelCodec != nil {
-			var err error
-			if trainGlobal, downBytes, err = wire.roundTrip(modelCodec, relayGlobal, len(cohortIdx)); err != nil {
-				return nil, fmt.Errorf("fed: round %d: %w", round, err)
-			}
+		if err != nil {
+			return x.fail(round, err)
 		}
-
-		type outcome struct {
-			res RoundResult
-			err error
-			ok  bool
-		}
-		outcomes := make([]outcome, len(cohortIdx))
-		stepBase := (round - 1) * cfg.Spec.Steps
-		trainStart := time.Now()
-		var wg sync.WaitGroup
-		for i, ci := range cohortIdx {
-			if dropped[i] {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, c *Client) {
-				defer wg.Done()
-				res, err := c.RunRound(ctx, trainGlobal, stepBase, cfg.Spec)
-				outcomes[i] = outcome{res: res, err: err, ok: err == nil}
-			}(i, cfg.Clients[ci])
-		}
-		wg.Wait()
-		// Train phase is the wall time of the parallel local-training
-		// section — the cohort's critical path, not per-client sums.
-		trainNs := time.Since(trainStart).Nanoseconds()
-		if err := ctx.Err(); err != nil {
-			// The round was interrupted; discard its partial work and
-			// return what completed before the cancellation.
-			runErr = err
-			break
-		}
-
-		fold.reset(len(global))
-		for g := range groups {
-			groups[g].reset(len(global))
-		}
-		var clientMetrics []map[string]float64
-		var aggNs int64 // fold and outer step
-		for i := range outcomes {
-			o := outcomes[i]
-			if !o.ok {
-				if o.err != nil && !errors.Is(o.err, context.Canceled) && !errors.Is(o.err, context.DeadlineExceeded) {
-					return nil, fmt.Errorf("fed: round %d client %s: %w", round, cfg.Clients[cohortIdx[i]].ID, o.err)
-				}
-				continue // dropped or cancelled client
-			}
-			upd := o.res.Update
-			if modelCodec != nil {
-				codec, err := clientCodec(cohortIdx[i])
-				if err != nil {
-					return nil, fmt.Errorf("fed: round %d: %w", round, err)
-				}
-				var n int64
-				if upd, n, err = wire.roundTrip(codec, upd, 1); err != nil {
-					return nil, fmt.Errorf("fed: round %d client %s: %w", round, cfg.Clients[cohortIdx[i]].ID, err)
-				}
-				upBytes += n
-			}
-			// A diverged client is dropped, as the networked tiers evict it.
-			if checkFinite(upd) != nil {
-				continue
-			}
-			clientMetrics = append(clientMetrics, o.res.Metrics)
-			foldStart := time.Now()
-			if tiers == 2 {
-				// Static fleet partition: client index ci always belongs to
-				// relay ci·R/N, exactly like a deployment where each relay
-				// serves a fixed slice of the fleet — so per-relay
-				// error-feedback residuals stay with the same client set
-				// across rounds regardless of cohort sampling order.
-				groups[cohortIdx[i]*relays/len(cfg.Clients)].add(upd, 1)
-			} else {
-				fold.add(upd, 1)
-			}
-			aggNs += time.Since(foldStart).Nanoseconds()
-		}
-		survivors := len(clientMetrics)
-
-		// Hierarchical fold: each relay group's mean (optionally crossing
-		// the upstream codec, per-relay error feedback included) folds into
-		// the root in group order.
-		for g := range groups {
-			if groups[g].n == 0 {
-				continue // an emptied cohort sends nothing upstream
-			}
-			mean := groups[g].mean()
-			if upModelCodec != nil {
-				codec, err := relayCodec(g)
-				if err != nil {
-					return nil, fmt.Errorf("fed: round %d: %w", round, err)
-				}
-				var n int64
-				if mean, n, err = wire.roundTrip(codec, mean, 1); err != nil {
-					return nil, fmt.Errorf("fed: round %d relay %d: %w", round, g, err)
-				}
-				parentUp += n
-			}
-			fold.add(mean, 1)
-		}
-
-		paramBytes := int64(len(global)) * 4
-		rec := metrics.Round{
-			Round:   round,
-			Clients: survivors,
-			Depth:   tiers,
-			// Model broadcast to the sampled cohort plus surviving uploads
-			// (plus, when tiered, the parent tier's relay exchanges).
-			CommBytes: int64(len(cohortIdx)+survivors) * paramBytes,
-		}
-		if tiers == 2 && upModelCodec == nil {
-			rec.CommBytes += int64(relays+fold.n) * paramBytes
-			rec.WireSentBytes = int64(relays) * paramBytes
-			rec.WireRecvBytes = int64(fold.n) * paramBytes
-		}
-		if modelCodec != nil || upModelCodec != nil {
-			// Codec accounting: the round pays for encoded payload bytes
-			// (headerless — the simulator has no frames). Flat runs split
-			// them into the aggregator's send/receive sides; tiered runs
-			// report the parent link's bytes there instead, which is what
-			// a relay deployment actually moves inter-region.
-			rec.CommBytes = wire.payloadBytes
-			if modelCodec == nil {
-				// Upstream-only codec: the leaf tier still moves raw dense
-				// vectors, so charge them at the element-count estimate —
-				// otherwise CommBytes would silently drop a whole tier.
-				rec.CommBytes += int64(len(cohortIdx)+survivors) * paramBytes
-			}
-			rec.WireSentBytes = downBytes
-			rec.WireRecvBytes = upBytes
-			if tiers == 2 {
-				rec.WireSentBytes = parentDown
-				rec.WireRecvBytes = parentUp
-			}
-			rec.EncodeMs = float64(wire.encNs) / 1e6
-			rec.DecodeMs = float64(wire.decNs) / 1e6
-			if wire.denseBytes > 0 {
-				rec.CompressionRatio = float64(wire.payloadBytes) / float64(wire.denseBytes)
-			}
-		}
-		if fold.n > 0 {
-			aggStart := time.Now()
-			delta := fold.mean()
-			cfg.Outer.Step(global, delta, round)
-			aggNs += time.Since(aggStart).Nanoseconds()
-			rec.UpdateNorm = norm2(delta)
-			rec.TrainLoss = metrics.AggMetrics(clientMetrics)["loss"]
-		}
-
-		if cfg.TimeModel != nil {
-			simTime += cfg.TimeModel.RoundTime(cfg.Topology, len(cohortIdx))
-		}
-		rec.SimSeconds = simTime
-
-		var evalNs int64
-		if cfg.Validation != nil && (round%evalEvery == 0 || round == cfg.StartRound+cfg.Rounds) {
-			evalStart := time.Now()
-			if err := globalModel.Params().LoadFlat(global); err != nil {
-				return nil, err
-			}
-			rec.ValPPL = cfg.Validation.Evaluate(globalModel)
-			evalNs = time.Since(evalStart).Nanoseconds()
-		}
-		rec.TraceID = traceID
-		rec.WallMs = float64(time.Since(roundStart).Nanoseconds()) / 1e6
-		var pn obsv.PhaseNanos
-		pn.Add(obsv.PhaseTrain, trainNs)
-		pn.Add(obsv.PhaseEncode, wire.encNs)
-		pn.Add(obsv.PhaseDecode, wire.decNs)
-		pn.Add(obsv.PhaseAggregate, aggNs)
-		pn.Add(obsv.PhaseEval, evalNs)
-		rec.Phases = pn.Breakdown()
-		hist.Append(rec)
-		if cfg.OnRound != nil {
-			cfg.OnRound(rec)
-		}
-
 		if writer != nil {
-			snapshot := make([]float32, len(global))
-			copy(snapshot, global)
 			writer.Submit(&ckpt.Checkpoint{
 				Round:  round,
-				Step:   round * cfg.Spec.Steps,
-				Meta:   map[string]float64{"ppl": rec.ValPPL, "loss": rec.TrainLoss},
-				Params: snapshot,
+				Step:   round * x.rc.Spec.Steps,
+				Meta:   map[string]float64{"ppl": w.rec.ValPPL, "loss": w.rec.TrainLoss},
+				Params: slices.Clone(x.global),
 			})
 			// Surface a failed write mid-run (once) instead of letting it
 			// hide until Close: the operator learns the run has no durable
 			// checkpoints while there is still time to fix the disk.
 			noteCheckpointErr(&ckptErrSeen, writer.Err())
 		}
-		if cfg.StopAtPPL > 0 && rec.ValPPL > 0 && rec.ValPPL <= cfg.StopAtPPL {
+		if x.rc.StopAtPPL > 0 && w.rec.ValPPL > 0 && w.rec.ValPPL <= x.rc.StopAtPPL {
 			break
 		}
 	}
+	return x.finish(nil)
+}
 
-	if err := globalModel.Params().LoadFlat(global); err != nil {
+// exchange is the simulator's half of a round, the part Serve does over the
+// wire: draw the cohort and its dropouts, broadcast the model through the
+// codecs (root → relays under the upstream codec, relays → cohort under the
+// leaf codec), train the survivors in parallel, round-trip each update
+// through its owner's codec, and fold the finite ones into x.fold in cohort
+// order — through their relay group's mean when tiered. It stamps the
+// window's participants, depth and payload accounting and returns the
+// folded clients' metrics.
+func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float64, error) {
+	cfg, rec := &x.rc, &w.rec
+	cohort := x.rng.Perm(len(cfg.Clients))[:x.k]
+	// Dropouts are drawn up front so parallel training stays deterministic.
+	dropped := make([]bool, len(cohort))
+	for i := range dropped {
+		dropped[i] = cfg.DropoutProb > 0 && x.rng.Float64() < cfg.DropoutProb
+	}
+
+	// Under a codec, clients train from the decoded broadcast — for a lossy
+	// codec the same perturbed parameters a remote client would receive —
+	// and the encoded size is what the round pays for.
+	x.wire = roundWire{}
+	var downBytes, upBytes, parentDown, parentUp int64
+	var err error
+	relayGlobal := x.global
+	if x.upModelCodec != nil {
+		if relayGlobal, parentDown, err = x.roundTrip(w, x.upModelCodec, x.global, x.relays); err != nil {
+			return nil, err
+		}
+	}
+	trainGlobal := relayGlobal
+	if x.modelCodec != nil {
+		if trainGlobal, downBytes, err = x.roundTrip(w, x.modelCodec, relayGlobal, len(cohort)); err != nil {
+			return nil, err
+		}
+	}
+
+	results := make([]RoundResult, len(cohort))
+	errs := make([]error, len(cohort))
+	stepBase := (rec.Round - 1) * cfg.Spec.Steps
+	// The train phase is the parallel section's wall time: the cohort's
+	// critical path, not a per-client sum.
+	train := x.tracer().Begin(obsv.PhaseTrain)
+	var wg sync.WaitGroup
+	for i, ci := range cohort {
+		if dropped[i] {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			results[i], errs[i] = c.RunRound(ctx, trainGlobal, stepBase, cfg.Spec)
+		}(i, cfg.Clients[ci])
+	}
+	wg.Wait()
+	w.pn.Add(obsv.PhaseTrain, train.End(rec.TraceID))
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Result{History: hist, Global: global, FinalModel: globalModel}, runErr
+
+	x.fold.reset(len(x.global))
+	for g := range x.groups {
+		x.groups[g].reset(len(x.global))
+	}
+	var clientMetrics []map[string]float64
+	for i, ci := range cohort {
+		id := cfg.Clients[ci].ID
+		if dropped[i] || errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded) {
+			continue
+		}
+		if errs[i] != nil {
+			return nil, fmt.Errorf("client %s: %w", id, errs[i])
+		}
+		upd := results[i].Update
+		if x.modelCodec != nil {
+			codec, err := x.clientCodec(ci)
+			if err != nil {
+				return nil, err
+			}
+			var n int64
+			if upd, n, err = x.roundTrip(w, codec, upd, 1); err != nil {
+				return nil, fmt.Errorf("client %s: %w", id, err)
+			}
+			upBytes += n
+		}
+		// A diverged client is dropped, as the networked tiers evict it.
+		if checkFinite(upd) != nil {
+			continue
+		}
+		clientMetrics = append(clientMetrics, results[i].Metrics)
+		fold := &x.fold
+		if x.groups != nil {
+			// Static fleet partition: client index ci always belongs to
+			// relay ci·R/N, like a deployment where each relay serves a
+			// fixed slice of the fleet — so per-relay error-feedback
+			// residuals stay with the same client set across rounds
+			// regardless of cohort sampling order.
+			fold = &x.groups[ci*x.relays/len(cfg.Clients)]
+		}
+		span := x.tracer().Begin(obsv.PhaseAggregate)
+		fold.add(upd, 1)
+		w.pn.Add(obsv.PhaseAggregate, span.End(rec.TraceID))
+	}
+	survivors := len(clientMetrics)
+
+	// Each relay group's mean (crossing the upstream codec, per-relay error
+	// feedback included) folds into the root in group order.
+	for g := range x.groups {
+		if x.groups[g].n == 0 {
+			continue // an emptied cohort sends nothing upstream
+		}
+		mean := x.groups[g].mean()
+		if x.upModelCodec != nil {
+			codec, err := x.relayCodec(g)
+			if err != nil {
+				return nil, err
+			}
+			var n int64
+			if mean, n, err = x.roundTrip(w, codec, mean, 1); err != nil {
+				return nil, fmt.Errorf("relay %d: %w", g, err)
+			}
+			parentUp += n
+		}
+		x.fold.add(mean, 1)
+	}
+
+	// Without a codec the round pays element-count estimates: the model to
+	// the sampled cohort plus the surviving uploads (plus, when tiered, the
+	// parent tier's relay exchanges).
+	paramBytes := int64(len(x.global)) * 4
+	rec.Clients, rec.Depth = survivors, x.tiers
+	rec.CommBytes = int64(len(cohort)+survivors) * paramBytes
+	if x.tiers == 2 && x.upModelCodec == nil {
+		rec.CommBytes += int64(x.relays+x.fold.n) * paramBytes
+		rec.WireSentBytes = int64(x.relays) * paramBytes
+		rec.WireRecvBytes = int64(x.fold.n) * paramBytes
+	}
+	if x.modelCodec != nil || x.upModelCodec != nil {
+		// Under a codec it pays encoded payload bytes (headerless — the
+		// simulator has no frames). Flat runs split them into the
+		// aggregator's send/receive sides; tiered runs report the parent
+		// link's bytes there instead, which is what a relay deployment
+		// actually moves inter-region.
+		rec.CommBytes = x.wire.payloadBytes
+		if x.modelCodec == nil {
+			// Upstream-only codec: the leaf tier still moves raw dense
+			// vectors, so charge them at the element-count estimate —
+			// otherwise CommBytes would silently drop a whole tier.
+			rec.CommBytes += int64(len(cohort)+survivors) * paramBytes
+		}
+		rec.WireSentBytes, rec.WireRecvBytes = downBytes, upBytes
+		if x.tiers == 2 {
+			rec.WireSentBytes, rec.WireRecvBytes = parentDown, parentUp
+		}
+		rec.EncodeMs = float64(w.pn[obsv.PhaseEncode]) / 1e6
+		rec.DecodeMs = float64(w.pn[obsv.PhaseDecode]) / 1e6
+		if x.wire.denseBytes > 0 {
+			rec.CompressionRatio = float64(x.wire.payloadBytes) / float64(x.wire.denseBytes)
+		}
+	}
+	return clientMetrics, nil
 }
 
 // simCodecs builds one tier's simulated codec state for Run: the shared
@@ -485,25 +432,25 @@ func simCodecs(name string, n int) (link.Codec, func(int) (link.Codec, error), e
 
 // roundTrip is the simulator's stand-in for one wire crossing: encode v
 // with codec, decode it back (for a lossy codec, the perturbed values the
-// receiver would train or fold from), and charge the wall time and the
-// payload — sent to `copies` receivers — to the round's accounting. It
+// receiver would train or fold from), and charge the codec time to w and
+// the payload — sent to `copies` receivers — to the round's volume. It
 // returns the decoded vector and the encoded bytes charged.
-func (w *roundWire) roundTrip(codec link.Codec, v []float32, copies int) ([]float32, int64, error) {
-	encStart := time.Now()
+func (x *simulator) roundTrip(w *window, codec link.Codec, v []float32, copies int) ([]float32, int64, error) {
+	span := x.tracer().Begin(obsv.PhaseEncode)
 	enc, err := link.EncodeVector(codec, v)
-	w.encNs += time.Since(encStart).Nanoseconds()
+	w.pn.Add(obsv.PhaseEncode, span.End(w.rec.TraceID))
 	if err != nil {
 		return nil, 0, err
 	}
-	decStart := time.Now()
+	span = x.tracer().Begin(obsv.PhaseDecode)
 	out, err := link.DecodePayload(codec, enc)
 	if err != nil {
 		return nil, 0, err
 	}
-	w.decNs += time.Since(decStart).Nanoseconds()
+	w.pn.Add(obsv.PhaseDecode, span.End(w.rec.TraceID))
 	bytes := int64(copies) * int64(enc.WireBytes())
-	w.payloadBytes += bytes
-	w.denseBytes += int64(copies) * int64(enc.Elems) * 4
+	x.wire.payloadBytes += bytes
+	x.wire.denseBytes += int64(copies) * int64(enc.Elems) * 4
 	return out, bytes, nil
 }
 

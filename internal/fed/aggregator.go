@@ -1,7 +1,7 @@
 package fed
 
-// The aggregation core behind Serve and RunRelay. A networked round has five
-// roles, each written once and shared by every driver:
+// The aggregation core behind Serve, RunRelay and Run. A networked round has
+// five roles, each written once and shared by every driver:
 //
 //   - member session (session.go): the member side — join, echo heartbeats,
 //     answer each model broadcast with one update, redeliver from the reply
@@ -25,6 +25,10 @@ package fed
 //     fold at their staleness weight and the outer step commits a version.
 //   - relay (relay.go): a window is one parent round; updates fold at
 //     weight 1 and the outer step's delta goes upstream.
+//   - simulator (agg.go): the sync driver without a server or a journal.
+//     Its exchange trains the cohort in process and round-trips payloads
+//     through the codecs instead of asking members over the wire; step,
+//     seal and finish are the sync driver's.
 
 import (
 	"context"
@@ -48,7 +52,8 @@ const compactEvery = 8
 
 // aggState is what every driver aggregates over: server plumbing, model and
 // optimizer state, run bookkeeping, and the durable side. A relay builds
-// one with no model, Validation, or registry.
+// one with no model, Validation, or registry; the simulator one with no
+// server or journal.
 type aggState struct {
 	s   *server
 	cfg ServerConfig
@@ -92,18 +97,12 @@ type aggState struct {
 	crashed bool
 }
 
-// newAggState builds what Serve and RunRelay share before any connection is
-// accepted: the cohort-side server, the aggregation state with cfg's cohort
-// bounds and defaults resolved, and — with cfg.WALDir set — the journal,
-// whose prior contents are returned for the driver to replay. The caller
-// closes a.jrn.
-func newAggState(cfg ServerConfig) (*aggState, *ckpt.Recovery, error) {
-	s, err := newServer(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+// newAggState builds the aggregation state every driver starts from, with
+// cfg's cohort bounds and defaults resolved. Serve and RunRelay then add
+// the server with openServer.
+func newAggState(cfg ServerConfig) *aggState {
 	a := &aggState{
-		s: s, cfg: cfg, hist: &metrics.History{}, commitRec: ckpt.RecRoundCommit,
+		cfg: cfg, hist: &metrics.History{}, commitRec: ckpt.RecRoundCommit,
 		k: cfg.ClientsPerRound, minClients: cfg.MinClients, evalEvery: cfg.EvalEvery, rng: cfg.Rng,
 	}
 	if a.k <= 0 || a.k > cfg.ExpectClients {
@@ -118,15 +117,52 @@ func newAggState(cfg ServerConfig) (*aggState, *ckpt.Recovery, error) {
 	if a.rng == nil {
 		a.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
-	if cfg.WALDir == "" {
-		return a, nil, nil
-	}
-	wal, recovered, err := ckpt.OpenWAL(cfg.WALDir, cfg.Failpoint)
+	return a
+}
+
+// openServer adds what Serve and RunRelay share before any connection is
+// accepted: the cohort-side server and — with cfg.WALDir set — the journal,
+// whose prior contents are returned for the driver to replay. The caller
+// closes a.jrn.
+func (a *aggState) openServer() (*ckpt.Recovery, error) {
+	s, err := newServer(a.cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	a.s = s
+	if a.cfg.WALDir == "" {
+		return nil, nil
+	}
+	wal, recovered, err := ckpt.OpenWAL(a.cfg.WALDir, a.cfg.Failpoint)
+	if err != nil {
+		return nil, err
 	}
 	a.jrn = newJournal(wal)
-	return a, recovered, nil
+	return recovered, nil
+}
+
+// initModel draws the global model from rng — always, even when init then
+// replaces its params, so the rng stream stays aligned with an
+// uninterrupted run's cohort draws — and seeds the trace-ID stream, which
+// is separate so tracing never perturbs sampling.
+func (a *aggState) initModel(init []float32) error {
+	a.traceRng = rand.New(rand.NewSource(int64(uint64(a.cfg.Seed) ^ 0x9E3779B97F4A7C15)))
+	a.globalModel = nn.NewModel(a.cfg.ModelConfig, a.rng)
+	a.global = a.globalModel.Params().Flatten(nil)
+	if init != nil && len(init) != len(a.global) {
+		return fmt.Errorf("fed: resumed params have %d elements, model has %d (config changed between runs?)", len(init), len(a.global))
+	}
+	copy(a.global, init)
+	return nil
+}
+
+// tracer is the server's span tracer, nil (measuring, never recording) for
+// the simulator.
+func (a *aggState) tracer() *obsv.Tracer {
+	if a.s == nil {
+		return nil
+	}
+	return a.s.tracer
 }
 
 // finish packages the (possibly partial) run: completed rounds are never
@@ -217,23 +253,27 @@ func (a *aggState) collect(ctx context.Context, reask []string) ([]*memberConn, 
 // into the base checkpoint so replay time stays bounded. The order is the
 // same for every driver, so crash points land between the same record
 // pairs: the outer step is journaled before the record exists, the commit
-// after observers saw it.
+// after observers saw it. Without a server (the simulator) there is no
+// wire or membership to measure and no observer: its exchange stamped its
+// own accounting.
 func (a *aggState) seal(w *window) error {
 	s, rec := a.s, &w.rec
-	// Real wire traffic measured over the window, frame headers and
-	// heartbeats included — not an element-count estimate.
-	sent, recv := s.meter.Totals()
-	rec.WireSentBytes, rec.WireRecvBytes = sent-a.sentPrev, recv-a.recvPrev
-	rec.CommBytes = rec.WireSentBytes + rec.WireRecvBytes
-	a.sentPrev, a.recvPrev = sent, recv
-	churn := s.reg.RoundDelta()
-	rec.Joins = churn.Joins + churn.Rejoins
-	rec.Evictions = churn.Evictions
-	rec.Stragglers = churn.Stragglers
-	rec.HeartbeatRTTMs = churn.HeartbeatRTTMs
-	rec.HeartbeatRTTP99Ms = churn.HeartbeatRTTP99Ms
+	if s != nil {
+		// Real wire traffic measured over the window, frame headers and
+		// heartbeats included — not an element-count estimate.
+		sent, recv := s.meter.Totals()
+		rec.WireSentBytes, rec.WireRecvBytes = sent-a.sentPrev, recv-a.recvPrev
+		rec.CommBytes = rec.WireSentBytes + rec.WireRecvBytes
+		a.sentPrev, a.recvPrev = sent, recv
+		churn := s.reg.RoundDelta()
+		rec.Joins = churn.Joins + churn.Rejoins
+		rec.Evictions = churn.Evictions
+		rec.Stragglers = churn.Stragglers
+		rec.HeartbeatRTTMs = churn.HeartbeatRTTMs
+		rec.HeartbeatRTTP99Ms = churn.HeartbeatRTTP99Ms
+	}
 	if a.cfg.Validation != nil && (rec.Round%a.evalEvery == 0 || rec.Round == a.cfg.Rounds) {
-		evalSpan := s.tracer.Begin(obsv.PhaseEval)
+		evalSpan := a.tracer().Begin(obsv.PhaseEval)
 		if err := a.globalModel.Params().LoadFlat(a.global); err != nil {
 			return err
 		}
@@ -247,7 +287,9 @@ func (a *aggState) seal(w *window) error {
 	if a.cfg.OnRound != nil {
 		a.cfg.OnRound(*rec)
 	}
-	s.publishRound(*rec, w.stale)
+	if s != nil {
+		s.publishRound(*rec, w.stale)
+	}
 	if !w.folded {
 		return nil
 	}
@@ -380,7 +422,17 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			runErr = ctx.Err()
 			break
 		}
-		if err := a.step(w, append(clientMetrics, freshMetrics...)); err != nil {
+		clientMetrics = append(clientMetrics, freshMetrics...)
+		// Depth 2 once any member identifies itself as an aggregation tier
+		// (a relay stamps CohortKey on its upstream updates).
+		for _, m := range clientMetrics {
+			if _, ok := m[link.CohortKey]; ok {
+				a.depth = 2
+				break
+			}
+		}
+		w.rec.Clients, w.rec.Depth = a.fold.n, a.depth
+		if err := a.step(w, clientMetrics); err != nil {
 			return a.fail(round, err)
 		}
 		if a.fold.n > 0 {
@@ -392,22 +444,14 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 	return a.finish(runErr)
 }
 
-// step is where the sync fold goes: the uniform mean of the round's folded
-// updates steps the outer optimizer on the global model, the post-step
-// state is journaled (adopted on replay once the commit seals it), and the
-// window is sealed. An empty round seals without committing.
-func (a *syncAggregator) step(w *window, clientMetrics []map[string]float64) error {
-	// Depth 2 once any member identifies itself as an aggregation tier (a
-	// relay stamps CohortKey on its upstream updates).
-	for _, m := range clientMetrics {
-		if _, ok := m[link.CohortKey]; ok {
-			a.depth = 2
-			break
-		}
-	}
-	w.rec.Clients, w.rec.Depth = a.fold.n, a.depth
+// step is where a sync round's fold goes, in Serve and in the simulator:
+// the uniform mean of the round's folded updates steps the outer optimizer
+// on the global model, the post-step state is journaled (adopted on replay
+// once the commit seals it), and the window is sealed. An empty round seals
+// without committing.
+func (a *aggState) step(w *window, clientMetrics []map[string]float64) error {
 	if a.fold.n > 0 {
-		aggSpan := a.s.tracer.Begin(obsv.PhaseAggregate)
+		aggSpan := a.tracer().Begin(obsv.PhaseAggregate)
 		delta := a.fold.mean()
 		a.cfg.Outer.Step(a.global, delta, w.rec.Round)
 		if err := a.jrn.outerStep(w.rec.Round, a.global, a.cfg.Outer); err != nil {

@@ -22,9 +22,9 @@ import (
 func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	cfg := tinyCfg()
 	fp := &ckpt.Failpoint{}
-	st, _, err := newAggState(ServerConfig{ModelConfig: cfg, Rounds: 3, ExpectClients: 2, Outer: FedAvg{},
+	st := newAggState(ServerConfig{ModelConfig: cfg, Rounds: 3, ExpectClients: 2, Outer: FedAvg{},
 		WALDir: t.TempDir(), Failpoint: fp})
-	if err != nil {
+	if _, err := st.openServer(); err != nil {
 		t.Fatal(err)
 	}
 	defer st.jrn.close()

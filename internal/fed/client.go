@@ -92,8 +92,8 @@ func (c *Client) NumParams() int {
 	if c.Model != nil {
 		return c.Model.NumParams()
 	}
-	if c.ddp != nil && len(c.ddp.replicas) > 0 {
-		return c.ddp.replicas[0].NumParams()
+	if c.ddp != nil && len(c.ddp.Replicas) > 0 {
+		return c.ddp.Replicas[0].NumParams()
 	}
 	return 0
 }

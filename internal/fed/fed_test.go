@@ -17,7 +17,6 @@ import (
 	"photon/internal/obsv"
 	"photon/internal/opt"
 	"photon/internal/testutil"
-	"photon/internal/topo"
 )
 
 func tinyCfg() nn.Config {
@@ -285,24 +284,6 @@ func TestRunPartialDropoutStillConverges(t *testing.T) {
 	}
 	if res.History.FinalPPL() > 58 {
 		t.Fatalf("dropout run did not converge: %v", res.History.FinalPPL())
-	}
-}
-
-func TestRunSimulatedTime(t *testing.T) {
-	tm := &topo.Model{ModelSizeMB: 1, BandwidthMBps: 100, Throughput: 2, LocalSteps: 4}
-	res, err := Run(context.Background(), baseRun(t, func(c *RunConfig) {
-		c.TimeModel = tm
-		c.Topology = topo.RAR
-		c.Rounds = 3
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tm.RoundTime(topo.RAR, 4)
-	for i, r := range res.History.Rounds {
-		if math.Abs(r.SimSeconds-want*float64(i+1)) > 1e-9 {
-			t.Fatalf("round %d sim time %v, want %v", r.Round, r.SimSeconds, want*float64(i+1))
-		}
 	}
 }
 

@@ -3,11 +3,14 @@ package fed
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,12 +109,14 @@ func netFoldRun(t *testing.T) *Result {
 	return res
 }
 
-// TestFoldBitExact pins five runs that cover every sync-weight fold site —
-// the simulator flat and tiered, a sub-federated silo, and the networked
-// aggregator — to digests of their results, at GOMAXPROCS 1 and 2. A fold
-// that changes the summation order or the rounding of the mean moves a
-// digest. The digests hold only where the tensor kernels are row-invariant
-// (the assembly path); elsewhere the test skips.
+// TestFoldBitExact pins eight runs that cover every sync-weight fold site —
+// the simulator flat and tiered, a sub-federated silo, a DDP silo, and the
+// networked aggregator — plus the simulator's resume, last-round evaluation
+// and upstream-only codec accounting, to digests of their results, at
+// GOMAXPROCS 1 and 2. A fold that changes the summation order or the
+// rounding of the mean moves a digest. The digests hold only where the
+// tensor kernels are row-invariant (the assembly path); elsewhere the test
+// skips.
 func TestFoldBitExact(t *testing.T) {
 	if !testutil.RowInvariantKernels() {
 		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
@@ -136,6 +141,33 @@ func TestFoldBitExact(t *testing.T) {
 			c.ClientsPerRound = 3
 		})},
 		{"networked-sync-fedmom", "3b331116d2a525a4", netFoldRun},
+		// Resumed from an earlier run's params at round 3: rounds 4–7 with
+		// EvalEvery 2, so round 7 is evaluated only because it is the last,
+		// and a StopAtPPL target the run never reaches.
+		{"resumed-eval-last-stop", "9532d0bce7745f7c", simFoldRun(func(t *testing.T, c *RunConfig) {
+			prev, err := Run(context.Background(), baseRun(t, func(p *RunConfig) { p.Rounds = 3 }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.InitParams, c.StartRound, c.Rounds = prev.Global, 3, 4
+			c.EvalEvery, c.StopAtPPL = 2, 1
+		})},
+		// An upstream codec only: the leaf tier moves raw vectors, charged
+		// at the element-count estimate.
+		{"tiered-upstream-q8-only", "988f4c7d8fdbc666", simFoldRun(func(_ *testing.T, c *RunConfig) {
+			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "", "q8"
+		})},
+		{"ddp-silo", "cb30e17b81d69b40", simFoldRun(func(t *testing.T, c *RunConfig) {
+			cfg := tinyCfg()
+			src := data.C4Like(cfg.VocabSize)
+			silo, err := NewDDPClient("ddp", cfg, []data.Stream{data.NewShard(src, 2, 7), data.NewShard(src, 3, 7)},
+				func() opt.Optimizer { return opt.NewAdamW(cfg.Beta1, cfg.Beta2, 0.01) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Clients = append([]*Client{silo}, makeClients(t, cfg, 2)...)
+			c.ClientsPerRound = 3
+		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, procs := range []int{1, 2} {
@@ -147,6 +179,49 @@ func TestFoldBitExact(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// failingCodec is the dense codec, except that the shared encode counter's
+// failAt-th Encode fails.
+type failingCodec struct {
+	link.DenseCodec
+	calls  *atomic.Int64
+	failAt int64
+}
+
+func (failingCodec) Name() string { return "fail-nth" }
+
+func (c failingCodec) Encode(v []float32) (link.EncodedPayload, error) {
+	if c.calls.Add(1) == c.failAt {
+		return link.EncodedPayload{}, errors.New("injected encode failure")
+	}
+	return c.DenseCodec.Encode(v)
+}
+
+// TestRunKeepsCompletedRoundsOnError: an error mid-run returns the rounds
+// completed before it together with the error, as Serve does. With two
+// clients a round encodes three times (one broadcast, two updates), so the
+// 7th encode is round 3's broadcast.
+func TestRunKeepsCompletedRoundsOnError(t *testing.T) {
+	var calls atomic.Int64
+	link.RegisterCodec("fail-nth", func() link.Codec { return failingCodec{calls: &calls, failAt: 7} })
+	cfg := baseRun(t, func(c *RunConfig) {
+		c.Rounds, c.Codec, c.ClientsPerRound = 5, "fail-nth", 2
+		c.Clients = c.Clients[:2]
+	})
+	res, err := Run(context.Background(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "injected encode failure") {
+		t.Fatalf("err = %v, want the injected encode failure", err)
+	}
+	if res == nil {
+		t.Fatal("no Result returned with the error")
+	}
+	if got := res.History.Len(); got != 2 {
+		t.Fatalf("%d rounds kept, want the 2 completed before the failure", got)
+	}
+	if res.FinalModel == nil || len(res.Global) == 0 {
+		t.Fatal("partial Result carries no model")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"photon/internal/data"
 	"photon/internal/ddp"
@@ -21,13 +20,8 @@ import (
 // them with a real Ring-AllReduce, and all replicas apply identical
 // optimizer updates.
 type ddpGroup struct {
-	replicas []*nn.Model
-	streams  []data.Stream
-	opts     []opt.Optimizer
-
-	// Step/round scratch reused across rounds (see Client.localBuf).
-	grads               [][]float32
-	localBuf, updateBuf []float32
+	ddp.Group
+	localBuf, updateBuf []float32 // round scratch reused across rounds (see Client.localBuf)
 }
 
 // NewDDPClient builds an LLM-C whose local pipeline is synchronous data
@@ -38,10 +32,10 @@ func NewDDPClient(id string, cfg nn.Config, streams []data.Stream, newOpt func()
 	if len(streams) < 2 {
 		return nil, fmt.Errorf("fed: DDP client needs at least 2 streams, got %d", len(streams))
 	}
-	g := &ddpGroup{streams: streams}
+	g := &ddpGroup{Group: ddp.Group{Streams: streams}}
 	for range streams {
-		g.replicas = append(g.replicas, nn.NewModel(cfg, rand.New(rand.NewSource(1))))
-		g.opts = append(g.opts, newOpt())
+		g.Replicas = append(g.Replicas, nn.NewModel(cfg, rand.New(rand.NewSource(1))))
+		g.Opts = append(g.Opts, newOpt())
 	}
 	return &Client{ID: id, ddp: g}, nil
 }
@@ -50,56 +44,32 @@ func NewDDPClient(id string, cfg nn.Config, streams []data.Stream, newOpt func()
 // returns the update θt − θt_k (identical across replicas by construction).
 func (c *Client) runDDP(ctx context.Context, global []float32, stepBase int, spec LocalSpec) (RoundResult, error) {
 	g := c.ddp
-	n := len(g.replicas)
-	for i, m := range g.replicas {
+	n := len(g.Replicas)
+	for i, m := range g.Replicas {
 		if err := m.Params().LoadFlat(global); err != nil {
 			return RoundResult{}, fmt.Errorf("fed: ddp client %s: %w", c.ID, err)
 		}
 		if !spec.Stateful {
-			g.opts[i].Reset()
+			g.Opts[i].Reset()
 		}
 	}
 
-	if len(g.grads) != n {
-		g.grads = make([][]float32, n)
-	}
-	grads := g.grads
-	losses := make([]float64, n)
 	var lossSum float64
 	lastLR := 0.0
 	for step := 0; step < spec.Steps; step++ {
 		if err := ctx.Err(); err != nil {
 			return RoundResult{}, err
 		}
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				batch := g.streams[w].NextBatch(spec.BatchSize, spec.SeqLen)
-				ps := g.replicas[w].Params()
-				ps.ZeroGrads()
-				losses[w] = g.replicas[w].ForwardBackward(batch)
-				grads[w] = flattenGrads(ps, grads[w])
-			}(w)
-		}
-		wg.Wait()
-		if err := ddp.RingAllReduce(grads); err != nil {
+		lastLR = spec.Schedule.LR(stepBase + step)
+		if err := g.Step(spec.BatchSize, spec.SeqLen, lastLR, spec.ClipNorm); err != nil {
 			return RoundResult{}, err
 		}
-		lastLR = spec.Schedule.LR(stepBase + step)
-		inv := 1 / float32(n)
-		for w := 0; w < n; w++ {
-			loadGrads(g.replicas[w].Params(), grads[w], inv)
-			if spec.ClipNorm > 0 {
-				g.replicas[w].Params().ClipGradNorm(spec.ClipNorm)
-			}
-			g.opts[w].Step(g.replicas[w].Params(), lastLR)
-			lossSum += losses[w] / float64(n)
+		for _, l := range g.Losses {
+			lossSum += l / float64(n)
 		}
 	}
 
-	g.localBuf = g.replicas[0].Params().Flatten(g.localBuf)
+	g.localBuf = g.Replicas[0].Params().Flatten(g.localBuf)
 	if len(g.updateBuf) != len(global) {
 		g.updateBuf = make([]float32, len(global))
 	}
@@ -115,29 +85,6 @@ func (c *Client) runDDP(ctx context.Context, global []float32, stepBase int, spe
 			"ddp_nodes": float64(n),
 		},
 	}, nil
-}
-
-func flattenGrads(ps nn.ParamSet, dst []float32) []float32 {
-	n := ps.NumElements()
-	if len(dst) != n {
-		dst = make([]float32, n)
-	}
-	off := 0
-	for _, p := range ps {
-		copy(dst[off:], p.Grad)
-		off += len(p.Grad)
-	}
-	return dst
-}
-
-func loadGrads(ps nn.ParamSet, src []float32, scale float32) {
-	off := 0
-	for _, p := range ps {
-		for i := range p.Grad {
-			p.Grad[i] = src[off+i] * scale
-		}
-		off += len(p.Grad)
-	}
 }
 
 // BuildClient implements Photon's adaptive local parallelism (Section 4):

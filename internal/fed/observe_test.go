@@ -45,7 +45,7 @@ func TestObserveMessageRoundTrip(t *testing.T) {
 	}
 	ev := parseObserve(observeMessage(rec, alive, map[string]int{"b": 2}))
 	got := ev.Record
-	// SimSeconds/UpdateNorm/SlowestPhase don't ride the observe frame.
+	// UpdateNorm/SlowestPhase don't ride the observe frame.
 	if got != rec {
 		t.Fatalf("record round-trip mismatch:\n got %+v\nwant %+v", got, rec)
 	}

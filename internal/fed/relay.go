@@ -131,7 +131,7 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 		outer = FedAvg{LR: 1}
 	}
 	// Durable relay: the WAL is read back before serving.
-	st, recovered, err := newAggState(ServerConfig{
+	st := newAggState(ServerConfig{
 		ModelConfig:       cfg.ModelConfig,
 		Seed:              cfg.Seed,
 		Rng:               cfg.Rng,
@@ -148,6 +148,7 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 		WALDir:            cfg.WALDir,
 		Failpoint:         cfg.Failpoint,
 	})
+	recovered, err := st.openServer()
 	if err != nil {
 		return nil, err
 	}

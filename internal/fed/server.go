@@ -372,7 +372,8 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 	// Durable control plane: open the WAL (reading back any prior journal)
 	// and the registry before accepting a single connection, so a restart
 	// that cannot recover fails fast instead of re-training from scratch.
-	st, recovered, err := newAggState(cfg)
+	st := newAggState(cfg)
+	recovered, err := st.openServer()
 	if err != nil {
 		return nil, err
 	}
@@ -402,33 +403,21 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 		return nil, err
 	}
 
-	// The trace stream is separate so tracing never perturbs the
-	// cohort-sampling draws (run determinism is seeded).
-	st.traceRng = rand.New(rand.NewSource(int64(uint64(cfg.Seed) ^ 0x9E3779B97F4A7C15)))
-	// The model init always draws from rng — even on resume — so the rng
-	// stream stays aligned with an uninterrupted run's cohort sampling;
-	// the recovered params then overwrite the fresh init in place.
-	st.globalModel = nn.NewModel(cfg.ModelConfig, st.rng)
-	st.global = st.globalModel.Params().Flatten(nil)
-	// lineage stamps registry manifests with enough to reproduce the job.
-	st.lineage = map[string]string{
-		"job": fmt.Sprintf("seed=%d rounds=%d expect=%d cohort=%d codec=%s outer=%s params=%d",
-			cfg.Seed, cfg.Rounds, cfg.ExpectClients, st.k, s.codecName, cfg.Outer.Name(), len(st.global)),
-	}
-
 	// One replay for both modes; they differ only in the record type that
 	// journals an update, so a WAL written in one mode does not resume the
-	// other.
+	// other. The recovered params overwrite the fresh init in place.
 	foldRec := ckpt.RecMemberUpdate
 	if cfg.Async != nil {
 		foldRec = ckpt.RecBufferFold
 	}
 	resume := replayWAL(recovered, foldRec)
-	if resume.global != nil {
-		if len(resume.global) != len(st.global) {
-			return nil, fmt.Errorf("fed: WAL params have %d elements, model has %d (config changed between runs?)", len(resume.global), len(st.global))
-		}
-		copy(st.global, resume.global)
+	if err := st.initModel(resume.global); err != nil {
+		return nil, err
+	}
+	// lineage stamps registry manifests with enough to reproduce the job.
+	st.lineage = map[string]string{
+		"job": fmt.Sprintf("seed=%d rounds=%d expect=%d cohort=%d codec=%s outer=%s params=%d",
+			cfg.Seed, cfg.Rounds, cfg.ExpectClients, st.k, s.codecName, cfg.Outer.Name(), len(st.global)),
 	}
 	if err := restoreOuter(cfg.Outer, resume.outer); err != nil {
 		return nil, err
@@ -582,11 +571,9 @@ func (s *server) livenessLoop(ctx context.Context) {
 	}
 }
 
-// roundWire is one window's codec accounting: encode/decode wall time and
-// the encoded-vs-dense payload volume the compression ratio is derived
-// from.
+// roundWire is one window's codec accounting: decode wall time and the
+// encoded-vs-dense payload volume the compression ratio is derived from.
 type roundWire struct {
-	encNs        int64
 	decNs        int64
 	payloadBytes int64 // codec-encoded payload bytes exchanged
 	denseBytes   int64 // what the same payloads would cost as dense float32

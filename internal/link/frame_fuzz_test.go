@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -130,11 +131,6 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		// Decode allocates the body its header declares before reading it;
-		// keep the declared size within reach of what the input holds.
-		if len(frame) >= 8 && int64(binary.LittleEndian.Uint32(frame[4:])) > int64(len(frame))+1<<20 {
-			return
-		}
 		r := bytes.NewReader(frame)
 		m, err := Decode(r)
 		if err != nil {
@@ -149,6 +145,47 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("re-encoded frame differs from the %d bytes decoded:\n got  %x\n want %x", len(consumed), out.Bytes(), consumed)
 		}
 	})
+}
+
+// TestDecodeAllocatesWhatArrives: a 12-byte header that declares a 1 GiB
+// body, followed by EOF, is an error — and Decode must not have allocated
+// the declared body to find that out.
+func TestDecodeAllocatesWhatArrives(t *testing.T) {
+	le := binary.LittleEndian
+	hdr := le.AppendUint32(nil, magic)
+	hdr = le.AppendUint32(hdr, 1<<30)
+	hdr = le.AppendUint32(hdr, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header with no body decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("Decode allocated %d MiB for a body that never arrived", grew>>20)
+	}
+}
+
+// TestDecodeLargeFrameRoundTrips: a frame larger than the first read chunk
+// decodes to the message encoded, and a truncated copy of it is an error.
+func TestDecodeLargeFrameRoundTrips(t *testing.T) {
+	v := make([]float32, 3<<18) // 3 MiB of payload
+	for i := range v {
+		v[i] = float32(i)
+	}
+	m := &Message{Type: MsgModel, Round: 9, ClientID: "agg", Payload: Dense(v)}
+	raw := encodeFrame(t, m)
+	got, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeFrame(t, got), raw) {
+		t.Fatal("large frame does not re-encode to the bytes decoded")
+	}
+	if _, err := Decode(bytes.NewReader(raw[:len(raw)-1])); err == nil {
+		t.Fatal("a frame one byte short decoded")
+	}
 }
 
 // TestDecodeRejectsNonCanonicalFrames: frames with a valid CRC that Encode

@@ -216,9 +216,14 @@ func Encode(w io.Writer, m *Message) error {
 // ErrBadFrame reports a corrupted or foreign frame on the wire.
 var ErrBadFrame = errors.New("link: bad frame")
 
+// bodyChunk is the most Decode allocates for a frame body before any of it
+// has arrived; a frame within it takes one exact-size allocation.
+const bodyChunk = 1 << 20
+
 // Decode reads one message from the wire. The returned Payload.Data aliases
-// the frame body Decode read and checksummed (one allocation per frame, no
-// second copy of the payload); the message owns it.
+// the frame body Decode read and checksummed (one allocation for a body
+// within bodyChunk, a doubling buffer beyond it; no second copy of the
+// payload); the message owns it.
 func Decode(r io.Reader) (*Message, error) {
 	var hdr [12]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -233,9 +238,22 @@ func Decode(r io.Reader) (*Message, error) {
 	if uint64(bodyLen) > maxBody {
 		return nil, fmt.Errorf("%w: body length %d", ErrBadFrame, bodyLen)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+	// The body buffer grows with the bytes that arrive, never more than
+	// bodyChunk or the bytes already read ahead of them: a peer that sends a
+	// header alone cannot make Decode allocate the length it declares.
+	body := make([]byte, min(int(bodyLen), bodyChunk))
+	for filled := 0; ; {
+		n, err := io.ReadFull(r, body[filled:])
+		if filled += n; err == io.EOF && filled > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if filled == int(bodyLen) {
+			break
+		}
+		body = append(body, make([]byte, min(int(bodyLen)-filled, filled))...)
 	}
 	if crc32.ChecksumIEEE(body) != wantCRC {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)

@@ -1,6 +1,6 @@
 // Package metrics collects and renders training measurements: per-round
 // histories with perplexity/loss series, the AggMetrics reduction from
-// Algorithm 1, time-to-target queries used by the wall-time experiments, and
+// Algorithm 1, rounds-to-target queries used by the wall-time experiments, and
 // plain-text table/series renderers for the benchmark harness.
 package metrics
 
@@ -19,7 +19,6 @@ type Round struct {
 	TrainLoss  float64 // mean client training loss (nats/token)
 	ValPPL     float64 // global model validation perplexity (0 = not evaluated)
 	UpdateNorm float64 // L2 norm of the aggregated pseudo-gradient
-	SimSeconds float64 // simulated wall-clock time consumed up to this round
 	Clients    int     // participating clients
 	CommBytes  int64   // model/update bytes exchanged this round (down + up)
 
@@ -107,28 +106,6 @@ func (h *History) BestPPL() float64 {
 		}
 	}
 	return best
-}
-
-// TimeToPPL returns the simulated seconds at which validation perplexity
-// first reached target (linearly interpolated between evaluations), and
-// false when the run never reached it.
-func (h *History) TimeToPPL(target float64) (float64, bool) {
-	prevT, prevP := 0.0, math.Inf(1)
-	for _, r := range h.Rounds {
-		if r.ValPPL <= 0 {
-			continue
-		}
-		if r.ValPPL <= target {
-			if math.IsInf(prevP, 1) || prevP <= target {
-				return r.SimSeconds, true
-			}
-			// Interpolate crossing between (prevT, prevP) and (r.SimSeconds, r.ValPPL).
-			frac := (prevP - target) / (prevP - r.ValPPL)
-			return prevT + frac*(r.SimSeconds-prevT), true
-		}
-		prevT, prevP = r.SimSeconds, r.ValPPL
-	}
-	return 0, false
 }
 
 // RoundsToPPL returns the first round index whose evaluation hit the target.

@@ -9,7 +9,7 @@ import (
 func historyWithPPLs(ppls []float64) *History {
 	h := &History{}
 	for i, p := range ppls {
-		h.Append(Round{Round: i + 1, ValPPL: p, SimSeconds: float64(i+1) * 100})
+		h.Append(Round{Round: i + 1, ValPPL: p})
 	}
 	return h
 }
@@ -34,63 +34,6 @@ func TestFinalPPLSkipsUnevaluatedRounds(t *testing.T) {
 	h.Append(Round{Round: 2}) // not evaluated
 	if got := h.FinalPPL(); got != 42 {
 		t.Fatalf("FinalPPL should skip ValPPL=0 rounds: got %v", got)
-	}
-}
-
-func TestTimeToPPL(t *testing.T) {
-	h := historyWithPPLs([]float64{50, 40, 30})
-	// Exact hit at the third eval (t=300).
-	if got, ok := h.TimeToPPL(30); !ok || got != 300 {
-		t.Fatalf("TimeToPPL(30): got %v, %v", got, ok)
-	}
-	// Interpolated: target 35 is halfway between 40 (t=200) and 30 (t=300).
-	got, ok := h.TimeToPPL(35)
-	if !ok || math.Abs(got-250) > 1e-9 {
-		t.Fatalf("TimeToPPL(35): got %v, %v", got, ok)
-	}
-	// Unreachable target.
-	if _, ok := h.TimeToPPL(10); ok {
-		t.Fatal("unreached target reported as hit")
-	}
-	// First evaluation already below target.
-	if got, ok := h.TimeToPPL(60); !ok || got != 100 {
-		t.Fatalf("first-eval hit: got %v, %v", got, ok)
-	}
-}
-
-func TestTimeToPPLEdges(t *testing.T) {
-	// Target hit exactly on the very first evaluation: no interpolation
-	// from the implicit (0, +Inf) start, the first eval's time is returned.
-	h := historyWithPPLs([]float64{40})
-	if got, ok := h.TimeToPPL(40); !ok || got != 100 {
-		t.Fatalf("exact first-eval hit: got %v, %v", got, ok)
-	}
-
-	// Non-monotone series: PPL rises back above the target after dipping.
-	// The first crossing wins and later rebounds don't disturb it.
-	h = historyWithPPLs([]float64{50, 30, 45, 28})
-	got, ok := h.TimeToPPL(35)
-	if !ok {
-		t.Fatal("non-monotone series never reported the crossing")
-	}
-	// Crossing interpolates between (100, 50) and (200, 30): 35 is 3/4 of
-	// the way down, so t = 100 + 0.75*100 = 175.
-	if math.Abs(got-175) > 1e-9 {
-		t.Fatalf("non-monotone first crossing: got %v, want 175", got)
-	}
-
-	// A series whose first evaluated round already beats the target must
-	// return that round's time without interpolating back toward t=0.
-	h = historyWithPPLs([]float64{20, 18, 15})
-	if got, ok := h.TimeToPPL(35); !ok || got != 100 {
-		t.Fatalf("first-eval-beats-target: got %v, %v", got, ok)
-	}
-	// Same, but with unevaluated rounds before the first evaluation.
-	h = &History{}
-	h.Append(Round{Round: 1, SimSeconds: 50}) // not evaluated
-	h.Append(Round{Round: 2, ValPPL: 20, SimSeconds: 120})
-	if got, ok := h.TimeToPPL(35); !ok || got != 120 {
-		t.Fatalf("skip-unevaluated first hit: got %v, %v", got, ok)
 	}
 }
 

@@ -152,25 +152,7 @@ func newResult(model *nn.Model, hist *metrics.History) *Result {
 	if hist != nil {
 		out.FinalPerplexity = hist.FinalPPL()
 		for _, r := range hist.Rounds {
-			out.Stats = append(out.Stats, RoundStat{
-				Round: r.Round, TrainLoss: r.TrainLoss, Perplexity: r.ValPPL,
-				Clients: r.Clients, CommBytes: r.CommBytes,
-				WireSentBytes: r.WireSentBytes, WireRecvBytes: r.WireRecvBytes,
-				CompressionRatio: r.CompressionRatio,
-				EncodeMs:         r.EncodeMs, DecodeMs: r.DecodeMs,
-				Tier: r.Tier, Depth: r.Depth,
-				Joins: r.Joins, Evictions: r.Evictions, Stragglers: r.Stragglers,
-				HeartbeatRTTMs:    r.HeartbeatRTTMs,
-				HeartbeatRTTP99Ms: r.HeartbeatRTTP99Ms,
-				TraceID:           r.TraceID,
-				WallMs:            r.WallMs,
-				Phases:            PhaseBreakdown(r.Phases),
-				SlowestID:         r.SlowestID,
-				SlowestPhase:      r.SlowestPhase,
-				ModelVersion:      r.ModelVersion,
-				BufferFill:        r.BufferFill,
-				MeanStaleness:     r.MeanStaleness,
-			})
+			out.Stats = append(out.Stats, eventFromRound(r))
 			out.Joins += r.Joins
 			out.Evictions += r.Evictions
 			out.Stragglers += r.Stragglers

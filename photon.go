@@ -88,59 +88,9 @@ const (
 	DiLoCo ServerOptimizer = "diloco"
 )
 
-// RoundStat is one round of training progress.
-type RoundStat struct {
-	Round      int
-	TrainLoss  float64
-	Perplexity float64 // 0 when the round was not evaluated
-	Clients    int
-	CommBytes  int64 // model/update bytes exchanged during the round
-
-	// Wire-codec accounting: measured bytes by direction, the encoded-vs-
-	// dense payload ratio (1 = dense, ~0.25 = q8), and codec wall times.
-	WireSentBytes    int64
-	WireRecvBytes    int64
-	CompressionRatio float64
-	EncodeMs         float64
-	DecodeMs         float64
-
-	// Hierarchical-aggregation position: Tier is the emitter's distance
-	// from the global aggregator (0 = root, 1 = a relay job), Depth the
-	// number of aggregation tiers at or below it (2 when the round's
-	// members are relays; 0 = not applicable).
-	Tier  int
-	Depth int
-
-	// Elastic-membership churn attributed to the round (networked
-	// aggregator backend only): joins/rejoins (round 1 includes the
-	// initial cohort), evictions, cohort slots dropped at the round
-	// deadline, and the mean heartbeat round-trip.
-	Joins             int
-	Evictions         int
-	Stragglers        int
-	HeartbeatRTTMs    float64
-	HeartbeatRTTP99Ms float64
-
-	// Observability: the round's trace ID (propagated down the
-	// aggregation tree from the root), its measured wall time, the
-	// per-phase critical-path breakdown, and straggler attribution.
-	TraceID      uint64
-	WallMs       float64
-	Phases       PhaseBreakdown
-	SlowestID    string
-	SlowestPhase string
-
-	// Asynchronous-aggregation telemetry (WithAsync; zero under sync):
-	// the committed global model version, the number of updates folded
-	// into the commit's buffer, and their mean staleness in versions.
-	ModelVersion  int
-	BufferFill    int
-	MeanStaleness float64
-}
-
 // Result is a finished (or, under cancellation, partial) pre-training run.
 type Result struct {
-	Stats           []RoundStat
+	Stats           []RoundEvent
 	FinalPerplexity float64
 
 	// Run-total churn counts (sums over Stats), so a caller can see at a
