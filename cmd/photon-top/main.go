@@ -190,15 +190,15 @@ func plainLine(addr string, ev fed.ObserveEvent) string {
 	if r.ModelVersion > 0 {
 		line += fmt.Sprintf(" ver=%d buf=%d stale=%.1f", r.ModelVersion, r.BufferFill, r.MeanStaleness)
 	}
-	if r.ValPPL > 0 {
-		line += fmt.Sprintf(" ppl=%.2f", r.ValPPL)
+	if r.Perplexity > 0 {
+		line += fmt.Sprintf(" ppl=%.2f", r.Perplexity)
 	}
 	line += fmt.Sprintf(" wall=%.0fms sent=%s recv=%s", r.WallMs, fmtBytes(r.WireSentBytes), fmtBytes(r.WireRecvBytes))
 	if r.CompressionRatio > 0 {
 		line += fmt.Sprintf(" ratio=%.2f", r.CompressionRatio)
 	}
 	if r.SlowestID != "" {
-		line += " slowest=" + r.SlowestID
+		line += fmt.Sprintf(" slowest=%s/%s", r.SlowestID, r.SlowestPhase)
 	}
 	if r.TraceID != 0 {
 		line += fmt.Sprintf(" trace=%x", r.TraceID)
@@ -241,8 +241,8 @@ func renderFeed(sb *strings.Builder, f feed, now time.Time) {
 	if r.ModelVersion > 0 {
 		line += fmt.Sprintf(" ver=%d buf=%d stale=%.1f", r.ModelVersion, r.BufferFill, r.MeanStaleness)
 	}
-	if r.ValPPL > 0 {
-		line += fmt.Sprintf(" ppl=%.2f", r.ValPPL)
+	if r.Perplexity > 0 {
+		line += fmt.Sprintf(" ppl=%.2f", r.Perplexity)
 	}
 	if !f.prevAt.IsZero() {
 		if dt := f.lastAt.Sub(f.prevAt).Seconds(); dt > 0 {
@@ -263,7 +263,7 @@ func renderFeed(sb *strings.Builder, f feed, now time.Time) {
 
 	fmt.Fprintf(sb, "  wall %7.0fms  %s", r.WallMs, phaseBar(f.ev, 40))
 	if r.SlowestID != "" {
-		fmt.Fprintf(sb, "  slowest=%s", r.SlowestID)
+		fmt.Fprintf(sb, "  slowest=%s/%s", r.SlowestID, r.SlowestPhase)
 	}
 	if r.TraceID != 0 {
 		fmt.Fprintf(sb, "  trace=%x", r.TraceID)

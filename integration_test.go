@@ -79,7 +79,7 @@ func TestTLSFederationEndToEnd(t *testing.T) {
 	if res.History.Len() != 3 {
 		t.Fatalf("rounds: got %d", res.History.Len())
 	}
-	first := res.History.Rounds[0].ValPPL
+	first := res.History.Rounds[0].Perplexity
 	last := res.History.FinalPPL()
 	if !(last < first) {
 		t.Fatalf("TLS federation did not improve: %v -> %v", first, last)

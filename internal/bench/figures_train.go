@@ -82,8 +82,8 @@ func Figure3(ctx context.Context, w io.Writer, scale Scale) error {
 		for i, r := range fedH.Rounds {
 			c := cenH.Rounds[min(i*tau+tau-1, len(cenH.Rounds)-1)]
 			rows = append(rows, []string{fmt.Sprintf("%d", r.Round),
-				f1(r.ValPPL), f1(nn.Perplexity(r.TrainLoss)),
-				f1(c.ValPPL), f1(nn.Perplexity(c.TrainLoss))})
+				f1(r.Perplexity), f1(nn.Perplexity(r.TrainLoss)),
+				f1(c.Perplexity), f1(nn.Perplexity(c.TrainLoss))})
 		}
 		fprintf(w, "%s\n", metrics.Table(headers, rows))
 	}

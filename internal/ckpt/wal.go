@@ -22,7 +22,8 @@ const (
 	RecRoundOpen RecordType = iota + 1
 	// RecMemberUpdate records one cohort member's update as it was accepted
 	// into the round: Data carries the encoded wire payload exactly as it
-	// arrived (logs written before that carry the decoded vector in Vec).
+	// arrived. A record without Data is unreadable to the aggregator's
+	// replay, which re-asks the member instead.
 	RecMemberUpdate
 	// RecOuterStep records the outer-optimizer step: Vec carries the
 	// post-step global parameters, so replay restores them bit-for-bit

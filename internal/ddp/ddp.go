@@ -133,13 +133,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			rec := metrics.Round{Round: step, TrainLoss: meanLoss, Clients: cfg.Workers, CommBytes: commBytes}
 			commBytes = 0
 			if cfg.Validation != nil {
-				rec.ValPPL = cfg.Validation.Evaluate(g.Replicas[0])
+				rec.Perplexity = cfg.Validation.Evaluate(g.Replicas[0])
 			}
 			hist.Append(rec)
 			if cfg.OnRound != nil {
 				cfg.OnRound(rec)
 			}
-			if cfg.StopAtPPL > 0 && rec.ValPPL > 0 && rec.ValPPL <= cfg.StopAtPPL {
+			if cfg.StopAtPPL > 0 && rec.Perplexity > 0 && rec.Perplexity <= cfg.StopAtPPL {
 				break
 			}
 		}

@@ -233,7 +233,7 @@ func TestRunDigest(t *testing.T) {
 			put(uint64(r.Round))
 			put(uint64(r.Clients))
 			put(math.Float64bits(r.TrainLoss))
-			put(math.Float64bits(r.ValPPL))
+			put(math.Float64bits(r.Perplexity))
 			put(uint64(r.CommBytes))
 		}
 		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
@@ -255,7 +255,7 @@ func TestRunStopAtPPL(t *testing.T) {
 	if last.Round >= 500 {
 		t.Fatal("early stop did not trigger")
 	}
-	if last.ValPPL > 60 {
-		t.Fatalf("stopped above target: %v", last.ValPPL)
+	if last.Perplexity > 60 {
+		t.Fatalf("stopped above target: %v", last.Perplexity)
 	}
 }

@@ -229,7 +229,7 @@ func (x *simulator) run(ctx context.Context) (*Result, error) {
 			writer.Submit(&ckpt.Checkpoint{
 				Round:  round,
 				Step:   round * x.rc.Spec.Steps,
-				Meta:   map[string]float64{"ppl": w.rec.ValPPL, "loss": w.rec.TrainLoss},
+				Meta:   map[string]float64{"ppl": w.rec.Perplexity, "loss": w.rec.TrainLoss},
 				Params: slices.Clone(x.global),
 			})
 			// Surface a failed write mid-run (once) instead of letting it
@@ -237,7 +237,7 @@ func (x *simulator) run(ctx context.Context) (*Result, error) {
 			// checkpoints while there is still time to fix the disk.
 			noteCheckpointErr(&ckptErrSeen, writer.Err())
 		}
-		if x.rc.StopAtPPL > 0 && w.rec.ValPPL > 0 && w.rec.ValPPL <= x.rc.StopAtPPL {
+		if x.rc.StopAtPPL > 0 && w.rec.Perplexity > 0 && w.rec.Perplexity <= x.rc.StopAtPPL {
 			break
 		}
 	}
@@ -285,7 +285,7 @@ func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float
 	stepBase := (rec.Round - 1) * cfg.Spec.Steps
 	// The train phase is the parallel section's wall time: the cohort's
 	// critical path, not a per-client sum.
-	train := x.tracer().Begin(obsv.PhaseTrain)
+	train := obsv.Begin(obsv.PhaseTrain)
 	var wg sync.WaitGroup
 	for i, ci := range cohort {
 		if dropped[i] {
@@ -298,7 +298,7 @@ func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float
 		}(i, cfg.Clients[ci])
 	}
 	wg.Wait()
-	w.pn.Add(obsv.PhaseTrain, train.End(rec.TraceID))
+	w.pn.Add(obsv.PhaseTrain, train.End())
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -342,9 +342,9 @@ func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float
 			// regardless of cohort sampling order.
 			fold = &x.groups[ci*x.relays/len(cfg.Clients)]
 		}
-		span := x.tracer().Begin(obsv.PhaseAggregate)
+		span := obsv.Begin(obsv.PhaseAggregate)
 		fold.add(upd, 1)
-		w.pn.Add(obsv.PhaseAggregate, span.End(rec.TraceID))
+		w.pn.Add(obsv.PhaseAggregate, span.End())
 	}
 	survivors := len(clientMetrics)
 
@@ -436,18 +436,18 @@ func simCodecs(name string, n int) (link.Codec, func(int) (link.Codec, error), e
 // the payload — sent to `copies` receivers — to the round's volume. It
 // returns the decoded vector and the encoded bytes charged.
 func (x *simulator) roundTrip(w *window, codec link.Codec, v []float32, copies int) ([]float32, int64, error) {
-	span := x.tracer().Begin(obsv.PhaseEncode)
+	span := obsv.Begin(obsv.PhaseEncode)
 	enc, err := link.EncodeVector(codec, v)
-	w.pn.Add(obsv.PhaseEncode, span.End(w.rec.TraceID))
+	w.pn.Add(obsv.PhaseEncode, span.End())
 	if err != nil {
 		return nil, 0, err
 	}
-	span = x.tracer().Begin(obsv.PhaseDecode)
+	span = obsv.Begin(obsv.PhaseDecode)
 	out, err := link.DecodePayload(codec, enc)
 	if err != nil {
 		return nil, 0, err
 	}
-	w.pn.Add(obsv.PhaseDecode, span.End(w.rec.TraceID))
+	w.pn.Add(obsv.PhaseDecode, span.End())
 	bytes := int64(copies) * int64(enc.WireBytes())
 	x.wire.payloadBytes += bytes
 	x.wire.denseBytes += int64(copies) * int64(enc.Elems) * 4

@@ -156,15 +156,6 @@ func (a *aggState) initModel(init []float32) error {
 	return nil
 }
 
-// tracer is the server's span tracer, nil (measuring, never recording) for
-// the simulator.
-func (a *aggState) tracer() *obsv.Tracer {
-	if a.s == nil {
-		return nil
-	}
-	return a.s.tracer
-}
-
 // finish packages the (possibly partial) run: completed rounds are never
 // discarded, even when the run ends on a membership or no-progress error.
 func (a *aggState) finish(err error) (*Result, error) {
@@ -273,12 +264,12 @@ func (a *aggState) seal(w *window) error {
 		rec.HeartbeatRTTP99Ms = churn.HeartbeatRTTP99Ms
 	}
 	if a.cfg.Validation != nil && (rec.Round%a.evalEvery == 0 || rec.Round == a.cfg.Rounds) {
-		evalSpan := a.tracer().Begin(obsv.PhaseEval)
+		evalSpan := obsv.Begin(obsv.PhaseEval)
 		if err := a.globalModel.Params().LoadFlat(a.global); err != nil {
 			return err
 		}
-		rec.ValPPL = a.cfg.Validation.Evaluate(a.globalModel)
-		w.pn.Add(obsv.PhaseEval, evalSpan.End(rec.TraceID))
+		rec.Perplexity = a.cfg.Validation.Evaluate(a.globalModel)
+		w.pn.Add(obsv.PhaseEval, evalSpan.End())
 	}
 	w.sealed = time.Now()
 	rec.WallMs = float64(w.sealed.Sub(w.start).Nanoseconds()) / 1e6
@@ -451,13 +442,13 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 // without committing.
 func (a *aggState) step(w *window, clientMetrics []map[string]float64) error {
 	if a.fold.n > 0 {
-		aggSpan := a.tracer().Begin(obsv.PhaseAggregate)
+		aggSpan := obsv.Begin(obsv.PhaseAggregate)
 		delta := a.fold.mean()
 		a.cfg.Outer.Step(a.global, delta, w.rec.Round)
 		if err := a.jrn.outerStep(w.rec.Round, a.global, a.cfg.Outer); err != nil {
 			return err
 		}
-		w.pn.Add(obsv.PhaseAggregate, aggSpan.End(w.rec.TraceID))
+		w.pn.Add(obsv.PhaseAggregate, aggSpan.End())
 		w.rec.UpdateNorm = norm2(delta)
 		w.rec.TrainLoss = metrics.AggMetrics(clientMetrics)["loss"]
 		w.folded = true

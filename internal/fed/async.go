@@ -277,9 +277,9 @@ func (a *asyncAggregator) admit(ar asyncArrival) error {
 func (a *asyncAggregator) bufferUpdate(member string, version int, vec []float32, meta map[string]float64) {
 	stale := max(a.version-version, 0)
 	w := 1 / math.Pow(1+float64(stale), a.alpha)
-	span := a.s.tracer.Begin(obsv.PhaseAggregate)
+	span := obsv.Begin(obsv.PhaseAggregate)
 	a.fold.add(vec, w)
-	a.win.pn.Add(obsv.PhaseAggregate, span.End(a.traceID))
+	a.win.pn.Add(obsv.PhaseAggregate, span.End())
 	a.bufStale += float64(stale)
 	a.bufMetrics = append(a.bufMetrics, meta)
 	a.lastContrib[member] = version
@@ -299,7 +299,7 @@ func (a *asyncAggregator) commit() error {
 	newVersion := a.version + 1
 	w := a.win
 	w.epoch = a.s.membershipEpoch()
-	span := a.s.tracer.Begin(obsv.PhaseAggregate)
+	span := obsv.Begin(obsv.PhaseAggregate)
 	delta := a.fold.mean()
 	// The optimizer mutates global in place while pumps may be encoding
 	// it, so the step shares the mu section that also publishes the new
@@ -312,7 +312,7 @@ func (a *asyncAggregator) commit() error {
 	a.verWait = make(chan struct{})
 	a.traceID = mintTrace(a.traceRng)
 	a.mu.Unlock()
-	w.pn.Add(obsv.PhaseAggregate, span.End(w.rec.TraceID))
+	w.pn.Add(obsv.PhaseAggregate, span.End())
 	if err := a.jrn.outerStep(newVersion, a.global, a.cfg.Outer); err != nil {
 		return err
 	}
@@ -408,9 +408,7 @@ func (a *asyncAggregator) modelFor(id string) (ver int, enc link.EncodedPayload,
 		return 0, link.EncodedPayload{}, 0, a.verWait, false, nil
 	}
 	if a.encVersion != a.version {
-		span := a.s.tracer.Begin(obsv.PhaseEncode)
 		e, eerr := link.EncodeVector(a.s.modelEnc, a.global)
-		span.End(a.traceID)
 		if eerr != nil {
 			return 0, link.EncodedPayload{}, 0, nil, false, eerr
 		}

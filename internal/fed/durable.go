@@ -232,7 +232,7 @@ func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 			if rec.Type != foldRec {
 				break
 			}
-			p, ok := journaledUpdate(&rec)
+			p, ok := decodePayloadBytes(rec.Data)
 			if !ok {
 				break // unreadable: as if never journaled, the member is re-asked
 			}
@@ -310,17 +310,6 @@ func encodePayloadBytes(p link.EncodedPayload) []byte {
 	binary.LittleEndian.PutUint32(out[1:5], uint32(p.Elems))
 	copy(out[5:], p.Data)
 	return out
-}
-
-// journaledUpdate reads a member_update / buffer_fold record's update as a
-// wire payload: the received payload from Data, or — a log written before
-// payloads were journaled — the decoded vector from Vec, wrapped in the
-// (lossless, always-accepted) dense encoding.
-func journaledUpdate(rec *ckpt.Record) (link.EncodedPayload, bool) {
-	if len(rec.Data) == 0 {
-		return link.Dense(rec.Vec), len(rec.Vec) > 0
-	}
-	return decodePayloadBytes(rec.Data)
 }
 
 // decodePayloadBytes reverses encodePayloadBytes.

@@ -10,11 +10,10 @@ import (
 )
 
 // TestJournaledPayloadReplaysLikeVec: a member update journaled as the wire
-// payload it arrived in (Record.Data, what the journal writes now) must
-// replay to the same bits as the same update journaled as its decoded vector
-// (Record.Vec, what logs written before that hold) — through a real log on
-// disk, for both the sync round records and the async fold records, under
-// every built-in codec.
+// payload it arrived in (Record.Data) must replay to the same bits as folding
+// the live decoded vectors directly — through a real log on disk, for both
+// the sync round records and the async fold records, under every built-in
+// codec.
 func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 	const elems = 777
 	members := []string{"silo-a", "silo-b", "silo-c"}
@@ -41,89 +40,78 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			want, err := MeanDelta(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			// writeLog journals one open round and one pending async buffer,
-			// either the way the journal does now or the old Vec way.
-			writeLog := func(asPayload bool) *ckpt.Recovery {
-				dir := t.TempDir()
-				wal, _, err := ckpt.OpenWAL(dir, nil)
+			// Journal one open round and one pending async buffer.
+			dir := t.TempDir()
+			wal, _, err := ckpt.OpenWAL(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := newJournal(wal)
+			if err := j.roundOpen(3, 1, members); err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range members {
+				err = j.memberUpdate(3, id, payloads[i])
+				if err == nil {
+					err = j.bufferFold(40+i, id, uint64(i), payloads[i])
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				j := newJournal(wal)
-				if err := j.roundOpen(3, 1, members); err != nil {
-					t.Fatal(err)
+			}
+			j.close()
+			reopened, rv, err := ckpt.OpenWAL(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopened.Close()
+
+			res := replayWAL(rv, ckpt.RecMemberUpdate)
+			if res.open != 3 || len(res.pending) != len(members) {
+				t.Fatalf("sync replay lost the open round: %+v", res)
+			}
+			var updates [][]float32
+			for i, u := range res.pending {
+				if u.member != members[i] {
+					t.Fatalf("arrival order %+v, want %v", res.pending, members)
 				}
-				for i, id := range members {
-					if asPayload {
-						err = j.memberUpdate(3, id, payloads[i])
-						if err == nil {
-							err = j.bufferFold(40+i, id, uint64(i), payloads[i])
-						}
-					} else {
-						err = wal.Append(&ckpt.Record{Type: ckpt.RecMemberUpdate, Round: 3, Member: id, Vec: decoded[i]})
-						if err == nil {
-							err = wal.Append(&ckpt.Record{Type: ckpt.RecBufferFold, Round: 40 + i, Epoch: uint64(i), Member: id, Vec: decoded[i]})
-						}
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
+				vec, err := s.decodeUpdate(u.payload, elems)
+				if err != nil {
+					t.Fatalf("%s: %v", u.member, err)
 				}
-				j.close()
-				reopened, rv, err := ckpt.OpenWAL(dir, nil)
+				updates = append(updates, vec)
+			}
+			got, err := MeanDelta(updates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want {
+				if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+					t.Fatalf("elem %d: replay folds to %x, live decode to %x", k, math.Float32bits(got[k]), math.Float32bits(want[k]))
+				}
+			}
+
+			pending := replayWAL(rv, ckpt.RecBufferFold).pending
+			if len(pending) != len(members) {
+				t.Fatalf("async replay kept %d folds, want %d", len(pending), len(members))
+			}
+			for i, pf := range pending {
+				if pf.member != members[i] || pf.task != 40+i || pf.trained != i {
+					t.Fatalf("fold %d replayed as %+v", i, pf)
+				}
+				vec, err := s.decodeUpdate(pf.payload, elems)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reopened.Close()
-				return rv
-			}
-
-			var folds [2][]float32
-			for li, asPayload := range []bool{false, true} {
-				rv := writeLog(asPayload)
-
-				res := replayWAL(rv, ckpt.RecMemberUpdate)
-				if res.open != 3 || len(res.pending) != len(members) {
-					t.Fatalf("asPayload=%v: sync replay lost the open round: %+v", asPayload, res)
-				}
-				var updates [][]float32
-				for i, u := range res.pending {
-					if u.member != members[i] {
-						t.Fatalf("asPayload=%v: arrival order %+v, want %v", asPayload, res.pending, members)
+				for k := range vec {
+					if math.Float32bits(vec[k]) != math.Float32bits(decoded[i][k]) {
+						t.Fatalf("fold %d elem %d differs from the live decode", i, k)
 					}
-					vec, err := s.decodeUpdate(u.payload, elems)
-					if err != nil {
-						t.Fatalf("asPayload=%v: %s: %v", asPayload, u.member, err)
-					}
-					updates = append(updates, vec)
-				}
-				if folds[li], err = MeanDelta(updates); err != nil {
-					t.Fatal(err)
-				}
-
-				pending := replayWAL(rv, ckpt.RecBufferFold).pending
-				if len(pending) != len(members) {
-					t.Fatalf("asPayload=%v: async replay kept %d folds, want %d", asPayload, len(pending), len(members))
-				}
-				for i, pf := range pending {
-					if pf.member != members[i] || pf.task != 40+i || pf.trained != i {
-						t.Fatalf("asPayload=%v: fold %d replayed as %+v", asPayload, i, pf)
-					}
-					vec, err := s.decodeUpdate(pf.payload, elems)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for k := range vec {
-						if math.Float32bits(vec[k]) != math.Float32bits(decoded[i][k]) {
-							t.Fatalf("asPayload=%v: fold %d elem %d differs from the live decode", asPayload, i, k)
-						}
-					}
-				}
-			}
-			for k := range folds[0] {
-				if math.Float32bits(folds[0][k]) != math.Float32bits(folds[1][k]) {
-					t.Fatalf("elem %d: Vec log folds to %x, payload log to %x", k, math.Float32bits(folds[0][k]), math.Float32bits(folds[1][k]))
 				}
 			}
 		})
@@ -131,8 +119,8 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 }
 
 // TestUnreadableJournaledUpdateIsNotReplayed: a member_update / buffer_fold
-// record whose Data is not a payload is dropped by replay (the member is
-// re-asked); one that frames correctly but fails its codec survives replay
+// record whose Data is not a payload — or that has no Data, only a decoded
+// Vec — is dropped by replay (the member is re-asked); one that frames correctly but fails its codec survives replay
 // and is refused by decodeUpdate, which the resuming aggregator treats the
 // same way.
 func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
@@ -148,13 +136,16 @@ func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
 		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "a", Data: []byte{1, 2, 3}},
 		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "b", Data: encodePayloadBytes(torn)},
 		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "c", Data: encodePayloadBytes(good)},
+		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "d", Vec: []float32{1, 2}},
 		{Type: ckpt.RecBufferFold, Round: 9, Member: "a", Data: []byte{4}},
+		{Type: ckpt.RecBufferFold, Round: 8, Member: "b", Vec: []float32{1, 2}},
 	}}
 	res := replayWAL(rv, ckpt.RecMemberUpdate)
 	updates := map[string]link.EncodedPayload{}
 	for _, u := range res.pending {
 		updates[u.member] = u.payload
 	}
+	// a (unframed Data) and d (a Vec and no Data) are both gone.
 	if _, kept := updates["a"]; kept || len(res.pending) != 2 {
 		t.Fatalf("unframed record replayed: pending %+v", res.pending)
 	}

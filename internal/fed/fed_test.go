@@ -234,7 +234,7 @@ func TestRunConvergesAndIsDeterministic(t *testing.T) {
 		t.Fatal("same config+seed produced different histories")
 	}
 	// Perplexity must improve from near-uniform (vocab 64 → ~64).
-	first := res1.History.Rounds[1].ValPPL // round 2 is the first eval
+	first := res1.History.Rounds[1].Perplexity // round 2 is the first eval
 	last := res1.History.FinalPPL()
 	if !(last < first) {
 		t.Fatalf("no convergence: %v -> %v", first, last)

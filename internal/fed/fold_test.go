@@ -38,7 +38,7 @@ func foldDigest(res *Result) string {
 	for _, r := range res.History.Rounds {
 		put(uint64(r.Clients))
 		put(math.Float64bits(r.TrainLoss))
-		put(math.Float64bits(r.ValPPL))
+		put(math.Float64bits(r.Perplexity))
 		put(math.Float64bits(r.UpdateNorm))
 		put(uint64(r.CommBytes))
 		put(uint64(r.WireSentBytes))

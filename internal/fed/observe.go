@@ -3,48 +3,34 @@ package fed
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
 	"photon/internal/cluster"
 	"photon/internal/link"
 	"photon/internal/metrics"
+	"photon/internal/obsv"
 )
 
-// The observe stream is Meta-only MsgMetrics frames: every round record
-// field an observer needs travels as a named float64, so any observer can
-// attach regardless of the fleet's wire codec (no payloads to decode).
-// These keys are the frame schema; obsMemberCap bounds the per-member
-// health section so a huge fleet cannot blow the frame's Meta budget.
+// The observe stream is Meta-only MsgMetrics frames, so any observer can
+// attach regardless of the fleet's wire codec (no payloads to decode). The
+// round record crosses field by field: each numeric field of metrics.Round
+// rides as o_<Field>, a nested struct's as o_<Field>.<Sub> (o_Phases.WireMs),
+// so a field added to the record reaches observers with no edit here. Its
+// two strings ride apart: SlowestID in the frame's one string field,
+// ClientID, and SlowestPhase as its obsv.Phase index. The member-health
+// section follows, capped at obsMemberCap members so a huge fleet cannot blow
+// the frame's Meta budget.
 const (
-	obsRoundKey      = "o_round"
-	obsLossKey       = "o_loss"
-	obsPPLKey        = "o_ppl"
-	obsClientsKey    = "o_clients"
-	obsTierKey       = "o_tier"
-	obsDepthKey      = "o_depth"
-	obsSentKey       = "o_sent_b"
-	obsRecvKey       = "o_recv_b"
-	obsRatioKey      = "o_ratio"
-	obsEncMsKey      = "o_enc_ms"
-	obsDecMsKey      = "o_dec_ms"
-	obsWallMsKey     = "o_wall_ms"
-	obsJoinsKey      = "o_joins"
-	obsEvictionsKey  = "o_evictions"
-	obsStragglersKey = "o_stragglers"
-	obsRTTKey        = "o_rtt_ms"
-	obsRTTP99Key     = "o_rtt_p99_ms"
-	obsTraceKey      = "o_trace_id"
-	obsVersionKey    = "o_version"   // async: committed global model version
-	obsBufFillKey    = "o_buf_fill"  // async: updates folded into this commit
-	obsStalenessKey  = "o_staleness" // async: mean staleness of the commit's buffer
-	obsPhasePrefix   = "o_ph_ms."    // + phase name → milliseconds
-	obsMemberPrefix  = "o_m."        // + id + member-field suffix
-	obsMemberHealth  = ".health"     // (0,1] health score
-	obsMemberRTT     = ".rtt_ms"     // heartbeat RTT EWMA
-	obsMemberStrag   = ".straggle"   // straggle count
-	obsMemberStale   = ".stale"      // async: member's version lag, in versions
-	obsMemberCap     = 64
+	obsRecordPrefix = "o_"
+	obsSlowestPhase = obsRecordPrefix + "SlowestPhase"
+	obsMemberPrefix = "o_m."      // + id + member-field suffix
+	obsMemberHealth = ".health"   // (0,1] health score
+	obsMemberRTT    = ".rtt_ms"   // heartbeat RTT EWMA
+	obsMemberStrag  = ".straggle" // straggle count
+	obsMemberStale  = ".stale"    // async: member's version lag, in versions
+	obsMemberCap    = 64
 )
 
 // ObserveEvent is one round's worth of the observe stream, parsed back
@@ -67,43 +53,38 @@ type MemberHealth struct {
 	Staleness int
 }
 
+// recordFields calls fn with the observe-frame key of every leaf field of
+// the round record v (a metrics.Round, addressable when fn sets fields).
+func recordFields(v reflect.Value, prefix string, fn func(key string, f reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		key, f := prefix+v.Type().Field(i).Name, v.Field(i)
+		if f.Kind() == reflect.Struct {
+			recordFields(f, key+".", fn)
+		} else {
+			fn(key, f)
+		}
+	}
+}
+
 // observeMessage renders a round record (and the alive membership) as a
-// Meta-only MsgMetrics frame. SlowestID rides in the frame's one string
-// field, ClientID. stale, non-nil only under async aggregation, carries
-// each member's version lag.
+// Meta-only MsgMetrics frame. stale, non-nil only under async aggregation,
+// carries each member's version lag.
 func observeMessage(rec metrics.Round, alive []cluster.Info, stale map[string]int) *link.Message {
-	meta := map[string]float64{
-		obsRoundKey:      float64(rec.Round),
-		obsLossKey:       rec.TrainLoss,
-		obsPPLKey:        rec.ValPPL,
-		obsClientsKey:    float64(rec.Clients),
-		obsTierKey:       float64(rec.Tier),
-		obsDepthKey:      float64(rec.Depth),
-		obsSentKey:       float64(rec.WireSentBytes),
-		obsRecvKey:       float64(rec.WireRecvBytes),
-		obsRatioKey:      rec.CompressionRatio,
-		obsEncMsKey:      rec.EncodeMs,
-		obsDecMsKey:      rec.DecodeMs,
-		obsWallMsKey:     rec.WallMs,
-		obsJoinsKey:      float64(rec.Joins),
-		obsEvictionsKey:  float64(rec.Evictions),
-		obsStragglersKey: float64(rec.Stragglers),
-		obsRTTKey:        rec.HeartbeatRTTMs,
-		obsRTTP99Key:     rec.HeartbeatRTTP99Ms,
-		obsTraceKey:      float64(rec.TraceID),
-	}
-	if rec.ModelVersion > 0 {
-		meta[obsVersionKey] = float64(rec.ModelVersion)
-		meta[obsBufFillKey] = float64(rec.BufferFill)
-		meta[obsStalenessKey] = rec.MeanStaleness
-	}
-	b := rec.Phases
-	for phase, ms := range map[string]float64{
-		"broadcast": b.BroadcastMs, "train": b.TrainMs, "encode": b.EncodeMs,
-		"wire": b.WireMs, "decode": b.DecodeMs, "aggregate": b.AggregateMs,
-		"eval": b.EvalMs,
-	} {
-		meta[obsPhasePrefix+phase] = ms
+	meta := map[string]float64{}
+	recordFields(reflect.ValueOf(rec), obsRecordPrefix, func(key string, f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			meta[key] = float64(f.Int())
+		case reflect.Uint64:
+			meta[key] = float64(f.Uint())
+		case reflect.Float64:
+			meta[key] = f.Float()
+		}
+	})
+	for p := obsv.Phase(0); p < obsv.NumPhases; p++ {
+		if p.String() == rec.SlowestPhase {
+			meta[obsSlowestPhase] = float64(p)
+		}
 	}
 	for i, m := range alive {
 		if i >= obsMemberCap {
@@ -127,38 +108,21 @@ func observeMessage(rec metrics.Round, alive []cluster.Info, stale map[string]in
 // parseObserve inverts observeMessage.
 func parseObserve(msg *link.Message) ObserveEvent {
 	m := msg.Meta
-	ev := ObserveEvent{Record: metrics.Round{
-		Round:             int(m[obsRoundKey]),
-		TrainLoss:         m[obsLossKey],
-		ValPPL:            m[obsPPLKey],
-		Clients:           int(m[obsClientsKey]),
-		Tier:              int(m[obsTierKey]),
-		Depth:             int(m[obsDepthKey]),
-		WireSentBytes:     int64(m[obsSentKey]),
-		WireRecvBytes:     int64(m[obsRecvKey]),
-		CompressionRatio:  m[obsRatioKey],
-		EncodeMs:          m[obsEncMsKey],
-		DecodeMs:          m[obsDecMsKey],
-		WallMs:            m[obsWallMsKey],
-		Joins:             int(m[obsJoinsKey]),
-		Evictions:         int(m[obsEvictionsKey]),
-		Stragglers:        int(m[obsStragglersKey]),
-		HeartbeatRTTMs:    m[obsRTTKey],
-		HeartbeatRTTP99Ms: m[obsRTTP99Key],
-		TraceID:           uint64(m[obsTraceKey]),
-		ModelVersion:      int(m[obsVersionKey]),
-		BufferFill:        int(m[obsBufFillKey]),
-		MeanStaleness:     m[obsStalenessKey],
-		SlowestID:         msg.ClientID,
-	}}
-	ev.Record.CommBytes = ev.Record.WireSentBytes + ev.Record.WireRecvBytes
-	ev.Record.Phases.BroadcastMs = m[obsPhasePrefix+"broadcast"]
-	ev.Record.Phases.TrainMs = m[obsPhasePrefix+"train"]
-	ev.Record.Phases.EncodeMs = m[obsPhasePrefix+"encode"]
-	ev.Record.Phases.WireMs = m[obsPhasePrefix+"wire"]
-	ev.Record.Phases.DecodeMs = m[obsPhasePrefix+"decode"]
-	ev.Record.Phases.AggregateMs = m[obsPhasePrefix+"aggregate"]
-	ev.Record.Phases.EvalMs = m[obsPhasePrefix+"eval"]
+	var ev ObserveEvent
+	recordFields(reflect.ValueOf(&ev.Record).Elem(), obsRecordPrefix, func(key string, f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(m[key]))
+		case reflect.Uint64:
+			f.SetUint(uint64(m[key]))
+		case reflect.Float64:
+			f.SetFloat(m[key])
+		}
+	})
+	ev.Record.SlowestID = msg.ClientID
+	if p, ok := m[obsSlowestPhase]; ok {
+		ev.Record.SlowestPhase = obsv.Phase(p).String()
+	}
 
 	members := map[string]*MemberHealth{}
 	get := func(id string) *MemberHealth {

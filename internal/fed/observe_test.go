@@ -1,6 +1,8 @@
 package fed
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,44 +11,48 @@ import (
 	"photon/internal/obsv"
 )
 
+// fillDistinct sets every leaf field of the struct v to a distinct nonzero
+// value (SlowestPhase to a phase name), failing on a kind it cannot fill.
+func fillDistinct(t *testing.T, v reflect.Value, next *int) {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		*next++
+		switch f.Kind() {
+		case reflect.Struct:
+			fillDistinct(t, f, next)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(int64(*next))
+		case reflect.Uint64:
+			f.SetUint(1<<52 - uint64(*next))
+		case reflect.Float64:
+			f.SetFloat(float64(*next) + 0.25)
+		case reflect.String:
+			if name == "SlowestPhase" {
+				f.SetString(obsv.PhaseWire.String())
+			} else {
+				f.SetString(fmt.Sprintf("member-%d", *next))
+			}
+		default:
+			t.Fatalf("metrics.Round field %s has kind %s, which fillDistinct cannot fill", name, f.Kind())
+		}
+	}
+}
+
+// TestObserveMessageRoundTrip: every field of the round record crosses the
+// observe frame exactly, so a field that fails to ride it fails here.
 func TestObserveMessageRoundTrip(t *testing.T) {
-	rec := metrics.Round{
-		Round:             7,
-		TrainLoss:         3.25,
-		ValPPL:            41.5,
-		Clients:           4,
-		Tier:              0,
-		Depth:             2,
-		WireSentBytes:     123456,
-		WireRecvBytes:     654321,
-		CommBytes:         123456 + 654321,
-		CompressionRatio:  0.25,
-		EncodeMs:          1.5,
-		DecodeMs:          2.5,
-		WallMs:            321.5,
-		Joins:             2,
-		Evictions:         1,
-		Stragglers:        3,
-		HeartbeatRTTMs:    0.5,
-		HeartbeatRTTP99Ms: 4.5,
-		TraceID:           (1 << 52) - 17,
-		ModelVersion:      9,
-		BufferFill:        3,
-		MeanStaleness:     0.5,
-		SlowestID:         "relay-west",
-		Phases: obsv.Breakdown{
-			BroadcastMs: 1, TrainMs: 300, EncodeMs: 2, WireMs: 10,
-			DecodeMs: 3, AggregateMs: 4, EvalMs: 5,
-		},
+	var rec metrics.Round
+	next := 0
+	fillDistinct(t, reflect.ValueOf(&rec).Elem(), &next)
+	if got := parseObserve(observeMessage(metrics.Round{}, nil, nil)).Record; got != (metrics.Round{}) {
+		t.Fatalf("zero record round-trips as %+v", got)
 	}
 	alive := []cluster.Info{
 		{ID: "a", Health: 1, HeartbeatRTT: 2 * time.Millisecond, Straggles: 0},
 		{ID: "b", Health: 0.5, HeartbeatRTT: 7 * time.Millisecond, Straggles: 3},
 	}
 	ev := parseObserve(observeMessage(rec, alive, map[string]int{"b": 2}))
-	got := ev.Record
-	// UpdateNorm/SlowestPhase don't ride the observe frame.
-	if got != rec {
+	if got := ev.Record; got != rec {
 		t.Fatalf("record round-trip mismatch:\n got %+v\nwant %+v", got, rec)
 	}
 	if len(ev.Members) != 2 {

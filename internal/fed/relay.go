@@ -160,7 +160,6 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 			name:    "relay " + cfg.ID,
 			require: cfg.Parent.Codec,
 			want:    int(cfg.ModelConfig.ParamCount()),
-			tracer:  st.s.tracer,
 		},
 	}
 	// A compaction must keep what a restart redelivers from, and a restart
@@ -250,7 +249,7 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 		return nil, r.seal(w)
 	}
 
-	aggSpan := r.s.tracer.Begin(obsv.PhaseAggregate)
+	aggSpan := obsv.Begin(obsv.PhaseAggregate)
 	delta := r.fold.mean()
 	// Where the relay's fold goes: apply the outer optimizer to a scratch
 	// copy of the broadcast parameters and forward θ_global − θ_local,
@@ -267,7 +266,7 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 		r.scratch[i] = global[i] - r.scratch[i]
 	}
 	upward := r.scratch
-	w.pn.Add(obsv.PhaseAggregate, aggSpan.End(w.rec.TraceID))
+	w.pn.Add(obsv.PhaseAggregate, aggSpan.End())
 
 	meta := metrics.AggMetrics(clientMetrics)
 	meta[link.CohortKey] = float64(folded)

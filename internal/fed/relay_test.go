@@ -53,7 +53,11 @@ func startRelay(t *testing.T, ctx context.Context, parentAddr, id string, client
 func TestTwoTierMatchesFlatNetworked(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := tinyCfg()
-	const rounds = 3
+	// 2 rounds, as in TestTieredSimMatchesFlatSim: the flat fold follows
+	// arrival order, and that summation-order rounding compounds through
+	// further AdamW training. Over 2 rounds the worst arrival order lands at
+	// ≈4.2e-6; a third round took it past 1e-5 in about 1 run in 16.
+	const rounds = 2
 
 	runFlat := func() []float32 {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

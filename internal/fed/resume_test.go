@@ -46,8 +46,8 @@ func TestResumeFromCheckpoint(t *testing.T) {
 	// The resumed run starts from the checkpointed quality, not from
 	// scratch: its first evaluation must be far below the cold-start
 	// perplexity of the original run's first round.
-	cold := first.History.Rounds[0].ValPPL
-	warm := resumed.History.Rounds[0].ValPPL
+	cold := first.History.Rounds[0].Perplexity
+	warm := resumed.History.Rounds[0].Perplexity
 	if !(warm < cold*0.95) {
 		t.Fatalf("resume did not preserve progress: cold %v warm %v", cold, warm)
 	}

@@ -147,12 +147,6 @@ type server struct {
 	mu    sync.Mutex
 	conns map[string]*memberConn
 
-	// tracer ring-buffers round phase spans. It is always present and
-	// always driven (End doubles as the phase stopwatch), but records
-	// nothing until an observer subscribes — keeping the instrumented
-	// round path allocation-free when nobody is watching.
-	tracer *obsv.Tracer
-
 	// observers are read-only MsgObserve subscribers (photon-top). They
 	// are never members: no registry entry, no heartbeats, no cohort
 	// slots — just a Meta-only MsgMetrics frame after every round.
@@ -185,7 +179,6 @@ func newServer(cfg ServerConfig) (*server, error) {
 			MissedBeats:       cfg.MissedBeats,
 		}),
 		conns:     make(map[string]*memberConn),
-		tracer:    obsv.NewTracer(0),
 		observers: make(map[*link.Conn]struct{}),
 	}, nil
 }
@@ -196,7 +189,6 @@ func (s *server) addObserver(conn *link.Conn) {
 	s.obsMu.Lock()
 	s.observers[conn] = struct{}{}
 	s.obsMu.Unlock()
-	s.tracer.Subscribe()
 	go func() {
 		for {
 			if _, err := conn.Recv(); err != nil {
@@ -209,13 +201,9 @@ func (s *server) addObserver(conn *link.Conn) {
 
 func (s *server) removeObserver(conn *link.Conn) {
 	s.obsMu.Lock()
-	_, ok := s.observers[conn]
 	delete(s.observers, conn)
 	s.obsMu.Unlock()
-	if ok {
-		s.tracer.Unsubscribe()
-		conn.Close()
-	}
+	conn.Close()
 }
 
 // observerConns snapshots the attached observers.
@@ -609,21 +597,20 @@ type answer struct {
 // when the member failed (a.update is nil) or stop closed first.
 func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model link.EncodedPayload, sendTimeout time.Duration, stop <-chan struct{}) (a answer, ok bool) {
 	a.mc = mc
-	traceID := uint64(meta[link.TraceKey])
 	// Drain a stale reply to a superseded task.
 	select {
 	case <-mc.updates:
 	default:
 	}
 	start := time.Now()
-	sendSpan := s.tracer.Begin(obsv.PhaseBroadcast)
+	sendSpan := obsv.Begin(obsv.PhaseBroadcast)
 	err := mc.conn.SendTimeout(&link.Message{
 		Type:    link.MsgModel,
 		Round:   int32(task),
 		Meta:    meta,
 		Payload: model,
 	}, sendTimeout)
-	a.sendNs = sendSpan.End(traceID)
+	a.sendNs = sendSpan.End()
 	if err != nil {
 		s.drop(mc, "model send failed")
 		mc.conn.Close()
@@ -637,9 +624,9 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 			if msg.Round != int32(task) {
 				continue // late reply to an earlier task
 			}
-			decSpan := s.tracer.Begin(obsv.PhaseDecode)
+			decSpan := obsv.Begin(obsv.PhaseDecode)
 			vec, derr := s.decodeUpdate(msg.Payload, model.Elems)
-			a.srvDecNs = decSpan.End(traceID)
+			a.srvDecNs = decSpan.End()
 			s.totals.decNs.Add(a.srvDecNs)
 			if derr != nil {
 				s.drop(mc, "update decode failed")
@@ -676,12 +663,12 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 // residual. The codec wall times and compression ratio land on w.rec.
 func (s *server) exchangeRound(ctx context.Context, w *window, global []float32, cohort []*memberConn, resume bool, jrn *journal, fold *meanFold) (clientMetrics []map[string]float64, interrupted bool, err error) {
 	round, traceID := w.rec.Round, w.rec.TraceID
-	encSpan := s.tracer.Begin(obsv.PhaseEncode)
+	encSpan := obsv.Begin(obsv.PhaseEncode)
 	encModel, err := link.EncodeVector(s.modelEnc, global)
 	if err != nil {
 		return nil, false, err
 	}
-	encNs := encSpan.End(traceID)
+	encNs := encSpan.End()
 	base := s.totals.load()
 
 	meta := map[string]float64{link.TraceKey: float64(traceID)}

@@ -148,10 +148,6 @@ type memberSession struct {
 	require string // codec the aggregator must announce ("" accepts any)
 	want    int    // model parameter count (0 skips the size check)
 
-	// tracer, when non-nil, records the session's decode and encode spans
-	// (a relay's cohort-side tracer); nil still measures them.
-	tracer *obsv.Tracer
-
 	enc     link.Codec
 	encName string
 	// restore is codec state recovered from a WAL, applied once to the
@@ -292,9 +288,9 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 			m.name, msg.Round, msg.Payload.Elems, m.want)
 	}
 	t := roundTask{msg: msg, start: time.Now()}
-	decSpan := m.tracer.Begin(obsv.PhaseDecode)
+	decSpan := obsv.Begin(obsv.PhaseDecode)
 	global, err := link.DecodePayload(m.enc, msg.Payload)
-	t.decNs = decSpan.End(traceID)
+	t.decNs = decSpan.End()
 	if err != nil {
 		return fmt.Errorf("fed: %s round %d model: %w", m.name, msg.Round, err)
 	}
@@ -312,9 +308,9 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	if r == nil {
 		return nil
 	}
-	encSpan := m.tracer.Begin(obsv.PhaseEncode)
+	encSpan := obsv.Begin(obsv.PhaseEncode)
 	encUpd, err := link.EncodeVector(m.enc, r.update)
-	encNs := encSpan.End(traceID)
+	encNs := encSpan.End()
 	if err != nil {
 		return fmt.Errorf("fed: %s round %d update: %w", m.name, msg.Round, err)
 	}

@@ -13,65 +13,105 @@ import (
 	"photon/internal/obsv"
 )
 
-// Round is one federated round's (or centralized eval interval's) record.
+// Round is one round's record, the only one: the aggregator seals it, and it
+// reaches Job.Events, Result.Stats, the observe stream and photon-top
+// unchanged (the public photon.RoundEvent is this type). For the
+// centralized backend it is one evaluation interval.
 type Round struct {
-	Round      int
-	TrainLoss  float64 // mean client training loss (nats/token)
-	ValPPL     float64 // global model validation perplexity (0 = not evaluated)
-	UpdateNorm float64 // L2 norm of the aggregated pseudo-gradient
-	Clients    int     // participating clients
-	CommBytes  int64   // model/update bytes exchanged this round (down + up)
+	// Round is the 1-based federated round (or, for the centralized
+	// backend, the optimizer step of the evaluation record). Resumed runs
+	// continue the checkpoint's numbering.
+	Round int
+	// TrainLoss is the mean participating-client training loss
+	// (nats/token).
+	TrainLoss float64
+	// Perplexity is the global model's validation perplexity, 0 when the
+	// round was not evaluated.
+	Perplexity float64
+	// Clients is the number of clients whose updates were aggregated
+	// (workers, for the centralized backend).
+	Clients int
+	// CommBytes is the model/update traffic attributed to the round:
+	// broadcast down plus updates up for the federated backends, gradient
+	// all-reduce volume for the centralized one. The networked backends
+	// measure it on the wire (frame headers and heartbeats included); the
+	// in-process federated backend counts codec-encoded payload bytes.
+	CommBytes int64
+	// WireSentBytes and WireRecvBytes split CommBytes by direction
+	// (aggregator's perspective on the server/federated backends, the
+	// client's own on the client backend). Zero where not applicable.
+	WireSentBytes int64
+	WireRecvBytes int64
+	// CompressionRatio is encoded payload bytes divided by their dense
+	// float32 cost: 1.0 for the dense codec, ~0.25 for q8, ~0.08 for
+	// topk at 10% density. 0 means the round carried no payloads.
+	CompressionRatio float64
+	// EncodeMs and DecodeMs are the round's codec wall times in
+	// milliseconds.
+	EncodeMs float64
+	DecodeMs float64
+	// UpdateNorm is the L2 norm of the aggregated pseudo-gradient (0 for
+	// the centralized and client backends).
+	UpdateNorm float64
 
-	// Wire-codec accounting. For the networked backends the byte counts
-	// are measured on the wire (frame headers and heartbeats included);
-	// the in-process simulator counts encoded payload bytes. Zero when the
-	// backend predates codec accounting.
-	WireSentBytes    int64   // bytes sent during the round's window
-	WireRecvBytes    int64   // bytes received during the round's window
-	CompressionRatio float64 // encoded payload bytes / dense float32 bytes (1 = dense, 0 = unknown)
-	EncodeMs         float64 // payload encode wall time this round, milliseconds
-	DecodeMs         float64 // payload decode wall time this round, milliseconds
-
-	// Hierarchical-aggregation position. Tier is the emitting node's
-	// distance from the global aggregator (0 = root, 1 = a relay's own
-	// records). Depth is the number of aggregation tiers at or below the
-	// emitting node: 1 for a flat aggregation, 2 when the node's children
-	// are themselves relays; 0 means the backend predates tier accounting
-	// (or it does not apply, e.g. centralized training).
-	Tier  int
+	// Tier is the emitting node's distance from the global aggregator: 0
+	// for the root (and the in-process backends), 1 for a relay's own
+	// records.
+	Tier int
+	// Depth is the number of aggregation tiers at or below the emitting
+	// node: 1 for a flat federation, 2 when the node's round members are
+	// themselves relays (a networked parent detects this from the cohort
+	// metadata relays stamp on their updates). 0 means not applicable
+	// (centralized and client backends).
 	Depth int
 
-	// Elastic-membership churn attributed to this round (networked
-	// aggregator only; zero for the in-process backends). Churn is
-	// windowed between recorded rounds, so the initial cohort's joins
-	// land on round 1 by design.
-	Joins             int     // members that joined (first time or rejoin)
-	Evictions         int     // members evicted on failure or missed heartbeats
-	Stragglers        int     // cohort slots dropped at the round deadline
-	HeartbeatRTTMs    float64 // mean heartbeat round-trip observed, milliseconds
-	HeartbeatRTTP99Ms float64 // p99 heartbeat round-trip (recent-window sketch)
+	// Joins counts members that joined (or rejoined) the federation during
+	// this round — elastic membership telemetry from the networked
+	// aggregator backend, 0 elsewhere. Churn is windowed between recorded
+	// rounds: round 1 includes the initial cohort's joins.
+	Joins int
+	// Evictions counts members evicted this round (connection failure or
+	// missed heartbeats).
+	Evictions int
+	// Stragglers counts cohort slots dropped at the round deadline: the
+	// member stayed alive but its update arrived too late to aggregate.
+	Stragglers int
+	// HeartbeatRTTMs is the mean heartbeat round-trip observed during the
+	// round in milliseconds (0 when heartbeats are disabled).
+	HeartbeatRTTMs float64
+	// HeartbeatRTTP99Ms is the 99th-percentile heartbeat round-trip over
+	// the round's recent-beat sketch — the tail the mean hides.
+	HeartbeatRTTP99Ms float64
 
-	// Observability. TraceID is the round-scoped trace identifier the root
-	// aggregator mints and propagates down the tree, so a relay's records
-	// attribute to the root round that caused them (zero when the backend
-	// predates tracing). Phases is the per-phase critical-path breakdown;
-	// WallMs the measured round wall time it approximates. SlowestID and
-	// SlowestPhase attribute the straggler: which member finished last and
-	// in which phase it spent the most time.
-	TraceID      uint64
-	WallMs       float64
-	Phases       obsv.Breakdown
-	SlowestID    string
+	// TraceID is the round-scoped trace identifier. The root aggregator
+	// mints one per round and propagates it down the aggregation tree, so
+	// a relay's records carry the root round's ID — joining the tiers'
+	// phase breakdowns into one distributed trace. 0 when not applicable.
+	TraceID uint64
+	// WallMs is the round's measured wall time in milliseconds, which the
+	// phase breakdown's sum approximates.
+	WallMs float64
+	// Phases splits the round's critical path by phase (milliseconds).
+	Phases obsv.Breakdown
+	// SlowestID names the round's straggler: the last member whose update
+	// made the aggregate. Empty when not applicable.
+	SlowestID string
+	// SlowestPhase is the phase that member spent the most time in
+	// ("broadcast", "train", "encode", "wire", "decode").
 	SlowestPhase string
 
-	// Asynchronous (FedBuff-mode) aggregation. ModelVersion is the global
-	// model version after this record's commit (0 when the aggregator runs
-	// the synchronous round loop). BufferFill is the number of updates
-	// folded into the commit's staleness-weighted buffer, and MeanStaleness
-	// their mean staleness in versions (0 = every update trained on the
-	// freshest model).
-	ModelVersion  int
-	BufferFill    int
+	// ModelVersion is the committed global model version under asynchronous
+	// aggregation: the aggregator reports the version this record's commit
+	// produced, a client the version its round trained on. 0 under
+	// synchronous aggregation.
+	ModelVersion int
+	// BufferFill is the number of updates folded into this commit's
+	// staleness-weighted buffer (asynchronous aggregation only).
+	BufferFill int
+	// MeanStaleness is the mean staleness, in model versions, of the
+	// updates folded into this commit: 0 means every update trained on the
+	// freshest model; larger values mean stragglers contributed late (and
+	// were down-weighted accordingly).
 	MeanStaleness float64
 }
 
@@ -90,8 +130,8 @@ func (h *History) Len() int { return len(h.Rounds) }
 // nothing was evaluated.
 func (h *History) FinalPPL() float64 {
 	for i := len(h.Rounds) - 1; i >= 0; i-- {
-		if h.Rounds[i].ValPPL > 0 {
-			return h.Rounds[i].ValPPL
+		if h.Rounds[i].Perplexity > 0 {
+			return h.Rounds[i].Perplexity
 		}
 	}
 	return math.Inf(1)
@@ -101,8 +141,8 @@ func (h *History) FinalPPL() float64 {
 func (h *History) BestPPL() float64 {
 	best := math.Inf(1)
 	for _, r := range h.Rounds {
-		if r.ValPPL > 0 && r.ValPPL < best {
-			best = r.ValPPL
+		if r.Perplexity > 0 && r.Perplexity < best {
+			best = r.Perplexity
 		}
 	}
 	return best
@@ -111,7 +151,7 @@ func (h *History) BestPPL() float64 {
 // RoundsToPPL returns the first round index whose evaluation hit the target.
 func (h *History) RoundsToPPL(target float64) (int, bool) {
 	for _, r := range h.Rounds {
-		if r.ValPPL > 0 && r.ValPPL <= target {
+		if r.Perplexity > 0 && r.Perplexity <= target {
 			return r.Round, true
 		}
 	}
@@ -121,9 +161,9 @@ func (h *History) RoundsToPPL(target float64) (int, bool) {
 // PPLSeries returns (round, perplexity) pairs for evaluated rounds.
 func (h *History) PPLSeries() (rounds []int, ppls []float64) {
 	for _, r := range h.Rounds {
-		if r.ValPPL > 0 {
+		if r.Perplexity > 0 {
 			rounds = append(rounds, r.Round)
-			ppls = append(ppls, r.ValPPL)
+			ppls = append(ppls, r.Perplexity)
 		}
 	}
 	return rounds, ppls

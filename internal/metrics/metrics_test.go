@@ -9,7 +9,7 @@ import (
 func historyWithPPLs(ppls []float64) *History {
 	h := &History{}
 	for i, p := range ppls {
-		h.Append(Round{Round: i + 1, ValPPL: p})
+		h.Append(Round{Round: i + 1, Perplexity: p})
 	}
 	return h
 }
@@ -30,10 +30,10 @@ func TestFinalAndBestPPL(t *testing.T) {
 
 func TestFinalPPLSkipsUnevaluatedRounds(t *testing.T) {
 	h := &History{}
-	h.Append(Round{Round: 1, ValPPL: 42})
+	h.Append(Round{Round: 1, Perplexity: 42})
 	h.Append(Round{Round: 2}) // not evaluated
 	if got := h.FinalPPL(); got != 42 {
-		t.Fatalf("FinalPPL should skip ValPPL=0 rounds: got %v", got)
+		t.Fatalf("FinalPPL should skip Perplexity=0 rounds: got %v", got)
 	}
 }
 
@@ -49,9 +49,9 @@ func TestRoundsToPPL(t *testing.T) {
 
 func TestPPLSeries(t *testing.T) {
 	h := &History{}
-	h.Append(Round{Round: 1, ValPPL: 50})
+	h.Append(Round{Round: 1, Perplexity: 50})
 	h.Append(Round{Round: 2})
-	h.Append(Round{Round: 3, ValPPL: 40})
+	h.Append(Round{Round: 3, Perplexity: 40})
 	rounds, ppls := h.PPLSeries()
 	if len(rounds) != 2 || rounds[1] != 3 || ppls[1] != 40 {
 		t.Fatalf("series: %v %v", rounds, ppls)

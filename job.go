@@ -101,10 +101,9 @@ func (j *Job) Run(ctx context.Context) (*Result, error) {
 // than blocking training.
 func (j *Job) emit(r metrics.Round) {
 	j.scrape(r)
-	ev := eventFromRound(r)
 	for attempt := 0; attempt < 3; attempt++ {
 		select {
-		case j.events <- ev:
+		case j.events <- r:
 			return
 		default:
 		}
@@ -127,8 +126,8 @@ func (j *Job) scrape(r metrics.Round) {
 	if r.TrainLoss > 0 {
 		reg.Gauge("photon_train_loss", "Mean participating-client training loss (nats/token).").Set(r.TrainLoss)
 	}
-	if r.ValPPL > 0 {
-		reg.Gauge("photon_val_perplexity", "Latest validation perplexity.").Set(r.ValPPL)
+	if r.Perplexity > 0 {
+		reg.Gauge("photon_val_perplexity", "Latest validation perplexity.").Set(r.Perplexity)
 	}
 	reg.Gauge("photon_round_clients", "Clients aggregated in the most recent round.").Set(float64(r.Clients))
 	reg.Counter("photon_wire_sent_bytes_total", "Bytes sent on the wire across rounds.").Add(r.WireSentBytes)
@@ -151,8 +150,8 @@ func newResult(model *nn.Model, hist *metrics.History) *Result {
 	out := &Result{model: model}
 	if hist != nil {
 		out.FinalPerplexity = hist.FinalPPL()
+		out.Stats = append([]RoundEvent(nil), hist.Rounds...)
 		for _, r := range hist.Rounds {
-			out.Stats = append(out.Stats, eventFromRound(r))
 			out.Joins += r.Joins
 			out.Evictions += r.Evictions
 			out.Stragglers += r.Stragglers
