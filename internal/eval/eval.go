@@ -92,6 +92,10 @@ func distractorSeed(name string, seed int64) uint64 {
 // evaluation and the model: ModelScorer runs in process, serve.Engine and
 // serve.Client satisfy it over the serving stack, and ICLScorer wraps any of
 // them with retrieved pseudo-demonstrations.
+//
+// An implementation must not modify prompt or cont, nor retain them after
+// Score returns: callers reuse both buffers (ICLScorer passes the same context
+// buffer for every candidate of an instance and keeps it for the next call).
 type Scorer interface {
 	Score(prompt, cont []int) (float64, error)
 }
