@@ -1,12 +1,9 @@
 package link
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -287,11 +284,10 @@ func EncodeVector(c Codec, v []float32) (EncodedPayload, error) {
 // DecodePayload decodes a received payload inside a negotiated session:
 // frames produced by the session codec decode through the (possibly
 // stateful) session instance, the lossless built-ins dense and flate are
-// always accepted (model-broadcast fallback for update-only codecs, WAL
-// records journaled as dense vectors), and anything else is a codec
-// mismatch — the
-// fail-fast half of the join-time negotiation, catching a peer that changed
-// codecs mid-stream.
+// always accepted (the model-broadcast fallback for update-only codecs,
+// flate's own dense fallback for vectors it cannot shrink, and payloads built
+// with Dense), and anything else is a codec mismatch — the fail-fast half of
+// the join-time negotiation, catching a peer that changed codecs mid-stream.
 func DecodePayload(session Codec, p EncodedPayload) ([]float32, error) {
 	if p.IsZero() {
 		return nil, nil
@@ -385,33 +381,21 @@ func (FlateCodec) Encode(v []float32) (EncodedPayload, error) {
 		// Shorter than the plane-length prefix alone: dense always wins.
 		return DenseCodec{}.Encode(v)
 	}
-	// One dense-sized buffer serves both outcomes. The split parks the
-	// remainder in the buffer's last 3n bytes; the deflated plane then grows
-	// from offset 4 inside the first n (the capped slice keeps it off the
-	// remainder — a plane that outgrows it is the dense fallback anyway),
-	// and the remainder slides down behind it.
+	// One dense-sized buffer serves both outcomes. The remainder goes to its
+	// last 3n bytes while the blocks are built, and the plane and its length
+	// prefix are stitched in right in front of it, so the payload is the
+	// buffer's tail; a plane that does not fit in front is the dense
+	// fallback anyway.
 	out := make([]byte, 4*n)
-	exp := make([]byte, n)
-	splitPlanes(exp, out[n:], v)
-	plane := bytes.NewBuffer(out[:4:n])
-	fw, err := flate.NewWriter(plane, flate.HuffmanOnly)
-	if err != nil {
-		return EncodedPayload{}, fmt.Errorf("flate init: %w", err)
-	}
-	if _, err := fw.Write(exp); err != nil {
-		return EncodedPayload{}, fmt.Errorf("flate write: %w", err)
-	}
-	if err := fw.Close(); err != nil {
-		return EncodedPayload{}, fmt.Errorf("flate close: %w", err)
-	}
-	end := plane.Len() // prefix + deflated plane
-	if end >= n {
+	blocks, planeLen := deflatePlane(v, out[n:], make([]byte, scratchLen(n)))
+	start := n - 4 - planeLen
+	if start <= 0 {
 		packFloats(out, v)
 		return EncodedPayload{CodecID: CodecDense, Elems: n, Data: out}, nil
 	}
-	binary.LittleEndian.PutUint32(out, uint32(end-4))
-	copy(out[end:], out[n:])
-	return EncodedPayload{CodecID: CodecFlate, Elems: n, Data: out[:end+3*n]}, nil
+	binary.LittleEndian.PutUint32(out[start:], uint32(planeLen))
+	stitch(out[start+4:n], blocks, v)
+	return EncodedPayload{CodecID: CodecFlate, Elems: n, Data: out[start:]}, nil
 }
 
 // Decode implements Codec. Every length is checked against Elems before
@@ -434,47 +418,11 @@ func (FlateCodec) Decode(p EncodedPayload) ([]float32, error) {
 	if rem := len(p.Data) - 4 - planeLen; rem != 3*n {
 		return nil, fmt.Errorf("link: flate payload has %d remainder bytes after a %d-byte plane for %d elems (want %d)", rem, planeLen, n, 3*n)
 	}
-	src := bytes.NewReader(p.Data[4 : 4+planeLen])
-	fr := flate.NewReader(src)
-	exp := make([]byte, n)
-	if _, err := io.ReadFull(fr, exp); err != nil {
-		return nil, fmt.Errorf("link: flate exponent plane short of %d elems: %w", n, err)
-	}
-	var extra [1]byte
-	if _, err := io.ReadFull(fr, extra[:]); err != io.EOF {
-		return nil, fmt.Errorf("link: flate exponent plane does not end at %d elems (%v)", n, err)
-	}
-	if src.Len() != 0 {
-		return nil, fmt.Errorf("link: flate exponent plane has %d trailing bytes", src.Len())
-	}
 	out := make([]float32, n)
-	joinPlanes(out, exp, p.Data[4+planeLen:])
+	if err := inflatePlane(out, p.Data[4:4+planeLen], p.Data[4+planeLen:]); err != nil {
+		return nil, err
+	}
 	return out, nil
-}
-
-// splitPlanes writes each element's exponent byte to exp and its sign and
-// mantissa (24 bits, little-endian) to rem; joinPlanes is its inverse.
-//
-//photon:hotpath
-func splitPlanes(exp, rem []byte, v []float32) {
-	rem = rem[:3*len(v)]
-	for i, x := range v {
-		b := math.Float32bits(x)
-		exp[i] = byte(b >> 23)
-		r := rem[3*i : 3*i+3]
-		r[0], r[1], r[2] = byte(b), byte(b>>8), byte(b>>16&0x7f|b>>24&0x80)
-	}
-}
-
-//photon:hotpath
-func joinPlanes(out []float32, exp, rem []byte) {
-	rem = rem[:3*len(out)]
-	exp = exp[:len(out)]
-	for i := range out {
-		r := rem[3*i : 3*i+3]
-		hi := uint32(r[2])
-		out[i] = math.Float32frombits(uint32(r[0]) | uint32(r[1])<<8 | (hi&0x7f)<<16 | uint32(exp[i])<<23 | (hi&0x80)<<24)
-	}
 }
 
 // ---- q8 ----
@@ -802,7 +750,9 @@ func emitTopK(data []byte, residual []float32, thresh uint32, ties int) {
 	}
 }
 
-// Decode implements Codec: scatter the pairs into a zero vector.
+// Decode implements Codec: scatter the pairs into a zero vector. Indices
+// must be strictly increasing, as Encode writes them: a repeated index would
+// carry fewer coordinates than the pair count the wire accounting charges.
 //
 //photon:allocok
 func (t *TopKCodec) Decode(p EncodedPayload) ([]float32, error) {
@@ -817,12 +767,14 @@ func (t *TopKCodec) Decode(p EncodedPayload) ([]float32, error) {
 		return nil, fmt.Errorf("link: topk payload carries %d pairs for %d elems", pairs, p.Elems)
 	}
 	out := make([]float32, p.Elems)
+	next := 0 // the smallest index the next pair may carry
 	for i := 0; i < pairs; i++ {
-		idx := binary.LittleEndian.Uint32(p.Data[8*i:])
-		if int(idx) >= p.Elems {
-			return nil, fmt.Errorf("link: topk index %d out of range [0,%d)", idx, p.Elems)
+		idx := int(binary.LittleEndian.Uint32(p.Data[8*i:]))
+		if idx < next || idx >= p.Elems {
+			return nil, fmt.Errorf("link: topk pair %d has index %d, want one in [%d,%d)", i, idx, next, p.Elems)
 		}
 		out[idx] = math.Float32frombits(binary.LittleEndian.Uint32(p.Data[8*i+4:]))
+		next = idx + 1
 	}
 	return out, nil
 }

@@ -53,8 +53,9 @@ func FuzzCodecDecode(f *testing.F) {
 		if err == nil && !p.IsZero() && len(out) != p.Elems {
 			t.Fatalf("%s: decoded %d values for %d elems", name, len(out), p.Elems)
 		}
-		// Output plus one same-sized scratch is the most any decoder needs;
-		// the constant covers an inflater's fixed tables.
+		// Output plus one same-sized scratch is the most any decoder needs
+		// (flate and topk allocate only their output), with a constant to
+		// spare.
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*p.Elems+(1<<18)); grew > limit {
 			t.Fatalf("%s: decoding %d bytes declared as %d elems allocated %d bytes (limit %d)", name, len(data), p.Elems, grew, limit)
 		}

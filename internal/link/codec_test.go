@@ -2,7 +2,6 @@ package link
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -323,6 +322,18 @@ func TestCorruptedPayloadRejected(t *testing.T) {
 	binary.LittleEndian.PutUint32(bad.Data[0:], uint32(len(v)+10))
 	if _, err := topk.Decode(bad); err == nil {
 		t.Error("topk: out-of-range index accepted")
+	}
+	// Encode writes indices strictly increasing; a repeated or descending
+	// one would decode fewer coordinates than the pairs the wire charges.
+	for name, idx := range map[string][2]uint32{"repeated": {6, 6}, "descending": {7, 6}} {
+		data := make([]byte, 16)
+		for i, x := range idx {
+			binary.LittleEndian.PutUint32(data[8*i:], x)
+			binary.LittleEndian.PutUint32(data[8*i+4:], math.Float32bits(float32(i+1)))
+		}
+		if _, err := topk.Decode(EncodedPayload{CodecID: CodecTopK, Elems: 96, Data: data}); err == nil {
+			t.Errorf("topk: %s index accepted", name)
+		}
 	}
 
 	// An unknown codec ID on a frame must fail Floats() with a clear error.
@@ -653,13 +664,6 @@ func TestFlateHostilePayloads(t *testing.T) {
 		t.Fatalf("setup: codec %d, err %v", good.CodecID, err)
 	}
 	planeLen := int(binary.LittleEndian.Uint32(good.Data))
-	deflate := func(b []byte) []byte {
-		var buf bytes.Buffer
-		fw, _ := flate.NewWriter(&buf, flate.HuffmanOnly)
-		fw.Write(b)
-		fw.Close()
-		return buf.Bytes()
-	}
 	// reframe builds a payload from an arbitrary plane and remainder with a
 	// consistent length prefix, so only the named defect is on trial.
 	reframe := func(plane, rem []byte) []byte {
@@ -687,14 +691,23 @@ func TestFlateHostilePayloads(t *testing.T) {
 		{"short remainder", len(v), reframe(plane, rem[:len(rem)-3])},
 		{"long remainder", len(v), reframe(plane, append(append([]byte(nil), rem...), 0, 0, 0))},
 		{"trailing bytes in plane", len(v), reframe(append(append([]byte(nil), plane...), 0xAA), rem)},
-		{"plane inflates short", len(v), reframe(deflate(exp[:len(exp)-1]), rem)},
-		{"plane inflates long", len(v), reframe(deflate(append(exp, 0x7f)), rem)},
+		{"plane inflates short", len(v), reframe(stdDeflate(exp[:len(exp)-1]), rem)},
+		{"plane inflates long", len(v), reframe(stdDeflate(append(exp, 0x7f)), rem)},
 		{"plane is not deflate", len(v), reframe(bytes.Repeat([]byte{0xff}, planeLen), rem)},
 		{"prefix claims remainder byte", len(v), prefixLie},
 		{"prefix exceeds payload", len(v), hugePrefix},
 		{"elems too large", len(v) + 1, good.Data},
 		{"elems too small", len(v) - 1, good.Data},
 		{"elems huge", MaxPayloadElems, good.Data},
+	}
+	// Streams outside the literal-only shape, or not deflate at all, each
+	// aimed at one of the inflater's rejection paths (hostilePlanes).
+	for _, h := range hostilePlanes() {
+		cases = append(cases, struct {
+			name  string
+			elems int
+			data  []byte
+		}{h.name, h.elems, reframe(h.stream, make([]byte, 3*h.elems))})
 	}
 	for _, tc := range cases {
 		dec, err := FlateCodec{}.Decode(EncodedPayload{CodecID: CodecFlate, Elems: tc.elems, Data: tc.data})
