@@ -248,7 +248,8 @@ func TestAggregatorCrashResume(t *testing.T) {
 // life dies on the armed failpoint, the second life completes all rounds,
 // no client round is ever trained twice, and the final model matches the
 // uninterrupted control within 1e-5. FedMom is the outer optimizer so the
-// state_snapshot record exists and momentum restoration is exercised.
+// resumed run's momentum must be re-stepped through every committed round
+// the replay redoes.
 func TestCrashPointSweep(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const (
@@ -259,8 +260,7 @@ func TestCrashPointSweep(t *testing.T) {
 	control := controlRun(t, seed, rounds, newOuter())
 
 	sites := []ckpt.RecordType{
-		ckpt.RecRoundOpen, ckpt.RecMemberUpdate, ckpt.RecOuterStep,
-		ckpt.RecStateSnapshot, ckpt.RecRoundCommit,
+		ckpt.RecRoundOpen, ckpt.RecMemberUpdate, ckpt.RecRoundCommit,
 	}
 	for _, rt := range sites {
 		site := "wal:" + rt.String()
@@ -277,10 +277,10 @@ func TestCrashPointSweep(t *testing.T) {
 // TestEveryRoundRecordedOnceAcrossCrash kills and restarts the aggregator
 // at every crash site of both sweeps and counts the aggregator's OnRound
 // records over both lives: each round (sync) or version (async) 1..N must be
-// recorded exactly once. A resumed window whose outer step was journaled but
-// never committed must be redone and sealed in the second life — not adopted
-// silently, which leaves it with no record, event, history entry, or
-// evaluation in either life. FedMom makes the state_snapshot site exist.
+// recorded exactly once. A window whose updates were all journaled but
+// never committed must be redone and sealed in the second life, and a
+// committed window redone by replay must not be recorded again. FedMom
+// makes the redo carry momentum.
 func TestEveryRoundRecordedOnceAcrossCrash(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	const rounds = 5
@@ -291,12 +291,10 @@ func TestEveryRoundRecordedOnceAcrossCrash(t *testing.T) {
 		newCfg func() fed.ServerConfig
 	}{
 		{"sync", []ckpt.RecordType{
-			ckpt.RecRoundOpen, ckpt.RecMemberUpdate, ckpt.RecOuterStep,
-			ckpt.RecStateSnapshot, ckpt.RecRoundCommit,
+			ckpt.RecRoundOpen, ckpt.RecMemberUpdate, ckpt.RecRoundCommit,
 		}, func() fed.ServerConfig { return durableServerConfig(77, rounds, newOuter()) }},
 		{"async", []ckpt.RecordType{
-			ckpt.RecBufferFold, ckpt.RecOuterStep,
-			ckpt.RecStateSnapshot, ckpt.RecVersionCommit,
+			ckpt.RecBufferFold, ckpt.RecVersionCommit,
 		}, func() fed.ServerConfig { return asyncServerConfig(83, rounds, 2, newOuter()) }},
 	} {
 		for _, rt := range mode.sites {

@@ -25,9 +25,10 @@ const (
 	// arrived. A record without Data is unreadable to the aggregator's
 	// replay, which re-asks the member instead.
 	RecMemberUpdate
-	// RecOuterStep records the outer-optimizer step: Vec carries the
-	// post-step global parameters, so replay restores them bit-for-bit
-	// without re-running the (order-sensitive) float aggregation.
+	// RecOuterStep records post-step global parameters in Vec. The fed
+	// aggregators no longer write it — their replay redoes each committed
+	// step from the journaled updates — but the benchmark's layer replay
+	// still does, until that replay is deleted.
 	RecOuterStep
 	// RecRoundCommit seals a round. It is the WAL's fsync point: everything
 	// up to and including the commit is durable once Append returns.
@@ -39,9 +40,9 @@ const (
 	// RecBufferFold records one update folded into an async aggregator's
 	// staleness-weighted buffer: Round carries the dispatch task ID, Epoch
 	// the model version the member trained on, Member the member ID, and
-	// Data the update's wire payload as received (Vec, decoded, in older
-	// logs). Replay re-folds the pending (uncommitted) buffer so an async
-	// aggregator resumes mid-buffer.
+	// Data the update's wire payload as received. Replay re-folds every
+	// journaled buffer, so an async aggregator redoes its committed
+	// versions and resumes mid-buffer.
 	RecBufferFold
 	// RecVersionCommit seals one async model-version commit (the async
 	// counterpart of RecRoundCommit, and an fsync point like it): Round
@@ -91,22 +92,6 @@ type Record struct {
 type Recovery struct {
 	Base    *Checkpoint
 	Records []Record
-}
-
-// LastCommitted returns the highest committed round visible in the
-// recovery: the base checkpoint's round, advanced by any round-commit
-// records appended after it.
-func (rv *Recovery) LastCommitted() int {
-	last := 0
-	if rv.Base != nil {
-		last = rv.Base.Round
-	}
-	for _, rec := range rv.Records {
-		if rec.Type == RecRoundCommit && rec.Round > last {
-			last = rec.Round
-		}
-	}
-	return last
 }
 
 // WAL file names inside the directory.
@@ -369,12 +354,24 @@ func (w *WAL) Sync() error {
 }
 
 // Compact folds the journaled history into the atomic base checkpoint and
-// rotates the log: base lands durably first, then a fresh segment seeded
-// with the carry-over records (auxiliary state snapshots that are not part
-// of the checkpoint) atomically replaces the old log. A crash anywhere in
-// between leaves either the old (base, log) pair or the new one — never a
-// base without its matching log.
+// rotates the log. The carry-over records (auxiliary state that is not part
+// of the checkpoint) are appended to the live log and synced first; then
+// base lands durably, and a fresh segment seeded with the carry atomically
+// replaces the old log. A crash anywhere in between leaves a log that holds
+// the carry for whichever base is on disk: a replay that skips the windows
+// the base already holds and takes the carry stamped with the base's round
+// recovers the same state from any of the three.
 func (w *WAL) Compact(base *Checkpoint, carry []Record) error {
+	for i := range carry {
+		if err := w.Append(&carry[i]); err != nil {
+			return err
+		}
+	}
+	if len(carry) > 0 {
+		if err := w.Sync(); err != nil {
+			return err
+		}
+	}
 	if err := Save(filepath.Join(w.dir, walBaseName), base); err != nil {
 		return fmt.Errorf("ckpt: wal compact: %w", err)
 	}

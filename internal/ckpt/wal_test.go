@@ -52,9 +52,6 @@ func TestWALRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rv.Records, recs) {
 		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", rv.Records, recs)
 	}
-	if got := rv.LastCommitted(); got != 1 {
-		t.Fatalf("LastCommitted = %d, want 1", got)
-	}
 	// Appending after recovery must extend, not clobber.
 	if err := w.Append(&Record{Type: RecRoundOpen, Round: 2}); err != nil {
 		t.Fatalf("append after recovery: %v", err)
@@ -294,8 +291,33 @@ func TestWALCompact(t *testing.T) {
 	if rv.Records[0].Type != RecStateSnapshot || rv.Records[1].Round != 2 {
 		t.Fatalf("rotated log contents wrong: %+v", rv.Records)
 	}
-	if got := rv.LastCommitted(); got != 1 {
-		t.Fatalf("LastCommitted = %d, want 1 (from base)", got)
+}
+
+// TestWALCompactCarryLandsFirst: a crash inside Compact before the base is
+// written leaves the old base and the old log with the carry appended and
+// durable, so a replay finds the carry whichever base survives.
+func TestWALCompactCarryLandsFirst(t *testing.T) {
+	dir := t.TempDir()
+	var fp Failpoint
+	w, _, err := OpenWAL(dir, &fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(&Record{Type: RecRoundCommit, Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fp.Arm("wal:state_snapshot")
+	carry := []Record{{Type: RecStateSnapshot, Round: 1, Member: "outer", Vec: []float32{0.5}}}
+	if err := w.Compact(&Checkpoint{Round: 1, Params: []float32{9}}, carry); !isFailpoint(err) {
+		t.Fatalf("armed carry append did not fire: %v", err)
+	}
+	w.Close()
+	_, rv, err := OpenWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rv.Base != nil || len(rv.Records) != 2 || !reflect.DeepEqual(rv.Records[1], carry[0]) {
+		t.Fatalf("crash before the base write: base %+v, records %+v", rv.Base, rv.Records)
 	}
 }
 
@@ -323,7 +345,7 @@ func TestWALFailpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rv.Records) != 2 || rv.LastCommitted() != 1 {
+	if len(rv.Records) != 2 {
 		t.Fatalf("post-failpoint recovery wrong: %+v", rv.Records)
 	}
 	// One crash per arming: re-opened WAL with the same (now disarmed)

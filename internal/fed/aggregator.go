@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"math/rand"
 	"time"
 
@@ -242,8 +241,8 @@ func (a *aggState) collect(ctx context.Context, reask []string) ([]*memberConn, 
 // evaluate when due, emit the record (history, OnRound, observers), and —
 // when the window advanced state — commit it and periodically fold the log
 // into the base checkpoint so replay time stays bounded. The order is the
-// same for every driver, so crash points land between the same record
-// pairs: the outer step is journaled before the record exists, the commit
+// same for every driver, so crash points land between the same records:
+// the window's updates are journaled before the record exists, the commit
 // after observers saw it. Without a server (the simulator) there is no
 // wire or membership to measure and no observer: its exchange stamped its
 // own accounting.
@@ -284,8 +283,14 @@ func (a *aggState) seal(w *window) error {
 	if !w.folded {
 		return nil
 	}
-	if err := a.commit(rec.Round, w.epoch); err != nil {
+	// The commit is the journal's one fsync; the registry then publishes
+	// the checkpoint it made durable.
+	if err := a.jrn.append(ckpt.Record{Type: a.commitRec, Round: rec.Round, Epoch: w.epoch}); err != nil {
 		return err
+	}
+	a.commits++
+	if a.registry != nil {
+		publishRegistry(a.registry, rec.Round, a.global, a.lineage)
 	}
 	if !a.jrn.enabled() || a.commits%compactEvery != 0 {
 		return nil
@@ -297,26 +302,13 @@ func (a *aggState) seal(w *window) error {
 	// momentum must be carried into the fresh log segment or a
 	// post-compaction resume would lose it.
 	var carry []ckpt.Record
-	if st := snapshotOuter(a.cfg.Outer); st != nil {
-		carry = append(carry, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: rec.Round, Member: snapOuter, Vec: st})
+	if so, ok := a.cfg.Outer.(OuterState); ok {
+		carry = append(carry, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: rec.Round, Member: snapOuter, Vec: so.Snapshot()})
 	}
 	if a.carry != nil {
 		carry = append(carry, a.carry()...)
 	}
 	return a.jrn.wal.Compact(base, carry)
-}
-
-// commit makes a window durable: the journal's one fsync, then the registry
-// publish of the checkpoint it produced.
-func (a *aggState) commit(round int, epoch uint64) error {
-	if err := a.jrn.commit(a.commitRec, round, epoch); err != nil {
-		return err
-	}
-	a.commits++
-	if a.registry != nil {
-		publishRegistry(a.registry, round, a.global, a.lineage)
-	}
-	return nil
 }
 
 // syncAggregator is the deadline-based synchronous mode: one collect →
@@ -358,18 +350,11 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 		if resumed {
 			resume.open = 0
 			done := make(map[string]bool, len(resume.pending))
-			for _, u := range resume.pending {
-				vec, err := a.s.decodeUpdate(u.payload, len(a.global))
-				if err != nil {
-					// Treated as never journaled: the member is re-asked
-					// and its cached reply answers.
-					log.Printf("fed: round %d: journaled update from %s skipped: %v", round, u.member, err)
-					continue
-				}
+			a.refold(resume.pending, func(u pendingUpdate, vec []float32) {
 				a.fold.add(vec, 1)
 				clientMetrics = append(clientMetrics, map[string]float64{})
 				done[u.member] = true
-			}
+			})
 			reask = make([]string, 0, len(resume.cohort))
 			for _, id := range resume.cohort {
 				if !done[id] {
@@ -437,17 +422,14 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 
 // step is where a sync round's fold goes, in Serve and in the simulator:
 // the uniform mean of the round's folded updates steps the outer optimizer
-// on the global model, the post-step state is journaled (adopted on replay
-// once the commit seals it), and the window is sealed. An empty round seals
-// without committing.
+// on the global model, and the window is sealed. Nothing of the post-step
+// state is journaled: replay redoes the step from the round's updates. An
+// empty round seals without committing.
 func (a *aggState) step(w *window, clientMetrics []map[string]float64) error {
 	if a.fold.n > 0 {
 		aggSpan := obsv.Begin(obsv.PhaseAggregate)
 		delta := a.fold.mean()
 		a.cfg.Outer.Step(a.global, delta, w.rec.Round)
-		if err := a.jrn.outerStep(w.rec.Round, a.global, a.cfg.Outer); err != nil {
-			return err
-		}
 		w.pn.Add(obsv.PhaseAggregate, aggSpan.End())
 		w.rec.UpdateNorm = norm2(delta)
 		w.rec.TrainLoss = metrics.AggMetrics(clientMetrics)["loss"]

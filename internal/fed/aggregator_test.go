@@ -16,9 +16,9 @@ import (
 )
 
 // TestSyncStepErrorKeepsCompletedHistory: a step that fails (here a crash
-// point armed on round 2's outer_step journal record, the way the crash
+// point armed on round 2's round_commit journal record, the way the crash
 // sweeps arm it) must end the run through fail, whose Result still carries
-// every completed round, with the crash as the cause.
+// every round recorded before the crash, with the crash as the cause.
 func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	cfg := tinyCfg()
 	fp := &ckpt.Failpoint{}
@@ -46,17 +46,22 @@ func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	if err := step(1); err != nil {
 		t.Fatal(err)
 	}
-	fp.Arm("wal:outer_step")
+	fp.Arm("wal:round_commit")
 	stepErr := step(2)
 	if !errors.Is(stepErr, ckpt.ErrFailpoint) {
-		t.Fatalf("armed outer_step did not fail the step: %v", stepErr)
+		t.Fatalf("armed round_commit did not fail the step: %v", stepErr)
 	}
 	res, err := a.fail(2, stepErr)
 	if !errors.Is(err, stepErr) {
 		t.Fatalf("fail lost the cause: %v", err)
 	}
-	if res == nil || res.History.Len() != 1 || res.History.Rounds[0].Round != 1 || res.History.Rounds[0].TrainLoss != 3 {
-		t.Fatalf("partial result does not carry the completed round: %+v", res)
+	if res == nil || res.History.Len() != 2 {
+		t.Fatalf("partial result does not carry rounds 1-2: %+v", res)
+	}
+	for i, r := range res.History.Rounds {
+		if r.Round != i+1 || r.TrainLoss != 3 {
+			t.Fatalf("partial result record %d: %+v", i, r)
+		}
 	}
 }
 

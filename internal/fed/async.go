@@ -19,7 +19,6 @@ package fed
 import (
 	"context"
 	"fmt"
-	"log"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -192,21 +191,14 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 	}()
 	a.win = a.open(a.version+1, a.traceID, time.Now())
 
-	// Resume: re-fold the journaled pending buffer in log order — without
+	// Resume: re-fold the journaled open buffer in log order — without
 	// re-journaling, the records are already durable. The weights replay
 	// exactly (the global version is constant while a buffer fills), so a
 	// full buffer re-commits to bit-identical params.
-	for _, u := range a.resume.pending {
-		vec, err := a.s.decodeUpdate(u.payload, len(a.global))
-		if err != nil {
-			// Treated as never journaled: the member shows as untrained at
-			// this version, its pump re-dispatches, its cached reply answers.
-			log.Printf("fed: journaled fold from %s (task %d) skipped: %v", u.member, u.task, err)
-			continue
-		}
+	a.refold(a.resume.pending, func(u pendingUpdate, vec []float32) {
 		a.bufferUpdate(u.member, u.trained, vec, map[string]float64{})
 		a.noteTrained(u.member, u.trained)
-	}
+	})
 	if err := a.flush(); err != nil {
 		return a.fail(a.version+1, err)
 	}
@@ -276,9 +268,8 @@ func (a *asyncAggregator) admit(ar asyncArrival) error {
 // staleness-weighted buffer.
 func (a *asyncAggregator) bufferUpdate(member string, version int, vec []float32, meta map[string]float64) {
 	stale := max(a.version-version, 0)
-	w := 1 / math.Pow(1+float64(stale), a.alpha)
 	span := obsv.Begin(obsv.PhaseAggregate)
-	a.fold.add(vec, w)
+	a.fold.add(vec, stalenessWeight(a.version, version, a.alpha))
 	a.win.pn.Add(obsv.PhaseAggregate, span.End())
 	a.bufStale += float64(stale)
 	a.bufMetrics = append(a.bufMetrics, meta)
@@ -291,10 +282,17 @@ func (a *asyncAggregator) bufferUpdate(member string, version int, vec []float32
 	a.gStale.Set(float64(stale))
 }
 
+// stalenessWeight is the weight an update trained on version trained folds
+// at while current is the committed version: 1/(1+s)^alpha, s = current −
+// trained (never negative). The live fold and replay's redo both use it.
+func stalenessWeight(current, trained int, alpha float64) float64 {
+	return 1 / math.Pow(1+float64(max(current-trained, 0)), alpha)
+}
+
 // commit is where the async fold goes: the buffer's weighted mean steps the
-// outer optimizer into a new global model version, the post-step state is
-// journaled, and the window is sealed — the same order the sync loop emits
-// in, so crash points land between the same record pairs.
+// outer optimizer into a new global model version and the window is sealed,
+// in the same order as the sync loop's step. Replay redoes the version from
+// the buffer's journaled folds.
 func (a *asyncAggregator) commit() error {
 	newVersion := a.version + 1
 	w := a.win
@@ -313,9 +311,6 @@ func (a *asyncAggregator) commit() error {
 	a.traceID = mintTrace(a.traceRng)
 	a.mu.Unlock()
 	w.pn.Add(obsv.PhaseAggregate, span.End())
-	if err := a.jrn.outerStep(newVersion, a.global, a.cfg.Outer); err != nil {
-		return err
-	}
 	w.rec.Clients, w.rec.Depth = a.fold.n, a.depth
 	w.rec.ModelVersion, w.rec.BufferFill = newVersion, a.fold.n
 	w.rec.MeanStaleness = a.bufStale / float64(a.fold.n)

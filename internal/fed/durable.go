@@ -8,21 +8,22 @@ package fed
 //	sync                                  async
 //	round_open(round, epoch, cohort IDs)  round_open(max task, "lease") — task-ID lease
 //	member_update(round, member, payload) buffer_fold(task, version, member, payload)
-//	outer_step(round, post-step params)   outer_step(version, post-step params)
-//	state_snapshot("outer", opt state)    state_snapshot("outer", opt state)
 //	round_commit(round, epoch)            version_commit(version, epoch)
 //
-// Everything before the commit is cheap (buffered appends); the commit
-// record is the only fsync, so journaling adds one disk flush per window.
-// A crash between records leaves a prefix the WAL replays verbatim, and both
-// drivers recover it by one rule: an outer_step and its state_snapshot are
-// trusted only once a commit seals them. Otherwise the resumed driver redoes
-// the step from the updates journaled after the last commit, folded in log
-// order — the order they were folded in before the crash — so the redo is
-// bit-exact. A sync round re-asks only the cohort members those updates do
-// not cover; an async buffer re-folds without asking anyone. The lease
-// records ensure a restarted async aggregator never reuses a dispatch task
-// ID that may have trained a member before the crash.
+// The journal holds inputs, never post-step state, and the commit record is
+// its only fsync. Every compactEvery commits the log folds into the base
+// checkpoint; the fresh segment starts with what a checkpoint cannot hold,
+// the outer optimizer's state_snapshot("outer") and the async lease.
+//
+// Replay has one rule: it always redoes. From the base params and carried
+// outer state, each committed window's updates fold again in log order and
+// the outer step re-runs. Log order is fold order — a driver journals and
+// folds each update in one loop — so the redo is bit-exact on one machine.
+// The updates after the last commit are the open window, which the resumed
+// driver finishes: a sync round re-asks only the cohort members they do not
+// cover; an async buffer re-folds without asking anyone. The lease records
+// keep a restarted async aggregator from reusing a dispatch task ID that
+// may have trained a member before the crash.
 //
 // Relays journal a smaller protocol: the encoded upstream reply bytes
 // (member "up"), the upstream codec's error-feedback residual
@@ -104,26 +105,6 @@ func (j *journal) memberUpdate(round int, member string, p link.EncodedPayload) 
 	return j.append(ckpt.Record{Type: ckpt.RecMemberUpdate, Round: round, Member: member, Data: encodePayloadBytes(p)})
 }
 
-// outerStep journals the post-step global parameters plus the outer
-// optimizer's state. Replay adopts the pair once the window's commit seals
-// it.
-func (j *journal) outerStep(round int, global []float32, outer OuterOpt) error {
-	if !j.enabled() {
-		return nil // skip the state copy
-	}
-	recs := []ckpt.Record{{Type: ckpt.RecOuterStep, Round: round, Vec: global}}
-	if st := snapshotOuter(outer); st != nil {
-		recs = append(recs, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: round, Member: snapOuter, Vec: st})
-	}
-	return j.append(recs...)
-}
-
-// commit seals a window — a sync or relay round (RecRoundCommit) or an async
-// model version (RecVersionCommit). It is the journal's fsync barrier.
-func (j *journal) commit(typ ckpt.RecordType, round int, epoch uint64) error {
-	return j.append(ckpt.Record{Type: typ, Round: round, Epoch: epoch})
-}
-
 // upstreamReply journals what a relay sent upstream for a round: the exact
 // encoded bytes, so redelivery after a crash re-sends them without
 // re-encoding (which would double-apply an error-feedback codec's
@@ -183,31 +164,42 @@ func leaseRecord(leasedThrough int) ckpt.Record {
 	return ckpt.Record{Type: ckpt.RecRoundOpen, Round: leasedThrough, Member: asyncLeaseMember}
 }
 
-// pendingUpdate is one update journaled after the last commit.
+// pendingUpdate is one journaled update.
 type pendingUpdate struct {
 	member  string              // member that produced it
+	round   int                 // sync: round it was journaled for (async: 0)
 	task    int                 // async: dispatch task ID it answered
 	trained int                 // async: global model version it was trained on
 	payload link.EncodedPayload // the update as received
 }
 
+// replayWindow is one committed window: its round (sync) or new version
+// (async), and its updates in log order.
+type replayWindow struct {
+	step    int
+	updates []pendingUpdate
+}
+
 // walResume is the aggregator state a WAL replay recovers, for either driver.
 type walResume struct {
 	committed int             // last committed round or version (0: none)
-	global    []float32       // params as of the newest sealed step / base
-	outer     []float32       // outer optimizer state as of the newest sealed snapshot
+	global    []float32       // base params (nil: fresh init)
+	outer     []float32       // outer optimizer state carried with the base
+	windows   []replayWindow  // windows committed after the base, in log order
 	open      int             // sync: round opened after the last commit (0: none)
 	cohort    []string        // sync: that round's journaled cohort
-	pending   []pendingUpdate // updates journaled after the last commit, in log order
+	pending   []pendingUpdate // the open window's updates, in log order
 	maxTask   int             // async: highest task ID leased or journaled
 }
 
-// replayWAL folds a recovery into resume state. foldRec is the record type
-// the driver journals its updates as: member_update (sync) or buffer_fold
-// (async). Post-step state is adopted only when a commit seals it; an
-// unsealed step is discarded for the driver to redo from pending (see the
-// file comment). The WAL layer guarantees Records is a valid prefix, so
-// replay is infallible: unknown or out-of-order records are skipped.
+// replayWAL splits a recovery into the base, the committed windows and the
+// open window. foldRec is the record type the driver journals updates as:
+// member_update (sync) or buffer_fold (async). A commit takes the updates
+// journaled for its round or earlier (async ones carry no round), so a sync
+// round opened past an empty one stays open with its own. A crash inside a
+// compaction can leave the old log beside the new base: windows the base
+// holds are dropped, and the carry is the outer snapshot stamped with the
+// base's round. Records is a valid prefix, so replay is infallible.
 func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 	res := &walResume{}
 	if rv == nil {
@@ -216,13 +208,13 @@ func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 	if rv.Base != nil {
 		res.committed, res.global = rv.Base.Round, rv.Base.Params
 	}
-	var stepGlobal, stepOuter []float32 // the unsealed step, if any
+	base := res.committed
 	for _, rec := range rv.Records {
 		switch rec.Type {
 		case ckpt.RecRoundOpen:
 			if rec.Member == asyncLeaseMember {
 				res.maxTask = max(res.maxTask, rec.Round)
-			} else {
+			} else if rec.Round >= res.open {
 				res.open, res.cohort = rec.Round, rec.IDs
 			}
 		case ckpt.RecMemberUpdate, ckpt.RecBufferFold:
@@ -236,33 +228,81 @@ func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 			if !ok {
 				break // unreadable: as if never journaled, the member is re-asked
 			}
-			res.pending = append(res.pending, pendingUpdate{member: rec.Member, task: rec.Round, trained: int(rec.Epoch), payload: p})
-		case ckpt.RecOuterStep:
-			stepGlobal, stepOuter = rec.Vec, nil
-		case ckpt.RecStateSnapshot:
-			if rec.Member != snapOuter {
-				break
+			u := pendingUpdate{member: rec.Member, task: rec.Round, trained: int(rec.Epoch), payload: p}
+			if rec.Type == ckpt.RecMemberUpdate {
+				u.round = rec.Round
 			}
-			if stepGlobal != nil {
-				stepOuter = rec.Vec
-			} else {
-				// A compacted log carries the committed outer state as a
-				// bare snapshot with no step before it.
+			res.pending = append(res.pending, u)
+		case ckpt.RecStateSnapshot:
+			if rec.Member == snapOuter && rec.Round == base {
 				res.outer = rec.Vec
 			}
 		case ckpt.RecRoundCommit, ckpt.RecVersionCommit:
+			var win []pendingUpdate
+			keep := res.pending[:0]
+			for _, u := range res.pending {
+				if u.round <= rec.Round {
+					win = append(win, u)
+				} else {
+					keep = append(keep, u)
+				}
+			}
+			res.pending = keep
+			if rec.Round > base {
+				res.windows = append(res.windows, replayWindow{step: rec.Round, updates: win})
+			}
 			res.committed = max(res.committed, rec.Round)
-			if stepGlobal != nil {
-				res.global = stepGlobal
+			if res.open <= rec.Round {
+				res.open, res.cohort = 0, nil
 			}
-			if stepOuter != nil {
-				res.outer = stepOuter
-			}
-			stepGlobal, stepOuter = nil, nil
-			res.open, res.cohort, res.pending = 0, nil, res.pending[:0]
 		}
 	}
 	return res
+}
+
+// refold is the one loop that folds journaled updates back, for both
+// drivers and both kinds of window: decode in log order, hand each to fold.
+// One that does not decode is skipped as if never journaled; decodeUpdate
+// is deterministic, so a redone window skips what the live run skipped.
+func (a *aggState) refold(updates []pendingUpdate, fold func(u pendingUpdate, vec []float32)) {
+	for _, u := range updates {
+		vec, err := a.s.decodeUpdate(u.payload, len(a.global))
+		if err != nil {
+			log.Printf("fed: journaled update from %s skipped: %v", u.member, err)
+			continue
+		}
+		fold(u, vec)
+	}
+}
+
+// restore brings a fresh aggState to what replay recovered: the base params,
+// the carried outer state, then each committed window redone at its
+// staleness weights (alpha 0, weight 1, for sync) and re-stepped. It touches
+// only global, the fold and the optimizer — not history, observers, the
+// registry or the journal.
+func (a *aggState) restore(res *walResume) error {
+	if err := a.initModel(res.global); err != nil {
+		return err
+	}
+	if so, ok := a.cfg.Outer.(OuterState); ok && len(res.outer) > 0 {
+		if err := so.Restore(res.outer); err != nil {
+			return err
+		}
+	}
+	alpha := 0.0
+	if a.cfg.Async != nil {
+		alpha = a.cfg.Async.norm().Alpha
+	}
+	for _, w := range res.windows {
+		a.fold.reset(len(a.global))
+		a.refold(w.updates, func(u pendingUpdate, vec []float32) {
+			a.fold.add(vec, stalenessWeight(w.step-1, u.trained, alpha))
+		})
+		if a.fold.n > 0 {
+			a.cfg.Outer.Step(a.global, a.fold.mean(), w.step)
+		}
+	}
+	return nil
 }
 
 // recoverReply seeds a relay's parent-side session from its journal: the last

@@ -27,8 +27,9 @@ type OuterOpt interface {
 
 // OuterState is implemented by server optimizers that carry state across
 // rounds (momentum buffers). The durable control plane snapshots it into
-// the WAL after every outer step and restores it on resume, so a restarted
-// aggregator's optimizer continues from the exact pre-crash trajectory.
+// the WAL at every compaction and restores it on resume, then re-steps it
+// through the windows committed since, so a restarted aggregator's
+// optimizer continues from the exact pre-crash trajectory.
 // FedAvg is stateless and does not implement it.
 type OuterState interface {
 	// Snapshot returns a copy of the optimizer state (nil before the
@@ -37,23 +38,6 @@ type OuterState interface {
 	// Restore replaces the optimizer state with a copy of s; nil or empty
 	// resets to the fresh-optimizer state.
 	Restore(s []float32) error
-}
-
-// snapshotOuter copies an optimizer's state, nil for stateless ones.
-func snapshotOuter(o OuterOpt) []float32 {
-	if s, ok := o.(OuterState); ok {
-		return s.Snapshot()
-	}
-	return nil
-}
-
-// restoreOuter restores a snapshot taken by snapshotOuter; a no-op for
-// stateless optimizers.
-func restoreOuter(o OuterOpt, s []float32) error {
-	if so, ok := o.(OuterState); ok && len(s) > 0 {
-		return so.Restore(s)
-	}
-	return nil
 }
 
 // copyState is the shared Snapshot/Restore plumbing for the momentum

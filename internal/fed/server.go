@@ -393,22 +393,20 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 
 	// One replay for both modes; they differ only in the record type that
 	// journals an update, so a WAL written in one mode does not resume the
-	// other. The recovered params overwrite the fresh init in place.
+	// other. The base params overwrite the fresh init in place, and the
+	// committed windows are redone on top of them.
 	foldRec := ckpt.RecMemberUpdate
 	if cfg.Async != nil {
 		foldRec = ckpt.RecBufferFold
 	}
 	resume := replayWAL(recovered, foldRec)
-	if err := st.initModel(resume.global); err != nil {
+	if err := st.restore(resume); err != nil {
 		return nil, err
 	}
 	// lineage stamps registry manifests with enough to reproduce the job.
 	st.lineage = map[string]string{
 		"job": fmt.Sprintf("seed=%d rounds=%d expect=%d cohort=%d codec=%s outer=%s params=%d",
 			cfg.Seed, cfg.Rounds, cfg.ExpectClients, st.k, s.codecName, cfg.Outer.Name(), len(st.global)),
-	}
-	if err := restoreOuter(cfg.Outer, resume.outer); err != nil {
-		return nil, err
 	}
 	st.sentPrev, st.recvPrev = s.meter.Totals()
 	if cfg.Async != nil {
