@@ -197,6 +197,10 @@ func plainLine(addr string, ev fed.ObserveEvent) string {
 	if r.CompressionRatio > 0 {
 		line += fmt.Sprintf(" ratio=%.2f", r.CompressionRatio)
 	}
+	if r.ModelVersion == 0 {
+		// Sync rounds: how many members were sent a delta, not the full model.
+		line += fmt.Sprintf(" delta=%d", r.DeltaBroadcasts)
+	}
 	if r.SlowestID != "" {
 		line += fmt.Sprintf(" slowest=%s/%s", r.SlowestID, r.SlowestPhase)
 	}
@@ -252,6 +256,9 @@ func renderFeed(sb *strings.Builder, f feed, now time.Time) {
 	}
 	if r.CompressionRatio > 0 {
 		line += fmt.Sprintf(" ratio=%.2f", r.CompressionRatio)
+	}
+	if r.ModelVersion == 0 {
+		line += fmt.Sprintf(" delta=%d", r.DeltaBroadcasts)
 	}
 	if r.HeartbeatRTTMs > 0 {
 		line += fmt.Sprintf(" rtt=%.1f/%.1fms(p99)", r.HeartbeatRTTMs, r.HeartbeatRTTP99Ms)

@@ -3,6 +3,7 @@ package fed
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sync"
@@ -117,6 +118,7 @@ type memberConn struct {
 	conn    *link.Conn
 	updates chan *link.Message // latest-wins buffer of MsgUpdate replies
 	dead    chan struct{}      // closed when the reader exits (conn lost)
+	held    atomic.Int64       // link.HeldKey of the member's last accepted update
 }
 
 // server is the state shared between the accept loop, per-member readers,
@@ -133,6 +135,11 @@ type server struct {
 	codecID   uint8
 	codec     link.Codec
 	modelEnc  link.Codec
+
+	// prev is the model the last exchangeRound broadcast (lossless model
+	// codecs only) and prevRound its round, 0 before the first.
+	prev      []float32
+	prevRound int
 
 	// meter sums real wire bytes over every member connection; per-round
 	// deltas ground the round records' communication cost in measured
@@ -633,6 +640,7 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 			}
 			s.totals.payloadBytes.Add(int64(msg.Payload.WireBytes()))
 			s.totals.denseBytes.Add(int64(msg.Payload.Elems) * 4)
+			mc.held.Store(int64(msg.Meta[link.HeldKey]))
 			a.update, a.payload, a.meta = vec, msg.Payload, msg.Meta
 			a.latency = time.Since(start)
 			return a, true
@@ -644,8 +652,52 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 	}
 }
 
-// exchangeRound runs window w's broadcast and collection: encode global
-// once with the negotiated codec, ask every cohort member, and fold each
+// encodeBroadcast returns each cohort member's model frame, building each
+// encoding only if a member needs it: a delta against the previous broadcast,
+// stamped with its round and the model's checksum, for a member whose last
+// update echoed holding it, unless the delta does not pay; the full frame for
+// everyone else. It counts the deltas and makes global the previous broadcast.
+func (s *server) encodeBroadcast(round int, global []float32, cohort []*memberConn, meta map[string]float64) (frames []link.Message, deltas int, err error) {
+	useDelta := make([]bool, len(cohort))
+	for i, mc := range cohort {
+		if useDelta[i] = s.prevRound != 0 && mc.held.Load() == int64(s.prevRound); useDelta[i] {
+			deltas++
+		}
+	}
+	delta, kept := link.Message{Meta: maps.Clone(meta)}, false
+	if deltas > 0 { // EncodeDelta also copies global into prev
+		if delta.Payload, kept, err = link.EncodeDelta(s.modelEnc, s.prev, global); err != nil {
+			return nil, 0, err
+		}
+	} else if link.CanDelta(s.modelEnc) {
+		s.prev = append(s.prev[:0], global...)
+	}
+	if kept {
+		delta.Meta[link.BaseRoundKey] = float64(s.prevRound)
+		delta.Meta[link.ModelCRCKey] = float64(link.Checksum(global))
+	} else {
+		deltas = 0
+	}
+	if link.CanDelta(s.modelEnc) {
+		s.prevRound = round
+	}
+	full := link.Message{Meta: meta}
+	if deltas < len(cohort) {
+		if full.Payload, err = link.EncodeVector(s.modelEnc, global); err != nil {
+			return nil, 0, err
+		}
+	}
+	frames = make([]link.Message, len(cohort))
+	for i := range frames {
+		if frames[i] = full; useDelta[i] && kept {
+			frames[i] = delta
+		}
+	}
+	return frames, deltas, nil
+}
+
+// exchangeRound runs window w's broadcast and collection: encode global for
+// the cohort (encodeBroadcast), ask every cohort member, and fold each
 // decoded update into fold at weight 1 until all answer or fail, the round
 // deadline expires, or ctx is cancelled (interrupted=true discards the
 // round). Each update is journaled to jrn (nil: not at all) before it is
@@ -661,14 +713,6 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 // residual. The codec wall times and compression ratio land on w.rec.
 func (s *server) exchangeRound(ctx context.Context, w *window, global []float32, cohort []*memberConn, resume bool, jrn *journal, fold *meanFold) (clientMetrics []map[string]float64, interrupted bool, err error) {
 	round, traceID := w.rec.Round, w.rec.TraceID
-	encSpan := obsv.Begin(obsv.PhaseEncode)
-	encModel, err := link.EncodeVector(s.modelEnc, global)
-	if err != nil {
-		return nil, false, err
-	}
-	encNs := encSpan.End()
-	base := s.totals.load()
-
 	meta := map[string]float64{link.TraceKey: float64(traceID)}
 	if resume {
 		// Redelivery of an in-flight round after a crash: a member that
@@ -676,14 +720,23 @@ func (s *server) exchangeRound(ctx context.Context, w *window, global []float32,
 		// advancing its data stream a second time.
 		meta[link.ResumeKey] = 1
 	}
+	encSpan := obsv.Begin(obsv.PhaseEncode)
+	frames, deltas, err := s.encodeBroadcast(round, global, cohort, meta)
+	if err != nil {
+		return nil, false, err
+	}
+	encNs := encSpan.End()
+	w.rec.DeltaBroadcasts += deltas
+	base := s.totals.load()
+
 	results := make(chan answer, len(cohort))
 	stop := make(chan struct{})
 	defer close(stop)
-	for _, mc := range cohort {
-		go func(mc *memberConn) {
-			a, _ := s.ask(mc, round, meta, encModel, s.cfg.RoundDeadline, stop)
+	for i, mc := range cohort {
+		go func(mc *memberConn, f link.Message) {
+			a, _ := s.ask(mc, round, f.Meta, f.Payload, s.cfg.RoundDeadline, stop)
 			results <- a // buffered for the whole cohort: never blocks, even after stop
-		}(mc)
+		}(mc, frames[i])
 	}
 
 	var deadlineC <-chan time.Time

@@ -23,6 +23,12 @@ const handshakeTimeout = 10 * time.Second
 // and training errors are deterministic and not worth retrying.
 var ErrSessionLost = errors.New("fed: session lost")
 
+// ErrBaseMismatch refuses a delta broadcast the member cannot use: its base
+// round is not the model the member holds, or the model it rebuilds fails the
+// frame's checksum. The member drops its held model and the session counts as
+// lost, so a resilient member reconnects and is sent a full frame.
+var ErrBaseMismatch = fmt.Errorf("fed: delta broadcast does not match the held model: %w", ErrSessionLost)
+
 // Handshake performs the client half of the join protocol on a fresh
 // connection: wait for the aggregator's codec announcement, verify the
 // codec is locally available (and equals require, when non-empty), and ack
@@ -150,6 +156,11 @@ type memberSession struct {
 
 	enc     link.Codec
 	encName string
+	// held is the model this member last decoded and heldRound its round (0:
+	// none), echoed as link.HeldKey on every update: the base a delta
+	// broadcast applies to.
+	held      []float32
+	heldRound int32
 	// restore is codec state recovered from a WAL, applied once to the
 	// codec the next handshake instantiates; a codec that survived
 	// in-process already carries its state.
@@ -279,6 +290,7 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 		if m.cacheHasVer {
 			meta[link.VersionKey] = m.cacheVersion
 		}
+		meta[link.HeldKey] = float64(m.heldRound)
 		return m.reply(ctx, conn, msg.Round, meta, m.cacheReply)
 	}
 	// Size-check before decoding so a corrupt or hostile element count can
@@ -289,7 +301,7 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	}
 	t := roundTask{msg: msg, start: time.Now()}
 	decSpan := obsv.Begin(obsv.PhaseDecode)
-	global, err := link.DecodePayload(m.enc, msg.Payload)
+	global, err := m.decodeModel(msg)
 	t.decNs = decSpan.End()
 	if err != nil {
 		return fmt.Errorf("fed: %s round %d model: %w", m.name, msg.Round, err)
@@ -323,6 +335,7 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	r.meta[link.PhaseTrainNsKey] = float64(workNs)
 	r.meta[link.PhaseEncNsKey] = float64(encNs)
 	r.meta[link.PhaseDecNsKey] = float64(t.decNs)
+	r.meta[link.HeldKey] = float64(m.heldRound)
 	if traceID != 0 {
 		r.meta[link.TraceKey] = float64(traceID)
 	}
@@ -349,6 +362,22 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	}
 	*prev = cur
 	return r.sent(st)
+}
+
+// decodeModel decodes a broadcast, a delta one against the held model, and
+// holds the result; a broadcast that fails to decode drops the held model.
+func (m *memberSession) decodeModel(msg *link.Message) (global []float32, err error) {
+	if msg.Payload.CodecID != link.CodecDelta {
+		global, err = link.DecodePayload(m.enc, msg.Payload)
+	} else if base := msg.Meta[link.BaseRoundKey]; m.held == nil || base != float64(m.heldRound) {
+		err = fmt.Errorf("%w: it applies to round %v, the member holds round %d", ErrBaseMismatch, base, m.heldRound)
+	} else if global, err = link.ApplyDelta(m.held, msg.Payload); err == nil && float64(link.Checksum(global)) != msg.Meta[link.ModelCRCKey] {
+		global, err = nil, fmt.Errorf("%w: the rebuilt model fails its checksum", ErrBaseMismatch)
+	}
+	if m.held, m.heldRound = global, 0; global != nil {
+		m.heldRound = msg.Round
+	}
+	return global, err
 }
 
 // reply sends one MsgUpdate, mapping a transport failure to ErrSessionLost.

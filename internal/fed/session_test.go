@@ -287,6 +287,18 @@ func TestMemberSession(t *testing.T) {
 				worked(4)
 			}
 
+			// (e) A redelivery echoes the round of the model the member holds,
+			// the last it decoded: 22 for a leaf, 30 for a relay that decoded
+			// round 30 and had no cohort to serve it.
+			held := 22.0
+			if emptyCohort != nil {
+				held = 30
+			}
+			p.broadcast(22, map[string]float64{link.ResumeKey: 1})
+			if u := p.update(22); u.Meta[link.HeldKey] != held {
+				t.Fatalf("redelivery echoes held round %v, want %v", u.Meta[link.HeldKey], held)
+			}
+
 			p.send(&link.Message{Type: link.MsgShutdown})
 			if err := <-done; err != nil {
 				t.Fatalf("member ended with %v after a clean shutdown", err)

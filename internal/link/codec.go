@@ -132,7 +132,9 @@ func IsUpdateOnly(c Codec) bool {
 
 // ModelCodec returns the codec to use for full-model broadcasts under a
 // negotiated session codec: c itself, unless c is update-only, in which
-// case the lossless flate codec stands in.
+// case the lossless flate codec stands in. When that is dense or flate
+// (CanDelta), a member holding the previous broadcast may be sent the next
+// as a delta against it instead, its changed values in this codec.
 func ModelCodec(c Codec) Codec {
 	if IsUpdateOnly(c) {
 		return FlateCodec{}
@@ -148,6 +150,10 @@ const (
 	CodecFlate uint8 = 2
 	CodecQ8    uint8 = 3
 	CodecTopK  uint8 = 4
+	// CodecDelta marks a model encoded against one its receiver already
+	// holds (EncodeDelta, ApplyDelta). It is not a negotiable codec: no
+	// name maps to it.
+	CodecDelta uint8 = 5
 
 	customIDBase = 16
 )
@@ -286,8 +292,10 @@ func EncodeVector(c Codec, v []float32) (EncodedPayload, error) {
 // stateful) session instance, the lossless built-ins dense and flate are
 // always accepted (the model-broadcast fallback for update-only codecs,
 // flate's own dense fallback for vectors it cannot shrink, and payloads built
-// with Dense), and anything else is a codec mismatch — the fail-fast half of
-// the join-time negotiation, catching a peer that changed codecs mid-stream.
+// with Dense), a delta is refused with ErrDeltaNeedsBase (only ApplyDelta,
+// given the model it was encoded against, decodes one), and anything else is
+// a codec mismatch — the fail-fast half of the join-time negotiation,
+// catching a peer that changed codecs mid-stream.
 func DecodePayload(session Codec, p EncodedPayload) ([]float32, error) {
 	if p.IsZero() {
 		return nil, nil
@@ -300,6 +308,8 @@ func DecodePayload(session Codec, p EncodedPayload) ([]float32, error) {
 		return DenseCodec{}.Decode(p)
 	case CodecFlate:
 		return FlateCodec{}.Decode(p)
+	case CodecDelta:
+		return nil, ErrDeltaNeedsBase
 	}
 	got := CodecNameByID(p.CodecID)
 	if got == "" {

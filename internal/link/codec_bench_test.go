@@ -2,6 +2,7 @@ package link
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -100,6 +101,64 @@ func BenchmarkCodecDecode(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// deltaPair is the broadcast shape a delta round sees: a model and the next
+// one, with deltaChanged of the coordinates moved.
+const deltaChanged = 0.18
+
+func deltaPair() (prev, next []float32) {
+	prev = benchModel(1, broadcastElems)
+	next = slices.Clone(prev)
+	rng := rand.New(rand.NewSource(5))
+	for i := range next {
+		if rng.Float64() < deltaChanged {
+			next[i] += float32(rng.NormFloat64()) * 1e-3
+		}
+	}
+	return prev, next
+}
+
+// BenchmarkDeltaEncode measures the server's delta encode at the broadcast
+// shape under flate: compare, gather and copy into the held model, then the
+// values' flate encode. Iterations alternate direction so every one sees
+// the same number of changed coordinates.
+func BenchmarkDeltaEncode(b *testing.B) {
+	prev, next := deltaPair()
+	held := slices.Clone(prev)
+	b.SetBytes(int64(len(next)) * 4)
+	b.ResetTimer()
+	var wireBytes int
+	for i := 0; i < b.N; i++ {
+		cur := next
+		if i%2 == 1 {
+			cur = prev
+		}
+		p, ok, err := EncodeDelta(FlateCodec{}, held, cur)
+		if err != nil || !ok {
+			b.Fatalf("delta not kept: ok=%v err=%v", ok, err)
+		}
+		wireBytes = p.WireBytes()
+	}
+	b.ReportMetric(float64(wireBytes)/float64(len(next)), "wireB/elem")
+	b.ReportMetric(float64(wireBytes)/float64(4*len(next)), "ratio")
+}
+
+// BenchmarkDeltaApply measures the member's side: rebuild the model from
+// the one it holds.
+func BenchmarkDeltaApply(b *testing.B) {
+	prev, next := deltaPair()
+	p, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next)
+	if err != nil || !ok {
+		b.Fatalf("delta not kept: ok=%v err=%v", ok, err)
+	}
+	b.SetBytes(int64(len(next)) * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ApplyDelta(prev, p); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

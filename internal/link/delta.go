@@ -1,0 +1,171 @@
+package link
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/bits"
+	"runtime"
+	"slices"
+	"unsafe"
+)
+
+// deltaFloor is the most bytes per element a kept delta may cost: the floor
+// of a full flate frame, whose sign+mantissa remainder travels raw.
+const deltaFloor = 3
+
+// ErrDeltaNeedsBase is DecodePayload's refusal of a delta payload: only
+// ApplyDelta, given the model it was encoded against, decodes one.
+var ErrDeltaNeedsBase = errors.New("link: a delta payload decodes only against its base model (ApplyDelta)")
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// CanDelta reports whether broadcasts under the model codec c may travel as
+// deltas: only a lossless codec leaves the receiver holding the sender's bits.
+func CanDelta(c Codec) bool {
+	_, dense := c.(DenseCodec)
+	_, flate := c.(FlateCodec)
+	return dense || flate
+}
+
+// EncodeDelta encodes cur as a delta against base, the model its receiver
+// holds: u32 bitmapLen | bitmap (little-endian 64-bit words, bit i%64 of word
+// i/64 set when element i's bits changed) | u8 inner codec ID | the changed
+// values in index order, encoded by model. ok is false, and the caller sends
+// the full frame, when model is lossy or the delta would cost deltaFloor
+// bytes per element or more. Comparing, gathering and copying cur into base
+// are one pass: on return base equals cur whatever ok says.
+//
+//photon:allocok
+func EncodeDelta(model Codec, base, cur []float32) (p EncodedPayload, ok bool, err error) {
+	n, bitmapLen := len(cur), 8*((len(cur)+63)/64)
+	if len(base) != n {
+		return p, false, fmt.Errorf("link: delta base has %d elements, model %d", len(base), n)
+	}
+	if !CanDelta(model) {
+		copy(base, cur)
+		return p, false, nil
+	}
+	data, vals := make([]byte, 5+bitmapLen), make([]float32, n)
+	bitmap := data[4 : 4+bitmapLen]
+	var k int
+	if h := n / 2 &^ 63; h >= planeBlock && runtime.GOMAXPROCS(0) > 1 {
+		// Two halves on two cores, as deflatePlane splits its blocks; the
+		// second half's values then move up behind the first's.
+		var k2 int
+		done := make(chan struct{})
+		go func() { k2 = diffGather(bitmap[h/8:], vals[h:], base[h:], cur[h:]); close(done) }()
+		k = diffGather(bitmap[:h/8], vals[:h], base[:h], cur[:h])
+		<-done
+		k += copy(vals[k:], vals[h:h+k2])
+	} else {
+		k = diffGather(bitmap, vals, base, cur)
+	}
+	if bitmapLen+3*k >= deltaFloor*n { // either inner codec spends 3 bytes or more on a value
+		return p, false, nil
+	}
+	inner, err := EncodeVector(model, vals[:k])
+	if err != nil || 5+bitmapLen+len(inner.Data) >= deltaFloor*n {
+		return p, false, err
+	}
+	binary.LittleEndian.PutUint32(data, uint32(bitmapLen))
+	data[4+bitmapLen] = max(inner.CodecID, CodecDense) // no values: the empty payload, ID 0
+	return EncodedPayload{CodecID: CodecDelta, Elems: n, Data: append(data, inner.Data...)}, true, nil
+}
+
+// diffGather marks in bitmap the elements whose bits differ between base and
+// cur, gathers cur's values there into vals, copies cur into base, and
+// returns how many it marked. Per 64 elements diffWord builds the bitmap
+// word while it copies; the marked values are then gathered from cache.
+//
+//photon:hotpath
+func diffGather(bitmap []byte, vals, base, cur []float32) int {
+	k := 0
+	for lo := 0; lo < len(cur); lo += 64 {
+		c := cur[lo:min(lo+64, len(cur))]
+		word := diffWord(base[lo:lo+len(c)], c)
+		binary.LittleEndian.PutUint64(bitmap[lo/8:], word)
+		for ; word != 0; word &= word - 1 {
+			vals[k] = c[bits.TrailingZeros64(word)]
+			k++
+		}
+	}
+	return k
+}
+
+// diffWord returns the bitmap word of up to 64 elements (bit j set when b[j]
+// and c[j] differ in any bit) and copies c into b. It is branch-free, and a
+// function of its own so that the word stays in a register.
+//
+//go:noinline
+//photon:hotpath
+func diffWord(b, c []float32) uint64 {
+	b = b[:len(c)]
+	var word uint64
+	for j, x := range c {
+		// Adding 2³²−1 to the XOR carries into bit 32 exactly when the bits
+		// differ; that bit enters the word from the top.
+		word = word>>1 | (uint64(math.Float32bits(x)^math.Float32bits(b[j]))+math.MaxUint32)>>32<<63
+		b[j] = x
+	}
+	return word >> (64 - len(c))
+}
+
+// ApplyDelta rebuilds the model a delta payload encodes from base, the model
+// it was encoded against, into a new vector. Every length is checked before
+// anything is allocated for it: the bitmap must cover exactly Elems elements
+// and mark none past them, and the values must be a dense or flate payload
+// of exactly as many elements as it marks.
+//
+//photon:allocok
+func ApplyDelta(base []float32, p EncodedPayload) ([]float32, error) {
+	n, bitmapLen := p.Elems, 8*((p.Elems+63)/64)
+	switch {
+	case p.CodecID != CodecDelta:
+		return nil, fmt.Errorf("link: payload codec id %d is not a delta", p.CodecID)
+	case len(base) != n:
+		return nil, fmt.Errorf("link: delta of %d elems against a %d-element base", n, len(base))
+	case len(p.Data) < 5+bitmapLen || binary.LittleEndian.Uint32(p.Data) != uint32(bitmapLen):
+		return nil, fmt.Errorf("link: delta payload of %d bytes lacks the %d-byte bitmap of %d elems", len(p.Data), bitmapLen, n)
+	case n%64 != 0 && binary.LittleEndian.Uint64(p.Data[4+bitmapLen-8:])>>(n%64) != 0:
+		return nil, fmt.Errorf("link: delta bitmap marks elements past %d", n)
+	}
+	bitmap := p.Data[4 : 4+bitmapLen]
+	inner := EncodedPayload{CodecID: p.Data[4+bitmapLen], Data: p.Data[5+bitmapLen:]}
+	for i := 0; i < bitmapLen; i += 8 {
+		inner.Elems += bits.OnesCount64(binary.LittleEndian.Uint64(bitmap[i:]))
+	}
+	// Dense or flate, nothing else; either decodes exactly Elems values.
+	vals, err := DecodePayload(nil, inner)
+	if err != nil {
+		return nil, fmt.Errorf("link: delta values: %w", err)
+	}
+	out := slices.Clone(base)
+	scatter(out, bitmap, vals)
+	return out, nil
+}
+
+// scatter writes vals, in order, to the elements of out that bitmap marks.
+//
+//photon:hotpath
+func scatter(out []float32, bitmap []byte, vals []float32) {
+	k := 0
+	for i := 0; i < len(bitmap); i += 8 {
+		for word := binary.LittleEndian.Uint64(bitmap[i:]); word != 0; word &= word - 1 {
+			out[8*i+bits.TrailingZeros64(word)] = vals[k]
+			k++
+		}
+	}
+}
+
+// Checksum is the CRC-32C of v's little-endian bytes, which a delta frame
+// carries so its receiver can verify the model it rebuilt. On a
+// little-endian host those bytes are v's own memory, summed in place.
+func Checksum(v []float32) uint32 {
+	if len(v) > 0 && binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
+		return crc32.Checksum(unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), 4*len(v)), castagnoli)
+	}
+	return crc32.Checksum(payloadBytes(v), castagnoli)
+}

@@ -120,6 +120,16 @@ const ResumeKey = "resume"
 // are confined to 52 bits and survive the float round-trip exactly.
 const VersionKey = "model_version"
 
+// Delta broadcast keys. Every MsgUpdate carries HeldKey, the round of the
+// model the member last decoded (0: none). A MsgModel whose payload is a
+// delta against that model (CodecDelta) carries BaseRoundKey, the round it
+// applies to, and ModelCRCKey, the Checksum of the model it rebuilds.
+const (
+	HeldKey      = "held_round"
+	BaseRoundKey = "base_round"
+	ModelCRCKey  = "model_crc"
+)
+
 // Per-phase self-report keys members stamp on MsgUpdate Meta, letting the
 // aggregator split each member's round latency into local compute, codec
 // work, and wire residual.

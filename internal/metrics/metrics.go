@@ -50,6 +50,10 @@ type Round struct {
 	// milliseconds.
 	EncodeMs float64
 	DecodeMs float64
+	// DeltaBroadcasts is the number of members sent the model as a delta
+	// against the one they held rather than in full (networked sync tiers
+	// only; 0 elsewhere).
+	DeltaBroadcasts int
 	// UpdateNorm is the L2 norm of the aggregated pseudo-gradient (0 for
 	// the centralized and client backends).
 	UpdateNorm float64
