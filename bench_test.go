@@ -91,7 +91,7 @@ func benchTinyModel() (*nn.Model, nn.Batch) {
 	cfg := nn.ConfigTiny
 	cfg.SeqLen = 16
 	m := nn.NewModel(cfg, rand.New(rand.NewSource(1)))
-	st := data.NewSourceStream(data.C4Like(cfg.VocabSize), 2)
+	st := data.NewShard(data.C4Like(cfg.VocabSize), 0, 2)
 	return m, st.NextBatch(4, 16)
 }
 

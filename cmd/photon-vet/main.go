@@ -1,7 +1,8 @@
 // photon-vet runs the photon static-analyzer suite (internal/lint) over the
-// module: hotpath-alloc, seeded-rand, locked-blocking, no-wallclock, and
-// ctx-first. It is CI's compile-time guard for the invariants the paper's
-// performance and fault-tolerance claims depend on.
+// module: hotpath-alloc, seeded-rand, locked-blocking, no-wallclock,
+// ctx-first, and unused-export. It is CI's compile-time guard for the
+// invariants the paper's performance and fault-tolerance claims depend on,
+// and for the rule that no code is kept for callers that do not exist.
 //
 // Usage:
 //

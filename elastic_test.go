@@ -111,7 +111,7 @@ func TestElasticChurnEndToEnd(t *testing.T) {
 			case link.MsgHeartbeat:
 				conn.Send(&link.Message{Type: link.MsgHeartbeat, Meta: msg.Meta})
 			case link.MsgModel:
-				global, err := msg.Payload.Floats()
+				global, err := link.DecodePayload(nil, msg.Payload)
 				if err != nil {
 					return
 				}

@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("prompt %v -> continuation %v\n\n", prompt, tokens)
 
 	// Evaluation through the serving path. A few suite tasks keep the
-	// example quick; eval.RunSuiteWith(name, client, src, seed) runs all 13.
+	// example quick; eval.Suite() holds all 13.
 	tasks := eval.Suite()[:3]
 	retr := eval.NewRetriever(src, 4096, 7)
 	fmt.Printf("%-22s %8s %8s %8s\n", "task", "chance", "bare", "icl-2shot")

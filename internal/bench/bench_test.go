@@ -64,13 +64,6 @@ func TestTable2Shape(t *testing.T) {
 func TestTable2FedBeatsCent(t *testing.T) {
 	// Recompute the model directly: for every size, fed wall < cent wall
 	// and fed comm < 1% of cent comm.
-	for _, r := range table2Rows() {
-		var buf bytes.Buffer
-		if err := Table2(context.Background(), &buf, Quick); err != nil {
-			t.Fatal(err)
-		}
-		_ = r
-	}
 	out := captureTable2Ratios(t)
 	for size, ratios := range out {
 		if ratios.wall >= 1 {

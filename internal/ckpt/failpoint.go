@@ -26,6 +26,8 @@ type Failpoint struct {
 
 // Arm sets the site the failpoint fires at. Arming replaces any previous
 // site and clears the fired latch, so one Failpoint can drive a sweep.
+//
+//photon:nolint unused-export -- test seam: the crash-point sweeps (TestCrashPointSweep, TestWALFailpoint) arm the site to crash at
 func (f *Failpoint) Arm(site string) {
 	if f == nil {
 		return
@@ -53,6 +55,8 @@ func (f *Failpoint) Fire(site string) bool {
 // Fired reports whether the failpoint has fired since it was last armed —
 // how a sweep distinguishes "crashed where I asked" from "the run never
 // reached that site".
+//
+//photon:nolint unused-export -- test seam: the crash-point sweeps (TestCrashPointSweep) check the armed site was reached
 func (f *Failpoint) Fired() bool {
 	if f == nil {
 		return false

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -51,9 +50,6 @@ func OpenRegistry(dir string) (*Registry, error) {
 	}
 	return &Registry{dir: dir}, nil
 }
-
-// Dir returns the registry's root directory.
-func (r *Registry) Dir() string { return r.dir }
 
 // Put publishes a checkpoint: the encoded blob lands under its content
 // hash with a manifest carrying the lineage. Returns the hash (the
@@ -158,28 +154,6 @@ func (r *Registry) Get(ref string) (*Checkpoint, *Manifest, error) {
 		}
 	}
 	return c, m, nil
-}
-
-// Tags lists the registry's tags with their targets, sorted by name.
-func (r *Registry) Tags() (map[string]string, error) {
-	entries, err := os.ReadDir(filepath.Join(r.dir, "tags"))
-	if err != nil {
-		return nil, fmt.Errorf("ckpt: registry: %w", err)
-	}
-	out := make(map[string]string, len(entries))
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		raw, err := os.ReadFile(filepath.Join(r.dir, "tags", name))
-		if err != nil {
-			continue // tag racing a writer; skip
-		}
-		out[name] = strings.TrimSpace(string(raw))
-	}
-	return out, nil
 }
 
 // IsRegistryRef reports whether a -ckpt style argument names a registry

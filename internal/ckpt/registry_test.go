@@ -65,10 +65,6 @@ func TestRegistryPutGetTag(t *testing.T) {
 	if err != nil || got.Round != 4 {
 		t.Fatalf("tag did not move: %+v %v", got, err)
 	}
-	tags, err := reg.Tags()
-	if err != nil || tags["latest"] != hash3 {
-		t.Fatalf("Tags(): %v %v", tags, err)
-	}
 }
 
 func TestRegistryRejectsCorruptBlob(t *testing.T) {

@@ -29,8 +29,6 @@ type State int
 const (
 	// StateAlive means the member is connected and eligible for sampling.
 	StateAlive State = iota
-	// StateLeft means the member departed voluntarily (clean shutdown).
-	StateLeft
 	// StateEvicted means the registry removed the member after an I/O
 	// failure or missed heartbeats. An evicted identity may rejoin.
 	StateEvicted
@@ -40,8 +38,6 @@ func (s State) String() string {
 	switch s {
 	case StateAlive:
 		return "alive"
-	case StateLeft:
-		return "left"
 	case StateEvicted:
 		return "evicted"
 	default:
@@ -126,7 +122,6 @@ type Info struct {
 type Stats struct {
 	Joins      int // first-time joins
 	Rejoins    int // previously-seen identities that came back
-	Leaves     int
 	Evictions  int
 	Stragglers int // cohort slots dropped at a round deadline
 
@@ -143,7 +138,6 @@ type Stats struct {
 func (s *Stats) add(o Stats, beats int, rttSum time.Duration) {
 	s.Joins += o.Joins
 	s.Rejoins += o.Rejoins
-	s.Leaves += o.Leaves
 	s.Evictions += o.Evictions
 	s.Stragglers += o.Stragglers
 	if beats > 0 {
@@ -218,17 +212,6 @@ func (r *Registry) Join(id string) (rejoined bool) {
 	r.window.Rejoins++
 	r.totals.Rejoins++
 	return true
-}
-
-// Leave marks id as voluntarily departed.
-func (r *Registry) Leave(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.members[id]; ok && m.state == StateAlive {
-		m.state = StateLeft
-		r.window.Leaves++
-		r.totals.Leaves++
-	}
 }
 
 // Evict removes id from the alive set with a reason, returning whether the

@@ -3,7 +3,6 @@ package data
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -52,17 +51,6 @@ func TestMarkovSampleReproducible(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("same seed must reproduce the same sequence")
 		}
-	}
-}
-
-func TestMarkovEntropyOrdering(t *testing.T) {
-	lowH := NewMarkovSource("predictable", 64, 3, 2.5, 1)
-	highH := NewMarkovSource("noisy", 64, 12, 0.8, 2)
-	if lowH.Entropy() >= highH.Entropy() {
-		t.Fatalf("entropy ordering wrong: %v vs %v", lowH.Entropy(), highH.Entropy())
-	}
-	if lowH.Entropy() <= 0 {
-		t.Fatal("entropy must be positive for branch > 1")
 	}
 }
 
@@ -141,25 +129,6 @@ func TestMixturePanics(t *testing.T) {
 	}
 }
 
-func TestSourceStreamBatchShape(t *testing.T) {
-	st := NewSourceStream(C4Like(32), 1)
-	b := st.NextBatch(3, 16)
-	if len(b.Inputs) != 3 || len(b.Targets) != 3 {
-		t.Fatalf("batch size: got %d/%d", len(b.Inputs), len(b.Targets))
-	}
-	for i := range b.Inputs {
-		if len(b.Inputs[i]) != 16 || len(b.Targets[i]) != 16 {
-			t.Fatal("sequence length wrong")
-		}
-		// Next-token alignment: target[t] == input[t+1].
-		for j := 0; j < 15; j++ {
-			if b.Targets[i][j] != b.Inputs[i][j+1] {
-				t.Fatal("targets are not shifted inputs")
-			}
-		}
-	}
-}
-
 func TestShardsDisjointStreams(t *testing.T) {
 	src := C4Like(64)
 	s0 := NewShard(src, 0, 100)
@@ -230,67 +199,6 @@ func TestShardOutOfRangePanics(t *testing.T) {
 	NewShard(C4Like(8), NumShards, 0)
 }
 
-func TestMixStreamRespectsWeights(t *testing.T) {
-	// A 0/1-weighted mix must only ever sample from the second stream.
-	a := NewSourceStream(NewMarkovSource("a", 8, 2, 2, 1), 1)
-	b := NewSourceStream(NewMarkovSource("b", 8, 2, 2, 2), 2)
-	ref := NewSourceStream(NewMarkovSource("b", 8, 2, 2, 2), 2)
-	m := NewMixStream([]Stream{a, b}, []float64{0, 1}, 3)
-	got := m.NextBatch(4, 8)
-	want := ref.NextBatch(4, 8)
-	for i := range got.Inputs {
-		for j := range got.Inputs[i] {
-			if got.Inputs[i][j] != want.Inputs[i][j] {
-				t.Fatal("zero-weighted stream was sampled")
-			}
-		}
-	}
-}
-
-func TestCachingStreamReuse(t *testing.T) {
-	inner := NewSourceStream(C4Like(32), 7)
-	c := NewCachingStream(inner, 8, 1.0, 11) // always reuse once warm
-	c.NextBatch(1, 16)                       // first miss fills the pool
-	c.NextBatch(4, 16)
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 4 {
-		t.Fatalf("cache stats: %+v", st)
-	}
-}
-
-func TestCachingStreamNoReuse(t *testing.T) {
-	inner := NewSourceStream(C4Like(32), 7)
-	c := NewCachingStream(inner, 8, 0, 11)
-	c.NextBatch(5, 16)
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 5 {
-		t.Fatalf("cache stats with reuse=0: %+v", st)
-	}
-}
-
-func TestCachingStreamConcurrentSafety(t *testing.T) {
-	inner := NewSourceStream(C4Like(32), 7)
-	c := NewCachingStream(inner, 16, 0.5, 11)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				b := c.NextBatch(2, 8)
-				if len(b.Inputs) != 2 {
-					t.Error("bad batch under concurrency")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.Hits+st.Misses != 8*20*2 {
-		t.Fatalf("lost samples under concurrency: %+v", st)
-	}
-}
-
 func TestIIDPartition(t *testing.T) {
 	p, err := IIDPartition(C4Like(32), 8, 42)
 	if err != nil {
@@ -299,8 +207,10 @@ func TestIIDPartition(t *testing.T) {
 	if p.NumClients() != 8 {
 		t.Fatalf("clients: got %d", p.NumClients())
 	}
-	if h := p.HeterogeneityIndex(); h != 0 {
-		t.Fatalf("IID partition should have heterogeneity 0, got %v", h)
+	for i, s := range p.ClientStreams {
+		if sh := s.(*Shard); sh.Src.Name() != p.ClientStreams[0].(*Shard).Src.Name() || sh.ShardID != i {
+			t.Fatalf("client %d: shard %d of %s; IID clients hold distinct shards of one corpus", i, sh.ShardID, sh.Src.Name())
+		}
 	}
 	if _, err := IIDPartition(C4Like(32), 0, 1); err == nil {
 		t.Fatal("expected error for 0 clients")
@@ -320,8 +230,10 @@ func TestBySourcePartitionConfigs(t *testing.T) {
 		if p.NumClients() != n {
 			t.Fatalf("n=%d: got %d clients", n, p.NumClients())
 		}
-		if h := p.HeterogeneityIndex(); h <= 0.5 {
-			t.Fatalf("n=%d: heterogeneity too low: %v", n, h)
+		for i, s := range p.ClientStreams {
+			if got, want := s.(*Shard).Src.Name(), srcs[i/(n/len(srcs))].Name(); got != want {
+				t.Fatalf("n=%d: client %d draws from %s, want %s", n, i, got, want)
+			}
 		}
 	}
 	if _, err := BySourcePartition(srcs, 6, 1); err == nil {
@@ -365,24 +277,6 @@ func TestShardBatchProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: a model can distinguish sources — cross-entropy of source A's
-// bigram stats on source B's stream exceeds on its own stream. We proxy this
-// by checking the empirical unigram distributions differ.
-func TestHeterogeneityIndexBounds(t *testing.T) {
-	f := func(nRaw uint8) bool {
-		n := 4 * (1 + int(nRaw)%4) // 4, 8, 12, 16
-		p, err := BySourcePartition(PileLike(16), n, 3)
-		if err != nil {
-			return false
-		}
-		h := p.HeterogeneityIndex()
-		return h >= 0 && h <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -54,31 +54,3 @@ func BySourcePartition(sources []Source, n int, baseSeed int64) (*Partition, err
 	}
 	return p, nil
 }
-
-// HeterogeneityIndex quantifies how non-IID a partition is as the fraction
-// of client pairs whose streams come from different underlying sources
-// (0 = fully IID, approaching 1 = every client distinct).
-func (p *Partition) HeterogeneityIndex() float64 {
-	n := len(p.SourceNames)
-	if n < 2 {
-		return 0
-	}
-	root := func(s string) string {
-		for i := 0; i < len(s); i++ {
-			if s[i] == '/' {
-				return s[:i]
-			}
-		}
-		return s
-	}
-	diff, pairs := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			pairs++
-			if root(p.SourceNames[i]) != root(p.SourceNames[j]) {
-				diff++
-			}
-		}
-	}
-	return float64(diff) / float64(pairs)
-}

@@ -144,30 +144,6 @@ func (s *MarkovSource) Sample(rng *rand.Rand, out []int) {
 	}
 }
 
-// Entropy estimates the per-token entropy (nats) of the source's transition
-// distribution — an upper bound on what an ideal model converges to (the
-// perplexity floor is ≈ exp(H); candidate collisions make the true entropy
-// slightly lower).
-func (s *MarkovSource) Entropy() float64 {
-	hRank := cdfEntropy(s.cdf)
-	hCommon := cdfEntropy(s.commonCDF)
-	p := commonProb
-	hMix := -p*math.Log(p) - (1-p)*math.Log(1-p)
-	return p*hCommon + (1-p)*hRank + hMix
-}
-
-func cdfEntropy(cdf []float64) float64 {
-	var h, prev float64
-	for _, c := range cdf {
-		p := c - prev
-		prev = c
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}
-
 // MixtureSource samples each sequence from one of several sources chosen by
 // weight, modeling a blended corpus such as C4's web crawl mix.
 type MixtureSource struct {

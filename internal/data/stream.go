@@ -2,7 +2,6 @@ package data
 
 import (
 	"math/rand"
-	"sync"
 
 	"photon/internal/nn"
 )
@@ -13,23 +12,6 @@ type Stream interface {
 	// NextBatch returns batchSize sequences of length seqLen with next-token
 	// targets.
 	NextBatch(batchSize, seqLen int) nn.Batch
-}
-
-// SourceStream draws every sequence from a single Source using an owned RNG,
-// so concurrent clients never contend on shared randomness.
-type SourceStream struct {
-	Src Source
-	rng *rand.Rand
-}
-
-// NewSourceStream creates a deterministic stream over src.
-func NewSourceStream(src Source, seed int64) *SourceStream {
-	return &SourceStream{Src: src, rng: rand.New(rand.NewSource(seed))}
-}
-
-// NextBatch implements Stream.
-func (s *SourceStream) NextBatch(batchSize, seqLen int) nn.Batch {
-	return sampleBatch(s.rng, s.Src, batchSize, seqLen)
 }
 
 func sampleBatch(rng *rand.Rand, src Source, batchSize, seqLen int) nn.Batch {
@@ -93,126 +75,6 @@ func NewShard(src Source, shardID int, baseSeed int64) *Shard {
 // NextBatch implements Stream.
 func (s *Shard) NextBatch(batchSize, seqLen int) nn.Batch {
 	return sampleBatch(s.rng, s.Src, batchSize, seqLen)
-}
-
-// MixStream interleaves several streams with explicit sampling weights,
-// implementing the paper's "mixing arbitrary data streams with precise
-// control over sampling across such streams".
-type MixStream struct {
-	Streams []Stream
-	cdf     []float64
-	rng     *rand.Rand
-}
-
-// NewMixStream mixes streams with the given weights (nil = uniform).
-func NewMixStream(streams []Stream, weights []float64, seed int64) *MixStream {
-	if len(streams) == 0 {
-		panic("data: empty MixStream")
-	}
-	if weights == nil {
-		weights = make([]float64, len(streams))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	m := &MixStream{Streams: streams, rng: rand.New(rand.NewSource(seed))}
-	acc := 0.0
-	for _, w := range weights {
-		acc += w / total
-		m.cdf = append(m.cdf, acc)
-	}
-	return m
-}
-
-// NextBatch implements Stream: each sequence in the batch is drawn from a
-// weighted-random component stream.
-func (m *MixStream) NextBatch(batchSize, seqLen int) nn.Batch {
-	out := nn.Batch{}
-	for i := 0; i < batchSize; i++ {
-		r := m.rng.Float64()
-		k := len(m.cdf) - 1
-		for j, c := range m.cdf {
-			if r <= c {
-				k = j
-				break
-			}
-		}
-		one := m.Streams[k].NextBatch(1, seqLen)
-		out.Inputs = append(out.Inputs, one.Inputs[0])
-		out.Targets = append(out.Targets, one.Targets[0])
-	}
-	return out
-}
-
-// CacheStats reports the effectiveness of a CachingStream.
-type CacheStats struct {
-	Hits, Misses int
-}
-
-// CachingStream models the DS optimization of caching pre-tokenized
-// sequences: it keeps a bounded pool of previously produced sequences and
-// replays them with probability ReuseProb, trading a small amount of sample
-// freshness for large savings in tokenization/transfer cost. It is safe for
-// concurrent use.
-type CachingStream struct {
-	Inner     Stream
-	Capacity  int
-	ReuseProb float64
-
-	mu    sync.Mutex
-	rng   *rand.Rand
-	pool  []cachedSeq
-	stats CacheStats
-}
-
-type cachedSeq struct{ in, tg []int }
-
-// NewCachingStream wraps inner with a cache of at most capacity sequences.
-func NewCachingStream(inner Stream, capacity int, reuseProb float64, seed int64) *CachingStream {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &CachingStream{Inner: inner, Capacity: capacity, ReuseProb: reuseProb,
-		rng: rand.New(rand.NewSource(seed))}
-}
-
-// NextBatch implements Stream.
-func (c *CachingStream) NextBatch(batchSize, seqLen int) nn.Batch {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := nn.Batch{}
-	for i := 0; i < batchSize; i++ {
-		if len(c.pool) > 0 && c.rng.Float64() < c.ReuseProb {
-			s := c.pool[c.rng.Intn(len(c.pool))]
-			if len(s.in) == seqLen {
-				out.Inputs = append(out.Inputs, s.in)
-				out.Targets = append(out.Targets, s.tg)
-				c.stats.Hits++
-				continue
-			}
-		}
-		one := c.Inner.NextBatch(1, seqLen)
-		c.stats.Misses++
-		out.Inputs = append(out.Inputs, one.Inputs[0])
-		out.Targets = append(out.Targets, one.Targets[0])
-		if len(c.pool) < c.Capacity {
-			c.pool = append(c.pool, cachedSeq{one.Inputs[0], one.Targets[0]})
-		} else {
-			c.pool[c.rng.Intn(len(c.pool))] = cachedSeq{one.Inputs[0], one.Targets[0]}
-		}
-	}
-	return out
-}
-
-// Stats returns a snapshot of cache effectiveness counters.
-func (c *CachingStream) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // ValidationSet is a fixed batch of held-out sequences used to compute

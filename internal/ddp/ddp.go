@@ -25,10 +25,6 @@ type Config struct {
 	SeqLen    int
 	Schedule  opt.Schedule
 	ClipNorm  float64
-	// NewOptimizer builds one optimizer per worker (identical construction
-	// keeps replicas in lockstep). Nil defaults to AdamW with the model
-	// config's betas and 0.01 weight decay.
-	NewOptimizer func() opt.Optimizer
 
 	// Streams provides each worker's data; length must equal Workers.
 	Streams []data.Stream
@@ -89,17 +85,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		Opts:     make([]opt.Optimizer, cfg.Workers),
 		Streams:  cfg.Streams,
 	}
-	newOpt := cfg.NewOptimizer
-	if newOpt == nil {
-		mc := cfg.ModelConfig
-		newOpt = func() opt.Optimizer { return opt.NewAdamW(mc.Beta1, mc.Beta2, 0.01) }
-	}
 	for w := range g.Replicas {
 		g.Replicas[w] = nn.NewModel(cfg.ModelConfig, rand.New(rand.NewSource(1)))
 		if err := g.Replicas[w].Params().LoadFlat(init); err != nil {
 			return nil, err
 		}
-		g.Opts[w] = newOpt()
+		// Identical construction keeps the replicas' optimizers in lockstep.
+		g.Opts[w] = opt.NewAdamW(cfg.ModelConfig.Beta1, cfg.ModelConfig.Beta2, 0.01)
 	}
 
 	evalEvery := cfg.EvalEvery
@@ -221,20 +213,4 @@ func loadGrads(ps nn.ParamSet, src []float32, scale float32) {
 		}
 		off += len(p.Grad)
 	}
-}
-
-// ParamsEqual reports whether two models hold bit-identical parameters —
-// the DDP synchronization invariant.
-func ParamsEqual(a, b *nn.Model) bool {
-	fa := a.Params().Flatten(nil)
-	fb := b.Params().Flatten(nil)
-	if len(fa) != len(fb) {
-		return false
-	}
-	for i := range fa {
-		if fa[i] != fb[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -157,7 +157,7 @@ func TestDDPWorkersStayInSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ParamsEqual(res1.FinalModel, res2.FinalModel) {
+	if !paramsEqual(res1.FinalModel, res2.FinalModel) {
 		t.Fatal("DDP run not deterministic")
 	}
 }
@@ -258,4 +258,20 @@ func TestRunStopAtPPL(t *testing.T) {
 	if last.Perplexity > 60 {
 		t.Fatalf("stopped above target: %v", last.Perplexity)
 	}
+}
+
+// paramsEqual reports whether two models hold bit-identical parameters —
+// the DDP synchronization invariant.
+func paramsEqual(a, b *nn.Model) bool {
+	fa := a.Params().Flatten(nil)
+	fb := b.Params().Flatten(nil)
+	if len(fa) != len(fb) {
+		return false
+	}
+	for i := range fa {
+		if fa[i] != fb[i] {
+			return false
+		}
+	}
+	return true
 }

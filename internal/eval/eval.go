@@ -200,26 +200,6 @@ type Report struct {
 	Acc   map[string]float64
 }
 
-// RunSuite evaluates a model on every task in the suite.
-func RunSuite(name string, m *nn.Model, src data.Source, seed int64) Report {
-	r, _ := RunSuiteWith(name, ModelScorer{m}, src, seed)
-	return r
-}
-
-// RunSuiteWith evaluates every task in the suite through an arbitrary Scorer
-// — the e2e path when sc is a serve.Client talking to a live photon-serve.
-func RunSuiteWith(name string, sc Scorer, src data.Source, seed int64) (Report, error) {
-	r := Report{Model: name, Acc: map[string]float64{}}
-	for _, t := range Suite() {
-		acc, err := t.EvaluateWith(sc, src, seed)
-		if err != nil {
-			return r, err
-		}
-		r.Acc[t.Name] = acc
-	}
-	return r, nil
-}
-
 // Wins counts the pairwise comparisons a wins against b across tasks (ties
 // are half a win each), the statistic behind the paper's "wins 10 of 14
 // comparisons" claim.

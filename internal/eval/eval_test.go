@@ -22,7 +22,7 @@ func trainedModel(t *testing.T, steps int) *nn.Model {
 	cfg := tinyCfg()
 	m := nn.NewModel(cfg, rand.New(rand.NewSource(1)))
 	src := data.C4Like(cfg.VocabSize)
-	st := data.NewSourceStream(src, 3)
+	st := data.NewShard(src, 0, 3)
 	o := opt.NewAdamW(0.9, 0.95, 0.01)
 	for s := 0; s < steps; s++ {
 		b := st.NextBatch(8, 24)
@@ -88,8 +88,8 @@ func TestTrainedModelBeatsUntrained(t *testing.T) {
 	untrained := nn.NewModel(tinyCfg(), rand.New(rand.NewSource(4)))
 	src := data.C4Like(tinyCfg().VocabSize)
 
-	rTrained := RunSuite("trained", trained, src, 7)
-	rUntrained := RunSuite("untrained", untrained, src, 7)
+	rTrained := runSuite("trained", trained, src, 7)
+	rUntrained := runSuite("untrained", untrained, src, 7)
 	wins, total := Wins(rTrained, rUntrained)
 	if total != 13 {
 		t.Fatalf("total comparisons: got %d", total)
@@ -191,4 +191,13 @@ func TestWinsCounting(t *testing.T) {
 	if _, total := Wins(a, c); total != 1 {
 		t.Fatalf("mismatched task sets: total %d", total)
 	}
+}
+
+// runSuite evaluates m on every task in the suite.
+func runSuite(name string, m *nn.Model, src data.Source, seed int64) Report {
+	r := Report{Model: name, Acc: map[string]float64{}}
+	for _, task := range Suite() {
+		r.Acc[task.Name] = task.Evaluate(m, src, seed)
+	}
+	return r
 }

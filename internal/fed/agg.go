@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -22,13 +21,6 @@ import (
 type RunConfig struct {
 	ModelConfig nn.Config
 	Seed        int64
-
-	// Rng, when non-nil, is the injected source behind every random
-	// decision the run makes — model init, cohort sampling, dropout /
-	// churn draws — replacing any implicit global-rand usage. Nil seeds a
-	// fresh source from Seed. Injecting the source makes churn simulations
-	// reproducible and lets callers share one stream across subsystems.
-	Rng *rand.Rand
 
 	Rounds          int
 	ClientsPerRound int // K
@@ -175,7 +167,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	}
 	x := &simulator{
 		aggState: newAggState(ServerConfig{
-			ModelConfig: cfg.ModelConfig, Seed: cfg.Seed, Rng: cfg.Rng,
+			ModelConfig: cfg.ModelConfig, Seed: cfg.Seed,
 			// seal evaluates the run's last round whatever EvalEvery says.
 			Rounds:        cfg.StartRound + cfg.Rounds,
 			ExpectClients: len(cfg.Clients), ClientsPerRound: cfg.ClientsPerRound,

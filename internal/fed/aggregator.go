@@ -102,7 +102,8 @@ type aggState struct {
 func newAggState(cfg ServerConfig) *aggState {
 	a := &aggState{
 		cfg: cfg, hist: &metrics.History{}, commitRec: ckpt.RecRoundCommit,
-		k: cfg.ClientsPerRound, minClients: cfg.MinClients, evalEvery: cfg.EvalEvery, rng: cfg.Rng,
+		k: cfg.ClientsPerRound, minClients: cfg.MinClients, evalEvery: cfg.EvalEvery,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if a.k <= 0 || a.k > cfg.ExpectClients {
 		a.k = cfg.ExpectClients
@@ -112,9 +113,6 @@ func newAggState(cfg ServerConfig) *aggState {
 	}
 	if a.evalEvery <= 0 {
 		a.evalEvery = 1
-	}
-	if a.rng == nil {
-		a.rng = rand.New(rand.NewSource(cfg.Seed))
 	}
 	return a
 }

@@ -23,11 +23,6 @@ type LocalSpec struct {
 	Schedule  opt.Schedule
 	ClipNorm  float64 // global-norm gradient clip (0 disables)
 	Stateful  bool    // keep optimizer state across rounds (ablation; default false = paper behavior)
-
-	// ProxMu adds the FedProx proximal term µ/2·‖θ−θ_global‖² to the local
-	// objective (its gradient µ·(θ−θ_global) is added each step), limiting
-	// client drift under heterogeneous data (Section 6; 0 disables).
-	ProxMu float64
 }
 
 // Validate reports whether the spec is runnable.
@@ -59,11 +54,6 @@ type Client struct {
 	// averages their parameters into a single update (lines 24–25).
 	SubNodes []*Client
 
-	// ddp, when non-nil, switches the local pipeline to synchronous data
-	// parallelism across the silo's well-connected GPUs (lines 16–18);
-	// built via NewDDPClient or BuildClient.
-	ddp *ddpGroup
-
 	// Round scratch, reused across rounds so long-running simulations with
 	// many clients do not reallocate two model-size vectors per client per
 	// round. The returned RoundResult.Update aliases updateBuf (subFold's sum
@@ -86,14 +76,11 @@ func NewClient(id string, cfg nn.Config, stream data.Stream, optimizer opt.Optim
 	}
 }
 
-// NumParams returns the client's model parameter count — its local replica
-// or, for a DDP client, the first intra-silo replica — and 0 when unknown.
+// NumParams returns the client's model parameter count, or 0 when it has
+// no local replica (a sub-federated silo).
 func (c *Client) NumParams() int {
 	if c.Model != nil {
 		return c.Model.NumParams()
-	}
-	if c.ddp != nil && len(c.ddp.Replicas) > 0 {
-		return c.ddp.Replicas[0].NumParams()
 	}
 	return 0
 }
@@ -119,9 +106,6 @@ func (c *Client) RunRound(ctx context.Context, global []float32, stepBase int, s
 	if len(c.SubNodes) > 0 {
 		return c.runSubFederation(ctx, global, stepBase, spec)
 	}
-	if c.ddp != nil {
-		return c.runDDP(ctx, global, stepBase, spec)
-	}
 	if err := c.Model.Params().LoadFlat(global); err != nil {
 		return RoundResult{}, fmt.Errorf("fed: client %s: %w", c.ID, err)
 	}
@@ -138,9 +122,6 @@ func (c *Client) RunRound(ctx context.Context, global []float32, stepBase int, s
 		batch := c.Stream.NextBatch(spec.BatchSize, spec.SeqLen)
 		c.Model.Params().ZeroGrads()
 		lossSum += c.Model.ForwardBackward(batch)
-		if spec.ProxMu > 0 {
-			addProximalGrad(c.Model.Params(), global, float32(spec.ProxMu))
-		}
 		if spec.ClipNorm > 0 {
 			c.Model.Params().ClipGradNorm(spec.ClipNorm)
 		}
@@ -163,17 +144,6 @@ func (c *Client) RunRound(ctx context.Context, global []float32, stepBase int, s
 			"lr":    lastLR,
 		},
 	}, nil
-}
-
-// addProximalGrad adds the FedProx gradient µ·(θ − θ_global) in place.
-func addProximalGrad(ps nn.ParamSet, global []float32, mu float32) {
-	off := 0
-	for _, p := range ps {
-		for i := range p.Grad {
-			p.Grad[i] += mu * (p.Data[i] - global[off+i])
-		}
-		off += len(p.Data)
-	}
 }
 
 // runSubFederation implements the low-bandwidth intra-silo path: each

@@ -365,12 +365,12 @@ func decodePayloadBytes(b []byte) (link.EncodedPayload, bool) {
 }
 
 // membershipEpoch derives a monotonic (within one process run) membership
-// epoch from cumulative churn: every join, rejoin, leave, and eviction
-// advances it. It is journaled on round_open/round_commit records so a
+// epoch from cumulative churn: every join, rejoin, and eviction advances
+// it. It is journaled on round_open/round_commit records so a
 // replayed log tells membership eras apart.
 func (s *server) membershipEpoch() uint64 {
 	tot := s.reg.Totals()
-	return uint64(tot.Joins + tot.Rejoins + tot.Leaves + tot.Evictions)
+	return uint64(tot.Joins + tot.Rejoins + tot.Evictions)
 }
 
 // publishRegistry publishes a committed round's params into the

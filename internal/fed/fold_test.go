@@ -109,9 +109,9 @@ func netFoldRun(t *testing.T) *Result {
 	return res
 }
 
-// TestFoldBitExact pins eight runs that cover every sync-weight fold site —
-// the simulator flat and tiered, a sub-federated silo, a DDP silo, and the
-// networked aggregator — plus the simulator's resume, last-round evaluation
+// TestFoldBitExact pins seven runs that cover every sync-weight fold site —
+// the simulator flat and tiered, a sub-federated silo, and the networked
+// aggregator — plus the simulator's resume, last-round evaluation
 // and upstream-only codec accounting, to digests of their results, at
 // GOMAXPROCS 1 and 2. A fold that changes the summation order or the
 // rounding of the mean moves a digest. The digests hold only where the
@@ -156,17 +156,6 @@ func TestFoldBitExact(t *testing.T) {
 		// at the element-count estimate.
 		{"tiered-upstream-q8-only", "988f4c7d8fdbc666", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "", "q8"
-		})},
-		{"ddp-silo", "cb30e17b81d69b40", simFoldRun(func(t *testing.T, c *RunConfig) {
-			cfg := tinyCfg()
-			src := data.C4Like(cfg.VocabSize)
-			silo, err := NewDDPClient("ddp", cfg, []data.Stream{data.NewShard(src, 2, 7), data.NewShard(src, 3, 7)},
-				func() opt.Optimizer { return opt.NewAdamW(cfg.Beta1, cfg.Beta2, 0.01) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Clients = append([]*Client{silo}, makeClients(t, cfg, 2)...)
-			c.ClientsPerRound = 3
 		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

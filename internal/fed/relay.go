@@ -29,8 +29,6 @@ type RelayConfig struct {
 	ID string
 
 	Seed int64
-	// Rng, when non-nil, drives cohort sampling (nil seeds from Seed).
-	Rng *rand.Rand
 
 	// Cohort-tier membership, liveness, and pacing — the same knobs as
 	// ServerConfig, scoped to this tier. ExpectClients is how many cohort
@@ -40,7 +38,6 @@ type RelayConfig struct {
 	ClientsPerRound   int // K within the cohort; 0 means full participation
 	MinClients        int
 	HeartbeatInterval time.Duration
-	MissedBeats       int
 	// RoundDeadline bounds the cohort tier's model/update exchange. With
 	// it set, a straggling cohort member costs this tier a partial round
 	// instead of stalling the parent's round; elasticity composes because
@@ -79,10 +76,6 @@ type RelayConfig struct {
 	// redeliver its last committed reply when a durably-resuming parent
 	// re-broadcasts an in-flight round, instead of retraining its cohort.
 	WALDir string
-
-	// Failpoint, when non-nil, arms crash-point injection in the relay's
-	// WAL appends. Test-only.
-	Failpoint *ckpt.Failpoint
 }
 
 func (c *RelayConfig) validate() error {
@@ -134,19 +127,16 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 	st := newAggState(ServerConfig{
 		ModelConfig:       cfg.ModelConfig,
 		Seed:              cfg.Seed,
-		Rng:               cfg.Rng,
 		ExpectClients:     cfg.ExpectClients,
 		ClientsPerRound:   cfg.ClientsPerRound,
 		MinClients:        cfg.MinClients,
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		MissedBeats:       cfg.MissedBeats,
 		RoundDeadline:     cfg.RoundDeadline,
 		OverProvision:     cfg.OverProvision,
 		Codec:             cfg.Codec,
 		Outer:             outer,
 		OnRound:           cfg.OnRound,
 		WALDir:            cfg.WALDir,
-		Failpoint:         cfg.Failpoint,
 	})
 	recovered, err := st.openServer()
 	if err != nil {

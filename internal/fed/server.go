@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,11 +29,6 @@ type ServerConfig struct {
 	ModelConfig nn.Config
 	Seed        int64
 
-	// Rng, when non-nil, drives all of the aggregator's randomness (model
-	// init, cohort sampling). Nil seeds a fresh source from Seed. Injecting
-	// it makes churn simulations reproducible across processes.
-	Rng *rand.Rand
-
 	Rounds          int
 	ExpectClients   int // block until this many clients join before round 1
 	ClientsPerRound int // K; 0 means full participation
@@ -45,12 +39,11 @@ type ServerConfig struct {
 	MinClients int
 
 	// HeartbeatInterval enables liveness tracking: the aggregator pings
-	// every member on this cadence and evicts members that miss MissedBeats
-	// consecutive beats. Zero disables heartbeats (pure round-driven
-	// failure detection, the pre-elastic behavior).
+	// every member on this cadence and evicts members that miss the
+	// cluster registry's threshold of consecutive beats (3). Zero disables
+	// heartbeats (pure round-driven failure detection, the pre-elastic
+	// behavior).
 	HeartbeatInterval time.Duration
-	// MissedBeats is the eviction threshold (default 3).
-	MissedBeats int
 
 	// RoundDeadline bounds one round's model/update exchange. When it
 	// expires the round aggregates the updates that arrived and counts the
@@ -96,7 +89,9 @@ type ServerConfig struct {
 	// Failpoint, when non-nil, arms crash-point injection inside the WAL:
 	// the append whose site matches the armed site returns
 	// ckpt.ErrFailpoint after the record is on disk, and Serve exits
-	// abruptly (no MsgShutdown) as a real crash would. Test-only.
+	// abruptly (no MsgShutdown) as a real crash would.
+	//
+	//photon:nolint unused-export -- test seam: the crash-point sweeps (TestCrashPointSweep, TestAsyncCrashPointSweep) arm it to kill the aggregator mid-append
 	Failpoint *ckpt.Failpoint
 
 	// Async, when non-nil, swaps the deadline-based synchronous round loop
@@ -181,10 +176,7 @@ func newServer(cfg ServerConfig) (*server, error) {
 		codec:     sessionCodec,
 		modelEnc:  link.ModelCodec(sessionCodec),
 		meter:     &link.Meter{},
-		reg: cluster.New(cluster.Config{
-			HeartbeatInterval: cfg.HeartbeatInterval,
-			MissedBeats:       cfg.MissedBeats,
-		}),
+		reg:       cluster.New(cluster.Config{HeartbeatInterval: cfg.HeartbeatInterval}),
 		conns:     make(map[string]*memberConn),
 		observers: make(map[*link.Conn]struct{}),
 	}, nil
@@ -350,7 +342,7 @@ func (s *server) shutdownMembers(graceful bool) {
 // at the current round — MsgModel carries the round number that keys the
 // shared schedule), and a brand-new client can join late. Members whose
 // connection breaks are evicted immediately; with HeartbeatInterval set,
-// silent members are evicted after MissedBeats missed beats. Per-round
+// silent members are evicted after three missed beats. Per-round
 // joins, evictions, stragglers, and mean heartbeat RTT are stamped on each
 // round record.
 //

@@ -19,13 +19,8 @@ type GPU struct {
 	PeakTFLOPS float64 // dense BF16 peak
 }
 
-// Common accelerator presets. Photon's experiments use H100s; the consumer
-// card supports the "collaboration via commodity hardware" scenario.
-var (
-	H100    = GPU{Name: "H100", VRAMGiB: 80, PeakTFLOPS: 989}
-	A100    = GPU{Name: "A100", VRAMGiB: 80, PeakTFLOPS: 312}
-	RTX4090 = GPU{Name: "RTX4090", VRAMGiB: 24, PeakTFLOPS: 165}
-)
+// H100 is the accelerator of Photon's experiments.
+var H100 = GPU{Name: "H100", VRAMGiB: 80, PeakTFLOPS: 989}
 
 // Interconnect classifies the link between GPUs or nodes.
 type Interconnect int
@@ -256,20 +251,6 @@ func PaperThroughput(modelName string, federated bool) float64 {
 // the S term of the Appendix B.1 communication model.
 func ModelSizeMB(cfg nn.Config) float64 {
 	return float64(cfg.ParamCount()) * 2 / 1e6
-}
-
-// EstimateLocalThroughput predicts batches/second for a silo from peak
-// FLOPs and an efficiency factor, used when no measured ν is available
-// (e.g. tiny proxy models).
-func EstimateLocalThroughput(cfg nn.Config, gpu GPU, nGPUs, batchSize int, efficiency float64) float64 {
-	if batchSize < 1 || nGPUs < 1 {
-		return 0
-	}
-	if efficiency <= 0 {
-		efficiency = 0.35
-	}
-	flopsPerBatch := 3 * cfg.FLOPsPerToken() * float64(cfg.SeqLen) * float64(batchSize)
-	return efficiency * gpu.PeakTFLOPS * 1e12 * float64(nGPUs) / flopsPerBatch
 }
 
 // Utilization is a crude GPU busy-fraction model: compute-bound work keeps

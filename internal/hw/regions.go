@@ -31,15 +31,6 @@ func (d Deployment) TotalClients() int {
 	return n
 }
 
-// TotalGPUs returns the number of accelerators in the deployment.
-func (d Deployment) TotalGPUs() int {
-	n := 0
-	for _, s := range d.Silos {
-		n += s.Clients * s.GPUsPerClient
-	}
-	return n
-}
-
 // RegionClients returns the number of clients hosted per region, merging
 // duplicate region rows. Regions with zero clients are omitted.
 func (d Deployment) RegionClients() map[string]int {

@@ -30,31 +30,6 @@ func (p EncodedPayload) IsZero() bool { return p.Elems == 0 && len(p.Data) == 0 
 // WireBytes returns the number of payload bytes that cross the wire.
 func (p EncodedPayload) WireBytes() int { return len(p.Data) }
 
-// Floats decodes the payload with a fresh instance of the codec named by
-// its CodecID — the convenience path for consumers outside a negotiated
-// session (tools, tests). Session code should decode through its negotiated
-// codec instance (DecodePayload) so stateful custom codecs keep their state.
-//
-// Decoding allocates the declared Elems-sized vector, so a payload from an
-// untrusted peer must have its Elems checked against the expected vector
-// length first — a sparse frame of a few bytes may legitimately declare a
-// model-sized vector. The fed layer performs this check on every network
-// path before decoding.
-func (p EncodedPayload) Floats() ([]float32, error) {
-	if p.IsZero() {
-		return nil, nil
-	}
-	name := CodecNameByID(p.CodecID)
-	if name == "" {
-		return nil, fmt.Errorf("link: unknown codec id %d in payload", p.CodecID)
-	}
-	c, err := NewCodec(name)
-	if err != nil {
-		return nil, err
-	}
-	return c.Decode(p)
-}
-
 // Codec converts between float32 parameter vectors and their wire-native
 // encoded form. Encode and Decode must round-trip the element count exactly;
 // lossy codecs (q8, topk) may perturb values. A codec instance may carry

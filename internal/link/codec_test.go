@@ -336,9 +336,9 @@ func TestCorruptedPayloadRejected(t *testing.T) {
 		}
 	}
 
-	// An unknown codec ID on a frame must fail Floats() with a clear error.
+	// An unknown codec ID on a frame must fail to decode with a clear error.
 	unknown := EncodedPayload{CodecID: 250, Elems: 3, Data: []byte{1, 2, 3}}
-	if _, err := unknown.Floats(); err == nil {
+	if _, err := DecodePayload(nil, unknown); err == nil {
 		t.Error("unknown codec id decoded")
 	}
 }
@@ -378,7 +378,7 @@ func TestCorruptedFrameRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Payload.Floats(); err == nil {
+	if _, err := DecodePayload(q8, m.Payload); err == nil {
 		t.Fatal("inconsistent q8 payload decoded")
 	}
 }

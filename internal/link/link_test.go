@@ -2,7 +2,6 @@ package link
 
 import (
 	"bytes"
-	"crypto/x509"
 	"errors"
 	"math"
 	"math/rand"
@@ -36,7 +35,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(m, got) {
 		t.Fatalf("round trip mismatch:\n  sent %+v\n  got  %+v", m, got)
 	}
-	vec, err := got.Payload.Floats()
+	vec, err := DecodePayload(nil, got.Payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,46 +219,6 @@ func TestTCPTransport(t *testing.T) {
 	}
 }
 
-func TestTLSTransport(t *testing.T) {
-	cert, certPEM, err := SelfSignedCert("127.0.0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := ListenTLS("127.0.0.1:0", cert)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	done := make(chan *Message, 1)
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			done <- nil
-			return
-		}
-		defer c.Close()
-		m, _ := c.Recv()
-		done <- m
-	}()
-	pool := x509.NewCertPool()
-	if !pool.AppendCertsFromPEM(certPEM) {
-		t.Fatal("bad PEM")
-	}
-	c, err := DialTLS(l.Addr(), pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	want := sampleMessage()
-	if err := c.Send(want); err != nil {
-		t.Fatal(err)
-	}
-	got := <-done
-	if got == nil || !reflect.DeepEqual(want, got) {
-		t.Fatal("TLS transport failed")
-	}
-}
-
 // tcpPair returns two ends of a real TCP connection wrapped in the wire
 // protocol.
 func tcpPair(t *testing.T) (*Conn, *Conn) {
@@ -401,7 +360,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if got.Type != m.Type || got.Round != m.Round || got.Payload.Elems != n {
 			return false
 		}
-		dec, err := got.Payload.Floats()
+		dec, err := DecodePayload(codec, got.Payload)
 		if err != nil {
 			return false
 		}

@@ -5,8 +5,7 @@
 // whose parameter payloads are produced by pluggable wire codecs — dense
 // float32, lossless flate, int8 block quantization, and error-feedback
 // top-k sparsification ship built in, and RegisterCodec adds more — stream
-// transports over any net.Conn (in-process pipes, TCP, and TLS with
-// self-signed certificate generation for the cross-silo setting), and the
+// transports over any net.Conn (in-process pipes and TCP), and the
 // extensible post-processing pipeline of Section 4 — gradient clipping,
 // differential-privacy noise, and additive-mask secure aggregation. Frames
 // carry the producing codec's ID next to the codec-native bytes, so lossy
@@ -34,8 +33,8 @@ const (
 	// negotiation it acks the aggregator's MsgCodecAnnounce by echoing the
 	// announced wire ID in Meta[CodecIDKey].
 	MsgJoin MsgType = iota + 1
-	// MsgRoundStart carries round information and training instructions.
-	MsgRoundStart
+	// 2 is retired; the blank keeps every later type at its wire value.
+	_
 	// MsgModel carries global model parameters to a client.
 	MsgModel
 	// MsgUpdate carries a client's model update back to the aggregator.

@@ -3,16 +3,8 @@ package link
 import (
 	"bufio"
 	"context"
-	"crypto/ecdsa"
-	"crypto/elliptic"
-	"crypto/rand"
-	"crypto/tls"
-	"crypto/x509"
-	"crypto/x509/pkix"
-	"encoding/pem"
 	"fmt"
 	"io"
-	"math/big"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -171,9 +163,6 @@ func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
 // SetReadDeadline bounds pending and future receives only.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
 
-// SetWriteDeadline bounds pending and future sends only.
-func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
-
 // SendTimeout sends one message with a write deadline of d (d <= 0 means no
 // deadline). The deadline is cleared after the send so the connection stays
 // usable — the deadline-bounded round I/O the elastic aggregator relies on
@@ -213,13 +202,15 @@ func (c *Conn) Stats() ConnStats {
 }
 
 // Pipe returns a connected in-process Conn pair running the full wire
-// protocol over net.Pipe, used by the single-process simulator and tests.
+// protocol over net.Pipe.
+//
+//photon:nolint unused-export -- test seam: the fed session and reconnect tests (TestResilientClientReconnectsThroughPipe) drive members over it
 func Pipe() (*Conn, *Conn) {
 	a, b := net.Pipe()
 	return NewConn(a), NewConn(b)
 }
 
-// Listener accepts Photon connections over TCP or TLS.
+// Listener accepts Photon connections over TCP.
 type Listener struct {
 	l net.Listener
 }
@@ -229,15 +220,6 @@ func Listen(addr string) (*Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("link: listen: %w", err)
-	}
-	return &Listener{l: l}, nil
-}
-
-// ListenTLS starts a TLS listener with the given certificate.
-func ListenTLS(addr string, cert tls.Certificate) (*Listener, error) {
-	l, err := tls.Listen("tcp", addr, &tls.Config{Certificates: []tls.Certificate{cert}})
-	if err != nil {
-		return nil, fmt.Errorf("link: tls listen: %w", err)
 	}
 	return &Listener{l: l}, nil
 }
@@ -301,68 +283,4 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 		return nil, fmt.Errorf("link: dial: %w", err)
 	}
 	return NewConn(c), nil
-}
-
-// DialTLS connects over TLS. rootCAs nil skips verification (self-signed
-// development certificates); production deployments pass a pinned pool.
-func DialTLS(addr string, rootCAs *x509.CertPool) (*Conn, error) {
-	return DialTLSContext(context.Background(), addr, rootCAs)
-}
-
-// DialTLSContext connects over TLS honoring ctx during dial and handshake.
-// rootCAs nil skips verification (self-signed development certificates);
-// production deployments pass a pinned pool.
-func DialTLSContext(ctx context.Context, addr string, rootCAs *x509.CertPool) (*Conn, error) {
-	cfg := &tls.Config{RootCAs: rootCAs}
-	if rootCAs == nil {
-		cfg.InsecureSkipVerify = true
-	}
-	d := tls.Dialer{NetDialer: &net.Dialer{Timeout: 10 * time.Second}, Config: cfg}
-	c, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("link: tls dial: %w", err)
-	}
-	return NewConn(c), nil
-}
-
-// SelfSignedCert generates an ephemeral ECDSA P-256 certificate for the
-// given hosts, valid for 24 hours — enough for a federated training run in
-// the cross-silo setting where silos exchange certificates out of band.
-// It returns the tls.Certificate and the PEM-encoded certificate for pinning.
-func SelfSignedCert(hosts ...string) (tls.Certificate, []byte, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return tls.Certificate{}, nil, fmt.Errorf("link: keygen: %w", err)
-	}
-	tmpl := x509.Certificate{
-		SerialNumber: big.NewInt(time.Now().UnixNano()),
-		Subject:      pkix.Name{Organization: []string{"photon"}},
-		NotBefore:    time.Now().Add(-time.Hour),
-		NotAfter:     time.Now().Add(24 * time.Hour),
-		KeyUsage:     x509.KeyUsageDigitalSignature | x509.KeyUsageCertSign,
-		ExtKeyUsage:  []x509.ExtKeyUsage{x509.ExtKeyUsageServerAuth},
-		IsCA:         true,
-	}
-	for _, h := range hosts {
-		if ip := net.ParseIP(h); ip != nil {
-			tmpl.IPAddresses = append(tmpl.IPAddresses, ip)
-		} else {
-			tmpl.DNSNames = append(tmpl.DNSNames, h)
-		}
-	}
-	der, err := x509.CreateCertificate(rand.Reader, &tmpl, &tmpl, &key.PublicKey, key)
-	if err != nil {
-		return tls.Certificate{}, nil, fmt.Errorf("link: create cert: %w", err)
-	}
-	certPEM := pem.EncodeToMemory(&pem.Block{Type: "CERTIFICATE", Bytes: der})
-	keyDER, err := x509.MarshalECPrivateKey(key)
-	if err != nil {
-		return tls.Certificate{}, nil, fmt.Errorf("link: marshal key: %w", err)
-	}
-	keyPEM := pem.EncodeToMemory(&pem.Block{Type: "EC PRIVATE KEY", Bytes: keyDER})
-	cert, err := tls.X509KeyPair(certPEM, keyPEM)
-	if err != nil {
-		return tls.Certificate{}, nil, fmt.Errorf("link: keypair: %w", err)
-	}
-	return cert, certPEM, nil
 }

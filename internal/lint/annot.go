@@ -19,7 +19,8 @@ import (
 //	                        (standalone); bare //photon:nolint suppresses all.
 //
 // A directive's optional trailing " -- reason" text is ignored by the parser
-// but encouraged for reviewers.
+// but encouraged for reviewers; a suppression of unused-export must give one
+// (TestUnusedExportSuppressionsGiveReasons).
 
 const directivePrefix = "//photon:"
 

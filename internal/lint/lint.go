@@ -56,6 +56,7 @@ func All() []*Analyzer {
 		LockedBlocking,
 		NoWallclock,
 		CtxFirst,
+		UnusedExport,
 	}
 }
 
@@ -66,16 +67,6 @@ func (p *Program) RunPackage(pkg *Package, analyzers []*Analyzer) []Finding {
 	for _, a := range analyzers {
 		pass := &Pass{Prog: p, Pkg: pkg, analyzer: a, findings: &findings}
 		a.Run(pass)
-	}
-	sortFindings(findings)
-	return findings
-}
-
-// Run executes the analyzers over every loaded package.
-func (p *Program) Run(analyzers []*Analyzer) []Finding {
-	var findings []Finding
-	for _, pkg := range p.SortedPackages() {
-		findings = append(findings, p.RunPackage(pkg, analyzers)...)
 	}
 	sortFindings(findings)
 	return findings

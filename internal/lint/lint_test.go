@@ -1,8 +1,11 @@
 package lint
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -111,6 +114,10 @@ func TestCtxFirstFixtures(t *testing.T) {
 	checkFixture(t, CtxFirst, "ctxfirstbad", "ctxfirstbad/internal/serve", "ctxfirstgood/internal/link")
 }
 
+func TestUnusedExportFixtures(t *testing.T) {
+	checkFixture(t, UnusedExport, "unusedexportbad", "unusedexportgood")
+}
+
 // TestModuleClean pins the acceptance invariant that the repo's own tree
 // stays analyzer-clean: photon-vet over ./... must report nothing. A
 // violation introduced anywhere in the module fails this test with the
@@ -120,12 +127,49 @@ func TestModuleClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	findings := prog.Run(All())
+	var findings []Finding
+	for _, pkg := range prog.SortedPackages() {
+		findings = append(findings, prog.RunPackage(pkg, All())...)
+	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
 	if len(findings) > 0 {
 		t.Fatalf("%d findings on the module tree; run `go run ./cmd/photon-vet ./...` locally", len(findings))
+	}
+}
+
+// TestUnusedExportSuppressionsGiveReasons walks every Go file in the module
+// and fails on a //photon:nolint that mutes unused-export (by name, or bare)
+// without a " -- reason": an exception must say which test needs it.
+func TestUnusedExportSuppressionsGiveReasons(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				verb, arg, ok := parseDirective(c.Text)
+				if !ok || verb != "nolint" || (arg != "" && !slices.Contains(strings.Split(strings.ReplaceAll(arg, " ", ""), ","), UnusedExport.Name)) {
+					continue
+				}
+				if _, reason, _ := strings.Cut(c.Text, " -- "); strings.TrimSpace(reason) == "" {
+					t.Errorf("%s: %q mutes unused-export without a reason", path, c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -12,7 +12,9 @@
 //   - no-wallclock: no time.Now/Since/Sleep in virtual-clock packages
 //     (internal/topo and any package annotated //photon:virtualclock),
 //   - ctx-first: context.Context parameters come first, and blocking-named
-//     exported APIs in fed/link/serve take one (or have a Context sibling).
+//     exported APIs in fed/link/serve take one (or have a Context sibling),
+//   - unused-export: no exported name in internal/ that no non-test code
+//     references, and no exported struct field that no non-test code sets.
 //
 // See the README "Static analysis & invariants" section for the annotation
 // grammar and cmd/photon-vet for the CLI driver.
@@ -69,6 +71,7 @@ type Program struct {
 	Packages map[string]*Package
 
 	stdImporter types.Importer
+	uses        *useIndex // unused-export's index; nil until first use
 }
 
 // ModuleRoot walks up from dir to the nearest directory containing go.mod.
@@ -290,6 +293,7 @@ func (p *Program) load(path, dir string, chain []string) (*Package, error) {
 	}
 	p.indexAnnotations(pkg)
 	p.Packages[path] = pkg
+	p.uses = nil
 	return pkg, nil
 }
 

@@ -1,13 +1,12 @@
 // Package metrics collects and renders training measurements: per-round
 // histories with perplexity/loss series, the AggMetrics reduction from
 // Algorithm 1, rounds-to-target queries used by the wall-time experiments, and
-// plain-text table/series renderers for the benchmark harness.
+// the plain-text table renderer for the benchmark harness.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"photon/internal/obsv"
@@ -237,25 +236,4 @@ func Table(headers []string, rows [][]string) string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// Series renders (x, y) pairs as "x<TAB>y" lines with a header, the format
-// the figure benches print so curves can be plotted or diffed directly.
-func Series(name, xLabel, yLabel string, xs []int, ys []float64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n%s\t%s\n", name, xLabel, yLabel)
-	for i := range xs {
-		fmt.Fprintf(&b, "%d\t%.4f\n", xs[i], ys[i])
-	}
-	return b.String()
-}
-
-// SortedKeys returns map keys in sorted order for deterministic rendering.
-func SortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

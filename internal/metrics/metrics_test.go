@@ -118,17 +118,3 @@ func TestTableRaggedRows(t *testing.T) {
 		t.Fatalf("separator missing surplus column: %q", lines[1])
 	}
 }
-
-func TestSeriesFormat(t *testing.T) {
-	out := Series("fig", "round", "ppl", []int{1, 2}, []float64{50, 40.5})
-	if !strings.Contains(out, "# fig") || !strings.Contains(out, "2\t40.5000") {
-		t.Fatalf("bad series output:\n%s", out)
-	}
-}
-
-func TestSortedKeys(t *testing.T) {
-	keys := SortedKeys(map[string]float64{"b": 1, "a": 2, "c": 3})
-	if strings.Join(keys, "") != "abc" {
-		t.Fatalf("keys not sorted: %v", keys)
-	}
-}

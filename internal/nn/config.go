@@ -15,8 +15,10 @@ type Config struct {
 	SeqLen    int     // training sequence length l
 	Beta1     float64 // AdamW β1 (Table 4)
 	Beta2     float64 // AdamW β2 (Table 4)
-	InitStd   float64 // weight init standard deviation (0 → 0.02 default)
 }
+
+// initStd is the weight-init standard deviation of every model.
+const initStd = 0.02
 
 // Validate reports whether the configuration is trainable.
 func (c Config) Validate() error {

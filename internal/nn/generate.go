@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math/rand"
-
-	"photon/internal/tensor"
-)
+import "math/rand"
 
 // Generate autoregressively samples n tokens continuing prompt. Temperature
 // 0 is greedy decoding; higher temperatures flatten the distribution. It is
@@ -64,19 +60,4 @@ func (m *Model) GenerateOpts(rng *rand.Rand, prompt []int, n int, o SampleOpts) 
 func (m *Model) genRow(r int) []int {
 	m.genRowIdx[0] = r
 	return m.genRowIdx[:]
-}
-
-// SequenceLogProb returns the model's total log-probability (nats) of seq
-// under teacher forcing, conditioned position by position.
-func (m *Model) SequenceLogProb(seq []int) float64 {
-	if len(seq) < 2 {
-		return 0
-	}
-	logits := m.logitsScratch([][]int{seq[:len(seq)-1]})
-	var lp float64
-	for t := 0; t < len(seq)-1; t++ {
-		row := logits.Row(t)
-		lp += float64(row[seq[t+1]]) - tensor.LogSumExpRow(row)
-	}
-	return lp
 }

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -49,23 +48,5 @@ func TestGenerateContextTruncation(t *testing.T) {
 	out := m.Generate(rand.New(rand.NewSource(8)), long, 4, 0.5)
 	if len(out) != 4 {
 		t.Fatalf("long prompt: got %d tokens", len(out))
-	}
-}
-
-func TestSequenceLogProb(t *testing.T) {
-	cfg := testConfig()
-	m := NewModel(cfg, rand.New(rand.NewSource(9)))
-	seq := []int{1, 2, 3, 4}
-	lp := m.SequenceLogProb(seq)
-	if lp >= 0 {
-		t.Fatalf("log-prob must be negative, got %v", lp)
-	}
-	// Per-token logprob of a random model ≈ -log V.
-	perTok := lp / 3
-	if math.Abs(perTok+math.Log(float64(cfg.VocabSize))) > 1 {
-		t.Fatalf("per-token logprob implausible: %v", perTok)
-	}
-	if m.SequenceLogProb([]int{1}) != 0 {
-		t.Fatal("single-token sequence has no transitions")
 	}
 }

@@ -21,10 +21,7 @@ type Block struct {
 
 // NewBlock constructs one transformer block.
 func NewBlock(name string, cfg Config, rng *rand.Rand) *Block {
-	std := cfg.InitStd
-	if std == 0 {
-		std = 0.02
-	}
+	std := initStd
 	// Residual-branch output projections get the GPT-2 style depth-scaled
 	// init to keep the residual stream variance bounded.
 	resStd := std / math.Sqrt(float64(2*cfg.Blocks))
@@ -120,10 +117,7 @@ func NewModel(cfg Config, rng *rand.Rand) *Model {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	std := cfg.InitStd
-	if std == 0 {
-		std = 0.02
-	}
+	std := initStd
 	m := &Model{
 		Cfg:   cfg,
 		Embed: NewEmbedding("embed", cfg.VocabSize, cfg.Dim, std, rng),
@@ -171,9 +165,6 @@ type Batch struct {
 	Inputs  [][]int
 	Targets [][]int
 }
-
-// Size returns the number of sequences in the batch.
-func (b Batch) Size() int { return len(b.Inputs) }
 
 // Tokens returns the number of (non-ignored) target tokens.
 func (b Batch) Tokens() int {

@@ -126,15 +126,6 @@ func (w *Workspace) Take(rows, cols int) *tensor.Matrix {
 	return m
 }
 
-// TakeZero is Take with the contents cleared.
-//
-//photon:allocok
-func (w *Workspace) TakeZero(rows, cols int) *tensor.Matrix {
-	m := w.Take(rows, cols)
-	m.Zero()
-	return m
-}
-
 // growF32 is the cap-grow pattern for flat scratch vectors: reuse the backing
 // array when it is large enough, reallocate with 50% slack when it is not so
 // monotonically growing callers (Generate's per-token context) amortize

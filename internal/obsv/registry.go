@@ -140,7 +140,6 @@ type instrument struct {
 	name, help, kind string
 	counter          *Counter
 	gauge            *Gauge
-	gaugeFn          func() float64
 	hist             *Histogram
 }
 
@@ -198,14 +197,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return in.gauge
 }
 
-// GaugeFunc registers a gauge computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	in := r.get(name, help, "gauge")
-	in.gaugeFn = fn
-}
-
 // Histogram registers (or fetches) a histogram with the given upper
 // bounds (nil means DefBuckets).
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
@@ -245,10 +236,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case in.counter != nil:
 			if _, err := fmt.Fprintf(w, "%s %d\n", in.name, in.counter.Value()); err != nil {
-				return err
-			}
-		case in.gaugeFn != nil:
-			if _, err := fmt.Fprintf(w, "%s %s\n", in.name, fmtFloat(in.gaugeFn())); err != nil {
 				return err
 			}
 		case in.gauge != nil:

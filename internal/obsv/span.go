@@ -57,17 +57,6 @@ func (n *PhaseNanos) Add(p Phase, ns int64) {
 	}
 }
 
-// SumNs returns the total across all phases.
-//
-//photon:hotpath
-func (n PhaseNanos) SumNs() int64 {
-	var s int64
-	for _, v := range n {
-		s += v
-	}
-	return s
-}
-
 // Slowest returns the phase holding the most accumulated time.
 //
 //photon:hotpath
@@ -110,11 +99,6 @@ type Breakdown struct {
 	DecodeMs    float64
 	AggregateMs float64
 	EvalMs      float64
-}
-
-// SumMs returns the total across all phases.
-func (b Breakdown) SumMs() float64 {
-	return b.BroadcastMs + b.TrainMs + b.EncodeMs + b.WireMs + b.DecodeMs + b.AggregateMs + b.EvalMs
 }
 
 // SpanMark is an in-flight span: the monotonic start of one phase

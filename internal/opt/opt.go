@@ -1,6 +1,6 @@
 // Package opt implements the local (client-side) optimizers and learning-rate
 // schedules used by Photon: AdamW with decoupled weight decay (the paper's
-// ClientOpt), plain and Nesterov-momentum SGD, and the cosine-with-warmup
+// ClientOpt), and the cosine-with-warmup
 // schedule whose decay period follows the Appendix C.1 rule (Eq. 8): the
 // period is set for the *hardware* batch size Bc rather than the effective
 // federated batch, which is what lets Photon pair small client batches with
@@ -30,24 +30,6 @@ type Optimizer interface {
 	Name() string
 }
 
-// SGD is plain stochastic gradient descent.
-type SGD struct{}
-
-// Name implements Optimizer.
-func (SGD) Name() string { return "sgd" }
-
-// Reset implements Optimizer (SGD is stateless).
-func (SGD) Reset() {}
-
-// Step applies p -= lr·g.
-//
-//photon:hotpath
-func (SGD) Step(params nn.ParamSet, lr float64) {
-	for _, p := range params {
-		tensor.Axpy(-float32(lr), p.Grad, p.Data)
-	}
-}
-
 // ensureState sizes each state buffer to its parameter, reusing capacity and
 // zeroing any buffer it (re)creates. It reports buffers ready for use.
 //
@@ -71,49 +53,6 @@ func zeroState(bufs [][]float32) {
 	for _, b := range bufs {
 		for i := range b {
 			b[i] = 0
-		}
-	}
-}
-
-// Momentum is SGD with (optionally Nesterov) momentum, the optimizer DiLoCo
-// recommends for its outer loop; provided here for local-optimizer ablations.
-type Momentum struct {
-	Mu       float64 // momentum coefficient
-	Nesterov bool
-	buf      [][]float32
-}
-
-// Name implements Optimizer.
-func (m *Momentum) Name() string {
-	if m.Nesterov {
-		return "nesterov"
-	}
-	return "momentum"
-}
-
-// Reset implements Optimizer: the velocity buffers are zeroed in place (the
-// previous implementation dropped the slices, forcing a full reallocation at
-// every round boundary).
-//
-//photon:hotpath
-func (m *Momentum) Reset() { zeroState(m.buf) }
-
-// Step applies the momentum update v = μv + g; p -= lr·(g + μv) (Nesterov)
-// or p -= lr·v (classic).
-//
-//photon:hotpath
-func (m *Momentum) Step(params nn.ParamSet, lr float64) {
-	m.buf = ensureState(m.buf, params)
-	mu := float32(m.Mu)
-	for i, p := range params {
-		v := m.buf[i]
-		for j, g := range p.Grad {
-			v[j] = mu*v[j] + g
-			if m.Nesterov {
-				p.Data[j] -= float32(lr) * (g + mu*v[j])
-			} else {
-				p.Data[j] -= float32(lr) * v[j]
-			}
 		}
 	}
 }

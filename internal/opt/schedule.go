@@ -45,23 +45,6 @@ func PaperCosine(maxLR float64, period int) Cosine {
 	return Cosine{Max: maxLR, Min: 0.1 * maxLR, Warmup: w, Period: period}
 }
 
-// ChinchillaPeriodSteps computes the cosine decay period from the Appendix
-// C.1 rule derived from Eq. 8: train on ≈20 tokens per parameter, so the
-// number of optimization steps is 20·|θ| / (B·seqLen) for batch size B.
-// Photon substitutes the client hardware batch size Bc for the effective
-// batch — extending the decay period by Beff/Bc relative to centralized —
-// which is what makes high learning rates stable with small batches.
-func ChinchillaPeriodSteps(paramCount int64, batchSize, seqLen int) int {
-	if batchSize <= 0 || seqLen <= 0 {
-		return 1
-	}
-	steps := 20 * float64(paramCount) / float64(batchSize*seqLen)
-	if steps < 1 {
-		return 1
-	}
-	return int(steps)
-}
-
 // LinearLRScale returns the learning rate a *centralized* run must use for a
 // small batch Bsmall given a reference (lrRef, bRef) pair, per the linear
 // scaling rule. The paper's Appendix C.1 observation is that centralized

@@ -18,26 +18,43 @@ import (
 // Served accuracies must match the in-process suite almost exactly; the only
 // admissible slack is the decode-vs-training float tolerance flipping an
 // instance whose candidates are near-tied.
+// runSuite scores every task in the evaluation suite through sc, keyed by
+// task name.
+func runSuite(sc eval.Scorer, src data.Source, seed int64) (map[string]float64, error) {
+	acc := map[string]float64{}
+	for _, task := range eval.Suite() {
+		a, err := task.EvaluateWith(sc, src, seed)
+		if err != nil {
+			return nil, err
+		}
+		acc[task.Name] = a
+	}
+	return acc, nil
+}
+
 func TestSuiteEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite e2e is long")
 	}
 	m := testModel(31)
 	src := data.NewMarkovSource("truth", m.Cfg.VocabSize, 9, 0.9, 77)
-	want := eval.RunSuite("in-process", m, src, 5)
+	want, err := runSuite(eval.ModelScorer{M: m}, src, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	client, shutdown := startServer(t, m, Config{MaxBatch: 4, MaxSeq: 128, Queue: 32})
 	defer shutdown()
 
-	got, err := eval.RunSuiteWith("served", client, src, 5)
+	got, err := runSuite(client, src, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Acc) != len(want.Acc) {
-		t.Fatalf("served suite covered %d tasks, in-process %d", len(got.Acc), len(want.Acc))
+	if len(got) != len(want) {
+		t.Fatalf("served suite covered %d tasks, in-process %d", len(got), len(want))
 	}
-	for task, wantAcc := range want.Acc {
-		gotAcc, ok := got.Acc[task]
+	for task, wantAcc := range want {
+		gotAcc, ok := got[task]
 		if !ok {
 			t.Fatalf("task %s missing from served report", task)
 		}

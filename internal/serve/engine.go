@@ -123,28 +123,6 @@ type Result struct {
 	Duration time.Duration
 }
 
-// EventKind classifies telemetry events.
-type EventKind int
-
-// Event kinds.
-const (
-	// EventCompleted is a successfully finished request.
-	EventCompleted EventKind = iota
-	// EventExpired is a request retired by its deadline.
-	EventExpired
-)
-
-// Event is one request's completion record, emitted on the Events channel
-// (best-effort: slow consumers drop events, never the serving path). Call
-// Stats for the engine-wide snapshot.
-type Event struct {
-	Kind     EventKind
-	Tokens   int // tokens generated, or continuation tokens scored
-	Reused   int // leading tokens served from a retained KV prefix
-	Queued   time.Duration
-	Duration time.Duration
-}
-
 // Stats is a point-in-time engine snapshot.
 type Stats struct {
 	// QueueDepth is the number of requests waiting for a slot; Active the
@@ -273,10 +251,9 @@ type Engine struct {
 	m   *nn.Model
 	cfg Config
 
-	reqs   chan *pending
-	quit   chan struct{}
-	done   chan struct{}
-	events chan Event
+	reqs chan *pending
+	quit chan struct{}
+	done chan struct{}
 
 	mu        sync.Mutex
 	started   time.Time
@@ -318,7 +295,6 @@ func NewEngine(m *nn.Model, cfg Config) *Engine {
 		reqs:    make(chan *pending, cfg.Queue),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
-		events:  make(chan Event, 128),
 		started: time.Now(),
 
 		insQueue:     obsv.Default.Gauge("photon_serve_queue_depth", "Requests waiting in the admission queue."),
@@ -341,10 +317,6 @@ func NewEngine(m *nn.Model, cfg Config) *Engine {
 	go e.loop()
 	return e
 }
-
-// Events returns the telemetry stream. Events are dropped, not queued, when
-// the consumer lags; the channel closes when the engine does.
-func (e *Engine) Events() <-chan Event { return e.events }
 
 // ResolvedConfig returns the engine's configuration with defaults applied.
 func (e *Engine) ResolvedConfig() Config { return e.cfg }
@@ -428,7 +400,6 @@ func (e *Engine) Stats() Stats {
 // stops the helpers, so when Close returns no engine goroutine is left.
 func (e *Engine) loop() {
 	defer close(e.done)
-	defer close(e.events)
 	defer func() {
 		for _, sh := range e.shards[1:] {
 			sh.seqs = nil
@@ -781,9 +752,8 @@ func (s *seqSlot) feed() []int {
 	return s.tok[:]
 }
 
-// retire completes a sequence: slot back in the pool, counters, result out,
-// telemetry — in that order, so a caller holding a result finds it counted in
-// Stats. Runs once per sequence, not per token, so it may allocate (the
+// retire completes a sequence: slot back in the pool, counters, result out —
+// in that order, so a caller holding a result finds it counted in Stats. Runs once per sequence, not per token, so it may allocate (the
 // latency ring growth before the window fills).
 //
 //photon:allocok
@@ -794,27 +764,12 @@ func (e *Engine) retire(s *seqSlot, free *[]*kvSlot, res Result, expired bool, n
 	s.kv.retired = e.retireSeq
 	*free = append(*free, s.kv)
 
-	ev := Event{
-		Kind:     EventCompleted,
-		Tokens:   len(res.Tokens),
-		Reused:   s.reused,
-		Queued:   res.Queued,
-		Duration: res.Duration,
-	}
 	fed := len(s.prompt)
 	if s.score {
-		ev.Tokens = len(s.seq) - s.promptLen
 		fed = len(s.seq) - 1 - s.reused
-	}
-	if expired {
-		ev.Kind = EventExpired
 	}
 	e.retireCounters(res.Duration, expired, fed, s.reused)
 	s.p.res <- res
-	select {
-	case e.events <- ev:
-	default: // slow consumer: drop telemetry, never block serving
-	}
 }
 
 // retireCounters updates completion and token counters and the latency ring.

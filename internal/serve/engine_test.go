@@ -102,8 +102,8 @@ func TestEngineScoreMatchesEval(t *testing.T) {
 // Nothing here depends on wall time. Admission is FIFO, so submitting the long
 // request first binds it to one slot before any short is looked at, and the
 // shorts then contend for the other; completion order is read from the
-// engine's own retirement events (emitted by the scheduler goroutine in the
-// order it retires sequences), not from which observer goroutine wakes first.
+// buffered result channels, which the scheduler goroutine fills in the order
+// it retires sequences, not from which observer goroutine wakes first.
 func TestEngineContinuousBatching(t *testing.T) {
 	m := testModel(3)
 	e := NewEngine(m, Config{MaxBatch: 2, MaxSeq: 128, Queue: 8})
@@ -126,23 +126,19 @@ func TestEngineContinuousBatching(t *testing.T) {
 
 	// The shorts need nShort*shortNew decode steps through one slot; the long
 	// request needs longNew. Batched, the shorts retire first; served one
-	// request at a time (no mid-batch admission) the long one would.
-	var order []int
-	for range results {
-		ev := <-e.Events()
-		if ev.Kind != EventCompleted {
-			t.Fatalf("event kind %v, want completed", ev.Kind)
-		}
-		order = append(order, ev.Tokens)
-	}
-	want := []int{shortNew, shortNew, shortNew, longNew}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("retirement order (tokens per request) %v, want %v: short requests should finish mid-batch before the long one", order, want)
+	// request at a time (no mid-batch admission) the long one would. The
+	// scheduler sends each result as it retires the sequence, so once the
+	// long one's result is here every short one must already be buffered.
+	got := []Result{<-results[0]}
+	for i, ch := range results[1:] {
+		select {
+		case r := <-ch:
+			got = append(got, r)
+		default:
+			t.Fatalf("short request %d unfinished when the long one retired: short requests should finish mid-batch before the long one", i+1)
 		}
 	}
-	for i, ch := range results {
-		r := <-ch
+	for i, r := range got {
 		if r.Err != nil {
 			t.Fatalf("request %d failed: %v", i, r.Err)
 		}
@@ -254,32 +250,6 @@ func TestEngineClose(t *testing.T) {
 	}
 	if _, err := e.Submit(Request{Prompt: []int{1}, MaxNew: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close submit got %v, want ErrClosed", err)
-	}
-}
-
-// TestEngineEvents checks the telemetry stream carries completions, and that
-// the snapshot read after one is coherent with it.
-func TestEngineEvents(t *testing.T) {
-	m := testModel(8)
-	e := NewEngine(m, Config{MaxBatch: 2, MaxSeq: 64})
-	defer e.Close()
-
-	if res := e.Do(Request{Prompt: []int{2, 3}, MaxNew: 4}); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	select {
-	case ev := <-e.Events():
-		if ev.Kind != EventCompleted {
-			t.Fatalf("event kind %v, want EventCompleted", ev.Kind)
-		}
-		if ev.Tokens != 4 {
-			t.Fatalf("event reports %d tokens, want 4", ev.Tokens)
-		}
-		if st := e.Stats(); ev.Duration <= 0 || st.Completed < 1 || st.P50 <= 0 {
-			t.Fatalf("incoherent event %+v / snapshot %+v", ev, st)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no event delivered")
 	}
 }
 

@@ -331,13 +331,6 @@ func bandCausalSoftmaxGrad(dp, p *Matrix, scale float32, lo, hi int) {
 	}
 }
 
-//photon:hotpath
-func bandSoftmaxRows(m *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		SoftmaxRow(m.Data[i*m.Cols : (i+1)*m.Cols])
-	}
-}
-
 // --- exported batched / fused entry points ---
 
 //photon:allocok
@@ -352,6 +345,7 @@ func checkBatch(rowsA, batch int, what string) int {
 // stack of batch [m, k] items, B of [k, n] items, C of [m, n] items.
 //
 //photon:hotpath
+//photon:nolint unused-export -- kernel-path check: TestExistingSuitesOnBothKernelPaths runs TestBatchMatMulMatchesNaive against the naive reference on the AVX2 and Go paths
 func BatchMatMul(c, a, b *Matrix, batch int) {
 	m := checkBatch(a.Rows, batch, "BatchMatMul")
 	k := checkBatch(b.Rows, batch, "BatchMatMul")
@@ -366,6 +360,7 @@ func BatchMatMul(c, a, b *Matrix, batch int) {
 // [m, k] items, B stacks [n, k] items, C stacks [m, n] items.
 //
 //photon:hotpath
+//photon:nolint unused-export -- kernel-path check: TestExistingSuitesOnBothKernelPaths runs TestBatchMatMulTransBMatchesNaive against the naive reference on the AVX2 and Go paths
 func BatchMatMulTransB(c, a, b *Matrix, batch int) {
 	m := checkBatch(a.Rows, batch, "BatchMatMulTransB")
 	n := checkBatch(b.Rows, batch, "BatchMatMulTransB")
@@ -448,13 +443,6 @@ func CausalSoftmaxGradRows(dp, p *Matrix, batch, heads int, scale float32) {
 		panic("tensor: CausalSoftmaxGradRows shape mismatch")
 	}
 	dispatch(items, satMul(seq, seq), task{kind: kCausalSoftmaxGrad, c: *dp, a: *p, scale: scale})
-}
-
-// SoftmaxRows applies SoftmaxRow to every row of m on the worker pool.
-//
-//photon:hotpath
-func SoftmaxRows(m *Matrix) {
-	dispatch(m.Rows, satMul(m.Cols, 16), task{kind: kSoftmaxRows, a: *m})
 }
 
 // --- register-tiled micro-kernels ---

@@ -34,7 +34,6 @@ const (
 	kBatchMatMulTransA
 	kCausalSoftmax
 	kCausalSoftmaxGrad
-	kSoftmaxRows
 	kAttendDecode
 )
 
@@ -146,8 +145,6 @@ func runTask(t *task) {
 		bandCausalSoftmax(&t.a, t.heads, t.sl, t.scale, t.lo, t.hi)
 	case kCausalSoftmaxGrad:
 		bandCausalSoftmaxGrad(&t.c, &t.a, t.scale, t.lo, t.hi)
-	case kSoftmaxRows:
-		bandSoftmaxRows(&t.a, t.lo, t.hi)
 	case kAttendDecode:
 		bandAttendDecode(t.ditems, t.scale, t.lo, t.hi)
 	}

@@ -10,11 +10,3 @@ func RandNormal(rng *rand.Rand, x []float32, mean, std float64) {
 		x[i] = float32(mean + std*rng.NormFloat64())
 	}
 }
-
-// RandUniform fills x with samples from U[lo, hi).
-func RandUniform(rng *rand.Rand, x []float32, lo, hi float64) {
-	span := hi - lo
-	for i := range x {
-		x[i] = float32(lo + span*rng.Float64())
-	}
-}

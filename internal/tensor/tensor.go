@@ -54,11 +54,6 @@ func (m *Matrix) Row(i int) []float32 {
 //photon:hotpath
 func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
-// Set assigns element (i, j).
-//
-//photon:hotpath
-func (m *Matrix) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
 // Clone returns a deep copy of the matrix.
 //
 //photon:allocok
@@ -97,6 +92,7 @@ func MatMul(c, a, b *Matrix) {
 // MatMulAccum computes C += A·B (same shapes as MatMul).
 //
 //photon:hotpath
+//photon:nolint unused-export -- kernel-path check: TestExistingSuitesOnBothKernelPaths runs TestMatMulAccum against the naive reference on the AVX2 and Go paths, and TestTileInvarianceBitwise checks its rows
 func MatMulAccum(c, a, b *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("tensor: MatMulAccum shape mismatch")
@@ -104,19 +100,8 @@ func MatMulAccum(c, a, b *Matrix) {
 	dispatch(a.Rows, satMul(a.Cols, b.Cols), task{kind: kMatMulAccum, c: *c, a: *a, b: *b})
 }
 
-// MatMulTransA computes C = Aᵀ·B where A is k×m, B is k×n, C is m×n.
-// This is the kernel used for weight gradients (dW = Xᵀ·dY).
-//
-//photon:hotpath
-func MatMulTransA(c, a, b *Matrix) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic("tensor: MatMulTransA shape mismatch")
-	}
-	c.Zero()
-	MatMulTransAAccum(c, a, b)
-}
-
-// MatMulTransAAccum computes C += Aᵀ·B (same shapes as MatMulTransA).
+// MatMulTransAAccum computes C += Aᵀ·B where A is k×m, B is k×n, C is m×n:
+// the kernel used for weight gradients (dW += Xᵀ·dY).
 // Parallelized over output rows (columns of A): each band owns its C rows so
 // no synchronization is needed.
 //
@@ -244,6 +229,7 @@ func Sub(dst, src []float32) {
 // Hadamard computes dst[i] *= src[i].
 //
 //photon:hotpath
+//photon:nolint unused-export -- kernel-path check: TestElementwiseBitwiseEqualGo compares its AVX2 path bit for bit with the Go loop
 func Hadamard(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: Hadamard length mismatch")
@@ -266,22 +252,11 @@ func Fill(x []float32, v float32) {
 	}
 }
 
-// Norm2 returns the Euclidean norm of x, accumulated in float64 for
-// stability.
-//
-//photon:hotpath
-func Norm2(x []float32) float64 {
-	var s float64
-	for _, v := range x {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
-}
-
 // SoftmaxRow converts x to a probability distribution in place using the
 // numerically stable max-subtraction form.
 //
 //photon:hotpath
+//photon:nolint unused-export -- reference implementation: TestCausalSoftmaxRowsMatchesReference and nn's reference attention test compare CausalSoftmaxRows against it
 func SoftmaxRow(x []float32) {
 	if len(x) == 0 {
 		return

@@ -84,11 +84,6 @@ type Plan struct {
 	Dials []Dial
 }
 
-// TotalSeconds is Eq. 6 for the chosen plan: rounds × RoundSeconds.
-func (p *Plan) TotalSeconds(rounds int) float64 {
-	return float64(rounds) * p.RoundSeconds
-}
-
 // nodeName labels the i-th client in a region on the dial graph.
 func nodeName(region string, i int) string { return fmt.Sprintf("%s/%d", region, i) }
 

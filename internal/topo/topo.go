@@ -3,21 +3,16 @@
 //
 // The three aggregation variants of Section 4 — parameter server (PS),
 // AllReduce (AR), and Ring-AllReduce (RAR) — have the communication costs of
-// Eqs. 2–4; local compute time follows Eq. 1; round and total wall time
-// follow Eqs. 5–6 (RoundTime includes the Eq. 7 server aggregation term);
-// PS bandwidth degrades past the Appendix B.1 congestion threshold θ
-// (CongestionThr), continuously and monotonically in the client count. The
-// package also carries the Figure 2 inter-region bandwidth graph, the
-// topology auto-selection rule Photon applies per scenario (privacy
-// constraints rule out peer-to-peer; dropout risk rules out RAR; otherwise
-// the cheapest topology wins), and BuildPlan, which turns the analytic
-// model into an executable two-tier relay placement over a deployment.
+// Eqs. 2–4; local compute time follows Eq. 1; round wall time follows Eq. 5
+// (RoundTime includes the Eq. 7 server aggregation term); PS bandwidth
+// degrades past the Appendix B.1 congestion threshold θ (CongestionThr),
+// continuously and monotonically in the client count. The package also
+// carries the Figure 2 inter-region bandwidth graph and BuildPlan, which
+// turns the analytic model into an executable two-tier relay placement over
+// a deployment.
 package topo
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Topology identifies an aggregation implementation.
 type Topology int
@@ -55,9 +50,13 @@ type Model struct {
 	BandwidthMBps float64 // B: effective bandwidth of the binding link (MB/s)
 	Throughput    float64 // ν: local training throughput (batches/s), Eq. 1
 	LocalSteps    int     // τ: local steps per round
-	ServerTFLOPS  float64 // ζ: server aggregation capacity (default 5 TFLOPS)
-	CongestionThr int     // θ: channels before bandwidth scaling (default 100)
+	// θ: channels before bandwidth scaling (default 100).
+	//photon:nolint unused-export -- test seam: TestCongestionRegressionTable1 and TestBuildPlanPrefersTiersUnderCongestion fake a congested root link at 10-client scale
+	CongestionThr int
 }
+
+// serverTFLOPS is ζ, the server's aggregation capacity in Eq. 7.
+const serverTFLOPS = 5
 
 // Validate reports whether the model's parameters are usable.
 func (m Model) Validate() error {
@@ -125,15 +124,11 @@ func (m Model) CommTime(t Topology, k int) float64 {
 	}
 }
 
-// AggregationTime is Eq. 7: T_agg = K·S/ζ with ζ in TFLOPS (default 5),
-// counting one reduce FLOP per aggregated byte. As the paper notes, this is
-// negligible next to communication.
+// AggregationTime is Eq. 7: T_agg = K·S/ζ with ζ in TFLOPS, counting one
+// reduce FLOP per aggregated byte. As the paper notes, this is negligible
+// next to communication.
 func (m Model) AggregationTime(k int) float64 {
-	z := m.ServerTFLOPS
-	if z <= 0 {
-		z = 5
-	}
-	return float64(k) * m.ModelSizeMB * 1e6 / (z * 1e12)
+	return float64(k) * m.ModelSizeMB * 1e6 / (serverTFLOPS * 1e12)
 }
 
 // RoundTime is Eq. 5: one round of local compute, aggregation traffic, and
@@ -141,11 +136,6 @@ func (m Model) AggregationTime(k int) float64 {
 // part of the equation).
 func (m Model) RoundTime(t Topology, k int) float64 {
 	return m.LocalComputeTime() + m.CommTime(t, k) + m.AggregationTime(k)
-}
-
-// TotalTime is Eq. 6: R rounds of RoundTime.
-func (m Model) TotalTime(t Topology, k, rounds int) float64 {
-	return float64(rounds) * m.RoundTime(t, k)
 }
 
 // CommShare returns the fraction of round wall time spent communicating,
@@ -156,42 +146,4 @@ func (m Model) CommShare(t Topology, k int) float64 {
 		return 0
 	}
 	return m.CommTime(t, k) / rt
-}
-
-// DDPStepCommTime returns the per-step gradient synchronization cost of
-// centralized distributed data parallelism over the same links, which pays
-// the Eq. 4 ring cost at *every* optimizer step instead of every τ steps.
-func (m Model) DDPStepCommTime(k int) float64 {
-	return m.CommTime(RAR, k)
-}
-
-// CommReductionFactor returns how many times less often federated training
-// communicates versus DDP: exactly τ (the 64×–512× headline).
-func (m Model) CommReductionFactor() float64 { return float64(m.LocalSteps) }
-
-// Constraints describe deployment restrictions for topology selection.
-type Constraints struct {
-	// PeerToPeerAllowed is false under privacy restrictions that force all
-	// traffic through a trusted server.
-	PeerToPeerAllowed bool
-	// DropoutExpected is true when clients may vanish mid-round, which RAR
-	// cannot tolerate.
-	DropoutExpected bool
-}
-
-// SelectTopology picks the cheapest admissible topology for K clients.
-func (m Model) SelectTopology(c Constraints, k int) Topology {
-	if !c.PeerToPeerAllowed {
-		return PS
-	}
-	best, bestT := math.Inf(1), PS
-	for _, t := range []Topology{PS, AR, RAR} {
-		if t == RAR && c.DropoutExpected {
-			continue
-		}
-		if ct := m.CommTime(t, k); ct < best {
-			best, bestT = ct, t
-		}
-	}
-	return bestT
 }
