@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -129,6 +130,9 @@ const (
 	// holds (EncodeDelta, ApplyDelta). It is not a negotiable codec: no
 	// name maps to it.
 	CodecDelta uint8 = 5
+	// CodecSparse marks a top-k update in the sparse layout deltas use
+	// (TopKCodec). No name maps to it either.
+	CodecSparse uint8 = 6
 
 	customIDBase = 16
 )
@@ -267,15 +271,17 @@ func EncodeVector(c Codec, v []float32) (EncodedPayload, error) {
 // stateful) session instance, the lossless built-ins dense and flate are
 // always accepted (the model-broadcast fallback for update-only codecs,
 // flate's own dense fallback for vectors it cannot shrink, and payloads built
-// with Dense), a delta is refused with ErrDeltaNeedsBase (only ApplyDelta,
-// given the model it was encoded against, decodes one), and anything else is
-// a codec mismatch — the fail-fast half of the join-time negotiation,
-// catching a peer that changed codecs mid-stream.
+// with Dense), a sparse top-k update decodes only in a topk session, a delta
+// is refused with ErrDeltaNeedsBase (only ApplyDelta, given the model it was
+// encoded against, decodes one), and anything else is a codec mismatch — the
+// fail-fast half of the join-time negotiation, catching a peer that changed
+// codecs mid-stream.
 func DecodePayload(session Codec, p EncodedPayload) ([]float32, error) {
 	if p.IsZero() {
 		return nil, nil
 	}
-	if session != nil && p.CodecID == CodecWireID(session.Name()) {
+	_, topk := session.(*TopKCodec)
+	if session != nil && p.CodecID == CodecWireID(session.Name()) || topk && p.CodecID == CodecSparse {
 		return session.Decode(p)
 	}
 	switch p.CodecID {
@@ -571,8 +577,8 @@ func dequantizeInto(out []float32, codes []int8, scales []float32, blockSize int
 // ---- topk ----
 
 // TopKCodec transmits only the Keep-fraction of largest-magnitude
-// coordinates as (index, value) pairs — 8 bytes per kept element, so 10%
-// density costs ~0.8 bytes/element, a 5x wire reduction. Dropped
+// coordinates: a bitmap of them and their values under flate, or (index,
+// value) pairs when no larger — ~0.44 bytes/element at 10% density. Dropped
 // coordinates accumulate in a client-side error-feedback residual that is
 // added to the next Encode, so sparsification delays rather than discards
 // small updates. The residual lives in the codec instance: one instance per
@@ -629,7 +635,8 @@ func (t *TopKCodec) keep() float64 {
 	return t.Keep
 }
 
-// Encode implements Codec. Layout: kept-count×(u32 index | f32 value).
+// Encode implements Codec. Layout: a CodecSparse payload (sparsePayload),
+// or kept-count×(u32 index | f32 value) as CodecTopK when no larger.
 //
 // Selection is O(n) with no scratch copy of the vector: a float's magnitude
 // read as the integer bits&0x7fffffff sorts exactly like |x|, so two counting
@@ -657,9 +664,12 @@ func (t *TopKCodec) Encode(v []float32) (EncodedPayload, error) {
 		k = len(v)
 	}
 	thresh, ties := foldAndSelect(t.residual, v, k, make([]uint32, 1<<16))
-	data := make([]byte, 8*k)
-	emitTopK(data, t.residual, thresh, ties)
-	return EncodedPayload{CodecID: CodecTopK, Elems: len(v), Data: data}, nil
+	bitmap, vals := make([]byte, 8*((len(v)+63)/64)), make([]float32, k)
+	emitTopK(bitmap, vals, t.residual, thresh, ties)
+	if p, ok, err := sparsePayload(CodecSparse, ModelCodec(t), len(v), bitmap, vals, 8*k); ok || err != nil {
+		return p, err
+	}
+	return EncodedPayload{CodecID: CodecTopK, Elems: len(v), Data: pairs(bitmap, vals)}, nil
 }
 
 // magKey is |x| as an integer that orders like the magnitude (sign bit
@@ -708,15 +718,16 @@ func kthBucket(counts []uint32, above, k int) (uint32, int) {
 	return uint32(b), above
 }
 
-// emitTopK writes the kept (index, value) pairs and zeroes their residual.
-// Everything strictly above the threshold is always transmitted; only ties at
-// exactly the threshold compete, in index order, for the remaining slots — so
-// density stays exact even for heavily quantized magnitude distributions
-// without ever dropping a larger coordinate in favor of an earlier tie.
+// emitTopK marks the kept coordinates in bitmap, gathers their values into
+// vals in index order and zeroes their residual, in one pass. Everything
+// strictly above the threshold is kept; only ties at exactly the threshold
+// compete, in index order, for the rest of the slots — so density stays exact
+// even for heavily quantized magnitudes without ever dropping a larger
+// coordinate in favor of an earlier tie.
 //
 //photon:hotpath
-func emitTopK(data []byte, residual []float32, thresh uint32, ties int) {
-	off := 0
+func emitTopK(bitmap []byte, vals, residual []float32, thresh uint32, ties int) {
+	k := 0
 	for i, x := range residual {
 		key := magKey(x)
 		if key < thresh {
@@ -728,21 +739,42 @@ func emitTopK(data []byte, residual []float32, thresh uint32, ties int) {
 			}
 			ties--
 		}
-		binary.LittleEndian.PutUint32(data[off:], uint32(i))
-		binary.LittleEndian.PutUint32(data[off+4:], math.Float32bits(x))
-		off += 8
+		bitmap[i/8] |= 1 << (i % 8)
+		vals[k] = x
+		k++
 		residual[i] = 0
 	}
 }
 
-// Decode implements Codec: scatter the pairs into a zero vector. Indices
-// must be strictly increasing, as Encode writes them: a repeated index would
-// carry fewer coordinates than the pair count the wire accounting charges.
+// pairs writes the (u32 index | f32 value) form of the values bitmap marks.
+//
+//photon:allocok
+func pairs(bitmap []byte, vals []float32) []byte {
+	data := make([]byte, 8*len(vals))
+	k := 0
+	for i := 0; i < len(bitmap); i += 8 {
+		for word := binary.LittleEndian.Uint64(bitmap[i:]); word != 0; word &= word - 1 {
+			binary.LittleEndian.PutUint32(data[8*k:], uint32(8*i+bits.TrailingZeros64(word)))
+			binary.LittleEndian.PutUint32(data[8*k+4:], math.Float32bits(vals[k]))
+			k++
+		}
+	}
+	return data
+}
+
+// Decode implements Codec: scatter the kept values into a zero vector. A
+// CodecSparse payload is checked as ApplyDelta checks a delta (applySparse).
+// In a CodecTopK one, indices must be strictly increasing, as Encode writes
+// them: a repeated index would carry fewer coordinates than the pair count
+// the wire accounting charges.
 //
 //photon:allocok
 func (t *TopKCodec) Decode(p EncodedPayload) ([]float32, error) {
 	if p.IsZero() {
 		return nil, nil
+	}
+	if p.CodecID == CodecSparse {
+		return applySparse(nil, p)
 	}
 	if len(p.Data)%8 != 0 {
 		return nil, fmt.Errorf("link: topk payload %d bytes is not a pair multiple", len(p.Data))

@@ -311,11 +311,13 @@ func TestCorruptedPayloadRejected(t *testing.T) {
 		}
 	}
 
-	// topk with an out-of-range index must be rejected.
-	topk, _ := NewCodec("topk")
+	// topk with an out-of-range index must be rejected. At 1% of 300
+	// elements the pairs are smaller than the sparse layout, so Encode
+	// writes pairs (TestTopKSparseRefusesHostile covers the sparse layout).
+	topk, _ := NewCodec("topk:0.01")
 	enc, err := EncodeVector(topk, v)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || enc.CodecID != CodecTopK {
+		t.Fatalf("codec %d, err %v", enc.CodecID, err)
 	}
 	bad := enc
 	bad.Data = append([]byte(nil), enc.Data...)
@@ -489,12 +491,33 @@ func refQuickselect(s []float32, target int) float32 {
 	return s[target]
 }
 
+// carriedPairs is the (u32 index | f32 value) list a top-k payload carries,
+// in either layout.
+func carriedPairs(t *testing.T, p EncodedPayload) []byte {
+	if p.CodecID != CodecSparse {
+		return p.Data
+	}
+	dec, err := applySparse(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []byte
+	for i, x := range dec {
+		if p.Data[4+i/8]>>(i%8)&1 == 1 {
+			out = binary.LittleEndian.AppendUint32(out, uint32(i))
+			out = binary.LittleEndian.AppendUint32(out, math.Float32bits(x))
+		}
+	}
+	return out
+}
+
 // TestTopKRadixMatchesQuickselect is the golden equivalence pin for the
 // radix-histogram selection: over seeded vectors — gaussian, all-equal,
 // heavy ties, mixed signs and zeros, denormals and huge magnitudes — and
 // k from 1 to n, three consecutive encodes (so the residual carries) must
-// produce byte-identical payloads and bit-identical residuals to the
-// quickselect reference.
+// carry byte-identical (index, value) pairs, in whichever layout, no larger
+// than the reference's, and leave bit-identical residuals to the quickselect
+// reference.
 func TestTopKRadixMatchesQuickselect(t *testing.T) {
 	shapes := map[string]func(rng *rand.Rand, i int) float32{
 		"gaussian":  func(rng *rand.Rand, _ int) float32 { return float32(rng.NormFloat64()) * 0.02 },
@@ -540,9 +563,9 @@ func TestTopKRadixMatchesQuickselect(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(enc.Data, want) {
-						t.Fatalf("%s n=%d keep=%g round %d: payload differs from the quickselect reference (%d vs %d bytes)",
-							name, n, keep, round, len(enc.Data), len(want))
+					if got := carriedPairs(t, enc); !bytes.Equal(got, want) || len(enc.Data) > len(want) {
+						t.Fatalf("%s n=%d keep=%g round %d: payload (codec %d, %d bytes) carries %d pair bytes, the quickselect reference %d",
+							name, n, keep, round, enc.CodecID, len(enc.Data), len(got), len(want))
 					}
 					for i := range refResidual {
 						if math.Float32bits(codec.residual[i]) != math.Float32bits(refResidual[i]) {

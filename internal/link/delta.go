@@ -31,16 +31,15 @@ func CanDelta(c Codec) bool {
 }
 
 // EncodeDelta encodes cur as a delta against base, the model its receiver
-// holds: u32 bitmapLen | bitmap (little-endian 64-bit words, bit i%64 of word
-// i/64 set when element i's bits changed) | u8 inner codec ID | the changed
-// values in index order, encoded by model. ok is false, and the caller sends
-// the full frame, when model is lossy or the delta would cost deltaFloor
-// bytes per element or more. Comparing, gathering and copying cur into base
-// are one pass: on return base equals cur whatever ok says.
+// holds: a sparse payload (see sparsePayload) marking the elements whose
+// bits changed, their values encoded by model. ok is false, and the caller
+// sends the full frame, when model is lossy or the delta would cost
+// deltaFloor bytes per element or more. Comparing, gathering and copying cur
+// into base are one pass: on return base equals cur whatever ok says.
 //
 //photon:allocok
 func EncodeDelta(model Codec, base, cur []float32) (p EncodedPayload, ok bool, err error) {
-	n, bitmapLen := len(cur), 8*((len(cur)+63)/64)
+	n := len(cur)
 	if len(base) != n {
 		return p, false, fmt.Errorf("link: delta base has %d elements, model %d", len(base), n)
 	}
@@ -48,8 +47,7 @@ func EncodeDelta(model Codec, base, cur []float32) (p EncodedPayload, ok bool, e
 		copy(base, cur)
 		return p, false, nil
 	}
-	data, vals := make([]byte, 5+bitmapLen), make([]float32, n)
-	bitmap := data[4 : 4+bitmapLen]
+	bitmap, vals := make([]byte, 8*((n+63)/64)), make([]float32, n)
 	var k int
 	if h := n / 2 &^ 63; h >= planeBlock && runtime.GOMAXPROCS(0) > 1 {
 		// Two halves on two cores, as deflatePlane splits its blocks; the
@@ -63,16 +61,31 @@ func EncodeDelta(model Codec, base, cur []float32) (p EncodedPayload, ok bool, e
 	} else {
 		k = diffGather(bitmap, vals, base, cur)
 	}
-	if bitmapLen+3*k >= deltaFloor*n { // either inner codec spends 3 bytes or more on a value
+	return sparsePayload(CodecDelta, model, n, bitmap, vals[:k], deltaFloor*n)
+}
+
+// sparsePayload lays out the sparse payload over n elements that deltas and
+// top-k updates share: u32 bitmapLen | bitmap (little-endian 64-bit words,
+// bit i%64 of word i/64 set when element i is carried) | u8 inner codec ID |
+// vals, the marked values in index order, encoded by model. ok is false when
+// it would cost limit bytes or more, judged from the value count before they
+// are encoded (either lossless codec spends 3 bytes or more on one) and from
+// the total after.
+//
+//photon:allocok
+func sparsePayload(id uint8, model Codec, n int, bitmap []byte, vals []float32, limit int) (p EncodedPayload, ok bool, err error) {
+	if len(bitmap)+3*len(vals) >= limit {
 		return p, false, nil
 	}
-	inner, err := EncodeVector(model, vals[:k])
-	if err != nil || 5+bitmapLen+len(inner.Data) >= deltaFloor*n {
+	inner, err := EncodeVector(model, vals)
+	if err != nil || 5+len(bitmap)+len(inner.Data) >= limit {
 		return p, false, err
 	}
-	binary.LittleEndian.PutUint32(data, uint32(bitmapLen))
-	data[4+bitmapLen] = max(inner.CodecID, CodecDense) // no values: the empty payload, ID 0
-	return EncodedPayload{CodecID: CodecDelta, Elems: n, Data: append(data, inner.Data...)}, true, nil
+	data := make([]byte, 5+len(bitmap), 5+len(bitmap)+len(inner.Data))
+	binary.LittleEndian.PutUint32(data, uint32(len(bitmap)))
+	copy(data[4:], bitmap)
+	data[4+len(bitmap)] = max(inner.CodecID, CodecDense) // no values: the empty payload, ID 0
+	return EncodedPayload{CodecID: id, Elems: n, Data: append(data, inner.Data...)}, true, nil
 }
 
 // diffGather marks in bitmap the elements whose bits differ between base and
@@ -114,23 +127,33 @@ func diffWord(b, c []float32) uint64 {
 }
 
 // ApplyDelta rebuilds the model a delta payload encodes from base, the model
-// it was encoded against, into a new vector. Every length is checked before
-// anything is allocated for it: the bitmap must cover exactly Elems elements
-// and mark none past them, and the values must be a dense or flate payload
-// of exactly as many elements as it marks.
+// it was encoded against, into a new vector.
 //
 //photon:allocok
 func ApplyDelta(base []float32, p EncodedPayload) ([]float32, error) {
-	n, bitmapLen := p.Elems, 8*((p.Elems+63)/64)
 	switch {
 	case p.CodecID != CodecDelta:
 		return nil, fmt.Errorf("link: payload codec id %d is not a delta", p.CodecID)
-	case len(base) != n:
-		return nil, fmt.Errorf("link: delta of %d elems against a %d-element base", n, len(base))
-	case len(p.Data) < 5+bitmapLen || binary.LittleEndian.Uint32(p.Data) != uint32(bitmapLen):
-		return nil, fmt.Errorf("link: delta payload of %d bytes lacks the %d-byte bitmap of %d elems", len(p.Data), bitmapLen, n)
+	case len(base) != p.Elems:
+		return nil, fmt.Errorf("link: delta of %d elems against a %d-element base", p.Elems, len(base))
+	}
+	return applySparse(base, p)
+}
+
+// applySparse rebuilds the vector a sparse payload (see sparsePayload)
+// encodes over base, or over zeros when base is nil, into a new vector. Every
+// length is checked before anything is allocated for it: the bitmap must
+// cover exactly Elems elements and mark none past them, and the values must
+// be a dense or flate payload of exactly as many elements as it marks.
+//
+//photon:allocok
+func applySparse(base []float32, p EncodedPayload) ([]float32, error) {
+	n, bitmapLen := p.Elems, 8*((p.Elems+63)/64)
+	switch {
+	case n < 0 || len(p.Data) < 5+bitmapLen || binary.LittleEndian.Uint32(p.Data) != uint32(bitmapLen):
+		return nil, fmt.Errorf("link: sparse payload of %d bytes lacks the %d-byte bitmap of %d elems", len(p.Data), bitmapLen, n)
 	case n%64 != 0 && binary.LittleEndian.Uint64(p.Data[4+bitmapLen-8:])>>(n%64) != 0:
-		return nil, fmt.Errorf("link: delta bitmap marks elements past %d", n)
+		return nil, fmt.Errorf("link: sparse bitmap marks elements past %d", n)
 	}
 	bitmap := p.Data[4 : 4+bitmapLen]
 	inner := EncodedPayload{CodecID: p.Data[4+bitmapLen], Data: p.Data[5+bitmapLen:]}
@@ -140,9 +163,12 @@ func ApplyDelta(base []float32, p EncodedPayload) ([]float32, error) {
 	// Dense or flate, nothing else; either decodes exactly Elems values.
 	vals, err := DecodePayload(nil, inner)
 	if err != nil {
-		return nil, fmt.Errorf("link: delta values: %w", err)
+		return nil, fmt.Errorf("link: sparse values: %w", err)
 	}
 	out := slices.Clone(base)
+	if base == nil {
+		out = make([]float32, n)
+	}
 	scatter(out, bitmap, vals)
 	return out, nil
 }

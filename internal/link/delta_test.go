@@ -8,7 +8,9 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -124,21 +126,21 @@ func TestChecksumIsCRC32COfBytes(t *testing.T) {
 	}
 }
 
-// hostileDeltas are delta payloads ApplyDelta must refuse, each against a
-// base of baseLen elements, built from a valid one over 100 elements.
-func hostileDeltas(t testing.TB) []struct {
+// hostile is a payload a decoder must refuse, named for its defect; a delta
+// is applied to a base of baseLen elements.
+type hostile struct {
 	name    string
 	baseLen int
 	p       EncodedPayload
-} {
-	prev, next := deltaVectors(8, 100, 0.2)
-	good, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next)
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
+}
+
+// hostileSparse are sparse payloads every decoder of the layout must refuse,
+// built from good, a valid one over 100 elements whose values are drawn
+// from vals.
+func hostileSparse(good EncodedPayload, vals []float32) []hostile {
 	const bitmapLen = 8 * ((100 + 63) / 64)
 	with := func(edit func(d []byte) []byte) EncodedPayload {
-		return EncodedPayload{CodecID: CodecDelta, Elems: 100, Data: edit(slices.Clone(good.Data))}
+		return EncodedPayload{CodecID: good.CodecID, Elems: 100, Data: edit(slices.Clone(good.Data))}
 	}
 	inner := func(id uint8, data []byte) EncodedPayload {
 		return with(func(d []byte) []byte { return append(append(d[:4+bitmapLen], id), data...) })
@@ -147,32 +149,83 @@ func hostileDeltas(t testing.TB) []struct {
 	for _, b := range good.Data[4 : 4+bitmapLen] {
 		marked += bits.OnesCount8(b)
 	}
-	q8, _ := EncodeVector(&Q8Codec{}, next[:marked])
-	return []struct {
-		name    string
-		baseLen int
-		p       EncodedPayload
-	}{
+	q8, _ := EncodeVector(&Q8Codec{}, vals[:marked])
+	return []hostile{
 		{"bit past elems", 100, with(func(d []byte) []byte { d[4+bitmapLen-1] |= 0x80; return d })},
 		// The same bit with a value to match it, so that only the bitmap
-		// check stands between it and a write past the model.
+		// check stands between it and a write past the vector.
 		{"bit past elems, values to match", 100, with(func(d []byte) []byte {
 			d[4+bitmapLen-1] |= 0x80
-			return append(append(d[:4+bitmapLen], CodecDense), payloadBytes(next[:marked+1])...)
+			return append(append(d[:4+bitmapLen], CodecDense), payloadBytes(vals[:marked+1])...)
 		})},
 		{"extra bit", 100, with(func(d []byte) []byte { i := firstByte(d, 0xff); d[i] |= d[i] + 1; return d })},
 		{"cleared bit", 100, with(func(d []byte) []byte { i := firstByte(d, 0); d[i] &= d[i] - 1; return d })},
 		{"inner q8", 100, inner(CodecQ8, q8.Data)},
 		{"inner topk", 100, inner(CodecTopK, make([]byte, 8))},
 		{"inner delta", 100, inner(CodecDelta, good.Data)},
+		{"inner sparse", 100, inner(CodecSparse, good.Data)},
 		{"inner unknown", 100, inner(0, nil)},
 		{"truncated bitmap", 100, with(func(d []byte) []byte { return d[:4+bitmapLen/2] })},
 		{"bitmap length", 100, with(func(d []byte) []byte { binary.LittleEndian.PutUint32(d, bitmapLen+1); return d })},
 		{"huge bitmap length", 100, with(func(d []byte) []byte { binary.LittleEndian.PutUint32(d, math.MaxUint32); return d })},
 		{"truncated values", 100, with(func(d []byte) []byte { return d[:len(d)-1] })},
-		{"short base", 99, good},
-		{"long base", 101, good},
-		{"not a delta", 100, EncodedPayload{CodecID: CodecFlate, Elems: 100, Data: good.Data}},
+	}
+}
+
+// hostileDeltas are delta payloads ApplyDelta must refuse, each against a
+// base of baseLen elements, built from a valid one over 100 elements.
+func hostileDeltas(t testing.TB) []hostile {
+	prev, next := deltaVectors(8, 100, 0.2)
+	good, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next)
+	if err != nil || !ok {
+		t.Fatalf("ok=%v err=%v", ok, err)
+	}
+	return append(hostileSparse(good, next),
+		hostile{"short base", 99, good},
+		hostile{"long base", 101, good},
+		hostile{"not a delta", 100, EncodedPayload{CodecID: CodecFlate, Elems: 100, Data: good.Data}})
+}
+
+// sparseTopK is a top-k update over 100 elements in the sparse layout, and
+// the vector it was encoded from.
+func sparseTopK(t testing.TB) (EncodedPayload, []float32) {
+	v := benchPayload(100)
+	p, err := EncodeVector(&TopKCodec{Keep: 0.2}, v)
+	if err != nil || p.CodecID != CodecSparse {
+		t.Fatalf("codec %d, err %v", p.CodecID, err)
+	}
+	return p, v
+}
+
+// TestTopKSparseRefusesHostile: the top-k decoder refuses every sparse
+// payload ApplyDelta does, and a topk session does too.
+func TestTopKSparseRefusesHostile(t *testing.T) {
+	good, v := sparseTopK(t)
+	for _, h := range hostileSparse(good, v) {
+		if out, err := (&TopKCodec{}).Decode(h.p); err == nil {
+			t.Errorf("%s: decoded (%d elements)", h.name, len(out))
+		}
+		if _, err := DecodePayload(&TopKCodec{}, h.p); err == nil {
+			t.Errorf("%s: decoded in a topk session", h.name)
+		}
+	}
+	if _, err := (&TopKCodec{}).Decode(good); err != nil {
+		t.Fatalf("control payload refused: %v", err)
+	}
+}
+
+// TestDecodePayloadRoutesSparseToTopK: a sparse top-k update decodes in a
+// topk session and is a codec mismatch in any other, or in none.
+func TestDecodePayloadRoutesSparseToTopK(t *testing.T) {
+	p, v := sparseTopK(t)
+	got, err := DecodePayload(&TopKCodec{}, p)
+	if err != nil || len(got) != len(v) {
+		t.Fatalf("topk session: %d values, err %v", len(got), err)
+	}
+	for _, session := range []Codec{nil, DenseCodec{}, FlateCodec{}, &Q8Codec{}, negateCodec{}} {
+		if _, err := DecodePayload(session, p); err == nil || !strings.Contains(err.Error(), "mismatch") {
+			t.Errorf("session %v: %v, want a codec mismatch", session, err)
+		}
 	}
 }
 
@@ -191,6 +244,25 @@ func TestApplyDeltaRefusesHostile(t *testing.T) {
 		if out, err := ApplyDelta(make([]float32, h.baseLen), h.p); err == nil {
 			t.Errorf("%s: accepted (%d elements)", h.name, len(out))
 		}
+	}
+}
+
+// TestTopKSparseDecodeAllocs: a warm decode of a sparse top-k update at the
+// broadcast shape allocates its output and the kept values, nothing else.
+// The collector is off so that its own bookkeeping does not count.
+func TestTopKSparseDecodeAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	n := broadcastElems
+	p, err := EncodeVector(&TopKCodec{}, benchModel(1, n))
+	if err != nil || p.CodecID != CodecSparse || p.Data[4+8*((n+63)/64)] != CodecFlate {
+		t.Fatalf("setup: codec %d, err %v", p.CodecID, err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		if _, err := (&TopKCodec{}).Decode(p); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Fatalf("Decode made %v allocations, want 2 (its output and the kept values)", allocs)
 	}
 }
 

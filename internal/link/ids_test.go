@@ -40,6 +40,7 @@ func TestWireAndDiskIDsArePinned(t *testing.T) {
 		{"CodecQ8", CodecQ8, 3},
 		{"CodecTopK", CodecTopK, 4},
 		{"CodecDelta", CodecDelta, 5},
+		{"CodecSparse", CodecSparse, 6},
 		{`CodecWireID("dense")`, CodecWireID("dense"), 1},
 		{`CodecWireID("flate")`, CodecWireID("flate"), 2},
 		{`CodecWireID("q8")`, CodecWireID("q8"), 3},

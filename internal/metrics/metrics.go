@@ -42,8 +42,9 @@ type Round struct {
 	WireSentBytes int64
 	WireRecvBytes int64
 	// CompressionRatio is encoded payload bytes divided by their dense
-	// float32 cost: 1.0 for the dense codec, ~0.25 for q8, ~0.08 for
-	// topk at 10% density. 0 means the round carried no payloads.
+	// float32 cost: 1.0 for the dense codec, ~0.25 for q8, ~0.11 for the
+	// updates of topk at 10% density (~0.15 for a two-member round with
+	// its delta broadcast). 0 means the round carried no payloads.
 	CompressionRatio float64
 	// EncodeMs and DecodeMs are the round's codec wall times in
 	// milliseconds.

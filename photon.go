@@ -177,7 +177,9 @@ type HierarchyPlan struct {
 
 // codecWireRatio estimates a codec's encoded-vs-dense wire ratio for
 // planning purposes: dense 1.0, flate ~0.9 on float noise, q8 ~0.26 (1
-// byte/elem + block scales), topk:<keep> ~2·keep (8 bytes per kept pair).
+// byte/elem + block scales), topk:<keep> the smaller of its two layouts,
+// 2·keep (8 bytes per kept pair) or 1/32 + 0.8·keep (a bitmap bit per
+// element plus ~3.2 bytes per kept value under flate).
 func codecWireRatio(name string) float64 {
 	base, param, _ := strings.Cut(name, ":")
 	switch base {
@@ -192,10 +194,7 @@ func codecWireRatio(name string) float64 {
 				keep = v
 			}
 		}
-		if r := 2 * keep; r < 1 {
-			return r
-		}
-		return 1
+		return min(2*keep, 1.0/32+0.8*keep)
 	default:
 		return 1
 	}

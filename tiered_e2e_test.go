@@ -7,9 +7,13 @@ package photon
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"photon/internal/link"
 )
 
 // waitAddr polls a job's bound listen address.
@@ -216,6 +220,31 @@ func TestTieredTopkUpstreamShrinksParentWire(t *testing.T) {
 	ratio := float64(tieredBytes) / float64(flatBytes)
 	if ratio > 0.60 {
 		t.Fatalf("tiered parent link carries %.1f%% of flat's bytes, want <= 60%% (>= 40%% drop)", 100*ratio)
+	}
+}
+
+// TestCodecWireRatioPricesTopK: the planner's topk estimate is within 10% of
+// what the link codec actually sends for a 1M-element gaussian update, at
+// densities on both sides of where the sparse layout's bitmap dominates.
+func TestCodecWireRatioPricesTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	v := make([]float32, 1<<20)
+	for i := range v {
+		v[i] = float32(rng.NormFloat64()) * 0.01
+	}
+	for _, keep := range []string{"0.05", "0.1", "0.5"} {
+		c, err := link.NewCodec("topk:" + keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := link.EncodeVector(c, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, est := float64(p.WireBytes())/float64(4*len(v)), codecWireRatio("topk:"+keep)
+		if math.Abs(est-got) > 0.1*got {
+			t.Errorf("topk:%s: planner prices %.4f, the codec sends %.4f", keep, est, got)
+		}
 	}
 }
 
