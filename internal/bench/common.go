@@ -69,10 +69,6 @@ const (
 	proxyLR    = 3e-3 // high-LR recipe at proxy scale
 )
 
-// paperRoundSeconds charges one proxy round at the paper's 125M round cost:
-// τ local steps at ν = 2 batches/s (Appendix B.1).
-func paperRoundSeconds(tau int) float64 { return float64(tau) / 2.0 }
-
 // paper125MModel returns the Appendix B.1 wall-time model for the 125M
 // model over the paper's cross-silo bandwidth assumption.
 func paper125MModel(tau int, bandwidthGbps float64) topo.Model {

@@ -315,7 +315,7 @@ func Figure7(ctx context.Context, w io.Writer, scale Scale) error {
 	}
 	cfg := proxyCfg()
 	pile := data.PileLike(cfg.VocabSize)
-	pileMix := data.NewMixtureSource("pile", pile, nil)
+	pileMix := data.NewMixtureSource("pile", pile)
 	val := data.NewValidationSet(pileMix, 16, cfg.SeqLen, 24680)
 
 	runOn := func(part *data.Partition, k int, seed int64) (*metrics.History, error) {
@@ -401,11 +401,4 @@ func printCurves(w io.Writer, runs []labeledHist, rounds int) {
 		rows = append(rows, row)
 	}
 	fprintf(w, "%s", metrics.Table(headers, rows))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -54,7 +54,6 @@ type table2Row struct {
 	k                  int     // clients / data-parallel workers (Table 1)
 	gpusPerClient      int     // GPUs per client (Table 1)
 	stepsFed, stepsCen int     // effective optimization steps
-	nuFed, nuCen       float64 // batches/s (Appendix B.1)
 	batchFed, batchCen int     // per-step batch sizes (Table 5)
 	paperWallCen       float64 // paper-reported hours, for comparison
 	paperWallFed       float64
@@ -63,13 +62,13 @@ type table2Row struct {
 func table2Rows() []table2Row {
 	return []table2Row{
 		{name: "1.3B", cfg: nn.Config1B, k: 8, gpusPerClient: 2,
-			stepsFed: 9526, stepsCen: 19632, nuFed: 0.147, nuCen: 0.839,
+			stepsFed: 9526, stepsCen: 19632,
 			batchFed: 512, batchCen: 512, paperWallCen: 26.7, paperWallFed: 18.02},
 		{name: "3B", cfg: nn.Config3B, k: 4, gpusPerClient: 4,
-			stepsFed: 13012, stepsCen: 22894, nuFed: 0.144, nuCen: 0.395,
+			stepsFed: 13012, stepsCen: 22894,
 			batchFed: 512, batchCen: 512, paperWallCen: 56.6, paperWallFed: 25.2},
 		{name: "7B", cfg: nn.Config7B, k: 4, gpusPerClient: 8,
-			stepsFed: 11001, stepsCen: 21902, nuFed: 0.032, nuCen: 0.12,
+			stepsFed: 11001, stepsCen: 21902,
 			batchFed: 1024, batchCen: 1024, paperWallCen: 147.9, paperWallFed: 95.6},
 	}
 }
@@ -80,14 +79,15 @@ func table2Rows() []table2Row {
 func table2Times(r table2Row, tau int, bandwidthGbps float64) (fedWall, fedComm, cenWall, cenComm float64) {
 	s := hw.ModelSizeMB(r.cfg)
 	b := topo.GbpsToMBps(bandwidthGbps)
-	cen := topo.Model{ModelSizeMB: s, BandwidthMBps: b, Throughput: r.nuCen, LocalSteps: 1}
+	nuCen, nuFed := hw.PaperThroughput(r.name, false), hw.PaperThroughput(r.name, true)
+	cen := topo.Model{ModelSizeMB: s, BandwidthMBps: b, Throughput: nuCen, LocalSteps: 1}
 	cenComm = float64(r.stepsCen) * cen.CommTime(topo.RAR, r.k)
-	cenWall = float64(r.stepsCen)/r.nuCen + cenComm
+	cenWall = float64(r.stepsCen)/nuCen + cenComm
 
-	fedM := topo.Model{ModelSizeMB: s, BandwidthMBps: b, Throughput: r.nuFed, LocalSteps: tau}
+	fedM := topo.Model{ModelSizeMB: s, BandwidthMBps: b, Throughput: nuFed, LocalSteps: tau}
 	rounds := (r.stepsFed + tau - 1) / tau
 	fedComm = float64(rounds) * fedM.CommTime(topo.RAR, r.k)
-	fedWall = float64(r.stepsFed)/r.nuFed + fedComm
+	fedWall = float64(r.stepsFed)/nuFed + fedComm
 	return fedWall, fedComm, cenWall, cenComm
 }
 
@@ -111,8 +111,8 @@ func Table2(ctx context.Context, w io.Writer, _ Scale) error {
 		toH := func(sec float64) float64 { return sec / 3600 }
 		utilCen := 100 * hw.Utilization(r.batchCen/(r.k*r.gpusPerClient))
 		utilFed := 100 * hw.Utilization(r.batchFed/r.k/r.gpusPerClient)
-		mfuCen := hw.MFU(r.cfg, hw.H100, r.k*r.gpusPerClient, r.nuCen, r.batchCen)
-		mfuFed := hw.MFU(r.cfg, hw.H100, r.gpusPerClient, r.nuFed, r.batchFed/r.k)
+		mfuCen := hw.MFU(r.cfg, hw.H100, r.k*r.gpusPerClient, hw.PaperThroughput(r.name, false), r.batchCen)
+		mfuFed := hw.MFU(r.cfg, hw.H100, r.gpusPerClient, hw.PaperThroughput(r.name, true), r.batchFed/r.k)
 
 		rows = append(rows,
 			[]string{"Cen-" + r.name, f1(toH(cenWall)), "1x", f1(toH(cenCompute)),

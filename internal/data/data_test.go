@@ -96,13 +96,16 @@ func TestSourcesAreStatisticallyDistinct(t *testing.T) {
 
 func TestMixtureWeightsNormalized(t *testing.T) {
 	parts := PileLike(16)
-	m := NewMixtureSource("mix", parts, []float64{1, 2, 3, 4})
-	var sum float64
-	for _, w := range m.Weights {
-		sum += w
+	m := NewMixtureSource("mix", parts)
+	prev := 0.0
+	for i, c := range m.cdf {
+		if w := c - prev; math.Abs(w-0.25) > 1e-12 {
+			t.Fatalf("part %d weight %v, want uniform 0.25", i, w)
+		}
+		prev = c
 	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("weights not normalized: sum %v", sum)
+	if math.Abs(prev-1) > 1e-12 {
+		t.Fatalf("weights not normalized: sum %v", prev)
 	}
 	if m.Vocab() != 16 {
 		t.Fatalf("mixture vocab: got %d", m.Vocab())
@@ -111,9 +114,7 @@ func TestMixtureWeightsNormalized(t *testing.T) {
 
 func TestMixturePanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"empty":     func() { NewMixtureSource("m", nil, nil) },
-		"mismatch":  func() { NewMixtureSource("m", PileLike(8), []float64{1}) },
-		"negative":  func() { NewMixtureSource("m", PileLike(8), []float64{1, -1, 1, 1}) },
+		"empty":     func() { NewMixtureSource("m", nil) },
 		"degenSrc":  func() { NewMarkovSource("s", 1, 1, 1, 0) },
 		"zeroSkew":  func() { NewMarkovSource("s", 8, 2, 0, 0) },
 		"zeroBrnch": func() { NewMarkovSource("s", 8, 0, 1, 0) },

@@ -144,43 +144,27 @@ func (s *MarkovSource) Sample(rng *rand.Rand, out []int) {
 	}
 }
 
-// MixtureSource samples each sequence from one of several sources chosen by
-// weight, modeling a blended corpus such as C4's web crawl mix.
+// MixtureSource samples each sequence from one of several sources chosen
+// uniformly, modeling a blended corpus such as C4's web crawl mix.
 type MixtureSource struct {
 	MixName string
 	Parts   []Source
-	Weights []float64 // normalized at construction
 
 	cdf []float64
 }
 
-// NewMixtureSource builds a weighted mixture. Weights nil means uniform.
-func NewMixtureSource(name string, parts []Source, weights []float64) *MixtureSource {
+// NewMixtureSource builds a uniform mixture of parts.
+func NewMixtureSource(name string, parts []Source) *MixtureSource {
 	if len(parts) == 0 {
 		panic("data: empty mixture")
 	}
-	if weights == nil {
-		weights = make([]float64, len(parts))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	if len(weights) != len(parts) {
-		panic("data: mixture weights length mismatch")
-	}
-	m := &MixtureSource{MixName: name, Parts: parts, Weights: make([]float64, len(weights))}
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("data: negative mixture weight")
-		}
-		total += w
-	}
-	m.cdf = make([]float64, len(weights))
+	// Every data stream is pinned to this CDF's bits: 1/n summed in index
+	// order, not i/n.
+	total := float64(len(parts))
+	m := &MixtureSource{MixName: name, Parts: parts, cdf: make([]float64, len(parts))}
 	acc := 0.0
-	for i, w := range weights {
-		m.Weights[i] = w / total
-		acc += w / total
+	for i := range m.cdf {
+		acc += 1 / total
 		m.cdf[i] = acc
 	}
 	return m
@@ -212,7 +196,7 @@ func C4Like(vocab int) *MixtureSource {
 		NewMarkovSource("c4.forums", vocab, 10, 1.0, 0xC403),
 		NewMarkovSource("c4.docs", vocab, 5, 1.5, 0xC404),
 	}
-	return NewMixtureSource("c4", parts, nil)
+	return NewMixtureSource("c4", parts)
 }
 
 // PileLike builds the four statistically distinct sources standing in for

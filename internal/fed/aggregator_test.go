@@ -12,6 +12,7 @@ import (
 	"photon/internal/link"
 	"photon/internal/metrics"
 	"photon/internal/nn"
+	"photon/internal/tensor"
 	"photon/internal/testutil"
 )
 
@@ -62,6 +63,81 @@ func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 		if r.Round != i+1 || r.TrainLoss != 3 {
 			t.Fatalf("partial result record %d: %+v", i, r)
 		}
+	}
+}
+
+// TestAsyncFoldsAtDispatchedVersion: a member that stamps its update with a
+// version newer than the one it was sent cannot claim zero staleness — the
+// journaled buffer_fold record carries the version the aggregator
+// dispatched with that task.
+func TestAsyncFoldsAtDispatchedVersion(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		conn, err := link.Dial(l.Addr())
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_ = ServeClient(ctx, conn, makeClients(t, tinyCfg(), 1)[0], tinySpec())
+	}()
+	// dispatched maps each task the liar was sent to the version stamped on
+	// it; the liar answers every task claiming five versions newer.
+	dispatched := map[int]float64{}
+	liarDone := make(chan struct{})
+	go func() {
+		defer close(liarDone)
+		conn, err := link.Dial(l.Addr())
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := Handshake(conn, "liar", ""); err != nil {
+			return
+		}
+		for {
+			msg, err := conn.Recv()
+			if err != nil || msg.Type != link.MsgModel {
+				return
+			}
+			ver := msg.Meta[link.VersionKey]
+			dispatched[int(msg.Round)] = ver
+			upd := make([]float32, msg.Payload.Elems)
+			tensor.Fill(upd, 1e-3)
+			conn.Send(&link.Message{Type: link.MsgUpdate, Round: msg.Round, ClientID: "liar",
+				Meta: map[string]float64{"loss": 1, link.VersionKey: ver + 5}, Payload: link.Dense(upd)})
+		}
+	}()
+
+	dir := t.TempDir()
+	if _, err := Serve(ctx, l, ServerConfig{ModelConfig: tinyCfg(), Seed: 5, Rounds: 4, ExpectClients: 2,
+		Outer: FedAvg{}, Async: &AsyncConfig{K: 1}, WALDir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	<-liarDone
+	wal, rv, err := ckpt.OpenWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	folds := 0
+	for _, rec := range rv.Records {
+		if rec.Type != ckpt.RecBufferFold || rec.Member != "liar" {
+			continue
+		}
+		folds++
+		if want, ok := dispatched[rec.Round]; !ok || float64(rec.Epoch) != want {
+			t.Errorf("task %d folded at version %d, dispatched at %v", rec.Round, rec.Epoch, want)
+		}
+	}
+	if folds == 0 {
+		t.Fatal("no buffer_fold record from the liar")
 	}
 }
 
@@ -116,7 +192,7 @@ func TestHostileNonFiniteUpdateIsEvicted(t *testing.T) {
 					poison := make([]float32, msg.Payload.Elems)
 					poison[len(poison)/2] = tc.bad
 					conn.Send(&link.Message{Type: link.MsgUpdate, Round: msg.Round, ClientID: "hostile",
-						Meta: map[string]float64{"loss": 1, link.VersionKey: msg.Meta[link.VersionKey]}, Payload: link.Dense(poison)})
+						Meta: map[string]float64{"loss": 1}, Payload: link.Dense(poison)})
 				}
 			}()
 

@@ -467,13 +467,11 @@ func (a *asyncAggregator) dispatch(mc *memberConn, ver int, enc link.EncodedPayl
 	if !ok {
 		return false
 	}
-	trained := ver
-	if v, okv := ans.meta[link.VersionKey]; okv {
-		trained = int(v)
-	}
-	a.noteTrained(mc.id, trained)
+	// The update folds at the version dispatched with this task, never at
+	// one the member claims: a member cannot shrink its own staleness.
+	a.noteTrained(mc.id, ver)
 	select {
-	case a.arrivals <- asyncArrival{answer: ans, task: task, version: trained}:
+	case a.arrivals <- asyncArrival{answer: ans, task: task, version: ver}:
 	case <-a.stop:
 	}
 	return true

@@ -116,7 +116,7 @@ type roundTask struct {
 type roundReply struct {
 	update []float32
 	// meta is the reply's metadata; the session owns it from here and adds
-	// the phase self-reports and the trace and version echoes.
+	// the phase self-reports and the trace echo.
 	meta map[string]float64
 	// sticky are the stamps a cached redelivery of this reply repeats (a
 	// leaf's loss, a relay's cohort size).
@@ -287,9 +287,6 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 		if traceID != 0 {
 			meta[link.TraceKey] = float64(traceID)
 		}
-		if m.cacheHasVer {
-			meta[link.VersionKey] = m.cacheVersion
-		}
 		meta[link.HeldKey] = float64(m.heldRound)
 		return m.reply(ctx, conn, msg.Round, meta, m.cacheReply)
 	}
@@ -330,17 +327,13 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	// latency into work vs codec vs wire (for a relay the work is its whole
 	// cohort exchange, and these overwrite the cohort means AggMetrics left
 	// in meta); the trace echo attributes the reply to the root round that
-	// caused it, and the version echo lets an async aggregator weigh the
-	// update by its staleness when it finally folds.
+	// caused it.
 	r.meta[link.PhaseTrainNsKey] = float64(workNs)
 	r.meta[link.PhaseEncNsKey] = float64(encNs)
 	r.meta[link.PhaseDecNsKey] = float64(t.decNs)
 	r.meta[link.HeldKey] = float64(m.heldRound)
 	if traceID != 0 {
 		r.meta[link.TraceKey] = float64(traceID)
-	}
-	if hasVer {
-		r.meta[link.VersionKey] = ver
 	}
 	// Cache before sending: the work is done, so the data streams and the
 	// error-feedback state have advanced. If the aggregator crashes

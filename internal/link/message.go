@@ -111,12 +111,12 @@ const ResumeKey = "resume"
 
 // VersionKey is the Meta key carrying a global-model version stamp. An
 // async (FedBuff-mode) aggregator stamps the current model version on every
-// MsgModel broadcast; the member echoes it on its MsgUpdate, so the
-// aggregator can compute the update's staleness (current version minus
-// trained version) and down-weight late arrivals instead of dropping them.
-// Relays propagate the stamp upstream on their pseudo-gradients so two-tier
-// async composes. Meta values are float64, so versions — like trace IDs —
-// are confined to 52 bits and survive the float round-trip exactly.
+// MsgModel broadcast and keeps the version it sent with each task, so it
+// computes the answering update's staleness (current version minus the
+// dispatched one) itself and down-weights late arrivals instead of dropping
+// them. A member keys its reply cache on the stamp; a relay records it on
+// its round telemetry. Meta values are float64, so versions — like trace
+// IDs — are confined to 52 bits and survive the float round-trip exactly.
 const VersionKey = "model_version"
 
 // Delta broadcast keys. Every MsgUpdate carries HeldKey, the round of the

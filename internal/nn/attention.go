@@ -35,8 +35,8 @@ type Attention struct {
 func NewAttention(name string, dim, heads int, std float64, rng *rand.Rand) *Attention {
 	return &Attention{
 		Dim: dim, Heads: heads, HeadDim: dim / heads,
-		QKV: NewLinear(name+".qkv", dim, 3*dim, false, std, rng),
-		Out: NewLinear(name+".out", dim, dim, false, std, rng),
+		QKV: NewLinear(name+".qkv", dim, 3*dim, std, rng),
+		Out: NewLinear(name+".out", dim, dim, std, rng),
 		sl:  AlibiSlopes(heads),
 	}
 }

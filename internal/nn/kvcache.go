@@ -96,7 +96,7 @@ type Decoder struct {
 //photon:allocok
 func (m *Model) NewDecoder() *Decoder {
 	ws := NewWorkspace()
-	ws.SetSizeClasses(true)
+	ws.sizeClasses = true
 	return &Decoder{m: m, ws: ws}
 }
 

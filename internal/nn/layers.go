@@ -7,13 +7,12 @@ import (
 	"photon/internal/tensor"
 )
 
-// Linear is a dense projection Y = X·W (optionally + b). W has shape
-// [In, Out] so rows of X are multiplied from the right, matching the
+// Linear is a dense projection Y = X·W with no bias (MPT style). W has
+// shape [In, Out] so rows of X are multiplied from the right, matching the
 // row-major activation layout used throughout the model.
 type Linear struct {
 	In, Out int
 	W       *Param
-	B       *Param // nil when the layer has no bias (MPT style)
 
 	x *tensor.Matrix // cached input for backward (workspace lifetime)
 	// Persistent matrix headers over W.Data/W.Grad: wrapping them per call
@@ -22,26 +21,18 @@ type Linear struct {
 }
 
 // NewLinear creates a Linear layer with N(0, std²) weight init.
-func NewLinear(name string, in, out int, bias bool, std float64, rng *rand.Rand) *Linear {
+func NewLinear(name string, in, out int, std float64, rng *rand.Rand) *Linear {
 	l := &Linear{In: in, Out: out, W: newParam(name+".w", in*out)}
 	tensor.RandNormal(rng, l.W.Data, 0, std)
-	if bias {
-		l.B = newParam(name+".b", out)
-	}
 	l.wMat = tensor.Matrix{Rows: in, Cols: out, Data: l.W.Data}
 	l.dwMat = tensor.Matrix{Rows: in, Cols: out, Data: l.W.Grad}
 	return l
 }
 
 // Params returns the layer's trainable parameters.
-func (l *Linear) Params() ParamSet {
-	if l.B != nil {
-		return ParamSet{l.W, l.B}
-	}
-	return ParamSet{l.W}
-}
+func (l *Linear) Params() ParamSet { return ParamSet{l.W} }
 
-// Forward computes Y = X·W (+ b) into a workspace matrix, caching X for
+// Forward computes Y = X·W into a workspace matrix, caching X for
 // backward.
 //
 //photon:hotpath
@@ -57,24 +48,14 @@ func (l *Linear) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 func (l *Linear) forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	y := ws.Take(x.Rows, l.Out)
 	tensor.MatMul(y, x, &l.wMat)
-	if l.B != nil {
-		for i := 0; i < y.Rows; i++ {
-			tensor.Add(y.Row(i), l.B.Data)
-		}
-	}
 	return y
 }
 
-// Backward accumulates dW (and db) and returns dX.
+// Backward accumulates dW and returns dX.
 //
 //photon:hotpath
 func (l *Linear) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 	tensor.MatMulTransAAccum(&l.dwMat, l.x, dy) // dW += Xᵀ·dY
-	if l.B != nil {
-		for i := 0; i < dy.Rows; i++ {
-			tensor.Add(l.B.Grad, dy.Row(i))
-		}
-	}
 	dx := ws.Take(l.x.Rows, l.In)
 	tensor.MatMulTransB(dx, dy, &l.wMat) // dX = dY·Wᵀ
 	return dx

@@ -29,9 +29,9 @@ func NewBlock(name string, cfg Config, rng *rand.Rand) *Block {
 		LN1:  NewLayerNorm(name+".ln1", cfg.Dim),
 		Attn: NewAttention(name+".attn", cfg.Dim, cfg.Heads, std, rng),
 		LN2:  NewLayerNorm(name+".ln2", cfg.Dim),
-		FC1:  NewLinear(name+".mlp.fc1", cfg.Dim, cfg.ExpRatio*cfg.Dim, false, std, rng),
+		FC1:  NewLinear(name+".mlp.fc1", cfg.Dim, cfg.ExpRatio*cfg.Dim, std, rng),
 		Act:  &GELU{},
-		FC2:  NewLinear(name+".mlp.fc2", cfg.ExpRatio*cfg.Dim, cfg.Dim, false, resStd, rng),
+		FC2:  NewLinear(name+".mlp.fc2", cfg.ExpRatio*cfg.Dim, cfg.Dim, resStd, rng),
 	}
 	tensor.RandNormal(rng, b.Attn.Out.W.Data, 0, resStd)
 	return b

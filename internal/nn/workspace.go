@@ -40,7 +40,9 @@ type Workspace struct {
 	// buckets every decode step would miss the free lists (no two steps
 	// share a probs size) and allocate; under size classes at most
 	// log2(maxSeq) distinct buckets exist per shape, so once they are warm
-	// a steady-state decode step allocates nothing.
+	// a steady-state decode step allocates nothing. NewDecoder sets it on
+	// the empty workspace; training leaves it off, since every step reuses
+	// identical shapes and exact-size buckets waste nothing.
 	sizeClasses bool
 }
 
@@ -79,15 +81,6 @@ func (w *Workspace) Reset() {
 		w.retained = 0
 	}
 }
-
-// SetSizeClasses selects the workspace retention policy. Off (the default,
-// used by training) buckets recycled buffers by exact element count — every
-// step reuses identical shapes, so exact matching wastes nothing. On (used by
-// the KV-cached decode paths) Take rounds requests up to the next power of
-// two, so the per-token growth of decode-shaped scratch reuses a bounded set
-// of buckets instead of stranding one buffer per sequence length. Switch only
-// while the workspace is empty (right after Reset).
-func (w *Workspace) SetSizeClasses(on bool) { w.sizeClasses = on }
 
 // sizeClass rounds n up to the next power of two.
 func sizeClass(n int) int {

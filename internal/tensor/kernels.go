@@ -23,7 +23,7 @@ import "fmt"
 // 1 B row) ≈ 2.5 KB of hot panel per tile, comfortably inside L1.
 const kcBlock = 128
 
-// bandMatMul computes C[lo:hi] (+)= A[lo:hi]·B with a 4-row register tile
+// bandMatMul computes C[lo:hi] = A[lo:hi]·B with a 4-row register tile
 // under K-panel cache blocking: the outer loop walks kcBlock-deep panels of
 // B so a ~kcBlock·n slice of B stays cache-resident while every C row of
 // the band accumulates against it, and within a panel each streamed B row
@@ -32,15 +32,13 @@ const kcBlock = 128
 // stores it saves.)
 //
 //photon:hotpath
-func bandMatMul(c, a, b *Matrix, lo, hi int, accum bool) {
+func bandMatMul(c, a, b *Matrix, lo, hi int) {
 	n, k := b.Cols, a.Cols
 	bd := b.Data
-	if !accum {
-		for i := lo; i < hi; i++ {
-			ci := c.Data[i*n : (i+1)*n]
-			for x := range ci {
-				ci[x] = 0
-			}
+	for i := lo; i < hi; i++ {
+		ci := c.Data[i*n : (i+1)*n]
+		for x := range ci {
+			ci[x] = 0
 		}
 	}
 	for p0 := 0; p0 < k; p0 += kcBlock {
@@ -173,75 +171,52 @@ func bandMatMulTransAAccum(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// bandBatchMatMul computes C_t (+0)= A_t·B_t for items t in [lo, hi). When
-// causal is set, A_t is square and row i only consumes A_t[i][:i+1] — the
-// attention context product P·V, where P's upper triangle is structurally
-// zero and skipped entirely.
+// bandBatchMatMul computes C_t = A_t·B_t for items t in [lo, hi), where
+// A_t is square and row i only consumes A_t[i][:i+1] — the attention context
+// product P·V (and dQ = dS·K), whose structurally zero upper triangle is
+// skipped entirely, halving the flops.
 //
 //photon:hotpath
-func bandBatchMatMul(c, a, b *Matrix, batch, lo, hi int, causal bool) {
+func bandBatchMatMul(c, a, b *Matrix, batch, lo, hi int) {
 	m := c.Rows / batch
 	k := a.Cols
 	n := c.Cols
 	for it := lo; it < hi; it++ {
-		ca := Matrix{Rows: m, Cols: n, Data: c.Data[it*m*n : (it+1)*m*n]}
-		aa := Matrix{Rows: m, Cols: k, Data: a.Data[it*m*k : (it+1)*m*k]}
-		ba := Matrix{Rows: k, Cols: n, Data: b.Data[it*k*n : (it+1)*k*n]}
-		if causal {
-			causalMatMulItem(&ca, &aa, &ba)
-		} else {
-			bandMatMul(&ca, &aa, &ba, 0, m, false)
-		}
-	}
-}
-
-// causalMatMulItem computes C = A·B where row i of the square matrix A only
-// contributes its first i+1 columns (its upper triangle is structurally
-// zero). Halves the flops of the attention context and dQ products.
-//
-//photon:hotpath
-func causalMatMulItem(c, a, b *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	for i := 0; i < m; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		for x := range ci {
-			ci[x] = 0
-		}
-		ai := a.Data[i*k : (i+1)*k]
-		end := i + 1
-		p := 0
-		for ; p+4 <= end; p += 4 {
-			axpy4in(ai[p], ai[p+1], ai[p+2], ai[p+3],
-				b.Data[p*n:(p+1)*n], b.Data[(p+1)*n:(p+2)*n],
-				b.Data[(p+2)*n:(p+3)*n], b.Data[(p+3)*n:(p+4)*n], ci)
-		}
-		for ; p < end; p++ {
-			if av := ai[p]; useAVX2 || av != 0 {
-				axpy(av, b.Data[p*n:(p+1)*n], ci)
+		cd := c.Data[it*m*n : (it+1)*m*n]
+		ad := a.Data[it*m*k : (it+1)*m*k]
+		bd := b.Data[it*k*n : (it+1)*k*n]
+		for i := 0; i < m; i++ {
+			ci := cd[i*n : (i+1)*n]
+			clear(ci)
+			ai := ad[i*k : (i+1)*k]
+			end := i + 1
+			p := 0
+			for ; p+4 <= end; p += 4 {
+				axpy4in(ai[p], ai[p+1], ai[p+2], ai[p+3],
+					bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n],
+					bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n], ci)
+			}
+			for ; p < end; p++ {
+				if av := ai[p]; useAVX2 || av != 0 {
+					axpy(av, bd[p*n:(p+1)*n], ci)
+				}
 			}
 		}
 	}
 }
 
-// bandBatchMatMulTransB computes C_t = A_t·B_tᵀ for items t in [lo, hi).
-// When causal is set C_t is square and only C_t[i][:i+1] is written — the
-// attention score product Q·Kᵀ (and dP = dCtx·Vᵀ), whose upper triangle is
-// masked out by the softmax anyway. Entries above the diagonal are left
-// untouched; the softmax kernels own them.
+// bandBatchMatMulTransB computes C_t = A_t·B_tᵀ for items t in [lo, hi),
+// where C_t is square and only C_t[i][:i+1] is written — the attention score
+// product Q·Kᵀ (and dP = dCtx·Vᵀ), whose upper triangle is masked out by the
+// softmax anyway. Entries above the diagonal are left untouched; the softmax
+// kernels own them.
 //
 //photon:hotpath
-func bandBatchMatMulTransB(c, a, b *Matrix, batch, lo, hi int, causal bool) {
+func bandBatchMatMulTransB(c, a, b *Matrix, batch, lo, hi int) {
 	m := c.Rows / batch
 	k := a.Cols
 	n := c.Cols
 	for it := lo; it < hi; it++ {
-		if !causal {
-			ca := Matrix{Rows: m, Cols: n, Data: c.Data[it*m*n : (it+1)*m*n]}
-			aa := Matrix{Rows: m, Cols: k, Data: a.Data[it*m*k : (it+1)*m*k]}
-			ba := Matrix{Rows: n, Cols: k, Data: b.Data[it*n*k : (it+1)*n*k]}
-			bandMatMulTransB(&ca, &aa, &ba, 0, m)
-			continue
-		}
 		cd := c.Data[it*m*n : (it+1)*m*n]
 		ad := a.Data[it*m*k : (it+1)*m*k]
 		bd := b.Data[it*n*k : (it+1)*n*k]
@@ -341,39 +316,10 @@ func checkBatch(rowsA, batch int, what string) int {
 	return rowsA / batch
 }
 
-// BatchMatMul computes C_t = A_t·B_t for t in [0, batch): A is the vertical
-// stack of batch [m, k] items, B of [k, n] items, C of [m, n] items.
-//
-//photon:hotpath
-//photon:nolint unused-export -- kernel-path check: TestExistingSuitesOnBothKernelPaths runs TestBatchMatMulMatchesNaive against the naive reference on the AVX2 and Go paths
-func BatchMatMul(c, a, b *Matrix, batch int) {
-	m := checkBatch(a.Rows, batch, "BatchMatMul")
-	k := checkBatch(b.Rows, batch, "BatchMatMul")
-	if a.Cols != k || c.Rows != batch*m || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: BatchMatMul shape mismatch %dx(%dx%d)·(%dx%d)->(%dx%d)",
-			batch, m, a.Cols, k, b.Cols, c.Rows, c.Cols))
-	}
-	dispatch(batch, satMul(m, satMul(k, b.Cols)), task{kind: kBatchMatMul, c: *c, a: *a, b: *b, batch: batch})
-}
-
-// BatchMatMulTransB computes C_t = A_t·B_tᵀ for t in [0, batch): A stacks
-// [m, k] items, B stacks [n, k] items, C stacks [m, n] items.
-//
-//photon:hotpath
-//photon:nolint unused-export -- kernel-path check: TestExistingSuitesOnBothKernelPaths runs TestBatchMatMulTransBMatchesNaive against the naive reference on the AVX2 and Go paths
-func BatchMatMulTransB(c, a, b *Matrix, batch int) {
-	m := checkBatch(a.Rows, batch, "BatchMatMulTransB")
-	n := checkBatch(b.Rows, batch, "BatchMatMulTransB")
-	if a.Cols != b.Cols || c.Rows != batch*m || c.Cols != n {
-		panic(fmt.Sprintf("tensor: BatchMatMulTransB shape mismatch %dx(%dx%d)·(%dx%d)ᵀ->(%dx%d)",
-			batch, m, a.Cols, n, b.Cols, c.Rows, c.Cols))
-	}
-	dispatch(batch, satMul(m, satMul(n, a.Cols)), task{kind: kBatchMatMulTransB, c: *c, a: *a, b: *b, batch: batch})
-}
-
-// BatchMatMulCausal is BatchMatMul for square causal A items (attention
-// P·V): row i of A_t only contributes columns [0, i], so the structurally
-// zero upper triangle is never read.
+// BatchMatMulCausal computes C_t = A_t·B_t for t in [0, batch): A stacks
+// square [m, m] causal items (attention P·V), B stacks [m, n] items, C stacks
+// [m, n] items. Row i of A_t only contributes columns [0, i], so the
+// structurally zero upper triangle is never read.
 //
 //photon:hotpath
 func BatchMatMulCausal(c, a, b *Matrix, batch int) {
@@ -386,9 +332,10 @@ func BatchMatMulCausal(c, a, b *Matrix, batch int) {
 	dispatch(batch, satMul(m, satMul(k, b.Cols))/2, task{kind: kBatchMatMulCausal, c: *c, a: *a, b: *b, batch: batch})
 }
 
-// BatchMatMulTransBCausal is BatchMatMulTransB for square causal outputs
-// (attention Q·Kᵀ): only C_t[i][j] with j ≤ i is computed; entries above the
-// diagonal are left untouched for the masked-softmax kernel to own.
+// BatchMatMulTransBCausal computes C_t = A_t·B_tᵀ for t in [0, batch) with
+// square causal outputs (attention Q·Kᵀ): A and B stack [m, k] items, C
+// stacks [m, m] items. Only C_t[i][j] with j ≤ i is computed; entries above
+// the diagonal are left untouched for the masked-softmax kernel to own.
 //
 //photon:hotpath
 func BatchMatMulTransBCausal(c, a, b *Matrix, batch int) {

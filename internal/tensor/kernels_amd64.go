@@ -48,10 +48,6 @@ func subAVX2(dst, src *float32, n int)
 
 //go:noescape
 //photon:hotpath
-func mulAVX2(dst, src *float32, n int)
-
-//go:noescape
-//photon:hotpath
 func scaleAVX2(a float32, x *float32, n int)
 
 func fmaPeakAVX2(iters int) // 160·iters flops from registers: BenchmarkFMAPeak

@@ -74,7 +74,7 @@
 	VFMADD231SS (R8)(AX*4), C2, T; \
 	VFMADD231SS (R9)(AX*4), C3, T
 
-// BINOP is the body of add/sub/mul: dst[i] = dst[i] OP src[i].
+// BINOP is the body of add/sub: dst[i] = dst[i] OP src[i].
 #define BINOP(VOP, SOP) \
 	MOVQ dst+0(FP), DI; \
 	MOVQ src+8(FP), SI; \
@@ -484,10 +484,6 @@ TEXT ·addAVX2(SB), NOSPLIT, $0-24
 // func subAVX2(dst, src *float32, n int): dst -= src
 TEXT ·subAVX2(SB), NOSPLIT, $0-24
 	BINOP(VSUBPS, VSUBSS)
-
-// func mulAVX2(dst, src *float32, n int): dst *= src
-TEXT ·mulAVX2(SB), NOSPLIT, $0-24
-	BINOP(VMULPS, VMULSS)
 
 // func scaleAVX2(a float32, x *float32, n int): x *= a
 TEXT ·scaleAVX2(SB), NOSPLIT, $0-24

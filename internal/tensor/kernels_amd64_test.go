@@ -46,14 +46,11 @@ func TestExistingSuitesOnBothKernelPaths(t *testing.T) {
 	}{
 		{"MatMulMatchesNaive", TestMatMulMatchesNaive},
 		{"MatMulOverwritesOutput", TestMatMulOverwritesOutput},
-		{"MatMulAccum", TestMatMulAccum},
 		{"MatMulTransA", TestMatMulTransA},
 		{"MatMulTransAAccumAddsToExisting", TestMatMulTransAAccumAddsToExisting},
 		{"MatMulTransB", TestMatMulTransB},
 		{"DotAxpyScale", TestDotAxpyScale},
 		{"MatMulTransposeProperty", TestMatMulTransposeProperty},
-		{"BatchMatMulMatchesNaive", TestBatchMatMulMatchesNaive},
-		{"BatchMatMulTransBMatchesNaive", TestBatchMatMulTransBMatchesNaive},
 		{"BatchMatMulTransAMatchesNaive", TestBatchMatMulTransAMatchesNaive},
 		{"CausalBatchKernelsMatchDense", TestCausalBatchKernelsMatchDense},
 		{"ParallelKernelsLargeShapes", TestParallelKernelsLargeShapes},
@@ -264,20 +261,20 @@ type elemOp struct {
 	op   func(dst, src []float32)
 }
 
-// elementwise are the length-checked two-operand helpers; the first three
+// elementwise are the length-checked two-operand helpers; the first two
 // involve no multiply-add.
 var elementwise = []elemOp{
-	{"Add", Add}, {"Sub", Sub}, {"Hadamard", Hadamard},
+	{"Add", Add}, {"Sub", Sub},
 	{"Axpy", func(dst, src []float32) { Axpy(0.7, src, dst) }},
 }
 
-// TestElementwiseBitwiseEqualGo: Add, Sub, Hadamard and Scale involve no
+// TestElementwiseBitwiseEqualGo: Add, Sub and Scale involve no
 // fused multiply-add, so the vector bodies must reproduce the Go loops bit
 // for bit — every length 0…67, unaligned starts.
 func TestElementwiseBitwiseEqualGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(20))
-	unfused := append(elementwise[:3:3], elemOp{"Scale", func(dst, _ []float32) { Scale(-1.7, dst) }})
+	unfused := append(elementwise[:2:2], elemOp{"Scale", func(dst, _ []float32) { Scale(-1.7, dst) }})
 	for _, e := range unfused {
 		for n := 0; n <= 67; n++ {
 			dbuf, dst := guarded(rng, n)
@@ -342,20 +339,14 @@ func TestTileInvarianceBitwise(t *testing.T) {
 					poison(rng, a, b)
 				}
 				c0 := randMatrix(rng, m, n)
-				c, acc := NewMatrix(m, n), c0.Clone()
+				c := NewMatrix(m, n)
 				MatMul(c, a, b)
-				MatMulAccum(acc, a, b)
 				for i := 0; i < m; i++ {
 					ai := FromSlice(1, k, a.Row(i))
 					solo := NewMatrix(1, n)
 					MatMul(solo, ai, b)
 					if j := sameBits(c.Row(i), solo.Data); j >= 0 {
 						fail("MatMul", i, j)
-					}
-					copy(solo.Data, c0.Row(i))
-					MatMulAccum(solo, ai, b)
-					if j := sameBits(acc.Row(i), solo.Data); j >= 0 {
-						fail("MatMulAccum", i, j)
 					}
 				}
 
@@ -376,7 +367,7 @@ func TestTileInvarianceBitwise(t *testing.T) {
 				if withNaN {
 					poison(rng, at, b)
 				}
-				acc = c0.Clone()
+				acc := c0.Clone()
 				MatMulTransAAccum(acc, at, b)
 				for i := 0; i < m; i++ {
 					col := NewMatrix(k, 1)

@@ -38,9 +38,6 @@ func addAVX2(dst, src *float32, n int) {}
 func subAVX2(dst, src *float32, n int) {}
 
 //photon:hotpath
-func mulAVX2(dst, src *float32, n int) {}
-
-//photon:hotpath
 func scaleAVX2(a float32, x *float32, n int) {}
 
 //photon:hotpath

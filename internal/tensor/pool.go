@@ -24,11 +24,8 @@ type kernelKind uint8
 const (
 	kFn kernelKind = iota
 	kMatMul
-	kMatMulAccum
 	kMatMulTransAAccum
 	kMatMulTransB
-	kBatchMatMul
-	kBatchMatMulTransB
 	kBatchMatMulCausal
 	kBatchMatMulTransBCausal
 	kBatchMatMulTransA
@@ -124,21 +121,15 @@ func runTask(t *task) {
 		// the indirect call itself allocates nothing.
 		t.fn(t.lo, t.hi) //photon:nolint hotpath-alloc -- persistent func value per Parallel's contract
 	case kMatMul:
-		bandMatMul(&t.c, &t.a, &t.b, t.lo, t.hi, false)
-	case kMatMulAccum:
-		bandMatMul(&t.c, &t.a, &t.b, t.lo, t.hi, true)
+		bandMatMul(&t.c, &t.a, &t.b, t.lo, t.hi)
 	case kMatMulTransAAccum:
 		bandMatMulTransAAccum(&t.c, &t.a, &t.b, t.lo, t.hi)
 	case kMatMulTransB:
 		bandMatMulTransB(&t.c, &t.a, &t.b, t.lo, t.hi)
-	case kBatchMatMul:
-		bandBatchMatMul(&t.c, &t.a, &t.b, t.batch, t.lo, t.hi, false)
-	case kBatchMatMulTransB:
-		bandBatchMatMulTransB(&t.c, &t.a, &t.b, t.batch, t.lo, t.hi, false)
 	case kBatchMatMulCausal:
-		bandBatchMatMul(&t.c, &t.a, &t.b, t.batch, t.lo, t.hi, true)
+		bandBatchMatMul(&t.c, &t.a, &t.b, t.batch, t.lo, t.hi)
 	case kBatchMatMulTransBCausal:
-		bandBatchMatMulTransB(&t.c, &t.a, &t.b, t.batch, t.lo, t.hi, true)
+		bandBatchMatMulTransB(&t.c, &t.a, &t.b, t.batch, t.lo, t.hi)
 	case kBatchMatMulTransA:
 		bandBatchMatMulTransA(&t.c, &t.a, &t.b, t.batch, t.lo, t.hi)
 	case kCausalSoftmax:
@@ -225,7 +216,7 @@ func dispatch(items, volumePerItem int, t task) {
 //photon:hotpath
 func rowTile(k kernelKind) int {
 	switch k {
-	case kMatMul, kMatMulAccum:
+	case kMatMul:
 		return 4
 	case kMatMulTransB, kMatMulTransAAccum:
 		return 2

@@ -89,17 +89,6 @@ func MatMul(c, a, b *Matrix) {
 	dispatch(a.Rows, satMul(a.Cols, b.Cols), task{kind: kMatMul, c: *c, a: *a, b: *b})
 }
 
-// MatMulAccum computes C += A·B (same shapes as MatMul).
-//
-//photon:hotpath
-//photon:nolint unused-export -- kernel-path check: TestExistingSuitesOnBothKernelPaths runs TestMatMulAccum against the naive reference on the AVX2 and Go paths, and TestTileInvarianceBitwise checks its rows
-func MatMulAccum(c, a, b *Matrix) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic("tensor: MatMulAccum shape mismatch")
-	}
-	dispatch(a.Rows, satMul(a.Cols, b.Cols), task{kind: kMatMulAccum, c: *c, a: *a, b: *b})
-}
-
 // MatMulTransAAccum computes C += Aᵀ·B where A is k×m, B is k×n, C is m×n:
 // the kernel used for weight gradients (dW += Xᵀ·dY).
 // Parallelized over output rows (columns of A): each band owns its C rows so
@@ -223,23 +212,6 @@ func Sub(dst, src []float32) {
 	}
 	for i, v := range src {
 		dst[i] -= v
-	}
-}
-
-// Hadamard computes dst[i] *= src[i].
-//
-//photon:hotpath
-//photon:nolint unused-export -- kernel-path check: TestElementwiseBitwiseEqualGo compares its AVX2 path bit for bit with the Go loop
-func Hadamard(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("tensor: Hadamard length mismatch")
-	}
-	if useAVX2 && len(src) > 0 {
-		mulAVX2(&dst[0], &src[0], len(src))
-		return
-	}
-	for i, v := range src {
-		dst[i] *= v
 	}
 }
 

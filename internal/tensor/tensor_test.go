@@ -77,17 +77,6 @@ func TestMatMulOverwritesOutput(t *testing.T) {
 	matricesClose(t, c, naiveMatMul(a, b), 1e-4)
 }
 
-func TestMatMulAccum(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randMatrix(rng, 5, 7)
-	b := randMatrix(rng, 7, 6)
-	c := randMatrix(rng, 5, 6)
-	want := naiveMatMul(a, b)
-	Add(want.Data, c.Data)
-	MatMulAccum(c, a, b)
-	matricesClose(t, c, want, 1e-3)
-}
-
 func TestMatMulTransA(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := randMatrix(rng, 9, 4) // k x m

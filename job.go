@@ -179,7 +179,7 @@ func (j *Job) runFederated(ctx context.Context) (*Result, error) {
 		part, err = data.IIDPartition(srcs[0], c.clients, c.seed+1000)
 	} else {
 		part, err = data.BySourcePartition(srcs, c.clients, c.seed+1000)
-		valSrc = data.NewMixtureSource(c.dataSource, srcs, nil)
+		valSrc = data.NewMixtureSource(c.dataSource, srcs)
 	}
 	if err != nil {
 		return nil, err
