@@ -33,14 +33,13 @@ type RunConfig struct {
 	Validation *data.ValidationSet
 	EvalEvery  int
 
-	// Codec, when non-empty, routes every model broadcast and client
-	// update through the named wire codec exactly as the networked path
-	// does: payloads are encoded, their encoded size is charged to the
-	// round's communication accounting, and training continues from the
-	// decoded (for lossy codecs, perturbed) values. Each client holds its
-	// own codec instance across rounds, so error-feedback codecs (topk)
-	// accumulate residuals per client. Empty skips codec simulation and
-	// keeps the raw dense exchange with element-count byte estimates.
+	// Codec names the wire codec every model broadcast and client update
+	// crosses, exactly as on the networked path: payloads are encoded,
+	// their encoded size is charged to the round's communication
+	// accounting, and training continues from the decoded (for lossy
+	// codecs, perturbed) values. Each client holds its own codec instance
+	// across rounds, so error-feedback codecs (topk) accumulate residuals
+	// per client. Empty means "dense", as on the networked path.
 	Codec string
 
 	// Tiers selects the aggregation depth: 1 (or 0, the default) is the
@@ -178,6 +177,9 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	if err := x.initModel(cfg.InitParams); err != nil {
 		return nil, err
 	}
+	if cfg.Codec == "" {
+		cfg.Codec = "dense"
+	}
 	var err error
 	if x.modelCodec, x.clientCodec, err = simCodecs(cfg.Codec, len(cfg.Clients)); err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
@@ -253,23 +255,20 @@ func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float
 		dropped[i] = cfg.DropoutProb > 0 && x.rng.Float64() < cfg.DropoutProb
 	}
 
-	// Under a codec, clients train from the decoded broadcast — for a lossy
-	// codec the same perturbed parameters a remote client would receive —
-	// and the encoded size is what the round pays for.
+	// Clients train from the decoded broadcast — for a lossy codec the same
+	// perturbed parameters a remote client would receive — and the encoded
+	// size is what the round pays for.
 	x.wire = roundWire{}
 	var downBytes, upBytes, parentDown, parentUp int64
 	var err error
-	relayGlobal := x.global
-	if x.upModelCodec != nil {
-		if relayGlobal, parentDown, err = x.roundTrip(w, x.upModelCodec, x.global, x.relays); err != nil {
+	trainGlobal := x.global
+	if x.tiers == 2 {
+		if trainGlobal, parentDown, err = x.roundTrip(w, x.upModelCodec, trainGlobal, x.relays); err != nil {
 			return nil, err
 		}
 	}
-	trainGlobal := relayGlobal
-	if x.modelCodec != nil {
-		if trainGlobal, downBytes, err = x.roundTrip(w, x.modelCodec, relayGlobal, len(cohort)); err != nil {
-			return nil, err
-		}
+	if trainGlobal, downBytes, err = x.roundTrip(w, x.modelCodec, trainGlobal, len(cohort)); err != nil {
+		return nil, err
 	}
 
 	results := make([]RoundResult, len(cohort))
@@ -308,18 +307,15 @@ func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float
 		if errs[i] != nil {
 			return nil, fmt.Errorf("client %s: %w", id, errs[i])
 		}
-		upd := results[i].Update
-		if x.modelCodec != nil {
-			codec, err := x.clientCodec(ci)
-			if err != nil {
-				return nil, err
-			}
-			var n int64
-			if upd, n, err = x.roundTrip(w, codec, upd, 1); err != nil {
-				return nil, fmt.Errorf("client %s: %w", id, err)
-			}
-			upBytes += n
+		codec, err := x.clientCodec(ci)
+		if err != nil {
+			return nil, err
 		}
+		upd, n, err := x.roundTrip(w, codec, results[i].Update, 1)
+		if err != nil {
+			return nil, fmt.Errorf("client %s: %w", id, err)
+		}
+		upBytes += n
 		// A diverged client is dropped, as the networked tiers evict it.
 		if checkFinite(upd) != nil {
 			continue
@@ -346,66 +342,38 @@ func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float
 		if x.groups[g].n == 0 {
 			continue // an emptied cohort sends nothing upstream
 		}
-		mean := x.groups[g].mean()
-		if x.upModelCodec != nil {
-			codec, err := x.relayCodec(g)
-			if err != nil {
-				return nil, err
-			}
-			var n int64
-			if mean, n, err = x.roundTrip(w, codec, mean, 1); err != nil {
-				return nil, fmt.Errorf("relay %d: %w", g, err)
-			}
-			parentUp += n
+		codec, err := x.relayCodec(g)
+		if err != nil {
+			return nil, err
 		}
+		mean, n, err := x.roundTrip(w, codec, x.groups[g].mean(), 1)
+		if err != nil {
+			return nil, fmt.Errorf("relay %d: %w", g, err)
+		}
+		parentUp += n
 		x.fold.add(mean, 1)
 	}
 
-	// Without a codec the round pays element-count estimates: the model to
-	// the sampled cohort plus the surviving uploads (plus, when tiered, the
-	// parent tier's relay exchanges).
-	paramBytes := int64(len(x.global)) * 4
+	// The round pays encoded payload bytes (headerless — the simulator has
+	// no frames). Flat runs split them into the aggregator's send/receive
+	// sides; tiered runs report the parent link's bytes there instead, which
+	// is what a relay deployment actually moves inter-region.
 	rec.Clients, rec.Depth = survivors, x.tiers
-	rec.CommBytes = int64(len(cohort)+survivors) * paramBytes
-	if x.tiers == 2 && x.upModelCodec == nil {
-		rec.CommBytes += int64(x.relays+x.fold.n) * paramBytes
-		rec.WireSentBytes = int64(x.relays) * paramBytes
-		rec.WireRecvBytes = int64(x.fold.n) * paramBytes
+	rec.CommBytes = x.wire.payloadBytes
+	rec.WireSentBytes, rec.WireRecvBytes = downBytes, upBytes
+	if x.tiers == 2 {
+		rec.WireSentBytes, rec.WireRecvBytes = parentDown, parentUp
 	}
-	if x.modelCodec != nil || x.upModelCodec != nil {
-		// Under a codec it pays encoded payload bytes (headerless — the
-		// simulator has no frames). Flat runs split them into the
-		// aggregator's send/receive sides; tiered runs report the parent
-		// link's bytes there instead, which is what a relay deployment
-		// actually moves inter-region.
-		rec.CommBytes = x.wire.payloadBytes
-		if x.modelCodec == nil {
-			// Upstream-only codec: the leaf tier still moves raw dense
-			// vectors, so charge them at the element-count estimate —
-			// otherwise CommBytes would silently drop a whole tier.
-			rec.CommBytes += int64(len(cohort)+survivors) * paramBytes
-		}
-		rec.WireSentBytes, rec.WireRecvBytes = downBytes, upBytes
-		if x.tiers == 2 {
-			rec.WireSentBytes, rec.WireRecvBytes = parentDown, parentUp
-		}
-		rec.EncodeMs = float64(w.pn[obsv.PhaseEncode]) / 1e6
-		rec.DecodeMs = float64(w.pn[obsv.PhaseDecode]) / 1e6
-		if x.wire.denseBytes > 0 {
-			rec.CompressionRatio = float64(x.wire.payloadBytes) / float64(x.wire.denseBytes)
-		}
-	}
+	rec.EncodeMs = float64(w.pn[obsv.PhaseEncode]) / 1e6
+	rec.DecodeMs = float64(w.pn[obsv.PhaseDecode]) / 1e6
+	rec.CompressionRatio = float64(x.wire.payloadBytes) / float64(x.wire.denseBytes)
 	return clientMetrics, nil
 }
 
 // simCodecs builds one tier's simulated codec state for Run: the shared
 // model-broadcast encoder and an accessor over n per-owner update codec
-// instances, created on first use. An empty name simulates no codec (nil
-// encoder).
+// instances, created on first use.
 func simCodecs(name string, n int) (link.Codec, func(int) (link.Codec, error), error) {
-	if name == "" {
-		return nil, nil, nil
-	}
 	c, err := link.NewCodec(name)
 	if err != nil {
 		return nil, nil, err

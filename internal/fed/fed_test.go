@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,6 +124,98 @@ func TestDiLoCoNesterovForm(t *testing.T) {
 	FedAvg{}.Step(g2, []float32{1}, 1)
 	if math.Abs(float64(g[0])) >= math.Abs(float64(g2[0])) {
 		t.Fatal("DiLoCo(0.1) early step should be smaller than FedAvg")
+	}
+}
+
+// refFedMom and refDiLoCo are the two momentum optimizers as separate
+// types, before they shared one: each Step body is kept verbatim as the
+// reference the shared type must match bit for bit.
+type refFedMom struct {
+	LR, Mu float64
+	v      []float32
+}
+
+func (f *refFedMom) Step(global, delta []float32, _ int) {
+	if f.v == nil {
+		f.v = make([]float32, len(global))
+	}
+	mu := float32(f.Mu)
+	lr := float32(f.LR)
+	for i, d := range delta {
+		f.v[i] = mu*f.v[i] + d
+		global[i] -= lr * f.v[i]
+	}
+}
+
+type refDiLoCo struct {
+	LR, Mu float64
+	v      []float32
+}
+
+func (d *refDiLoCo) Step(global, delta []float32, _ int) {
+	if d.v == nil {
+		d.v = make([]float32, len(global))
+	}
+	mu := float32(d.Mu)
+	lr := float32(d.LR)
+	for i, g := range delta {
+		d.v[i] = mu*d.v[i] + g
+		global[i] -= lr * (g + mu*d.v[i])
+	}
+}
+
+// TestMomentumMatchesReferenceSteps: NewFedMom and NewDiLoCo build one
+// momentum type, and each still takes its reference's steps bit for bit on
+// random vectors (one length off the kernels' 8-lane width), also after a
+// Snapshot → Restore into a fresh optimizer mid-run.
+func TestMomentumMatchesReferenceSteps(t *testing.T) {
+	type stepper interface {
+		Step(global, delta []float32, round int)
+	}
+	for _, tc := range []struct {
+		name  string
+		fresh func() OuterOpt
+		ref   func() stepper
+	}{
+		{"fedmom", func() OuterOpt { return NewFedMom(0.7, 0.9) }, func() stepper { return &refFedMom{LR: 0.7, Mu: 0.9} }},
+		{"diloco", func() OuterOpt { return NewDiLoCo(0.1, 0.9) }, func() stepper { return &refDiLoCo{LR: 0.1, Mu: 0.9} }},
+	} {
+		for _, n := range []int{16, 67} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			randVec := func() []float32 {
+				v := make([]float32, n)
+				for i := range v {
+					v[i] = float32(rng.NormFloat64())
+				}
+				return v
+			}
+			ref, o := tc.ref(), tc.fresh()
+			if o.Name() != tc.name {
+				t.Fatalf("Name() = %q, want %q", o.Name(), tc.name)
+			}
+			want := randVec()
+			got := slices.Clone(want)
+			for step := 1; step <= 6; step++ {
+				delta := randVec()
+				ref.Step(want, delta, step)
+				o.Step(got, delta, step)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s n=%d step %d elem %d: %x, reference %x", tc.name, n, step, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+				}
+				if step == 3 {
+					restored := tc.fresh()
+					if err := restored.(OuterState).Restore(o.(OuterState).Snapshot()); err != nil {
+						t.Fatal(err)
+					}
+					o = restored
+				}
+			}
+			if err := o.(OuterState).Restore(make([]float32, n+1)); err == nil {
+				t.Fatalf("%s n=%d: wrong-length snapshot restored", tc.name, n)
+			}
+		}
 	}
 }
 
@@ -284,6 +377,38 @@ func TestRunPartialDropoutStillConverges(t *testing.T) {
 	}
 	if res.History.FinalPPL() > 58 {
 		t.Fatalf("dropout run did not converge: %v", res.History.FinalPPL())
+	}
+}
+
+// TestRunChargesWhatCrossedTheCodec: a run that names no codec crosses the
+// dense one, so each round is charged what crossed it — the broadcast to
+// the whole sampled cohort as sent, the survivors' updates as received,
+// 4 bytes an element — with dropouts sending nothing.
+func TestRunChargesWhatCrossedTheCodec(t *testing.T) {
+	const k = 3
+	res, err := Run(context.Background(), baseRun(t, func(c *RunConfig) {
+		c.ClientsPerRound, c.DropoutProb, c.Rounds = k, 0.3, 4
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	paramBytes := int64(len(res.Global)) * 4
+	dropped := false
+	for _, r := range res.History.Rounds {
+		dropped = dropped || r.Clients < k
+		sent, recv := k*paramBytes, int64(r.Clients)*paramBytes
+		if r.WireSentBytes != sent || r.WireRecvBytes != recv {
+			t.Fatalf("round %d (%d of %d clients): sent/recv %d/%d bytes, want %d/%d", r.Round, r.Clients, k, r.WireSentBytes, r.WireRecvBytes, sent, recv)
+		}
+		if r.CommBytes != sent+recv {
+			t.Fatalf("round %d: CommBytes %d, want %d", r.Round, r.CommBytes, sent+recv)
+		}
+		if r.CompressionRatio != 1 {
+			t.Fatalf("round %d: compression ratio %v, want 1", r.Round, r.CompressionRatio)
+		}
+	}
+	if !dropped {
+		t.Fatal("no round lost a client to dropout; the run does not test the survivor count")
 	}
 }
 

@@ -138,7 +138,11 @@ func TestFoldBitExact(t *testing.T) {
 			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "topk:0.1", "flate"
 			c.Outer = NewDiLoCo(0.1, 0.9)
 		})},
-		{"subfed-silo", "a35a36d470eeb2b1", simFoldRun(func(t *testing.T, c *RunConfig) {
+		// Only its byte split moved when codec-less runs began crossing the
+		// dense codec: WireSentBytes/WireRecvBytes went from 0 to the
+		// broadcast and the updates. With those two fields zeroed its digest
+		// is a35a36d470eeb2b1 either way, and CommBytes stays 646,656 a round.
+		{"subfed-silo", "95bce19f0b1fa691", simFoldRun(func(t *testing.T, c *RunConfig) {
 			nodes := makeClients(t, tinyCfg(), 4)
 			c.Clients = []*Client{{ID: "silo", SubNodes: nodes[:2]}, nodes[2], nodes[3]}
 			c.ClientsPerRound = 3
@@ -146,8 +150,10 @@ func TestFoldBitExact(t *testing.T) {
 		{"networked-sync-fedmom", "3b331116d2a525a4", netFoldRun},
 		// Resumed from an earlier run's params at round 3: rounds 4–7 with
 		// EvalEvery 2, so round 7 is evaluated only because it is the last,
-		// and a StopAtPPL target the run never reaches.
-		{"resumed-eval-last-stop", "9532d0bce7745f7c", simFoldRun(func(t *testing.T, c *RunConfig) {
+		// and a StopAtPPL target the run never reaches. Its byte split moved
+		// like subfed-silo's; zeroed, its digest is 9532d0bce7745f7c either
+		// way.
+		{"resumed-eval-last-stop", "413168379bacc04c", simFoldRun(func(t *testing.T, c *RunConfig) {
 			prev, err := Run(context.Background(), baseRun(t, func(p *RunConfig) { p.Rounds = 3 }))
 			if err != nil {
 				t.Fatal(err)
@@ -155,8 +161,8 @@ func TestFoldBitExact(t *testing.T) {
 			c.InitParams, c.StartRound, c.Rounds = prev.Global, 3, 4
 			c.EvalEvery, c.StopAtPPL = 2, 1
 		})},
-		// An upstream codec only: the leaf tier moves raw vectors, charged
-		// at the element-count estimate.
+		// An upstream codec only: the leaf tier crosses the dense codec at
+		// 4 bytes an element.
 		{"tiered-upstream-q8-only", "988f4c7d8fdbc666", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "", "q8"
 		})},

@@ -11,6 +11,7 @@ package fed
 
 import (
 	"fmt"
+	"slices"
 
 	"photon/internal/tensor"
 )
@@ -40,15 +41,6 @@ type OuterState interface {
 	Restore(s []float32) error
 }
 
-// copyState is the shared Snapshot/Restore plumbing for the momentum
-// optimizers.
-func copyState(v []float32) []float32 {
-	if v == nil {
-		return nil
-	}
-	return append([]float32(nil), v...)
-}
-
 // FedAvg is federated averaging with server learning rate ηs: the paper's
 // default is ηs = 1, which makes the new global model exactly the mean of
 // the client models. Photon's headline recipe is FedAvg(1.0) combined with
@@ -69,95 +61,62 @@ func (f FedAvg) Step(global, delta []float32, _ int) {
 	tensor.Axpy(float32(-lr), delta, global)
 }
 
-// FedMom is FedAvg with server momentum (FedAvgM / federated momentum): the
-// pseudo-gradient accumulates into a velocity buffer before being applied.
-// The paper's Table 5 sweeps µs ∈ {0, 0.9}.
-type FedMom struct {
-	LR float64 // ηs
-	Mu float64 // µs
-
-	v []float32
+// momentum is server momentum over pseudo-gradients, the state FedMom and
+// DiLoCo share: one velocity buffer v ← µv + Δ. FedMom steps θ ← θ − ηs·v;
+// DiLoCo's Nesterov form steps by the look-ahead θ ← θ − ηs·(Δ + µv).
+type momentum struct {
+	name     string
+	lr, mu   float64 // ηs, µs
+	nesterov bool
+	v        []float32
 }
 
-// NewFedMom constructs the server-momentum optimizer.
-func NewFedMom(lr, mu float64) *FedMom { return &FedMom{LR: lr, Mu: mu} }
+// NewFedMom constructs FedAvg with server momentum (FedAvgM / federated
+// momentum): the pseudo-gradient accumulates into a velocity buffer before
+// being applied. The paper's Table 5 sweeps µs ∈ {0, 0.9}.
+func NewFedMom(lr, mu float64) OuterOpt { return &momentum{name: "fedmom", lr: lr, mu: mu} }
+
+// NewDiLoCo constructs the outer optimizer of Douillard et al.: SGD with
+// Nesterov momentum over pseudo-gradients, the baseline Photon is compared
+// against in Table 3 and Figure 8 (recommended µ = 0.9; the only stable
+// server learning rate in the paper's sweep was ηs = 0.1).
+func NewDiLoCo(lr, mu float64) OuterOpt {
+	return &momentum{name: "diloco", lr: lr, mu: mu, nesterov: true}
+}
 
 // Name implements OuterOpt.
-func (f *FedMom) Name() string { return "fedmom" }
+func (m *momentum) Name() string { return m.name }
 
-// Step implements OuterOpt: v ← µv + Δ ; θ ← θ − ηs·v.
-func (f *FedMom) Step(global, delta []float32, _ int) {
-	if f.v == nil {
-		f.v = make([]float32, len(global))
+// Step implements OuterOpt.
+func (m *momentum) Step(global, delta []float32, _ int) {
+	if m.v == nil {
+		m.v = make([]float32, len(global))
 	}
-	mu := float32(f.Mu)
-	lr := float32(f.LR)
-	for i, d := range delta {
-		f.v[i] = mu*f.v[i] + d
-		global[i] -= lr * f.v[i]
+	mu := float32(m.mu)
+	lr := float32(m.lr)
+	for i, g := range delta {
+		m.v[i] = mu*m.v[i] + g
+		step := m.v[i]
+		if m.nesterov {
+			step = g + mu*m.v[i]
+		}
+		global[i] -= lr * step
 	}
 }
 
 // Snapshot implements OuterState: the velocity buffer.
-func (f *FedMom) Snapshot() []float32 { return copyState(f.v) }
+func (m *momentum) Snapshot() []float32 { return slices.Clone(m.v) }
 
 // Restore implements OuterState.
-func (f *FedMom) Restore(s []float32) error {
+func (m *momentum) Restore(s []float32) error {
 	if len(s) == 0 {
-		f.v = nil
+		m.v = nil
 		return nil
 	}
-	if f.v != nil && len(f.v) != len(s) {
-		return fmt.Errorf("fed: fedmom state size changed: %d vs snapshot %d", len(f.v), len(s))
+	if m.v != nil && len(m.v) != len(s) {
+		return fmt.Errorf("fed: %s state size changed: %d vs snapshot %d", m.name, len(m.v), len(s))
 	}
-	f.v = copyState(s)
-	return nil
-}
-
-// DiLoCo is the outer optimizer of Douillard et al.: SGD with Nesterov
-// momentum over pseudo-gradients, the baseline Photon is compared against in
-// Table 3 and Figure 8 (recommended µ = 0.9; the only stable server learning
-// rate in the paper's sweep was ηs = 0.1).
-type DiLoCo struct {
-	LR float64 // ηs
-	Mu float64 // Nesterov momentum coefficient
-
-	v []float32
-}
-
-// NewDiLoCo constructs the DiLoCo outer optimizer.
-func NewDiLoCo(lr, mu float64) *DiLoCo { return &DiLoCo{LR: lr, Mu: mu} }
-
-// Name implements OuterOpt.
-func (d *DiLoCo) Name() string { return "diloco" }
-
-// Step implements OuterOpt with the Nesterov form:
-// v ← µv + Δ ; θ ← θ − ηs·(Δ + µv).
-func (d *DiLoCo) Step(global, delta []float32, _ int) {
-	if d.v == nil {
-		d.v = make([]float32, len(global))
-	}
-	mu := float32(d.Mu)
-	lr := float32(d.LR)
-	for i, g := range delta {
-		d.v[i] = mu*d.v[i] + g
-		global[i] -= lr * (g + mu*d.v[i])
-	}
-}
-
-// Snapshot implements OuterState: the Nesterov velocity buffer.
-func (d *DiLoCo) Snapshot() []float32 { return copyState(d.v) }
-
-// Restore implements OuterState.
-func (d *DiLoCo) Restore(s []float32) error {
-	if len(s) == 0 {
-		d.v = nil
-		return nil
-	}
-	if d.v != nil && len(d.v) != len(s) {
-		return fmt.Errorf("fed: diloco state size changed: %d vs snapshot %d", len(d.v), len(s))
-	}
-	d.v = copyState(s)
+	m.v = slices.Clone(s)
 	return nil
 }
 

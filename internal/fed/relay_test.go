@@ -201,7 +201,8 @@ func TestTieredSimMatchesFlatSim(t *testing.T) {
 			t.Fatalf("tiered sim round %d reports Depth %d, want 2", r.Round, r.Depth)
 		}
 	}
-	// Raw tiered runs estimate the parent link at relays×(model+mean).
+	// A codec-less tiered run crosses dense codecs, so the parent link
+	// carries relays×(model+mean) at 4 bytes an element.
 	last := tieredRes.History.Rounds[len(tieredRes.History.Rounds)-1]
 	paramBytes := int64(len(tieredRes.Global)) * 4
 	if last.WireSentBytes != 2*paramBytes || last.WireRecvBytes != 2*paramBytes {

@@ -288,7 +288,7 @@ func (s *server) startLoops(ctx context.Context, l *link.Listener) (stop func(gr
 // Send so shutdown can proceed.
 func (s *server) expireMemberIO() {
 	for _, mc := range s.snapshot() {
-		mc.conn.SetDeadline(time.Now())
+		_ = mc.conn.Interrupt() // fails only on a closed conn, which has no I/O left to expire
 	}
 }
 

@@ -250,12 +250,12 @@ func tcpPair(t *testing.T) (*Conn, *Conn) {
 	return NewConn(dialed), NewConn(a.c)
 }
 
-// TestSetDeadlineMidRecvReturnsPromptly covers the elastic aggregator's
+// TestInterruptMidRecvReturnsPromptly covers the elastic aggregator's
 // cancellation path: an already-blocked Recv must be interrupted by
-// SetDeadline within a bounded time, and — because no frame bytes were
-// consumed by the idle expiry — the connection must be fully reusable once
-// the deadline is cleared.
-func TestSetDeadlineMidRecvReturnsPromptly(t *testing.T) {
+// Interrupt within a bounded time, and — because no frame bytes were
+// consumed by the idle expiry — the connection must be fully reusable in
+// both directions once RecvTimeout and SendTimeout install fresh deadlines.
+func TestInterruptMidRecvReturnsPromptly(t *testing.T) {
 	a, b := tcpPair(t)
 
 	errc := make(chan error, 1)
@@ -263,39 +263,49 @@ func TestSetDeadlineMidRecvReturnsPromptly(t *testing.T) {
 		_, err := a.Recv()
 		errc <- err
 	}()
-	// Let the receiver block, then expire its deadline mid-Recv.
+	// Let the receiver block, then interrupt it mid-Recv.
 	time.Sleep(50 * time.Millisecond)
 	start := time.Now()
-	a.SetDeadline(time.Now())
+	if err := a.Interrupt(); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case err := <-errc:
 		if err == nil {
-			t.Fatal("expired Recv returned a message")
+			t.Fatal("interrupted Recv returned a message")
 		}
 		var ne net.Error
 		if !errors.As(err, &ne) || !ne.Timeout() {
 			t.Fatalf("want timeout error, got %v", err)
 		}
 		if waited := time.Since(start); waited > 2*time.Second {
-			t.Fatalf("Recv took %v to observe the deadline", waited)
+			t.Fatalf("Recv took %v to observe the interrupt", waited)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Recv did not return after SetDeadline")
+		t.Fatal("Recv did not return after Interrupt")
 	}
 
-	// Clear the deadline: the stream consumed no bytes, so the connection
-	// must work again end to end.
-	a.SetDeadline(time.Time{})
+	// The stream consumed no bytes, so the connection must work again end
+	// to end once each direction has a fresh deadline.
 	want := sampleMessage()
 	if err := b.Send(want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := a.Recv()
+	got, err := a.RecvTimeout(5 * time.Second)
 	if err != nil {
-		t.Fatalf("Recv after cleared deadline: %v", err)
+		t.Fatalf("RecvTimeout after interrupt: %v", err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("message mangled after deadline cycle")
+		t.Fatal("message mangled after interrupt")
+	}
+	if err := a.SendTimeout(want, 5*time.Second); err != nil {
+		t.Fatalf("SendTimeout after interrupt: %v", err)
+	}
+	if got, err = b.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("message mangled after interrupt")
 	}
 }
 

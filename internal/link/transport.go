@@ -157,8 +157,16 @@ func (c *Conn) recvLocked() (*Message, error) {
 // Close shuts the underlying connection down.
 func (c *Conn) Close() error { return c.raw.Close() }
 
-// SetDeadline bounds pending and future I/O.
-func (c *Conn) SetDeadline(t time.Time) error { return c.raw.SetDeadline(t) }
+// interrupted is a deadline long past, so installing it expires I/O
+// without reading the clock.
+var interrupted = time.Unix(1, 0)
+
+// Interrupt expires pending and future I/O: a blocked Send or Recv returns
+// a timeout error promptly, and so does every later Send until a
+// SendTimeout, and every later Recv until a RecvTimeout, installs a fresh
+// deadline. An interrupt that cut no frame short leaves the stream
+// reusable.
+func (c *Conn) Interrupt() error { return c.raw.SetDeadline(interrupted) }
 
 // SetReadDeadline bounds pending and future receives only.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }

@@ -325,9 +325,6 @@ func (c *jobConfig) fill() {
 	if c.localSteps == 0 {
 		c.localSteps = 16
 	}
-	if c.codec == "" {
-		c.codec = "dense"
-	}
 	switch c.backend {
 	case BackendCentralized:
 		if c.steps == 0 {
