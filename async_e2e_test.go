@@ -247,8 +247,9 @@ func asyncCrashResumeRun(t *testing.T, site string, seed int64, versions, k int,
 // each async WAL record type — including mid-buffer, after a buffer_fold
 // landed but before its version committed — and asserts recovery each time:
 // the resumed run re-folds the journaled pending buffer, completes all
-// versions, never trains a client round twice (version-matched cached
-// redelivery), and matches the uninterrupted control within 1e-5. FedMom is
+// versions, never trains a client round twice (an async round is the
+// dispatched version + 1, so a re-sent version is answered from the
+// member's reply cache), and matches the uninterrupted control within 1e-5. FedMom is
 // the outer optimizer so the redone versions carry momentum; K equals the
 // cohort so every version's buffer is an unordered pair and the refold is
 // bit-exact regardless of arrival order.
@@ -262,9 +263,7 @@ func TestAsyncCrashPointSweep(t *testing.T) {
 	newOuter := func() fed.OuterOpt { return fed.NewFedMom(1, 0.9) }
 	control := asyncControlRun(t, seed, versions, k, newOuter())
 
-	// round_open is excluded: async journals it only as the task-ID lease,
-	// which tops up on its own schedule rather than once per version, so an
-	// armed failpoint there is not guaranteed to fire.
+	// round_open is excluded: async journals none.
 	sites := []ckpt.RecordType{
 		ckpt.RecBufferFold, ckpt.RecVersionCommit,
 	}

@@ -32,7 +32,7 @@ func main() {
 		size       = flag.String("model", string(photon.SizeTiny), "model size preset")
 		clients    = flag.Int("clients", 2, "clients to wait for before round 1")
 		rounds     = flag.Int("rounds", 10, "federated rounds")
-		server     = flag.String("server", "fedavg", "server optimizer (see photon.ServerOptimizers)")
+		server     = flag.String("server", "fedavg", "server optimizer, root aggregator only: a relay forwards its cohort's mean (see photon.ServerOptimizers)")
 		codec      = flag.String("codec", "flate", "wire codec for parameter payloads (dense, flate, q8, topk:<keep>, ...)")
 		seed       = flag.Int64("seed", 1, "run seed")
 		heartbeat  = flag.Duration("heartbeat", 5*time.Second, "heartbeat interval; members missing 3 beats are evicted (0 disables)")

@@ -38,11 +38,11 @@ const (
 	// error-feedback residual. Member carries the name.
 	RecStateSnapshot
 	// RecBufferFold records one update folded into an async aggregator's
-	// staleness-weighted buffer: Round carries the dispatch task ID, Epoch
-	// the model version the member trained on, Member the member ID, and
-	// Data the update's wire payload as received. Replay re-folds every
-	// journaled buffer, so an async aggregator redoes its committed
-	// versions and resumes mid-buffer.
+	// staleness-weighted buffer: Round carries the round the member was
+	// sent (the version it trained on + 1), Epoch that version, Member the
+	// member ID, and Data the update's wire payload as received. Replay
+	// re-folds every journaled buffer, so an async aggregator redoes its
+	// committed versions and resumes mid-buffer.
 	RecBufferFold
 	// RecVersionCommit seals one async model-version commit (the async
 	// counterpart of RecRoundCommit, and an fsync point like it): Round

@@ -24,7 +24,7 @@ package fed
 //   - asyncAggregator (async.go): a window closes after K arrivals; they
 //     fold at their staleness weight and the outer step commits a version.
 //   - relay (relay.go): a window is one parent round; updates fold at
-//     weight 1 and the outer step's delta goes upstream.
+//     weight 1 and their mean goes upstream, for the root to step.
 //   - simulator (agg.go): the sync driver without a server or a journal.
 //     Its exchange trains the cohort in process and round-trips payloads
 //     through the codecs instead of asking members over the wire; step,

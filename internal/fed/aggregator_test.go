@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,6 +139,79 @@ func TestAsyncFoldsAtDispatchedVersion(t *testing.T) {
 	}
 	if folds == 0 {
 		t.Fatal("no buffer_fold record from the liar")
+	}
+}
+
+// TestAsyncRoundIsVersionPlusOne: an async dispatch is numbered as a sync
+// round is, by the model it trains on — version v goes out as round v+1 —
+// in a fresh run and after a WAL restart alike, so a member's shared
+// schedule (stepBase = (round−1)·Steps) follows the global model instead of
+// a dispatch counter, and the WAL needs no record to keep rounds unique.
+func TestAsyncRoundIsVersionPlusOne(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	dir := t.TempDir()
+	clients := makeClients(t, tinyCfg(), 2)
+	// life runs the fleet on dir until the given version commits and
+	// returns every round record its members made.
+	life := func(versions int) []metrics.Round {
+		t.Helper()
+		l, err := link.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		var mu sync.Mutex
+		var recs []metrics.Round
+		var members sync.WaitGroup
+		for _, c := range clients {
+			members.Add(1)
+			go func(c *Client) {
+				defer members.Done()
+				conn, err := link.Dial(l.Addr())
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				_ = ServeClient(ctx, conn, c, tinySpec(), func(r metrics.Round) {
+					mu.Lock()
+					recs = append(recs, r)
+					mu.Unlock()
+				})
+			}(c)
+		}
+		if _, err := Serve(ctx, l, ServerConfig{ModelConfig: tinyCfg(), Seed: 5, Rounds: versions, ExpectClients: 2,
+			Outer: FedAvg{}, Async: &AsyncConfig{K: 2}, WALDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		members.Wait()
+		return recs
+	}
+	for i, versions := range []int{2, 4} {
+		recs := life(versions)
+		if len(recs) == 0 {
+			t.Fatalf("life %d: members recorded no rounds", i+1)
+		}
+		for _, r := range recs {
+			if r.Round != r.ModelVersion+1 {
+				t.Errorf("life %d: version %d dispatched as round %d, want %d", i+1, r.ModelVersion, r.Round, r.ModelVersion+1)
+			}
+			if i == 1 && r.ModelVersion < 2 {
+				t.Errorf("life 2 dispatched version %d, which life 1 committed past", r.ModelVersion)
+			}
+		}
+	}
+	// An async journal opens no rounds: a buffer_fold names its round.
+	wal, rv, err := ckpt.OpenWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	for _, rec := range rv.Records {
+		if rec.Type == ckpt.RecRoundOpen {
+			t.Fatalf("async WAL holds a round_open record: %+v", rec)
+		}
 	}
 }
 

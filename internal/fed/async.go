@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"photon/internal/ckpt"
@@ -73,20 +72,9 @@ func (c *AsyncConfig) norm() AsyncConfig {
 	return out
 }
 
-// Task-ID leases: dispatch task IDs must stay unique across process lives
-// (a member's data-stream position derives from them), so the run loop
-// journals an upper bound ahead of the counter and tops it up — one fsync
-// per leaseBlock dispatches at worst — whenever fewer than leaseLow IDs
-// remain.
-const (
-	leaseLow   = 1 << 12
-	leaseBlock = 1 << 16
-)
-
 // asyncArrival is one member's answer handed from a pump to the run loop.
 type asyncArrival struct {
 	answer
-	task    int // dispatch task ID the reply answers
 	version int // global model version the update trained on
 }
 
@@ -101,12 +89,6 @@ type asyncAggregator struct {
 	arrivals chan asyncArrival
 	fatal    chan error    // pump-detected run-fatal errors (broken codec)
 	stop     chan struct{} // closed when the run loop exits
-
-	// taskCtr mints globally unique dispatch task IDs — the MsgModel round
-	// numbers async members see. leasedThrough is the journaled bound the
-	// counter may run up to (run-loop-owned; see taskLease).
-	taskCtr       atomic.Int64
-	leasedThrough int
 
 	pumps  map[*memberConn]struct{} // run-loop-only
 	pumpWg sync.WaitGroup
@@ -171,14 +153,9 @@ func newAsyncAggregator(st *aggState, resume *walResume) *asyncAggregator {
 			"Committed global model version."),
 	}
 	a.version = resume.committed
-	a.taskCtr.Store(int64(resume.maxTask))
-	a.leasedThrough = resume.maxTask
 	a.traceID = mintTrace(st.traceRng)
 	st.fold.reset(len(st.global))
 	st.commitRec = ckpt.RecVersionCommit
-	// The task-ID lease must survive compaction, or a restart could re-mint
-	// IDs that were in flight at the crash.
-	st.carry = func() []ckpt.Record { return []ckpt.Record{leaseRecord(a.leasedThrough)} }
 	return a
 }
 
@@ -227,9 +204,6 @@ func (a *asyncAggregator) run(ctx context.Context) (*Result, error) {
 			// starvation below MinClients ends the run with the partial
 			// result, mirroring the sync loop's rejoin grace.
 			a.startPumps()
-			if err := a.ensureLease(); err != nil {
-				return a.fail(a.version+1, err)
-			}
 			if a.s.reg.AliveCount() >= a.minClients {
 				belowSince = time.Time{}
 			} else if belowSince.IsZero() {
@@ -256,7 +230,7 @@ func (a *asyncAggregator) admit(ar asyncArrival) error {
 	}
 	// Journal before folding: a crash after this append replays the fold,
 	// a crash before it folds nothing — either way no double-count.
-	if err := a.jrn.bufferFold(ar.task, ar.mc.id, uint64(ar.version), ar.payload); err != nil {
+	if err := a.jrn.bufferFold(ar.mc.id, ar.version, ar.payload); err != nil {
 		return err
 	}
 	a.bufferUpdate(ar.mc.id, ar.version, ar.update, ar.meta)
@@ -331,28 +305,11 @@ func (a *asyncAggregator) commit() error {
 	return nil
 }
 
-// flush commits the buffer once it holds K folds, and keeps the task-ID
-// lease ahead of the dispatch counter.
+// flush commits the buffer once it holds K folds.
 func (a *asyncAggregator) flush() error {
 	if a.fold.n >= a.kBuf {
-		if err := a.commit(); err != nil {
-			return err
-		}
+		return a.commit()
 	}
-	return a.ensureLease()
-}
-
-// ensureLease tops up the durable task-ID lease when the counter gets
-// within leaseLow of the journaled bound.
-func (a *asyncAggregator) ensureLease() error {
-	if a.leasedThrough-int(a.taskCtr.Load()) > leaseLow {
-		return nil
-	}
-	next := int(a.taskCtr.Load()) + leaseBlock
-	if err := a.jrn.taskLease(next); err != nil {
-		return err
-	}
-	a.leasedThrough = next
 	return nil
 }
 
@@ -449,14 +406,18 @@ func (a *asyncAggregator) pump(mc *memberConn) {
 // to the run loop. It returns false when the pump should exit (member lost
 // or run over).
 func (a *asyncAggregator) dispatch(mc *memberConn, ver int, enc link.EncodedPayload, traceID uint64) bool {
-	task := int(a.taskCtr.Add(1))
+	// A dispatch is numbered as a sync round is: round r trains on the model
+	// r−1 commits made, so version ver goes out as round ver+1. modelFor
+	// sends a member each version at most once, so the round names one task
+	// for that member, and its shared schedule follows the global model.
+	task := ver + 1
 	meta := map[string]float64{
 		link.TraceKey:   float64(traceID),
 		link.VersionKey: float64(ver),
 		// Every async dispatch tolerates redelivery: a member that already
-		// trained this exact version (its reply was lost to a crash or a
-		// dropped connection) answers from its cache instead of advancing
-		// its data stream a second time.
+		// trained this round (its reply was lost to a crash or a dropped
+		// connection) answers from its cache instead of advancing its data
+		// stream a second time.
 		link.ResumeKey: 1,
 	}
 	sendTO := a.cfg.RoundDeadline
@@ -471,7 +432,7 @@ func (a *asyncAggregator) dispatch(mc *memberConn, ver int, enc link.EncodedPayl
 	// one the member claims: a member cannot shrink its own staleness.
 	a.noteTrained(mc.id, ver)
 	select {
-	case a.arrivals <- asyncArrival{answer: ans, task: task, version: ver}:
+	case a.arrivals <- asyncArrival{answer: ans, version: ver}:
 	case <-a.stop:
 	}
 	return true

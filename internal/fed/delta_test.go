@@ -314,14 +314,14 @@ func TestDeltaRefusals(t *testing.T) {
 			go func() { done <- s.ServeConn(ctx, memberEnd) }()
 			p := newTestParent(t, parentEnd, "flate", "leaf")
 
-			p.broadcast(10, map[string]float64{link.ResumeKey: 1, link.VersionKey: 3})
+			p.broadcast(10, map[string]float64{link.ResumeKey: 1, link.VersionKey: 9})
 			if u := p.update(10); u.Meta[link.HeldKey] != 10 {
 				t.Fatalf("fresh reply echoes held round %v, want 10", u.Meta[link.HeldKey])
 			}
-			// A cached redelivery under a fresh task decodes nothing: the
+			// A cached redelivery of the same round decodes nothing: the
 			// member still holds round 10's model.
-			p.broadcast(11, map[string]float64{link.ResumeKey: 1, link.VersionKey: 3})
-			if u := p.update(11); u.Meta[link.HeldKey] != 10 {
+			p.broadcast(10, map[string]float64{link.ResumeKey: 1, link.VersionKey: 9})
+			if u := p.update(10); u.Meta[link.HeldKey] != 10 {
 				t.Fatalf("cached reply echoes held round %v, want 10", u.Meta[link.HeldKey])
 			}
 			worked := g.drawn()

@@ -6,14 +6,16 @@ package fed
 // (FedBuff-mode) one per model version:
 //
 //	sync                                  async
-//	round_open(round, epoch, cohort IDs)  round_open(max task, "lease") — task-ID lease
-//	member_update(round, member, payload) buffer_fold(task, version, member, payload)
+//	round_open(round, epoch, cohort IDs)  —
+//	member_update(round, member, payload) buffer_fold(version+1, version, member, payload)
 //	round_commit(round, epoch)            version_commit(version, epoch)
 //
+// Both number an update by the round its member was sent, the version it
+// trained on plus one (a sync round r trains on what r−1 commits made).
 // The journal holds inputs, never post-step state, and the commit record is
 // its only fsync. Every compactEvery commits the log folds into the base
 // checkpoint; the fresh segment starts with what a checkpoint cannot hold,
-// the outer optimizer's state_snapshot("outer") and the async lease.
+// the outer optimizer's state_snapshot("outer").
 //
 // Replay has one rule: it always redoes. From the base params and carried
 // outer state, each committed window's updates fold again in log order and
@@ -21,9 +23,7 @@ package fed
 // folds each update in one loop — so the redo is bit-exact on one machine.
 // The updates after the last commit are the open window, which the resumed
 // driver finishes: a sync round re-asks only the cohort members they do not
-// cover; an async buffer re-folds without asking anyone. The lease records
-// keep a restarted async aggregator from reusing a dispatch task ID that
-// may have trained a member before the crash.
+// cover; an async buffer re-folds without asking anyone.
 //
 // Relays journal a smaller protocol: the encoded upstream reply bytes
 // (member "up"), the upstream codec's error-feedback residual
@@ -49,10 +49,6 @@ const snapCodec = "codec"
 
 // upstreamMember is the Member key for a relay's journaled encoded reply.
 const upstreamMember = "up"
-
-// asyncLeaseMember is the Member key marking a round_open record as an async
-// task-ID lease rather than a sync cohort open (sync opens never set Member).
-const asyncLeaseMember = "lease"
 
 // journal provides nil-safe, typed appends over a ckpt.WAL. A nil *journal
 // is the "durability off" mode: every method is a no-op, so call sites need
@@ -132,43 +128,21 @@ func upstreamReplyRecords(round, cohort int, p link.EncodedPayload, codec link.C
 }
 
 // bufferFold journals one update folded into the async staleness-weighted
-// buffer: the dispatch task ID, the model version the member trained on, and
-// the update's wire payload as received. Appended before the in-memory fold,
-// so a crash after the append loses nothing and a crash before it folds
-// nothing.
-func (j *journal) bufferFold(task int, member string, trainedVersion uint64, p link.EncodedPayload) error {
+// buffer: the round the member was sent (trained+1), the model version it
+// trained on, and the update's wire payload as received. Appended before the
+// in-memory fold, so a crash after the append loses nothing and a crash
+// before it folds nothing.
+func (j *journal) bufferFold(member string, trained int, p link.EncodedPayload) error {
 	if !j.enabled() {
 		return nil // skip the payload copy
 	}
-	return j.append(ckpt.Record{Type: ckpt.RecBufferFold, Round: task, Epoch: trainedVersion, Member: member, Data: encodePayloadBytes(p)})
-}
-
-// taskLease journals (and fsyncs) a dispatch task-ID lease: every ID up to
-// and including leasedThrough may be handed out by this process life. A
-// restarted aggregator resumes its counter past the lease, so a task ID that
-// was in flight at the crash — and may have advanced a member's data stream
-// — is never minted a second time.
-func (j *journal) taskLease(leasedThrough int) error {
-	if !j.enabled() {
-		return nil
-	}
-	if err := j.append(leaseRecord(leasedThrough)); err != nil {
-		return err
-	}
-	return j.wal.Sync()
-}
-
-// leaseRecord renders a task-ID lease as the record taskLease journals and a
-// compaction carries.
-func leaseRecord(leasedThrough int) ckpt.Record {
-	return ckpt.Record{Type: ckpt.RecRoundOpen, Round: leasedThrough, Member: asyncLeaseMember}
+	return j.append(ckpt.Record{Type: ckpt.RecBufferFold, Round: trained + 1, Epoch: uint64(trained), Member: member, Data: encodePayloadBytes(p)})
 }
 
 // pendingUpdate is one journaled update.
 type pendingUpdate struct {
 	member  string              // member that produced it
-	round   int                 // sync: round it was journaled for (async: 0)
-	task    int                 // async: dispatch task ID it answered
+	round   int                 // round the member was sent
 	trained int                 // async: global model version it was trained on
 	payload link.EncodedPayload // the update as received
 }
@@ -189,17 +163,16 @@ type walResume struct {
 	open      int             // sync: round opened after the last commit (0: none)
 	cohort    []string        // sync: that round's journaled cohort
 	pending   []pendingUpdate // the open window's updates, in log order
-	maxTask   int             // async: highest task ID leased or journaled
 }
 
 // replayWAL splits a recovery into the base, the committed windows and the
 // open window. foldRec is the record type the driver journals updates as:
 // member_update (sync) or buffer_fold (async). A commit takes the updates
-// journaled for its round or earlier (async ones carry no round), so a sync
-// round opened past an empty one stays open with its own. A crash inside a
-// compaction can leave the old log beside the new base: windows the base
-// holds are dropped, and the carry is the outer snapshot stamped with the
-// base's round. Records is a valid prefix, so replay is infallible.
+// journaled for its round or earlier — an async update's round never passes
+// the version its buffer commits — so a sync round opened past an empty one
+// stays open with its own. A crash inside a compaction can leave the old log
+// beside the new base: windows the base holds are dropped, and the carry is
+// the outer snapshot stamped with the base's round. Records is a valid prefix, so replay is infallible.
 func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 	res := &walResume{}
 	if rv == nil {
@@ -212,27 +185,15 @@ func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 	for _, rec := range rv.Records {
 		switch rec.Type {
 		case ckpt.RecRoundOpen:
-			if rec.Member == asyncLeaseMember {
-				res.maxTask = max(res.maxTask, rec.Round)
-			} else if rec.Round >= res.open {
+			if rec.Round >= res.open {
 				res.open, res.cohort = rec.Round, rec.IDs
 			}
-		case ckpt.RecMemberUpdate, ckpt.RecBufferFold:
-			if rec.Type == ckpt.RecBufferFold {
-				res.maxTask = max(res.maxTask, rec.Round)
-			}
-			if rec.Type != foldRec {
-				break
-			}
+		case foldRec:
 			p, ok := decodePayloadBytes(rec.Data)
 			if !ok {
 				break // unreadable: as if never journaled, the member is re-asked
 			}
-			u := pendingUpdate{member: rec.Member, task: rec.Round, trained: int(rec.Epoch), payload: p}
-			if rec.Type == ckpt.RecMemberUpdate {
-				u.round = rec.Round
-			}
-			res.pending = append(res.pending, u)
+			res.pending = append(res.pending, pendingUpdate{member: rec.Member, round: rec.Round, trained: int(rec.Epoch), payload: p})
 		case ckpt.RecStateSnapshot:
 			if rec.Member == snapOuter && rec.Round == base {
 				res.outer = rec.Vec

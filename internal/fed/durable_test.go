@@ -58,7 +58,7 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 			for i, id := range members {
 				err = j.memberUpdate(3, id, payloads[i])
 				if err == nil {
-					err = j.bufferFold(40+i, id, uint64(i), payloads[i])
+					err = j.bufferFold(id, i, payloads[i])
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -101,7 +101,7 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 				t.Fatalf("async replay kept %d folds, want %d", len(pending), len(members))
 			}
 			for i, pf := range pending {
-				if pf.member != members[i] || pf.task != 40+i || pf.trained != i {
+				if pf.member != members[i] || pf.round != i+1 || pf.trained != i {
 					t.Fatalf("fold %d replayed as %+v", i, pf)
 				}
 				vec, err := s.decodeUpdate(pf.payload, elems)
@@ -159,7 +159,7 @@ func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
 	if _, err := s.decodeUpdate(updates["c"], good.Elems); err != nil {
 		t.Fatal(err)
 	}
-	if res := replayWAL(rv, ckpt.RecBufferFold); len(res.pending) != 0 || res.maxTask != 9 {
+	if res := replayWAL(rv, ckpt.RecBufferFold); len(res.pending) != 0 {
 		t.Fatalf("unframed fold replayed: %+v", res)
 	}
 }

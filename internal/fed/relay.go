@@ -52,13 +52,6 @@ type RelayConfig struct {
 	// inter-region uplink.
 	Codec string
 
-	// Outer folds the cohort's updates into the upstream pseudo-gradient:
-	// the relay applies it to a scratch copy of the broadcast parameters
-	// and forwards the resulting delta. Nil defaults to FedAvg(ηs=1),
-	// whose mean semantics make a two-tier mean of equal cohorts equal the
-	// flat mean exactly.
-	Outer OuterOpt
-
 	// Parent tunes the uplink's fault tolerance: MaxAttempts/backoff
 	// reconnect a lost parent session under the same ID (the upstream
 	// codec's error-feedback state survives, as it lives on the relay, not
@@ -95,8 +88,7 @@ type relay struct {
 	*aggState
 	up memberSession
 
-	scratch   []float32 // outer-step scratch, reused across rounds
-	lastRound int32     // highest parent round served on this connection
+	lastRound int32 // highest parent round served on this connection
 	// lastVer is the newest global model version seen from an async parent
 	// (0 under a sync parent), stamped on this tier's round records.
 	lastVer int
@@ -119,10 +111,6 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	outer := cfg.Outer
-	if outer == nil {
-		outer = FedAvg{LR: 1}
-	}
 	// Durable relay: the WAL is read back before serving.
 	st := newAggState(ServerConfig{
 		ModelConfig:       cfg.ModelConfig,
@@ -134,7 +122,6 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 		RoundDeadline:     cfg.RoundDeadline,
 		OverProvision:     cfg.OverProvision,
 		Codec:             cfg.Codec,
-		Outer:             outer,
 		OnRound:           cfg.OnRound,
 		WALDir:            cfg.WALDir,
 	})
@@ -188,13 +175,13 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 
 // serve is the relay's work step: bridge one parent round onto the cohort —
 // run the cohort tier's exchange under its own deadline on the decoded
-// broadcast, fold the surviving updates through the outer optimizer, and
-// hand back one pseudo-gradient for upstream. A round whose cohort
-// delivered nothing replies nothing — the parent's deadline counts the
-// relay as a straggler and the run moves on. A resumed round (one whose
-// cached reply the session could not use) re-runs the exchange with the
-// resume flag propagated downstream, so leaf clients that already trained
-// it answer from their own caches.
+// broadcast, fold the surviving updates, and hand their mean upstream as
+// one pseudo-gradient (Algorithm 1 line 24): the outer step is the root's.
+// A round whose cohort delivered nothing replies nothing — the parent's
+// deadline counts the relay as a straggler and the run moves on. A resumed
+// round (one whose cached reply the session could not use) re-runs the
+// exchange with the resume flag propagated downstream, so leaf clients that
+// already trained it answer from their own caches.
 func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 	resumed := t.msg.Meta[link.ResumeKey] != 0
 	if t.msg.Round <= r.lastRound && !resumed {
@@ -239,23 +226,10 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 		return nil, r.seal(w)
 	}
 
+	// Where the relay's fold goes: its cohort mean is forwarded as is, so a
+	// two-tier mean of equal cohorts is the flat mean.
 	aggSpan := obsv.Begin(obsv.PhaseAggregate)
-	delta := r.fold.mean()
-	// Where the relay's fold goes: apply the outer optimizer to a scratch
-	// copy of the broadcast parameters and forward θ_global − θ_local,
-	// computed in place on the scratch buffer (dead after the subtraction)
-	// so a long-running relay allocates nothing per round. Under the
-	// default FedAvg(ηs=1) this is exactly the cohort-mean pseudo-gradient,
-	// so a two-tier mean of equal cohorts equals the flat mean.
-	if len(r.scratch) != len(global) {
-		r.scratch = make([]float32, len(global))
-	}
-	copy(r.scratch, global)
-	r.cfg.Outer.Step(r.scratch, delta, round)
-	for i := range r.scratch {
-		r.scratch[i] = global[i] - r.scratch[i]
-	}
-	upward := r.scratch
+	upward := r.fold.mean()
 	w.pn.Add(obsv.PhaseAggregate, aggSpan.End())
 
 	meta := metrics.AggMetrics(clientMetrics)

@@ -2,7 +2,10 @@ package fed
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -240,6 +243,98 @@ func TestTieredSimUpstreamCodecShrinksParentLink(t *testing.T) {
 	if !(res.History.FinalPPL() < 64) {
 		t.Fatalf("tiered topk run did not learn: ppl %v", res.History.FinalPPL())
 	}
+}
+
+// TestRelayForwardsCohortMean: a relay forwards its cohort's mean update
+// (Algorithm 1 line 24) bit for bit as meanFold computes it; the outer step
+// is the root's alone. The broadcast is large next to the updates, so a
+// relay that stepped a copy of it and forwarded the difference would round
+// most of the mean's bits away.
+func TestRelayForwardsCohortMean(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cfg := tinyCfg()
+	n := int(cfg.ParamCount())
+	rng := rand.New(rand.NewSource(9))
+	updates := make([][]float32, 2)
+	var fold meanFold
+	fold.reset(n)
+	for i := range updates {
+		updates[i] = make([]float32, n)
+		for k := range updates[i] {
+			updates[i][k] = float32(rng.NormFloat64()) * 1e-3
+		}
+		fold.add(updates[i], 1)
+	}
+	want := fold.mean()
+	global := make([]float32, n)
+	for k := range global {
+		global[k] = 100 + float32(k%7)
+	}
+
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// Two hand-rolled leaves answer every broadcast with their fixed update.
+	var leaves sync.WaitGroup
+	for i, u := range updates {
+		leaves.Add(1)
+		go func(id string, u []float32) {
+			defer leaves.Done()
+			conn, err := link.Dial(l.Addr())
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, err := Handshake(conn, id, ""); err != nil {
+				return
+			}
+			for {
+				msg, err := conn.Recv()
+				if err != nil || msg.Type == link.MsgShutdown {
+					return
+				}
+				switch msg.Type {
+				case link.MsgHeartbeat:
+					conn.Send(&link.Message{Type: link.MsgHeartbeat, Meta: msg.Meta})
+				case link.MsgModel:
+					conn.Send(&link.Message{Type: link.MsgUpdate, Round: msg.Round, ClientID: id,
+						Meta: map[string]float64{"loss": 1}, Payload: link.Dense(u)})
+				}
+			}
+		}(fmt.Sprintf("leaf%d", i), u)
+	}
+	parentEnd, memberEnd := link.Pipe()
+	defer parentEnd.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunRelay(ctx, l, func(context.Context) (*link.Conn, error) { return memberEnd, nil },
+			RelayConfig{ModelConfig: cfg, ID: "relay", ExpectClients: 2, Codec: "dense"})
+		done <- err
+	}()
+
+	p := newTestParent(t, parentEnd, "dense", "relay")
+	p.send(&link.Message{Type: link.MsgModel, Round: 1, Payload: link.Dense(global)})
+	got, err := link.DecodePayload(nil, p.update(1).Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(got, want) {
+		for k := range want {
+			if math.Float32bits(got[k]) != math.Float32bits(want[k]) {
+				t.Errorf("elem %d: relay forwarded %x, the cohort mean is %x", k, math.Float32bits(got[k]), math.Float32bits(want[k]))
+				break
+			}
+		}
+	}
+	p.send(&link.Message{Type: link.MsgShutdown})
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	leaves.Wait()
 }
 
 // TestRelayEmptyCohortStragglesUpstream: a relay whose entire cohort

@@ -93,7 +93,7 @@ func replayLive(t *testing.T, cfg ServerConfig, commits int, after func(v int, s
 				st.s.reg.Join(id)
 				p, vec := synth()
 				ar := asyncArrival{answer: answer{mc: &memberConn{id: id}, update: vec, payload: p, meta: map[string]float64{}},
-					task: 2*v + i, version: trained}
+					version: trained}
 				err := async.admit(ar)
 				if err == nil {
 					err = async.flush()

@@ -166,19 +166,16 @@ type memberSession struct {
 	// in-process already carries its state.
 	restore []float32
 
-	// Last delivered reply, kept for idempotent redelivery: when a
-	// WAL-resuming aggregator re-broadcasts a round (ResumeKey set) this
-	// member already worked, the cached bytes are re-sent verbatim — the
-	// data streams and the codec's error-feedback state must not advance
-	// twice for one round. Sync aggregators re-broadcast under the same
-	// round number; async ones dispatch the same model *version* under a
-	// fresh task ID, so the cache also matches on the version stamp.
-	cacheOK      bool
-	cacheRound   int32
-	cacheReply   link.EncodedPayload
-	cacheSticky  map[string]float64
-	cacheHasVer  bool
-	cacheVersion float64
+	// Last delivered reply, kept for idempotent redelivery: when an
+	// aggregator re-broadcasts a round (ResumeKey set) this member already
+	// worked, the cached bytes are re-sent verbatim — the data streams and
+	// the codec's error-feedback state must not advance twice for one round.
+	// Sync and async aggregators both re-send a round under its own number
+	// (an async round is the dispatched version + 1).
+	cacheOK     bool
+	cacheRound  int32
+	cacheReply  link.EncodedPayload
+	cacheSticky map[string]float64
 }
 
 // serveConn runs one connection's worth of the session: handshake, then
@@ -275,9 +272,7 @@ func (m *memberSession) serveConn(ctx context.Context, conn *link.Conn, work rou
 // redelivery, otherwise decode → work → encode → stamp → cache → send.
 func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *link.Message, work roundWork, prev *link.ConnStats) error {
 	traceID := uint64(msg.Meta[link.TraceKey])
-	ver, hasVer := msg.Meta[link.VersionKey]
-	if msg.Meta[link.ResumeKey] != 0 && m.cacheOK &&
-		(msg.Round == m.cacheRound || (hasVer && m.cacheHasVer && ver == m.cacheVersion)) {
+	if msg.Meta[link.ResumeKey] != 0 && m.cacheOK && msg.Round == m.cacheRound {
 		// No decode, no work, no stream advance; re-encoding would
 		// double-apply an error-feedback codec's residual.
 		meta := make(map[string]float64, len(m.cacheSticky)+2)
@@ -341,7 +336,6 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	// the cache — redoing the work would advance them a second time.
 	m.cacheOK, m.cacheRound = true, msg.Round
 	m.cacheReply, m.cacheSticky = encUpd, r.sticky
-	m.cacheHasVer, m.cacheVersion = hasVer, ver
 	if err := m.reply(ctx, conn, msg.Round, r.meta, encUpd); err != nil {
 		return err
 	}

@@ -247,13 +247,14 @@ func TestMemberSession(t *testing.T) {
 				t.Fatalf("cached round redelivered differently: meta %v", c.Meta)
 			}
 			worked(1)
-			// ...and so is the cached *version* under a fresh task ID.
-			p.broadcast(10, map[string]float64{link.ResumeKey: 1, link.VersionKey: 3})
+			// ...and so is an async dispatch re-sent after a lost reply: the
+			// same version goes out under the same round (version + 1).
+			p.broadcast(10, map[string]float64{link.ResumeKey: 1, link.VersionKey: 9})
 			u2 := p.update(10)
 			worked(2)
-			p.broadcast(11, map[string]float64{link.ResumeKey: 1, link.VersionKey: 3})
-			if c := p.update(11); !samePayload(c.Payload, u2.Payload) {
-				t.Fatalf("cached version redelivered differently: meta %v", c.Meta)
+			p.broadcast(10, map[string]float64{link.ResumeKey: 1, link.VersionKey: 9})
+			if c := p.update(10); !samePayload(c.Payload, u2.Payload) {
+				t.Fatalf("re-sent async round redelivered differently: meta %v", c.Meta)
 			}
 			worked(2)
 

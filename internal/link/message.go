@@ -4,13 +4,11 @@
 // It provides a compact binary wire format with CRC-32 integrity checking
 // whose parameter payloads are produced by pluggable wire codecs — dense
 // float32, lossless flate, int8 block quantization, and error-feedback
-// top-k sparsification ship built in, and RegisterCodec adds more — stream
-// transports over any net.Conn (in-process pipes and TCP), and the
-// extensible post-processing pipeline of Section 4 — gradient clipping,
-// differential-privacy noise, and additive-mask secure aggregation. Frames
-// carry the producing codec's ID next to the codec-native bytes, so lossy
-// compression actually shrinks the wire instead of being simulated on dense
-// floats.
+// top-k sparsification ship built in, and RegisterCodec adds more — model
+// broadcasts as deltas against the model a member holds, and stream
+// transports over any net.Conn (in-process pipes and TCP). Frames carry the
+// producing codec's ID next to the codec-native bytes, so lossy compression
+// actually shrinks the wire instead of being simulated on dense floats.
 package link
 
 import (
@@ -100,23 +98,26 @@ const CohortKey = "cohort"
 const TraceKey = "trace_id"
 
 // ResumeKey is the Meta key a WAL-resuming aggregator stamps (value 1) on
-// the re-broadcast of a round that was in flight when it crashed. A member
-// that already trained that round recognizes the marker plus the matching
-// round number and re-sends its cached update instead of training again —
-// re-training would double-advance its data stream and, under a lossy
-// codec, re-apply the error-feedback residual. Fresh broadcasts never carry
-// the key, so a genuinely new run that happens to reuse a round number is
-// served normally.
+// the re-broadcast of a round that was in flight when it crashed, and an
+// async aggregator on every dispatch (its round is the dispatched version
+// + 1, so a re-sent version is a re-sent round). A member that already
+// trained that round recognizes the marker plus the matching round number
+// and re-sends its cached update instead of training again — re-training
+// would double-advance its data stream and, under a lossy codec, re-apply
+// the error-feedback residual. Fresh sync broadcasts never carry the key,
+// so a genuinely new sync run that happens to reuse a round number is served
+// normally.
 const ResumeKey = "resume"
 
 // VersionKey is the Meta key carrying a global-model version stamp. An
 // async (FedBuff-mode) aggregator stamps the current model version on every
-// MsgModel broadcast and keeps the version it sent with each task, so it
-// computes the answering update's staleness (current version minus the
-// dispatched one) itself and down-weights late arrivals instead of dropping
-// them. A member keys its reply cache on the stamp; a relay records it on
-// its round telemetry. Meta values are float64, so versions — like trace
-// IDs — are confined to 52 bits and survive the float round-trip exactly.
+// MsgModel broadcast, whose round is that version + 1 (as a sync round r
+// trains on what r−1 commits made), and keeps the version it sent with each
+// dispatch, so it computes the answering update's staleness (current
+// version minus the dispatched one) itself and down-weights late arrivals
+// instead of dropping them. Members and relays record the stamp on their
+// round telemetry. Meta values are float64, so versions — like trace IDs —
+// are confined to 52 bits and survive the float round-trip exactly.
 const VersionKey = "model_version"
 
 // Delta broadcast keys. Every MsgUpdate carries HeldKey, the round of the

@@ -348,10 +348,6 @@ func (j *Job) runRelay(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	cfg.SeqLen = c.seqLen
-	outer, err := lookupServerOptimizer(c.server)
-	if err != nil {
-		return nil, err
-	}
 	l, err := link.Listen(c.addr)
 	if err != nil {
 		return nil, err
@@ -375,7 +371,6 @@ func (j *Job) runRelay(ctx context.Context) (*Result, error) {
 		RoundDeadline:     c.roundDeadline,
 		OverProvision:     c.overProvision,
 		Codec:             c.codec,
-		Outer:             outer,
 		Parent: fed.ReconnectConfig{
 			MaxAttempts: c.reconnect,
 			Codec:       c.upstreamCodec,

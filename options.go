@@ -116,7 +116,9 @@ func WithWorkers(n int) JobOption { return func(c *jobConfig) { c.workers = n } 
 func WithMaxLR(lr float64) JobOption { return func(c *jobConfig) { c.maxLR = lr } }
 
 // WithServerOptimizer selects the registered server optimizer by name
-// (default "fedavg"; see RegisterServerOptimizer).
+// (default "fedavg"; see RegisterServerOptimizer). It steps the root
+// aggregator's global model only: a relay (WithParent) forwards its cohort's
+// mean update and ignores it.
 func WithServerOptimizer(name string) JobOption { return func(c *jobConfig) { c.server = name } }
 
 // WithDataSource selects the registered training corpus by name (default
