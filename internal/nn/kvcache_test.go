@@ -148,7 +148,7 @@ func TestDecodeStateReuse(t *testing.T) {
 	}
 
 	// Truncate back to a prefix and re-decode the suffix. Row counts differ
-	// from the fresh path (3 vs 6), so the row-paired matmul micro-kernels
+	// from the fresh path (3 vs 6), so the tiled matmul micro-kernels
 	// sum in a different order — tight tolerance, not bitwise equality.
 	st.Truncate(3)
 	h3 := m.Decode([]*DecodeState{st}, [][]int{seq[3:]})

@@ -46,6 +46,38 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	reportGFLOPs(b, 2*512*64*256)
 }
 
+// BenchmarkMatMulTransAAccum is a weight gradient at train-step shape:
+// dW[64,256] += Xᵀ·dY with X [256,64] and dY [256,256] (B·T = 256 tokens).
+func BenchmarkMatMulTransAAccum(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	x := randMatrix(rng, 256, 64)
+	dy := randMatrix(rng, 256, 256)
+	dw := NewMatrix(64, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTransAAccum(dw, x, dy)
+	}
+	reportGFLOPs(b, 2*256*64*256)
+}
+
+// BenchmarkBatchMatMulCausal is the attention context product P·V at the
+// fed-sync-compute shape (B·H = 8 items, T = 128, head dim 16); flops count
+// the causal support only.
+func BenchmarkBatchMatMulCausal(b *testing.B) {
+	const items, seq, hd = 8, 128, 16
+	rng := rand.New(rand.NewSource(7))
+	p := randMatrix(rng, items*seq, seq)
+	v := randMatrix(rng, items*seq, hd)
+	ctx := NewMatrix(items*seq, hd)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BatchMatMulCausal(ctx, p, v, items)
+	}
+	reportGFLOPs(b, 2*items*hd*seq*(seq+1)/2)
+}
+
 // reportGFLOPs stops the timer and reports achieved GFLOP/s for a benchmark
 // whose iteration performs flopsPerOp floating-point operations; read it
 // against BenchmarkFMAPeak's figure for the same core.

@@ -3,74 +3,70 @@ package tensor
 import "fmt"
 
 // This file holds the band-level compute kernels the worker pool executes.
-// Their flops go through eight micro-kernels that share streamed loads across
-// four rows, as a register-tiled sgemm does — axpy, axpy4, axpy4p2, axpy4in,
-// axpy4in2 (rows accumulate) and Dot, dot4, dot4x2 (rows reduce, the Bᵀ
-// kernels) — under kcBlock-deep K panels that keep A and B slices in L1/L2.
+// Their flops go through six micro-kernels: the A·B and Aᵀ·B products run on
+// tile4x16, a 4×16 block of C held in registers across a kcBlock-deep K
+// panel (the register tile of an sgemm), with axpy for the rows and columns
+// a tile leaves over; the Bᵀ products run on Dot, dot4 and dot4x2 (rows
+// reduce); decode adds axpy4in (four input rows into one output row).
 //
 // Each micro-kernel is a Go loop — the reference, and what every machine but
 // an amd64 with AVX2+FMA runs — behind an assembly body (kernels_amd64.s)
 // taken when useAVX2, set once at init from CPUID, says so. There every
 // axpy-family element is one FMA chain in p order and every dot one fixed
-// lane tree, so a row's bits do not depend on the tile, pair, remainder row
-// or pool band that computed it (in Go they do, at rounding level); the two
-// paths agree within 1e-6 of Σ|terms|.
+// lane tree, so an element's bits do not depend on the tile, remainder row
+// or column, or pool band that computed it (in Go the dot tiles and Dot sum
+// in different orders); the two paths agree within 1e-6 of Σ|terms|.
 //
 // All kernels operate on [lo, hi) bands of their outer dimension so the pool
 // can split work without synchronization: each band owns its C rows.
 
-// kcBlock is the K-dimension cache block: 128 float32 columns × (4 C rows +
-// 1 B row) ≈ 2.5 KB of hot panel per tile, comfortably inside L1.
+// kcBlock is the K-dimension cache block: one tile4x16 call covers at most
+// 128 steps of p, so a band's row tiles reuse one 128-row B panel from L2,
+// and the slice a call streams (128×16, 8 KB) and its four A rows (2 KB) fit
+// L1 while C stays in registers.
 const kcBlock = 128
 
-// bandMatMul computes C[lo:hi] = A[lo:hi]·B with a 4-row register tile
-// under K-panel cache blocking: the outer loop walks kcBlock-deep panels of
-// B so a ~kcBlock·n slice of B stays cache-resident while every C row of
-// the band accumulates against it, and within a panel each streamed B row
-// feeds four C rows (axpy4). (A packed-panel 4×4 tile was measured slower
-// in pure Go: per-iteration panel indexing costs more than the streaming
-// stores it saves.)
+// bandMatMul computes C[lo:hi] = A[lo:hi]·B one kcBlock-deep K panel at a
+// time: each group of four rows runs tile4x16 across the 16-column blocks of
+// the panel, and the rows and columns left over go through axpy, which
+// computes the same FMA chain per element.
 //
 //photon:hotpath
 func bandMatMul(c, a, b *Matrix, lo, hi int) {
 	n, k := b.Cols, a.Cols
+	n16 := n &^ 15
 	bd := b.Data
-	for i := lo; i < hi; i++ {
-		ci := c.Data[i*n : (i+1)*n]
-		for x := range ci {
-			ci[x] = 0
-		}
-	}
+	clear(c.Data[lo*n : hi*n])
 	for p0 := 0; p0 < k; p0 += kcBlock {
 		p1 := min(p0+kcBlock, k)
 		i := lo
 		for ; i+4 <= hi; i += 4 {
-			a0 := a.Data[i*k : (i+1)*k]
-			a1 := a.Data[(i+1)*k : (i+2)*k]
-			a2 := a.Data[(i+2)*k : (i+3)*k]
-			a3 := a.Data[(i+3)*k : (i+4)*k]
-			c0 := c.Data[i*n : (i+1)*n]
-			c1 := c.Data[(i+1)*n : (i+2)*n]
-			c2 := c.Data[(i+2)*n : (i+3)*n]
-			c3 := c.Data[(i+3)*n : (i+4)*n]
-			p := p0
-			for ; p+2 <= p1; p += 2 {
-				axpy4p2(a0[p], a1[p], a2[p], a3[p],
-					a0[p+1], a1[p+1], a2[p+1], a3[p+1],
-					bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n], c0, c1, c2, c3)
+			for j := 0; j < n16; j += 16 {
+				tile4x16(a.Data[i*k+p0:], k, 1, bd[p0*n+j:], n, c.Data[i*n+j:], n, p1-p0, false)
 			}
-			for ; p < p1; p++ {
-				axpy4(a0[p], a1[p], a2[p], a3[p], bd[p*n:(p+1)*n], c0, c1, c2, c3)
+			if n16 < n {
+				for r := i; r < i+4; r++ {
+					axpyRow(a.Data[r*k:(r+1)*k], bd, c.Data[r*n:(r+1)*n], n16, p0, p1)
+				}
 			}
 		}
 		for ; i < hi; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*n : (i+1)*n]
-			for p := p0; p < p1; p++ {
-				if av := ai[p]; useAVX2 || av != 0 {
-					axpy(av, bd[p*n:(p+1)*n], ci)
-				}
-			}
+			axpyRow(a.Data[i*k:(i+1)*k], bd, c.Data[i*n:(i+1)*n], 0, p0, p1)
+		}
+	}
+}
+
+// axpyRow adds Σ_p ai[p]·B[p][j0:] into ci[j0:] for p in [p0, p1), one axpy
+// per p, where B is bd with rows as long as ci: the remainder loop of the
+// A·B kernels. The Go loops pass over zero ai[p]; the assembly adds every
+// term, as tile4x16 does.
+//
+//photon:hotpath
+func axpyRow(ai, bd, ci []float32, j0, p0, p1 int) {
+	n := len(ci)
+	for p := p0; p < p1; p++ {
+		if av := ai[p]; useAVX2 || av != 0 {
+			axpy(av, bd[p*n+j0:(p+1)*n], ci[j0:])
 		}
 	}
 }
@@ -117,50 +113,36 @@ func bandMatMulTransB(c, a, b *Matrix, lo, hi int) {
 }
 
 // bandMatMulTransAAccum computes C[lo:hi] += (Aᵀ·B)[lo:hi], i.e. the band
-// covers columns [lo, hi) of A. Groups of four A/B rows are fused so each C
-// row is streamed once per group (4x less C traffic) while the four B rows
-// stay L1-hot; the all-zero skip preserves the fast path for the sparse
-// gradients this kernel sees (padding rows, causal triangles).
+// covers columns [lo, hi) of A, one kcBlock-deep K panel at a time with
+// tile4x16 on groups of four C rows, where A's four values at each p are
+// contiguous. A row passes over each group of four p (from p = 0) whose four
+// A values are all zero, and over each zero of the k mod 4 tail: the fast
+// path for the sparse gradients this kernel sees (padding rows, causal
+// triangles), and a rule every row keeps, whichever tile or remainder
+// computes it, so a 0·Inf term is skipped or kept the same way everywhere.
 //
 //photon:hotpath
 func bandMatMulTransAAccum(c, a, b *Matrix, lo, hi int) {
 	m, n, k := a.Cols, b.Cols, a.Rows
-	p := 0
-	for ; p+4 <= k; p += 4 {
-		a0 := a.Data[p*m : (p+1)*m]
-		a1 := a.Data[(p+1)*m : (p+2)*m]
-		a2 := a.Data[(p+2)*m : (p+3)*m]
-		a3 := a.Data[(p+3)*m : (p+4)*m]
-		b0 := b.Data[p*n : (p+1)*n]
-		b1 := b.Data[(p+1)*n : (p+2)*n]
-		b2 := b.Data[(p+2)*n : (p+3)*n]
-		b3 := b.Data[(p+3)*n : (p+4)*n]
+	n16, k4 := n&^15, k&^3
+	for p0 := 0; p0 < k4; p0 += kcBlock {
+		p1 := min(p0+kcBlock, k4)
 		i := lo
-		for ; i+2 <= hi; i += 2 {
-			v00, v01, v02, v03 := a0[i], a1[i], a2[i], a3[i]
-			v10, v11, v12, v13 := a0[i+1], a1[i+1], a2[i+1], a3[i+1]
-			z0 := v00 == 0 && v01 == 0 && v02 == 0 && v03 == 0
-			z1 := v10 == 0 && v11 == 0 && v12 == 0 && v13 == 0
-			switch {
-			case z0 && z1:
-			case z1:
-				axpy4in(v00, v01, v02, v03, b0, b1, b2, b3, c.Data[i*n:(i+1)*n])
-			case z0:
-				axpy4in(v10, v11, v12, v13, b0, b1, b2, b3, c.Data[(i+1)*n:(i+2)*n])
-			default:
-				axpy4in2(v00, v01, v02, v03, v10, v11, v12, v13,
-					b0, b1, b2, b3, c.Data[i*n:(i+1)*n], c.Data[(i+1)*n:(i+2)*n])
+		for ; i+4 <= hi; i += 4 {
+			for j := 0; j < n16; j += 16 {
+				tile4x16(a.Data[p0*m+i:], 1, m, b.Data[p0*n+j:], n, c.Data[i*n+j:], n, p1-p0, true)
+			}
+			if n16 < n {
+				for r := i; r < i+4; r++ {
+					axpyGroups(c, a, b, r, n16, p0, p1)
+				}
 			}
 		}
 		for ; i < hi; i++ {
-			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			axpy4in(v0, v1, v2, v3, b0, b1, b2, b3, c.Data[i*n:(i+1)*n])
+			axpyGroups(c, a, b, i, 0, p0, p1)
 		}
 	}
-	for ; p < k; p++ {
+	for p := k4; p < k; p++ {
 		ap := a.Data[p*m : (p+1)*m]
 		bp := b.Data[p*n : (p+1)*n]
 		for i := lo; i < hi; i++ {
@@ -171,36 +153,57 @@ func bandMatMulTransAAccum(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// axpyGroups is tile4x16's skip rule for one C row i over columns [j0, n):
+// C[i][j0:] += Σ_p A[p][i]·B[p][j0:] for p in [p0, p1), a multiple of four
+// apart, passing over each group of four p whose four A values are all zero.
+//
+//photon:hotpath
+func axpyGroups(c, a, b *Matrix, i, j0, p0, p1 int) {
+	m, n := a.Cols, b.Cols
+	ci := c.Data[i*n+j0 : (i+1)*n]
+	for p := p0; p < p1; p += 4 {
+		if a.Data[p*m+i] == 0 && a.Data[(p+1)*m+i] == 0 && a.Data[(p+2)*m+i] == 0 && a.Data[(p+3)*m+i] == 0 {
+			continue
+		}
+		for q := p; q < p+4; q++ {
+			axpy(a.Data[q*m+i], b.Data[q*n+j0:(q+1)*n], ci)
+		}
+	}
+}
+
 // bandBatchMatMul computes C_t = A_t·B_t for items t in [lo, hi), where
 // A_t is square and row i only consumes A_t[i][:i+1] — the attention context
 // product P·V (and dQ = dS·K), whose structurally zero upper triangle is
-// skipped entirely, halving the flops.
+// skipped entirely, halving the flops. Rows i..i+3 (i a multiple of four)
+// share p ∈ [0, i] as one tile4x16 panel per 16 columns, then finish their
+// three-row triangle p ∈ (i, i+3] in p order through axpy.
 //
 //photon:hotpath
 func bandBatchMatMul(c, a, b *Matrix, batch, lo, hi int) {
 	m := c.Rows / batch
 	k := a.Cols
 	n := c.Cols
+	n16 := n &^ 15
 	for it := lo; it < hi; it++ {
 		cd := c.Data[it*m*n : (it+1)*m*n]
 		ad := a.Data[it*m*k : (it+1)*m*k]
 		bd := b.Data[it*k*n : (it+1)*k*n]
-		for i := 0; i < m; i++ {
-			ci := cd[i*n : (i+1)*n]
-			clear(ci)
-			ai := ad[i*k : (i+1)*k]
-			end := i + 1
-			p := 0
-			for ; p+4 <= end; p += 4 {
-				axpy4in(ai[p], ai[p+1], ai[p+2], ai[p+3],
-					bd[p*n:(p+1)*n], bd[(p+1)*n:(p+2)*n],
-					bd[(p+2)*n:(p+3)*n], bd[(p+3)*n:(p+4)*n], ci)
+		clear(cd)
+		i := 0
+		for ; i+4 <= m; i += 4 {
+			for j := 0; j < n16; j += 16 {
+				tile4x16(ad[i*k:], k, 1, bd[j:], n, cd[i*n+j:], n, i+1, false)
 			}
-			for ; p < end; p++ {
-				if av := ai[p]; useAVX2 || av != 0 {
-					axpy(av, bd[p*n:(p+1)*n], ci)
+			for r := i; r < i+4; r++ {
+				ar, cr := ad[r*k:(r+1)*k], cd[r*n:(r+1)*n]
+				if n16 < n {
+					axpyRow(ar, bd, cr, n16, 0, i+1)
 				}
+				axpyRow(ar, bd, cr, 0, i+1, r+1)
 			}
+		}
+		for ; i < m; i++ {
+			axpyRow(ad[i*k:(i+1)*k], bd, cd[i*n:(i+1)*n], 0, 0, i+1)
 		}
 	}
 }
@@ -394,25 +397,69 @@ func CausalSoftmaxGradRows(dp, p *Matrix, batch, heads int, scale float32) {
 
 // --- register-tiled micro-kernels ---
 
-// axpy4 computes y0..y3 += a0..a3 * x: one streamed load of x feeds four
-// output rows (the 4-row register tile of the sgemm kernel).
+// tile4x16 adds A·B into a 4×16 block of C over kc steps of p,
+//
+//	C[r·ldc+j] += A[r·ars+p·aps] · B[p·ldb+j]   for r < 4, j < 16, p < kc,
+//
+// every element in p order. The assembly holds the block in eight YMM
+// registers for the whole panel: per p, two B loads, four A broadcasts and
+// eight FMAs, and C is loaded and stored once per call. With skip (A's four
+// values at each p contiguous, ars = 1, and kc a multiple of four) row r
+// passes over each group of four p whose four A values are all zero, as
+// bandMatMulTransAAccum's rule says; otherwise every term is added.
 //
 //photon:hotpath
-func axpy4(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 []float32) {
-	n := len(x)
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
-	if useAVX2 && n > 0 {
-		axpy4AVX2(a0, a1, a2, a3, &x[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
+func tile4x16(a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc, kc int, skip bool) {
+	if kc <= 0 {
 		return
 	}
-	for i, xv := range x {
-		y0[i] += a0 * xv
-		y1[i] += a1 * xv
-		y2[i] += a2 * xv
-		y3[i] += a3 * xv
+	if ars < 0 || aps < 0 || ldb < 0 || ldc < 0 || skip && (ars != 1 || kc%4 != 0) {
+		panic("tensor: tile4x16 bad stride or panel")
+	}
+	_ = a[3*ars+(kc-1)*aps]
+	_ = b[(kc-1)*ldb+15]
+	_ = c[3*ldc+15]
+	if useAVX2 {
+		tile4x16AVX2(&a[0], ars, aps, &b[0], ldb, &c[0], ldc, kc, skip)
+		return
+	}
+	rows := [4]*[16]float32{(*[16]float32)(c), (*[16]float32)(c[ldc:]),
+		(*[16]float32)(c[2*ldc:]), (*[16]float32)(c[3*ldc:])}
+	for p := 0; p < kc; p += 4 {
+		o, q := p*aps, min(4, kc-p)
+		live := 15 // bit r: row r takes the terms of steps p … p+q−1
+		if skip {
+			live = 0
+			for r := 0; r < 4; r++ {
+				if a[o+r] != 0 || a[o+r+aps] != 0 || a[o+r+2*aps] != 0 || a[o+r+3*aps] != 0 {
+					live |= 1 << r
+				}
+			}
+		}
+		if live == 15 && q == 4 {
+			// Four steps of p per pass over C, each term rounded in turn.
+			b0, b1 := (*[16]float32)(b[p*ldb:]), (*[16]float32)(b[(p+1)*ldb:])
+			b2, b3 := (*[16]float32)(b[(p+2)*ldb:]), (*[16]float32)(b[(p+3)*ldb:])
+			for r, cr := range rows {
+				x := o + r*ars
+				a0, a1, a2, a3 := a[x], a[x+aps], a[x+2*aps], a[x+3*aps]
+				for j := range cr {
+					cr[j] = cr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+				}
+			}
+			continue
+		}
+		for r, cr := range rows {
+			if live>>r&1 == 0 {
+				continue
+			}
+			for s := p; s < p+q; s++ {
+				av, bs := a[r*ars+s*aps], (*[16]float32)(b[s*ldb:])
+				for j := range cr {
+					cr[j] += av * bs[j]
+				}
+			}
+		}
 	}
 }
 
@@ -454,54 +501,6 @@ func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 		s3 += xv * y3[i]
 	}
 	return
-}
-
-// axpy4p2 fuses two axpy4 steps: y0..y3 += a0..a3·x + b0..b3·z. Each loaded
-// and stored C element absorbs two FMAs, halving the dominant store traffic
-// of the sgemm inner loop.
-//
-//photon:hotpath
-func axpy4p2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x, z, y0, y1, y2, y3 []float32) {
-	n := len(x)
-	z = z[:n]
-	y0 = y0[:n]
-	y1 = y1[:n]
-	y2 = y2[:n]
-	y3 = y3[:n]
-	if useAVX2 && n > 0 {
-		axpy4p2AVX2(a0, a1, a2, a3, b0, b1, b2, b3, &x[0], &z[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
-		return
-	}
-	for i, xv := range x {
-		zv := z[i]
-		y0[i] += a0*xv + b0*zv
-		y1[i] += a1*xv + b1*zv
-		y2[i] += a2*xv + b2*zv
-		y3[i] += a3*xv + b3*zv
-	}
-}
-
-// axpy4in2 fuses two axpy4in accumulations sharing the same four X rows:
-// y += a0..a3·x0..x3 and z += b0..b3·x0..x3. The X loads are paid once for
-// both output rows.
-//
-//photon:hotpath
-func axpy4in2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x0, x1, x2, x3, y, z []float32) {
-	n := len(y)
-	x0 = x0[:n]
-	x1 = x1[:n]
-	x2 = x2[:n]
-	x3 = x3[:n]
-	z = z[:n]
-	if useAVX2 && n > 0 {
-		axpy4in2AVX2(a0, a1, a2, a3, b0, b1, b2, b3, &x0[0], &x1[0], &x2[0], &x3[0], &y[0], &z[0], n)
-		return
-	}
-	for i := range y {
-		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
-		y[i] += a0*v0 + a1*v1 + a2*v2 + a3*v3
-		z[i] += b0*v0 + b1*v1 + b2*v2 + b3*v3
-	}
 }
 
 // dot4x2 computes eight dot products — two A rows against four B rows — in

@@ -3,10 +3,12 @@
 // beside each wrapper are the reference and what every other machine runs.
 //
 // Numerics, which the tile-invariance tests pin:
-//   - axpy family: every output element is one chain of VFMADD231 in p order,
-//     the same chain in the 8-lane body and the scalar tail, so an element's
-//     value does not depend on which kernel (4-row tile, pair, single row)
-//     or which lane produced it.
+//   - axpy family (axpy, axpy4in, tile4x16): every output element is one
+//     chain of VFMADD231 in p order, the same chain in the 8-lane body, the
+//     scalar tail and the 4×16 register tile, so an element's value does not
+//     depend on which kernel (tile, remainder row or column) or which lane
+//     produced it. A term is skipped only where the Go loops' rule says so
+//     (tile4x16's skip mode), never by the vector width.
 //   - dot family: element i of the 8·⌊n/8⌋ prefix accumulates by FMA into lane
 //     i mod 8 of one accumulator per dot product; the lanes reduce by the
 //     fixed tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); the n mod 8 tail then
@@ -21,7 +23,9 @@
 //
 // Every function takes element counts n ≥ 1 checked by its wrapper and reads
 // or writes exactly n elements per operand (the transcendental bodies: the
-// first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima).
+// first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima; tile4x16:
+// kc ≥ 1 steps over the strided 4×kc A block, kc×16 B panel and 4×16 C block
+// its wrapper bounds-checks).
 
 #include "textflag.h"
 
@@ -41,25 +45,26 @@
 	VINSERTPS $0x20, (P2)(I*4), T, T; \
 	VINSERTPS $0x30, (P3)(I*4), T, T
 
-// ROW1/ROW2 update 8 elements of the row at P with one or two FMAs.
-#define ROW1(P, X, A, T) \
-	VMOVUPS (P)(AX*4), T; \
-	VFMADD231PS X, A, T; \
-	VMOVUPS T, (P)(AX*4)
-#define ROW2(P, X, A, Z, B, T) \
-	VMOVUPS (P)(AX*4), T; \
-	VFMADD231PS X, A, T; \
-	VFMADD231PS Z, B, T; \
-	VMOVUPS T, (P)(AX*4)
-#define ROW1S(P, X, A, T) \
-	VMOVSS (P)(AX*4), T; \
-	VFMADD231SS X, A, T; \
-	VMOVSS T, (P)(AX*4)
-#define ROW2S(P, X, A, Z, B, T) \
-	VMOVSS (P)(AX*4), T; \
-	VFMADD231SS X, A, T; \
-	VFMADD231SS Z, B, T; \
-	VMOVSS T, (P)(AX*4)
+// TSTEP is one p of tile4x16: the 16 B values at DI (Y8, Y9) times each
+// row's A value at SI, R10, R11, R12 offset by DX, into the row's two
+// accumulators; then A steps by R9 bytes and B by R13.
+#define TSTEP \
+	VMOVUPS      (DI), Y8; \
+	VMOVUPS      32(DI), Y9; \
+	VBROADCASTSS (SI)(DX*1), Y10; \
+	VFMADD231PS  Y8, Y10, Y0; \
+	VFMADD231PS  Y9, Y10, Y1; \
+	VBROADCASTSS (R10)(DX*1), Y11; \
+	VFMADD231PS  Y8, Y11, Y2; \
+	VFMADD231PS  Y9, Y11, Y3; \
+	VBROADCASTSS (R11)(DX*1), Y12; \
+	VFMADD231PS  Y8, Y12, Y4; \
+	VFMADD231PS  Y9, Y12, Y5; \
+	VBROADCASTSS (R12)(DX*1), Y13; \
+	VFMADD231PS  Y8, Y13, Y6; \
+	VFMADD231PS  Y9, Y13, Y7; \
+	ADDQ         R9, DX; \
+	ADDQ         R13, DI
 
 // IN4 accumulates four streamed rows (SI, DI, R8, R9) into T with
 // coefficients C0..C3, in that order.
@@ -162,92 +167,125 @@ done:
 	VZEROUPPER
 	RET
 
-// func axpy4AVX2(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 *float32, n int)
-// y0..y3 += a0..a3 · x
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-64
-	VBROADCASTSS a0+0(FP), Y0
-	VBROADCASTSS a1+4(FP), Y1
-	VBROADCASTSS a2+8(FP), Y2
-	VBROADCASTSS a3+12(FP), Y3
-	MOVQ x+16(FP), SI
-	MOVQ y0+24(FP), R8
-	MOVQ y1+32(FP), R9
-	MOVQ y2+40(FP), R10
-	MOVQ y3+48(FP), R11
-	MOVQ n+56(FP), CX
-	XORQ AX, AX
-	SUBQ $8, CX
-	JLT  tail
+// func tile4x16AVX2(a *float32, ars, aps int, b *float32, ldb int, c *float32, ldc, kc int, skip bool)
+// C[r][0:16] = fma(A(r,p), B[p][0:16], C[r][0:16]) for p = 0 … kc−1, with
+// A(r,p) at a + r·ars + p·aps and row r of C in Y(2r), Y(2r+1) throughout.
+// With skip (ars = 1, kc a multiple of four), each group of four p ORs the
+// four A columns; a row whose lane is ±0 there takes none of the group's
+// terms: all rows set runs TSTEP ×4, none set jumps the group, else each p
+// tests the rows one by one.
+TEXT ·tile4x16AVX2(SB), NOSPLIT, $0-65
+	MOVQ    c+40(FP), BX
+	MOVQ    ldc+48(FP), R8
+	SHLQ    $2, R8
+	LEAQ    (BX)(R8*2), AX
+	VMOVUPS (BX), Y0
+	VMOVUPS 32(BX), Y1
+	VMOVUPS (BX)(R8*1), Y2
+	VMOVUPS 32(BX)(R8*1), Y3
+	VMOVUPS (AX), Y4
+	VMOVUPS 32(AX), Y5
+	VMOVUPS (AX)(R8*1), Y6
+	VMOVUPS 32(AX)(R8*1), Y7
+	MOVQ    a+0(FP), SI
+	MOVQ    ars+8(FP), AX
+	SHLQ    $2, AX
+	LEAQ    (SI)(AX*1), R10
+	LEAQ    (R10)(AX*1), R11
+	LEAQ    (R11)(AX*1), R12
+	MOVQ    aps+16(FP), R9
+	SHLQ    $2, R9
+	MOVQ    b+24(FP), DI
+	MOVQ    ldb+32(FP), R13
+	SHLQ    $2, R13
+	MOVQ    kc+56(FP), CX
+	XORQ    DX, DX
+	CMPB    skip+64(FP), $0
+	JNE     groups
 loop:
-	VMOVUPS (SI)(AX*4), Y8
-	ROW1(R8, Y8, Y0, Y10)
-	ROW1(R9, Y8, Y1, Y11)
-	ROW1(R10, Y8, Y2, Y12)
-	ROW1(R11, Y8, Y3, Y13)
-	ADDQ $8, AX
-	SUBQ $8, CX
-	JGE  loop
-tail:
-	ADDQ $8, CX
-	JZ   done
-tloop:
-	VMOVSS (SI)(AX*4), X8
-	ROW1S(R8, X8, X0, X10)
-	ROW1S(R9, X8, X1, X11)
-	ROW1S(R10, X8, X2, X12)
-	ROW1S(R11, X8, X3, X13)
-	INCQ AX
+	TSTEP
 	DECQ CX
-	JNZ  tloop
-done:
-	VZEROUPPER
-	RET
-
-// func axpy4p2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x, z, y0, y1, y2, y3 *float32, n int)
-// y0..y3 = fma(b0..b3, z, fma(a0..a3, x, y0..y3)): two axpy4 steps, one pass over y.
-TEXT ·axpy4p2AVX2(SB), NOSPLIT, $0-88
-	VBROADCASTSS a0+0(FP), Y0
-	VBROADCASTSS a1+4(FP), Y1
-	VBROADCASTSS a2+8(FP), Y2
-	VBROADCASTSS a3+12(FP), Y3
-	VBROADCASTSS b0+16(FP), Y4
-	VBROADCASTSS b1+20(FP), Y5
-	VBROADCASTSS b2+24(FP), Y6
-	VBROADCASTSS b3+28(FP), Y7
-	MOVQ x+32(FP), SI
-	MOVQ z+40(FP), DI
-	MOVQ y0+48(FP), R8
-	MOVQ y1+56(FP), R9
-	MOVQ y2+64(FP), R10
-	MOVQ y3+72(FP), R11
-	MOVQ n+80(FP), CX
-	XORQ AX, AX
-	SUBQ $8, CX
-	JLT  tail
-loop:
-	VMOVUPS (SI)(AX*4), Y8
-	VMOVUPS (DI)(AX*4), Y9
-	ROW2(R8, Y8, Y0, Y9, Y4, Y10)
-	ROW2(R9, Y8, Y1, Y9, Y5, Y11)
-	ROW2(R10, Y8, Y2, Y9, Y6, Y12)
-	ROW2(R11, Y8, Y3, Y9, Y7, Y13)
-	ADDQ $8, AX
-	SUBQ $8, CX
-	JGE  loop
-tail:
-	ADDQ $8, CX
-	JZ   done
-tloop:
-	VMOVSS (SI)(AX*4), X8
-	VMOVSS (DI)(AX*4), X9
-	ROW2S(R8, X8, X0, X9, X4, X10)
-	ROW2S(R9, X8, X1, X9, X5, X11)
-	ROW2S(R10, X8, X2, X9, X6, X12)
-	ROW2S(R11, X8, X3, X9, X7, X13)
-	INCQ AX
+	JNZ  loop
+	JMP  store
+groups:
+	SHRQ   $2, CX
+	VXORPS X15, X15, X15
+gloop:
+	MOVQ      DX, AX
+	VMOVUPS   (SI)(AX*1), X14
+	ADDQ      R9, AX
+	VORPS     (SI)(AX*1), X14, X14
+	ADDQ      R9, AX
+	VORPS     (SI)(AX*1), X14, X14
+	ADDQ      R9, AX
+	VORPS     (SI)(AX*1), X14, X14
+	VCMPPS    $4, X15, X14, X14 // NEQ_UQ: a row's lane is set unless all four were ±0
+	VMOVMSKPS X14, AX
+	CMPL      AX, $15
+	JNE       partial
+	TSTEP
+	TSTEP
+	TSTEP
+	TSTEP
 	DECQ CX
-	JNZ  tloop
-done:
+	JNZ  gloop
+	JMP  store
+partial:
+	TESTL AX, AX
+	JNZ   mixed
+	LEAQ  (DX)(R9*4), DX
+	LEAQ  (DI)(R13*4), DI
+	DECQ  CX
+	JNZ   gloop
+	JMP   store
+mixed:
+	MOVL $4, BX
+mstep:
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+	BTL     $0, AX
+	JCC     row1
+	VBROADCASTSS (SI)(DX*1), Y10
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+row1:
+	BTL $1, AX
+	JCC row2
+	VBROADCASTSS (R10)(DX*1), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+row2:
+	BTL $2, AX
+	JCC row3
+	VBROADCASTSS (R11)(DX*1), Y12
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+row3:
+	BTL $3, AX
+	JCC mnext
+	VBROADCASTSS (R12)(DX*1), Y13
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
+mnext:
+	ADDQ R9, DX
+	ADDQ R13, DI
+	DECL BX
+	JNZ  mstep
+	DECQ CX
+	JNZ  gloop
+store:
+	MOVQ    c+40(FP), BX
+	MOVQ    ldc+48(FP), R8
+	SHLQ    $2, R8
+	LEAQ    (BX)(R8*2), AX
+	VMOVUPS Y0, (BX)
+	VMOVUPS Y1, 32(BX)
+	VMOVUPS Y2, (BX)(R8*1)
+	VMOVUPS Y3, 32(BX)(R8*1)
+	VMOVUPS Y4, (AX)
+	VMOVUPS Y5, 32(AX)
+	VMOVUPS Y6, (AX)(R8*1)
+	VMOVUPS Y7, 32(AX)(R8*1)
 	VZEROUPPER
 	RET
 
@@ -281,64 +319,6 @@ tloop:
 	VMOVSS (R10)(AX*4), X8
 	IN4S(X0, X1, X2, X3, X8)
 	VMOVSS X8, (R10)(AX*4)
-	INCQ   AX
-	DECQ   CX
-	JNZ    tloop
-done:
-	VZEROUPPER
-	RET
-
-// func axpy4in2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x0, x1, x2, x3, y, z *float32, n int)
-// Two axpy4in accumulations over the same four x rows: y with a0..a3, z with b0..b3.
-TEXT ·axpy4in2AVX2(SB), NOSPLIT, $0-88
-	VBROADCASTSS a0+0(FP), Y0
-	VBROADCASTSS a1+4(FP), Y1
-	VBROADCASTSS a2+8(FP), Y2
-	VBROADCASTSS a3+12(FP), Y3
-	VBROADCASTSS b0+16(FP), Y4
-	VBROADCASTSS b1+20(FP), Y5
-	VBROADCASTSS b2+24(FP), Y6
-	VBROADCASTSS b3+28(FP), Y7
-	MOVQ x0+32(FP), SI
-	MOVQ x1+40(FP), DI
-	MOVQ x2+48(FP), R8
-	MOVQ x3+56(FP), R9
-	MOVQ y+64(FP), R10
-	MOVQ z+72(FP), R11
-	MOVQ n+80(FP), CX
-	XORQ AX, AX
-	SUBQ $8, CX
-	JLT  tail
-loop:
-	VMOVUPS (R10)(AX*4), Y8
-	VMOVUPS (R11)(AX*4), Y9
-	VMOVUPS (SI)(AX*4), Y10
-	VMOVUPS (DI)(AX*4), Y11
-	VMOVUPS (R8)(AX*4), Y12
-	VMOVUPS (R9)(AX*4), Y13
-	VFMADD231PS Y10, Y0, Y8
-	VFMADD231PS Y10, Y4, Y9
-	VFMADD231PS Y11, Y1, Y8
-	VFMADD231PS Y11, Y5, Y9
-	VFMADD231PS Y12, Y2, Y8
-	VFMADD231PS Y12, Y6, Y9
-	VFMADD231PS Y13, Y3, Y8
-	VFMADD231PS Y13, Y7, Y9
-	VMOVUPS Y8, (R10)(AX*4)
-	VMOVUPS Y9, (R11)(AX*4)
-	ADDQ    $8, AX
-	SUBQ    $8, CX
-	JGE     loop
-tail:
-	ADDQ $8, CX
-	JZ   done
-tloop:
-	VMOVSS (R10)(AX*4), X8
-	VMOVSS (R11)(AX*4), X9
-	IN4S(X0, X1, X2, X3, X8)
-	IN4S(X4, X5, X6, X7, X9)
-	VMOVSS X8, (R10)(AX*4)
-	VMOVSS X9, (R11)(AX*4)
 	INCQ   AX
 	DECQ   CX
 	JNZ    tloop

@@ -125,20 +125,6 @@ var kernelCases = []kernelCase{
 	{"axpy", 2, 1, 1,
 		func(c [8]float32, o [][]float32) []float32 { axpy(c[0], o[1], o[0]); return nil },
 		func(c [8]float32, o [][]float32, _, i int) float64 { return a64(o[0][i]) + a64(c[0]*o[1][i]) }},
-	{"axpy4", 5, 4, 4,
-		func(c [8]float32, o [][]float32) []float32 {
-			axpy4(c[0], c[1], c[2], c[3], o[4], o[0], o[1], o[2], o[3])
-			return nil
-		},
-		func(c [8]float32, o [][]float32, r, i int) float64 { return a64(o[r][i]) + a64(c[r]*o[4][i]) }},
-	{"axpy4p2", 6, 4, 4,
-		func(c [8]float32, o [][]float32) []float32 {
-			axpy4p2(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], o[4], o[5], o[0], o[1], o[2], o[3])
-			return nil
-		},
-		func(c [8]float32, o [][]float32, r, i int) float64 {
-			return a64(o[r][i]) + a64(c[r]*o[4][i]) + a64(c[4+r]*o[5][i])
-		}},
 	{"axpy4in", 5, 1, 0,
 		func(c [8]float32, o [][]float32) []float32 {
 			axpy4in(c[0], c[1], c[2], c[3], o[1], o[2], o[3], o[4], o[0])
@@ -146,15 +132,6 @@ var kernelCases = []kernelCase{
 		},
 		func(c [8]float32, o [][]float32, _, i int) float64 {
 			return a64(o[0][i]) + a64(c[0]*o[1][i]) + a64(c[1]*o[2][i]) + a64(c[2]*o[3][i]) + a64(c[3]*o[4][i])
-		}},
-	{"axpy4in2", 6, 2, 0,
-		func(c [8]float32, o [][]float32) []float32 {
-			axpy4in2(c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7], o[2], o[3], o[4], o[5], o[0], o[1])
-			return nil
-		},
-		func(c [8]float32, o [][]float32, r, i int) float64 {
-			k := c[4*r:]
-			return a64(o[r][i]) + a64(k[0]*o[2][i]) + a64(k[1]*o[3][i]) + a64(k[2]*o[4][i]) + a64(k[3]*o[5][i])
 		}},
 	{"Dot", 2, 0, 0,
 		func(_ [8]float32, o [][]float32) []float32 { return []float32{Dot(o[0], o[1])} },
@@ -253,7 +230,106 @@ func TestKernelsPanicOnShortOperand(t *testing.T) {
 				e.op(make([]float32, 9), make([]float32, 8))
 			}()
 		}
+		// tile4x16 at kc = 5 with rows of A 9 apart, B 16 and C 20: each
+		// operand one element short of its block, and a skip panel that is
+		// not whole groups of four.
+		const kc, ars, ldb, ldc = 5, 9, 16, 20
+		na, nb, nc := 3*ars+kc, (kc-1)*ldb+16, 3*ldc+16
+		for _, tc := range []struct {
+			what       string
+			la, lb, lc int
+			skip       bool
+		}{
+			{"a short", na - 1, nb, nc, false}, {"b short", na, nb - 1, nc, false},
+			{"c short", na, nb, nc - 1, false}, {"skip with ars ≠ 1", na, nb, nc, true},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("tile4x16 %s: no panic", tc.what)
+					}
+				}()
+				tile4x16(make([]float32, tc.la), ars, 1, make([]float32, tc.lb), ldb, make([]float32, tc.lc), ldc, kc, tc.skip)
+			}()
+		}
 	})
+}
+
+// TestTile4x16MatchesGo compares tile4x16's assembly with its Go loop for
+// every kc 0…67, in the A·B layout (A's rows contiguous) and the skipping
+// Aᵀ·B layout (A's four values at each p contiguous, a third of the row
+// groups all zero), with row strides wider than the block and operands at
+// odd offsets: within 1e-6 of Σ|terms| per element, nothing written outside
+// the block, and each row bitwise the chain of one axpy per p that the
+// remainder loops compute.
+func TestTile4x16MatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(23))
+	const ldb, ldc = 21, 19
+	for _, skip := range []bool{false, true} {
+		for kc := 0; kc <= 67; kc++ {
+			if skip && kc%4 != 0 {
+				continue
+			}
+			ars, aps := kc+3, 1
+			if skip {
+				ars, aps = 1, 7
+			}
+			last := max(kc, 1) - 1
+			_, a := guarded(rng, 3*ars+last*aps+1)
+			_, b := guarded(rng, last*ldb+16)
+			cbuf, c := guarded(rng, 3*ldc+16)
+			zero4 := func(o int) bool {
+				return a[o] == 0 && a[o+aps] == 0 && a[o+2*aps] == 0 && a[o+3*aps] == 0
+			}
+			if skip {
+				for o := 0; o < kc*aps; o += 4 * aps {
+					for r := 0; r < 4; r++ {
+						if rng.Intn(3) == 0 {
+							for q := 0; q < 4; q++ {
+								a[o+r+q*aps] = 0
+							}
+						}
+					}
+				}
+			}
+			before, ref, chain := slices.Clone(c), slices.Clone(c), slices.Clone(c)
+			useAVX2 = false
+			tile4x16(a, ars, aps, b, ldb, ref, ldc, kc, skip)
+			useAVX2 = true
+			tile4x16(a, ars, aps, b, ldb, c, ldc, kc, skip)
+			checkGuards(t, "tile4x16", kc, cbuf, c)
+			for r := 0; r < 4; r++ {
+				cr := chain[r*ldc : r*ldc+16]
+				for p := 0; p < kc; p++ {
+					if skip && p%4 == 0 && zero4(r*ars+p*aps) {
+						p += 3
+						continue
+					}
+					axpy(a[r*ars+p*aps], b[p*ldb:p*ldb+16], cr)
+				}
+			}
+			for x := range c {
+				r, j := x/ldc, x%ldc
+				if j >= 16 {
+					if c[x] != before[x] {
+						t.Fatalf("tile4x16 kc=%d skip=%v: wrote C[%d][%d] outside the block", kc, skip, r, j)
+					}
+					continue
+				}
+				bound := a64(before[x])
+				for p := 0; p < kc; p++ {
+					bound += a64(a[r*ars+p*aps] * b[p*ldb+j])
+				}
+				if d := math.Abs(float64(c[x] - ref[x])); d > 1e-6*bound {
+					t.Fatalf("tile4x16 kc=%d skip=%v C[%d][%d]: asm %g, go %g", kc, skip, r, j, c[x], ref[x])
+				}
+				if math.Float32bits(c[x]) != math.Float32bits(chain[x]) {
+					t.Fatalf("tile4x16 kc=%d skip=%v C[%d][%d]: %g is not the axpy chain's %g", kc, skip, r, j, c[x], chain[x])
+				}
+			}
+		}
+	}
 }
 
 type elemOp struct {
@@ -321,7 +397,10 @@ func poison(rng *rand.Rand, a, b *Matrix) {
 // computed it — at GOMAXPROCS 1 and 2, and with non-finite inputs too.
 func TestTileInvarianceBitwise(t *testing.T) {
 	requireAVX2(t)
-	shapes := [][3]int{{11, 29, 37}, {7, 13, 19}, {5, 131, 9}, {37, 67, 45}, {6, 7, 3}}
+	// The last four reach tile4x16: four rows or more, n a multiple of 16
+	// (causal items of head dim 16 among them) and k not always one of 4.
+	shapes := [][3]int{{11, 29, 37}, {7, 13, 19}, {5, 131, 9}, {37, 67, 45}, {6, 7, 3},
+		{13, 37, 16}, {9, 131, 48}, {21, 64, 64}, {8, 5, 32}}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
@@ -366,6 +445,15 @@ func TestTileInvarianceBitwise(t *testing.T) {
 				at := randMatrix(rng, k, m) // C[m,n] += atᵀ·b
 				if withNaN {
 					poison(rng, at, b)
+					// One row's all-zero group of four p over a B row holding
+					// Inf: the row skips the group in a tile as alone.
+					if k >= 4 {
+						i, g := rng.Intn(max(m&^3, 1)), 4*rng.Intn(k/4)
+						for p := g; p < g+4; p++ {
+							at.Data[p*m+i] = 0
+						}
+						b.Data[(g+rng.Intn(4))*n+rng.Intn(n)] = float32(math.Inf(1))
+					}
 				}
 				acc := c0.Clone()
 				MatMulTransAAccum(acc, at, b)

@@ -9,16 +9,11 @@ const useAVX2 = false
 func axpyAVX2(a float32, x, y *float32, n int) {}
 
 //photon:hotpath
-func axpy4AVX2(a0, a1, a2, a3 float32, x, y0, y1, y2, y3 *float32, n int) {}
-
-//photon:hotpath
-func axpy4p2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x, z, y0, y1, y2, y3 *float32, n int) {}
+func tile4x16AVX2(a *float32, ars, aps int, b *float32, ldb int, c *float32, ldc, kc int, skip bool) {
+}
 
 //photon:hotpath
 func axpy4inAVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y *float32, n int) {}
-
-//photon:hotpath
-func axpy4in2AVX2(a0, a1, a2, a3, b0, b1, b2, b3 float32, x0, x1, x2, x3, y, z *float32, n int) {}
 
 //photon:hotpath
 func dotAVX2(x, y *float32, n int) (s float32) { return }

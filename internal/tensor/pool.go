@@ -208,17 +208,19 @@ func dispatch(items, volumePerItem int, t task) {
 }
 
 // rowTile is the number of rows kernel k's micro-kernel computes together:
-// a band cut below it sends those rows through the one-row remainder loop,
-// which streams the other operand once per row instead of once per tile. A
-// serve decode shard's 4-row MLP products sit at the fan-out threshold; cut
-// into two 2-row bands they were slower than one band on one core.
+// tile4x16's four C rows for the A·B and Aᵀ·B products, dot4x2's two for
+// A·Bᵀ. A band cut below it sends those rows through the one-row remainder
+// loop, which streams the other operand once per row instead of once per
+// tile. A serve decode shard's 4-row MLP products sit at the fan-out
+// threshold; cut into two 2-row bands they were slower than one band on one
+// core.
 //
 //photon:hotpath
 func rowTile(k kernelKind) int {
 	switch k {
-	case kMatMul:
+	case kMatMul, kMatMulTransAAccum:
 		return 4
-	case kMatMulTransB, kMatMulTransAAccum:
+	case kMatMulTransB:
 		return 2
 	}
 	return 1
