@@ -250,6 +250,7 @@ func (l *latch) wait() {
 type Engine struct {
 	m   *nn.Model
 	cfg Config
+	now func() time.Time // the clock of the deadline checks
 
 	reqs chan *pending
 	quit chan struct{}
@@ -288,10 +289,16 @@ type Engine struct {
 // beyond the first (at most MaxBatch-1). The engine takes exclusive ownership
 // of the model until Close.
 func NewEngine(m *nn.Model, cfg Config) *Engine {
+	return newEngine(m, cfg, time.Now)
+}
+
+// newEngine is NewEngine with the clock its deadline checks read.
+func newEngine(m *nn.Model, cfg Config, now func() time.Time) *Engine {
 	cfg = cfg.withDefaults(m)
 	e := &Engine{
 		m:       m,
 		cfg:     cfg,
+		now:     now,
 		reqs:    make(chan *pending, cfg.Queue),
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -491,7 +498,7 @@ func (e *Engine) drainAndFail(active []*seqSlot, fail func(*pending, error)) {
 // Returns nil when the request was rejected (its result is already delivered).
 func (e *Engine) admit(p *pending, free *[]*kvSlot, fail func(*pending, error)) *seqSlot {
 	req := &p.req
-	if !req.Deadline.IsZero() && time.Now().After(req.Deadline) {
+	if !req.Deadline.IsZero() && e.now().After(req.Deadline) {
 		e.retireCounters(0, true, 0, 0)
 		fail(p, ErrDeadline)
 		return nil
@@ -621,7 +628,7 @@ func (e *Engine) step(active []*seqSlot, free *[]*kvSlot) []*seqSlot {
 	e.mu.Unlock()
 	e.insTokens.Add(sampled)
 
-	now := time.Now()
+	now := e.now() //photon:nolint hotpath-alloc -- time.Now, or a test clock that does not allocate
 	out := active[:0]
 	for _, s := range active {
 		switch {

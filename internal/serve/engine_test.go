@@ -193,11 +193,21 @@ func TestEngineQueueFull(t *testing.T) {
 // admission fails outright, and one expiring mid-generation retires with its
 // partial output and ErrDeadline.
 func TestEngineDeadline(t *testing.T) {
+	// A clock that moves one second forward at each read, so the outcome
+	// does not depend on how fast this machine decodes. The engine reads it
+	// at the first request's admission (base), the second's (base+1s) and
+	// after each decode step (base+2s, …).
+	base := time.Now()
+	reads := 0
+	clock := func() time.Time {
+		reads++
+		return base.Add(time.Duration(reads-1) * time.Second)
+	}
 	m := testModel(5)
-	e := NewEngine(m, Config{MaxBatch: 2, MaxSeq: 4096})
+	e := newEngine(m, Config{MaxBatch: 2, MaxSeq: 4096}, clock)
 	defer e.Close()
 
-	res := e.Do(Request{Prompt: []int{1}, MaxNew: 5, Deadline: time.Now().Add(-time.Second)})
+	res := e.Do(Request{Prompt: []int{1}, MaxNew: 5, Deadline: base.Add(-time.Second)})
 	if !errors.Is(res.Err, ErrDeadline) {
 		t.Fatalf("pre-expired request returned %v, want ErrDeadline", res.Err)
 	}
@@ -205,7 +215,9 @@ func TestEngineDeadline(t *testing.T) {
 		t.Fatalf("pre-expired request produced %d tokens", len(res.Tokens))
 	}
 
-	res = e.Do(Request{Prompt: []int{1}, MaxNew: 4000, Deadline: time.Now().Add(5 * time.Millisecond)})
+	// Unexpired when admitted at base+1s, expired at the first post-step
+	// check at base+2s.
+	res = e.Do(Request{Prompt: []int{1}, MaxNew: 4000, Deadline: base.Add(1500 * time.Millisecond)})
 	if !errors.Is(res.Err, ErrDeadline) {
 		t.Fatalf("mid-flight expiry returned %v, want ErrDeadline", res.Err)
 	}

@@ -78,6 +78,23 @@ func BenchmarkBatchMatMulCausal(b *testing.B) {
 	reportGFLOPs(b, 2*items*hd*seq*(seq+1)/2)
 }
 
+// BenchmarkBatchMatMulTransBCausal is the attention score product Q·Kᵀ at
+// the fed-sync-compute shape (B·H = 8 items, T = 128, head dim 16); flops
+// count the causal support only.
+func BenchmarkBatchMatMulTransBCausal(b *testing.B) {
+	const items, seq, hd = 8, 128, 16
+	rng := rand.New(rand.NewSource(8))
+	q := randMatrix(rng, items*seq, hd)
+	k := randMatrix(rng, items*seq, hd)
+	s := NewMatrix(items*seq, seq)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BatchMatMulTransBCausal(s, q, k, items)
+	}
+	reportGFLOPs(b, 2*items*hd*seq*(seq+1)/2)
+}
+
 // reportGFLOPs stops the timer and reports achieved GFLOP/s for a benchmark
 // whose iteration performs flopsPerOp floating-point operations; read it
 // against BenchmarkFMAPeak's figure for the same core.

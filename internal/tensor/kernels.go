@@ -3,11 +3,14 @@ package tensor
 import "fmt"
 
 // This file holds the band-level compute kernels the worker pool executes.
-// Their flops go through six micro-kernels: the A·B and Aᵀ·B products run on
-// tile4x16, a 4×16 block of C held in registers across a kcBlock-deep K
+// Their flops go through seven micro-kernels: the A·B and Aᵀ·B products run
+// on tile4x16, a 4×16 block of C held in registers across a kcBlock-deep K
 // panel (the register tile of an sgemm), with axpy for the rows and columns
-// a tile leaves over; the Bᵀ products run on Dot, dot4 and dot4x2 (rows
-// reduce); decode adds axpy4in (four input rows into one output row).
+// a tile leaves over; the Bᵀ products run on dot3x4, twelve dot products of
+// three A rows against four B rows held in registers across the whole depth
+// and repeated over a row of column blocks in one call, with dot4x2, dot4
+// and Dot for the rows and columns it leaves over; decode adds axpy4in (four
+// input rows into one output row).
 //
 // Each micro-kernel is a Go loop — the reference, and what every machine but
 // an amd64 with AVX2+FMA runs — behind an assembly body (kernels_amd64.s)
@@ -71,19 +74,29 @@ func axpyRow(ai, bd, ci []float32, j0, p0, p1 int) {
 	}
 }
 
-// bandMatMulTransB computes C[lo:hi] = A[lo:hi]·Bᵀ.
+// bandMatMulTransB computes C[lo:hi] = A[lo:hi]·Bᵀ. Each group of three
+// rows makes one dot3x4 call across the n&^3 columns, with Dot for the
+// columns left over; the rows left over go through dot4x2 (two) or dot4
+// (one). On the assembly path all four sum an element in one order.
 //
 //photon:hotpath
 func bandMatMulTransB(c, a, b *Matrix, lo, hi int) {
 	n, k := b.Rows, a.Cols
+	n4 := n &^ 3
 	i := lo
-	for ; i+2 <= hi; i += 2 {
+	for ; i+3 <= hi; i += 3 {
+		dot3x4(a.Data[i*k:], k, b.Data, k, c.Data[i*n:], n, k, n4/4)
+		for r := i; r < i+3; r++ {
+			dotRow(a.Data[r*k:(r+1)*k], b.Data, c.Data[r*n:(r+1)*n], n4, n)
+		}
+	}
+	if i+2 <= hi {
 		a0 := a.Data[i*k : (i+1)*k]
 		a1 := a.Data[(i+1)*k : (i+2)*k]
 		c0 := c.Data[i*n : (i+1)*n]
 		c1 := c.Data[(i+1)*n : (i+2)*n]
 		j := 0
-		for ; j+4 <= n; j += 4 {
+		for ; j < n4; j += 4 {
 			b0 := b.Data[j*k : (j+1)*k]
 			b1 := b.Data[(j+1)*k : (j+2)*k]
 			b2 := b.Data[(j+2)*k : (j+3)*k]
@@ -96,19 +109,28 @@ func bandMatMulTransB(c, a, b *Matrix, lo, hi int) {
 			c0[j] = Dot(a0, bj)
 			c1[j] = Dot(a1, bj)
 		}
+		i += 2
 	}
-	for ; i < hi; i++ {
-		ai := a.Data[i*k : (i+1)*k]
-		ci := c.Data[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			ci[j], ci[j+1], ci[j+2], ci[j+3] = dot4(ai,
-				b.Data[j*k:(j+1)*k], b.Data[(j+1)*k:(j+2)*k],
-				b.Data[(j+2)*k:(j+3)*k], b.Data[(j+3)*k:(j+4)*k])
-		}
-		for ; j < n; j++ {
-			ci[j] = Dot(ai, b.Data[j*k:(j+1)*k])
-		}
+	if i < hi {
+		dotRow(a.Data[i*k:(i+1)*k], b.Data, c.Data[i*n:(i+1)*n], 0, n)
+	}
+}
+
+// dotRow computes ci[j] = dot(ai, B[j]) for j in [j0, j1), where B is bd
+// with rows as long as ai and j0 a multiple of four: dot4 on each group of
+// four columns, Dot on the rest.
+//
+//photon:hotpath
+func dotRow(ai, bd, ci []float32, j0, j1 int) {
+	k := len(ai)
+	j := j0
+	for ; j+4 <= j1; j += 4 {
+		ci[j], ci[j+1], ci[j+2], ci[j+3] = dot4(ai,
+			bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k],
+			bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k])
+	}
+	for ; j < j1; j++ {
+		ci[j] = Dot(ai, bd[j*k:(j+1)*k])
 	}
 }
 
@@ -212,7 +234,9 @@ func bandBatchMatMul(c, a, b *Matrix, batch, lo, hi int) {
 // where C_t is square and only C_t[i][:i+1] is written — the attention score
 // product Q·Kᵀ (and dP = dCtx·Vᵀ), whose upper triangle is masked out by the
 // softmax anyway. Entries above the diagonal are left untouched; the softmax
-// kernels own them.
+// kernels own them. Rows i..i+2 (i a multiple of three) share columns
+// [0, (i+1)&^3) as one dot3x4 call, then each finishes its own triangle
+// through dot4 and Dot; the rows left over take their whole triangle that way.
 //
 //photon:hotpath
 func bandBatchMatMulTransB(c, a, b *Matrix, batch, lo, hi int) {
@@ -223,19 +247,16 @@ func bandBatchMatMulTransB(c, a, b *Matrix, batch, lo, hi int) {
 		cd := c.Data[it*m*n : (it+1)*m*n]
 		ad := a.Data[it*m*k : (it+1)*m*k]
 		bd := b.Data[it*n*k : (it+1)*n*k]
-		for i := 0; i < m; i++ {
-			ai := ad[i*k : (i+1)*k]
-			ci := cd[i*n : (i+1)*n]
-			end := i + 1
-			j := 0
-			for ; j+4 <= end; j += 4 {
-				ci[j], ci[j+1], ci[j+2], ci[j+3] = dot4(ai,
-					bd[j*k:(j+1)*k], bd[(j+1)*k:(j+2)*k],
-					bd[(j+2)*k:(j+3)*k], bd[(j+3)*k:(j+4)*k])
+		i := 0
+		for ; i+3 <= m; i += 3 {
+			n4 := (i + 1) &^ 3
+			dot3x4(ad[i*k:], k, bd, k, cd[i*n:], n, k, n4/4)
+			for r := i; r < i+3; r++ {
+				dotRow(ad[r*k:(r+1)*k], bd, cd[r*n:(r+1)*n], n4, r+1)
 			}
-			for ; j < end; j++ {
-				ci[j] = Dot(ai, bd[j*k:(j+1)*k])
-			}
+		}
+		for ; i < m; i++ {
+			dotRow(ad[i*k:(i+1)*k], bd, cd[i*n:(i+1)*n], 0, i+1)
 		}
 	}
 }
@@ -479,6 +500,42 @@ func axpy4in(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 	}
 	for i := range y {
 		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
+	}
+}
+
+// dot3x4 computes nb blocks of twelve dot products — three A rows against
+// four B rows each — in one call,
+//
+//	C[r·ldc+4t+j] = Σ_p A[r·lda+p] · B[(4t+j)·ldb+p]   for r < 3, j < 4, t < nb,
+//
+// each in dot4's order: the assembly holds the twelve sums in YMM registers
+// over the 8·⌊k/8⌋ prefix, reduces each by HSUM4's tree and adds the k mod 8
+// tail after it; the Go loop is dot4's, once per row and block.
+//
+//photon:hotpath
+func dot3x4(a []float32, lda int, b []float32, ldb int, c []float32, ldc, k, nb int) {
+	if nb <= 0 {
+		return
+	}
+	if lda < 0 || ldb < 0 || ldc < 0 || k < 0 {
+		panic("tensor: dot3x4 bad stride or depth")
+	}
+	_ = c[2*ldc+4*nb-1]
+	if k > 0 {
+		_ = a[2*lda+k-1]
+		_ = b[(4*nb-1)*ldb+k-1]
+		if useAVX2 {
+			dot3x4AVX2(&a[0], lda, &b[0], ldb, &c[0], ldc, k, nb)
+			return
+		}
+	}
+	for j := 0; j < 4*nb; j += 4 {
+		b0, b1 := b[j*ldb:j*ldb+k], b[(j+1)*ldb:(j+1)*ldb+k]
+		b2, b3 := b[(j+2)*ldb:(j+2)*ldb+k], b[(j+3)*ldb:(j+3)*ldb+k]
+		for r := 0; r < 3; r++ {
+			cr := c[r*ldc+j : r*ldc+j+4]
+			cr[0], cr[1], cr[2], cr[3] = dot4(a[r*lda:r*lda+k], b0, b1, b2, b3)
+		}
 	}
 }
 

@@ -28,6 +28,10 @@ func dot4AVX2(x, y0, y1, y2, y3 *float32, n int) (s0, s1, s2, s3 float32)
 
 //go:noescape
 //photon:hotpath
+func dot3x4AVX2(a *float32, lda int, b *float32, ldb int, c *float32, ldc, k, nb int)
+
+//go:noescape
+//photon:hotpath
 func dot4x2AVX2(x0, x1, y0, y1, y2, y3 *float32, n int) (s00, s01, s02, s03, s10, s11, s12, s13 float32)
 
 //go:noescape

@@ -9,10 +9,13 @@
 //     depend on which kernel (tile, remainder row or column) or which lane
 //     produced it. A term is skipped only where the Go loops' rule says so
 //     (tile4x16's skip mode), never by the vector width.
-//   - dot family: element i of the 8·⌊n/8⌋ prefix accumulates by FMA into lane
-//     i mod 8 of one accumulator per dot product; the lanes reduce by the
-//     fixed tree ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); the n mod 8 tail then
-//     accumulates by FMA into the sum, in order.
+//   - dot family (Dot, dot4, dot4x2, dot3x4): element i of the 8·⌊n/8⌋ prefix
+//     accumulates by FMA into lane i mod 8 of one accumulator per dot
+//     product; the lanes reduce by the fixed tree
+//     ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)); the n mod 8 tail then
+//     accumulates by FMA into the sum, in order. So a dot's bits do not
+//     depend on which of the four kernels, or which of dot3x4's twelve
+//     registers, computed it.
 //   - add/sub/mul/scale: no fused operation, bitwise equal to the Go loops.
 //   - exp, tanh and the softmax, cross-entropy and GELU bodies built on them:
 //     bitwise equal to the Go loops. Each float64 lane of EXP4 runs the
@@ -25,7 +28,8 @@
 // or writes exactly n elements per operand (the transcendental bodies: the
 // first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima; tile4x16:
 // kc ≥ 1 steps over the strided 4×kc A block, kc×16 B panel and 4×16 C block
-// its wrapper bounds-checks).
+// its wrapper bounds-checks; dot3x4: k ≥ 1 elements of three strided A rows
+// and 4·nb strided B rows, and 3×4·nb strided C elements, nb ≥ 1).
 
 #include "textflag.h"
 
@@ -454,6 +458,96 @@ tloop:
 done:
 	VMOVUPS X0, s00+56(FP) // s00..s03 are contiguous
 	VMOVUPS X4, s10+72(FP) // s10..s13 are contiguous
+	VZEROUPPER
+	RET
+
+// func dot3x4AVX2(a *float32, lda int, b *float32, ldb int, c *float32, ldc, k, nb int)
+// For each block t < nb: C[r][4t+j] = dot(A[r], B[4t+j]) for r < 3, j < 4,
+// with A(r) at a + r·lda, B(4t+j) at b + (4t+j)·ldb, C[r] at c + r·ldc. The
+// twelve sums of a block live in Y0–Y11 (row r in Y(4r) … Y(4r+3)); per
+// 8-element chunk, three A loads, four B loads and twelve FMAs. Each row's
+// four sums then reduce by HSUM4 and take the tail as dot4's do.
+TEXT ·dot3x4AVX2(SB), NOSPLIT, $0-64
+	MOVQ a+0(FP), SI
+	MOVQ lda+8(FP), AX
+	SHLQ $2, AX
+	LEAQ (SI)(AX*1), R8
+	LEAQ (R8)(AX*1), R9
+	MOVQ b+16(FP), R10
+	MOVQ ldb+24(FP), R14
+	SHLQ $2, R14
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), BX
+	SHLQ $2, BX
+	MOVQ nb+56(FP), DI
+block:
+	LEAQ   (R10)(R14*1), R11
+	LEAQ   (R11)(R14*1), R12
+	LEAQ   (R12)(R14*1), R13
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	MOVQ   k+48(FP), CX
+	XORQ   AX, AX
+	SUBQ   $8, CX
+	JLT    reduce
+loop:
+	VMOVUPS (SI)(AX*4), Y12
+	VMOVUPS (R8)(AX*4), Y13
+	VMOVUPS (R9)(AX*4), Y14
+	VMOVUPS (R10)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y0
+	VFMADD231PS Y15, Y13, Y4
+	VFMADD231PS Y15, Y14, Y8
+	VMOVUPS (R11)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y1
+	VFMADD231PS Y15, Y13, Y5
+	VFMADD231PS Y15, Y14, Y9
+	VMOVUPS (R12)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y2
+	VFMADD231PS Y15, Y13, Y6
+	VFMADD231PS Y15, Y14, Y10
+	VMOVUPS (R13)(AX*4), Y15
+	VFMADD231PS Y15, Y12, Y3
+	VFMADD231PS Y15, Y13, Y7
+	VFMADD231PS Y15, Y14, Y11
+	ADDQ    $8, AX
+	SUBQ    $8, CX
+	JGE     loop
+reduce:
+	HSUM4(Y0, Y1, Y2, Y3, X0, X12)
+	HSUM4(Y4, Y5, Y6, Y7, X4, X12)
+	HSUM4(Y8, Y9, Y10, Y11, X8, X12)
+	ADDQ $8, CX
+	JZ   store
+tloop:
+	GATHER4(R10, R11, R12, R13, AX, X13)
+	VBROADCASTSS (SI)(AX*4), X12
+	VFMADD231PS  X13, X12, X0
+	VBROADCASTSS (R8)(AX*4), X12
+	VFMADD231PS  X13, X12, X4
+	VBROADCASTSS (R9)(AX*4), X12
+	VFMADD231PS  X13, X12, X8
+	INCQ AX
+	DECQ CX
+	JNZ  tloop
+store:
+	VMOVUPS X0, (DX)
+	VMOVUPS X4, (DX)(BX*1)
+	VMOVUPS X8, (DX)(BX*2)
+	LEAQ    (R13)(R14*1), R10
+	ADDQ    $16, DX
+	DECQ    DI
+	JNZ     block
 	VZEROUPPER
 	RET
 

@@ -230,6 +230,26 @@ func TestKernelsPanicOnShortOperand(t *testing.T) {
 				e.op(make([]float32, 9), make([]float32, 8))
 			}()
 		}
+		// dot3x4 at k = 5 over two blocks with rows of A 9 apart, B 7 and
+		// C 11: each operand one element short of what the call reads.
+		const k3, lda3, ldb3, ldc3, nb3 = 5, 9, 7, 11, 2
+		for _, tc := range []struct {
+			what       string
+			la, lb, lc int
+		}{
+			{"a short", 2*lda3 + k3 - 1, (4*nb3-1)*ldb3 + k3, 2*ldc3 + 4*nb3},
+			{"b short", 2*lda3 + k3, (4*nb3-1)*ldb3 + k3 - 1, 2*ldc3 + 4*nb3},
+			{"c short", 2*lda3 + k3, (4*nb3-1)*ldb3 + k3, 2*ldc3 + 4*nb3 - 1},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("dot3x4 %s: no panic", tc.what)
+					}
+				}()
+				dot3x4(make([]float32, tc.la), lda3, make([]float32, tc.lb), ldb3, make([]float32, tc.lc), ldc3, k3, nb3)
+			}()
+		}
 		// tile4x16 at kc = 5 with rows of A 9 apart, B 16 and C 20: each
 		// operand one element short of its block, and a skip panel that is
 		// not whole groups of four.
@@ -332,6 +352,58 @@ func TestTile4x16MatchesGo(t *testing.T) {
 	}
 }
 
+// TestDot3x4MatchesGo compares dot3x4's assembly with its Go loop for every
+// depth k 0…67 over 1, 2 and 5 column blocks, with row strides wider than k
+// and operands at odd offsets inside guard words: within 1e-6 of Σ|terms| per
+// result, nothing written outside the twelve results of each block, and each
+// row's block bitwise the dot4 call the remainder rows make.
+func TestDot3x4MatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(24))
+	for _, nb := range []int{1, 2, 5} {
+		for k := 0; k <= 67; k++ {
+			lda, ldb, ldc := k+3, k+5, 4*nb+3
+			abuf, a := guarded(rng, 2*lda+k)
+			bbuf, b := guarded(rng, (4*nb-1)*ldb+k)
+			cbuf, c := guarded(rng, 2*ldc+4*nb)
+			a0, b0, before, ref := slices.Clone(a), slices.Clone(b), slices.Clone(c), slices.Clone(c)
+			useAVX2 = false
+			dot3x4(a, lda, b, ldb, ref, ldc, k, nb)
+			useAVX2 = true
+			dot3x4(a, lda, b, ldb, c, ldc, k, nb)
+			checkGuards(t, "dot3x4 a", k, abuf, a)
+			checkGuards(t, "dot3x4 b", k, bbuf, b)
+			checkGuards(t, "dot3x4 c", k, cbuf, c)
+			if sameBits(a, a0) >= 0 || sameBits(b, b0) >= 0 {
+				t.Fatalf("dot3x4 k=%d nb=%d: modified an input", k, nb)
+			}
+			for x := range c {
+				r, j := x/ldc, x%ldc
+				if j >= 4*nb {
+					if c[x] != before[x] {
+						t.Fatalf("dot3x4 k=%d nb=%d: wrote C[%d][%d] outside the blocks", k, nb, r, j)
+					}
+					continue
+				}
+				ar, bj := a[r*lda:r*lda+k], b[j*ldb:j*ldb+k]
+				if d := math.Abs(float64(c[x] - ref[x])); d > 1e-6*absDot(ar, bj) {
+					t.Fatalf("dot3x4 k=%d nb=%d C[%d][%d]: asm %g, go %g", k, nb, r, j, c[x], ref[x])
+				}
+			}
+			for r := 0; r < 3; r++ {
+				ar := a[r*lda : r*lda+k]
+				for j := 0; j < 4*nb; j += 4 {
+					row := func(q int) []float32 { return b[(j+q)*ldb : (j+q)*ldb+k] }
+					s0, s1, s2, s3 := dot4(ar, row(0), row(1), row(2), row(3))
+					if q := sameBits(c[r*ldc+j:r*ldc+j+4], []float32{s0, s1, s2, s3}); q >= 0 {
+						t.Fatalf("dot3x4 k=%d nb=%d C[%d][%d]: %g is not dot4's sum", k, nb, r, j+q, c[r*ldc+j+q])
+					}
+				}
+			}
+		}
+	}
+}
+
 type elemOp struct {
 	name string
 	op   func(dst, src []float32)
@@ -397,10 +469,14 @@ func poison(rng *rand.Rand, a, b *Matrix) {
 // computed it — at GOMAXPROCS 1 and 2, and with non-finite inputs too.
 func TestTileInvarianceBitwise(t *testing.T) {
 	requireAVX2(t)
-	// The last four reach tile4x16: four rows or more, n a multiple of 16
-	// (causal items of head dim 16 among them) and k not always one of 4.
+	// {13, 37, 16} through {8, 5, 32} reach tile4x16: four rows or more, n a
+	// multiple of 16 (causal items of head dim 16 among them) and k not
+	// always one of 4. The last three put attention's head dims (k = 16: two
+	// 8-lane chunks and no tail; k = 8: one) under dot3x4 in the causal Q·Kᵀ
+	// triangle, with rows left over after the triples in two of them.
 	shapes := [][3]int{{11, 29, 37}, {7, 13, 19}, {5, 131, 9}, {37, 67, 45}, {6, 7, 3},
-		{13, 37, 16}, {9, 131, 48}, {21, 64, 64}, {8, 5, 32}}
+		{13, 37, 16}, {9, 131, 48}, {21, 64, 64}, {8, 5, 32},
+		{12, 16, 16}, {14, 8, 32}, {25, 16, 19}}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)

@@ -50,47 +50,61 @@ func TestBatchMatMulTransAMatchesNaive(t *testing.T) {
 }
 
 // Causal variants: on inputs whose upper triangle is zeroed (for A) the
-// causal product must equal the dense product restricted to j ≤ i.
+// causal product must equal the dense product restricted to j ≤ i, and the
+// score product must leave every entry above the diagonal untouched. Head
+// dim 7 is all tail; 16 is two 8-lane chunks and none.
 func TestCausalBatchKernelsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	for _, seq := range []int{1, 2, 3, 5, 8, 13, 33} {
-		const batch, hd = 3, 7
-		q := randMatrix(rng, batch*seq, hd)
-		k := randMatrix(rng, batch*seq, hd)
-		// Scores: causal kernel writes only j ≤ i.
-		s := NewMatrix(batch*seq, seq)
-		Fill(s.Data, float32(math.NaN())) // untouched entries must not be read below
-		BatchMatMulTransBCausal(s, q, k, batch)
-		for bt := 0; bt < batch; bt++ {
-			want := naiveMatMul(itemView(q, batch, bt), transpose(itemView(k, batch, bt)))
-			got := itemView(s, batch, bt)
-			for i := 0; i < seq; i++ {
-				for j := 0; j <= i; j++ {
-					if !almostEqual(float64(got.At(i, j)), float64(want.At(i, j)), 1e-4*hd) {
-						t.Fatalf("seq %d item %d score (%d,%d): got %g want %g", seq, bt, i, j, got.At(i, j), want.At(i, j))
-					}
+	for _, hd := range []int{7, 16} {
+		for _, seq := range []int{1, 2, 3, 5, 8, 13, 33} {
+			causalBatchMatchDense(t, rng, seq, hd)
+		}
+	}
+}
+
+func causalBatchMatchDense(t *testing.T, rng *rand.Rand, seq, hd int) {
+	const batch = 3
+	q := randMatrix(rng, batch*seq, hd)
+	k := randMatrix(rng, batch*seq, hd)
+	// Scores: causal kernel writes only j ≤ i.
+	s := NewMatrix(batch*seq, seq)
+	const sentinel = 0x7fc0beef // a quiet NaN no arithmetic produces
+	Fill(s.Data, math.Float32frombits(sentinel))
+	BatchMatMulTransBCausal(s, q, k, batch)
+	for bt := 0; bt < batch; bt++ {
+		want := naiveMatMul(itemView(q, batch, bt), transpose(itemView(k, batch, bt)))
+		got := itemView(s, batch, bt)
+		for i := 0; i < seq; i++ {
+			for j := 0; j <= i; j++ {
+				if !almostEqual(float64(got.At(i, j)), float64(want.At(i, j)), 1e-4*float64(hd)) {
+					t.Fatalf("hd %d seq %d item %d score (%d,%d): got %g want %g", hd, seq, bt, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+			for j := i + 1; j < seq; j++ {
+				if math.Float32bits(got.At(i, j)) != sentinel {
+					t.Fatalf("hd %d seq %d item %d score (%d,%d) above the diagonal: wrote %g", hd, seq, bt, i, j, got.At(i, j))
 				}
 			}
 		}
-		// Context: P·V with a lower-triangular P must match the dense product.
-		p := randMatrix(rng, batch*seq, seq)
-		for bt := 0; bt < batch; bt++ {
-			for i := 0; i < seq; i++ {
-				for j := i + 1; j < seq; j++ {
-					itemView(p, batch, bt).Set(i, j, 0)
-				}
+	}
+	// Context: P·V with a lower-triangular P must match the dense product.
+	p := randMatrix(rng, batch*seq, seq)
+	for bt := 0; bt < batch; bt++ {
+		for i := 0; i < seq; i++ {
+			for j := i + 1; j < seq; j++ {
+				itemView(p, batch, bt).Set(i, j, 0)
 			}
 		}
-		v := randMatrix(rng, batch*seq, hd)
-		ctx := randMatrix(rng, batch*seq, hd) // garbage must be overwritten
-		BatchMatMulCausal(ctx, p, v, batch)
-		for bt := 0; bt < batch; bt++ {
-			want := naiveMatMul(itemView(p, batch, bt), itemView(v, batch, bt))
-			got := itemView(ctx, batch, bt)
-			for i := range got.Data {
-				if !almostEqual(float64(got.Data[i]), float64(want.Data[i]), 1e-4*float64(seq)) {
-					t.Fatalf("seq %d item %d ctx[%d]: got %g want %g", seq, bt, i, got.Data[i], want.Data[i])
-				}
+	}
+	v := randMatrix(rng, batch*seq, hd)
+	ctx := randMatrix(rng, batch*seq, hd) // garbage must be overwritten
+	BatchMatMulCausal(ctx, p, v, batch)
+	for bt := 0; bt < batch; bt++ {
+		want := naiveMatMul(itemView(p, batch, bt), itemView(v, batch, bt))
+		got := itemView(ctx, batch, bt)
+		for i := range got.Data {
+			if !almostEqual(float64(got.Data[i]), float64(want.Data[i]), 1e-4*float64(seq)) {
+				t.Fatalf("hd %d seq %d item %d ctx[%d]: got %g want %g", hd, seq, bt, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
