@@ -174,6 +174,45 @@ func TestSampleCohortOverProvisionAndBias(t *testing.T) {
 	}
 }
 
+// TestSampleCohortUniformAtEqualHealth: with every member at full health
+// (never observed or evicted, as in the in-process simulator),
+// SampleCohort(rng, k, 0) is a uniform draw without replacement — k distinct
+// members in join order, each included at rate k/N. Over 20,000 seeded
+// draws the standard error of a rate near 3/8 is ≈0.0034, so the stated
+// tolerance of ±0.02 is ≈6 of them.
+func TestSampleCohortUniformAtEqualHealth(t *testing.T) {
+	r := New(Config{})
+	// Joined out of lexical order, so join order is not ID order.
+	ids := []string{"h", "c", "a", "f", "b", "g", "e", "d"}
+	for _, id := range ids {
+		r.Join(id)
+	}
+	const k, draws, tol = 3, 20000, 0.02
+	rng := rand.New(rand.NewSource(5))
+	counts := map[string]int{}
+	for d := 0; d < draws; d++ {
+		cohort := r.SampleCohort(rng, k, 0)
+		if len(cohort) != k {
+			t.Fatalf("draw %d: %d members, want %d", d, len(cohort), k)
+		}
+		for i, m := range cohort {
+			if m.ID != ids[m.Index] {
+				t.Fatalf("draw %d: member %s carries join index %d", d, m.ID, m.Index)
+			}
+			if i > 0 && m.Index <= cohort[i-1].Index {
+				t.Fatalf("draw %d: cohort %v is not k distinct members in join order", d, cohort)
+			}
+			counts[m.ID]++
+		}
+	}
+	want := float64(k) / float64(len(ids))
+	for _, id := range ids {
+		if rate := float64(counts[id]) / draws; rate < want-tol || rate > want+tol {
+			t.Errorf("member %s included at rate %.4f, want %.3f±%.2f", id, rate, want, tol)
+		}
+	}
+}
+
 func TestRoundDeltaWindows(t *testing.T) {
 	r := New(Config{})
 	r.Join("a")

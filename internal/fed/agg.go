@@ -1,8 +1,8 @@
 package fed
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"photon/internal/ckpt"
+	"photon/internal/cluster"
 	"photon/internal/data"
 	"photon/internal/link"
 	"photon/internal/metrics"
@@ -34,12 +35,11 @@ type RunConfig struct {
 	EvalEvery  int
 
 	// Codec names the wire codec every model broadcast and client update
-	// crosses, exactly as on the networked path: payloads are encoded,
-	// their encoded size is charged to the round's communication
-	// accounting, and training continues from the decoded (for lossy
-	// codecs, perturbed) values. Each client holds its own codec instance
-	// across rounds, so error-feedback codecs (topk) accumulate residuals
-	// per client. Empty means "dense", as on the networked path.
+	// crosses, as on the networked path: payloads are encoded, their size
+	// is charged to the round, and training continues from the decoded
+	// (for lossy codecs, perturbed) values. Each client's session keeps its
+	// own instance, so topk's error feedback accumulates per client. Empty
+	// means "dense".
 	Codec string
 
 	// Tiers selects the aggregation depth: 1 (or 0, the default) is the
@@ -54,9 +54,8 @@ type RunConfig struct {
 	// Relays is the number of relay groups when Tiers == 2 (≤ 0 defaults
 	// to 2).
 	Relays int
-	// UpstreamCodec names the relay→root tier's wire codec (per-relay
-	// instances, so error-feedback codecs accumulate residuals per relay).
-	// Empty inherits Codec.
+	// UpstreamCodec names the relay→root tier's wire codec, one instance
+	// per relay group's session. Empty inherits Codec.
 	UpstreamCodec string
 
 	// DropoutProb injects client failure: each sampled client independently
@@ -108,6 +107,13 @@ func (c *RunConfig) validate() error {
 	case c.Tiers == 2 && c.effectiveRelays() > c.ClientsPerRound:
 		return fmt.Errorf("fed: %d relays cannot each hold a member of a %d-client cohort", c.effectiveRelays(), c.ClientsPerRound)
 	}
+	seen := make(map[string]bool, len(c.Clients))
+	for _, cl := range c.Clients {
+		if seen[cl.ID] {
+			return fmt.Errorf("fed: duplicate client ID %q (the registry would hold both as one member)", cl.ID)
+		}
+		seen[cl.ID] = true
+	}
 	return nil
 }
 
@@ -129,30 +135,43 @@ type Result struct {
 	FinalModel *nn.Model
 }
 
-// simulator is the in-process driver over aggState. Its exchange stands in
-// for Serve's: the cohort trains in this process and every payload crosses
-// a codec round trip instead of a wire. Per tier it holds the shared
-// model-broadcast encoder and per-owner update codecs — each client index
-// and, when tiered, each relay keeps its own, so error-feedback residuals
-// (topk) accumulate per owner as on real client and relay processes — and a
-// tiered run's relay groups, which fold before the root does.
+// simulator is the in-process driver over aggState: Serve without frames.
+// The clients are Sessions, joined to a registry in order; when tiered,
+// each relay group holds a memberSession for the upstream codec, as a
+// relay's uplink does. Each keeps its codec state (topk's residual).
 type simulator struct {
 	*aggState
-	rc            RunConfig
-	tiers, relays int
+	rc             RunConfig
+	reg            *cluster.Registry // never observed or evicted: every health stays 1, so the draw is uniform
+	codec, upCodec link.Codec        // the tiers' aggregator side: broadcast encoder (ModelCodec) and reply decoder
+	clients        []Session
+	groups         []simGroup // when tiered
+	totals         wireTotals // payload volume over every tier
+}
 
-	modelCodec, upModelCodec link.Codec
-	clientCodec, relayCodec  func(int) (link.Codec, error)
-	groups                   []meanFold
-	wire                     roundWire // the open round's payload volume
+// simGroup is one relay group: its uplink session, the fold of its share of
+// the cohort, and the metrics of the clients folded into it this round.
+type simGroup struct {
+	up      memberSession
+	fold    meanFold
+	metrics []map[string]float64
+}
+
+// simMember is one member as a tier asks it: its session and its work step
+// (a client trains; a relay group asks its share of the cohort). A dropped
+// member has no work: it is sent the model and answers nothing.
+type simMember struct {
+	m    *memberSession
+	work roundWork
 }
 
 // Run executes Algorithm 1 in a single process. It is a driver over the
 // aggregation core and differs from Serve only in its exchange: each round
-// samples K distinct clients uniformly (line 4), trains them concurrently
-// (each in its own goroutine with its own model replica and data stream),
-// and folds the surviving updates in cohort order. A survivor whose update
-// is not finite is dropped like a dropout. The outer step, evaluation,
+// draws K distinct clients uniformly from its registry (line 4), asks them
+// in memory — each trains concurrently on its own replica and data stream
+// and answers through its member session — and folds the updates that pass
+// decodeUpdate (a refused one is dropped like a dropout) in join order,
+// through their relay group's mean when tiered. The outer step, evaluation,
 // history, OnRound and result are the sync driver's. It is deterministic
 // for a fixed config.
 //
@@ -172,27 +191,31 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 			ExpectClients: len(cfg.Clients), ClientsPerRound: cfg.ClientsPerRound,
 			Outer: cfg.Outer, Validation: cfg.Validation, EvalEvery: cfg.EvalEvery, OnRound: cfg.OnRound,
 		}),
-		rc: cfg, tiers: max(cfg.Tiers, 1), relays: cfg.effectiveRelays(),
+		rc: cfg, reg: cluster.New(cluster.Config{}), clients: make([]Session, len(cfg.Clients)),
 	}
 	if err := x.initModel(cfg.InitParams); err != nil {
 		return nil, err
 	}
-	if cfg.Codec == "" {
-		cfg.Codec = "dense"
-	}
+	cfg.Codec = cmp.Or(cfg.Codec, "dense")
 	var err error
-	if x.modelCodec, x.clientCodec, err = simCodecs(cfg.Codec, len(cfg.Clients)); err != nil {
+	if x.codec, err = link.NewCodec(cfg.Codec); err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
 	}
-	if x.tiers == 2 {
-		up := cfg.UpstreamCodec
-		if up == "" {
-			up = cfg.Codec
-		}
-		if x.upModelCodec, x.relayCodec, err = simCodecs(up, x.relays); err != nil {
+	for i, c := range cfg.Clients {
+		x.reg.Join(c.ID)
+		x.clients[i] = Session{Client: c, Spec: cfg.Spec}
+		x.clients[i].member().enc, _ = link.NewCodec(cfg.Codec) // resolved above
+	}
+	if cfg.Tiers == 2 {
+		up := cmp.Or(cfg.UpstreamCodec, cfg.Codec)
+		if x.upCodec, err = link.NewCodec(up); err != nil {
 			return nil, fmt.Errorf("fed: upstream codec: %w", err)
 		}
-		x.groups = make([]meanFold, x.relays)
+		x.groups = make([]simGroup, cfg.effectiveRelays())
+		for g := range x.groups {
+			enc, _ := link.NewCodec(up) // resolved above
+			x.groups[g].up = memberSession{id: fmt.Sprint(g), name: fmt.Sprint("relay ", g), want: len(x.global), enc: enc}
+		}
 	}
 	return x.run(ctx)
 }
@@ -239,179 +262,145 @@ func (x *simulator) run(ctx context.Context) (*Result, error) {
 }
 
 // exchange is the simulator's half of a round, the part Serve does over the
-// wire: draw the cohort and its dropouts, broadcast the model through the
-// codecs (root → relays under the upstream codec, relays → cohort under the
-// leaf codec), train the survivors in parallel, round-trip each update
-// through its owner's codec, and fold the finite ones into x.fold in cohort
-// order — through their relay group's mean when tiered. It stamps the
-// window's participants, depth and payload accounting and returns the
-// folded clients' metrics.
+// wire: draw the cohort and its dropouts and ask it — directly, or through
+// the relay groups, which ask their shares and reply with the means. It
+// stamps the window's accounting and returns the folded clients' metrics in
+// join order.
 func (x *simulator) exchange(ctx context.Context, w *window) ([]map[string]float64, error) {
 	cfg, rec := &x.rc, &w.rec
-	cohort := x.rng.Perm(len(cfg.Clients))[:x.k]
-	// Dropouts are drawn up front so parallel training stays deterministic.
-	dropped := make([]bool, len(cohort))
-	for i := range dropped {
-		dropped[i] = cfg.DropoutProb > 0 && x.rng.Float64() < cfg.DropoutProb
+	// Client i always belongs to relay group i·R/N, like a deployment where
+	// each relay serves a fixed slice of the fleet, so a relay's
+	// error-feedback residual stays with one client set.
+	asked := make([][]simMember, max(len(x.groups), 1))
+	for _, info := range x.reg.SampleCohort(x.rng, x.k, 0) {
+		s := &x.clients[info.Index]
+		sm := simMember{&s.m, s.train(nil)}
+		// Dropouts are drawn up front so parallel training stays deterministic.
+		if cfg.DropoutProb > 0 && x.rng.Float64() < cfg.DropoutProb {
+			sm.work = nil
+		}
+		g := info.Index * len(asked) / len(cfg.Clients)
+		asked[g] = append(asked[g], sm)
 	}
-
-	// Clients train from the decoded broadcast — for a lossy codec the same
-	// perturbed parameters a remote client would receive — and the encoded
-	// size is what the round pays for.
-	x.wire = roundWire{}
-	var downBytes, upBytes, parentDown, parentUp int64
-	var err error
-	trainGlobal := x.global
-	if x.tiers == 2 {
-		if trainGlobal, parentDown, err = x.roundTrip(w, x.upModelCodec, trainGlobal, x.relays); err != nil {
-			return nil, err
+	members, codec := asked[0], x.codec
+	if x.groups != nil {
+		members, codec = make([]simMember, len(x.groups)), x.upCodec
+		for g := range members {
+			members[g] = simMember{&x.groups[g].up, x.relayWork(w, g, asked[g])}
 		}
 	}
-	if trainGlobal, downBytes, err = x.roundTrip(w, x.modelCodec, trainGlobal, len(cohort)); err != nil {
+	base := x.totals.load()
+	answers, sent, encNs, err := x.broadcast(ctx, w, codec, x.global, members, &x.fold)
+	if err != nil {
 		return nil, err
 	}
 
-	results := make([]RoundResult, len(cohort))
-	errs := make([]error, len(cohort))
-	stepBase := (rec.Round - 1) * cfg.Spec.Steps
-	// The train phase is the parallel section's wall time: the cohort's
-	// critical path, not a per-client sum.
-	train := obsv.Begin(obsv.PhaseTrain)
-	var wg sync.WaitGroup
-	for i, ci := range cohort {
-		if dropped[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, c *Client) {
-			defer wg.Done()
-			results[i], errs[i] = c.RunRound(ctx, trainGlobal, stepBase, cfg.Spec)
-		}(i, cfg.Clients[ci])
-	}
-	wg.Wait()
-	w.pn.Add(obsv.PhaseTrain, train.End())
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	x.fold.reset(len(x.global))
-	for g := range x.groups {
-		x.groups[g].reset(len(x.global))
-	}
+	// The round pays headerless payload bytes; its send/receive sides are
+	// the root's own tier (the parent link when tiered). The critical path
+	// is the slowest folded answer's self-reported split, as on Serve.
 	var clientMetrics []map[string]float64
-	for i, ci := range cohort {
-		id := cfg.Clients[ci].ID
-		if dropped[i] || errors.Is(errs[i], context.Canceled) || errors.Is(errs[i], context.DeadlineExceeded) {
+	var slow answer
+	for g, a := range answers {
+		rec.WireRecvBytes += int64(a.payload.WireBytes())
+		if a.update == nil {
 			continue
 		}
-		if errs[i] != nil {
-			return nil, fmt.Errorf("client %s: %w", id, errs[i])
-		}
-		codec, err := x.clientCodec(ci)
-		if err != nil {
-			return nil, err
-		}
-		upd, n, err := x.roundTrip(w, codec, results[i].Update, 1)
-		if err != nil {
-			return nil, fmt.Errorf("client %s: %w", id, err)
-		}
-		upBytes += n
-		// A diverged client is dropped, as the networked tiers evict it.
-		if checkFinite(upd) != nil {
-			continue
-		}
-		clientMetrics = append(clientMetrics, results[i].Metrics)
-		fold := &x.fold
+		ms := []map[string]float64{a.meta} // a client's, or a relay group's clients'
 		if x.groups != nil {
-			// Static fleet partition: client index ci always belongs to
-			// relay ci·R/N, like a deployment where each relay serves a
-			// fixed slice of the fleet — so per-relay error-feedback
-			// residuals stay with the same client set across rounds
-			// regardless of cohort sampling order.
-			fold = &x.groups[ci*x.relays/len(cfg.Clients)]
+			ms = x.groups[g].metrics
 		}
-		span := obsv.Begin(obsv.PhaseAggregate)
-		fold.add(upd, 1)
-		w.pn.Add(obsv.PhaseAggregate, span.End())
+		clientMetrics = append(clientMetrics, ms...)
+		if a.meta[link.PhaseTrainNsKey] >= slow.meta[link.PhaseTrainNsKey] {
+			slow = a
+		}
 	}
-	survivors := len(clientMetrics)
-
-	// Each relay group's mean (crossing the upstream codec, per-relay error
-	// feedback included) folds into the root in group order.
-	for g := range x.groups {
-		if x.groups[g].n == 0 {
-			continue // an emptied cohort sends nothing upstream
-		}
-		codec, err := x.relayCodec(g)
-		if err != nil {
-			return nil, err
-		}
-		mean, n, err := x.roundTrip(w, codec, x.groups[g].mean(), 1)
-		if err != nil {
-			return nil, fmt.Errorf("relay %d: %w", g, err)
-		}
-		parentUp += n
-		x.fold.add(mean, 1)
-	}
-
-	// The round pays encoded payload bytes (headerless — the simulator has
-	// no frames). Flat runs split them into the aggregator's send/receive
-	// sides; tiered runs report the parent link's bytes there instead, which
-	// is what a relay deployment actually moves inter-region.
-	rec.Clients, rec.Depth = survivors, x.tiers
-	rec.CommBytes = x.wire.payloadBytes
-	rec.WireSentBytes, rec.WireRecvBytes = downBytes, upBytes
-	if x.tiers == 2 {
-		rec.WireSentBytes, rec.WireRecvBytes = parentDown, parentUp
-	}
+	wire := x.totals.load()
+	rec.Clients, rec.Depth, rec.WireSentBytes = len(clientMetrics), len(asked), sent
+	rec.CommBytes = wire.payloadBytes - base.payloadBytes
+	rec.CompressionRatio = float64(rec.CommBytes) / float64(wire.denseBytes-base.denseBytes)
+	w.pn.Add(obsv.PhaseEncode, encNs+int64(slow.meta[link.PhaseEncNsKey]))
+	w.pn.Add(obsv.PhaseTrain, int64(slow.meta[link.PhaseTrainNsKey]))
+	w.pn.Add(obsv.PhaseDecode, int64(slow.meta[link.PhaseDecNsKey])+slow.srvDecNs)
 	rec.EncodeMs = float64(w.pn[obsv.PhaseEncode]) / 1e6
 	rec.DecodeMs = float64(w.pn[obsv.PhaseDecode]) / 1e6
-	rec.CompressionRatio = float64(x.wire.payloadBytes) / float64(x.wire.denseBytes)
 	return clientMetrics, nil
 }
 
-// simCodecs builds one tier's simulated codec state for Run: the shared
-// model-broadcast encoder and an accessor over n per-owner update codec
-// instances, created on first use.
-func simCodecs(name string, n int) (link.Codec, func(int) (link.Codec, error), error) {
-	c, err := link.NewCodec(name)
-	if err != nil {
-		return nil, nil, err
+// broadcast is one tier of a simulated round: encode global through codec's
+// model codec once for every member, ask them concurrently, and fold the
+// updates that pass decodeUpdate into fold, in member order. It returns the
+// answers in member order, the bytes the broadcast sent and its encode time.
+func (x *simulator) broadcast(ctx context.Context, w *window, codec link.Codec, global []float32, members []simMember, fold *meanFold) (answers []answer, sent, encNs int64, err error) {
+	span := obsv.Begin(obsv.PhaseEncode)
+	model, err := link.EncodeVector(link.ModelCodec(codec), global)
+	if encNs = span.End(); err != nil {
+		return nil, 0, 0, err
 	}
-	owned := make([]link.Codec, n)
-	return link.ModelCodec(c), func(i int) (link.Codec, error) {
-		if owned[i] == nil {
-			var err error
-			if owned[i], err = link.NewCodec(name); err != nil {
-				return nil, err
-			}
+	sent = int64(len(members)) * int64(model.WireBytes())
+	x.totals.payloadBytes.Add(sent)
+	x.totals.denseBytes.Add(int64(len(members)) * int64(model.Elems) * 4)
+	msg := &link.Message{Type: link.MsgModel, Round: int32(w.rec.Round), Meta: map[string]float64{link.TraceKey: float64(w.rec.TraceID)}, Payload: model}
+	answers = make([]answer, len(members))
+	errs := make([]error, len(members))
+	var wg sync.WaitGroup
+	for i, sm := range members {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i], errs[i] = x.ask(ctx, sm, codec, msg)
+		}()
+	}
+	wg.Wait()
+	fold.reset(len(global))
+	for i, a := range answers {
+		if errs[i] != nil {
+			return nil, 0, 0, errs[i]
 		}
-		return owned[i], nil
-	}, nil
+		if a.update != nil {
+			fold.add(a.update, 1)
+		}
+	}
+	return answers, sent, encNs, nil
 }
 
-// roundTrip is the simulator's stand-in for one wire crossing: encode v
-// with codec, decode it back (for a lossy codec, the perturbed values the
-// receiver would train or fold from), and charge the codec time to w and
-// the payload — sent to `copies` receivers — to the round's volume. It
-// returns the decoded vector and the encoded bytes charged.
-func (x *simulator) roundTrip(w *window, codec link.Codec, v []float32, copies int) ([]float32, int64, error) {
-	span := obsv.Begin(obsv.PhaseEncode)
-	enc, err := link.EncodeVector(codec, v)
-	w.pn.Add(obsv.PhaseEncode, span.End())
-	if err != nil {
-		return nil, 0, err
+// ask is server.ask in memory: msg goes unserialized through the member
+// session's answer core, and the reply through decodeUpdate under codec.
+// a.update is nil when the member answered nothing or its update was
+// refused, which drops it as Serve drops one; err is the member's failure.
+func (x *simulator) ask(ctx context.Context, sm simMember, codec link.Codec, msg *link.Message) (a answer, err error) {
+	if sm.work == nil {
+		return a, nil // dropped
 	}
-	span = obsv.Begin(obsv.PhaseDecode)
-	out, err := link.DecodePayload(codec, enc)
-	if err != nil {
-		return nil, 0, err
+	r, st, err := sm.m.answer(ctx, msg, sm.work)
+	if err != nil || r == nil {
+		return a, err
 	}
-	w.pn.Add(obsv.PhaseDecode, span.End())
-	bytes := int64(copies) * int64(enc.WireBytes())
-	x.wire.payloadBytes += bytes
-	x.wire.denseBytes += int64(copies) * int64(enc.Elems) * 4
-	return out, bytes, nil
+	x.totals.payloadBytes.Add(int64(st.payload.WireBytes()))
+	x.totals.denseBytes.Add(int64(st.payload.Elems) * 4)
+	span := obsv.Begin(obsv.PhaseDecode)
+	a.update, _ = decodeUpdate(codec, st.payload, msg.Payload.Elems) // nil when refused
+	a.srvDecNs, a.payload, a.meta = span.End(), st.payload, r.meta
+	return a, nil
+}
+
+// relayWork is relay group g's work step, relay.serve's in memory: ask the
+// group's share of the cohort on the decoded broadcast and reply with their
+// mean, or nothing when none was folded.
+func (x *simulator) relayWork(w *window, g int, members []simMember) roundWork {
+	grp := &x.groups[g]
+	return func(ctx context.Context, t roundTask) (*roundReply, error) {
+		answers, _, _, err := x.broadcast(ctx, w, x.codec, t.global, members, &grp.fold)
+		grp.metrics = grp.metrics[:0]
+		for _, a := range answers {
+			if a.update != nil {
+				grp.metrics = append(grp.metrics, a.meta)
+			}
+		}
+		if err != nil || grp.fold.n == 0 {
+			return nil, err
+		}
+		return &roundReply{update: grp.fold.mean(), meta: map[string]float64{link.CohortKey: float64(grp.fold.n)}}, nil
+	}
 }
 
 func norm2(x []float32) float64 {

@@ -7,7 +7,7 @@ package fed
 //     answer each model broadcast with one update, redeliver from the reply
 //     cache. A leaf's work step trains; a relay's collects its cohort.
 //   - ask (server.go): the aggregator's exchange with one member — send the
-//     model, await the matching update, decode and validate it.
+//     model, await the matching update, decode and validate it (decodeUpdate).
 //   - collect: the preamble of a deadline-bounded window — wait for the
 //     membership floor, pick the cohort.
 //   - fold (outeropt.go): every update is added to one meanFold as it
@@ -26,9 +26,9 @@ package fed
 //   - relay (relay.go): a window is one parent round; updates fold at
 //     weight 1 and their mean goes upstream, for the root to step.
 //   - simulator (agg.go): the sync driver without a server or a journal.
-//     Its exchange trains the cohort in process and round-trips payloads
-//     through the codecs instead of asking members over the wire; step,
-//     seal and finish are the sync driver's.
+//     It draws from its own registry and asks member sessions in memory —
+//     their answer core, then decodeUpdate — instead of over the wire;
+//     step, seal and finish are the sync driver's.
 
 import (
 	"context"

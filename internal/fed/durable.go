@@ -227,7 +227,7 @@ func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 // is deterministic, so a redone window skips what the live run skipped.
 func (a *aggState) refold(updates []pendingUpdate, fold func(u pendingUpdate, vec []float32)) {
 	for _, u := range updates {
-		vec, err := a.s.decodeUpdate(u.payload, len(a.global))
+		vec, err := decodeUpdate(a.s.codec, u.payload, len(a.global))
 		if err != nil {
 			log.Printf("fed: journaled update from %s skipped: %v", u.member, err)
 			continue

@@ -36,7 +36,7 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 				if payloads[i], err = link.EncodeVector(enc, v); err != nil {
 					t.Fatal(err)
 				}
-				if decoded[i], err = s.decodeUpdate(payloads[i], elems); err != nil {
+				if decoded[i], err = decodeUpdate(s.codec, payloads[i], elems); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -80,7 +80,7 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 				if u.member != members[i] {
 					t.Fatalf("arrival order %+v, want %v", res.pending, members)
 				}
-				vec, err := s.decodeUpdate(u.payload, elems)
+				vec, err := decodeUpdate(s.codec, u.payload, elems)
 				if err != nil {
 					t.Fatalf("%s: %v", u.member, err)
 				}
@@ -104,7 +104,7 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 				if pf.member != members[i] || pf.round != i+1 || pf.trained != i {
 					t.Fatalf("fold %d replayed as %+v", i, pf)
 				}
-				vec, err := s.decodeUpdate(pf.payload, elems)
+				vec, err := decodeUpdate(s.codec, pf.payload, elems)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,13 +150,13 @@ func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
 		t.Fatalf("unframed record replayed: pending %+v", res.pending)
 	}
 	s := &server{codec: topk}
-	if _, err := s.decodeUpdate(updates["b"], good.Elems); err == nil {
+	if _, err := decodeUpdate(s.codec, updates["b"], good.Elems); err == nil {
 		t.Fatal("torn topk payload decoded")
 	}
-	if _, err := s.decodeUpdate(updates["c"], good.Elems+1); err == nil {
+	if _, err := decodeUpdate(s.codec, updates["c"], good.Elems+1); err == nil {
 		t.Fatal("payload for a different model size decoded")
 	}
-	if _, err := s.decodeUpdate(updates["c"], good.Elems); err != nil {
+	if _, err := decodeUpdate(s.codec, updates["c"], good.Elems); err != nil {
 		t.Fatal(err)
 	}
 	if res := replayWAL(rv, ckpt.RecBufferFold); len(res.pending) != 0 {

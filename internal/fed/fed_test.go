@@ -344,6 +344,7 @@ func TestRunValidatesConfig(t *testing.T) {
 		func(c *RunConfig) { c.ClientsPerRound = 0 },
 		func(c *RunConfig) { c.Outer = nil },
 		func(c *RunConfig) { c.Spec.Steps = 0 },
+		func(c *RunConfig) { c.Clients[1].ID = c.Clients[0].ID },
 	} {
 		cfg := baseRun(t, mutate)
 		if _, err := Run(context.Background(), cfg); err == nil {

@@ -63,50 +63,110 @@ func simFoldRun(mutate func(*testing.T, *RunConfig)) func(*testing.T) *Result {
 }
 
 // netFoldRun is a three-round, two-member networked sync FedMom run over
-// loopback. With two members the fold is a two-term sum, which is
-// order-free, so arrival order cannot move a bit; only the wire-byte fields
-// depend on timing, and they are zeroed.
-func netFoldRun(t *testing.T) *Result {
-	testutil.VerifyNoLeaks(t)
-	cfg := tinyCfg()
-	l, err := link.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// loopback under codec. With two members the fold is a two-term sum, which
+// is order-free, so arrival order cannot move a bit; only the wire-byte
+// fields depend on timing, and they are zeroed.
+func netFoldRun(codec string) func(*testing.T) *Result {
+	return func(t *testing.T) *Result {
+		testutil.VerifyNoLeaks(t)
+		cfg := tinyCfg()
+		l, err := link.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		done := make(chan struct{}, 2)
+		for _, c := range makeClients(t, cfg, 2) {
+			go func(c *Client) {
+				defer func() { done <- struct{}{} }()
+				conn, err := link.Dial(l.Addr())
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				_ = ServeClient(ctx, conn, c, tinySpec())
+			}(c)
+		}
+		res, err := Serve(ctx, l, ServerConfig{
+			ModelConfig:   cfg,
+			Seed:          11,
+			Rounds:        3,
+			ExpectClients: 2,
+			Outer:         NewFedMom(1, 0.9),
+			Validation:    data.NewValidationSet(data.C4Like(cfg.VocabSize), 8, 16, 999),
+			EvalEvery:     1,
+			Codec:         codec,
+		})
+		<-done
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		return zeroWire(res)
 	}
-	defer l.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	done := make(chan struct{}, 2)
-	for _, c := range makeClients(t, cfg, 2) {
-		go func(c *Client) {
-			defer func() { done <- struct{}{} }()
-			conn, err := link.Dial(l.Addr())
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			_ = ServeClient(ctx, conn, c, tinySpec())
-		}(c)
+}
+
+// simNetFoldRun is netFoldRun's run in the simulator: the same two members,
+// seed, outer optimizer, rounds and codec, at full participation.
+func simNetFoldRun(codec string) func(*testing.T) *Result {
+	return func(t *testing.T) *Result {
+		cfg := tinyCfg()
+		res, err := Run(context.Background(), RunConfig{
+			ModelConfig:     cfg,
+			Seed:            11,
+			Rounds:          3,
+			ClientsPerRound: 2,
+			Clients:         makeClients(t, cfg, 2),
+			Outer:           NewFedMom(1, 0.9),
+			Spec:            tinySpec(),
+			Validation:      data.NewValidationSet(data.C4Like(cfg.VocabSize), 8, 16, 999),
+			EvalEvery:       1,
+			Codec:           codec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return zeroWire(res)
 	}
-	res, err := Serve(ctx, l, ServerConfig{
-		ModelConfig:   cfg,
-		Seed:          11,
-		Rounds:        3,
-		ExpectClients: 2,
-		Outer:         NewFedMom(1, 0.9),
-		Validation:    data.NewValidationSet(data.C4Like(cfg.VocabSize), 8, 16, 999),
-		EvalEvery:     1,
-	})
-	<-done
-	<-done
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// zeroWire zeroes the byte fields of res's rounds, which a networked run
+// measures on the wire (frame headers and heartbeats included) and the
+// simulator charges as payload bytes.
+func zeroWire(res *Result) *Result {
 	for i := range res.History.Rounds {
 		r := &res.History.Rounds[i]
 		r.CommBytes, r.WireSentBytes, r.WireRecvBytes = 0, 0, 0
 	}
 	return res
+}
+
+// TestRunMatchesServe: fed.Run and fed.Serve are one program. Two members at
+// full participation, seed 11, FedMom(1, 0.9), three rounds evaluated every
+// round: the simulator and the networked aggregator reach the same digest
+// under every built-in codec, error-feedback topk included. The digests
+// hold only where the tensor kernels are row-invariant.
+func TestRunMatchesServe(t *testing.T) {
+	if !testutil.RowInvariantKernels() {
+		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
+	}
+	for _, tc := range []struct{ codec, want string }{
+		{"dense", "3b331116d2a525a4"},
+		{"flate", "3b331116d2a525a4"}, // lossless: the dense run's bits
+		{"q8", "03f8e2f27d7576ed"},
+		{"topk:0.1", "9fb2f0b93583361e"},
+	} {
+		t.Run(tc.codec, func(t *testing.T) {
+			if got := foldDigest(simNetFoldRun(tc.codec)(t)); got != tc.want {
+				t.Errorf("Run: digest %s, want %s", got, tc.want)
+			}
+			if got := foldDigest(netFoldRun(tc.codec)(t)); got != tc.want {
+				t.Errorf("Serve: digest %s, want %s", got, tc.want)
+			}
+		})
+	}
 }
 
 // TestFoldBitExact pins seven runs that cover every sync-weight fold site —
@@ -125,10 +185,10 @@ func TestFoldBitExact(t *testing.T) {
 		name, want string
 		run        func(*testing.T) *Result
 	}{
-		{"flat-dense-k3", "b67335ef779c139f", simFoldRun(func(_ *testing.T, c *RunConfig) {
+		{"flat-dense-k3", "dd8f99018f66dcf9", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.ClientsPerRound, c.Codec = 3, "dense"
 		})},
-		{"flat-q8-dropout-fedmom", "648670abc0d19c9d", simFoldRun(func(_ *testing.T, c *RunConfig) {
+		{"flat-q8-dropout-fedmom", "979ce06b270256a3", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.Codec, c.DropoutProb, c.Outer = "q8", 0.25, NewFedMom(1, 0.9)
 		})},
 		// Only its byte accounting moved when top-k updates took the sparse
@@ -138,22 +198,16 @@ func TestFoldBitExact(t *testing.T) {
 			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "topk:0.1", "flate"
 			c.Outer = NewDiLoCo(0.1, 0.9)
 		})},
-		// Only its byte split moved when codec-less runs began crossing the
-		// dense codec: WireSentBytes/WireRecvBytes went from 0 to the
-		// broadcast and the updates. With those two fields zeroed its digest
-		// is a35a36d470eeb2b1 either way, and CommBytes stays 646,656 a round.
-		{"subfed-silo", "95bce19f0b1fa691", simFoldRun(func(t *testing.T, c *RunConfig) {
+		{"subfed-silo", "babe24fac846d709", simFoldRun(func(t *testing.T, c *RunConfig) {
 			nodes := makeClients(t, tinyCfg(), 4)
 			c.Clients = []*Client{{ID: "silo", SubNodes: nodes[:2]}, nodes[2], nodes[3]}
 			c.ClientsPerRound = 3
 		})},
-		{"networked-sync-fedmom", "3b331116d2a525a4", netFoldRun},
+		{"networked-sync-fedmom", "3b331116d2a525a4", netFoldRun("")},
 		// Resumed from an earlier run's params at round 3: rounds 4–7 with
 		// EvalEvery 2, so round 7 is evaluated only because it is the last,
-		// and a StopAtPPL target the run never reaches. Its byte split moved
-		// like subfed-silo's; zeroed, its digest is 9532d0bce7745f7c either
-		// way.
-		{"resumed-eval-last-stop", "413168379bacc04c", simFoldRun(func(t *testing.T, c *RunConfig) {
+		// and a StopAtPPL target the run never reaches.
+		{"resumed-eval-last-stop", "d1f21f50d28272cc", simFoldRun(func(t *testing.T, c *RunConfig) {
 			prev, err := Run(context.Background(), baseRun(t, func(p *RunConfig) { p.Rounds = 3 }))
 			if err != nil {
 				t.Fatal(err)
@@ -163,7 +217,7 @@ func TestFoldBitExact(t *testing.T) {
 		})},
 		// An upstream codec only: the leaf tier crosses the dense codec at
 		// 4 bytes an element.
-		{"tiered-upstream-q8-only", "988f4c7d8fdbc666", simFoldRun(func(_ *testing.T, c *RunConfig) {
+		{"tiered-upstream-q8-only", "46b8070839230323", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "", "q8"
 		})},
 	} {

@@ -59,7 +59,7 @@ func replayLive(t *testing.T, cfg ServerConfig, commits int, after func(v int, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		vec, err := st.s.decodeUpdate(p, len(st.global))
+		vec, err := decodeUpdate(st.s.codec, p, len(st.global))
 		if err != nil {
 			t.Fatal(err)
 		}

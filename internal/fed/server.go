@@ -622,7 +622,7 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 				continue // late reply to an earlier task
 			}
 			decSpan := obsv.Begin(obsv.PhaseDecode)
-			vec, derr := s.decodeUpdate(msg.Payload, model.Elems)
+			vec, derr := decodeUpdate(s.codec, msg.Payload, model.Elems)
 			a.srvDecNs = decSpan.End()
 			s.totals.decNs.Add(a.srvDecNs)
 			if derr != nil {
@@ -797,15 +797,16 @@ gather:
 }
 
 // decodeUpdate is the single door every update passes on its way to a
-// fold — live sync and async arrivals and both WAL replays. The declared
-// element count must match the model before any codec allocates for it, so
-// a mis-sized update can neither OOM the aggregator nor poison the fold,
-// and the decoded values must pass checkFinite.
-func (s *server) decodeUpdate(p link.EncodedPayload, elems int) ([]float32, error) {
+// fold under the aggregator's session codec — live sync and async arrivals,
+// both WAL replays, and fed.Run's in-memory replies. The declared element
+// count must match the model before any codec allocates for it, so a
+// mis-sized update can neither OOM the aggregator nor poison the fold, and
+// the decoded values must pass checkFinite.
+func decodeUpdate(codec link.Codec, p link.EncodedPayload, elems int) ([]float32, error) {
 	if p.Elems != elems {
 		return nil, fmt.Errorf("fed: update has %d elements, model has %d", p.Elems, elems)
 	}
-	vec, err := link.DecodePayload(s.codec, p)
+	vec, err := link.DecodePayload(codec, p)
 	if err != nil {
 		return nil, err
 	}
@@ -819,8 +820,7 @@ func (s *server) decodeUpdate(p link.EncodedPayload, elems int) ([]float32, erro
 }
 
 // checkFinite rejects an update holding a NaN or ±Inf, which would spread to
-// every parameter it touches. Every fold input passes it: decodeUpdate on the
-// networked tiers, fed.Run on each survivor.
+// every parameter it touches. Every fold input passes it, in decodeUpdate.
 func checkFinite(vec []float32) error {
 	for i, v := range vec {
 		if math.Float32bits(v)&0x7f800000 == 0x7f800000 { // exponent all ones: NaN or ±Inf

@@ -269,9 +269,8 @@ func (m *memberSession) serveConn(ctx context.Context, conn *link.Conn, work rou
 }
 
 // serveRound answers one model broadcast: from the reply cache when it is a
-// redelivery, otherwise decode → work → encode → stamp → cache → send.
+// redelivery, otherwise answer → cache → send.
 func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *link.Message, work roundWork, prev *link.ConnStats) error {
-	traceID := uint64(msg.Meta[link.TraceKey])
 	if msg.Meta[link.ResumeKey] != 0 && m.cacheOK && msg.Round == m.cacheRound {
 		// No decode, no work, no stream advance; re-encoding would
 		// double-apply an error-feedback codec's residual.
@@ -279,16 +278,39 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 		for k, v := range m.cacheSticky {
 			meta[k] = v
 		}
-		if traceID != 0 {
+		if traceID := uint64(msg.Meta[link.TraceKey]); traceID != 0 {
 			meta[link.TraceKey] = float64(traceID)
 		}
 		meta[link.HeldKey] = float64(m.heldRound)
 		return m.reply(ctx, conn, msg.Round, meta, m.cacheReply)
 	}
+	r, st, err := m.answer(ctx, msg, work)
+	if err != nil || r == nil {
+		return err
+	}
+	// Cache before sending: the work is done, so the data streams and the
+	// error-feedback state have advanced. If the aggregator crashes
+	// mid-send and this reply never lands, the resumed broadcast must hit
+	// the cache — redoing the work would advance them a second time.
+	m.cacheOK, m.cacheRound = true, msg.Round
+	m.cacheReply, m.cacheSticky = st.payload, r.sticky
+	if err := m.reply(ctx, conn, msg.Round, r.meta, st.payload); err != nil {
+		return err
+	}
+	cur := conn.Stats()
+	st.wireSent, st.wireRecv = cur.SentBytes-prev.SentBytes, cur.RecvBytes-prev.RecvBytes
+	*prev = cur
+	return r.sent(st)
+}
+
+// answer is a round without the connection: size-check and decode msg, run
+// work, encode and stamp the reply. A nil reply with a nil error answers
+// nothing; st's wire bytes are left to serveRound. fed.Run calls it in memory.
+func (m *memberSession) answer(ctx context.Context, msg *link.Message, work roundWork) (r *roundReply, st sentReply, err error) {
 	// Size-check before decoding so a corrupt or hostile element count can
 	// never drive a model-sized allocation past the real parameter count.
 	if m.want > 0 && msg.Payload.Elems != m.want {
-		return fmt.Errorf("fed: %s round %d: model payload carries %d elems, want %d",
+		return nil, st, fmt.Errorf("fed: %s round %d: model payload carries %d elems, want %d",
 			m.name, msg.Round, msg.Payload.Elems, m.want)
 	}
 	t := roundTask{msg: msg, start: time.Now()}
@@ -296,59 +318,41 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	global, err := m.decodeModel(msg)
 	t.decNs = decSpan.End()
 	if err != nil {
-		return fmt.Errorf("fed: %s round %d model: %w", m.name, msg.Round, err)
+		return nil, st, fmt.Errorf("fed: %s round %d model: %w", m.name, msg.Round, err)
 	}
 	t.global = global
 
 	workStart := time.Now()
-	r, err := work(ctx, t)
-	workNs := time.Since(workStart).Nanoseconds()
+	r, err = work(ctx, t)
+	st.workNs = time.Since(workStart).Nanoseconds()
 	if err != nil {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, st, ctx.Err()
 		}
-		return fmt.Errorf("fed: %s round %d: %w", m.name, msg.Round, err)
+		return nil, st, fmt.Errorf("fed: %s round %d: %w", m.name, msg.Round, err)
 	}
 	if r == nil {
-		return nil
+		return nil, st, nil
 	}
 	encSpan := obsv.Begin(obsv.PhaseEncode)
-	encUpd, err := link.EncodeVector(m.enc, r.update)
-	encNs := encSpan.End()
+	st.payload, err = link.EncodeVector(m.enc, r.update)
+	st.encNs = encSpan.End()
 	if err != nil {
-		return fmt.Errorf("fed: %s round %d update: %w", m.name, msg.Round, err)
+		return nil, st, fmt.Errorf("fed: %s round %d update: %w", m.name, msg.Round, err)
 	}
 	// Phase self-reports let the aggregator split this member's round
 	// latency into work vs codec vs wire (for a relay the work is its whole
 	// cohort exchange, and these overwrite the cohort means AggMetrics left
 	// in meta); the trace echo attributes the reply to the root round that
 	// caused it.
-	r.meta[link.PhaseTrainNsKey] = float64(workNs)
-	r.meta[link.PhaseEncNsKey] = float64(encNs)
+	r.meta[link.PhaseTrainNsKey] = float64(st.workNs)
+	r.meta[link.PhaseEncNsKey] = float64(st.encNs)
 	r.meta[link.PhaseDecNsKey] = float64(t.decNs)
 	r.meta[link.HeldKey] = float64(m.heldRound)
-	if traceID != 0 {
+	if traceID := uint64(msg.Meta[link.TraceKey]); traceID != 0 {
 		r.meta[link.TraceKey] = float64(traceID)
 	}
-	// Cache before sending: the work is done, so the data streams and the
-	// error-feedback state have advanced. If the aggregator crashes
-	// mid-send and this reply never lands, the resumed broadcast must hit
-	// the cache — redoing the work would advance them a second time.
-	m.cacheOK, m.cacheRound = true, msg.Round
-	m.cacheReply, m.cacheSticky = encUpd, r.sticky
-	if err := m.reply(ctx, conn, msg.Round, r.meta, encUpd); err != nil {
-		return err
-	}
-	cur := conn.Stats()
-	st := sentReply{
-		payload:  encUpd,
-		workNs:   workNs,
-		encNs:    encNs,
-		wireSent: cur.SentBytes - prev.SentBytes,
-		wireRecv: cur.RecvBytes - prev.RecvBytes,
-	}
-	*prev = cur
-	return r.sent(st)
+	return r, st, nil
 }
 
 // decodeModel decodes a broadcast, a delta one against the held model, and
@@ -416,9 +420,14 @@ func (s *Session) ServeConn(ctx context.Context, conn *link.Conn, onRound ...fun
 	if err := s.Spec.Validate(); err != nil {
 		return err
 	}
+	return s.member().serveConn(ctx, conn, s.train(onRound))
+}
+
+// member returns the session's member side, bound to its client.
+func (s *Session) member() *memberSession {
 	s.m.id, s.m.name = s.Client.ID, "client "+s.Client.ID
 	s.m.require, s.m.want = s.Codec, s.Client.NumParams()
-	return s.m.serveConn(ctx, conn, s.train(onRound))
+	return &s.m
 }
 
 // train is the leaf's work step: run the local training pipeline on the
