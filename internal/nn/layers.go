@@ -100,8 +100,13 @@ func (ln *LayerNorm) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 func (ln *LayerNorm) forward(ws *Workspace, x, xhat *tensor.Matrix, rstd []float32) *tensor.Matrix {
 	y := ws.Take(x.Rows, x.Cols)
 	d := float64(x.Cols)
+	// Read through ln inside the loops, the parameter slices would be
+	// reloaded and bounds-checked on every element (the loops' stores might
+	// alias them), so they are taken once, cut to the row length.
+	n := x.Cols
+	gain, bias := ln.G.Data[:n], ln.B.Data[:n]
 	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
+		row := x.Row(i)[:n]
 		var mean float64
 		for _, v := range row {
 			mean += float64(v)
@@ -122,10 +127,11 @@ func (ln *LayerNorm) forward(ws *Workspace, x, xhat *tensor.Matrix, rstd []float
 			rstd[i] = r
 			xh = xhat.Row(i)
 		}
+		xh, yr = xh[:n], yr[:n]
 		for j, v := range row {
 			h := (v - float32(mean)) * r
 			xh[j] = h
-			yr[j] = ln.G.Data[j]*h + ln.B.Data[j]
+			yr[j] = gain[j]*h + bias[j]
 		}
 	}
 	return y
@@ -137,26 +143,27 @@ func (ln *LayerNorm) forward(ws *Workspace, x, xhat *tensor.Matrix, rstd []float
 func (ln *LayerNorm) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 	dx := ws.Take(dy.Rows, dy.Cols)
 	d := float32(dy.Cols)
+	n := dy.Cols // parameter slices taken once, as in forward
+	gain, dgain, dbias := ln.G.Data[:n], ln.G.Grad[:n], ln.B.Grad[:n]
 	for i := 0; i < dy.Rows; i++ {
-		dyr := dy.Row(i)
-		xh := ln.xhat.Row(i)
+		dyr := dy.Row(i)[:n]
+		xh, dxr := ln.xhat.Row(i)[:n], dx.Row(i)[:n]
 		// Parameter gradients.
 		for j, g := range dyr {
-			ln.G.Grad[j] += g * xh[j]
-			ln.B.Grad[j] += g
+			dgain[j] += g * xh[j]
+			dbias[j] += g
 		}
 		// Input gradient: dx = rstd*(dxhat - mean(dxhat) - xhat*mean(dxhat⊙xhat)).
 		var sum1, sum2 float32
 		for j, g := range dyr {
-			dxh := g * ln.G.Data[j]
+			dxh := g * gain[j]
 			sum1 += dxh
 			sum2 += dxh * xh[j]
 		}
 		m1, m2 := sum1/d, sum2/d
-		dxr := dx.Row(i)
 		rstd := ln.rstd[i]
 		for j, g := range dyr {
-			dxh := g * ln.G.Data[j]
+			dxh := g * gain[j]
 			dxr[j] = rstd * (dxh - m1 - xh[j]*m2)
 		}
 	}
@@ -164,17 +171,21 @@ func (ln *LayerNorm) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 }
 
 // GELU applies the tanh-approximated Gaussian error linear unit into a
-// workspace matrix and caches the input for backward.
+// workspace matrix. The training forward also writes the derivative
+// GELU′(x), from the same tanh, for backward.
 type GELU struct {
-	x *tensor.Matrix
+	x  *tensor.Matrix // the input, for tests that look at the pre-activations
+	dg *tensor.Matrix // GELU′(x), which Backward turns into dX in place
 }
 
-// Forward applies GELU element-wise.
+// Forward applies GELU element-wise and caches its derivative.
 //
 //photon:hotpath
 func (g *GELU) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
-	g.x = x
-	return gelu(ws, x)
+	y := ws.Take(x.Rows, x.Cols)
+	g.x, g.dg = x, ws.Take(x.Rows, x.Cols)
+	tensor.GELUWithGrad(y.Data, g.dg.Data, x.Data)
+	return y
 }
 
 // gelu is GELU.Forward without the backward cache.
@@ -186,13 +197,13 @@ func gelu(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	return y
 }
 
-// Backward returns dX given dY.
+// Backward returns dX = dY·GELU′(X), computed in the derivative the forward
+// cached: one forward serves one backward.
 //
 //photon:hotpath
-func (g *GELU) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
-	dx := ws.Take(dy.Rows, dy.Cols)
-	tensor.GELUGrad(dx.Data, g.x.Data, dy.Data)
-	return dx
+func (g *GELU) Backward(dy *tensor.Matrix) *tensor.Matrix {
+	tensor.Mul(g.dg.Data, dy.Data)
+	return g.dg
 }
 
 // Embedding maps token ids to dense vectors. The same table is used as the

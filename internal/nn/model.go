@@ -63,7 +63,7 @@ func (b *Block) Forward(ws *Workspace, x *tensor.Matrix, batch, seq int) *tensor
 //photon:hotpath
 func (b *Block) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 	// Residual 2: gradient flows both into the MLP branch and straight through.
-	dh := b.LN2.Backward(ws, b.FC1.Backward(ws, b.Act.Backward(ws, b.FC2.Backward(ws, dy))))
+	dh := b.LN2.Backward(ws, b.FC1.Backward(ws, b.Act.Backward(b.FC2.Backward(ws, dy))))
 	tensor.Add(dh.Data, dy.Data)
 	// Residual 1.
 	dx := b.LN1.Backward(ws, b.Attn.Backward(ws, dh))

@@ -330,19 +330,28 @@ func TestGradAccumulationProperty(t *testing.T) {
 	}
 }
 
+// TestGELUGradNumerical holds GELU.Backward's dX (dY times the derivative
+// Forward caches) to a central difference of GELU.Forward, over one row long
+// enough to reach both the four-lane body and the scalar tail.
 func TestGELUGradNumerical(t *testing.T) {
-	gelu := func(x float32) float64 {
-		y := []float32{0}
-		tensor.GELU(y, []float32{x})
-		return float64(y[0])
+	xs := []float32{-3, -1, -0.1, 0, 0.1, 1, 3, -0.7, 0.7, 2}
+	dys := []float32{1, 0.5, -2, 1, 1, -1, 0.25, 3, 1, -0.5}
+	const eps = 1e-3
+	var g GELU
+	ws := NewWorkspace()
+	shifted := func(d float32) []float32 {
+		x := tensor.NewMatrix(1, len(xs))
+		for i, v := range xs {
+			x.Data[i] = v + d
+		}
+		return g.Forward(ws, x).Data
 	}
-	for _, x := range []float32{-3, -1, -0.1, 0, 0.1, 1, 3} {
-		const eps = 1e-3
-		num := (gelu(x+eps) - gelu(x-eps)) / (2 * eps)
-		dx := []float32{0}
-		tensor.GELUGrad(dx, []float32{x}, []float32{1})
-		ana := float64(dx[0])
-		if math.Abs(num-ana) > 1e-3 {
+	up, down := shifted(eps), shifted(-eps)
+	shifted(0)
+	dx := g.Backward(tensor.FromSlice(1, len(dys), dys))
+	for i, x := range xs {
+		num := float64(dys[i]) * (float64(up[i]) - float64(down[i])) / (2 * eps)
+		if ana := float64(dx.Data[i]); math.Abs(num-ana) > 1e-3*math.Max(1, math.Abs(float64(dys[i]))) {
 			t.Fatalf("GELU grad at %v: numeric %v analytic %v", x, num, ana)
 		}
 	}

@@ -64,7 +64,8 @@ func zeroState(bufs [][]float32) {
 // weight decay, and parameter update happen in one float32 sweep (the
 // per-element float64 round trips of the original implementation cost more
 // than the precision is worth), parallelized across the tensor worker pool
-// for large tensors.
+// for large tensors. Each band is tensor.AdamW, eight lanes at a time where
+// the tensor kernels have an AVX2 body, with the Go loop's bits.
 type AdamW struct {
 	Beta1, Beta2 float64
 	Eps          float64 // 0 → 1e-8
@@ -74,10 +75,10 @@ type AdamW struct {
 	m, v [][]float32
 
 	// Per-band state for the persistent parallel closure (one parameter at a
-	// time): scalar factors plus the current parameter/state slices.
+	// time): the step's float32 factors plus the current parameter/state
+	// slices.
 	curData, curGrad, curM, curV []float32
-	b1, ob1, b2, ob2             float32
-	invC1, invC2, lrF, wdF, epsF float32
+	f                            tensor.AdamWFactors
 	fn                           func(lo, hi int)
 }
 
@@ -106,18 +107,7 @@ func (a *AdamW) Reset() {
 //
 //photon:hotpath
 func (a *AdamW) band(lo, hi int) {
-	data, grad, mBuf, vBuf := a.curData, a.curGrad, a.curM, a.curV
-	b1, ob1, b2, ob2 := a.b1, a.ob1, a.b2, a.ob2
-	invC1, invC2, lr, wd, eps := a.invC1, a.invC2, a.lrF, a.wdF, a.epsF
-	for j := lo; j < hi; j++ {
-		g := grad[j]
-		mj := b1*mBuf[j] + ob1*g
-		vj := b2*vBuf[j] + ob2*g*g
-		mBuf[j], vBuf[j] = mj, vj
-		mhat := mj * invC1
-		vhat := vj * invC2
-		data[j] -= lr*mhat/(float32(math.Sqrt(float64(vhat)))+eps) + wd*data[j]
-	}
+	tensor.AdamW(a.curData[lo:hi], a.curGrad[lo:hi], a.curM[lo:hi], a.curV[lo:hi], &a.f)
 }
 
 // Step applies one fused AdamW update.
@@ -133,13 +123,15 @@ func (a *AdamW) Step(params nn.ParamSet, lr float64) {
 		eps = 1e-8
 	}
 	b1, b2 := a.Beta1, a.Beta2
-	a.b1, a.ob1 = float32(b1), float32(1-b1)
-	a.b2, a.ob2 = float32(b2), float32(1-b2)
-	a.invC1 = float32(1 / (1 - math.Pow(b1, float64(a.step))))
-	a.invC2 = float32(1 / (1 - math.Pow(b2, float64(a.step))))
-	a.lrF = float32(lr)
-	a.wdF = float32(lr * a.WeightDecay)
-	a.epsF = float32(eps)
+	a.f = tensor.AdamWFactors{
+		B1: float32(b1), OB1: float32(1 - b1),
+		B2: float32(b2), OB2: float32(1 - b2),
+		InvC1: float32(1 / (1 - math.Pow(b1, float64(a.step)))),
+		InvC2: float32(1 / (1 - math.Pow(b2, float64(a.step)))),
+		LR:    float32(lr),
+		WD:    float32(lr * a.WeightDecay),
+		Eps:   float32(eps),
+	}
 	for i, p := range params {
 		a.curData, a.curGrad, a.curM, a.curV = p.Data, p.Grad, a.m[i], a.v[i]
 		// ~16 flop-equivalents per element (the sqrt dominates).

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -140,9 +141,10 @@ func reportElements(b *testing.B, perOp int) {
 }
 
 // BenchmarkExp measures the transcendental bodies at train-step shapes: the
-// cross-entropy row (exp and its float64 sum over a 256-entry vocabulary) and
-// GELU forward and backward over one d=64, T=128, B=2 MLP activation (tanh,
-// which takes exp above |x| = 0.625).
+// cross-entropy row (exp and its float64 sum over a 256-entry vocabulary),
+// and GELU alone (decode) and with its derivative (the training forward)
+// over one d=64, T=128, B=2 MLP activation (tanh, which takes exp above
+// |x| = 0.625).
 func BenchmarkExp(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	b.Run("ExpRow-256", func(b *testing.B) {
@@ -155,16 +157,16 @@ func BenchmarkExp(b *testing.B) {
 		}
 		reportElements(b, len(x.Data))
 	})
-	x, dy, dst := randMatrix(rng, 256, 256), randMatrix(rng, 256, 256), NewMatrix(256, 256)
+	x, dst, dg := randMatrix(rng, 256, 256), NewMatrix(256, 256), NewMatrix(256, 256)
 	b.Run("GELU", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			GELU(dst.Data, x.Data)
 		}
 		reportElements(b, len(x.Data))
 	})
-	b.Run("GELUGrad", func(b *testing.B) {
+	b.Run("GELUWithGrad", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			GELUGrad(dst.Data, x.Data, dy.Data)
+			GELUWithGrad(dst.Data, dg.Data, x.Data)
 		}
 		reportElements(b, len(x.Data))
 	})
@@ -185,4 +187,41 @@ func BenchmarkCausalSoftmax(b *testing.B) {
 		CausalSoftmaxRows(s, items/heads, heads, slopes, 0.25)
 	}
 	reportElements(b, items*seq*(seq+1)/2)
+}
+
+// BenchmarkCausalSoftmaxGrad measures the fused softmax backward at the
+// fed-sync-compute shape (B·H = 8 items, T = 128); elements are the causal
+// support's entries.
+func BenchmarkCausalSoftmaxGrad(b *testing.B) {
+	const items, seq, heads = 8, 128, 4
+	rng := rand.New(rand.NewSource(7))
+	p := randMatrix(rng, items*seq, seq)
+	CausalSoftmaxRows(p, items/heads, heads, testSlopes(heads), 0.25)
+	src := randMatrix(rng, items*seq, seq)
+	dp := NewMatrix(items*seq, seq)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(dp.Data, src.Data)
+		CausalSoftmaxGradRows(dp, p, items/heads, heads, 0.25)
+	}
+	reportElements(b, items*seq*(seq+1)/2)
+}
+
+// BenchmarkAdamW measures one AdamW update over the parameter counts of the
+// fed-sync-compute (115k) and fed-sync-comm (1M) models, in one band.
+func BenchmarkAdamW(b *testing.B) {
+	for _, n := range []int{115_000, 1_000_000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(8))
+			data, grad, m, v := make([]float32, n), make([]float32, n), make([]float32, n), make([]float32, n)
+			RandNormal(rng, data, 0, 0.02)
+			RandNormal(rng, grad, 0, 0.01)
+			f := AdamWFactors{B1: 0.9, OB1: 0.1, B2: 0.95, OB2: 0.05, InvC1: 10, InvC2: 20, LR: 1e-3, WD: 1e-5, Eps: 1e-8}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				AdamW(data, grad, m, v, &f)
+			}
+			reportElements(b, n)
+		})
+	}
 }

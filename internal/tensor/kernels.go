@@ -20,6 +20,11 @@ import "fmt"
 // or column, or pool band that computed it (in Go the dot tiles and Dot sum
 // in different orders); the two paths agree within 1e-6 of Σ|terms|.
 //
+// The causal softmax backward runs the float32 dot chains of four rows
+// interleaved in Go, each in the order the one-row loop sums it, and each
+// row's update, (scale·p)·(d − dot), through an unfused assembly body; its
+// bits are the one-row loop's on every machine.
+//
 // All kernels operate on [lo, hi) bands of their outer dimension so the pool
 // can split work without synchronization: each band owns its C rows.
 
@@ -308,26 +313,83 @@ func bandCausalSoftmax(s *Matrix, heads int, sl []float32, scale float32, lo, hi
 // and exact zeros above the diagonal. The score scale is folded in so the
 // caller can feed dS straight into the dQ/dK products.
 //
+// Rows go four at a time: the four dot products run interleaved over the
+// columns the rows share, each still a float32 sum in k order, so the four
+// independent chains overlap where one row's chain would wait on each add.
+// Then each row adds its own last columns and is updated as it would be
+// alone.
+//
 //photon:hotpath
 func bandCausalSoftmaxGrad(dp, p *Matrix, scale float32, lo, hi int) {
 	seq := dp.Cols
 	for it := lo; it < hi; it++ {
-		for i := 0; i < seq; i++ {
-			off := (it*seq + i) * seq
-			dpr := dp.Data[off : off+seq]
-			pr := p.Data[off : off+seq]
-			var dot float32
-			for j := 0; j <= i; j++ {
-				dot += pr[j] * dpr[j]
-			}
-			for j := 0; j <= i; j++ {
-				dpr[j] = scale * pr[j] * (dpr[j] - dot)
-			}
-			for j := i + 1; j < seq; j++ {
-				dpr[j] = 0
-			}
+		base := it * seq * seq
+		i := 0
+		for ; i+4 <= seq; i += 4 {
+			off := base + i*seq
+			p0, d0 := p.Data[off:off+seq], dp.Data[off:off+seq]
+			p1, d1 := p.Data[off+seq:off+2*seq], dp.Data[off+seq:off+2*seq]
+			p2, d2 := p.Data[off+2*seq:off+3*seq], dp.Data[off+2*seq:off+3*seq]
+			p3, d3 := p.Data[off+3*seq:off+4*seq], dp.Data[off+3*seq:off+4*seq]
+			s0, s1, s2, s3 := dot4rows(p0[:i+1], d0, p1, d1, p2, d2, p3, d3)
+			s1 = rowDot(p1, d1, s1, i+1, i+2)
+			s2 = rowDot(p2, d2, s2, i+1, i+3)
+			s3 = rowDot(p3, d3, s3, i+1, i+4)
+			softmaxGradRow(d0, p0, s0, scale, i)
+			softmaxGradRow(d1, p1, s1, scale, i+1)
+			softmaxGradRow(d2, p2, s2, scale, i+2)
+			softmaxGradRow(d3, p3, s3, scale, i+3)
+		}
+		for ; i < seq; i++ {
+			off := base + i*seq
+			pr, dpr := p.Data[off:off+seq], dp.Data[off:off+seq]
+			softmaxGradRow(dpr, pr, rowDot(pr, dpr, 0, 0, i+1), scale, i)
 		}
 	}
+}
+
+// dot4rows returns the four sums Σ_k pr[k]·dr[k] over k < len(p0), one
+// float32 chain per row in k order, interleaved.
+//
+//photon:hotpath
+func dot4rows(p0, d0, p1, d1, p2, d2, p3, d3 []float32) (s0, s1, s2, s3 float32) {
+	n := len(p0)
+	d0, p1, d1, p2, d2, p3, d3 = d0[:n], p1[:n], d1[:n], p2[:n], d2[:n], p3[:n], d3[:n]
+	for k := range p0 {
+		s0 += p0[k] * d0[k]
+		s1 += p1[k] * d1[k]
+		s2 += p2[k] * d2[k]
+		s3 += p3[k] * d3[k]
+	}
+	return
+}
+
+// rowDot continues the float32 sum s with pr[k]·dr[k] for k in [lo, hi).
+//
+//photon:hotpath
+func rowDot(pr, dr []float32, s float32, lo, hi int) float32 {
+	pr, dr = pr[lo:hi], dr[lo:hi]
+	for k, v := range pr {
+		s += v * dr[k]
+	}
+	return s
+}
+
+// softmaxGradRow finishes row i of a causal softmax backward whose dot
+// product is dot: dr[j] = scale·pr[j]·(dr[j] − dot) for j ≤ i, eight lanes
+// at a time on AVX2, and zero beyond.
+//
+//photon:hotpath
+func softmaxGradRow(dr, pr []float32, dot, scale float32, i int) {
+	pr, head := pr[:i+1], dr[:i+1]
+	if useAVX2 {
+		softmaxGradAVX2(&head[0], &pr[0], len(pr), dot, scale)
+	} else {
+		for j, v := range pr {
+			head[j] = scale * v * (head[j] - dot)
+		}
+	}
+	clear(dr[i+1:])
 }
 
 // --- exported batched / fused entry points ---

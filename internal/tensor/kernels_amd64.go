@@ -44,6 +44,14 @@ func subAVX2(dst, src *float32, n int)
 
 //go:noescape
 //photon:hotpath
+func mulAVX2(dst, src *float32, n int)
+
+//go:noescape
+//photon:hotpath
+func softmaxGradAVX2(d, p *float32, n int, dot, scale float32)
+
+//go:noescape
+//photon:hotpath
 func scaleAVX2(a float32, x *float32, n int)
 
 func fmaPeakAVX2(iters int) // 160·iters flops from registers: BenchmarkFMAPeak
@@ -66,7 +74,11 @@ func geluAVX2(dst, x *float32, n int)
 
 //go:noescape
 //photon:hotpath
-func geluGradAVX2(dx, x, dy *float32, n int)
+func geluWithGradAVX2(y, dg, x *float32, n int)
+
+//go:noescape
+//photon:hotpath
+func adamwAVX2(data, grad, m, v *float32, n int, c *AdamWFactors)
 
 // expAVX2 and tanhAVX2 are the two lane bodies on float64 slices, for the
 // tests that hold them to math.Exp and math.Tanh bit for bit.

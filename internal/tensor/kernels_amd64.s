@@ -16,20 +16,26 @@
 //     accumulates by FMA into the sum, in order. So a dot's bits do not
 //     depend on which of the four kernels, or which of dot3x4's twelve
 //     registers, computed it.
-//   - add/sub/mul/scale: no fused operation, bitwise equal to the Go loops.
+//   - add/sub/mul/scale, the softmax backward's row update and the AdamW
+//     update: no fused operation, bitwise equal to the Go loops. AdamW's
+//     square root is VSQRTPS, correctly rounded like
+//     float32(math.Sqrt(float64(v))).
 //   - exp, tanh and the softmax, cross-entropy and GELU bodies built on them:
 //     bitwise equal to the Go loops. Each float64 lane of EXP4 runs the
 //     instruction sequence of math.Exp's FMA path (math.archExp, avxfma),
 //     and a lane outside its normal range goes back to math.Exp; TANH4 is
 //     math.tanh's source order with unfused operations, as Go compiles it at
 //     GOAMD64=v1; float32 scores, maxima and sums round where the Go loops do.
+//     The training forward's GELU body evaluates tanh once per element for
+//     both GELU and its derivative, each with its own Go expression's order.
 //
 // Every function takes element counts n ≥ 1 checked by its wrapper and reads
 // or writes exactly n elements per operand (the transcendental bodies: the
-// first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima; tile4x16:
-// kc ≥ 1 steps over the strided 4×kc A block, kc×16 B panel and 4×16 C block
-// its wrapper bounds-checks; dot3x4: k ≥ 1 elements of three strided A rows
-// and 4·nb strided B rows, and 3×4·nb strided C elements, nb ≥ 1).
+// first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima; AdamW: the
+// first 8·⌊n/8⌋; tile4x16: kc ≥ 1 steps over the strided 4×kc A block,
+// kc×16 B panel and 4×16 C block its wrapper bounds-checks; dot3x4: k ≥ 1
+// elements of three strided A rows and 4·nb strided B rows, and 3×4·nb
+// strided C elements, nb ≥ 1).
 
 #include "textflag.h"
 
@@ -83,7 +89,7 @@
 	VFMADD231SS (R8)(AX*4), C2, T; \
 	VFMADD231SS (R9)(AX*4), C3, T
 
-// BINOP is the body of add/sub: dst[i] = dst[i] OP src[i].
+// BINOP is the body of add/sub/mul: dst[i] = dst[i] OP src[i].
 #define BINOP(VOP, SOP) \
 	MOVQ dst+0(FP), DI; \
 	MOVQ src+8(FP), SI; \
@@ -559,6 +565,46 @@ TEXT ·addAVX2(SB), NOSPLIT, $0-24
 TEXT ·subAVX2(SB), NOSPLIT, $0-24
 	BINOP(VSUBPS, VSUBSS)
 
+// func mulAVX2(dst, src *float32, n int): dst *= src
+TEXT ·mulAVX2(SB), NOSPLIT, $0-24
+	BINOP(VMULPS, VMULSS)
+
+// func softmaxGradAVX2(d, p *float32, n int, dot, scale float32)
+// d[j] = (scale·p[j])·(d[j] − dot), unfused, as the Go loop rounds it.
+TEXT ·softmaxGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ         d+0(FP), DI
+	MOVQ         p+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS dot+24(FP), Y2
+	VBROADCASTSS scale+28(FP), Y3
+	XORQ         AX, AX
+	SUBQ         $8, CX
+	JLT          tail
+loop:
+	VMULPS  (SI)(AX*4), Y3, Y0
+	VMOVUPS (DI)(AX*4), Y1
+	VSUBPS  Y2, Y1, Y1
+	VMULPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	SUBQ    $8, CX
+	JGE     loop
+tail:
+	ADDQ $8, CX
+	JZ   done
+tloop:
+	VMULSS (SI)(AX*4), X3, X0
+	VMOVSS (DI)(AX*4), X1
+	VSUBSS X2, X1, X1
+	VMULSS X1, X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	DECQ   CX
+	JNZ    tloop
+done:
+	VZEROUPPER
+	RET
+
 // func scaleAVX2(a float32, x *float32, n int): x *= a
 TEXT ·scaleAVX2(SB), NOSPLIT, $0-24
 	VBROADCASTSS a+0(FP), Y1
@@ -982,27 +1028,33 @@ done:
 	VZEROUPPER
 	RET
 
-// func geluGradAVX2(dx, x, dy *float32, n int)
-// dx[i] = dy[i]·float32(0.5·(1+t) + 0.5·x·(1−t²)·√(2/π)·(1 + 3·0.044715·x²))
-// with t the forward's tanh, for the first 4·⌊n/4⌋ elements.
-TEXT ·geluGradAVX2(SB), NOSPLIT, $0-32
-	MOVQ dx+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ dy+16(FP), R8
+// func geluWithGradAVX2(y, dg, x *float32, n int)
+// y[i] = float32(0.5·x·(1+t)) and
+// dg[i] = float32(0.5·(1+t) + 0.5·x·(1−t²)·√(2/π)·(1 + 3·0.044715·x²)) in
+// float64, with t = tanh(√(2/π)·(x + 0.044715·x³)) evaluated once, for the
+// first 4·⌊n/4⌋ elements. Each output runs geluAVX2's or the Go derivative's
+// operations in their order.
+TEXT ·geluWithGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ dg+8(FP), R8
+	MOVQ x+16(FP), SI
 	MOVQ n+24(FP), CX
 	XORQ AX, AX
 	SUBQ $4, CX
 	JLT  done
 loop:
 	VCVTPS2PD  (SI)(AX*4), Y8
+	VMULPD     tc<>+320(SB), Y8, Y9
 	GELUINNER
 	VMULPD     tc<>+800(SB), Y8, Y10
 	VMULPD     Y8, Y10, Y10
 	VADDPD     tc<>+352(SB), Y10, Y10
 	VMULPD     tc<>+736(SB), Y10, Y10
-	VMULPD     tc<>+320(SB), Y8, Y9
 	TANH4
 	VADDPD     tc<>+352(SB), Y5, Y11
+	VMULPD     Y9, Y11, Y12
+	VCVTPD2PSY Y12, X12
+	VMOVUPS    X12, (DI)(AX*4)
 	VMULPD     tc<>+320(SB), Y11, Y11
 	VMULPD     Y5, Y5, Y5
 	VMOVUPD    tc<>+352(SB), Y12
@@ -1011,11 +1063,63 @@ loop:
 	VMULPD     Y10, Y12, Y12
 	VADDPD     Y12, Y11, Y11
 	VCVTPD2PSY Y11, X11
-	VMULPS     (R8)(AX*4), X11, X11
-	VMOVUPS    X11, (DI)(AX*4)
+	VMOVUPS    X11, (R8)(AX*4)
 	ADDQ       $4, AX
 	SUBQ       $4, CX
 	JGE        loop
+done:
+	VZEROUPPER
+	RET
+
+// func adamwAVX2(data, grad, m, v *float32, n int, c *AdamWFactors)
+// The AdamW update of tensor.AdamW for the first 8·⌊n/8⌋ elements, eight
+// lanes at a time: every multiply, add, divide and the square root rounded
+// to float32 on its own, in the Go loop's order. VSQRTPS is correctly
+// rounded, so it gives float32(math.Sqrt(float64(v)))'s bits.
+TEXT ·adamwAVX2(SB), NOSPLIT, $0-48
+	MOVQ         data+0(FP), DI
+	MOVQ         grad+8(FP), SI
+	MOVQ         m+16(FP), R8
+	MOVQ         v+24(FP), R9
+	MOVQ         n+32(FP), CX
+	MOVQ         c+40(FP), DX
+	VBROADCASTSS 0(DX), Y0  // b1
+	VBROADCASTSS 4(DX), Y1  // 1−b1
+	VBROADCASTSS 8(DX), Y2  // b2
+	VBROADCASTSS 12(DX), Y3 // 1−b2
+	VBROADCASTSS 16(DX), Y4 // 1/(1−b1^t)
+	VBROADCASTSS 20(DX), Y5 // 1/(1−b2^t)
+	VBROADCASTSS 24(DX), Y6 // lr
+	VBROADCASTSS 28(DX), Y7 // lr·wd
+	VBROADCASTSS 32(DX), Y8 // eps
+	XORQ         AX, AX
+	SUBQ         $8, CX
+	JLT          done
+loop:
+	VMOVUPS (SI)(AX*4), Y9
+	VMULPS  (R8)(AX*4), Y0, Y10
+	VMULPS  Y9, Y1, Y11
+	VADDPS  Y11, Y10, Y10
+	VMOVUPS Y10, (R8)(AX*4)
+	VMULPS  (R9)(AX*4), Y2, Y11
+	VMULPS  Y9, Y3, Y12
+	VMULPS  Y9, Y12, Y12
+	VADDPS  Y12, Y11, Y11
+	VMOVUPS Y11, (R9)(AX*4)
+	VMULPS  Y4, Y10, Y10
+	VMULPS  Y5, Y11, Y11
+	VSQRTPS Y11, Y11
+	VADDPS  Y8, Y11, Y11
+	VMULPS  Y10, Y6, Y10
+	VDIVPS  Y11, Y10, Y10
+	VMOVUPS (DI)(AX*4), Y12
+	VMULPS  Y12, Y7, Y13
+	VADDPS  Y13, Y10, Y10
+	VSUBPS  Y10, Y12, Y12
+	VMOVUPS Y12, (DI)(AX*4)
+	ADDQ    $8, AX
+	SUBQ    $8, CX
+	JGE     loop
 done:
 	VZEROUPPER
 	RET

@@ -57,6 +57,7 @@ func TestExistingSuitesOnBothKernelPaths(t *testing.T) {
 		{"AttendDecodeMatchesReference", TestAttendDecodeMatchesReference},
 		{"AttendDecodeMatchesTrainingKernels", TestAttendDecodeMatchesTrainingKernels},
 		{"AttendDecodeIncrementalMatchesPrefill", TestAttendDecodeIncrementalMatchesPrefill},
+		{"CausalSoftmaxGradMatchesOneRowLoop", TestCausalSoftmaxGradMatchesOneRowLoop},
 	}
 	forEachKernelPath(t, func(t *testing.T) {
 		for _, s := range suites {
@@ -229,6 +230,39 @@ func TestKernelsPanicOnShortOperand(t *testing.T) {
 				}()
 				e.op(make([]float32, 9), make([]float32, 8))
 			}()
+		}
+		// The AdamW update reads grad, m and v over data's length, and
+		// GELUWithGrad writes y and dg over x's.
+		for short := 1; short < 4; short++ {
+			for _, n := range []int{1, 8, 13} {
+				ops := make([][]float32, 4)
+				for i := range ops {
+					_, ops[i] = guarded(rng, n)
+				}
+				_, ops[short] = guarded(rng, n-1)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("AdamW n=%d: no panic with operand %d one short", n, short)
+						}
+					}()
+					AdamW(ops[0], ops[1], ops[2], ops[3], &AdamWFactors{B1: 0.9, OB1: 0.1, B2: 0.95, OB2: 0.05, InvC1: 1, InvC2: 1, LR: 1})
+				}()
+			}
+		}
+		for short := 0; short < 2; short++ {
+			for _, n := range []int{1, 8, 13} {
+				ops := [][]float32{make([]float32, n), make([]float32, n)}
+				ops[short] = ops[short][: n-1 : n-1]
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("GELUWithGrad n=%d: no panic with output %d one short", n, short)
+						}
+					}()
+					GELUWithGrad(ops[0], ops[1], make([]float32, n))
+				}()
+			}
 		}
 		// dot3x4 at k = 5 over two blocks with rows of A 9 apart, B 7 and
 		// C 11: each operand one element short of what the call reads.
@@ -409,20 +443,20 @@ type elemOp struct {
 	op   func(dst, src []float32)
 }
 
-// elementwise are the length-checked two-operand helpers; the first two
+// elementwise are the length-checked two-operand helpers; the first three
 // involve no multiply-add.
 var elementwise = []elemOp{
-	{"Add", Add}, {"Sub", Sub},
+	{"Add", Add}, {"Sub", Sub}, {"Mul", Mul},
 	{"Axpy", func(dst, src []float32) { Axpy(0.7, src, dst) }},
 }
 
-// TestElementwiseBitwiseEqualGo: Add, Sub and Scale involve no
+// TestElementwiseBitwiseEqualGo: Add, Sub, Mul and Scale involve no
 // fused multiply-add, so the vector bodies must reproduce the Go loops bit
 // for bit — every length 0…67, unaligned starts.
 func TestElementwiseBitwiseEqualGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(20))
-	unfused := append(elementwise[:2:2], elemOp{"Scale", func(dst, _ []float32) { Scale(-1.7, dst) }})
+	unfused := append(elementwise[:3:3], elemOp{"Scale", func(dst, _ []float32) { Scale(-1.7, dst) }})
 	for _, e := range unfused {
 		for n := 0; n <= 67; n++ {
 			dbuf, dst := guarded(rng, n)
@@ -440,14 +474,65 @@ func TestElementwiseBitwiseEqualGo(t *testing.T) {
 	}
 }
 
-// sameBits reports the first index where two rows differ bitwise, or -1.
-func sameBits(a, b []float32) int {
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return i
+// adamwGrads fills g with gradients for TestAdamWBitwiseEqualGo: mostly
+// ordinary values, and huge, denormal, zero, NaN and ±Inf ones.
+func adamwGrads(rng *rand.Rand, g []float32) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), 3e38, -3e38, 1e30, 1e-40, -1e-45, 1e-20,
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}
+	for i := range g {
+		if rng.Intn(4) == 0 {
+			g[i] = specials[rng.Intn(len(specials))]
+		} else {
+			g[i] = float32(rng.NormFloat64() * 0.01)
 		}
 	}
-	return -1
+}
+
+// TestAdamWBitwiseEqualGo holds AdamW's eight-lane body to its Go loop bit
+// for bit, every length 0…67, all four operands at odd offsets inside guard
+// words: parameters, both moments and nothing else written, with v = 0 on
+// the first step and gradients that are huge, denormal, NaN or infinite.
+func TestAdamWBitwiseEqualGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(27))
+	for _, step := range []int{1, 2, 40} {
+		b1, b2, lr, wd := 0.9, 0.95, 3e-3, 0.1
+		f := AdamWFactors{B1: float32(b1), OB1: float32(1 - b1), B2: float32(b2), OB2: float32(1 - b2),
+			InvC1: float32(1 / (1 - math.Pow(b1, float64(step)))), InvC2: float32(1 / (1 - math.Pow(b2, float64(step)))),
+			LR: float32(lr), WD: float32(lr * wd), Eps: 1e-8}
+		for n := 0; n <= 67; n++ {
+			var bufs, ops [4][]float32
+			for i := range ops {
+				bufs[i], ops[i] = guarded(rng, n)
+			}
+			RandNormal(rng, ops[0], 0, 0.05)
+			adamwGrads(rng, ops[1])
+			if step == 1 {
+				clear(ops[2])
+				clear(ops[3])
+			} else {
+				RandNormal(rng, ops[2], 0, 0.01)
+				for i := range ops[3] {
+					ops[3][i] = float32(math.Abs(rng.NormFloat64()) * 1e-4)
+				}
+			}
+			var want [4][]float32
+			for i := range ops {
+				want[i] = slices.Clone(ops[i])
+			}
+			useAVX2 = false
+			AdamW(want[0], want[1], want[2], want[3], &f)
+			useAVX2 = true
+			AdamW(ops[0], ops[1], ops[2], ops[3], &f)
+			for i, name := range []string{"data", "grad", "m", "v"} {
+				checkGuards(t, "AdamW "+name, n, bufs[i], ops[i])
+				if j := sameBits(ops[i], want[i]); j >= 0 {
+					t.Fatalf("AdamW step %d n=%d %s[%d]: asm %#x, go %#x (g %g)", step, n, name, j,
+						math.Float32bits(ops[i][j]), math.Float32bits(want[i][j]), want[1][j])
+				}
+			}
+		}
+	}
 }
 
 // poison zeroes a scattering of a's entries and plants ±Inf and NaN in b, so

@@ -36,6 +36,12 @@ func addAVX2(dst, src *float32, n int) {}
 func subAVX2(dst, src *float32, n int) {}
 
 //photon:hotpath
+func mulAVX2(dst, src *float32, n int) {}
+
+//photon:hotpath
+func softmaxGradAVX2(d, p *float32, n int, dot, scale float32) {}
+
+//photon:hotpath
 func scaleAVX2(a float32, x *float32, n int) {}
 
 //photon:hotpath
@@ -53,4 +59,7 @@ func biasMaxAVX2(row *float32, n int, scale, slope float32, pos int) (m float32)
 func geluAVX2(dst, x *float32, n int) {}
 
 //photon:hotpath
-func geluGradAVX2(dx, x, dy *float32, n int) {}
+func geluWithGradAVX2(y, dg, x *float32, n int) {}
+
+//photon:hotpath
+func adamwAVX2(data, grad, m, v *float32, n int, c *AdamWFactors) {}

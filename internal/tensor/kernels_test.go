@@ -176,6 +176,64 @@ func TestCausalSoftmaxGradRowsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCausalSoftmaxGradMatchesOneRowLoop holds the four-row interleave of
+// CausalSoftmaxGradRows, and the row update's assembly body, to the one-row
+// Go loop they replaced, bit for bit: seq 1…13 (every remainder of four) and
+// 128, one and eight items, at GOMAXPROCS 1 and 2. Every entry above the
+// diagonal starts as a NaN and must come out an exact +0.
+func TestCausalSoftmaxGradMatchesOneRowLoop(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(28))
+	const heads, scale = 1, float32(0.37)
+	seqs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 128}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, items := range []int{1, 8} {
+			for _, seq := range seqs {
+				p := randMatrix(rng, items*seq, seq)
+				CausalSoftmaxRows(p, items, heads, []float32{0.5}, 1)
+				dp := randMatrix(rng, items*seq, seq)
+				for r := 0; r < dp.Rows; r++ {
+					for j := r%seq + 1; j < seq; j++ {
+						dp.Set(r, j, float32(math.NaN()))
+					}
+				}
+				want := dp.Clone()
+				for r := 0; r < want.Rows; r++ {
+					i, pr, dpr := r%seq, p.Row(r), want.Row(r)
+					var dot float32
+					for j := 0; j <= i; j++ {
+						dot += pr[j] * dpr[j]
+					}
+					for j := 0; j <= i; j++ {
+						dpr[j] = scale * pr[j] * (dpr[j] - dot)
+					}
+					for j := i + 1; j < seq; j++ {
+						dpr[j] = 0
+					}
+				}
+				CausalSoftmaxGradRows(dp, p, items, heads, scale)
+				for r := 0; r < dp.Rows; r++ {
+					if j := sameBits(dp.Row(r), want.Row(r)); j >= 0 {
+						t.Fatalf("GOMAXPROCS=%d items=%d seq=%d row %d col %d: %#x, one-row loop %#x", procs, items, seq, r, j,
+							math.Float32bits(dp.At(r, j)), math.Float32bits(want.At(r, j)))
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports the first index where two rows differ bitwise, or -1.
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestBatchShapePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"rows-not-divisible": func() { BatchMatMulCausal(NewMatrix(3, 3), NewMatrix(3, 3), NewMatrix(3, 2), 2) },
@@ -209,6 +267,31 @@ func TestSatMulSaturates(t *testing.T) {
 	for _, c := range cases {
 		if got := satMul(c.a, c.b); got != c.want {
 			t.Errorf("satMul(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestBandStep pins dispatch's split rule: bands of whole row tiles, and one
+// band (inline) for fewer items than two row tiles.
+func TestBandStep(t *testing.T) {
+	cases := []struct{ items, tile, workers, want int }{
+		{4, 3, 2, 4}, // a 4-row A·Bᵀ product: inline, not 3/1
+		{5, 3, 2, 5}, // still under two dot tiles
+		{6, 3, 2, 3}, // 3/3
+		{8, 3, 2, 6}, // 6/2, the split measured best for 8 logits rows
+		{4, 4, 2, 4}, // one tile4x16 row group
+		{8, 4, 2, 4}, // 4/4
+		{9, 4, 2, 8}, // 8/1: the last band takes what is left
+		{2, 1, 2, 1}, // one-row kernels split at two items
+		{3, 1, 2, 2}, // 2/1
+		{7, 1, 8, 1}, // more workers than items
+		{100, 1, 4, 25},
+		{8, 3, 1, 8}, // one worker: inline
+		{1, 1, 2, 1},
+	}
+	for _, c := range cases {
+		if got := bandStep(c.items, c.tile, c.workers); got != c.want {
+			t.Errorf("bandStep(%d items, tile %d, %d workers) = %d, want %d", c.items, c.tile, c.workers, got, c.want)
 		}
 	}
 }

@@ -160,12 +160,10 @@ func satMul(a, b int) int {
 	return a * b
 }
 
-// dispatch splits [0, items) into bands and runs kernel t on the pool,
-// executing serially inline when the flop volume does not justify the
-// fan-out. A band is a whole number of the kernel's row tiles (rowTile), so
-// the split never drops rows to a one-row loop; when one band covers every
-// item, that is inline too. The caller runs the first band itself so a
-// dispatch never leaves the calling core idle.
+// dispatch splits [0, items) into bands of bandStep items and runs kernel t
+// on the pool, executing serially inline when the flop volume does not
+// justify the fan-out or bandStep leaves one band. The caller runs the first
+// band itself so a dispatch never leaves the calling core idle.
 //
 //photon:hotpath
 func dispatch(items, volumePerItem int, t task) {
@@ -173,13 +171,9 @@ func dispatch(items, volumePerItem int, t task) {
 		return
 	}
 	step := items
-	if items >= 2 && runtime.GOMAXPROCS(0) > 1 && satMul(items, volumePerItem) >= parallelThreshold {
+	if runtime.GOMAXPROCS(0) > 1 && satMul(items, volumePerItem) >= parallelThreshold {
 		ensurePool()
-		bands := min(poolSize, items)
-		step = (items + bands - 1) / bands
-		if tile := rowTile(t.kind); step%tile != 0 {
-			step += tile - step%tile
-		}
+		step = bandStep(items, rowTile(t.kind), poolSize)
 	}
 	if step >= items {
 		t.lo, t.hi = 0, items
@@ -205,6 +199,27 @@ func dispatch(items, volumePerItem int, t task) {
 		<-g.done
 	}
 	putGroup(g)
+}
+
+// bandStep is the band length dispatch cuts [0, items) into across workers
+// cores for a kernel whose row tile is tile: items split evenly, rounded up
+// to whole tiles, so the split never drops rows to the remainder loops. With
+// fewer than two tiles' worth of items some band would hold less than a
+// tile, so the items stay in one band: a 4-row A·Bᵀ product split 3/1 took
+// 7.0 µs against 4.1 µs inline (a serve decode shard's logits,
+// 4×64·(256×64)ᵀ at 2 cores).
+//
+//photon:hotpath
+func bandStep(items, tile, workers int) int {
+	if items < 2*tile || workers < 2 {
+		return items
+	}
+	bands := min(workers, items)
+	step := (items + bands - 1) / bands
+	if step%tile != 0 {
+		step += tile - step%tile
+	}
+	return step
 }
 
 // rowTile is the number of rows kernel k's micro-kernel computes together:

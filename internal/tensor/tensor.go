@@ -215,6 +215,61 @@ func Sub(dst, src []float32) {
 	}
 }
 
+// Mul computes dst[i] *= src[i].
+//
+//photon:hotpath
+func Mul(dst, src []float32) {
+	if len(dst) != len(src) {
+		panic("tensor: Mul length mismatch")
+	}
+	if useAVX2 && len(src) > 0 {
+		mulAVX2(&dst[0], &src[0], len(src))
+		return
+	}
+	for i, v := range src {
+		dst[i] *= v
+	}
+}
+
+// AdamWFactors are one AdamW step's float32 factors: the betas and their
+// complements, the bias corrections 1/(1−βᵗ), the learning rate, the
+// learning rate times the weight decay, and ε. The assembly body reads them
+// at these offsets.
+type AdamWFactors struct {
+	B1, OB1, B2, OB2 float32
+	InvC1, InvC2     float32
+	LR, WD, Eps      float32
+}
+
+// AdamW applies one AdamW update to data from grad, updating the moments m
+// and v in place:
+//
+//	m ← B1·m + OB1·g,  v ← B2·v + OB2·g·g,
+//	data ← data − (LR·(m·InvC1)/(√(v·InvC2) + Eps) + WD·data),
+//
+// every operation rounded to float32, the square root too. grad, m and v
+// must be at least as long as data.
+//
+//photon:hotpath
+func AdamW(data, grad, m, v []float32, c *AdamWFactors) {
+	grad, m, v = grad[:len(data)], m[:len(data)], v[:len(data)]
+	j := 0
+	if useAVX2 && len(data) >= 8 {
+		j = len(data) &^ 7
+		adamwAVX2(&data[0], &grad[0], &m[0], &v[0], j, c)
+	}
+	f := *c
+	for ; j < len(data); j++ {
+		g := grad[j]
+		mj := f.B1*m[j] + f.OB1*g
+		vj := f.B2*v[j] + f.OB2*g*g
+		m[j], v[j] = mj, vj
+		mhat := mj * f.InvC1
+		vhat := vj * f.InvC2
+		data[j] -= f.LR*mhat/(float32(math.Sqrt(float64(vhat)))+f.Eps) + f.WD*data[j]
+	}
+}
+
 // Fill sets every element of x to v.
 //
 //photon:hotpath

@@ -4,15 +4,17 @@ import "math"
 
 // This file holds the row and elementwise kernels that spend their time in
 // float64 transcendentals: exp under the softmaxes and the cross-entropy,
-// tanh under GELU. Each is a Go loop — the reference, and what every machine
-// but an amd64 with AVX2+FMA runs — behind an assembly body
-// (kernels_amd64.s) taken when useAVX2 says so. The bodies return the Go
-// loops' bits, not an approximation of them: every float64 lane of their exp
-// runs the instruction sequence math.Exp itself runs on such a machine, a
-// lane outside exp's normal range (NaN, ±Inf, overflow, a denormal or zero
-// result) is recomputed by math.Exp, their tanh is math.tanh's operations in
-// source order, unfused as Go compiles them, and every float32 rounding,
-// maximum and float64 sum happens where and in the order the Go loop does it.
+// tanh under GELU (the training forward's assembly evaluates it once per
+// element for both GELU and its derivative). Each is a Go loop — the
+// reference, and what every machine but an amd64 with AVX2+FMA runs — behind
+// an assembly body (kernels_amd64.s) taken when useAVX2 says so. The bodies
+// return the Go loops' bits, not an approximation of them: every float64
+// lane of their exp runs the instruction sequence math.Exp itself runs on
+// such a machine, a lane outside exp's normal range (NaN, ±Inf, overflow, a
+// denormal or zero result) is recomputed by math.Exp, their tanh is
+// math.tanh's operations in source order, unfused as Go compiles them, and
+// every float32 rounding, maximum and float64 sum happens where and in the
+// order the Go loop does it.
 
 // rowMax returns what `m := x[0]; for _, v := range x[1:] { if v > m { m = v } }`
 // returns. len(x) ≥ 1. The lanes skip NaNs, which is the scan's answer
@@ -155,19 +157,22 @@ func GELU(dst, x []float32) {
 	}
 }
 
-// GELUGrad sets dx[i] = dy[i]·GELU'(x[i]).
+// GELUWithGrad sets y[i] to GELU(x[i]), as GELU does, and dg[i] to its
+// derivative GELU′(x[i]), both from one evaluation of tanh: the forward pass
+// of a layer whose backward is dx = dy·dg.
 //
 //photon:hotpath
-func GELUGrad(dx, x, dy []float32) {
-	dx = dx[:len(x)]
-	dy = dy[:len(x)]
+func GELUWithGrad(y, dg, x []float32) {
+	y = y[:len(x)]
+	dg = dg[:len(x)]
 	i := 0
 	if useAVX2 && len(x) >= 4 {
 		i = len(x) &^ 3
-		geluGradAVX2(&dx[0], &x[0], &dy[0], i)
+		geluWithGradAVX2(&y[0], &dg[0], &x[0], i)
 	}
 	for ; i < len(x); i++ {
-		dx[i] = dy[i] * geluGradScalar(x[i])
+		y[i] = geluScalar(x[i])
+		dg[i] = geluGradScalar(x[i])
 	}
 }
 

@@ -248,10 +248,12 @@ var rowCases = []rowCase{
 		GELU(y, x)
 		return y, nil
 	}},
-	{"GELUGrad", func(x, y []float32) ([]float32, []float64) {
-		dx := make([]float32, len(x))
-		GELUGrad(dx, x, y)
-		return dx, nil
+	// Both outputs of the fused body; the Go loop is geluScalar and
+	// geluGradScalar per element.
+	{"GELUWithGrad", func(x, y []float32) ([]float32, []float64) {
+		dg := make([]float32, len(x))
+		GELUWithGrad(y, dg, x)
+		return append(y, dg...), nil
 	}},
 }
 
@@ -281,10 +283,10 @@ func rowInputs(rng *rand.Rand, x []float32, special bool) {
 
 // TestRowKernelsBitwiseEqualGo holds every kernel built on the lane bodies
 // — the softmaxes, log-sum-exp, the cross-entropy row, the attention score
-// bias and maximum, and GELU forward and backward — to its Go loop bit for
-// bit, lengths 0…67, unaligned, with and without special values (where a
-// NaN output need only be a NaN: its payload is whichever operand x86
-// propagates).
+// bias and maximum, and GELU alone and with its derivative — to its Go loop
+// bit for bit, lengths 0…67, unaligned, with and without special values
+// (where a NaN output need only be a NaN: its payload is whichever operand
+// x86 propagates).
 func TestRowKernelsBitwiseEqualGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(25))
