@@ -1,6 +1,6 @@
-// Command photon-sim runs a single-process federated pre-training
-// simulation with the Photon recipe, streaming round-by-round progress as
-// it trains. Ctrl-C stops the run gracefully and prints the partial result.
+// Command photon-sim runs federated pre-training with the Photon recipe in
+// one process — the aggregator and its clients (and relays, with -tiers 2)
+// over in-memory links — streaming round-by-round progress as it trains. Ctrl-C stops the run gracefully and prints the partial result.
 //
 // Usage:
 //
@@ -35,7 +35,7 @@ func main() {
 		lr        = flag.Float64("lr", 3e-3, "peak learning rate")
 		server    = flag.String("server", "fedavg", "server optimizer (see photon.ServerOptimizers)")
 		source    = flag.String("data", "c4", "data source (see photon.DataSources)")
-		codec     = flag.String("codec", "dense", "wire codec simulated for all exchanged payloads (dense, flate, q8, topk:<keep>, ...)")
+		codec     = flag.String("codec", "dense", "wire codec of every member link (dense, flate, q8, topk:<keep>, ...)")
 		tiers     = flag.Int("tiers", 1, "aggregation depth: 1 = flat, 2 = hierarchical (relay group means feed the server optimizer)")
 		relays    = flag.Int("relays", 2, "relay groups when -tiers 2")
 		upCodec   = flag.String("up-codec", "", "relay->root tier codec when -tiers 2 (default: same as -codec)")

@@ -1,8 +1,9 @@
 // DiLoCo vs Photon: reproduces the shape of the paper's Table 3 at example
 // scale — Photon's FedAvg recipe reaches target perplexities in roughly
 // half the rounds of DiLoCo's outer Nesterov at its stable learning rate.
-// Both runs go through the Job API with a shared deadline: if a run stalls,
-// the context stops it and the comparison reports what completed.
+// Both runs go through the Job API with a shared deadline and stop at the
+// last target: if a run stalls, the context stops it and the comparison
+// reports what completed.
 package main
 
 import (
@@ -38,6 +39,7 @@ func main() {
 			photon.WithLocalSteps(16),
 			photon.WithSeed(5),
 			photon.WithServerOptimizer(server),
+			photon.WithStopAtPPL(35), // the last target: nothing after it is read
 		).Run(ctx)
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			fmt.Printf("%s: stopped early after %d rounds\n", server, len(res.Stats))
@@ -47,7 +49,7 @@ func main() {
 		results[server] = res
 	}
 
-	fmt.Printf("\n%-10s %12s %12s %10s\n", "method", "rounds→42", "rounds→35", "final ppl")
+	fmt.Printf("\n%-10s %12s %12s %10s\n", "method", "rounds→42", "rounds→35", "last ppl")
 	for _, server := range servers {
 		res := results[server]
 		name := "DiLoCo"

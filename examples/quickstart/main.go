@@ -1,7 +1,7 @@
 // Quickstart: federated pre-training of a small decoder-only LM with the
 // Photon recipe (FedAvg + small local batches + high learning rate) through
-// the Job API — live round telemetry while training runs, then sampling
-// from the trained model.
+// the Job API — live round telemetry while training runs, sampling from the
+// trained model, then the centralized baseline on the same token budget.
 package main
 
 import (
@@ -47,4 +47,18 @@ func main() {
 
 	fmt.Println("\nsampled continuation of prompt [1 2 3]:")
 	fmt.Println(res.Generate(7, []int{1, 2, 3}, 24, 0.8))
+
+	// The centralized baseline on the same token budget: 15×16 optimizer
+	// steps of 4 workers × 4 sequences, data-parallel over one model.
+	central, err := photon.NewJob(
+		photon.WithBackend(photon.BackendCentralized),
+		photon.WithSteps(15*16),
+		photon.WithWorkers(4),
+		photon.WithBatchSize(4),
+		photon.WithMaxLR(3e-3),
+	).Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\ncentralized baseline (DDP, 4 workers, same tokens): perplexity %.2f\n", central.FinalPerplexity)
 }

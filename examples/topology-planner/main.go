@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -50,9 +51,23 @@ func showHierarchy(size photon.ModelSize, upstreamCodec string) {
 		fmt.Printf("    relay@%s <- %v\n", r.Region, r.Members)
 	}
 	fmt.Println("  dial graph (start these processes):")
+	members := 0
 	for _, d := range p.Dials {
 		fmt.Printf("    tier %d: %s -> %s (%.1f Gbps, %s)\n", d.Tier, d.From, d.To, d.BandwidthGbps, d.Codec)
 	}
+	for _, r := range p.Relays {
+		members += len(r.Members)
+	}
+	// Rehearse the plan before starting those processes: the same tiers,
+	// relays and upstream codec, in one process at tiny scale.
+	res, err := photon.NewJob(photon.WithPlan(p), photon.WithClients(members), photon.WithRounds(2),
+		photon.WithLocalSteps(4), photon.WithEvalEvery(2)).Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	last := res.Stats[len(res.Stats)-1]
+	fmt.Printf("  tiny-scale rehearsal: %d relays folded per round, %.2f MB on the parent links, ppl %.2f\n",
+		last.Clients, float64(last.CommBytes)/1e6, res.FinalPerplexity)
 }
 
 func main() {

@@ -25,10 +25,10 @@ package fed
 //     fold at their staleness weight and the outer step commits a version.
 //   - relay (relay.go): a window is one parent round; updates fold at
 //     weight 1 and their mean goes upstream, for the root to step.
-//   - simulator (agg.go): the sync driver without a server or a journal.
-//     It draws from its own registry and asks member sessions in memory —
-//     their answer core, then decodeUpdate — instead of over the wire;
-//     step, seal and finish are the sync driver's.
+//
+// Run (agg.go) is no driver of its own: it is the sync driver over members
+// that join through link.Pipe instead of a listener, with relays running
+// RunRelay's code when tiered.
 
 import (
 	"context"
@@ -51,8 +51,7 @@ const compactEvery = 8
 
 // aggState is what every driver aggregates over: server plumbing, model and
 // optimizer state, run bookkeeping, and the durable side. A relay builds
-// one with no model, Validation, or registry; the simulator one with no
-// server or journal.
+// one with no model, Validation, or registry.
 type aggState struct {
 	s   *server
 	cfg ServerConfig
@@ -60,6 +59,7 @@ type aggState struct {
 	k          int // cohort size per collect window (bounded by membership)
 	minClients int
 	evalEvery  int
+	dropout    float64 // fed.Run's injected failure: each drawn member drops out with this probability
 
 	rng      *rand.Rand // cohort sampling / model init stream
 	traceRng *rand.Rand // trace-ID stream, separate so tracing never perturbs sampling
@@ -212,10 +212,12 @@ func (a *aggState) open(round int, traceID uint64, start time.Time) *window {
 // collect is the preamble of a deadline-bounded window: hold it until the
 // membership floor is met — giving evicted members a grace period to rejoin
 // — then pick who is asked. Normally (reask nil) that is a fresh
-// health-weighted draw; when a WAL replay handed the window back partially
-// done, reask is the journaled cohort's members whose updates were lost
-// (possibly none, but not nil), so nobody who answered before the crash
-// trains the round twice.
+// health-weighted draw, after which each drawn member drops out with
+// probability a.dropout, drawn from the same rng in cohort order (nothing is
+// drawn at 0): a dropped member is not asked. When a WAL replay handed the
+// window back partially done, reask is the journaled cohort's members whose
+// updates were lost (possibly none, but not nil), so nobody who answered
+// before the crash trains the round twice.
 func (a *aggState) collect(ctx context.Context, reask []string) ([]*memberConn, error) {
 	if err := a.s.waitAlive(ctx, a.minClients, a.rejoinGrace()); err != nil {
 		return nil, err
@@ -223,7 +225,9 @@ func (a *aggState) collect(ctx context.Context, reask []string) ([]*memberConn, 
 	ids := reask
 	if ids == nil {
 		for _, info := range a.s.reg.SampleCohort(a.rng, a.k, a.cfg.OverProvision) {
-			ids = append(ids, info.ID)
+			if a.dropout == 0 || a.rng.Float64() >= a.dropout {
+				ids = append(ids, info.ID)
+			}
 		}
 	}
 	cohort := make([]*memberConn, 0, len(ids))
@@ -241,25 +245,21 @@ func (a *aggState) collect(ctx context.Context, reask []string) ([]*memberConn, 
 // into the base checkpoint so replay time stays bounded. The order is the
 // same for every driver, so crash points land between the same records:
 // the window's updates are journaled before the record exists, the commit
-// after observers saw it. Without a server (the simulator) there is no
-// wire or membership to measure and no observer: its exchange stamped its
-// own accounting.
+// after observers saw it.
 func (a *aggState) seal(w *window) error {
 	s, rec := a.s, &w.rec
-	if s != nil {
-		// Real wire traffic measured over the window, frame headers and
-		// heartbeats included — not an element-count estimate.
-		sent, recv := s.meter.Totals()
-		rec.WireSentBytes, rec.WireRecvBytes = sent-a.sentPrev, recv-a.recvPrev
-		rec.CommBytes = rec.WireSentBytes + rec.WireRecvBytes
-		a.sentPrev, a.recvPrev = sent, recv
-		churn := s.reg.RoundDelta()
-		rec.Joins = churn.Joins + churn.Rejoins
-		rec.Evictions = churn.Evictions
-		rec.Stragglers = churn.Stragglers
-		rec.HeartbeatRTTMs = churn.HeartbeatRTTMs
-		rec.HeartbeatRTTP99Ms = churn.HeartbeatRTTP99Ms
-	}
+	// Real wire traffic measured over the window, frame headers and
+	// heartbeats included — not an element-count estimate.
+	sent, recv := s.meter.Totals()
+	rec.WireSentBytes, rec.WireRecvBytes = sent-a.sentPrev, recv-a.recvPrev
+	rec.CommBytes = rec.WireSentBytes + rec.WireRecvBytes
+	a.sentPrev, a.recvPrev = sent, recv
+	churn := s.reg.RoundDelta()
+	rec.Joins = churn.Joins + churn.Rejoins
+	rec.Evictions = churn.Evictions
+	rec.Stragglers = churn.Stragglers
+	rec.HeartbeatRTTMs = churn.HeartbeatRTTMs
+	rec.HeartbeatRTTP99Ms = churn.HeartbeatRTTP99Ms
 	if a.cfg.Validation != nil && (rec.Round%a.evalEvery == 0 || rec.Round == a.cfg.Rounds) {
 		evalSpan := obsv.Begin(obsv.PhaseEval)
 		if err := a.globalModel.Params().LoadFlat(a.global); err != nil {
@@ -275,9 +275,7 @@ func (a *aggState) seal(w *window) error {
 	if a.cfg.OnRound != nil {
 		a.cfg.OnRound(*rec)
 	}
-	if s != nil {
-		s.publishRound(*rec, w.stale)
-	}
+	s.publishRound(*rec, w.stale)
 	if !w.folded {
 		return nil
 	}
@@ -319,15 +317,20 @@ type syncAggregator struct {
 	// relay identifies itself, then sticky at 2 — an empty round (every
 	// relay straggled) does not mean the topology collapsed to flat.
 	depth int
+	// stopAtPPL ends the run early once a round evaluates at or below it
+	// (fed.Run's StopAtPPL; 0 never stops).
+	stopAtPPL float64
 }
 
 func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 	cfg, resume := a.cfg, a.resume
 
 	// emptyRounds counts consecutive rounds that aggregated zero updates
-	// (every cohort member straggled past the deadline or failed). A few
-	// in a row mean the run is burning rounds without training — better to
-	// stop with the partial result than to silently "complete".
+	// because cohort members failed (straggled past the deadline or were
+	// dropped). A few in a row mean the run is burning rounds without
+	// training — better to stop with the partial result than to silently
+	// "complete". A round whose members had nothing to send (fed.Run's
+	// dropouts, and relays whose cohorts all dropped out) is not one.
 	const maxEmptyRounds = 3
 	emptyRounds := 0
 
@@ -369,10 +372,11 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 			}
 			return a.finish(fmt.Errorf("fed: round %d: %w", round, err))
 		}
-		if len(cohort) == 0 && a.fold.n == 0 {
+		if len(cohort) == 0 && a.fold.n == 0 && a.dropout == 0 {
 			// Sampled members vanished between the wait and the draw (or
 			// nothing was journaled and nobody reconnected yet); retry the
-			// round as a fresh draw against the refreshed membership.
+			// round as a fresh draw against the refreshed membership. A
+			// cohort emptied by injected dropouts runs as an empty round.
 			round--
 			continue
 		}
@@ -411,14 +415,19 @@ func (a *syncAggregator) run(ctx context.Context) (*Result, error) {
 		}
 		if a.fold.n > 0 {
 			emptyRounds = 0
-		} else if emptyRounds++; emptyRounds >= maxEmptyRounds {
-			return a.finish(fmt.Errorf("fed: no client updates for %d consecutive rounds", emptyRounds))
+		} else if w.rec.Evictions+w.rec.Stragglers > 0 {
+			if emptyRounds++; emptyRounds >= maxEmptyRounds {
+				return a.finish(fmt.Errorf("fed: no client updates for %d consecutive rounds", emptyRounds))
+			}
+		}
+		if a.stopAtPPL > 0 && w.rec.Perplexity > 0 && w.rec.Perplexity <= a.stopAtPPL {
+			break
 		}
 	}
 	return a.finish(runErr)
 }
 
-// step is where a sync round's fold goes, in Serve and in the simulator:
+// step is where a sync round's fold goes:
 // the uniform mean of the round's folded updates steps the outer optimizer
 // on the global model, and the window is sealed. Nothing of the post-step
 // state is journaled: replay redoes the step from the round's updates. An

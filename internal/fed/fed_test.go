@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -301,11 +302,13 @@ func TestSubFederationEqualsMeanOfNodes(t *testing.T) {
 }
 
 // scrubTimings zeroes the wall-clock measurement fields (real elapsed
-// time, inherently non-deterministic) so histories can be compared for
-// training determinism. Trace IDs are seeded and stay comparable.
+// time, inherently non-deterministic, and the slowest member and phase read
+// from it) so histories can be compared for training determinism. Trace IDs
+// are seeded and stay comparable.
 func scrubTimings(h *metrics.History) {
 	for i := range h.Rounds {
 		h.Rounds[i].WallMs = 0
+		h.Rounds[i].SlowestID, h.Rounds[i].SlowestPhase = "", ""
 		h.Rounds[i].Phases = obsv.Breakdown{}
 		h.Rounds[i].EncodeMs = 0
 		h.Rounds[i].DecodeMs = 0
@@ -353,17 +356,22 @@ func TestRunValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestRunFullDropoutSkipsUpdates: rounds whose whole cohort dropped out run
+// empty, flat and tiered (where each relay answers its emptied rounds with
+// an empty update, so the root does not wait for one).
 func TestRunFullDropoutSkipsUpdates(t *testing.T) {
-	res, err := Run(context.Background(), baseRun(t, func(c *RunConfig) {
-		c.DropoutProb = 1.0
-		c.Rounds = 3
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.History.Rounds {
-		if r.Clients != 0 || r.UpdateNorm != 0 {
-			t.Fatalf("round %d should have no surviving clients: %+v", r.Round, r)
+	for _, tiers := range []int{1, 2} {
+		res, err := Run(context.Background(), baseRun(t, func(c *RunConfig) {
+			c.DropoutProb = 1.0
+			c.Rounds, c.Tiers = 3, tiers
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.History.Rounds {
+			if r.Clients != 0 || r.UpdateNorm != 0 {
+				t.Fatalf("tiers %d: round %d should have no surviving clients: %+v", tiers, r.Round, r)
+			}
 		}
 	}
 }
@@ -381,23 +389,56 @@ func TestRunPartialDropoutStillConverges(t *testing.T) {
 	}
 }
 
+// frameBytes is what m costs on the wire: its encoded frame.
+func frameBytes(t *testing.T, m *link.Message) int64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := link.Encode(&b, m); err != nil {
+		t.Fatal(err)
+	}
+	return int64(b.Len())
+}
+
+// denseFrame is the frame of a dense n-element payload under the Meta keys
+// named (every Meta value is 8 bytes on the wire, whatever it is).
+func denseFrame(t *testing.T, typ link.MsgType, id string, n int, keys ...string) int64 {
+	meta := make(map[string]float64, len(keys))
+	for _, k := range keys {
+		meta[k] = 0
+	}
+	return frameBytes(t, &link.Message{Type: typ, ClientID: id, Meta: meta, Payload: link.Dense(make([]float32, n))})
+}
+
+// leafReplyKeys are the Meta keys of a leaf's update: its training metrics,
+// its phase self-reports, the held round and the trace echo.
+var leafReplyKeys = []string{"loss", "steps", "lr", link.PhaseTrainNsKey, link.PhaseEncNsKey, link.PhaseDecNsKey, link.HeldKey, link.TraceKey}
+
 // TestRunChargesWhatCrossedTheCodec: a run that names no codec crosses the
-// dense one, so each round is charged what crossed it — the broadcast to
-// the whole sampled cohort as sent, the survivors' updates as received,
-// 4 bytes an element — with dropouts sending nothing.
+// dense one, and each round is charged the frames that crossed the root's
+// links, as a networked round is — a model frame to each drawn client that
+// did not drop out (a dropout is not asked) and an update frame back from
+// each, 4 bytes an element plus header and Meta.
 func TestRunChargesWhatCrossedTheCodec(t *testing.T) {
 	const k = 3
-	res, err := Run(context.Background(), baseRun(t, func(c *RunConfig) {
+	cfg := baseRun(t, func(c *RunConfig) {
 		c.ClientsPerRound, c.DropoutProb, c.Rounds = k, 0.3, 4
-	}))
+	})
+	res, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paramBytes := int64(len(res.Global)) * 4
+	n := len(res.Global)
+	model := denseFrame(t, link.MsgModel, "", n, link.TraceKey)
+	update := denseFrame(t, link.MsgUpdate, cfg.Clients[0].ID, n, leafReplyKeys...) // the IDs are all one length
 	dropped := false
 	for _, r := range res.History.Rounds {
 		dropped = dropped || r.Clients < k
-		sent, recv := k*paramBytes, int64(r.Clients)*paramBytes
+		// Every coordinate moves each round, so a delta never pays and each
+		// broadcast is a full frame.
+		if r.DeltaBroadcasts != 0 {
+			t.Fatalf("round %d sent %d deltas", r.Round, r.DeltaBroadcasts)
+		}
+		sent, recv := int64(r.Clients)*model, int64(r.Clients)*update
 		if r.WireSentBytes != sent || r.WireRecvBytes != recv {
 			t.Fatalf("round %d (%d of %d clients): sent/recv %d/%d bytes, want %d/%d", r.Round, r.Clients, k, r.WireSentBytes, r.WireRecvBytes, sent, recv)
 		}

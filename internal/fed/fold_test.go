@@ -9,13 +9,16 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"photon/internal/data"
 	"photon/internal/link"
+	"photon/internal/metrics"
 	"photon/internal/nn"
 	"photon/internal/opt"
 	"photon/internal/tensor"
@@ -48,8 +51,10 @@ func foldDigest(res *Result) string {
 }
 
 // simFoldRun runs a three-round fed.Run over baseRun with mutate applied.
+// Every member goroutine the run started must be gone when the test ends.
 func simFoldRun(mutate func(*testing.T, *RunConfig)) func(*testing.T) *Result {
 	return func(t *testing.T) *Result {
+		testutil.VerifyNoLeaks(t)
 		cfg := baseRun(t, func(c *RunConfig) {
 			c.Rounds = 3
 			mutate(t, c)
@@ -108,7 +113,7 @@ func netFoldRun(codec string) func(*testing.T) *Result {
 	}
 }
 
-// simNetFoldRun is netFoldRun's run in the simulator: the same two members,
+// simNetFoldRun is netFoldRun's run through fed.Run: the same two members,
 // seed, outer optimizer, rounds and codec, at full participation.
 func simNetFoldRun(codec string) func(*testing.T) *Result {
 	return func(t *testing.T) *Result {
@@ -132,9 +137,8 @@ func simNetFoldRun(codec string) func(*testing.T) *Result {
 	}
 }
 
-// zeroWire zeroes the byte fields of res's rounds, which a networked run
-// measures on the wire (frame headers and heartbeats included) and the
-// simulator charges as payload bytes.
+// zeroWire zeroes the byte fields of res's rounds: TestRunMatchesServe's
+// digests cover what the fold decides, not the frames around it.
 func zeroWire(res *Result) *Result {
 	for i := range res.History.Rounds {
 		r := &res.History.Rounds[i]
@@ -145,7 +149,7 @@ func zeroWire(res *Result) *Result {
 
 // TestRunMatchesServe: fed.Run and fed.Serve are one program. Two members at
 // full participation, seed 11, FedMom(1, 0.9), three rounds evaluated every
-// round: the simulator and the networked aggregator reach the same digest
+// round: fed.Run's in-memory members and TCP members reach the same digest
 // under every built-in codec, error-feedback topk included. The digests
 // hold only where the tensor kernels are row-invariant.
 func TestRunMatchesServe(t *testing.T) {
@@ -169,10 +173,90 @@ func TestRunMatchesServe(t *testing.T) {
 	}
 }
 
+// TestExchangeFoldsInCohortOrder: three hand-rolled members answer in the
+// reverse of cohort order, each only after the one behind it has sent, and
+// the round still folds their updates in cohort order — the order the
+// journal logs them in and replay redoes them in — with the members'
+// metrics returned in the same order. The updates are ones whose float32 sum
+// depends on order: (1e8 − 1e8) + 1 is 1, (1 − 1e8) + 1e8 is 0.
+func TestExchangeFoldsInCohortOrder(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	updates := [][]float32{{1e8, 3e7, -2}, {-1e8, -3e7, 1e8}, {1, 1, -1e8}}
+	s, err := newServer(ServerConfig{Codec: "dense"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make([]chan struct{}, len(updates)+1)
+	for i := range sent {
+		sent[i] = make(chan struct{})
+	}
+	close(sent[len(updates)])
+	var members sync.WaitGroup
+	cohort := make([]*memberConn, len(updates))
+	for i, u := range updates {
+		id := fmt.Sprint("m", i)
+		srv, conn := link.Pipe()
+		members.Add(1)
+		go func() {
+			defer members.Done()
+			defer conn.Close()
+			if _, err := Handshake(conn, id, ""); err != nil {
+				return
+			}
+			for {
+				msg, err := conn.Recv()
+				if err != nil || msg.Type == link.MsgShutdown {
+					return
+				}
+				<-sent[i+1] // the member behind this one answered first
+				conn.Send(&link.Message{Type: link.MsgUpdate, Round: msg.Round, ClientID: id,
+					Meta: map[string]float64{"member": float64(i)}, Payload: link.Dense(u)})
+				close(sent[i])
+			}
+		}()
+		s.handshake(ctx, srv)
+		cohort[i] = s.get(id)
+	}
+	var fold meanFold
+	fold.reset(len(updates[0]))
+	w := &window{rec: metrics.Round{Round: 1, TraceID: 1}}
+	clientMetrics, interrupted, err := s.exchangeRound(ctx, w, make([]float32, len(updates[0])), cohort, false, nil, &fold)
+	if err != nil || interrupted {
+		t.Fatalf("exchange: err %v, interrupted %v", err, interrupted)
+	}
+	s.shutdownMembers(true)
+	members.Wait()
+
+	want, reversed := meanOf(updates), meanOf([][]float32{updates[2], updates[1], updates[0]})
+	if slices.Equal(want, reversed) {
+		t.Fatal("the updates' mean does not depend on fold order")
+	}
+	if got := fold.mean(); !slices.Equal(got, want) {
+		t.Fatalf("fold %v, cohort-order mean %v (arrival order gives %v)", got, want, reversed)
+	}
+	for i, m := range clientMetrics {
+		if m["member"] != float64(i) {
+			t.Fatalf("metrics %d came from member %v", i, m["member"])
+		}
+	}
+}
+
+// meanOf is meanFold over updates in the order given.
+func meanOf(updates [][]float32) []float32 {
+	var f meanFold
+	f.reset(len(updates[0]))
+	for _, u := range updates {
+		f.add(u, 1)
+	}
+	return slices.Clone(f.mean())
+}
+
 // TestFoldBitExact pins seven runs that cover every sync-weight fold site —
-// the simulator flat and tiered, a sub-federated silo, and the networked
-// aggregator — plus the simulator's resume, last-round evaluation
-// and upstream-only codec accounting, to digests of their results, at
+// fed.Run flat and tiered (through its relays), a sub-federated silo, and
+// the networked aggregator — plus Run's resume, last-round evaluation and
+// upstream-only codec accounting, byte fields included, to digests, at
 // GOMAXPROCS 1 and 2. A fold that changes the summation order or the
 // rounding of the mean moves a digest. The digests hold only where the
 // tensor kernels are row-invariant (the assembly path); elsewhere the test
@@ -185,20 +269,20 @@ func TestFoldBitExact(t *testing.T) {
 		name, want string
 		run        func(*testing.T) *Result
 	}{
-		{"flat-dense-k3", "dd8f99018f66dcf9", simFoldRun(func(_ *testing.T, c *RunConfig) {
+		{"flat-dense-k3", "841f372c6b0d7f57", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.ClientsPerRound, c.Codec = 3, "dense"
 		})},
-		{"flat-q8-dropout-fedmom", "979ce06b270256a3", simFoldRun(func(_ *testing.T, c *RunConfig) {
+		{"flat-q8-dropout-fedmom", "274cb035dec9ff4b", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.Codec, c.DropoutProb, c.Outer = "q8", 0.25, NewFedMom(1, 0.9)
 		})},
 		// Only its byte accounting moved when top-k updates took the sparse
 		// layout: with the three byte fields zeroed its digest is
 		// 82ebeaedb4b9caa5 under either layout.
-		{"tiered-topk-flate-diloco", "dee32ec826a06a0c", simFoldRun(func(_ *testing.T, c *RunConfig) {
+		{"tiered-topk-flate-diloco", "c117c1bc4b44ad52", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "topk:0.1", "flate"
 			c.Outer = NewDiLoCo(0.1, 0.9)
 		})},
-		{"subfed-silo", "babe24fac846d709", simFoldRun(func(t *testing.T, c *RunConfig) {
+		{"subfed-silo", "7cc8d38867373c40", simFoldRun(func(t *testing.T, c *RunConfig) {
 			nodes := makeClients(t, tinyCfg(), 4)
 			c.Clients = []*Client{{ID: "silo", SubNodes: nodes[:2]}, nodes[2], nodes[3]}
 			c.ClientsPerRound = 3
@@ -207,7 +291,7 @@ func TestFoldBitExact(t *testing.T) {
 		// Resumed from an earlier run's params at round 3: rounds 4–7 with
 		// EvalEvery 2, so round 7 is evaluated only because it is the last,
 		// and a StopAtPPL target the run never reaches.
-		{"resumed-eval-last-stop", "d1f21f50d28272cc", simFoldRun(func(t *testing.T, c *RunConfig) {
+		{"resumed-eval-last-stop", "708fceffa2e53e0c", simFoldRun(func(t *testing.T, c *RunConfig) {
 			prev, err := Run(context.Background(), baseRun(t, func(p *RunConfig) { p.Rounds = 3 }))
 			if err != nil {
 				t.Fatal(err)
@@ -217,7 +301,7 @@ func TestFoldBitExact(t *testing.T) {
 		})},
 		// An upstream codec only: the leaf tier crosses the dense codec at
 		// 4 bytes an element.
-		{"tiered-upstream-q8-only", "46b8070839230323", simFoldRun(func(_ *testing.T, c *RunConfig) {
+		{"tiered-upstream-q8-only", "290af4a2f5d9471b", simFoldRun(func(_ *testing.T, c *RunConfig) {
 			c.Tiers, c.Relays, c.Codec, c.UpstreamCodec = 2, 2, "", "q8"
 		})},
 	} {
@@ -256,6 +340,7 @@ func (c failingCodec) Encode(v []float32) (link.EncodedPayload, error) {
 // clients a round encodes three times (one broadcast, two updates), so the
 // 7th encode is round 3's broadcast.
 func TestRunKeepsCompletedRoundsOnError(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
 	var calls atomic.Int64
 	link.RegisterCodec("fail-nth", func() link.Codec { return failingCodec{calls: &calls, failAt: 7} })
 	cfg := baseRun(t, func(c *RunConfig) {
@@ -274,6 +359,49 @@ func TestRunKeepsCompletedRoundsOnError(t *testing.T) {
 	}
 	if res.FinalModel == nil || len(res.Global) == 0 {
 		t.Fatal("partial Result carries no model")
+	}
+}
+
+// cancelAt is a constant schedule that cancels a run once a client asks
+// for the LR of step at or beyond its first step.
+type cancelAt struct {
+	first  int
+	cancel context.CancelFunc
+}
+
+func (c cancelAt) LR(step int) float64 {
+	if step >= c.first {
+		c.cancel()
+	}
+	return 3e-3
+}
+
+// TestRunCancelledMidRound: cancelling ctx while round 2's clients train
+// discards that round, returns round 1 with ctx's error, and leaves no
+// member goroutine behind, flat and tiered. Each member closes its end when
+// its session returns, so the shutdown does not sit out its 3 s drain.
+func TestRunCancelledMidRound(t *testing.T) {
+	for _, tiers := range []int{1, 2} {
+		t.Run(fmt.Sprint("tiers-", tiers), func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := baseRun(t, func(c *RunConfig) {
+				c.Rounds, c.Tiers = 5, tiers
+				c.Spec.Schedule = cancelAt{first: c.Spec.Steps, cancel: cancel} // round 2's first step
+			})
+			start := time.Now()
+			res, err := Run(ctx, cfg)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if d := time.Since(start); d >= 3*time.Second {
+				t.Fatalf("cancelled run took %v: the member shutdown waited out its drain", d)
+			}
+			if res == nil || res.History.Len() != 1 {
+				t.Fatalf("result %+v, want round 1 alone", res)
+			}
+		})
 	}
 }
 
@@ -383,8 +511,8 @@ func TestMeanFoldReuseAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRunDropsNonFiniteUpdates: a simulated client whose training diverges
-// to NaN/Inf is dropped the way the networked aggregator evicts one, so a
+// TestRunDropsNonFiniteUpdates: a client whose training diverges to NaN/Inf
+// is dropped as the networked aggregator drops one (it rejoins), so a
 // run where every client diverges aggregates nothing and leaves the global
 // model exactly at its initialisation.
 func TestRunDropsNonFiniteUpdates(t *testing.T) {

@@ -5,8 +5,8 @@
 // DiLoCo's outer Nesterov SGD used as the state-of-the-art baseline), the
 // LLM client local training pipeline with stateless AdamW, hardware-driven
 // strategy selection including nested sub-federations (lines 19–25), dropout
-// handling, checkpointing, and both a deterministic in-process simulation
-// driver and a real networked aggregator/client over the link transport.
+// handling, checkpointing, and a networked aggregator/client over the link
+// transport that Run also drives in one process, over in-memory links.
 package fed
 
 import (
@@ -140,7 +140,7 @@ func MeanDelta(updates [][]float32) ([]float32, error) {
 
 // meanFold is the one fold every tier aggregates with: each update is added
 // to a running weighted sum as it arrives, so no driver holds a cohort. Sync,
-// relay, simulator and sub-federation fold at weight 1, async at 1/(1+s)^α.
+// relay and sub-federation fold at weight 1, async at 1/(1+s)^α.
 // At weight 1 add rounds u+sum once, as tensor.Add does, and
 // float32(1/float64(n)) == 1/float32(n) for n ≤ 2²², so the uniform mean is
 // bit-for-bit the sum-then-scale of a held cohort.

@@ -92,6 +92,10 @@ type relay struct {
 	// lastVer is the newest global model version seen from an async parent
 	// (0 under a sync parent), stamped on this tier's round records.
 	lastVer int
+	// answerEmpty sends an empty update for a round whose cohort folded
+	// nothing, instead of nothing: fed.Run's root waits for every relay
+	// without a deadline.
+	answerEmpty bool
 }
 
 // RunRelay serves a relay aggregator until the parent ends the session:
@@ -108,6 +112,12 @@ type relay struct {
 // The returned Result carries this tier's round history and the last
 // global parameters seen from the parent (loaded into FinalModel).
 func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) (*link.Conn, error), cfg RelayConfig) (*Result, error) {
+	return runRelay(ctx, l, dial, cfg, nil)
+}
+
+// runRelay is RunRelay with setup, when non-nil, run on the relay before it
+// serves: fed.Run's joins the relay's cohort in memory (l is then nil).
+func runRelay(ctx context.Context, l *link.Listener, dial func(context.Context) (*link.Conn, error), cfg RelayConfig, setup func(*relay)) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -144,6 +154,9 @@ func RunRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 	st.carry = r.replyCarry
 	r.up.recoverReply(recovered)
 	cfg.Parent.fill()
+	if setup != nil {
+		setup(r)
+	}
 
 	stop := st.s.startLoops(ctx, l)
 	graceful := false
@@ -222,6 +235,9 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 	}
 	r.lastRound = t.msg.Round
 	folded := r.fold.n
+	if folded == 0 && r.answerEmpty {
+		return &roundReply{meta: map[string]float64{link.CohortKey: 0}, sent: func(sentReply) error { return r.seal(w) }}, nil
+	}
 	if folded == 0 {
 		return nil, r.seal(w)
 	}

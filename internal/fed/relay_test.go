@@ -168,7 +168,7 @@ func TestTwoTierMatchesFlatNetworked(t *testing.T) {
 	}
 }
 
-// TestTieredSimMatchesFlatSim: the in-process two-tier simulation under
+// TestTieredSimMatchesFlatSim: fed.Run's in-process relays under
 // FedAvg(ηs=1) must reproduce the flat run's global parameters (mean of
 // equal group means == flat mean) while reporting parent-tier wire bytes
 // and Depth 2.
@@ -205,17 +205,20 @@ func TestTieredSimMatchesFlatSim(t *testing.T) {
 		}
 	}
 	// A codec-less tiered run crosses dense codecs, so the parent link
-	// carries relays×(model+mean) at 4 bytes an element.
+	// carries a full model frame to each relay and a mean frame back from
+	// each, stamped with the cohort size it folded.
 	last := tieredRes.History.Rounds[len(tieredRes.History.Rounds)-1]
-	paramBytes := int64(len(tieredRes.Global)) * 4
-	if last.WireSentBytes != 2*paramBytes || last.WireRecvBytes != 2*paramBytes {
-		t.Fatalf("parent-link estimate %d/%d bytes, want %d each",
-			last.WireSentBytes, last.WireRecvBytes, 2*paramBytes)
+	n := len(tieredRes.Global)
+	model := denseFrame(t, link.MsgModel, "", n, link.TraceKey)
+	mean := denseFrame(t, link.MsgUpdate, "relay-0", n, append(leafReplyKeys, link.CohortKey)...)
+	if last.Clients != 2 || last.WireSentBytes != 2*model || last.WireRecvBytes != 2*mean {
+		t.Fatalf("parent link: %d relays, %d/%d bytes, want 2 relays, %d/%d",
+			last.Clients, last.WireSentBytes, last.WireRecvBytes, 2*model, 2*mean)
 	}
 }
 
 // TestTieredSimUpstreamCodecShrinksParentLink: with a topk upstream codec
-// the simulated parent link must carry far fewer bytes than the leaf tier,
+// the parent link must carry far fewer bytes than the leaf tier,
 // and training must still converge (error feedback at the relay tier).
 func TestTieredSimUpstreamCodecShrinksParentLink(t *testing.T) {
 	res, err := Run(context.Background(), baseRun(t, func(c *RunConfig) {

@@ -243,20 +243,24 @@ func (s *server) publishRound(rec metrics.Round, stale map[string]int) {
 	}
 }
 
-// startLoops launches the accept loop (and, when configured, the liveness
-// loop) and returns the stop function that ends the serving side: cancel
-// and wait for the loops, say goodbye to observers, and end every member
-// session (see shutdownMembers for graceful vs abrupt). The accept loop
-// admits members for the whole run, so evicted or crashed members can
-// rejoin at any time.
+// startLoops launches the accept loop on l (none when l is nil: fed.Run's
+// members join over link.Pipe) and, when configured, the liveness loop,
+// and returns the stop function that ends the serving side: cancel and wait
+// for the loops, say goodbye to observers, and end every member session
+// (see shutdownMembers for graceful vs abrupt). The accept loop admits
+// members for the whole run, so evicted or crashed members can rejoin at
+// any time.
 func (s *server) startLoops(ctx context.Context, l *link.Listener) (stop func(graceful bool)) {
 	loopCtx, cancel := context.WithCancel(ctx)
 	var loops sync.WaitGroup
-	loops.Add(2)
-	go func() {
-		defer loops.Done()
-		s.acceptLoop(loopCtx, l)
-	}()
+	loops.Add(1)
+	if l != nil {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			s.acceptLoop(loopCtx, l)
+		}()
+	}
 	// On cancellation, expire in-flight member I/O via deadlines. Deadlines
 	// only — a round waiter stuck in an unbounded model Send holds the
 	// connection's send mutex, which is exactly what the deadline must
@@ -621,6 +625,9 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 			if msg.Round != int32(task) {
 				continue // late reply to an earlier task
 			}
+			if msg.Payload.IsZero() {
+				return a, false // an empty update: nothing this round
+			}
 			decSpan := obsv.Begin(obsv.PhaseDecode)
 			vec, derr := decodeUpdate(s.codec, msg.Payload, model.Elems)
 			a.srvDecNs = decSpan.End()
@@ -689,13 +696,15 @@ func (s *server) encodeBroadcast(round int, global []float32, cohort []*memberCo
 }
 
 // exchangeRound runs window w's broadcast and collection: encode global for
-// the cohort (encodeBroadcast), ask every cohort member, and fold each
-// decoded update into fold at weight 1 until all answer or fail, the round
-// deadline expires, or ctx is cancelled (interrupted=true discards the
-// round). Each update is journaled to jrn (nil: not at all) before it is
-// folded: a crash after the append re-collects nothing from that member.
-// It returns the folded members' metrics in fold order. err is non-nil only
-// for a server-side encode failure (a broken codec) or a journal error.
+// the cohort (encodeBroadcast), ask every cohort member, and journal to jrn
+// (nil: not at all), then fold into fold at weight 1, each decoded update in
+// cohort order — an answer waits only for the members before it — until all
+// answer or fail, the round deadline expires (what has arrived then folds),
+// or ctx is cancelled (interrupted=true discards the round). Cohort order
+// is the log order replay redoes, whatever order the answers arrive in, and
+// a crash after an append re-collects nothing from that member. It returns
+// the folded members' metrics in fold order. err is non-nil only for a
+// server-side encode failure (a broken codec) or a journal error.
 //
 // w.rec.TraceID is stamped on every MsgModel; members echo it (and their
 // per-phase self-reports) on their MsgUpdate, which is how w gets a full
@@ -721,14 +730,15 @@ func (s *server) exchangeRound(ctx context.Context, w *window, global []float32,
 	w.rec.DeltaBroadcasts += deltas
 	base := s.totals.load()
 
-	results := make(chan answer, len(cohort))
+	replies := make([]chan answer, len(cohort))
 	stop := make(chan struct{})
 	defer close(stop)
 	for i, mc := range cohort {
-		go func(mc *memberConn, f link.Message) {
-			a, _ := s.ask(mc, round, f.Meta, f.Payload, s.cfg.RoundDeadline, stop)
-			results <- a // buffered for the whole cohort: never blocks, even after stop
-		}(mc, frames[i])
+		replies[i] = make(chan answer, 1) // never blocks, even after stop
+		go func() {
+			a, _ := s.ask(mc, round, frames[i].Meta, frames[i].Payload, s.cfg.RoundDeadline, stop)
+			replies[i] <- a
+		}()
 	}
 
 	var deadlineC <-chan time.Time
@@ -740,36 +750,43 @@ func (s *server) exchangeRound(ctx context.Context, w *window, global []float32,
 	// slow tracks the slowest successful member: its latency dominates the
 	// round's wall time, so its phase split IS the round's critical path.
 	var slow answer
-	responded := make(map[string]bool, len(cohort))
-gather:
-	for len(responded) < len(cohort) {
-		select {
-		case a := <-results:
-			responded[a.mc.id] = true
-			if a.update == nil {
+	expired := false
+	for i, mc := range cohort {
+		var a answer
+		if !expired {
+			select {
+			case a = <-replies[i]:
+			case <-deadlineC:
+				expired = true
+			case <-ctx.Done():
+				return nil, true, nil
+			}
+		}
+		if expired {
+			select {
+			case a = <-replies[i]:
+			default:
+				// Past the deadline the round aggregates what has arrived;
+				// everyone else is a straggler (alive, but down-weighted).
+				s.reg.ObserveRound(mc.id, s.cfg.RoundDeadline, cluster.OutcomeStraggler)
 				continue
 			}
-			if err := jrn.memberUpdate(round, a.mc.id, a.payload); err != nil {
-				return nil, false, err
-			}
-			fold.add(a.update, 1)
-			clientMetrics = append(clientMetrics, a.meta)
-			s.reg.ObserveRound(a.mc.id, a.latency, cluster.OutcomeOK)
-			if slow.mc == nil || a.latency > slow.latency {
-				slow = a
-			}
-		case <-deadlineC:
-			// Deadline: aggregate the partial round; everyone who has not
-			// answered is a straggler (alive, but down-weighted).
-			for _, mc := range cohort {
-				if !responded[mc.id] {
-					s.reg.ObserveRound(mc.id, s.cfg.RoundDeadline, cluster.OutcomeStraggler)
-				}
-			}
-			break gather
-		case <-ctx.Done():
-			return nil, true, nil
 		}
+		if a.update == nil {
+			continue
+		}
+		if err := jrn.memberUpdate(round, mc.id, a.payload); err != nil {
+			return nil, false, err
+		}
+		fold.add(a.update, 1)
+		clientMetrics = append(clientMetrics, a.meta)
+		s.reg.ObserveRound(mc.id, a.latency, cluster.OutcomeOK)
+		if slow.mc == nil || a.latency > slow.latency {
+			slow = a
+		}
+	}
+	if ctx.Err() != nil {
+		return nil, true, nil
 	}
 
 	wire := s.totals.load()
@@ -797,11 +814,11 @@ gather:
 }
 
 // decodeUpdate is the single door every update passes on its way to a
-// fold under the aggregator's session codec — live sync and async arrivals,
-// both WAL replays, and fed.Run's in-memory replies. The declared element
-// count must match the model before any codec allocates for it, so a
-// mis-sized update can neither OOM the aggregator nor poison the fold, and
-// the decoded values must pass checkFinite.
+// fold under the aggregator's session codec — live sync and async arrivals
+// and both WAL replays. The declared element count must match the model
+// before any codec allocates for it, so a mis-sized update can neither OOM
+// the aggregator nor poison the fold, and the decoded values must pass
+// checkFinite.
 func decodeUpdate(codec link.Codec, p link.EncodedPayload, elems int) ([]float32, error) {
 	if p.Elems != elems {
 		return nil, fmt.Errorf("fed: update has %d elements, model has %d", p.Elems, elems)

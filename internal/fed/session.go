@@ -139,7 +139,7 @@ type sentReply struct {
 // tiers: a leaf trains the broadcast model (Session.train), a relay
 // collects its cohort and folds it through the outer optimizer
 // (relay.serve). A nil reply with a nil error sends nothing upstream and
-// keeps the session alive.
+// keeps the session alive; a reply with a nil update sends an empty one.
 type roundWork func(ctx context.Context, t roundTask) (*roundReply, error)
 
 // memberSession is the member side of the round protocol, written once for
@@ -269,7 +269,9 @@ func (m *memberSession) serveConn(ctx context.Context, conn *link.Conn, work rou
 }
 
 // serveRound answers one model broadcast: from the reply cache when it is a
-// redelivery, otherwise answer → cache → send.
+// redelivery, otherwise size-check and decode it, run work, then encode,
+// stamp, cache and send the reply. A nil reply with a nil error answers
+// nothing; a reply without an update sends an empty one.
 func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *link.Message, work roundWork, prev *link.ConnStats) error {
 	if msg.Meta[link.ResumeKey] != 0 && m.cacheOK && msg.Round == m.cacheRound {
 		// No decode, no work, no stream advance; re-encoding would
@@ -284,9 +286,53 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 		meta[link.HeldKey] = float64(m.heldRound)
 		return m.reply(ctx, conn, msg.Round, meta, m.cacheReply)
 	}
-	r, st, err := m.answer(ctx, msg, work)
-	if err != nil || r == nil {
-		return err
+	// Size-check before decoding so a corrupt or hostile element count can
+	// never drive a model-sized allocation past the real parameter count.
+	if m.want > 0 && msg.Payload.Elems != m.want {
+		return fmt.Errorf("fed: %s round %d: model payload carries %d elems, want %d",
+			m.name, msg.Round, msg.Payload.Elems, m.want)
+	}
+	t := roundTask{msg: msg, start: time.Now()}
+	decSpan := obsv.Begin(obsv.PhaseDecode)
+	global, err := m.decodeModel(msg)
+	t.decNs = decSpan.End()
+	if err != nil {
+		return fmt.Errorf("fed: %s round %d model: %w", m.name, msg.Round, err)
+	}
+	t.global = global
+
+	var st sentReply
+	workStart := time.Now()
+	r, err := work(ctx, t)
+	st.workNs = time.Since(workStart).Nanoseconds()
+	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return fmt.Errorf("fed: %s round %d: %w", m.name, msg.Round, err)
+	}
+	if r == nil {
+		return nil
+	}
+	if r.update != nil {
+		encSpan := obsv.Begin(obsv.PhaseEncode)
+		st.payload, err = link.EncodeVector(m.enc, r.update)
+		st.encNs = encSpan.End()
+		if err != nil {
+			return fmt.Errorf("fed: %s round %d update: %w", m.name, msg.Round, err)
+		}
+	}
+	// Phase self-reports let the aggregator split this member's round
+	// latency into work vs codec vs wire (for a relay the work is its whole
+	// cohort exchange, and these overwrite the cohort means AggMetrics left
+	// in meta); the trace echo attributes the reply to the root round that
+	// caused it.
+	r.meta[link.PhaseTrainNsKey] = float64(st.workNs)
+	r.meta[link.PhaseEncNsKey] = float64(st.encNs)
+	r.meta[link.PhaseDecNsKey] = float64(t.decNs)
+	r.meta[link.HeldKey] = float64(m.heldRound)
+	if traceID := uint64(msg.Meta[link.TraceKey]); traceID != 0 {
+		r.meta[link.TraceKey] = float64(traceID)
 	}
 	// Cache before sending: the work is done, so the data streams and the
 	// error-feedback state have advanced. If the aggregator crashes
@@ -301,58 +347,6 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	st.wireSent, st.wireRecv = cur.SentBytes-prev.SentBytes, cur.RecvBytes-prev.RecvBytes
 	*prev = cur
 	return r.sent(st)
-}
-
-// answer is a round without the connection: size-check and decode msg, run
-// work, encode and stamp the reply. A nil reply with a nil error answers
-// nothing; st's wire bytes are left to serveRound. fed.Run calls it in memory.
-func (m *memberSession) answer(ctx context.Context, msg *link.Message, work roundWork) (r *roundReply, st sentReply, err error) {
-	// Size-check before decoding so a corrupt or hostile element count can
-	// never drive a model-sized allocation past the real parameter count.
-	if m.want > 0 && msg.Payload.Elems != m.want {
-		return nil, st, fmt.Errorf("fed: %s round %d: model payload carries %d elems, want %d",
-			m.name, msg.Round, msg.Payload.Elems, m.want)
-	}
-	t := roundTask{msg: msg, start: time.Now()}
-	decSpan := obsv.Begin(obsv.PhaseDecode)
-	global, err := m.decodeModel(msg)
-	t.decNs = decSpan.End()
-	if err != nil {
-		return nil, st, fmt.Errorf("fed: %s round %d model: %w", m.name, msg.Round, err)
-	}
-	t.global = global
-
-	workStart := time.Now()
-	r, err = work(ctx, t)
-	st.workNs = time.Since(workStart).Nanoseconds()
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, st, ctx.Err()
-		}
-		return nil, st, fmt.Errorf("fed: %s round %d: %w", m.name, msg.Round, err)
-	}
-	if r == nil {
-		return nil, st, nil
-	}
-	encSpan := obsv.Begin(obsv.PhaseEncode)
-	st.payload, err = link.EncodeVector(m.enc, r.update)
-	st.encNs = encSpan.End()
-	if err != nil {
-		return nil, st, fmt.Errorf("fed: %s round %d update: %w", m.name, msg.Round, err)
-	}
-	// Phase self-reports let the aggregator split this member's round
-	// latency into work vs codec vs wire (for a relay the work is its whole
-	// cohort exchange, and these overwrite the cohort means AggMetrics left
-	// in meta); the trace echo attributes the reply to the root round that
-	// caused it.
-	r.meta[link.PhaseTrainNsKey] = float64(st.workNs)
-	r.meta[link.PhaseEncNsKey] = float64(st.encNs)
-	r.meta[link.PhaseDecNsKey] = float64(t.decNs)
-	r.meta[link.HeldKey] = float64(m.heldRound)
-	if traceID := uint64(msg.Meta[link.TraceKey]); traceID != 0 {
-		r.meta[link.TraceKey] = float64(traceID)
-	}
-	return r, st, nil
 }
 
 // decodeModel decodes a broadcast, a delta one against the held model, and

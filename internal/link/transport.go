@@ -210,9 +210,7 @@ func (c *Conn) Stats() ConnStats {
 }
 
 // Pipe returns a connected in-process Conn pair running the full wire
-// protocol over net.Pipe.
-//
-//photon:nolint unused-export -- test seam: the fed session and reconnect tests (TestResilientClientReconnectsThroughPipe) drive members over it
+// protocol over net.Pipe: fed.Run's members join its aggregator over one.
 func Pipe() (*Conn, *Conn) {
 	a, b := net.Pipe()
 	return NewConn(a), NewConn(b)

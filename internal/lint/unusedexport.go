@@ -11,7 +11,8 @@ import (
 	"strings"
 )
 
-// UnusedExport keeps code with no caller out of internal/ (bar testutil): an
+// UnusedExport keeps code with no caller out of the root package and
+// internal/ (bar testutil): an
 // exported name or method no non-test file references (its own package
 // counts, its own declaration does not), and an exported struct field no
 // non-test code writes. A method satisfying a used interface, String, Error,
@@ -32,7 +33,7 @@ type useIndex struct {
 }
 
 func runUnusedExport(pass *Pass) {
-	if path := pass.Pkg.ImportPath; !strings.HasPrefix(path, pass.Prog.ModPath+"/internal/") || path == pass.Prog.ModPath+"/internal/testutil" {
+	if path := pass.Pkg.ImportPath; path != pass.Prog.ModPath && !strings.HasPrefix(path, pass.Prog.ModPath+"/internal/") || path == pass.Prog.ModPath+"/internal/testutil" {
 		return
 	}
 	ix := pass.Prog.useIndex()

@@ -22,19 +22,21 @@ type Round struct {
 	// continue the checkpoint's numbering.
 	Round int
 	// TrainLoss is the mean participating-client training loss
-	// (nats/token).
+	// (nats/token); a tiered root's is the mean of its relays' means.
 	TrainLoss float64
 	// Perplexity is the global model's validation perplexity, 0 when the
 	// round was not evaluated.
 	Perplexity float64
-	// Clients is the number of clients whose updates were aggregated
+	// Clients is the number of members whose updates were aggregated: a
+	// tiered root's members are its relays, each folding its own cohort
 	// (workers, for the centralized backend).
 	Clients int
 	// CommBytes is the model/update traffic attributed to the round:
 	// broadcast down plus updates up for the federated backends, gradient
-	// all-reduce volume for the centralized one. The networked backends
-	// measure it on the wire (frame headers and heartbeats included); the
-	// in-process federated backend counts codec-encoded payload bytes.
+	// all-reduce volume for the centralized one. Every federated backend,
+	// the in-process one included, measures it on the wire: the frames
+	// crossing the emitting node's member links, headers and heartbeats
+	// included (a tiered root's: its relay uplinks, not the leaf tier).
 	CommBytes int64
 	// WireSentBytes and WireRecvBytes split CommBytes by direction
 	// (aggregator's perspective on the server/federated backends, the
@@ -51,28 +53,28 @@ type Round struct {
 	EncodeMs float64
 	DecodeMs float64
 	// DeltaBroadcasts is the number of members sent the model as a delta
-	// against the one they held rather than in full (networked sync tiers
-	// only; 0 elsewhere).
+	// against the one they held rather than in full (sync tiers only; 0
+	// elsewhere).
 	DeltaBroadcasts int
 	// UpdateNorm is the L2 norm of the aggregated pseudo-gradient (0 for
 	// the centralized and client backends).
 	UpdateNorm float64
 
 	// Tier is the emitting node's distance from the global aggregator: 0
-	// for the root (and the in-process backends), 1 for a relay's own
+	// for the root (and the centralized backend), 1 for a relay's own
 	// records.
 	Tier int
 	// Depth is the number of aggregation tiers at or below the emitting
 	// node: 1 for a flat federation, 2 when the node's round members are
-	// themselves relays (a networked parent detects this from the cohort
-	// metadata relays stamp on their updates). 0 means not applicable
+	// themselves relays (a parent detects this from the cohort metadata
+	// relays stamp on their updates). 0 means not applicable
 	// (centralized and client backends).
 	Depth int
 
 	// Joins counts members that joined (or rejoined) the federation during
-	// this round — elastic membership telemetry from the networked
-	// aggregator backend, 0 elsewhere. Churn is windowed between recorded
-	// rounds: round 1 includes the initial cohort's joins.
+	// this round — elastic membership telemetry from the federated
+	// aggregators, 0 elsewhere. Churn is windowed between recorded rounds:
+	// round 1 includes the initial cohort's joins.
 	Joins int
 	// Evictions counts members evicted this round (connection failure or
 	// missed heartbeats).

@@ -80,11 +80,15 @@ func geluWithGradAVX2(y, dg, x *float32, n int)
 //photon:hotpath
 func adamwAVX2(data, grad, m, v *float32, n int, c *AdamWFactors)
 
-// expAVX2 and tanhAVX2 are the two lane bodies on float64 slices, for the
-// tests that hold them to math.Exp and math.Tanh bit for bit.
+// expAVX2, tanhAVX2 and geluLanesAVX2 are the lane bodies on float64 slices,
+// for the tests that hold them to math.Exp, math.Tanh and the GELU
+// expressions bit for bit.
 
 //go:noescape
 func expAVX2(dst, src *float64, n int) (done int)
 
 //go:noescape
 func tanhAVX2(dst, src *float64, n int)
+
+//go:noescape
+func geluLanesAVX2(y, dg, src *float64, n int)

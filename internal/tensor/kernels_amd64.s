@@ -26,8 +26,10 @@
 //     and a lane outside its normal range goes back to math.Exp; TANH4 is
 //     math.tanh's source order with unfused operations, as Go compiles it at
 //     GOAMD64=v1; float32 scores, maxima and sums round where the Go loops do.
-//     The training forward's GELU body evaluates tanh once per element for
-//     both GELU and its derivative, each with its own Go expression's order.
+//     The GELU bodies are two macros, GELU4 and GELUGRAD4: the training
+//     forward runs both on one tanh per element, each output in its own Go
+//     expression's order, and geluLanesAVX2 runs the same two on float64
+//     lanes so a test sees their bits before the float32 rounding hides them.
 //
 // Every function takes element counts n ≥ 1 checked by its wrapper and reads
 // or writes exactly n elements per operand (the transcendental bodies: the
@@ -811,14 +813,34 @@ GLOBL tc<>(SB), RODATA|NOPTR, $1024
 	VCMPPD    $0x1d, tc<>+608(SB), Y6, Y0; \
 	VBLENDVPD Y0, Y7, Y5, Y5
 
-// GELUINNER sets Y4 = √(2/π)·(x + 0.044715·x·x·x) for x in Y8, unfused and
-// in Go's order.
-#define GELUINNER \
+// GELU4 sets Y13 = 0.5·x·(1 + t) with t = tanh(√(2/π)·(x + 0.044715·x·x·x))
+// for x in Y8, unfused and in Go's order, leaving Y5 = t, Y9 = 0.5·x and
+// Y11 = 1 + t for GELUGRAD4. Clobbers Y0–Y4, Y6, Y7.
+#define GELU4 \
+	VMULPD tc<>+320(SB), Y8, Y9; \
 	VMULPD tc<>+768(SB), Y8, Y4; \
 	VMULPD Y8, Y4, Y4; \
 	VMULPD Y8, Y4, Y4; \
 	VADDPD Y4, Y8, Y4; \
-	VMULPD tc<>+736(SB), Y4, Y4
+	VMULPD tc<>+736(SB), Y4, Y4; \
+	TANH4; \
+	VADDPD tc<>+352(SB), Y5, Y11; \
+	VMULPD Y9, Y11, Y13
+
+// GELUGRAD4 follows GELU4: it sets Y11 = 0.5·(1+t) + 0.5·x·(1−t²)·√(2/π)·
+// (1 + 3·0.044715·x²), unfused and in Go's order. Clobbers Y5, Y10, Y12.
+#define GELUGRAD4 \
+	VMULPD  tc<>+800(SB), Y8, Y10; \
+	VMULPD  Y8, Y10, Y10; \
+	VADDPD  tc<>+352(SB), Y10, Y10; \
+	VMULPD  tc<>+736(SB), Y10, Y10; \
+	VMULPD  tc<>+320(SB), Y11, Y11; \
+	VMULPD  Y5, Y5, Y5; \
+	VMOVUPD tc<>+352(SB), Y12; \
+	VSUBPD  Y5, Y12, Y12; \
+	VMULPD  Y9, Y12, Y12; \
+	VMULPD  Y10, Y12, Y12; \
+	VADDPD  Y12, Y11, Y11
 
 // HMAX8 reduces the eight float32 lanes of Y0 (none NaN) to their maximum in
 // X0. T is a scratch X register.
@@ -1014,13 +1036,9 @@ TEXT ·geluAVX2(SB), NOSPLIT, $0-24
 	JLT  done
 loop:
 	VCVTPS2PD  (SI)(AX*4), Y8
-	VMULPD     tc<>+320(SB), Y8, Y9
-	GELUINNER
-	TANH4
-	VADDPD     tc<>+352(SB), Y5, Y5
-	VMULPD     Y9, Y5, Y5
-	VCVTPD2PSY Y5, X5
-	VMOVUPS    X5, (DI)(AX*4)
+	GELU4
+	VCVTPD2PSY Y13, X13
+	VMOVUPS    X13, (DI)(AX*4)
 	ADDQ       $4, AX
 	SUBQ       $4, CX
 	JGE        loop
@@ -1044,29 +1062,39 @@ TEXT ·geluWithGradAVX2(SB), NOSPLIT, $0-32
 	JLT  done
 loop:
 	VCVTPS2PD  (SI)(AX*4), Y8
-	VMULPD     tc<>+320(SB), Y8, Y9
-	GELUINNER
-	VMULPD     tc<>+800(SB), Y8, Y10
-	VMULPD     Y8, Y10, Y10
-	VADDPD     tc<>+352(SB), Y10, Y10
-	VMULPD     tc<>+736(SB), Y10, Y10
-	TANH4
-	VADDPD     tc<>+352(SB), Y5, Y11
-	VMULPD     Y9, Y11, Y12
-	VCVTPD2PSY Y12, X12
-	VMOVUPS    X12, (DI)(AX*4)
-	VMULPD     tc<>+320(SB), Y11, Y11
-	VMULPD     Y5, Y5, Y5
-	VMOVUPD    tc<>+352(SB), Y12
-	VSUBPD     Y5, Y12, Y12
-	VMULPD     Y9, Y12, Y12
-	VMULPD     Y10, Y12, Y12
-	VADDPD     Y12, Y11, Y11
+	GELU4
+	GELUGRAD4
+	VCVTPD2PSY Y13, X13
+	VMOVUPS    X13, (DI)(AX*4)
 	VCVTPD2PSY Y11, X11
 	VMOVUPS    X11, (R8)(AX*4)
 	ADDQ       $4, AX
 	SUBQ       $4, CX
 	JGE        loop
+done:
+	VZEROUPPER
+	RET
+
+// func geluLanesAVX2(y, dg, src *float64, n int)
+// The GELU bodies on float64 lanes, not rounded to float32: y[i] = GELU4's
+// and dg[i] = GELUGRAD4's value of src[i], for the first 4·⌊n/4⌋ elements.
+TEXT ·geluLanesAVX2(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ dg+8(FP), R8
+	MOVQ src+16(FP), SI
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+	SUBQ $4, CX
+	JLT  done
+loop:
+	VMOVUPD (SI)(AX*8), Y8
+	GELU4
+	GELUGRAD4
+	VMOVUPD Y13, (DI)(AX*8)
+	VMOVUPD Y11, (R8)(AX*8)
+	ADDQ    $4, AX
+	SUBQ    $4, CX
+	JGE     loop
 done:
 	VZEROUPPER
 	RET

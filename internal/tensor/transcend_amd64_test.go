@@ -105,6 +105,35 @@ func checkGuards64(t *testing.T, what string, n int, buf, s []float64) {
 	}
 }
 
+// gelu64 and geluGrad64 are geluScalar and geluGradScalar before their
+// float32 rounding: the float64 values the GELU bodies round.
+func gelu64(x float64) float64 {
+	return 0.5 * x * (1 + math.Tanh(geluCoef*(x+0.044715*x*x*x)))
+}
+
+func geluGrad64(x float64) float64 {
+	inner := geluCoef * (x + 0.044715*x*x*x)
+	t := math.Tanh(inner)
+	dInner := geluCoef * (1 + 3*0.044715*x*x)
+	return 0.5*(1+t) + 0.5*x*(1-t*t)*dInner
+}
+
+// geluVec and geluGradVec run the GELU bodies over a float64 slice: whole
+// groups of four in assembly, the tail through the reference.
+func geluVec(dst, src []float64) { geluLanes(dst, make([]float64, len(src)), src) }
+
+func geluGradVec(dst, src []float64) { geluLanes(make([]float64, len(src)), dst, src) }
+
+func geluLanes(y, dg, src []float64) {
+	i := len(src) &^ 3
+	if i > 0 {
+		geluLanesAVX2(&y[0], &dg[0], &src[0], i)
+	}
+	for ; i < len(src); i++ {
+		y[i], dg[i] = gelu64(src[i]), geluGrad64(src[i])
+	}
+}
+
 var laneBodies = []struct {
 	name string
 	vec  func(dst, src []float64)
@@ -112,6 +141,8 @@ var laneBodies = []struct {
 }{
 	{"exp", expVec, math.Exp},
 	{"tanh", tanhVec, math.Tanh},
+	{"gelu", geluVec, gelu64},
+	{"gelu'", geluGradVec, geluGrad64},
 }
 
 // checkLanes fails unless vec gives ref's bits on every element of src.
@@ -127,8 +158,8 @@ func checkLanes(t *testing.T, name string, vec func(dst, src []float64), ref fun
 	}
 }
 
-// TestTranscendentalBitwiseEqualGo holds the exp and tanh lane bodies to
-// math.Exp and math.Tanh bit for bit: every length 0…67 at unaligned starts
+// TestTranscendentalBitwiseEqualGo holds the exp, tanh and GELU lane bodies
+// to math.Exp, math.Tanh and GELU's float64 expressions bit for bit: every length 0…67 at unaligned starts
 // with guard words around the output, then every edge input in every lane of
 // a group whose other lanes are ordinary, so the edge is not hidden behind a
 // neighbour's fallback. math is compared as compiled, so should a Go
@@ -169,7 +200,7 @@ func TestTranscendentalBitwiseEqualGo(t *testing.T) {
 	for _, sw := range []struct {
 		body   int
 		lo, hi float64
-	}{{0, -745.2, 709.8}, {0, -2, 2}, {1, -0.7, 0.7}, {1, -45, 45}} {
+	}{{0, -745.2, 709.8}, {0, -2, 2}, {1, -0.7, 0.7}, {1, -45, 45}, {2, -8, 8}, {3, -8, 8}} {
 		src := make([]float64, 1<<17)
 		for i := range src {
 			src[i] = sw.lo + (sw.hi-sw.lo)*rng.Float64()
@@ -179,9 +210,9 @@ func TestTranscendentalBitwiseEqualGo(t *testing.T) {
 	}
 }
 
-// FuzzExpBitwise: for any float64 x, the exp and tanh lane bodies give
-// math's bits on x, on its neighbours in the same vector and on its float32
-// rounding.
+// FuzzExpBitwise: for any float64 x, the exp, tanh and GELU lane bodies give
+// their references' bits on x, on its neighbours in the same vector and on
+// its float32 rounding.
 func FuzzExpBitwise(f *testing.F) {
 	if !hasAVX2FMA() {
 		f.Skip("CPU lacks AVX2+FMA")

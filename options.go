@@ -102,9 +102,6 @@ func WithLocalSteps(tau int) JobOption { return func(c *jobConfig) { c.localStep
 // federated, 16 centralized).
 func WithBatchSize(b int) JobOption { return func(c *jobConfig) { c.batchSize = b } }
 
-// WithSeqLen sets the training sequence length (default 16).
-func WithSeqLen(n int) JobOption { return func(c *jobConfig) { c.seqLen = n } }
-
 // WithSteps sets the centralized backend's optimizer step count
 // (default 320).
 func WithSteps(n int) JobOption { return func(c *jobConfig) { c.steps = n } }
@@ -188,18 +185,18 @@ func WithCodec(name string) JobOption {
 func WithParent(addr string) JobOption { return func(c *jobConfig) { c.parent = addr } }
 
 // WithTiers selects the federated backend's aggregation depth: 1 (default)
-// is the flat Algorithm 1 loop, 2 simulates hierarchical aggregation — the
-// cohort folds into WithRelays group means first and the server optimizer
-// consumes the mean of relay means, with the parent tier's wire traffic
-// accounted under WithUpstreamCodec.
+// is the flat Algorithm 1 loop, 2 runs hierarchical aggregation in-process
+// — WithRelays relays each fold their share of the clients and the server
+// optimizer consumes the mean of relay means, with the parent tier's wire
+// traffic measured under WithUpstreamCodec.
 func WithTiers(n int) JobOption { return func(c *jobConfig) { c.tiers = n } }
 
 // WithRelays sets the number of relay groups for WithTiers(2) (default 2).
 func WithRelays(n int) JobOption { return func(c *jobConfig) { c.relays = n } }
 
 // WithUpstreamCodec names the relay→root tier's wire codec. On the
-// federated backend it drives the tiered simulation's parent-tier encoding
-// (default: same as WithCodec); on a relay job (WithParent) it is a strict
+// federated backend it is the in-process relays' uplink codec (default:
+// same as WithCodec); on a relay job (WithParent) it is a strict
 // requirement against the parent's announced codec — leave it unset to
 // accept whatever the parent runs.
 func WithUpstreamCodec(name string) JobOption {

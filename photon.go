@@ -28,8 +28,9 @@
 //     codecs) minimizing the congestion-corrected Eq. 5/6 wall time.
 //   - Aggregation composes hierarchically over real links: WithParent
 //     turns an aggregator job into a relay that joins a parent while
-//     serving its own cohort, and WithTiers/WithRelays/WithPlan simulate
-//     the same hierarchy in-process. Round telemetry carries Tier/Depth.
+//     serving its own cohort, and WithTiers/WithRelays/WithPlan run the
+//     same relays in-process, over in-memory links. Round telemetry
+//     carries Tier/Depth.
 package photon
 
 import (
@@ -46,20 +47,15 @@ import (
 // ModelSize selects a model architecture preset.
 type ModelSize string
 
-// Available model sizes: the paper's Table 4 presets (for analytics and
-// full-scale deployment) and the laptop-trainable proxies used by the
-// experiment harness.
+// Model sizes the commands and examples name. ModelConfig resolves every
+// preset by its name: the paper's Table 4 sizes "75M", "125M", "350M",
+// "1.3B", "3B" and "7B" (for analytics and full-scale deployment) and the
+// laptop-trainable proxies "tiny", "tiny-1B-proxy", "tiny-3B-proxy" and
+// "tiny-7B-proxy" the experiment harness trains.
 const (
-	Size75M   ModelSize = "75M"
-	Size125M  ModelSize = "125M"
-	Size350M  ModelSize = "350M"
-	Size1B    ModelSize = "1.3B"
-	Size3B    ModelSize = "3B"
-	Size7B    ModelSize = "7B"
-	SizeTiny  ModelSize = "tiny"
-	SizeTinyS ModelSize = "tiny-1B-proxy"
-	SizeTinyM ModelSize = "tiny-3B-proxy"
-	SizeTinyL ModelSize = "tiny-7B-proxy"
+	Size125M ModelSize = "125M"
+	Size7B   ModelSize = "7B"
+	SizeTiny ModelSize = "tiny"
 )
 
 // ModelConfig resolves a size preset to its architecture configuration.
@@ -115,9 +111,6 @@ func (r *Result) Generate(seed int64, prompt []int, n int, temperature float64) 
 	}
 	return r.model.Generate(rand.New(rand.NewSource(seed)), prompt, n, temperature)
 }
-
-// Perplexity evaluates the trained model on fresh held-out data.
-func (r *Result) Perplexity() float64 { return r.FinalPerplexity }
 
 // NumParams returns the trained model's parameter count (0 when the run
 // produced no model).
