@@ -204,11 +204,11 @@ func TestRunValidation(t *testing.T) {
 
 // TestRunDigest pins a 2-worker, 6-step run (final params and every history
 // record) at GOMAXPROCS 1 and 2. A change to the step's summation order,
-// scaling or clipping moves it. It holds only where the tensor kernels are
-// row-invariant (the assembly path); elsewhere the test skips.
+// scaling or clipping moves it. The tensor kernels give it on either path;
+// the test skips where math.Exp or math.tanh differs from amd64's with FMA.
 func TestRunDigest(t *testing.T) {
-	if !testutil.RowInvariantKernels() {
-		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
+	if !testutil.ExpFMAOnAMD64() {
+		t.Skip("the digests were taken with amd64's math.Exp FMA sequence; this machine's exp or tanh differs")
 	}
 	const want = "81fcfc87e6e3dd54"
 	for _, procs := range []int{1, 2} {

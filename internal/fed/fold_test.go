@@ -151,10 +151,11 @@ func zeroWire(res *Result) *Result {
 // full participation, seed 11, FedMom(1, 0.9), three rounds evaluated every
 // round: fed.Run's in-memory members and TCP members reach the same digest
 // under every built-in codec, error-feedback topk included. The digests
-// hold only where the tensor kernels are row-invariant.
+// hold on either kernel path, where math.Exp and math.tanh are amd64's with
+// FMA.
 func TestRunMatchesServe(t *testing.T) {
-	if !testutil.RowInvariantKernels() {
-		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
+	if !testutil.ExpFMAOnAMD64() {
+		t.Skip("the digests were taken with amd64's math.Exp FMA sequence; this machine's exp or tanh differs")
 	}
 	for _, tc := range []struct{ codec, want string }{
 		{"dense", "3b331116d2a525a4"},
@@ -258,12 +259,12 @@ func meanOf(updates [][]float32) []float32 {
 // the networked aggregator — plus Run's resume, last-round evaluation and
 // upstream-only codec accounting, byte fields included, to digests, at
 // GOMAXPROCS 1 and 2. A fold that changes the summation order or the
-// rounding of the mean moves a digest. The digests hold only where the
-// tensor kernels are row-invariant (the assembly path); elsewhere the test
-// skips.
+// rounding of the mean moves a digest. The digests hold on either kernel
+// path; the test skips where math.Exp or math.tanh differs from amd64's
+// with FMA.
 func TestFoldBitExact(t *testing.T) {
-	if !testutil.RowInvariantKernels() {
-		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
+	if !testutil.ExpFMAOnAMD64() {
+		t.Skip("the digests were taken with amd64's math.Exp FMA sequence; this machine's exp or tanh differs")
 	}
 	for _, tc := range []struct {
 		name, want string

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-
-	"photon/internal/testutil"
 )
 
 // decodeCfg is a multi-layer configuration so the equivalence tests cover
@@ -213,14 +211,11 @@ func TestDecodeStepZeroAlloc(t *testing.T) {
 }
 
 // TestDecodeOneAtATimeBitwiseEqualsPrefill is the strong form of the
-// tolerance tests above: where the kernels are row-invariant, a prompt fed
+// tolerance tests above: on either kernel path, a prompt fed
 // to a DecodeState in one call and the same tokens fed one Decode call at a
 // time give bitwise-equal logits at every position — 23 rows in one matmul
 // tile differently from 23 single rows, and must not matter.
 func TestDecodeOneAtATimeBitwiseEqualsPrefill(t *testing.T) {
-	if !testutil.RowInvariantKernels() {
-		t.Skip("tensor kernels on this machine are not row-invariant (portable Go path)")
-	}
 	rng := rand.New(rand.NewSource(71))
 	cfg := Config{VocabSize: 256, Dim: 64, Heads: 4, Blocks: 4, ExpRatio: 4, SeqLen: 32}
 	m := NewModel(cfg, rng)
@@ -238,7 +233,7 @@ func TestDecodeOneAtATimeBitwiseEqualsPrefill(t *testing.T) {
 	for i := range seq {
 		got := m.DecodeLogits(m.Decode([]*DecodeState{st}, [][]int{seq[i : i+1]}), []int{0})
 		for j, v := range got.Row(0) {
-			if math.Float32bits(v) != math.Float32bits(want.At(i, j)) {
+			if math.Float32bits(v) != math.Float32bits(want.Row(i)[j]) {
 				differ++
 			}
 		}
@@ -251,8 +246,7 @@ func TestDecodeOneAtATimeBitwiseEqualsPrefill(t *testing.T) {
 // TestDecodersShareModelConcurrently is the contract the serve engine's
 // per-core shards stand on: two Decoders over one model, each decoding its
 // own half of a batch on its own goroutine at the same time, give what one
-// decoder gives over the whole batch — bitwise where the kernels are
-// row-invariant, ≤1e-5 elsewhere. Under -race it also shows that decoding
+// decoder gives over the whole batch, bit for bit. Under -race it also shows that decoding
 // writes nothing shared: no layer cache, no model scratch.
 func TestDecodersShareModelConcurrently(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -313,18 +307,12 @@ func TestDecodersShareModelConcurrently(t *testing.T) {
 	wg.Wait()
 	got := append(halves[0], halves[1]...)
 
-	bitwise := testutil.RowInvariantKernels()
 	for i := range want {
 		for step := range want[i] {
-			d := maxAbsDiff(got[i][step], want[i][step])
-			if bitwise {
-				for j, v := range got[i][step] {
-					if math.Float32bits(v) != math.Float32bits(want[i][step][j]) {
-						t.Fatalf("sequence %d step %d: logit %d is %g on a shard decoder, %g over the whole batch", i, step, j, v, want[i][step][j])
-					}
+			for j, v := range got[i][step] {
+				if math.Float32bits(v) != math.Float32bits(want[i][step][j]) {
+					t.Fatalf("sequence %d step %d: logit %d is %g on a shard decoder, %g over the whole batch", i, step, j, v, want[i][step][j])
 				}
-			} else if d > 1e-5 {
-				t.Fatalf("sequence %d step %d: shard decoders diverge from one decoder by %g", i, step, d)
 			}
 		}
 	}

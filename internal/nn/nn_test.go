@@ -175,7 +175,7 @@ func TestCausalityNoFutureLeak(t *testing.T) {
 	l2 := m.Logits(in2)
 	for pos := 0; pos < 5; pos++ {
 		for j := 0; j < cfg.VocabSize; j++ {
-			if l1.At(pos, j) != l2.At(pos, j) {
+			if l1.Row(pos)[j] != l2.Row(pos)[j] {
 				t.Fatalf("logits at position %d changed when future token changed", pos)
 			}
 		}
@@ -183,7 +183,7 @@ func TestCausalityNoFutureLeak(t *testing.T) {
 	// And the last position must change (sanity that the test has power).
 	same := true
 	for j := 0; j < cfg.VocabSize; j++ {
-		if l1.At(5, j) != l2.At(5, j) {
+		if l1.Row(5)[j] != l2.Row(5)[j] {
 			same = false
 			break
 		}
@@ -348,7 +348,7 @@ func TestGELUGradNumerical(t *testing.T) {
 	}
 	up, down := shifted(eps), shifted(-eps)
 	shifted(0)
-	dx := g.Backward(tensor.FromSlice(1, len(dys), dys))
+	dx := g.Backward(&tensor.Matrix{Rows: 1, Cols: len(dys), Data: dys})
 	for i, x := range xs {
 		num := float64(dys[i]) * (float64(up[i]) - float64(down[i])) / (2 * eps)
 		if ana := float64(dx.Data[i]); math.Abs(num-ana) > 1e-3*math.Max(1, math.Abs(float64(dys[i]))) {

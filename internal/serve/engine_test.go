@@ -627,8 +627,7 @@ func TestEngineOneCoreHasNoHelpers(t *testing.T) {
 // TestEngineShardedStepMatchesAlone holds a two-core engine to the serving
 // contract with eight mixed requests in flight, so the steps run as two
 // shards on two goroutines: every generation reproduces the request served
-// alone token for token (where the kernels are row-invariant; elsewhere only
-// its length is checked) and every score matches eval.ContinuationLogProb
+// alone token for token and every score matches eval.ContinuationLogProb
 // within 1e-4.
 func TestEngineShardedStepMatchesAlone(t *testing.T) {
 	withProcs(t, 2)
@@ -659,7 +658,6 @@ func TestEngineShardedStepMatchesAlone(t *testing.T) {
 	if len(e.shards) != 2 {
 		t.Fatalf("engine at GOMAXPROCS 2 built %d shards, want 2", len(e.shards))
 	}
-	exact := testutil.RowInvariantKernels()
 	var wg sync.WaitGroup
 	var next atomic.Int64
 	for w := 0; w < 8; w++ {
@@ -676,7 +674,7 @@ func TestEngineShardedStepMatchesAlone(t *testing.T) {
 					if math.Abs(res.LogProb-it.wantScore) > 1e-4 {
 						t.Errorf("request %d: score %g, in-process %g", i, res.LogProb, it.wantScore)
 					}
-				case len(res.Tokens) != it.req.MaxNew || exact && !slices.Equal(res.Tokens, it.wantTokens):
+				case len(res.Tokens) != it.req.MaxNew || !slices.Equal(res.Tokens, it.wantTokens):
 					t.Errorf("request %d: generated %v, served alone %v", i, res.Tokens, it.wantTokens)
 				}
 			}

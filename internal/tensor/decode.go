@@ -93,9 +93,7 @@ func bandAttendDecode(items []DecodeItem, scale float32, lo, hi int) {
 					it.V[(j+2)*d:(j+3)*d], it.V[(j+3)*d:(j+4)*d], ctx)
 			}
 			for ; j < end; j++ {
-				if pv := probs[j]; useAVX2 || pv != 0 {
-					axpy(pv, it.V[j*d:(j+1)*d], ctx)
-				}
+				axpy(probs[j], it.V[j*d:(j+1)*d], ctx)
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the band-level compute kernels the worker pool executes.
 // Their flops go through seven micro-kernels: the A·B and Aᵀ·B products run
@@ -14,11 +17,13 @@ import "fmt"
 //
 // Each micro-kernel is a Go loop — the reference, and what every machine but
 // an amd64 with AVX2+FMA runs — behind an assembly body (kernels_amd64.s)
-// taken when useAVX2, set once at init from CPUID, says so. There every
-// axpy-family element is one FMA chain in p order and every dot one fixed
-// lane tree, so an element's bits do not depend on the tile, remainder row
-// or column, or pool band that computed it (in Go the dot tiles and Dot sum
-// in different orders); the two paths agree within 1e-6 of Σ|terms|.
+// taken when useAVX2, set once at init from CPUID, says so. Both paths
+// compute the same bits: every axpy-family element is one fma32 chain in p
+// order, and every dot eight fma32 lanes reduced by one fixed tree and an
+// fma32 tail (Dot), so an element's bits do not depend on the path, tile,
+// remainder row or column, or pool band that computed it. fma32 rounds once,
+// as VFMADD231SS does; every other multiply-add in the package's Go loops
+// converts its product explicitly, so no compiler fuses it (arm64 would).
 //
 // The causal softmax backward runs the float32 dot chains of four rows
 // interleaved in Go, each in the order the one-row loop sums it, and each
@@ -66,23 +71,20 @@ func bandMatMul(c, a, b *Matrix, lo, hi int) {
 
 // axpyRow adds Σ_p ai[p]·B[p][j0:] into ci[j0:] for p in [p0, p1), one axpy
 // per p, where B is bd with rows as long as ci: the remainder loop of the
-// A·B kernels. The Go loops pass over zero ai[p]; the assembly adds every
-// term, as tile4x16 does.
+// A·B kernels. It adds every term, zeros too, as tile4x16 does.
 //
 //photon:hotpath
 func axpyRow(ai, bd, ci []float32, j0, p0, p1 int) {
 	n := len(ci)
 	for p := p0; p < p1; p++ {
-		if av := ai[p]; useAVX2 || av != 0 {
-			axpy(av, bd[p*n+j0:(p+1)*n], ci[j0:])
-		}
+		axpy(ai[p], bd[p*n+j0:(p+1)*n], ci[j0:])
 	}
 }
 
 // bandMatMulTransB computes C[lo:hi] = A[lo:hi]·Bᵀ. Each group of three
 // rows makes one dot3x4 call across the n&^3 columns, with Dot for the
 // columns left over; the rows left over go through dot4x2 (two) or dot4
-// (one). On the assembly path all four sum an element in one order.
+// (one). All four sum an element in Dot's order.
 //
 //photon:hotpath
 func bandMatMulTransB(c, a, b *Matrix, lo, hi int) {
@@ -356,10 +358,10 @@ func dot4rows(p0, d0, p1, d1, p2, d2, p3, d3 []float32) (s0, s1, s2, s3 float32)
 	n := len(p0)
 	d0, p1, d1, p2, d2, p3, d3 = d0[:n], p1[:n], d1[:n], p2[:n], d2[:n], p3[:n], d3[:n]
 	for k := range p0 {
-		s0 += p0[k] * d0[k]
-		s1 += p1[k] * d1[k]
-		s2 += p2[k] * d2[k]
-		s3 += p3[k] * d3[k]
+		s0 += float32(p0[k] * d0[k])
+		s1 += float32(p1[k] * d1[k])
+		s2 += float32(p2[k] * d2[k])
+		s3 += float32(p3[k] * d3[k])
 	}
 	return
 }
@@ -370,7 +372,7 @@ func dot4rows(p0, d0, p1, d1, p2, d2, p3, d3 []float32) (s0, s1, s2, s3 float32)
 func rowDot(pr, dr []float32, s float32, lo, hi int) float32 {
 	pr, dr = pr[lo:hi], dr[lo:hi]
 	for k, v := range pr {
-		s += v * dr[k]
+		s += float32(v * dr[k])
 	}
 	return s
 }
@@ -484,11 +486,12 @@ func CausalSoftmaxGradRows(dp, p *Matrix, batch, heads int, scale float32) {
 //
 //	C[r·ldc+j] += A[r·ars+p·aps] · B[p·ldb+j]   for r < 4, j < 16, p < kc,
 //
-// every element in p order. The assembly holds the block in eight YMM
-// registers for the whole panel: per p, two B loads, four A broadcasts and
-// eight FMAs, and C is loaded and stored once per call. With skip (A's four
-// values at each p contiguous, ars = 1, and kc a multiple of four) row r
-// passes over each group of four p whose four A values are all zero, as
+// every element one fma32 chain in p order: the Go loop is one axpy per row
+// and p. The assembly holds the block in eight YMM registers for the whole
+// panel: per p, two B loads, four A broadcasts and eight FMAs, and C is
+// loaded and stored once per call. With skip (A's four values at each p
+// contiguous, ars = 1, and kc a multiple of four) row r passes over each
+// group of four p whose four A values are all zero, as
 // bandMatMulTransAAccum's rule says; otherwise every term is added.
 //
 //photon:hotpath
@@ -506,48 +509,21 @@ func tile4x16(a []float32, ars, aps int, b []float32, ldb int, c []float32, ldc,
 		tile4x16AVX2(&a[0], ars, aps, &b[0], ldb, &c[0], ldc, kc, skip)
 		return
 	}
-	rows := [4]*[16]float32{(*[16]float32)(c), (*[16]float32)(c[ldc:]),
-		(*[16]float32)(c[2*ldc:]), (*[16]float32)(c[3*ldc:])}
-	for p := 0; p < kc; p += 4 {
-		o, q := p*aps, min(4, kc-p)
-		live := 15 // bit r: row r takes the terms of steps p … p+q−1
-		if skip {
-			live = 0
-			for r := 0; r < 4; r++ {
-				if a[o+r] != 0 || a[o+r+aps] != 0 || a[o+r+2*aps] != 0 || a[o+r+3*aps] != 0 {
-					live |= 1 << r
-				}
-			}
-		}
-		if live == 15 && q == 4 {
-			// Four steps of p per pass over C, each term rounded in turn.
-			b0, b1 := (*[16]float32)(b[p*ldb:]), (*[16]float32)(b[(p+1)*ldb:])
-			b2, b3 := (*[16]float32)(b[(p+2)*ldb:]), (*[16]float32)(b[(p+3)*ldb:])
-			for r, cr := range rows {
-				x := o + r*ars
-				a0, a1, a2, a3 := a[x], a[x+aps], a[x+2*aps], a[x+3*aps]
-				for j := range cr {
-					cr[j] = cr[j] + a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				}
-			}
-			continue
-		}
-		for r, cr := range rows {
-			if live>>r&1 == 0 {
+	for r := 0; r < 4; r++ {
+		cr := c[r*ldc : r*ldc+16]
+		for p := 0; p < kc; p++ {
+			o := r*ars + p*aps
+			if skip && p%4 == 0 && a[o] == 0 && a[o+aps] == 0 && a[o+2*aps] == 0 && a[o+3*aps] == 0 {
+				p += 3
 				continue
 			}
-			for s := p; s < p+q; s++ {
-				av, bs := a[r*ars+s*aps], (*[16]float32)(b[s*ldb:])
-				for j := range cr {
-					cr[j] += av * bs[j]
-				}
-			}
+			axpy(a[o], b[p*ldb:p*ldb+16], cr)
 		}
 	}
 }
 
-// axpy4in computes y += a0·x0 + a1·x1 + a2·x2 + a3·x3: four streamed input
-// rows accumulate into one output row held hot.
+// axpy4in computes y += a0·x0 + a1·x1 + a2·x2 + a3·x3 as four fma32 in that
+// order: four streamed input rows accumulate into one output row held hot.
 //
 //photon:hotpath
 func axpy4in(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
@@ -561,7 +537,7 @@ func axpy4in(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 		return
 	}
 	for i := range y {
-		y[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
+		y[i] = fma32(a3, x3[i], fma32(a2, x2[i], fma32(a1, x1[i], fma32(a0, x0[i], y[i]))))
 	}
 }
 
@@ -570,9 +546,9 @@ func axpy4in(a0, a1, a2, a3 float32, x0, x1, x2, x3, y []float32) {
 //
 //	C[r·ldc+4t+j] = Σ_p A[r·lda+p] · B[(4t+j)·ldb+p]   for r < 3, j < 4, t < nb,
 //
-// each in dot4's order: the assembly holds the twelve sums in YMM registers
-// over the 8·⌊k/8⌋ prefix, reduces each by HSUM4's tree and adds the k mod 8
-// tail after it; the Go loop is dot4's, once per row and block.
+// each in Dot's order: the assembly holds the twelve sums' lanes in YMM
+// registers over the 8·⌊k/8⌋ prefix, reduces each by HSUM4's tree and adds
+// the k mod 8 tail after it; the Go loop is dot4's, once per row and block.
 //
 //photon:hotpath
 func dot3x4(a []float32, lda int, b []float32, ldb int, c []float32, ldc, k, nb int) {
@@ -601,7 +577,8 @@ func dot3x4(a []float32, lda int, b []float32, ldb int, c []float32, ldc, k, nb 
 	}
 }
 
-// dot4 computes four dot products of x against y0..y3 in one pass over x.
+// dot4 computes four dot products of x against y0..y3, each in Dot's order;
+// the assembly makes one pass over x.
 //
 //photon:hotpath
 func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
@@ -613,17 +590,12 @@ func dot4(x, y0, y1, y2, y3 []float32) (s0, s1, s2, s3 float32) {
 	if useAVX2 && n > 0 {
 		return dot4AVX2(&x[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
 	}
-	for i, xv := range x {
-		s0 += xv * y0[i]
-		s1 += xv * y1[i]
-		s2 += xv * y2[i]
-		s3 += xv * y3[i]
-	}
-	return
+	return Dot(x, y0), Dot(x, y1), Dot(x, y2), Dot(x, y3)
 }
 
-// dot4x2 computes eight dot products — two A rows against four B rows — in
-// one fused pass, paying each B load once for two accumulator sets.
+// dot4x2 computes eight dot products — two A rows against four B rows — each
+// in Dot's order; the assembly makes one pass, paying each B load once for
+// two accumulator sets.
 //
 //photon:hotpath
 func dot4x2(x0, x1, y0, y1, y2, y3 []float32) (s00, s01, s02, s03, s10, s11, s12, s13 float32) {
@@ -636,17 +608,43 @@ func dot4x2(x0, x1, y0, y1, y2, y3 []float32) (s00, s01, s02, s03, s10, s11, s12
 	if useAVX2 && n > 0 {
 		return dot4x2AVX2(&x0[0], &x1[0], &y0[0], &y1[0], &y2[0], &y3[0], n)
 	}
-	for i, v0 := range x0 {
-		v1 := x1[i]
-		b0, b1, b2, b3 := y0[i], y1[i], y2[i], y3[i]
-		s00 += v0 * b0
-		s01 += v0 * b1
-		s02 += v0 * b2
-		s03 += v0 * b3
-		s10 += v1 * b0
-		s11 += v1 * b1
-		s12 += v1 * b2
-		s13 += v1 * b3
-	}
+	s00, s01, s02, s03 = dot4(x0, y0, y1, y2, y3)
+	s10, s11, s12, s13 = dot4(x1, y0, y1, y2, y3)
 	return
+}
+
+// fma32 returns a·b + c rounded once to float32, the bits of VFMADD231SS.
+// The product of two float32 is exact in float64, so the float64 sum s is
+// the only other rounding. It misleads the float32 rounding only by landing
+// exactly on a float32 midpoint that the exact sum is not on, and a midpoint
+// anywhere in float32's range has its low 28 float64 mantissa bits clear.
+//
+//photon:hotpath
+func fma32(a, b, c float32) float32 {
+	p := float64(float64(a) * float64(b)) // converted, as every product here is: no fused instruction
+	s := p + float64(c)
+	if math.Float64bits(s)<<36 == 0 {
+		s = fma32Midpoint(s, p, float64(c))
+	}
+	return float32(s)
+}
+
+// fma32Midpoint returns s = p + c rounded to float64, moved one float64 ulp
+// toward the exact sum if s is a float32 midpoint the exact sum is not on.
+// A midpoint m has its float32 neighbours at r = float32(m) and 2m − r, and
+// TwoSum's error e is exactly (p + c) − s. A finite s that float32 rounds to
+// ±Inf passes as a midpoint too: moving it toward the exact sum changes the
+// rounding only at the MaxFloat32/Inf midpoint, where it must.
+//
+//photon:hotpath
+func fma32Midpoint(s, p, c float64) float64 {
+	r := float64(float32(s))
+	if o := s + s - r; r == s || float64(float32(o)) != o {
+		return s
+	}
+	t := s - p
+	if e := (p - (s - t)) + (c - t); e != 0 {
+		s = math.Nextafter(s, math.Copysign(math.Inf(1), e))
+	}
+	return s
 }

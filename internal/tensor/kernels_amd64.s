@@ -1,8 +1,10 @@
 // AVX2+FMA bodies for the micro-kernels of kernels.go and the elementwise
 // helpers of tensor.go. Declarations are in kernels_amd64.go; the Go loops
-// beside each wrapper are the reference and what every other machine runs.
+// beside each wrapper are the reference and what every other machine runs,
+// and each body here returns their bits (the Go loops' fma32 is
+// VFMADD231SS).
 //
-// Numerics, which the tile-invariance tests pin:
+// Numerics, which the strict-bits kernel tests pin on both paths:
 //   - axpy family (axpy, axpy4in, tile4x16): every output element is one
 //     chain of VFMADD231 in p order, the same chain in the 8-lane body, the
 //     scalar tail and the 4×16 register tile, so an element's value does not

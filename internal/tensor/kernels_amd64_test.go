@@ -107,53 +107,33 @@ type kernelCase struct {
 	outs   int
 	driver int // the operand whose length the wrapper takes as n
 	run    func(c [8]float32, ops [][]float32) []float32
-	// bound of output o at element i (elementwise kernels) or of scalar
-	// result o (dot kernels, i = -1), given the operands before the call.
-	bound func(c [8]float32, ops [][]float32, o, i int) float64
 }
-
-func absDot(x, y []float32) float64 {
-	var s float64
-	for i := range x {
-		s += math.Abs(float64(x[i]) * float64(y[i]))
-	}
-	return s
-}
-
-func a64(v float32) float64 { return math.Abs(float64(v)) }
 
 var kernelCases = []kernelCase{
 	{"axpy", 2, 1, 1,
-		func(c [8]float32, o [][]float32) []float32 { axpy(c[0], o[1], o[0]); return nil },
-		func(c [8]float32, o [][]float32, _, i int) float64 { return a64(o[0][i]) + a64(c[0]*o[1][i]) }},
+		func(c [8]float32, o [][]float32) []float32 { axpy(c[0], o[1], o[0]); return nil }},
 	{"axpy4in", 5, 1, 0,
 		func(c [8]float32, o [][]float32) []float32 {
 			axpy4in(c[0], c[1], c[2], c[3], o[1], o[2], o[3], o[4], o[0])
 			return nil
-		},
-		func(c [8]float32, o [][]float32, _, i int) float64 {
-			return a64(o[0][i]) + a64(c[0]*o[1][i]) + a64(c[1]*o[2][i]) + a64(c[2]*o[3][i]) + a64(c[3]*o[4][i])
 		}},
 	{"Dot", 2, 0, 0,
-		func(_ [8]float32, o [][]float32) []float32 { return []float32{Dot(o[0], o[1])} },
-		func(_ [8]float32, o [][]float32, _, _ int) float64 { return absDot(o[0], o[1]) }},
+		func(_ [8]float32, o [][]float32) []float32 { return []float32{Dot(o[0], o[1])} }},
 	{"dot4", 5, 0, 0,
 		func(_ [8]float32, o [][]float32) []float32 {
 			s0, s1, s2, s3 := dot4(o[0], o[1], o[2], o[3], o[4])
 			return []float32{s0, s1, s2, s3}
-		},
-		func(_ [8]float32, o [][]float32, r, _ int) float64 { return absDot(o[0], o[1+r]) }},
+		}},
 	{"dot4x2", 6, 0, 0,
 		func(_ [8]float32, o [][]float32) []float32 {
 			s00, s01, s02, s03, s10, s11, s12, s13 := dot4x2(o[0], o[1], o[2], o[3], o[4], o[5])
 			return []float32{s00, s01, s02, s03, s10, s11, s12, s13}
-		},
-		func(_ [8]float32, o [][]float32, r, _ int) float64 { return absDot(o[r/4], o[2+r%4]) }},
+		}},
 }
 
 // TestAsmKernelsMatchGo compares each assembly micro-kernel with the Go loop
-// it stands in for, for every length 0…67, on operands at odd offsets: within
-// 1e-6 of Σ|terms| per result, nothing written outside the outputs.
+// it stands in for, for every length 0…67, on operands at odd offsets: the
+// same bits for every result, nothing written outside the outputs.
 func TestAsmKernelsMatchGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(18))
@@ -173,21 +153,17 @@ func TestAsmKernelsMatchGo(t *testing.T) {
 			want := kc.run(coef, ref)
 			useAVX2 = true
 			got := kc.run(coef, ops)
-			for r := range want {
-				if d := math.Abs(float64(got[r] - want[r])); d > 1e-6*kc.bound(coef, before, r, -1) {
-					t.Fatalf("%s n=%d result %d: asm %g, go %g", kc.name, n, r, got[r], want[r])
-				}
+			if r := sameBits(got, want); r >= 0 {
+				t.Fatalf("%s n=%d result %d: asm %g, go %g", kc.name, n, r, got[r], want[r])
 			}
 			for o := 0; o < kc.nops; o++ {
 				checkGuards(t, kc.name, n, bufs[o], ops[o])
-				for i := range ops[o] {
-					d := math.Abs(float64(ops[o][i] - ref[o][i]))
-					if o >= kc.outs && d != 0 {
+				if o >= kc.outs {
+					if i := sameBits(ops[o], before[o]); i >= 0 {
 						t.Fatalf("%s n=%d: input operand %d modified at %d", kc.name, n, o, i)
 					}
-					if o < kc.outs && d > 1e-6*kc.bound(coef, before, o, i) {
-						t.Fatalf("%s n=%d out %d[%d]: asm %g, go %g", kc.name, n, o, i, ops[o][i], ref[o][i])
-					}
+				} else if i := sameBits(ops[o], ref[o]); i >= 0 {
+					t.Fatalf("%s n=%d out %d[%d]: asm %g, go %g", kc.name, n, o, i, ops[o][i], ref[o][i])
 				}
 			}
 		}
@@ -313,9 +289,9 @@ func TestKernelsPanicOnShortOperand(t *testing.T) {
 // every kc 0…67, in the A·B layout (A's rows contiguous) and the skipping
 // Aᵀ·B layout (A's four values at each p contiguous, a third of the row
 // groups all zero), with row strides wider than the block and operands at
-// odd offsets: within 1e-6 of Σ|terms| per element, nothing written outside
-// the block, and each row bitwise the chain of one axpy per p that the
-// remainder loops compute.
+// odd offsets: the same bits for every element, nothing written outside the
+// block, and each row bitwise the chain of one axpy per p that the remainder
+// loops compute.
 func TestTile4x16MatchesGo(t *testing.T) {
 	requireAVX2(t)
 	rng := rand.New(rand.NewSource(23))
@@ -371,11 +347,7 @@ func TestTile4x16MatchesGo(t *testing.T) {
 					}
 					continue
 				}
-				bound := a64(before[x])
-				for p := 0; p < kc; p++ {
-					bound += a64(a[r*ars+p*aps] * b[p*ldb+j])
-				}
-				if d := math.Abs(float64(c[x] - ref[x])); d > 1e-6*bound {
+				if math.Float32bits(c[x]) != math.Float32bits(ref[x]) {
 					t.Fatalf("tile4x16 kc=%d skip=%v C[%d][%d]: asm %g, go %g", kc, skip, r, j, c[x], ref[x])
 				}
 				if math.Float32bits(c[x]) != math.Float32bits(chain[x]) {
@@ -388,7 +360,7 @@ func TestTile4x16MatchesGo(t *testing.T) {
 
 // TestDot3x4MatchesGo compares dot3x4's assembly with its Go loop for every
 // depth k 0…67 over 1, 2 and 5 column blocks, with row strides wider than k
-// and operands at odd offsets inside guard words: within 1e-6 of Σ|terms| per
+// and operands at odd offsets inside guard words: the same bits for every
 // result, nothing written outside the twelve results of each block, and each
 // row's block bitwise the dot4 call the remainder rows make.
 func TestDot3x4MatchesGo(t *testing.T) {
@@ -419,8 +391,7 @@ func TestDot3x4MatchesGo(t *testing.T) {
 					}
 					continue
 				}
-				ar, bj := a[r*lda:r*lda+k], b[j*ldb:j*ldb+k]
-				if d := math.Abs(float64(c[x] - ref[x])); d > 1e-6*absDot(ar, bj) {
+				if math.Float32bits(c[x]) != math.Float32bits(ref[x]) {
 					t.Fatalf("dot3x4 k=%d nb=%d C[%d][%d]: asm %g, go %g", k, nb, r, j, c[x], ref[x])
 				}
 			}
@@ -548,12 +519,15 @@ func poison(rng *rand.Rand, a, b *Matrix) {
 	}
 }
 
-// TestTileInvarianceBitwise pins the numerics rule of kernels_amd64.s: on
-// the assembly path, row i of every product is bitwise what evaluating row i
-// alone gives — whichever tile, pair, remainder row, vector lane or pool band
-// computed it — at GOMAXPROCS 1 and 2, and with non-finite inputs too.
+// TestTileInvarianceBitwise pins the numerics rule of kernels.go: on either
+// path, row i of every product is bitwise what evaluating row i alone gives —
+// whichever tile, pair, remainder row, vector lane or pool band computed it —
+// at GOMAXPROCS 1 and 2, and with non-finite inputs too.
 func TestTileInvarianceBitwise(t *testing.T) {
-	requireAVX2(t)
+	forEachKernelPath(t, testTileInvarianceBitwise)
+}
+
+func testTileInvarianceBitwise(t *testing.T) {
 	// {13, 37, 16} through {8, 5, 32} reach tile4x16: four rows or more, n a
 	// multiple of 16 (causal items of head dim 16 among them) and k not
 	// always one of 4. The last three put attention's head dims (k = 16: two
@@ -664,9 +638,12 @@ func TestTileInvarianceBitwise(t *testing.T) {
 // TestAttendDecodeZeroProbPositionIndependent: a cached key whose attention
 // probability underflows to exactly 0 still multiplies its value row, whether
 // it falls in a 4-row group or in the remainder — an Inf there poisons the
-// context either way on the assembly path (the Go tail alone skips it).
+// context either way, on either path.
 func TestAttendDecodeZeroProbPositionIndependent(t *testing.T) {
-	requireAVX2(t)
+	forEachKernelPath(t, testAttendDecodeZeroProb)
+}
+
+func testAttendDecodeZeroProb(t *testing.T) {
 	const d, krows = 8, 6
 	for _, infRow := range []int{0, 4} { // 0: inside the group of four; 4: remainder
 		rng := rand.New(rand.NewSource(22))
@@ -687,23 +664,44 @@ func TestAttendDecodeZeroProbPositionIndependent(t *testing.T) {
 	}
 }
 
-// TestSwitchOffRunsGoLoops: with useAVX2 false the wrappers run the Go
-// loops, whose multiply and add round separately — a fused body would differ
-// from the explicitly rounded expectation below on almost every element.
-func TestSwitchOffRunsGoLoops(t *testing.T) {
-	requireAVX2(t)
-	useAVX2 = false
-	rng := rand.New(rand.NewSource(21))
-	_, x := guarded(rng, 67)
-	_, y := guarded(rng, 67)
-	want := make([]float32, 67)
-	for i := range want {
-		want[i] = y[i] + float32(0.3*x[i])
+// FuzzFMA32 holds fma32 to VFMADD231SS, axpyAVX2's scalar tail at n = 1,
+// bit for bit (any NaN matches any NaN). The seeds are the cases random
+// operands practically never reach: float64 sums that land exactly on a
+// float32 midpoint the exact sum is not on — normal, subnormal, at the
+// MaxFloat32/Inf edge, and with c far below the product — true midpoints,
+// and signed zeros, NaN and infinities.
+func FuzzFMA32(f *testing.F) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	for _, s := range [][3]float32{
+		// 2⁻²⁴(1+2⁻¹⁵)·(1−2⁻¹⁵) + (1+2⁻²³): VFMADD231SS 0x3f800001, the float64
+		// sum rounded again 0x3f800002.
+		{0x1p-24 * (1 + 0x1p-15), 1 - 0x1p-15, 1 + 0x1p-23},
+		{-0x1p-24 * (1 + 0x1p-15), 1 - 0x1p-15, -(1 + 0x1p-23)},
+		// 2⁻⁷⁵(1+2⁻¹⁶)·2⁻⁷⁵(1−2⁻¹⁶) + 2⁻¹²⁷+2⁻¹⁴⁹: a subnormal result.
+		{0x1p-75 * (1 + 0x1p-16), 0x1p-75 * (1 - 0x1p-16), 0x1p-127 + 0x1p-149},
+		// 2⁵²(1+2⁻¹⁶)·2⁵¹(1−2⁻¹⁶) + MaxFloat32: MaxFloat32, not +Inf.
+		{0x1p52 * (1 + 0x1p-16), 0x1p51 * (1 - 0x1p-16), math.MaxFloat32},
+		// (1+2⁻¹²)² is a midpoint; 2⁻¹⁴⁹ above it rounds up, not to even.
+		{1 + 0x1p-12, 1 + 0x1p-12, 0x1p-149},
+		{1 + 0x1p-12, 1 + 0x1p-12, -0x1p-149},
+		{1 + 0x1p-12, 1 + 0x1p-12, 0}, // a true midpoint: to even
+		{0, 1, float32(math.Copysign(0, -1))}, {float32(math.Copysign(0, -1)), 1, float32(math.Copysign(0, -1))},
+		{2, -3, 6}, {0, inf, 1}, {nan, 1, 1}, {1, 1, nan}, {inf, 1, -inf}, {inf, 2, 1}, {1, -1, -inf},
+	} {
+		f.Add(s[0], s[1], s[2])
 	}
-	axpy(0.3, x, y)
-	if j := sameBits(y, want); j >= 0 {
-		t.Fatalf("axpy with the switch off is not the unfused Go loop at %d", j)
+	if !hasAVX2FMA() {
+		f.Skip("CPU lacks AVX2+FMA")
 	}
+	f.Fuzz(func(t *testing.T, a, b, c float32) {
+		want := c
+		axpyAVX2(a, &b, &want, 1)
+		got := fma32(a, b, c)
+		if math.Float32bits(got) != math.Float32bits(want) && !(got != got && want != want) {
+			t.Fatalf("fma32(%#x, %#x, %#x) = %#x, VFMADD231SS %#x", math.Float32bits(a), math.Float32bits(b),
+				math.Float32bits(c), math.Float32bits(got), math.Float32bits(want))
+		}
+	})
 }
 
 // BenchmarkFMAPeak measures the core's AVX2 FMA roofline: ten independent

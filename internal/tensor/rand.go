@@ -7,6 +7,6 @@ import "math/rand"
 // which the experiment harness relies on for reproducibility.
 func RandNormal(rng *rand.Rand, x []float32, mean, std float64) {
 	for i := range x {
-		x[i] = float32(mean + std*rng.NormFloat64())
+		x[i] = float32(mean + float64(std*rng.NormFloat64()))
 	}
 }

@@ -31,28 +31,12 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// FromSlice wraps an existing buffer as a matrix. The buffer must hold
-// exactly rows*cols elements.
-//
-//photon:allocok
-func FromSlice(rows, cols int, data []float32) *Matrix {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: buffer length %d does not match %dx%d", len(data), rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
 // Row returns the i-th row as a sub-slice (no copy).
 //
 //photon:hotpath
 func (m *Matrix) Row(i int) []float32 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
-
-// At returns element (i, j).
-//
-//photon:hotpath
-func (m *Matrix) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
 
 // Clone returns a deep copy of the matrix.
 //
@@ -115,7 +99,7 @@ func MatMulTransB(c, a, b *Matrix) {
 	dispatch(a.Rows, satMul(a.Cols, b.Rows), task{kind: kMatMulTransB, c: *c, a: *a, b: *b})
 }
 
-// axpy computes y += a*x for equal-length slices, 4x unrolled.
+// axpy computes y += a*x for equal-length slices: y[i] = fma32(a, x[i], y[i]).
 //
 //photon:hotpath
 func axpy(a float32, x, y []float32) {
@@ -124,15 +108,8 @@ func axpy(a float32, x, y []float32) {
 		axpyAVX2(a, &x[0], &y[0], len(x))
 		return
 	}
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		y[i] += a * x[i]
-		y[i+1] += a * x[i+1]
-		y[i+2] += a * x[i+2]
-		y[i+3] += a * x[i+3]
-	}
-	for ; i < len(x); i++ {
-		y[i] += a * x[i]
+	for i, v := range x {
+		y[i] = fma32(a, v, y[i])
 	}
 }
 
@@ -146,8 +123,10 @@ func Axpy(a float32, x, y []float32) {
 	axpy(a, x, y)
 }
 
-// Dot returns the inner product of two equal-length vectors, accumulated in
-// four independent lanes for instruction-level parallelism.
+// Dot returns the inner product of two equal-length vectors: element i of
+// the 8·⌊n/8⌋ prefix accumulates by fma32 into lane i mod 8, the lanes reduce
+// by the tree ((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7)), and the n mod 8 tail
+// accumulates by fma32 into the sum, in order.
 //
 //photon:hotpath
 func Dot(x, y []float32) float32 {
@@ -155,17 +134,16 @@ func Dot(x, y []float32) float32 {
 	if useAVX2 && len(x) > 0 {
 		return dotAVX2(&x[0], &y[0], len(x))
 	}
-	var s0, s1, s2, s3 float32
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		s0 += x[i] * y[i]
-		s1 += x[i+1] * y[i+1]
-		s2 += x[i+2] * y[i+2]
-		s3 += x[i+3] * y[i+3]
+	var l [8]float32
+	n8 := len(x) &^ 7
+	for i := 0; i < n8; i += 8 {
+		for j := range l {
+			l[j] = fma32(x[i+j], y[i+j], l[j])
+		}
 	}
-	s := s0 + s1 + s2 + s3
-	for ; i < len(x); i++ {
-		s += x[i] * y[i]
+	s := ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]))
+	for i := n8; i < len(x); i++ {
+		s = fma32(x[i], y[i], s)
 	}
 	return s
 }
@@ -261,12 +239,12 @@ func AdamW(data, grad, m, v []float32, c *AdamWFactors) {
 	f := *c
 	for ; j < len(data); j++ {
 		g := grad[j]
-		mj := f.B1*m[j] + f.OB1*g
-		vj := f.B2*v[j] + f.OB2*g*g
+		mj := float32(f.B1*m[j]) + float32(f.OB1*g)
+		vj := float32(f.B2*v[j]) + float32(f.OB2*g*g)
 		m[j], v[j] = mj, vj
 		mhat := mj * f.InvC1
 		vhat := vj * f.InvC2
-		data[j] -= f.LR*mhat/(float32(math.Sqrt(float64(vhat)))+f.Eps) + f.WD*data[j]
+		data[j] -= f.LR*mhat/(float32(math.Sqrt(float64(vhat)))+f.Eps) + float32(f.WD*data[j])
 	}
 }
 

@@ -14,7 +14,10 @@ import "math"
 // denormal or zero result) is recomputed by math.Exp, their tanh is
 // math.tanh's operations in source order, unfused as Go compiles them, and
 // every float32 rounding, maximum and float64 sum happens where and in the
-// order the Go loop does it.
+// order the Go loop does it. The Go loops' own multiply-adds are converted
+// explicitly, so they round alike on every machine; math.Exp and math.tanh
+// are what differ between machines (another exp sequence on amd64 without
+// FMA, arm64's own exp and fused tanh).
 
 // rowMax returns what `m := x[0]; for _, v := range x[1:] { if v > m { m = v } }`
 // returns. len(x) ≥ 1. The lanes skip NaNs, which is the scan's answer
@@ -45,7 +48,7 @@ func biasMax(row []float32, scale, slope float32, pos int) float32 {
 	}
 	m := float32(math.Inf(-1))
 	for j := range row {
-		v := row[j]*scale + slope*float32(j-pos)
+		v := float32(row[j]*scale) + float32(slope*float32(j-pos))
 		row[j] = v
 		if v > m {
 			m = v
@@ -179,14 +182,14 @@ func GELUWithGrad(y, dg, x []float32) {
 //photon:hotpath
 func geluScalar(x float32) float32 {
 	xf := float64(x)
-	return float32(0.5 * xf * (1 + math.Tanh(geluCoef*(xf+0.044715*xf*xf*xf))))
+	return float32(0.5 * xf * (1 + math.Tanh(geluCoef*(xf+float64(0.044715*xf*xf*xf)))))
 }
 
 //photon:hotpath
 func geluGradScalar(x float32) float32 {
 	xf := float64(x)
-	inner := geluCoef * (xf + 0.044715*xf*xf*xf)
+	inner := geluCoef * (xf + float64(0.044715*xf*xf*xf))
 	t := math.Tanh(inner)
-	dInner := geluCoef * (1 + 3*0.044715*xf*xf)
-	return float32(0.5*(1+t) + 0.5*xf*(1-t*t)*dInner)
+	dInner := geluCoef * (1 + float64(3*0.044715*xf*xf))
+	return float32(float64(0.5*(1+t)) + float64(0.5*xf*(1-float64(t*t))*dInner))
 }
