@@ -232,7 +232,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 	defer stop(true)
 	st.sentPrev, st.recvPrev = st.s.meter.Totals()
 
-	res, err := (&syncAggregator{aggState: st, resume: &walResume{committed: cfg.StartRound}, depth: 1, stopAtPPL: cfg.StopAtPPL}).run(ctx)
+	res, err := st.runSync(ctx, &walResume{committed: cfg.StartRound}, cfg.StopAtPPL)
 	if cause := context.Cause(ctx); err != nil && cause != nil && parent.Err() == nil {
 		err = cause
 	}
@@ -242,7 +242,7 @@ func Run(ctx context.Context, cfg RunConfig) (*Result, error) {
 func norm2(x []float32) float64 {
 	var s float64
 	for _, v := range x {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

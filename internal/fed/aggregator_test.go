@@ -32,17 +32,18 @@ func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	defer st.jrn.close()
 	st.globalModel = nn.NewModel(cfg, rand.New(rand.NewSource(1)))
 	st.global = st.globalModel.Params().Flatten(nil)
-	a := &syncAggregator{aggState: st, resume: &walResume{}, depth: 1}
 	update := make([]float32, len(st.global))
 	for i := range update {
 		update[i] = 1e-3
 	}
 	loss := []map[string]float64{{"loss": 2}, {"loss": 4}}
 	step := func(round int) error {
-		a.fold.reset(len(st.global))
-		a.fold.add(update, 1)
-		a.fold.add(update, 1)
-		return a.step(a.open(round, uint64(round), time.Now()), loss)
+		w := st.open(round, uint64(round), time.Now())
+		for _, m := range loss {
+			st.add(w, round-1, update, m)
+		}
+		st.commit(w)
+		return st.seal(w)
 	}
 
 	if err := step(1); err != nil {
@@ -53,7 +54,7 @@ func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 	if !errors.Is(stepErr, ckpt.ErrFailpoint) {
 		t.Fatalf("armed round_commit did not fail the step: %v", stepErr)
 	}
-	res, err := a.fail(2, stepErr)
+	res, err := st.fail(2, stepErr)
 	if !errors.Is(err, stepErr) {
 		t.Fatalf("fail lost the cause: %v", err)
 	}
@@ -217,7 +218,7 @@ func TestAsyncRoundIsVersionPlusOne(t *testing.T) {
 
 // TestHostileNonFiniteUpdateIsEvicted: a member whose updates decode to NaN
 // or Inf is dropped exactly like one whose updates fail to decode — in the
-// sync round loop and in the async pumps — and the global model stays
+// sync round loop and in the async driver — and the global model stays
 // finite on the honest member's contributions alone.
 func TestHostileNonFiniteUpdateIsEvicted(t *testing.T) {
 	for _, tc := range []struct {
@@ -297,5 +298,132 @@ func TestHostileNonFiniteUpdateIsEvicted(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLateAnswerIsDropped: a member that straggles past round 1's deadline
+// and answers round 1 only during round 2, with a distinctive update, has
+// that answer dropped. Round 1 counts it as a straggler and folds the
+// punctual member alone; round 2 folds exactly the two round-2 answers, bit
+// for bit.
+func TestLateAnswerIsDropped(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	st := newAggState(ServerConfig{ModelConfig: tinyCfg(), Seed: 3, Rounds: 2, ExpectClients: 2,
+		RoundDeadline: time.Second, Outer: FedAvg{}})
+	if _, err := st.openServer(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.restore(&walResume{}); err != nil {
+		t.Fatal(err)
+	}
+	fill := func(v float32) []float32 {
+		u := make([]float32, len(st.global))
+		tensor.Fill(u, v)
+		return u
+	}
+	punctual := func(round int32) []float32 { return fill(1e-3 * float32(round)) }
+	late, distinctive := fill(-4e-3), fill(7)
+	want := append([]float32(nil), st.global...)
+	FedAvg{}.Step(want, meanOf([][]float32{punctual(1)}), 1)
+	FedAvg{}.Step(want, meanOf([][]float32{punctual(2), late}), 2)
+
+	var members sync.WaitGroup
+	join := func(id string, answer func(round int32, reply func(round int32, u []float32))) {
+		srv, conn := link.Pipe()
+		members.Add(1)
+		go func() {
+			defer members.Done()
+			defer conn.Close()
+			if _, err := Handshake(conn, id, ""); err != nil {
+				return
+			}
+			reply := func(round int32, u []float32) {
+				conn.Send(&link.Message{Type: link.MsgUpdate, Round: round, ClientID: id,
+					Meta: map[string]float64{"loss": 1}, Payload: link.Dense(u)})
+			}
+			for {
+				msg, err := conn.Recv()
+				if err != nil || msg.Type != link.MsgModel {
+					return
+				}
+				answer(msg.Round, reply)
+			}
+		}()
+		st.s.handshake(ctx, srv)
+	}
+	join("punctual", func(round int32, reply func(int32, []float32)) { reply(round, punctual(round)) })
+	// The late member sits on round 1 until round 2's model arrives.
+	join("late", func(round int32, reply func(int32, []float32)) {
+		if round == 2 {
+			reply(1, distinctive)
+			reply(2, late)
+		}
+	})
+	stop := st.s.startLoops(ctx, nil)
+	res, err := st.runSync(ctx, &walResume{}, 0)
+	stop(true)
+	members.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.History.Len(); n != 2 {
+		t.Fatalf("%d rounds recorded, want 2", n)
+	}
+	r1, r2 := res.History.Rounds[0], res.History.Rounds[1]
+	if r1.Clients != 1 || r1.Stragglers != 1 {
+		t.Fatalf("round 1 folded %d with %d stragglers, want the punctual member's alone and one straggler", r1.Clients, r1.Stragglers)
+	}
+	if r2.Clients != 2 || r2.Stragglers != 0 {
+		t.Fatalf("round 2 folded %d with %d stragglers, want both round-2 answers", r2.Clients, r2.Stragglers)
+	}
+	for i := range want {
+		if math.Float32bits(res.Global[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("param %d is %v, want %v: a late answer reached a fold", i, res.Global[i], want[i])
+		}
+	}
+}
+
+// TestAsyncRecordsCriticalPath: an async version's record carries the
+// critical-path split of its slowest folded answer — broadcast, train,
+// encode and decode, and the member it came from — as a sync round's does.
+func TestAsyncRecordsCriticalPath(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	clients := makeClients(t, tinyCfg(), 2)
+	var members sync.WaitGroup
+	for _, c := range clients {
+		members.Add(1)
+		go func(c *Client) {
+			defer members.Done()
+			conn, err := link.Dial(l.Addr())
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			_ = ServeClient(ctx, conn, c, tinySpec())
+		}(c)
+	}
+	res, err := Serve(ctx, l, ServerConfig{ModelConfig: tinyCfg(), Seed: 5, Rounds: 4, ExpectClients: 2,
+		Outer: FedAvg{}, Async: &AsyncConfig{K: 1}})
+	members.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res.History.Rounds {
+		p := r.Phases
+		if (r.SlowestID != clients[0].ID && r.SlowestID != clients[1].ID) || r.SlowestPhase == "" {
+			t.Errorf("version %d: slowest %q (%q), want a member and its slowest phase", r.ModelVersion, r.SlowestID, r.SlowestPhase)
+		}
+		if p.BroadcastMs <= 0 || p.TrainMs <= 0 || p.EncodeMs <= 0 || p.DecodeMs <= 0 {
+			t.Errorf("version %d: phases %+v: want broadcast, train, encode and decode", r.ModelVersion, p)
+		}
 	}
 }

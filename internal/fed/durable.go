@@ -250,14 +250,10 @@ func (a *aggState) restore(res *walResume) error {
 			return err
 		}
 	}
-	alpha := 0.0
-	if a.cfg.Async != nil {
-		alpha = a.cfg.Async.norm().Alpha
-	}
 	for _, w := range res.windows {
 		a.fold.reset(len(a.global))
 		a.refold(w.updates, func(u pendingUpdate, vec []float32) {
-			a.fold.add(vec, stalenessWeight(w.step-1, u.trained, alpha))
+			a.fold.add(vec, stalenessWeight(w.step-1, u.trained, a.alpha))
 		})
 		if a.fold.n > 0 {
 			a.cfg.Outer.Step(a.global, a.fold.mean(), w.step)

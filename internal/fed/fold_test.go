@@ -18,7 +18,6 @@ import (
 
 	"photon/internal/data"
 	"photon/internal/link"
-	"photon/internal/metrics"
 	"photon/internal/nn"
 	"photon/internal/opt"
 	"photon/internal/tensor"
@@ -176,19 +175,21 @@ func TestRunMatchesServe(t *testing.T) {
 
 // TestExchangeFoldsInCohortOrder: three hand-rolled members answer in the
 // reverse of cohort order, each only after the one behind it has sent, and
-// the round still folds their updates in cohort order — the order the
-// journal logs them in and replay redoes them in — with the members'
-// metrics returned in the same order. The updates are ones whose float32 sum
+// the round's window still folds their updates in cohort order — the order
+// the journal logs them in and replay redoes them in — with the members'
+// metrics kept in the same order. The updates are ones whose float32 sum
 // depends on order: (1e8 − 1e8) + 1 is 1, (1 − 1e8) + 1e8 is 0.
 func TestExchangeFoldsInCohortOrder(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	updates := [][]float32{{1e8, 3e7, -2}, {-1e8, -3e7, 1e8}, {1, 1, -1e8}}
-	s, err := newServer(ServerConfig{Codec: "dense"})
-	if err != nil {
+	st := newAggState(ServerConfig{Codec: "dense"})
+	if _, err := st.openServer(); err != nil {
 		t.Fatal(err)
 	}
+	st.global = make([]float32, len(updates[0]))
+	s := st.s
 	sent := make([]chan struct{}, len(updates)+1)
 	for i := range sent {
 		sent[i] = make(chan struct{})
@@ -220,12 +221,9 @@ func TestExchangeFoldsInCohortOrder(t *testing.T) {
 		s.handshake(ctx, srv)
 		cohort[i] = s.get(id)
 	}
-	var fold meanFold
-	fold.reset(len(updates[0]))
-	w := &window{rec: metrics.Round{Round: 1, TraceID: 1}}
-	clientMetrics, interrupted, err := s.exchangeRound(ctx, w, make([]float32, len(updates[0])), cohort, false, nil, &fold)
-	if err != nil || interrupted {
-		t.Fatalf("exchange: err %v, interrupted %v", err, interrupted)
+	w := st.open(1, 1, time.Now())
+	if err := st.collect(ctx, w, st.cohortPolicy(w, cohort, false)); err != nil {
+		t.Fatalf("collect: %v", err)
 	}
 	s.shutdownMembers(true)
 	members.Wait()
@@ -234,10 +232,10 @@ func TestExchangeFoldsInCohortOrder(t *testing.T) {
 	if slices.Equal(want, reversed) {
 		t.Fatal("the updates' mean does not depend on fold order")
 	}
-	if got := fold.mean(); !slices.Equal(got, want) {
+	if got := st.fold.mean(); !slices.Equal(got, want) {
 		t.Fatalf("fold %v, cohort-order mean %v (arrival order gives %v)", got, want, reversed)
 	}
-	for i, m := range clientMetrics {
+	for i, m := range w.metrics {
 		if m["member"] != float64(i) {
 			t.Fatalf("metrics %d came from member %v", i, m["member"])
 		}

@@ -94,13 +94,14 @@ func (m *momentum) Step(global, delta []float32, _ int) {
 	}
 	mu := float32(m.mu)
 	lr := float32(m.lr)
+	// Each product is converted, so no compiler fuses it (arm64 would).
 	for i, g := range delta {
-		m.v[i] = mu*m.v[i] + g
+		m.v[i] = float32(mu*m.v[i]) + g
 		step := m.v[i]
 		if m.nesterov {
-			step = g + mu*m.v[i]
+			step = g + float32(mu*m.v[i])
 		}
-		global[i] -= lr * step
+		global[i] -= float32(lr * step)
 	}
 }
 

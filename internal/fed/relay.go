@@ -82,7 +82,7 @@ func (c *RelayConfig) validate() error {
 }
 
 // relay is the running state: an aggState over the cohort-side server (its
-// collect and seal are the aggregator's) plus the parent-side member
+// collect, commit and seal are the aggregator's) plus the parent-side member
 // session, whose work step is serve.
 type relay struct {
 	*aggState
@@ -149,9 +149,10 @@ func runRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 			want:    int(cfg.ModelConfig.ParamCount()),
 		},
 	}
-	// A compaction must keep what a restart redelivers from, and a restart
+	// The relay journals its upstream replies, not its cohort's updates. A
+	// compaction must keep what a restart redelivers from, and a restart
 	// seeds the session's reply cache with the last committed reply.
-	st.carry = r.replyCarry
+	st.foldRec, st.carry = 0, r.replyCarry
 	r.up.recoverReply(recovered)
 	cfg.Parent.fill()
 	if setup != nil {
@@ -161,6 +162,7 @@ func runRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 	stop := st.s.startLoops(ctx, l)
 	graceful := false
 	defer func() { stop(graceful) }()
+	defer st.stopAsks()
 
 	// The cohort assembles before the relay announces itself upstream.
 	if err := st.s.waitAlive(ctx, cfg.ExpectClients, 0); err != nil {
@@ -187,21 +189,21 @@ func runRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 }
 
 // serve is the relay's work step: bridge one parent round onto the cohort —
-// run the cohort tier's exchange under its own deadline on the decoded
-// broadcast, fold the surviving updates, and hand their mean upstream as
-// one pseudo-gradient (Algorithm 1 line 24): the outer step is the root's.
-// A round whose cohort delivered nothing replies nothing — the parent's
-// deadline counts the relay as a straggler and the run moves on. A resumed
-// round (one whose cached reply the session could not use) re-runs the
-// exchange with the resume flag propagated downstream, so leaf clients that
-// already trained it answer from their own caches.
+// collect one sync window under the cohort tier's own deadline on the
+// decoded broadcast, and hand its mean upstream as one pseudo-gradient
+// (Algorithm 1 line 24): the outer step is the root's, so a two-tier mean of
+// equal cohorts is the flat mean. A round whose cohort delivered nothing
+// replies nothing — the parent's deadline counts the relay as a straggler
+// and the run moves on. A resumed round (one whose cached reply the session
+// could not use) collects again with the resume flag propagated downstream,
+// so leaf clients that already trained it answer from their own caches.
 func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 	resumed := t.msg.Meta[link.ResumeKey] != 0
 	if t.msg.Round <= r.lastRound && !resumed {
 		return nil, nil // stale redelivery
 	}
-	round, global := int(t.msg.Round), t.global
-	r.global = global
+	round := int(t.msg.Round)
+	r.global = t.global
 	if ver, ok := t.msg.Meta[link.VersionKey]; ok {
 		r.lastVer = int(ver)
 	}
@@ -209,7 +211,7 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 	// cohort exchange included, since it is propagated downstream on the
 	// cohort broadcasts — to the root round that caused it.
 	w := r.open(round, uint64(t.msg.Meta[link.TraceKey]), t.start)
-	w.rec.Tier, w.rec.Depth, w.rec.ModelVersion = 1, 1, r.lastVer
+	w.rec.Tier, w.rec.ModelVersion = 1, r.lastVer
 	// This tier's codec cost covers both connections: the parent
 	// broadcast's decode here, the cohort exchange's on top.
 	w.rec.DecodeMs = float64(t.decNs) / 1e6
@@ -217,7 +219,7 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 
 	// An emptied cohort gets a rejoin window; if nobody comes back the
 	// round is simply skipped upstream.
-	cohort, err := r.collect(ctx, nil)
+	cohort, err := r.draw(ctx, nil)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -225,32 +227,20 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 		r.lastRound = t.msg.Round
 		return nil, r.seal(w)
 	}
-	r.fold.reset(len(global))
-	clientMetrics, interrupted, err := r.s.exchangeRound(ctx, w, global, cohort, resumed, nil, &r.fold)
-	if err != nil {
-		return nil, err // server-side encode failure: deterministic, not retryable
-	}
-	if interrupted {
-		return nil, ctx.Err()
+	if err := r.collect(ctx, w, r.cohortPolicy(w, cohort, resumed)); err != nil {
+		return nil, err // cancelled, or a server-side encode failure: deterministic, not retryable
 	}
 	r.lastRound = t.msg.Round
-	folded := r.fold.n
-	if folded == 0 && r.answerEmpty {
+	upward := r.commit(w)
+	if upward == nil && r.answerEmpty {
 		return &roundReply{meta: map[string]float64{link.CohortKey: 0}, sent: func(sentReply) error { return r.seal(w) }}, nil
 	}
-	if folded == 0 {
+	if upward == nil {
 		return nil, r.seal(w)
 	}
-
-	// Where the relay's fold goes: its cohort mean is forwarded as is, so a
-	// two-tier mean of equal cohorts is the flat mean.
-	aggSpan := obsv.Begin(obsv.PhaseAggregate)
-	upward := r.fold.mean()
-	w.pn.Add(obsv.PhaseAggregate, aggSpan.End())
-
-	meta := metrics.AggMetrics(clientMetrics)
+	folded := w.rec.Clients
+	meta := metrics.AggMetrics(w.metrics)
 	meta[link.CohortKey] = float64(folded)
-	w.rec.Clients, w.rec.UpdateNorm, w.rec.TrainLoss = folded, norm2(upward), meta["loss"]
 	return &roundReply{
 		update: upward,
 		meta:   meta,
@@ -265,7 +255,6 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 			if err := r.jrn.upstreamReply(round, folded, st.payload, r.up.enc); err != nil {
 				return err
 			}
-			w.folded = true
 			return r.seal(w)
 		},
 	}, nil

@@ -29,11 +29,13 @@ func replayCfg(dir string, async bool) ServerConfig {
 	return cfg
 }
 
-// replayLive drives the real sync step or async admit/commit over a
-// journaling aggState with synthetic q8 updates, two per window. An async
-// window folds one update trained on the current version and one trained up
-// to three versions back, so staleness weights are not all 1. after sees the
-// live state once each window has committed; the first step error ends the
+// replayLive drives the real take and commit of the sync or async driver
+// over a journaling aggState with synthetic q8 updates, two per window: the
+// sync round's commit and seal, the async buffer's admission (its order
+// hook) and commitVersion once the buffer is full. An async window folds one
+// update trained on the current version and one trained up to three
+// versions back, so staleness weights are not all 1. after sees the live
+// state once each window has committed; the first commit error ends the
 // run. It returns the live state and that error.
 func replayLive(t *testing.T, cfg ServerConfig, commits int, after func(v int, st *aggState)) (*aggState, error) {
 	t.Helper()
@@ -50,7 +52,7 @@ func replayLive(t *testing.T, cfg ServerConfig, commits int, after func(v int, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	synth := func() (link.EncodedPayload, []float32) {
+	synth := func(id string, round int) *asking {
 		v := make([]float32, len(st.global))
 		for i := range v {
 			v[i] = float32(rng.NormFloat64()) * 1e-2
@@ -63,47 +65,47 @@ func replayLive(t *testing.T, cfg ServerConfig, commits int, after func(v int, s
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p, vec
+		mc := &memberConn{id: id}
+		return &asking{task: task{mc: mc, round: round}, ans: answer{mc: mc, round: round, update: vec, payload: p, meta: map[string]float64{}}}
 	}
 	var async *asyncAggregator
 	if cfg.Async != nil {
-		async = newAsyncAggregator(st, &walResume{})
-		async.win = async.open(1, async.traceID, time.Now())
+		async = newAsyncAggregator(st)
 	}
 	for v := 1; v <= commits; v++ {
+		w := st.open(v, uint64(v), time.Now())
 		if async == nil {
-			// exchangeRound's order: journal each update, then fold it.
+			// collect's order: journal each update, then fold it.
 			if err := st.jrn.roundOpen(v, 0, []string{"a", "b"}); err != nil {
 				t.Fatal(err)
 			}
-			st.fold.reset(len(st.global))
 			for _, id := range []string{"a", "b"} {
-				p, vec := synth()
-				if err := st.jrn.memberUpdate(v, id, p); err != nil {
+				if err := st.take(w, synth(id, v).ans); err != nil {
 					t.Fatal(err)
 				}
-				st.fold.add(vec, 1)
 			}
-			if err := st.step(st.open(v, uint64(v), time.Now()), nil); err != nil {
+			st.commit(w)
+			if err := st.seal(w); err != nil {
 				return st, err
 			}
 		} else {
+			p := async.policy(w)
 			for i, trained := range []int{max(v-4, 0), v - 1} {
 				id := fmt.Sprintf("m%d-%d", v, i)
 				st.s.reg.Join(id)
-				p, vec := synth()
-				ar := asyncArrival{answer: answer{mc: &memberConn{id: id}, update: vec, payload: p, meta: map[string]float64{}},
-					version: trained}
-				err := async.admit(ar)
-				if err == nil {
-					err = async.flush()
+				q := synth(id, trained+1)
+				if _, ok := p.order(q); !ok {
+					t.Fatalf("window %d refused %s", v, id)
 				}
-				if err != nil {
+				if err := st.take(w, q.ans); err != nil {
 					return st, err
 				}
 			}
-			if async.version != v {
-				t.Fatalf("window %d did not commit (version %d)", v, async.version)
+			if !p.full() {
+				t.Fatalf("window %d is not full after two folds", v)
+			}
+			if err := async.commitVersion(w); err != nil {
+				return st, err
 			}
 		}
 		after(v, st)

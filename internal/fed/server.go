@@ -49,7 +49,7 @@ type ServerConfig struct {
 	// expires the round aggregates the updates that arrived and counts the
 	// missing members as stragglers (they stay alive, but their health
 	// score — and so their sampling weight — drops). Zero blocks until
-	// every cohort member answers or fails, the pre-elastic behavior.
+	// every cohort member answers or fails (a model send failing after 30 s).
 	RoundDeadline time.Duration
 
 	// OverProvision inflates the sampled cohort by this fraction (e.g.
@@ -131,7 +131,7 @@ type server struct {
 	codec     link.Codec
 	modelEnc  link.Codec
 
-	// prev is the model the last exchangeRound broadcast (lossless model
+	// prev is the model the last cohort broadcast sent (lossless model
 	// codecs only) and prevRound its round, 0 before the first.
 	prev      []float32
 	prevRound int
@@ -398,11 +398,7 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 	// journals an update, so a WAL written in one mode does not resume the
 	// other. The base params overwrite the fresh init in place, and the
 	// committed windows are redone on top of them.
-	foldRec := ckpt.RecMemberUpdate
-	if cfg.Async != nil {
-		foldRec = ckpt.RecBufferFold
-	}
-	resume := replayWAL(recovered, foldRec)
+	resume := replayWAL(recovered, st.foldRec)
 	if err := st.restore(resume); err != nil {
 		return nil, err
 	}
@@ -414,10 +410,10 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 	st.sentPrev, st.recvPrev = s.meter.Totals()
 	if cfg.Async != nil {
 		st.lineage["mode"] = "async"
-		return newAsyncAggregator(st, resume).run(ctx)
+		return newAsyncAggregator(st).run(ctx, resume)
 	}
 	st.lineage["mode"] = "sync"
-	return (&syncAggregator{aggState: st, resume: resume, depth: 1}).run(ctx)
+	return st.runSync(ctx, resume, 0)
 }
 
 // acceptLoop admits connections until ctx is cancelled, handing each off to
@@ -581,6 +577,7 @@ func (t *wireTotals) load() roundWire {
 // answer is one member's reply to one model task.
 type answer struct {
 	mc       *memberConn
+	round    int                 // the task: the round the model was sent as
 	update   []float32           // decoded pseudo-gradient; nil when the member failed
 	payload  link.EncodedPayload // the same update as it arrived, for the journal
 	meta     map[string]float64  // member-reported metrics (loss, phases, trained version)
@@ -594,10 +591,10 @@ type answer struct {
 // member echoes), await the update that answers it, and decode it. meta is
 // stamped on the frame (trace, version, resume) and only read. A member
 // whose send fails or whose update fails to decode is dropped — a codec
-// disagreement or a poisoned vector must never reach a fold. ok is false
-// when the member failed (a.update is nil) or stop closed first.
-func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model link.EncodedPayload, sendTimeout time.Duration, stop <-chan struct{}) (a answer, ok bool) {
-	a.mc = mc
+// disagreement or a poisoned vector must never reach a fold. a.update is nil
+// when the member failed or stop closed first.
+func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model link.EncodedPayload, sendTimeout time.Duration, stop <-chan struct{}) (a answer) {
+	a.mc, a.round = mc, task
 	// Drain a stale reply to a superseded task.
 	select {
 	case <-mc.updates:
@@ -615,7 +612,7 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 	if err != nil {
 		s.drop(mc, "model send failed")
 		mc.conn.Close()
-		return a, false
+		return a
 	}
 	s.totals.payloadBytes.Add(int64(model.WireBytes()))
 	s.totals.denseBytes.Add(int64(model.Elems) * 4)
@@ -626,7 +623,7 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 				continue // late reply to an earlier task
 			}
 			if msg.Payload.IsZero() {
-				return a, false // an empty update: nothing this round
+				return a // an empty update: nothing this round
 			}
 			decSpan := obsv.Begin(obsv.PhaseDecode)
 			vec, derr := decodeUpdate(s.codec, msg.Payload, model.Elems)
@@ -635,18 +632,18 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 			if derr != nil {
 				s.drop(mc, "update decode failed")
 				mc.conn.Close()
-				return a, false
+				return a
 			}
 			s.totals.payloadBytes.Add(int64(msg.Payload.WireBytes()))
 			s.totals.denseBytes.Add(int64(msg.Payload.Elems) * 4)
 			mc.held.Store(int64(msg.Meta[link.HeldKey]))
 			a.update, a.payload, a.meta = vec, msg.Payload, msg.Meta
 			a.latency = time.Since(start)
-			return a, true
+			return a
 		case <-mc.dead:
-			return a, false
+			return a
 		case <-stop:
-			return a, false
+			return a
 		}
 	}
 }
@@ -693,124 +690,6 @@ func (s *server) encodeBroadcast(round int, global []float32, cohort []*memberCo
 		}
 	}
 	return frames, deltas, nil
-}
-
-// exchangeRound runs window w's broadcast and collection: encode global for
-// the cohort (encodeBroadcast), ask every cohort member, and journal to jrn
-// (nil: not at all), then fold into fold at weight 1, each decoded update in
-// cohort order — an answer waits only for the members before it — until all
-// answer or fail, the round deadline expires (what has arrived then folds),
-// or ctx is cancelled (interrupted=true discards the round). Cohort order
-// is the log order replay redoes, whatever order the answers arrive in, and
-// a crash after an append re-collects nothing from that member. It returns
-// the folded members' metrics in fold order. err is non-nil only for a
-// server-side encode failure (a broken codec) or a journal error.
-//
-// w.rec.TraceID is stamped on every MsgModel; members echo it (and their
-// per-phase self-reports) on their MsgUpdate, which is how w gets a full
-// critical-path breakdown: the slowest successful member's latency is split
-// into broadcast (measured send), member train/encode/decode
-// (self-reported), server decode (measured per member), and a wire
-// residual. The codec wall times and compression ratio land on w.rec.
-func (s *server) exchangeRound(ctx context.Context, w *window, global []float32, cohort []*memberConn, resume bool, jrn *journal, fold *meanFold) (clientMetrics []map[string]float64, interrupted bool, err error) {
-	round, traceID := w.rec.Round, w.rec.TraceID
-	meta := map[string]float64{link.TraceKey: float64(traceID)}
-	if resume {
-		// Redelivery of an in-flight round after a crash: a member that
-		// already trained it re-sends its cached update instead of
-		// advancing its data stream a second time.
-		meta[link.ResumeKey] = 1
-	}
-	encSpan := obsv.Begin(obsv.PhaseEncode)
-	frames, deltas, err := s.encodeBroadcast(round, global, cohort, meta)
-	if err != nil {
-		return nil, false, err
-	}
-	encNs := encSpan.End()
-	w.rec.DeltaBroadcasts += deltas
-	base := s.totals.load()
-
-	replies := make([]chan answer, len(cohort))
-	stop := make(chan struct{})
-	defer close(stop)
-	for i, mc := range cohort {
-		replies[i] = make(chan answer, 1) // never blocks, even after stop
-		go func() {
-			a, _ := s.ask(mc, round, frames[i].Meta, frames[i].Payload, s.cfg.RoundDeadline, stop)
-			replies[i] <- a
-		}()
-	}
-
-	var deadlineC <-chan time.Time
-	if s.cfg.RoundDeadline > 0 {
-		timer := time.NewTimer(s.cfg.RoundDeadline)
-		defer timer.Stop()
-		deadlineC = timer.C
-	}
-	// slow tracks the slowest successful member: its latency dominates the
-	// round's wall time, so its phase split IS the round's critical path.
-	var slow answer
-	expired := false
-	for i, mc := range cohort {
-		var a answer
-		if !expired {
-			select {
-			case a = <-replies[i]:
-			case <-deadlineC:
-				expired = true
-			case <-ctx.Done():
-				return nil, true, nil
-			}
-		}
-		if expired {
-			select {
-			case a = <-replies[i]:
-			default:
-				// Past the deadline the round aggregates what has arrived;
-				// everyone else is a straggler (alive, but down-weighted).
-				s.reg.ObserveRound(mc.id, s.cfg.RoundDeadline, cluster.OutcomeStraggler)
-				continue
-			}
-		}
-		if a.update == nil {
-			continue
-		}
-		if err := jrn.memberUpdate(round, mc.id, a.payload); err != nil {
-			return nil, false, err
-		}
-		fold.add(a.update, 1)
-		clientMetrics = append(clientMetrics, a.meta)
-		s.reg.ObserveRound(mc.id, a.latency, cluster.OutcomeOK)
-		if slow.mc == nil || a.latency > slow.latency {
-			slow = a
-		}
-	}
-	if ctx.Err() != nil {
-		return nil, true, nil
-	}
-
-	wire := s.totals.load()
-	w.rec.EncodeMs += float64(encNs) / 1e6
-	w.rec.DecodeMs += float64(wire.decNs-base.decNs) / 1e6
-	if dense := wire.denseBytes - base.denseBytes; dense > 0 {
-		w.rec.CompressionRatio = float64(wire.payloadBytes-base.payloadBytes) / float64(dense)
-	}
-	if slow.mc != nil {
-		memberTrain := int64(slow.meta[link.PhaseTrainNsKey])
-		memberEnc := int64(slow.meta[link.PhaseEncNsKey])
-		memberDec := int64(slow.meta[link.PhaseDecNsKey])
-		w.pn.Add(obsv.PhaseBroadcast, slow.sendNs)
-		w.pn.Add(obsv.PhaseTrain, memberTrain)
-		w.pn.Add(obsv.PhaseEncode, encNs+memberEnc)
-		w.pn.Add(obsv.PhaseDecode, memberDec+slow.srvDecNs)
-		// Whatever the latency doesn't account for is wire transfer (plus
-		// scheduling slack). Legacy members report no phase keys, so for
-		// them the whole latency after the send lands here.
-		w.pn.Add(obsv.PhaseWire, slow.latency.Nanoseconds()-slow.sendNs-memberTrain-memberEnc-memberDec-slow.srvDecNs)
-		w.rec.SlowestID = slow.mc.id
-		w.rec.SlowestPhase = w.pn.Slowest().String()
-	}
-	return clientMetrics, false, nil
 }
 
 // decodeUpdate is the single door every update passes on its way to a

@@ -61,7 +61,7 @@ func (c Config) ParamCount() int64 {
 // hardware model uses for MFU accounting.
 func (c Config) FLOPsPerToken() float64 {
 	base := 2 * float64(c.ParamCount())
-	attn := 2 * 2 * float64(c.Blocks) * float64(c.SeqLen) * float64(c.Dim)
+	attn := float64(2 * 2 * float64(c.Blocks) * float64(c.SeqLen) * float64(c.Dim))
 	return base + attn
 }
 

@@ -94,7 +94,8 @@ func (ln *LayerNorm) Forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 }
 
 // forward is Forward's body. xhat and rstd receive the backward cache; the
-// decode path passes nil for both and the layer is only read.
+// decode path passes nil for both and the layer is only read. Here and in
+// Backward every product is converted, so no compiler fuses it (arm64 would).
 //
 //photon:hotpath
 func (ln *LayerNorm) forward(ws *Workspace, x, xhat *tensor.Matrix, rstd []float32) *tensor.Matrix {
@@ -115,7 +116,7 @@ func (ln *LayerNorm) forward(ws *Workspace, x, xhat *tensor.Matrix, rstd []float
 		var varr float64
 		for _, v := range row {
 			dv := float64(v) - mean
-			varr += dv * dv
+			varr += float64(dv * dv)
 		}
 		varr /= d
 		r := float32(1 / math.Sqrt(varr+lnEps))
@@ -131,7 +132,7 @@ func (ln *LayerNorm) forward(ws *Workspace, x, xhat *tensor.Matrix, rstd []float
 		for j, v := range row {
 			h := (v - float32(mean)) * r
 			xh[j] = h
-			yr[j] = gain[j]*h + bias[j]
+			yr[j] = float32(gain[j]*h) + bias[j]
 		}
 	}
 	return y
@@ -150,21 +151,21 @@ func (ln *LayerNorm) Backward(ws *Workspace, dy *tensor.Matrix) *tensor.Matrix {
 		xh, dxr := ln.xhat.Row(i)[:n], dx.Row(i)[:n]
 		// Parameter gradients.
 		for j, g := range dyr {
-			dgain[j] += g * xh[j]
+			dgain[j] += float32(g * xh[j])
 			dbias[j] += g
 		}
 		// Input gradient: dx = rstd*(dxhat - mean(dxhat) - xhat*mean(dxhat⊙xhat)).
 		var sum1, sum2 float32
 		for j, g := range dyr {
-			dxh := g * gain[j]
+			dxh := float32(g * gain[j])
 			sum1 += dxh
-			sum2 += dxh * xh[j]
+			sum2 += float32(dxh * xh[j])
 		}
 		m1, m2 := sum1/d, sum2/d
 		rstd := ln.rstd[i]
 		for j, g := range dyr {
-			dxh := g * gain[j]
-			dxr[j] = rstd * (dxh - m1 - xh[j]*m2)
+			dxh := float32(g * gain[j])
+			dxr[j] = rstd * (dxh - m1 - float32(xh[j]*m2))
 		}
 	}
 	return dx

@@ -102,7 +102,7 @@ func (ps ParamSet) GradNorm() float64 {
 	var s float64
 	for _, p := range ps {
 		for _, g := range p.Grad {
-			s += float64(g) * float64(g)
+			s += float64(float64(g) * float64(g))
 		}
 	}
 	return math.Sqrt(s)

@@ -32,7 +32,7 @@ func (c Cosine) LR(step int) float64 {
 		return c.Min
 	}
 	progress := float64(step-c.Warmup) / float64(c.Period-c.Warmup)
-	return c.Min + 0.5*(c.Max-c.Min)*(1+math.Cos(math.Pi*progress))
+	return c.Min + float64(0.5*(c.Max-c.Min)*(1+math.Cos(math.Pi*progress)))
 }
 
 // PaperCosine builds the paper's schedule (Table 5): minimum rate α·max with
