@@ -109,7 +109,6 @@ type aggState struct {
 	// attributed to the next record rather than lost, and the per-record
 	// sums add up to the meter's cumulative totals.
 	sentPrev, recvPrev int64
-	wirePrev           roundWire
 
 	// crashed is set when an armed crash point fired: the exit must look
 	// like a crash to the members, not a clean shutdown.
@@ -234,6 +233,11 @@ type window struct {
 	staleSum float64              // Σ staleness of the folded updates
 	slow     answer               // the slowest folded answer: the window's critical path
 	encNs    int64                // encoding the window's broadcast
+
+	// The folded answers' codec accounting: server-side decode time, and
+	// the payload volume, encoded and dense, the compression ratio is
+	// derived from.
+	decNs, payloadBytes, denseBytes int64
 }
 
 // open starts the window for round (a sync round, or version round−1's
@@ -356,13 +360,11 @@ func (a *aggState) collect(ctx context.Context, w *window, p policy) error {
 		return err
 	}
 
-	wire := a.s.totals.load()
 	w.rec.EncodeMs += float64(w.encNs) / 1e6
-	w.rec.DecodeMs += float64(wire.decNs-a.wirePrev.decNs) / 1e6
-	if dense := wire.denseBytes - a.wirePrev.denseBytes; dense > 0 {
-		w.rec.CompressionRatio = float64(wire.payloadBytes-a.wirePrev.payloadBytes) / float64(dense)
+	w.rec.DecodeMs += float64(w.decNs) / 1e6
+	if w.denseBytes > 0 {
+		w.rec.CompressionRatio = float64(w.payloadBytes) / float64(w.denseBytes)
 	}
-	a.wirePrev = wire
 	if slow := w.slow; slow.mc != nil {
 		memberTrain := int64(slow.meta[link.PhaseTrainNsKey])
 		memberEnc := int64(slow.meta[link.PhaseEncNsKey])
@@ -437,6 +439,9 @@ func (a *aggState) take(w *window, ans answer) error {
 		return err
 	}
 	a.add(w, ans.round-1, ans.update, ans.meta)
+	w.decNs += ans.srvDecNs
+	w.payloadBytes += ans.payloadBytes
+	w.denseBytes += ans.denseBytes
 	a.s.reg.ObserveRound(ans.mc.id, ans.latency, cluster.OutcomeOK)
 	if w.slow.mc == nil || ans.latency > w.slow.latency {
 		w.slow = ans

@@ -387,7 +387,9 @@ func TestLateAnswerIsDropped(t *testing.T) {
 
 // TestAsyncRecordsCriticalPath: an async version's record carries the
 // critical-path split of its slowest folded answer — broadcast, train,
-// encode and decode, and the member it came from — as a sync round's does.
+// encode and decode, and the member it came from — as a sync round's does,
+// and the server-side decode time and compression ratio of the answers it
+// folded.
 func TestAsyncRecordsCriticalPath(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -424,6 +426,9 @@ func TestAsyncRecordsCriticalPath(t *testing.T) {
 		}
 		if p.BroadcastMs <= 0 || p.TrainMs <= 0 || p.EncodeMs <= 0 || p.DecodeMs <= 0 {
 			t.Errorf("version %d: phases %+v: want broadcast, train, encode and decode", r.ModelVersion, p)
+		}
+		if r.DecodeMs <= 0 || r.CompressionRatio <= 0 {
+			t.Errorf("version %d: decode %v ms, ratio %v: want its folded answers' decode and ratio", r.ModelVersion, r.DecodeMs, r.CompressionRatio)
 		}
 	}
 }

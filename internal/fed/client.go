@@ -55,13 +55,13 @@ type Client struct {
 	SubNodes []*Client
 
 	// Round scratch, reused across rounds so long-running simulations with
-	// many clients do not reallocate two model-size vectors per client per
+	// many clients do not reallocate a model-size vector per client per
 	// round. The returned RoundResult.Update aliases updateBuf (subFold's sum
 	// for a sub-federated client): it is valid until this client's next
 	// RunRound, which is exactly the aggregation window (updates are folded
 	// into the round delta before the next round starts).
-	localBuf, updateBuf []float32
-	subFold             meanFold
+	updateBuf []float32
+	subFold   meanFold
 }
 
 // NewClient builds an LLM-C with its own model replica (weights are
@@ -129,13 +129,16 @@ func (c *Client) RunRound(ctx context.Context, global []float32, stepBase int, s
 		c.Optimizer.Step(c.Model.Params(), lastLR)
 	}
 
-	c.localBuf = c.Model.Params().Flatten(c.localBuf)
 	if len(c.updateBuf) != len(global) {
 		c.updateBuf = make([]float32, len(global))
 	}
 	update := c.updateBuf
 	copy(update, global)
-	tensor.Sub(update, c.localBuf) // θt − θt_k
+	off := 0
+	for _, p := range c.Model.Params() { // θt − θt_k, a parameter at a time in Flatten's layout
+		tensor.Sub(update[off:off+len(p.Data)], p.Data)
+		off += len(p.Data)
+	}
 	return RoundResult{
 		Update: update,
 		Metrics: map[string]float64{

@@ -334,7 +334,7 @@ func TestDeltaRefusals(t *testing.T) {
 			for i := 0; i < len(next); i += 9 {
 				next[i] += 0.25
 			}
-			delta, ok, err := link.EncodeDelta(link.FlateCodec{}, slices.Clone(held), next)
+			delta, ok, err := link.EncodeDelta(link.FlateCodec{}, slices.Clone(held), next, nil)
 			if err != nil || !ok {
 				t.Fatalf("delta not built: ok=%v err=%v", ok, err)
 			}

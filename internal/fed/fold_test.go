@@ -539,16 +539,47 @@ func TestRunDropsNonFiniteUpdates(t *testing.T) {
 	}
 }
 
+// TestDecodeUpdateRefusesCarriedNonFinite: a sparse top-k update that
+// carries a NaN or an infinity is refused at the decode door, and one that
+// carries only finite values passes it.
+func TestDecodeUpdateRefusesCarriedNonFinite(t *testing.T) {
+	const n = 1000
+	for _, bad := range []float32{0, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(i%17) * 1e-3
+		}
+		v[n/2] = bad // the largest magnitude a non-finite value has: always carried
+		p, err := link.EncodeVector(&link.TopKCodec{Keep: 0.1}, v)
+		if err != nil || p.CodecID != link.CodecSparse {
+			t.Fatalf("setup: codec %d, err %v", p.CodecID, err)
+		}
+		_, err = decodeUpdate(&link.TopKCodec{}, p, n)
+		if finite := bad == 0; finite != (err == nil) {
+			t.Fatalf("update carrying %v: decode error %v", bad, err)
+		}
+	}
+}
+
 // TestCheckFinite: the guard every fold input passes rejects NaN and both
-// infinities wherever they sit, and accepts the extremes of the finite
-// range.
+// infinities wherever they sit — among a sparse payload's carried elements
+// when given its marks — and accepts the extremes of the finite range.
 func TestCheckFinite(t *testing.T) {
-	if err := checkFinite([]float32{0, -1, math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}); err != nil {
+	if err := checkFinite([]float32{0, -1, math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
-		if checkFinite([]float32{1, 2, bad}) == nil {
+		if checkFinite([]float32{1, 2, bad}, nil) == nil {
 			t.Fatalf("%v accepted", bad)
+		}
+		// Given a sparse payload's marks, the carried elements are checked
+		// and only they: the others decode to zeros.
+		marks := []byte{0b101, 0, 0, 0, 0, 0, 0, 0}
+		if checkFinite([]float32{1, 0, bad}, marks) == nil {
+			t.Fatalf("carried %v accepted", bad)
+		}
+		if err := checkFinite([]float32{1, bad, 2}, marks); err != nil {
+			t.Fatalf("an element the marks skip was read: %v", err)
 		}
 	}
 }

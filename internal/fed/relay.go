@@ -203,7 +203,7 @@ func (r *relay) serve(ctx context.Context, t roundTask) (*roundReply, error) {
 		return nil, nil // stale redelivery
 	}
 	round := int(t.msg.Round)
-	r.global = t.global
+	r.global = append(r.global[:0], t.global...) // the session rewrites t.global in place next round
 	if ver, ok := t.msg.Meta[link.VersionKey]; ok {
 		r.lastVer = int(ver)
 	}

@@ -2,9 +2,11 @@ package fed
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,19 +134,17 @@ type server struct {
 	modelEnc  link.Codec
 
 	// prev is the model the last cohort broadcast sent (lossless model
-	// codecs only) and prevRound its round, 0 before the first.
+	// codecs only) and prevRound its round, 0 before the first; deltaVals
+	// is the delta encode's value scratch, which no payload keeps.
 	prev      []float32
 	prevRound int
+	deltaVals []float32
 
 	// meter sums real wire bytes over every member connection; per-round
 	// deltas ground the round records' communication cost in measured
 	// traffic (headers and heartbeats included) rather than element-count
 	// estimates.
 	meter *link.Meter
-
-	// totals sums codec work (decode time, encoded and dense payload bytes)
-	// over every ask, the way meter sums wire bytes.
-	totals wireTotals
 
 	mu    sync.Mutex
 	conns map[string]*memberConn
@@ -556,24 +556,6 @@ func (s *server) livenessLoop(ctx context.Context) {
 	}
 }
 
-// roundWire is one window's codec accounting: decode wall time and the
-// encoded-vs-dense payload volume the compression ratio is derived from.
-type roundWire struct {
-	decNs        int64
-	payloadBytes int64 // codec-encoded payload bytes exchanged
-	denseBytes   int64 // what the same payloads would cost as dense float32
-}
-
-// wireTotals sums the codec side of every ask since the server started;
-// like the meter, a window reads its share as a difference.
-type wireTotals struct {
-	decNs, payloadBytes, denseBytes atomic.Int64
-}
-
-func (t *wireTotals) load() roundWire {
-	return roundWire{decNs: t.decNs.Load(), payloadBytes: t.payloadBytes.Load(), denseBytes: t.denseBytes.Load()}
-}
-
 // answer is one member's reply to one model task.
 type answer struct {
 	mc       *memberConn
@@ -584,6 +566,10 @@ type answer struct {
 	latency  time.Duration       // send-to-reply wall time
 	sendNs   int64               // model send duration
 	srvDecNs int64               // server-side decode of the update
+
+	// The payloads of the exchange — the model sent and the update
+	// received — as encoded and as they would be dense float32.
+	payloadBytes, denseBytes int64
 }
 
 // ask is the aggregator's half of one exchange with one member, the same in
@@ -614,8 +600,7 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 		mc.conn.Close()
 		return a
 	}
-	s.totals.payloadBytes.Add(int64(model.WireBytes()))
-	s.totals.denseBytes.Add(int64(model.Elems) * 4)
+	a.payloadBytes, a.denseBytes = int64(model.WireBytes()), int64(model.Elems)*4
 	for {
 		select {
 		case msg := <-mc.updates:
@@ -628,14 +613,13 @@ func (s *server) ask(mc *memberConn, task int, meta map[string]float64, model li
 			decSpan := obsv.Begin(obsv.PhaseDecode)
 			vec, derr := decodeUpdate(s.codec, msg.Payload, model.Elems)
 			a.srvDecNs = decSpan.End()
-			s.totals.decNs.Add(a.srvDecNs)
 			if derr != nil {
 				s.drop(mc, "update decode failed")
 				mc.conn.Close()
 				return a
 			}
-			s.totals.payloadBytes.Add(int64(msg.Payload.WireBytes()))
-			s.totals.denseBytes.Add(int64(msg.Payload.Elems) * 4)
+			a.payloadBytes += int64(msg.Payload.WireBytes())
+			a.denseBytes += int64(msg.Payload.Elems) * 4
 			mc.held.Store(int64(msg.Meta[link.HeldKey]))
 			a.update, a.payload, a.meta = vec, msg.Payload, msg.Meta
 			a.latency = time.Since(start)
@@ -662,7 +646,10 @@ func (s *server) encodeBroadcast(round int, global []float32, cohort []*memberCo
 	}
 	delta, kept := link.Message{Meta: maps.Clone(meta)}, false
 	if deltas > 0 { // EncodeDelta also copies global into prev
-		if delta.Payload, kept, err = link.EncodeDelta(s.modelEnc, s.prev, global); err != nil {
+		if len(s.deltaVals) != len(global) {
+			s.deltaVals = make([]float32, len(global))
+		}
+		if delta.Payload, kept, err = link.EncodeDelta(s.modelEnc, s.prev, global, s.deltaVals); err != nil {
 			return nil, 0, err
 		}
 	} else if link.CanDelta(s.modelEnc) {
@@ -697,7 +684,7 @@ func (s *server) encodeBroadcast(round int, global []float32, cohort []*memberCo
 // and both WAL replays. The declared element count must match the model
 // before any codec allocates for it, so a mis-sized update can neither OOM
 // the aggregator nor poison the fold, and the decoded values must pass
-// checkFinite.
+// checkFinite: those a sparse top-k payload carries, every one otherwise.
 func decodeUpdate(codec link.Codec, p link.EncodedPayload, elems int) ([]float32, error) {
 	if p.Elems != elems {
 		return nil, fmt.Errorf("fed: update has %d elements, model has %d", p.Elems, elems)
@@ -709,7 +696,7 @@ func decodeUpdate(codec link.Codec, p link.EncodedPayload, elems int) ([]float32
 	if len(vec) != elems {
 		return nil, fmt.Errorf("fed: update decoded to %d elements, model has %d", len(vec), elems)
 	}
-	if err := checkFinite(vec); err != nil {
+	if err := checkFinite(vec, link.SparseMarks(p)); err != nil {
 		return nil, err
 	}
 	return vec, nil
@@ -717,10 +704,23 @@ func decodeUpdate(codec link.Codec, p link.EncodedPayload, elems int) ([]float32
 
 // checkFinite rejects an update holding a NaN or ±Inf, which would spread to
 // every parameter it touches. Every fold input passes it, in decodeUpdate.
-func checkFinite(vec []float32) error {
-	for i, v := range vec {
-		if math.Float32bits(v)&0x7f800000 == 0x7f800000 { // exponent all ones: NaN or ±Inf
-			return fmt.Errorf("fed: update element %d is %v", i, v)
+// marks, when non-nil, is the bitmap of the elements a sparse payload
+// carried (link.SparseMarks): only those are checked, the rest being zeros.
+func checkFinite(vec []float32, marks []byte) error {
+	bad := func(v float32) bool { return math.Float32bits(v)&0x7f800000 == 0x7f800000 } // exponent all ones: NaN or ±Inf
+	if marks == nil {
+		for i, v := range vec {
+			if bad(v) {
+				return fmt.Errorf("fed: update element %d is %v", i, v)
+			}
+		}
+		return nil
+	}
+	for w := 0; w < len(marks); w += 8 {
+		for word := binary.LittleEndian.Uint64(marks[w:]); word != 0; word &= word - 1 {
+			if i := 8*w + bits.TrailingZeros64(word); bad(vec[i]) {
+				return fmt.Errorf("fed: update element %d is %v", i, vec[i])
+			}
 		}
 	}
 	return nil

@@ -349,15 +349,19 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	return r.sent(st)
 }
 
-// decodeModel decodes a broadcast, a delta one against the held model, and
-// holds the result; a broadcast that fails to decode drops the held model.
+// decodeModel decodes a broadcast — a delta one in place, into the held
+// model — and holds the result; a broadcast that fails to decode drops the
+// held model. The held model is the round's global until the next broadcast
+// rewrites it, so nothing may keep it past its round.
 func (m *memberSession) decodeModel(msg *link.Message) (global []float32, err error) {
 	if msg.Payload.CodecID != link.CodecDelta {
 		global, err = link.DecodePayload(m.enc, msg.Payload)
 	} else if base := msg.Meta[link.BaseRoundKey]; m.held == nil || base != float64(m.heldRound) {
 		err = fmt.Errorf("%w: it applies to round %v, the member holds round %d", ErrBaseMismatch, base, m.heldRound)
-	} else if global, err = link.ApplyDelta(m.held, msg.Payload); err == nil && float64(link.Checksum(global)) != msg.Meta[link.ModelCRCKey] {
-		global, err = nil, fmt.Errorf("%w: the rebuilt model fails its checksum", ErrBaseMismatch)
+	} else if err = link.ApplyDelta(m.held, msg.Payload); err == nil {
+		if global = m.held; float64(link.Checksum(global)) != msg.Meta[link.ModelCRCKey] {
+			global, err = nil, fmt.Errorf("%w: the rebuilt model fails its checksum", ErrBaseMismatch)
+		}
 	}
 	if m.held, m.heldRound = global, 0; global != nil {
 		m.heldRound = msg.Round

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+
+	"photon/internal/tensor"
 )
 
 // EncodedPayload is a wire codec's native representation of a parameter
@@ -588,6 +590,16 @@ type TopKCodec struct {
 	Keep float64 // fraction of coordinates kept; 0 → 0.1
 
 	residual []float32
+
+	// Encode's scratch, kept across calls (Encode is the session's alone;
+	// Decode uses none of it): the sample's keys, the bitmaps of the sums
+	// above the bracket and within it, the candidates' keys, the selection's
+	// counters, and the payload's bitmap and values.
+	sample, keys  []uint32
+	above, within []uint64
+	hist          []uint32
+	bitmap        []byte
+	vals          []float32
 }
 
 // Name implements Codec.
@@ -638,11 +650,15 @@ func (t *TopKCodec) keep() float64 {
 // Encode implements Codec. Layout: a CodecSparse payload (sparsePayload),
 // or kept-count×(u32 index | f32 value) as CodecTopK when no larger.
 //
-// Selection is O(n) with no scratch copy of the vector: a float's magnitude
-// read as the integer bits&0x7fffffff sorts exactly like |x|, so two counting
-// passes (high 16 bits, then the low 15 inside the boundary bucket) pin the
-// k-th largest magnitude exactly. The update is folded into the residual in
-// place and the payload is emitted from it.
+// The update is folded into the residual in place and the payload is
+// emitted from it. A float's magnitude read as the integer bits&0x7fffffff
+// (its key) sorts exactly like |x|, so selection counts keys. A strided
+// sample of the sums brackets the k-th largest key; one vector pass
+// (tensor.FoldMarks) folds the update and marks the keys above the bracket
+// and within it; a radix select over the candidates within it pins the k-th
+// largest key exactly; one pass over the marks emits. A bracket that turns
+// out not to hold the k-th largest makes every element a candidate: the
+// bracket decides the time Encode takes, never its bytes.
 //
 //photon:allocok
 func (t *TopKCodec) Encode(v []float32) (EncodedPayload, error) {
@@ -659,17 +675,124 @@ func (t *TopKCodec) Encode(v []float32) (EncodedPayload, error) {
 	if len(t.residual) != len(v) {
 		return EncodedPayload{}, fmt.Errorf("update size changed: %d vs residual %d", len(v), len(t.residual))
 	}
-	k := int(math.Ceil(keep * float64(len(v))))
-	if k > len(v) {
-		k = len(v)
+	n := len(v)
+	k := int(math.Ceil(keep * float64(n)))
+	if k > n {
+		k = n
 	}
-	thresh, ties := foldAndSelect(t.residual, v, k, make([]uint32, 1<<16))
-	bitmap, vals := make([]byte, 8*((len(v)+63)/64)), make([]float32, k)
-	emitTopK(bitmap, vals, t.residual, thresh, ties)
-	if p, ok, err := sparsePayload(CodecSparse, ModelCodec(t), len(v), bitmap, vals, 8*k); ok || err != nil {
+	words := (n + 63) / 64
+	if len(t.above) != words || len(t.vals) != k {
+		t.sample = make([]uint32, (n+sampleStride(n)-1)/sampleStride(n))
+		t.above, t.within = make([]uint64, words), make([]uint64, words)
+		t.bitmap, t.vals = make([]byte, 8*words), make([]float32, k)
+		t.hist = make([]uint32, 1<<16)
+	}
+	lo, hi := t.bracket(v, k)
+	above, within := tensor.FoldMarks(t.residual, v, lo, hi, t.above, t.within)
+	if above > k || above+within < k {
+		// The k-th largest lies outside the bracket: select over everything.
+		clear(t.above)
+		for i := range t.within {
+			t.within[i] = math.MaxUint64
+		}
+		if n%64 != 0 {
+			t.within[words-1] = 1<<(n%64) - 1
+		}
+		lo, hi, above, within = 0, math.MaxInt32, 0, n
+	}
+	if cap(t.keys) < within {
+		t.keys = make([]uint32, within)
+	}
+	t.keys = t.keys[:within]
+	candidateKeys(t.keys, t.within, t.residual)
+	thresh, ties := selectKey(t.keys, lo, hi, k, above, t.hist)
+	emitTopK(t.bitmap, t.vals, t.residual, t.above, t.within, t.keys, thresh, ties)
+	if p, ok, err := sparsePayload(CodecSparse, ModelCodec(t), n, t.bitmap, t.vals, 8*k); ok || err != nil {
 		return p, err
 	}
-	return EncodedPayload{CodecID: CodecTopK, Elems: len(v), Data: pairs(bitmap, vals)}, nil
+	return EncodedPayload{CodecID: CodecTopK, Elems: n, Data: pairs(t.bitmap, t.vals)}, nil
+}
+
+// topkSample is about how many sums bracket draws, and topkSigmas how many
+// standard deviations of the sample's rank error either side of the k-th
+// largest's expected rank its bracket spans. A larger sample narrows the
+// bracket, but its two quickselects cost more than the candidates it saves.
+const (
+	topkSample = 1 << 12
+	topkSigmas = 4
+)
+
+// sampleStride is bracket's stride over n sums: about n/topkSample, and
+// odd, so that it walks every column of a power-of-two-wide tensor.
+//
+//photon:hotpath
+func sampleStride(n int) int { return n/topkSample | 1 }
+
+// bracket samples the sums v + residual at sampleStride into t.sample and
+// returns the sample keys topkSigmas standard deviations either side of
+// where the k-th largest of all n would rank in the sample: a bracket
+// [lo, hi] that holds the k-th largest key unless the sample misleads. Past
+// either end of the sample the bound is the end of the key range.
+//
+//photon:hotpath
+func (t *TopKCodec) bracket(v []float32, k int) (lo, hi uint32) {
+	n, stride, s := len(v), sampleStride(len(v)), t.sample
+	for j := range s {
+		s[j] = magKey(v[j*stride] + t.residual[j*stride])
+	}
+	m := len(s)
+	p := float64(k) / float64(n)
+	q, d := p*float64(m), topkSigmas*math.Sqrt(float64(m)*p*(1-p))+1
+	// Descending sample ranks rHi < rLo; ascending, those are m−1−r. The
+	// upper bound is selected first, so that the lower one is selected among
+	// the keys below it.
+	lo, hi = 0, math.MaxInt32
+	rHi, rLo := int(math.Floor(q-d)), int(math.Ceil(q+d))
+	top := m
+	if rHi >= 0 {
+		top = m - 1 - rHi
+		hi = nthKey(s, top)
+	}
+	if rLo < m {
+		lo = nthKey(s[:top], m-1-rLo)
+	}
+	return lo, hi
+}
+
+// nthKey returns the key of ascending rank r in s, reordering s so that no
+// key before r is larger and none after it smaller (quickselect, with
+// Hoare's partition around a median of three).
+//
+//photon:hotpath
+func nthKey(s []uint32, r int) uint32 {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		a, b, c := s[lo], s[lo+(hi-lo)/2], s[hi]
+		p := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < p {
+				i++
+			}
+			for s[j] > p {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case r <= j:
+			hi = j
+		case r >= i:
+			lo = i
+		default:
+			return s[r]
+		}
+	}
+	return s[r]
 }
 
 // magKey is |x| as an integer that orders like the magnitude (sign bit
@@ -678,31 +801,51 @@ func (t *TopKCodec) Encode(v []float32) (EncodedPayload, error) {
 //photon:hotpath
 func magKey(x float32) uint32 { return math.Float32bits(x) & 0x7fffffff }
 
-// foldAndSelect applies error feedback — residual += v, compensating with
-// what previous rounds dropped — and returns the k-th largest magnitude key
-// of the sums plus how many coordinates at exactly that key still fit in k.
-// hist is 1<<16 zeroed counters.
+// candidateKeys writes to keys the keys of the residual's elements that
+// within marks, in index order; keys holds exactly as many.
 //
 //photon:hotpath
-func foldAndSelect(residual, v []float32, k int, hist []uint32) (thresh uint32, ties int) {
-	for i, x := range v {
-		s := x + residual[i]
-		residual[i] = s
-		hist[magKey(s)>>15]++
-	}
-	hi, above := kthBucket(hist, 0, k)
-	// Same again on the low key bits of that bucket's members.
-	low := hist[:1<<15]
-	for i := range low {
-		low[i] = 0
-	}
-	for _, s := range residual {
-		if key := magKey(s); key>>15 == hi {
-			low[key&0x7fff]++
+func candidateKeys(keys []uint32, within []uint64, residual []float32) {
+	j := 0
+	for w, word := range within {
+		for ; word != 0; word &= word - 1 {
+			keys[j] = magKey(residual[64*w+bits.TrailingZeros64(word)])
+			j++
 		}
 	}
-	lo, above := kthBucket(low, above, k)
-	return hi<<15 | lo, k - above
+}
+
+// selectKey returns the k-th largest of keys, which lie in [lo, hi], and of
+// above larger elements that are not among them — above ≤ k ≤
+// above+len(keys) — and how many elements at exactly that key still fit in
+// k. It counts key − lo in two passes, as a radix select: its high bits
+// (16 of them at most), then, unless those were all of them, its low bits
+// inside the boundary bucket. hist holds 1<<16 counters. Given above == k it
+// keeps no candidate: it returns a key no smaller than hi with no ties left.
+//
+//photon:hotpath
+func selectKey(keys []uint32, lo, hi uint32, k, above int, hist []uint32) (thresh uint32, ties int) {
+	shift := max(bits.Len32(hi-lo)-16, 0)
+	counts := hist[:(hi-lo)>>shift+1]
+	clear(counts)
+	for _, key := range keys {
+		counts[(key-lo)>>shift]++
+	}
+	b, above := kthBucket(counts, above, k)
+	if shift == 0 {
+		return lo + b, k - above
+	}
+	// Same again on the low bits of that bucket's members.
+	counts = hist[:1<<shift]
+	clear(counts)
+	low := uint32(1)<<shift - 1
+	for _, key := range keys {
+		if (key-lo)>>shift == b {
+			counts[(key-lo)&low]++
+		}
+	}
+	l, above := kthBucket(counts, above, k)
+	return lo + (b<<shift | l), k - above
 }
 
 // kthBucket walks counts down from the largest bucket to the one holding
@@ -718,31 +861,37 @@ func kthBucket(counts []uint32, above, k int) (uint32, int) {
 	return uint32(b), above
 }
 
-// emitTopK marks the kept coordinates in bitmap, gathers their values into
-// vals in index order and zeroes their residual, in one pass. Everything
-// strictly above the threshold is kept; only ties at exactly the threshold
-// compete, in index order, for the rest of the slots — so density stays exact
-// even for heavily quantized magnitudes without ever dropping a larger
-// coordinate in favor of an earlier tie.
+// emitTopK writes the kept coordinates' bitmap, gathers their values into
+// vals in index order and zeroes their residual, one word at a time. Every
+// element above the bracket is kept, and of the candidates within it (keys,
+// in index order) those above the threshold; only ties at exactly the
+// threshold compete, in index order, for the rest of the slots — so density
+// stays exact even for heavily quantized magnitudes without ever dropping a
+// larger coordinate in favor of an earlier tie.
 //
 //photon:hotpath
-func emitTopK(bitmap []byte, vals, residual []float32, thresh uint32, ties int) {
-	k := 0
-	for i, x := range residual {
-		key := magKey(x)
-		if key < thresh {
-			continue
+func emitTopK(bitmap []byte, vals, residual []float32, above, within []uint64, keys []uint32, thresh uint32, ties int) {
+	j, k := 0, 0
+	for w, kept := range above {
+		for word := within[w]; word != 0; word &= word - 1 {
+			// Branch-free, as the candidates straddle the threshold: each
+			// test is the sign bit of a 64-bit difference.
+			key := uint64(keys[j])
+			j++
+			gt := (uint64(thresh) - key) >> 63       // key > thresh
+			eq := ((key ^ uint64(thresh)) - 1) >> 63 // key == thresh
+			tie := eq & (uint64(-ties) >> 63)        // … with a slot left
+			ties -= int(tie)
+			kept |= word & -word & -(gt | tie)
 		}
-		if key == thresh {
-			if ties == 0 {
-				continue
-			}
-			ties--
+		binary.LittleEndian.PutUint64(bitmap[8*w:], kept)
+		base := residual[64*w : min(64*w+64, len(residual))]
+		for ; kept != 0; kept &= kept - 1 {
+			i := bits.TrailingZeros64(kept)
+			vals[k] = base[i]
+			k++
+			base[i] = 0
 		}
-		bitmap[i/8] |= 1 << (i % 8)
-		vals[k] = x
-		k++
-		residual[i] = 0
 	}
 }
 

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,15 +40,40 @@ func benchModel(seed int64, n int) []float32 {
 	return v
 }
 
+// adamwUpdate is a member's update after one AdamW step from fresh state
+// on the model benchModel(1, n), θ − θ′ in float32 as the member computes
+// it: a coordinate with gradient g moves by lr·g/(|g|+ε) + lr·wd·θ, so
+// almost every magnitude sits within a fraction of a percent of lr. One in
+// eight coordinates has no gradient (an unused embedding row) and moves by
+// weight decay alone.
+func adamwUpdate(seed int64, n int) []float32 {
+	const lr, wd = 3e-3, 0.1
+	rng := rand.New(rand.NewSource(seed))
+	theta := benchModel(1, n)
+	v := make([]float32, n)
+	for i, th := range theta {
+		var step float32
+		if g := float32(rng.NormFloat64()); i%8 != 0 {
+			step = float32(lr*g)/(float32(math.Abs(float64(g)))+1e-8) + float32(lr*wd*th)
+		} else {
+			step = float32(lr * wd * th)
+		}
+		v[i] = th - (th - step)
+	}
+	return v
+}
+
 var benchCodecs = []string{"dense", "flate", "q8", "topk:0.1"}
 
-// benchShapes are the two payloads a round moves: an update vector and the
-// model broadcast.
+// benchShapes are the payloads a round moves: update vectors — a gaussian
+// one, and the comm-bound workload's AdamW update, which top-k encodes
+// with its error feedback growing round on round — and the model broadcast.
 var benchShapes = []struct {
 	name string
 	vec  func() []float32
 }{
 	{"update-100k", func() []float32 { return benchPayload(100_000) }},
+	{"adamw-1M", func() []float32 { return adamwUpdate(3, broadcastElems) }},
 	{"model-1M", func() []float32 { return benchModel(1, broadcastElems) }},
 }
 
@@ -122,12 +148,12 @@ func deltaPair() (prev, next []float32) {
 }
 
 // BenchmarkDeltaEncode measures the server's delta encode at the broadcast
-// shape under flate: compare, gather and copy into the held model, then the
-// values' flate encode. Iterations alternate direction so every one sees
-// the same number of changed coordinates.
+// shape under flate: compare, gather into reused scratch and copy into the
+// held model, then the values' flate encode. Iterations alternate direction
+// so every one sees the same number of changed coordinates.
 func BenchmarkDeltaEncode(b *testing.B) {
 	prev, next := deltaPair()
-	held := slices.Clone(prev)
+	held, vals := slices.Clone(prev), make([]float32, len(next))
 	b.SetBytes(int64(len(next)) * 4)
 	b.ResetTimer()
 	var wireBytes int
@@ -136,7 +162,7 @@ func BenchmarkDeltaEncode(b *testing.B) {
 		if i%2 == 1 {
 			cur = prev
 		}
-		p, ok, err := EncodeDelta(FlateCodec{}, held, cur)
+		p, ok, err := EncodeDelta(FlateCodec{}, held, cur, vals)
 		if err != nil || !ok {
 			b.Fatalf("delta not kept: ok=%v err=%v", ok, err)
 		}
@@ -146,18 +172,18 @@ func BenchmarkDeltaEncode(b *testing.B) {
 	b.ReportMetric(float64(wireBytes)/float64(4*len(next)), "ratio")
 }
 
-// BenchmarkDeltaApply measures the member's side: rebuild the model from
-// the one it holds.
+// BenchmarkDeltaApply measures the member's side: rebuild the model in the
+// one it holds (after the first iteration, rewriting the same values).
 func BenchmarkDeltaApply(b *testing.B) {
 	prev, next := deltaPair()
-	p, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next)
+	p, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next, nil)
 	if err != nil || !ok {
 		b.Fatalf("delta not kept: ok=%v err=%v", ok, err)
 	}
 	b.SetBytes(int64(len(next)) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ApplyDelta(prev, p); err != nil {
+		if err := ApplyDelta(prev, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -512,12 +512,15 @@ func carriedPairs(t *testing.T, p EncodedPayload) []byte {
 }
 
 // TestTopKRadixMatchesQuickselect is the golden equivalence pin for the
-// radix-histogram selection: over seeded vectors — gaussian, all-equal,
+// bracketed radix selection: over seeded vectors — gaussian, all-equal,
 // heavy ties, mixed signs and zeros, denormals and huge magnitudes — and
-// k from 1 to n, three consecutive encodes (so the residual carries) must
-// carry byte-identical (index, value) pairs, in whichever layout, no larger
-// than the reference's, and leave bit-identical residuals to the quickselect
-// reference.
+// k from 1 to n, consecutive encodes (so the residual carries) must carry
+// byte-identical (index, value) pairs, in whichever layout, no larger than
+// the reference's, and leave bit-identical residuals to the quickselect
+// reference. At a length where the bracket samples every few sums it runs
+// an AdamW step's update, whose error feedback puts the k-th magnitude
+// inside a cluster of exact ties, and two shapes the sample misreads, which
+// must make the bracket miss on both sides.
 func TestTopKRadixMatchesQuickselect(t *testing.T) {
 	shapes := map[string]func(rng *rand.Rand, i int) float32{
 		"gaussian":  func(rng *rand.Rand, _ int) float32 { return float32(rng.NormFloat64()) * 0.02 },
@@ -549,34 +552,97 @@ func TestTopKRadixMatchesQuickselect(t *testing.T) {
 	}
 	for name, gen := range shapes {
 		for _, n := range []int{1, 2, 7, 64, 1000} {
-			for _, keep := range []float64{1e-9, 0.1, 0.5, 0.999, 1} { // 1e-9 → k=1
-				rng := rand.New(rand.NewSource(int64(n)*31 + int64(keep*1000)))
-				codec := &TopKCodec{Keep: keep}
-				refResidual := make([]float32, n)
-				for round := 0; round < 3; round++ {
-					v := make([]float32, n)
-					for i := range v {
-						v[i] = gen(rng, i)
-					}
-					want := refTopKEncode(refResidual, v, keep)
-					enc, err := codec.Encode(v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := carriedPairs(t, enc); !bytes.Equal(got, want) || len(enc.Data) > len(want) {
-						t.Fatalf("%s n=%d keep=%g round %d: payload (codec %d, %d bytes) carries %d pair bytes, the quickselect reference %d",
-							name, n, keep, round, enc.CodecID, len(enc.Data), len(got), len(want))
-					}
-					for i := range refResidual {
-						if math.Float32bits(codec.residual[i]) != math.Float32bits(refResidual[i]) {
-							t.Fatalf("%s n=%d keep=%g round %d: residual[%d] = %x, reference %x",
-								name, n, keep, round, i, math.Float32bits(codec.residual[i]), math.Float32bits(refResidual[i]))
-						}
-					}
+			checkTopKRounds(t, name, n, 3, gen, nil)
+		}
+	}
+
+	const n = 20033
+	stride := sampleStride(n)
+	if stride < 3 {
+		t.Fatalf("stride %d: the bracket samples every sum at n=%d", stride, n)
+	}
+	// ±lr·(1+ε), a few distinct ε so that sums of equal steps tie exactly; an
+	// eighth of the coordinates take weight decay alone.
+	adamw := func(rng *rand.Rand, i int) float32 {
+		x := float32(3e-3)
+		if rng.Intn(4) == 0 {
+			x *= 1 + float32(rng.Intn(8))*0x1p-20
+		}
+		if rng.Intn(2) == 0 {
+			x = -x
+		}
+		if i%8 == 0 {
+			x *= 1e-4
+		}
+		return x
+	}
+	checkTopKRounds(t, "adamw-reset", n, 6, adamw, nil)
+	var misses [2]int
+	for name, sampled := range map[string]float32{"sample-low": 1, "sample-high": 2} {
+		gen := func(_ *rand.Rand, i int) float32 {
+			if i%stride == 0 {
+				return sampled
+			}
+			return 3 - sampled
+		}
+		checkTopKRounds(t, name, n, 3, gen, &misses)
+	}
+	if misses[0] == 0 || misses[1] == 0 {
+		t.Fatalf("bracket misses below and above the k-th largest: %v, want both", misses)
+	}
+}
+
+// checkTopKRounds encodes rounds vectors of gen over n elements at each keep
+// fraction and holds every payload and residual to refTopKEncode's. misses,
+// when non-nil, counts the encodes whose bracket held more than k elements
+// above it, and those whose bracket and above held fewer than k.
+func checkTopKRounds(t *testing.T, name string, n, rounds int, gen func(*rand.Rand, int) float32, misses *[2]int) {
+	t.Helper()
+	for _, keep := range []float64{1e-9, 0.1, 0.5, 0.999, 1} { // 1e-9 → k=1
+		rng := rand.New(rand.NewSource(int64(n)*31 + int64(keep*1000)))
+		codec := &TopKCodec{Keep: keep}
+		refResidual := make([]float32, n)
+		for round := 0; round < rounds; round++ {
+			v := make([]float32, n)
+			for i := range v {
+				v[i] = gen(rng, i)
+			}
+			if misses != nil && codec.residual != nil { // the bracket reads the residual the first Encode makes
+				k := int(math.Ceil(keep * float64(n)))
+				lo, hi := codec.bracket(v, k)
+				above, from := 0, 0
+				for i, x := range v {
+					key := magKey(x + refResidual[i])
+					above += b2i(key > hi)
+					from += b2i(key >= lo)
+				}
+				misses[0] += b2i(above > k)
+				misses[1] += b2i(from < k)
+			}
+			want := refTopKEncode(refResidual, v, keep)
+			enc, err := codec.Encode(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := carriedPairs(t, enc); !bytes.Equal(got, want) || len(enc.Data) > len(want) {
+				t.Fatalf("%s n=%d keep=%g round %d: payload (codec %d, %d bytes) carries %d pair bytes, the quickselect reference %d",
+					name, n, keep, round, enc.CodecID, len(enc.Data), len(got), len(want))
+			}
+			for i := range refResidual {
+				if math.Float32bits(codec.residual[i]) != math.Float32bits(refResidual[i]) {
+					t.Fatalf("%s n=%d keep=%g round %d: residual[%d] = %x, reference %x",
+						name, n, keep, round, i, math.Float32bits(codec.residual[i]), math.Float32bits(refResidual[i]))
 				}
 			}
 		}
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestTopKPrefersLargerOverEarlierTies: a coordinate strictly above the

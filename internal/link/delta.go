@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"slices"
 	"unsafe"
 )
 
@@ -35,10 +34,12 @@ func CanDelta(c Codec) bool {
 // bits changed, their values encoded by model. ok is false, and the caller
 // sends the full frame, when model is lossy or the delta would cost
 // deltaFloor bytes per element or more. Comparing, gathering and copying cur
-// into base are one pass: on return base equals cur whatever ok says.
+// into base are one pass: on return base equals cur whatever ok says. vals
+// is the gather's scratch, at least as long as cur (nil: EncodeDelta makes
+// one); the payload does not keep it.
 //
 //photon:allocok
-func EncodeDelta(model Codec, base, cur []float32) (p EncodedPayload, ok bool, err error) {
+func EncodeDelta(model Codec, base, cur, vals []float32) (p EncodedPayload, ok bool, err error) {
 	n := len(cur)
 	if len(base) != n {
 		return p, false, fmt.Errorf("link: delta base has %d elements, model %d", len(base), n)
@@ -47,7 +48,10 @@ func EncodeDelta(model Codec, base, cur []float32) (p EncodedPayload, ok bool, e
 		copy(base, cur)
 		return p, false, nil
 	}
-	bitmap, vals := make([]byte, 8*((n+63)/64)), make([]float32, n)
+	if len(vals) < n {
+		vals = make([]float32, n)
+	}
+	bitmap := make([]byte, 8*((n+63)/64))
 	var k int
 	if h := n / 2 &^ 63; h >= planeBlock && runtime.GOMAXPROCS(0) > 1 {
 		// Two halves on two cores, as deflatePlane splits its blocks; the
@@ -126,25 +130,28 @@ func diffWord(b, c []float32) uint64 {
 	return word >> (64 - len(c))
 }
 
-// ApplyDelta rebuilds the model a delta payload encodes from base, the model
-// it was encoded against, into a new vector.
+// ApplyDelta rebuilds, in base, the model a delta payload encodes from base,
+// the model it was encoded against. Everything is checked and the values
+// decoded before the first write, so a refused delta leaves base as it was.
 //
 //photon:allocok
-func ApplyDelta(base []float32, p EncodedPayload) ([]float32, error) {
+func ApplyDelta(base []float32, p EncodedPayload) error {
 	switch {
 	case p.CodecID != CodecDelta:
-		return nil, fmt.Errorf("link: payload codec id %d is not a delta", p.CodecID)
+		return fmt.Errorf("link: payload codec id %d is not a delta", p.CodecID)
 	case len(base) != p.Elems:
-		return nil, fmt.Errorf("link: delta of %d elems against a %d-element base", p.Elems, len(base))
+		return fmt.Errorf("link: delta of %d elems against a %d-element base", p.Elems, len(base))
 	}
-	return applySparse(base, p)
+	_, err := applySparse(base, p)
+	return err
 }
 
 // applySparse rebuilds the vector a sparse payload (see sparsePayload)
-// encodes over base, or over zeros when base is nil, into a new vector. Every
-// length is checked before anything is allocated for it: the bitmap must
-// cover exactly Elems elements and mark none past them, and the values must
-// be a dense or flate payload of exactly as many elements as it marks.
+// encodes over base, in place, or over zeros, into a new vector, when base
+// is nil; it returns the vector. Every length is checked before anything is
+// allocated or written for it: the bitmap must cover exactly Elems elements
+// and mark none past them, and the values must be a dense or flate payload
+// of exactly as many elements as it marks.
 //
 //photon:allocok
 func applySparse(base []float32, p EncodedPayload) ([]float32, error) {
@@ -165,12 +172,23 @@ func applySparse(base []float32, p EncodedPayload) ([]float32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("link: sparse values: %w", err)
 	}
-	out := slices.Clone(base)
 	if base == nil {
-		out = make([]float32, n)
+		base = make([]float32, n)
 	}
-	scatter(out, bitmap, vals)
-	return out, nil
+	scatter(base, bitmap, vals)
+	return base, nil
+}
+
+// SparseMarks returns the bitmap of the elements a sparse top-k update
+// carries — bit i%64 of little-endian word i/64 set when element i is — or
+// nil when p is another codec's or has no bitmap.
+func SparseMarks(p EncodedPayload) []byte {
+	bitmapLen := 8 * ((p.Elems + 63) / 64)
+	if p.CodecID != CodecSparse || p.Elems < 0 || len(p.Data) < 4+bitmapLen ||
+		binary.LittleEndian.Uint32(p.Data) != uint32(bitmapLen) {
+		return nil
+	}
+	return p.Data[4 : 4+bitmapLen]
 }
 
 // scatter writes vals, in order, to the elements of out that bitmap marks.

@@ -47,7 +47,7 @@ func bitsEqual(a, b []float32) bool {
 	})
 }
 
-// TestDeltaRoundTrip: a kept delta rebuilds the new model bit for bit from
+// TestDeltaRoundTrip: a kept delta rebuilds the new model bit for bit in
 // the old one, at every chunk boundary and on both sides of the two-core
 // split, and EncodeDelta leaves its base equal to the new model.
 func TestDeltaRoundTrip(t *testing.T) {
@@ -56,7 +56,7 @@ func TestDeltaRoundTrip(t *testing.T) {
 			for _, model := range []Codec{FlateCodec{}, DenseCodec{}} {
 				prev, next := deltaVectors(int64(n), n, share)
 				base := slices.Clone(prev)
-				p, ok, err := EncodeDelta(model, base, next)
+				p, ok, err := EncodeDelta(model, base, next, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,11 +73,10 @@ func TestDeltaRoundTrip(t *testing.T) {
 				if p.CodecID != CodecDelta || p.Elems != n || p.WireBytes() >= deltaFloor*n {
 					t.Fatalf("n=%d share=%v %s: payload id %d elems %d bytes %d", n, share, model.Name(), p.CodecID, p.Elems, p.WireBytes())
 				}
-				out, err := ApplyDelta(prev, p)
-				if err != nil {
+				if err := ApplyDelta(prev, p); err != nil {
 					t.Fatalf("n=%d share=%v %s: %v", n, share, model.Name(), err)
 				}
-				if !bitsEqual(out, next) {
+				if !bitsEqual(prev, next) {
 					t.Fatalf("n=%d share=%v %s: rebuilt model differs", n, share, model.Name())
 				}
 			}
@@ -92,21 +91,21 @@ func TestDeltaFallsBack(t *testing.T) {
 	prev, next := deltaVectors(3, 5000, 1)
 	for _, model := range []Codec{DenseCodec{}, FlateCodec{}, &Q8Codec{}, &TopKCodec{}} {
 		base := slices.Clone(prev)
-		if _, ok, err := EncodeDelta(model, base, next); err != nil || ok {
+		if _, ok, err := EncodeDelta(model, base, next, nil); err != nil || ok {
 			t.Fatalf("%s: every coordinate changed, yet ok=%v err=%v", model.Name(), ok, err)
 		}
 		if !bitsEqual(base, next) {
 			t.Fatalf("%s: base is not the new model after a fallback", model.Name())
 		}
 	}
-	if _, _, err := EncodeDelta(FlateCodec{}, prev[:10], next); err == nil {
+	if _, _, err := EncodeDelta(FlateCodec{}, prev[:10], next, nil); err == nil {
 		t.Fatal("a base of the wrong length was accepted")
 	}
 }
 
 func TestDecodePayloadRefusesDelta(t *testing.T) {
 	prev, next := deltaVectors(4, 1000, 0.1)
-	p, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next)
+	p, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next, nil)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -176,7 +175,7 @@ func hostileSparse(good EncodedPayload, vals []float32) []hostile {
 // base of baseLen elements, built from a valid one over 100 elements.
 func hostileDeltas(t testing.TB) []hostile {
 	prev, next := deltaVectors(8, 100, 0.2)
-	good, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next)
+	good, ok, err := EncodeDelta(FlateCodec{}, slices.Clone(prev), next, nil)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
@@ -239,10 +238,16 @@ func firstByte(d []byte, skip byte) int {
 	return i
 }
 
+// TestApplyDeltaRefusesHostile: every hostile delta is refused, and the
+// base it was applied to is left as it was.
 func TestApplyDeltaRefusesHostile(t *testing.T) {
 	for _, h := range hostileDeltas(t) {
-		if out, err := ApplyDelta(make([]float32, h.baseLen), h.p); err == nil {
-			t.Errorf("%s: accepted (%d elements)", h.name, len(out))
+		base := benchModel(9, h.baseLen)
+		before := slices.Clone(base)
+		if err := ApplyDelta(base, h.p); err == nil {
+			t.Errorf("%s: accepted", h.name)
+		} else if !bitsEqual(base, before) {
+			t.Errorf("%s: refused, but the base was written", h.name)
 		}
 	}
 }
@@ -267,14 +272,15 @@ func TestTopKSparseDecodeAllocs(t *testing.T) {
 }
 
 // FuzzDeltaApply feeds arbitrary (Elems, base length, bytes) to ApplyDelta.
-// Whatever the bytes, it must not panic, must either fail or return exactly
-// Elems values, and must not allocate out of proportion to Elems. Seeds:
-// valid deltas over each inner codec and the hostile ones.
+// Whatever the bytes, it must not panic, must either fail — leaving the
+// base as it was — or rebuild exactly Elems values in it, and must not
+// allocate out of proportion to Elems. Seeds: valid deltas over each inner
+// codec and the hostile ones.
 func FuzzDeltaApply(f *testing.F) {
 	for _, model := range []Codec{FlateCodec{}, DenseCodec{}} {
 		for _, n := range []int{1, 64, 300} {
 			prev, next := deltaVectors(int64(n), n, 0.2)
-			p, ok, err := EncodeDelta(model, slices.Clone(prev), next)
+			p, ok, err := EncodeDelta(model, slices.Clone(prev), next, nil)
 			if err != nil {
 				f.Fatal(err)
 			}
@@ -293,14 +299,17 @@ func FuzzDeltaApply(f *testing.F) {
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		out, err := ApplyDelta(base, p)
+		err := ApplyDelta(base, p)
 		runtime.ReadMemStats(&after)
 
-		if err == nil && len(out) != p.Elems {
-			t.Fatalf("rebuilt %d values for %d elems", len(out), p.Elems)
+		if err == nil && len(base) != p.Elems {
+			t.Fatalf("rebuilt %d values for %d elems", len(base), p.Elems)
 		}
-		// The output and the values, at most Elems of them, with a constant
-		// to spare.
+		if err != nil && slices.ContainsFunc(base, func(x float32) bool { return math.Float32bits(x) != 0 }) {
+			t.Fatalf("refused (%v), but the base was written", err)
+		}
+		// The values, at most Elems of them, with room for an output and a
+		// constant to spare.
 		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*p.Elems+(1<<18)); grew > limit {
 			t.Fatalf("applying %d bytes declared as %d elems allocated %d bytes (limit %d)", len(data), p.Elems, grew, limit)
 		}

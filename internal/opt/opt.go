@@ -22,9 +22,8 @@ type Optimizer interface {
 	// Reset clears all internal state (momenta, step counters). Photon
 	// clients call this at every round boundary: the paper uses stateless
 	// local optimization so optimizer state never needs to be communicated
-	// or persisted across intermittent client availability. State buffers
-	// are zeroed in place — capacity is kept so per-round Resets do not
-	// reallocate optimizer state.
+	// or persisted across intermittent client availability. Capacity is
+	// kept so per-round Resets do not reallocate optimizer state.
 	Reset()
 	// Name identifies the optimizer in metrics and checkpoints.
 	Name() string
@@ -44,17 +43,6 @@ func ensureState(bufs [][]float32, params nn.ParamSet) [][]float32 {
 		}
 	}
 	return bufs
-}
-
-// zeroState clears every buffer in place, keeping capacity.
-//
-//photon:hotpath
-func zeroState(bufs [][]float32) {
-	for _, b := range bufs {
-		for i := range b {
-			b[i] = 0
-		}
-	}
 }
 
 // AdamW is Adam with decoupled weight decay (Loshchilov & Hutter), the
@@ -90,16 +78,15 @@ func NewAdamW(beta1, beta2, weightDecay float64) *AdamW {
 // Name implements Optimizer.
 func (a *AdamW) Name() string { return "adamw" }
 
-// Reset implements Optimizer, zeroing momenta in place (keeping capacity —
-// Photon resets at every round boundary, and reallocating two model-sized
-// vectors per round per client thrashed the GC) and clearing the
-// bias-correction step counter.
+// Reset implements Optimizer by clearing the bias-correction step counter.
+// The momenta keep their buffers — Photon resets at every round boundary,
+// and reallocating two model-sized vectors per round per client thrashed
+// the GC — and their values, unread: the first Step after a Reset takes
+// them as zeros (tensor.AdamWFactors.Fresh) and overwrites them.
 //
 //photon:hotpath
 func (a *AdamW) Reset() {
 	a.step = 0
-	zeroState(a.m)
-	zeroState(a.v)
 }
 
 // band applies the fused AdamW update to elements [lo, hi) of the current
@@ -131,6 +118,7 @@ func (a *AdamW) Step(params nn.ParamSet, lr float64) {
 		LR:    float32(lr),
 		WD:    float32(lr * a.WeightDecay),
 		Eps:   float32(eps),
+		Fresh: a.step == 1,
 	}
 	for i, p := range params {
 		a.curData, a.curGrad, a.curM, a.curV = p.Data, p.Grad, a.m[i], a.v[i]

@@ -188,3 +188,63 @@ func TestAdamWGradientScaleInvarianceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResetStepsLikeFresh: after steps that fill the moments, Reset and two
+// steps update every parameter and moment to the bits a new optimizer's two
+// steps give, with gradients that include −0.
+func TestResetStepsLikeFresh(t *testing.T) {
+	mk := func() nn.ParamSet {
+		ps := nn.ParamSet{{Name: "w", Data: make([]float32, 67), Grad: make([]float32, 67)}, {Name: "b", Data: make([]float32, 5), Grad: make([]float32, 5)}}
+		for _, p := range ps {
+			for i := range p.Data {
+				p.Data[i] = float32(i%7) * 0.1
+			}
+		}
+		return ps
+	}
+	grads := func(ps nn.ParamSet, step int) {
+		for _, p := range ps {
+			for i := range p.Grad {
+				p.Grad[i] = float32((i*step)%5-2) * 0.01
+				if i%9 == 0 {
+					p.Grad[i] = float32(math.Copysign(0, -1))
+				}
+			}
+		}
+	}
+	used, ps := NewAdamW(0.9, 0.95, 0.1), mk()
+	for step := 1; step <= 3; step++ {
+		grads(ps, step+7)
+		used.Step(ps, 0.05)
+	}
+	used.Reset()
+	fresh, ps2 := NewAdamW(0.9, 0.95, 0.1), mk()
+	for i, p := range ps {
+		copy(p.Data, ps2[i].Data)
+	}
+	for step := 1; step <= 2; step++ {
+		grads(ps, step)
+		grads(ps2, step)
+		used.Step(ps, 0.05)
+		fresh.Step(ps2, 0.05)
+	}
+	same := func(a, b [][]float32) bool {
+		for i := range a {
+			for j := range a[i] {
+				if math.Float32bits(a[i][j]) != math.Float32bits(b[i][j]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	data := func(ps nn.ParamSet) (d [][]float32) {
+		for _, p := range ps {
+			d = append(d, p.Data)
+		}
+		return d
+	}
+	if !same(data(ps), data(ps2)) || !same(used.m, fresh.m) || !same(used.v, fresh.v) {
+		t.Fatal("steps after Reset differ from a new optimizer's")
+	}
+}

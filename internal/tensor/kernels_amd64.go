@@ -92,3 +92,7 @@ func tanhAVX2(dst, src *float64, n int)
 
 //go:noescape
 func geluLanesAVX2(y, dg, src *float64, n int)
+
+//go:noescape
+//photon:hotpath
+func foldMarksAVX2(acc, v *float32, n int, loMinus1, hi int32, above, within *uint64) (nAbove, nWithin int)

@@ -18,10 +18,11 @@
 //     accumulates by FMA into the sum, in order. So a dot's bits do not
 //     depend on which of the four kernels, or which of dot3x4's twelve
 //     registers, computed it.
-//   - add/sub/mul/scale, the softmax backward's row update and the AdamW
-//     update: no fused operation, bitwise equal to the Go loops. AdamW's
-//     square root is VSQRTPS, correctly rounded like
-//     float32(math.Sqrt(float64(v))).
+//   - add/sub/mul/scale, the softmax backward's row update, the AdamW
+//     update and the top-k fold (FoldMarks): no fused operation, bitwise
+//     equal to the Go loops. AdamW's square root is VSQRTPS, correctly
+//     rounded like float32(math.Sqrt(float64(v))); FoldMarks' marks are
+//     integer compares of the sums' bits.
 //   - exp, tanh and the softmax, cross-entropy and GELU bodies built on them:
 //     bitwise equal to the Go loops. Each float64 lane of EXP4 runs the
 //     instruction sequence of math.Exp's FMA path (math.archExp, avxfma),
@@ -36,10 +37,11 @@
 // Every function takes element counts n ≥ 1 checked by its wrapper and reads
 // or writes exactly n elements per operand (the transcendental bodies: the
 // first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima; AdamW: the
-// first 8·⌊n/8⌋; tile4x16: kc ≥ 1 steps over the strided 4×kc A block,
-// kc×16 B panel and 4×16 C block its wrapper bounds-checks; dot3x4: k ≥ 1
-// elements of three strided A rows and 4·nb strided B rows, and 3×4·nb
-// strided C elements, nb ≥ 1).
+// first 8·⌊n/8⌋; FoldMarks: the first 64·⌊n/64⌋, a bitmap word each;
+// tile4x16: kc ≥ 1 steps over the strided 4×kc A block, kc×16 B panel and
+// 4×16 C block its wrapper bounds-checks; dot3x4: k ≥ 1 elements of three
+// strided A rows and 4·nb strided B rows, and 3×4·nb strided C elements,
+// nb ≥ 1).
 
 #include "textflag.h"
 
@@ -1105,7 +1107,9 @@ done:
 // The AdamW update of tensor.AdamW for the first 8·⌊n/8⌋ elements, eight
 // lanes at a time: every multiply, add, divide and the square root rounded
 // to float32 on its own, in the Go loop's order. VSQRTPS is correctly
-// rounded, so it gives float32(math.Sqrt(float64(v)))'s bits.
+// rounded, so it gives float32(math.Sqrt(float64(v)))'s bits. With c.Fresh
+// the betas multiply a zero register (Y14) in place of the old moments,
+// which are not loaded.
 TEXT ·adamwAVX2(SB), NOSPLIT, $0-48
 	MOVQ         data+0(FP), DI
 	MOVQ         grad+8(FP), SI
@@ -1122,16 +1126,25 @@ TEXT ·adamwAVX2(SB), NOSPLIT, $0-48
 	VBROADCASTSS 24(DX), Y6 // lr
 	VBROADCASTSS 28(DX), Y7 // lr·wd
 	VBROADCASTSS 32(DX), Y8 // eps
+	MOVBLZX      36(DX), BX // fresh
+	VXORPS       Y14, Y14, Y14
 	XORQ         AX, AX
 	SUBQ         $8, CX
 	JLT          done
 loop:
 	VMOVUPS (SI)(AX*4), Y9
+	TESTB   BL, BL
+	JNZ     fresh
 	VMULPS  (R8)(AX*4), Y0, Y10
-	VMULPS  Y9, Y1, Y11
-	VADDPS  Y11, Y10, Y10
-	VMOVUPS Y10, (R8)(AX*4)
 	VMULPS  (R9)(AX*4), Y2, Y11
+	JMP     moments
+fresh:
+	VMULPS Y14, Y0, Y10
+	VMULPS Y14, Y2, Y11
+moments:
+	VMULPS  Y9, Y1, Y12
+	VADDPS  Y12, Y10, Y10
+	VMOVUPS Y10, (R8)(AX*4)
 	VMULPS  Y9, Y3, Y12
 	VMULPS  Y9, Y12, Y12
 	VADDPS  Y12, Y11, Y11
@@ -1151,5 +1164,86 @@ loop:
 	SUBQ    $8, CX
 	JGE     loop
 done:
+	VZEROUPPER
+	RET
+
+// FOLDMARK8 is one group of eight of foldMarksAVX2 at byte offset OFF: the
+// sums v + acc (v the first operand, whose NaN wins, as in the Go loop's
+// x + acc[j]) go back to acc; their magnitude keys are compared with hi (Y14)
+// and lo−1 (Y13); the lanes' counts accumulate in Y11 (above) and Y12
+// (within), and the masks' sign bits enter the bitmap words R10 and R11 at
+// bit SHIFT.
+#define FOLDMARK8(OFF, SHIFT) \
+	VMOVUPS   OFF(SI)(AX*4), Y0; \
+	VADDPS    OFF(DI)(AX*4), Y0, Y0; \
+	VMOVUPS   Y0, OFF(DI)(AX*4); \
+	VPAND     Y15, Y0, Y0; \
+	VPCMPGTD  Y14, Y0, Y1; \
+	VPCMPGTD  Y13, Y0, Y2; \
+	VPANDN    Y2, Y1, Y2; \
+	VPSUBD    Y1, Y11, Y11; \
+	VPSUBD    Y2, Y12, Y12; \
+	VMOVMSKPS Y1, DX; \
+	SHLQ      $SHIFT, DX; \
+	ORQ       DX, R10; \
+	VMOVMSKPS Y2, DX; \
+	SHLQ      $SHIFT, DX; \
+	ORQ       DX, R11
+
+// HSUMD sums the eight int32 lanes of Y into R, by way of X (Y's low half)
+// and the scratch X register T.
+#define HSUMD(Y, X, T, R) \
+	VEXTRACTI128 $1, Y, T; \
+	VPADDD       T, X, X; \
+	VPSHUFD      $0x4e, X, T; \
+	VPADDD       T, X, X; \
+	VPSHUFD      $0xb1, X, T; \
+	VPADDD       T, X, X; \
+	VMOVD        X, R
+
+// func foldMarksAVX2(acc, v *float32, n int, loMinus1, hi int32, above, within *uint64) (nAbove, nWithin int)
+// FoldMarks for n, a positive multiple of 64, elements: 64 per iteration,
+// one word of each bitmap. The keys are non-negative, so the signed
+// VPCMPGTD orders them, and key > lo−1 is key ≥ lo (lo−1 = −1 for lo = 0).
+TEXT ·foldMarksAVX2(SB), NOSPLIT, $0-64
+	MOVQ         acc+0(FP), DI
+	MOVQ         v+8(FP), SI
+	MOVQ         n+16(FP), CX
+	MOVL         loMinus1+24(FP), DX
+	VMOVD        DX, X13
+	VPBROADCASTD X13, Y13
+	MOVL         hi+28(FP), DX
+	VMOVD        DX, X14
+	VPBROADCASTD X14, Y14
+	MOVQ         above+32(FP), R8
+	MOVQ         within+40(FP), R9
+	MOVL         $0x7fffffff, DX
+	VMOVD        DX, X15
+	VPBROADCASTD X15, Y15
+	VPXOR        Y11, Y11, Y11
+	VPXOR        Y12, Y12, Y12
+	XORQ         AX, AX
+	XORQ         BX, BX
+loop:
+	XORQ R10, R10
+	XORQ R11, R11
+	FOLDMARK8(0, 0)
+	FOLDMARK8(32, 8)
+	FOLDMARK8(64, 16)
+	FOLDMARK8(96, 24)
+	FOLDMARK8(128, 32)
+	FOLDMARK8(160, 40)
+	FOLDMARK8(192, 48)
+	FOLDMARK8(224, 56)
+	MOVQ R10, (R8)(BX*8)
+	MOVQ R11, (R9)(BX*8)
+	ADDQ $64, AX
+	INCQ BX
+	SUBQ $64, CX
+	JNZ  loop
+	HSUMD(Y11, X11, X0, AX)
+	MOVQ AX, nAbove+48(FP)
+	HSUMD(Y12, X12, X0, AX)
+	MOVQ AX, nWithin+56(FP)
 	VZEROUPPER
 	RET

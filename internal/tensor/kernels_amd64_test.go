@@ -717,3 +717,123 @@ func BenchmarkFMAPeak(b *testing.B) {
 	}
 	reportGFLOPs(b, 160*iters)
 }
+
+// foldMarksInputs fills x with FoldMarks operands: ordinary values, and ±0,
+// denormals, ±Inf and NaNs of two payloads and both signs, so that some
+// sums are NaN from one operand and some from both.
+func foldMarksInputs(rng *rand.Rand, x []float32) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), 1e-40, -1e-45, 3e38, -3e38,
+		float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(0x7fc00000),
+		math.Float32frombits(0xffc00001), math.Float32frombits(0x7f800001), 3e-3, -3e-3}
+	for i := range x {
+		if rng.Intn(3) == 0 {
+			x[i] = specials[rng.Intn(len(specials))]
+		} else {
+			x[i] = float32(rng.NormFloat64() * 0.01)
+		}
+	}
+}
+
+// TestFoldMarksBitwiseEqualGo holds FoldMarks' assembly body to its Go loop,
+// and both to the definition, at every length 0…200 (every length mod 64,
+// over one to four words) in guard words: the sums' bits, both bitmaps and
+// both counts, for brackets drawn from the sums' own keys (so that keys
+// equal to a bound are marked), the whole key range, an empty one and bounds
+// past the largest key.
+func TestFoldMarksBitwiseEqualGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(52))
+	key := func(x float32) uint32 { return math.Float32bits(x) & 0x7fffffff }
+	for n := 0; n <= 200; n++ {
+		words := (n + 63) / 64
+		abuf, acc := guarded(rng, n)
+		vbuf, v := guarded(rng, n)
+		foldMarksInputs(rng, acc)
+		foldMarksInputs(rng, v)
+		sums := make([]float32, n)
+		for i := range sums {
+			sums[i] = v[i] + acc[i]
+		}
+		brackets := [][2]uint32{{0, math.MaxInt32}, {0, 0}, {5, 4}, {math.MaxUint32, math.MaxUint32}, {0, math.MaxUint32}}
+		if n > 0 {
+			a, b := key(sums[rng.Intn(n)]), key(sums[rng.Intn(n)])
+			brackets = append(brackets, [2]uint32{min(a, b), max(a, b)}, [2]uint32{a, a})
+		}
+		for _, br := range brackets {
+			lo, hi := br[0], br[1]
+			var wantAbove, wantWithin [4]uint64
+			var wantNA, wantNW int
+			for i, s := range sums {
+				switch k := key(s); {
+				case k > hi:
+					wantAbove[i/64] |= 1 << (i % 64)
+					wantNA++
+				case k >= lo:
+					wantWithin[i/64] |= 1 << (i % 64)
+					wantNW++
+				}
+			}
+			for _, avx := range []bool{false, true} {
+				useAVX2 = avx
+				buf := slices.Clone(abuf)
+				a := buf[len(buf)-5-n : len(buf)-5 : len(buf)-5]
+				marks := make([]uint64, 2*words+2)
+				for i := range marks {
+					marks[i] = rng.Uint64() // overwritten, but for the guard word past each bitmap
+				}
+				guard := [2]uint64{marks[words], marks[2*words+1]}
+				above, within := marks[:words], marks[words+1:2*words+1]
+				nA, nW := FoldMarks(a, v, lo, hi, above, within)
+				checkGuards(t, "FoldMarks acc", n, buf, a)
+				if marks[words] != guard[0] || marks[2*words+1] != guard[1] {
+					t.Fatalf("avx2=%v n=%d: wrote past a bitmap", avx, n)
+				}
+				if j := sameBits(a, sums); j >= 0 {
+					t.Fatalf("avx2=%v n=%d [%d]: sum %#x, v+acc %#x", avx, n, j, math.Float32bits(a[j]), math.Float32bits(sums[j]))
+				}
+				if nA != wantNA || nW != wantNW || !slices.Equal(above, wantAbove[:words]) || !slices.Equal(within, wantWithin[:words]) {
+					t.Fatalf("avx2=%v n=%d bracket [%#x, %#x]: above %x (%d) within %x (%d), want %x (%d) and %x (%d)",
+						avx, n, lo, hi, above, nA, within, nW, wantAbove[:words], wantNA, wantWithin[:words], wantNW)
+				}
+			}
+		}
+		checkGuards(t, "FoldMarks v", n, vbuf, v)
+	}
+}
+
+// TestAdamWFreshIsZeroedState: a Fresh step over moments holding anything,
+// NaN included, computes the bits a step over zeroed moments computes, on
+// both paths and at every length 0…67 — −0 gradients included, whose
+// moments must come out +0.
+func TestAdamWFreshIsZeroedState(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(52))
+		f := AdamWFactors{B1: 0.9, OB1: 0.1, B2: 0.95, OB2: 0.05, InvC1: 10, InvC2: 20, LR: 3e-3, WD: 3e-4, Eps: 1e-8}
+		for n := 0; n <= 67; n++ {
+			data, grad := make([]float32, n), make([]float32, n)
+			RandNormal(rng, data, 0, 0.05)
+			adamwGrads(rng, grad)
+			for i := range grad {
+				if rng.Intn(8) == 0 {
+					grad[i] = float32(math.Copysign(0, -1))
+				}
+			}
+			want, wm, wv := slices.Clone(data), make([]float32, n), make([]float32, n)
+			zero := f
+			AdamW(want, grad, wm, wv, &zero)
+			got, m, v := slices.Clone(data), make([]float32, n), make([]float32, n)
+			for i := range m {
+				m[i], v[i] = float32(math.NaN()), float32(rng.NormFloat64())
+			}
+			fresh := f
+			fresh.Fresh = true
+			AdamW(got, grad, m, v, &fresh)
+			for i, name := range []string{"data", "m", "v"} {
+				a, b := [][]float32{got, m, v}[i], [][]float32{want, wm, wv}[i]
+				if j := sameBits(a, b); j >= 0 {
+					t.Fatalf("n=%d %s[%d]: fresh %#x, zeroed %#x (g %g)", n, name, j, math.Float32bits(a[j]), math.Float32bits(b[j]), grad[j])
+				}
+			}
+		}
+	})
+}

@@ -13,6 +13,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Matrix is a dense row-major float32 matrix.
@@ -211,12 +212,14 @@ func Mul(dst, src []float32) {
 
 // AdamWFactors are one AdamW step's float32 factors: the betas and their
 // complements, the bias corrections 1/(1−βᵗ), the learning rate, the
-// learning rate times the weight decay, and ε. The assembly body reads them
-// at these offsets.
+// learning rate times the weight decay, and ε; and Fresh, set on the first
+// step, when the moments are zero: they are then not read. The assembly body
+// reads them at these offsets.
 type AdamWFactors struct {
 	B1, OB1, B2, OB2 float32
 	InvC1, InvC2     float32
 	LR, WD, Eps      float32
+	Fresh            bool
 }
 
 // AdamW applies one AdamW update to data from grad, updating the moments m
@@ -225,8 +228,10 @@ type AdamWFactors struct {
 //	m ← B1·m + OB1·g,  v ← B2·v + OB2·g·g,
 //	data ← data − (LR·(m·InvC1)/(√(v·InvC2) + Eps) + WD·data),
 //
-// every operation rounded to float32, the square root too. grad, m and v
-// must be at least as long as data.
+// every operation rounded to float32, the square root too. With Fresh the
+// old m and v are taken as +0 without being read, so B1·m + OB1·g is still
+// an add (−0 from OB1·g becomes +0, as after zeroing). grad, m and v must be
+// at least as long as data.
 //
 //photon:hotpath
 func AdamW(data, grad, m, v []float32, c *AdamWFactors) {
@@ -239,13 +244,69 @@ func AdamW(data, grad, m, v []float32, c *AdamWFactors) {
 	f := *c
 	for ; j < len(data); j++ {
 		g := grad[j]
-		mj := float32(f.B1*m[j]) + float32(f.OB1*g)
-		vj := float32(f.B2*v[j]) + float32(f.OB2*g*g)
+		var mj, vj float32 // the fresh moments
+		if !f.Fresh {
+			mj, vj = m[j], v[j]
+		}
+		mj = float32(f.B1*mj) + float32(f.OB1*g)
+		vj = float32(f.B2*vj) + float32(f.OB2*g*g)
 		m[j], v[j] = mj, vj
 		mhat := mj * f.InvC1
 		vhat := vj * f.InvC2
 		data[j] -= f.LR*mhat/(float32(math.Sqrt(float64(vhat)))+f.Eps) + float32(f.WD*data[j])
 	}
+}
+
+// FoldMarks adds v into acc, acc[i] = v[i] + acc[i], and marks each sum
+// against the key bracket [lo, hi]. A sum's key is its bits with the sign
+// cleared, which orders like its magnitude (a NaN's above +Inf's). Bit i%64
+// of above[i/64] is set when the key exceeds hi, and of within[i/64] when
+// lo ≤ key ≤ hi; both need (len(v)+63)/64 words, which are overwritten. It
+// returns how many elements each marks. The assembly takes 64 elements a
+// word: add, store, and the two compares, eight lanes at a time.
+//
+//photon:hotpath
+func FoldMarks(acc, v []float32, lo, hi uint32, above, within []uint64) (nAbove, nWithin int) {
+	n := len(v)
+	acc = acc[:n]
+	words := (n + 63) / 64
+	above, within = above[:words], within[:words]
+	// Every key is at most MaxInt32: clamping changes no mark, and keeps
+	// the bounds inside the assembly's signed compares.
+	lo, hi = min(lo, math.MaxInt32+1), min(hi, math.MaxInt32)
+	i := 0
+	if useAVX2 && n >= 64 {
+		i = n &^ 63
+		nAbove, nWithin = foldMarksAVX2(&acc[0], &v[0], i, int32(lo-1), int32(hi), &above[0], &within[0])
+	}
+	for ; i < n; i += 64 {
+		a, w := foldMarkWord(acc[i:min(i+64, n)], v[i:min(i+64, n)], lo, hi)
+		above[i/64], within[i/64] = a, w
+		nAbove += bits.OnesCount64(a)
+		nWithin += bits.OnesCount64(w)
+	}
+	return nAbove, nWithin
+}
+
+// foldMarkWord is FoldMarks over up to 64 elements: one word of each bitmap.
+// It is branch-free — the compares are the sign bits of 64-bit differences,
+// shifted in from the top — and a function of its own so that the words stay
+// in registers.
+//
+//go:noinline
+//photon:hotpath
+func foldMarkWord(acc, v []float32, lo, hi uint32) (above, within uint64) {
+	acc = acc[:len(v)]
+	for j, x := range v {
+		s := x + acc[j]
+		acc[j] = s
+		key := uint64(math.Float32bits(s) & 0x7fffffff)
+		gt := (uint64(hi) - key) >> 63 // key > hi
+		lt := (key - uint64(lo)) >> 63 // key < lo
+		above = above>>1 | gt<<63
+		within = within>>1 | ((gt|lt)^1)<<63
+	}
+	return above >> (64 - len(v)), within >> (64 - len(v))
 }
 
 // Fill sets every element of x to v.
