@@ -12,7 +12,6 @@ package ckpt
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -21,6 +20,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"photon/internal/tensor"
 )
 
 // Checkpoint is one recoverable training state: the flat parameter vector
@@ -43,44 +44,30 @@ const (
 // encoding, so a registry blob's hash is the hash of the exact bytes Save
 // would have written.
 func encodeCheckpoint(c *Checkpoint) []byte {
-	var buf bytes.Buffer
-	buf.Grow(8 + 16 + 4 + 4 + 4*len(c.Params) + 4 + 24*len(c.Meta))
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	buf.Write(hdr[:])
-
-	var scratch [8]byte
-	writeU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		buf.Write(scratch[:4])
-	}
-	writeU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		buf.Write(scratch[:])
-	}
-	writeU64(uint64(c.Round))
-	writeU64(uint64(c.Step))
 	keys := make([]string, 0, len(c.Meta))
+	size := 8 + 16 + 4 + 4 + 4*len(c.Params) + 4
 	for k := range c.Meta {
 		keys = append(keys, k)
+		size += 4 + len(k) + 8
 	}
 	sort.Strings(keys)
-	writeU32(uint32(len(keys)))
+	le := binary.LittleEndian
+	out := make([]byte, 0, size)
+	out = le.AppendUint32(out, magic)
+	out = le.AppendUint32(out, version)
+	out = le.AppendUint64(out, uint64(c.Round))
+	out = le.AppendUint64(out, uint64(c.Step))
+	out = le.AppendUint32(out, uint32(len(keys)))
 	for _, k := range keys {
-		writeU32(uint32(len(k)))
-		buf.WriteString(k)
-		writeU64(math.Float64bits(c.Meta[k]))
+		out = le.AppendUint32(out, uint32(len(k)))
+		out = append(out, k...)
+		out = le.AppendUint64(out, math.Float64bits(c.Meta[k]))
 	}
-	writeU32(uint32(len(c.Params)))
-	for _, v := range c.Params {
-		writeU32(math.Float32bits(v))
-	}
-	raw := buf.Bytes()
-	sum := crc32.ChecksumIEEE(raw[8:])
-	binary.LittleEndian.PutUint32(scratch[:4], sum)
-	buf.Write(scratch[:4])
-	return buf.Bytes()
+	out = le.AppendUint32(out, uint32(len(c.Params)))
+	params := len(out)
+	out = out[:params+4*len(c.Params)]
+	tensor.PutLE(out[params:], c.Params)
+	return le.AppendUint32(out, crc32.ChecksumIEEE(out[8:]))
 }
 
 // decodeCheckpoint parses and verifies the on-disk format.
@@ -146,7 +133,7 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	}
 	if n > 0 {
 		c.Params = make([]float32, n)
-		getFloats(c.Params, body[off:])
+		tensor.GetLE(c.Params, body[off:])
 	}
 	return c, nil
 }

@@ -6,9 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
+
+	"photon/internal/tensor"
 )
 
 // RecordType identifies what state transition a WAL record journals.
@@ -229,28 +230,11 @@ func encodeRecord(rec *Record) []byte {
 	}
 	out = le.AppendUint32(out, uint32(len(rec.Vec)))
 	vec := out[len(out) : len(out)+4*len(rec.Vec)]
-	putFloats(vec, rec.Vec)
+	tensor.PutLE(vec, rec.Vec)
 	out = out[:len(out)+len(vec)]
 	out = le.AppendUint32(out, uint32(len(rec.Data)))
 	out = append(out, rec.Data...)
 	return le.AppendUint32(out, crc32.ChecksumIEEE(out[4:]))
-}
-
-// putFloats serializes v little-endian into dst (4·len(v) bytes); getFloats
-// is its inverse. Every journaled vector passes through one of them.
-//
-//photon:hotpath
-func putFloats(dst []byte, v []float32) {
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(x))
-	}
-}
-
-//photon:hotpath
-func getFloats(v []float32, src []byte) {
-	for i := range v {
-		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
 }
 
 // decodeRecord parses one frame payload; ok=false marks it malformed.
@@ -304,7 +288,7 @@ func decodeRecord(p []byte) (Record, bool) {
 	}
 	if nVec > 0 {
 		rec.Vec = make([]float32, nVec)
-		getFloats(rec.Vec, p[off:])
+		tensor.GetLE(rec.Vec, p[off:])
 		off += 4 * nVec
 	}
 	if !need(4) {

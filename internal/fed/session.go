@@ -130,8 +130,9 @@ type sentReply struct {
 	payload link.EncodedPayload // the reply as encoded and sent
 	workNs  int64               // the work step's wall time
 	encNs   int64               // encoding the reply
-	// Wire bytes this connection moved since the previous reply: the model
-	// down and the update up, plus interleaved heartbeats.
+	// Wire bytes this connection moved since the previous round: received
+	// up to the moment its model was taken (the model down), sent up to the
+	// end of its reply (the update up), interleaved heartbeats included.
 	wireSent, wireRecv int64
 }
 
@@ -259,7 +260,9 @@ func (m *memberSession) serveConn(ctx context.Context, conn *link.Conn, work rou
 		case link.MsgShutdown:
 			return nil
 		case link.MsgModel:
-			if err := m.serveRound(ctx, conn, msg, work, &prev); err != nil {
+			// The receive side is counted as the model is taken: while it
+			// is worked, the reader may already count the next broadcast.
+			if err := m.serveRound(ctx, conn, msg, work, &prev, conn.Stats().RecvBytes); err != nil {
 				return err
 			}
 		default:
@@ -271,8 +274,9 @@ func (m *memberSession) serveConn(ctx context.Context, conn *link.Conn, work rou
 // serveRound answers one model broadcast: from the reply cache when it is a
 // redelivery, otherwise size-check and decode it, run work, then encode,
 // stamp, cache and send the reply. A nil reply with a nil error answers
-// nothing; a reply without an update sends an empty one.
-func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *link.Message, work roundWork, prev *link.ConnStats) error {
+// nothing; a reply without an update sends an empty one. recv is the
+// connection's received byte count when msg was taken.
+func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *link.Message, work roundWork, prev *link.ConnStats, recv int64) error {
 	if msg.Meta[link.ResumeKey] != 0 && m.cacheOK && msg.Round == m.cacheRound {
 		// No decode, no work, no stream advance; re-encoding would
 		// double-apply an error-feedback codec's residual.
@@ -343,9 +347,9 @@ func (m *memberSession) serveRound(ctx context.Context, conn *link.Conn, msg *li
 	if err := m.reply(ctx, conn, msg.Round, r.meta, st.payload); err != nil {
 		return err
 	}
-	cur := conn.Stats()
-	st.wireSent, st.wireRecv = cur.SentBytes-prev.SentBytes, cur.RecvBytes-prev.RecvBytes
-	*prev = cur
+	sent := conn.Stats().SentBytes
+	st.wireSent, st.wireRecv = sent-prev.SentBytes, recv-prev.RecvBytes
+	prev.SentBytes, prev.RecvBytes = sent, recv
 	return r.sent(st)
 }
 

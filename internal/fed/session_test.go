@@ -305,6 +305,53 @@ func TestMemberSession(t *testing.T) {
 	}
 }
 
+// TestMemberRoundCommExcludesNextBroadcast: a member's per-round received
+// bytes end where its model was taken. The parent sends round 2's model
+// while round 1 is being worked, and the member's reader counts it before
+// round 1's reply goes out; round 1 still reports exactly its own frame.
+func TestMemberRoundCommExcludesNextBroadcast(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	parentEnd, memberEnd := link.Pipe()
+	defer parentEnd.Close()
+	g := &gate{}
+	recs := make(chan metrics.Round, 2)
+	done := make(chan error, 1)
+	go func() {
+		s := &Session{Client: gatedClient("leaf", 0, g), Spec: tinySpec()}
+		done <- s.ServeConn(ctx, memberEnd, func(r metrics.Round) { recs <- r })
+	}()
+	p := newTestParent(t, parentEnd, "dense", "leaf")
+
+	g.arm()
+	sent := parentEnd.Stats().SentBytes
+	p.broadcast(1, nil)
+	frame1 := parentEnd.Stats().SentBytes - sent
+	<-g.entered // round 1's model is taken and being worked
+	p.broadcast(2, nil)
+	p.ping(1) // the reader has counted round 2's frame
+	g.open()
+	p.update(1)
+	p.update(2)
+	r1, r2 := <-recs, <-recs
+	if r1.Round != 1 || r2.Round != 2 {
+		t.Fatalf("records for rounds %d, %d, want 1, 2", r1.Round, r2.Round)
+	}
+	if r1.WireRecvBytes != frame1 {
+		t.Fatalf("round 1 received %d bytes, its model frame is %d: round 2's broadcast counted early",
+			r1.WireRecvBytes, frame1)
+	}
+	if total := parentEnd.Stats().SentBytes - sent; r1.WireRecvBytes+r2.WireRecvBytes != total {
+		t.Fatalf("rounds 1 and 2 received %d + %d bytes, the parent sent %d",
+			r1.WireRecvBytes, r2.WireRecvBytes, total)
+	}
+	p.send(&link.Message{Type: link.MsgShutdown})
+	if err := <-done; err != nil {
+		t.Fatalf("member ended with %v after a clean shutdown", err)
+	}
+}
+
 // TestRelayStaleRoundIsNotServed: a round at or below the last one served on
 // this connection, re-sent without the resume stamp, is skipped before the
 // relay touches its cohort.

@@ -383,7 +383,7 @@ func (FlateCodec) Encode(v []float32) (EncodedPayload, error) {
 	blocks, planeLen := deflatePlane(v, out[n:], make([]byte, scratchLen(n)))
 	start := n - 4 - planeLen
 	if start <= 0 {
-		packFloats(out, v)
+		tensor.PutLE(out, v)
 		return EncodedPayload{CodecID: CodecDense, Elems: n, Data: out}, nil
 	}
 	binary.LittleEndian.PutUint32(out[start:], uint32(planeLen))
@@ -950,18 +950,8 @@ func (t *TopKCodec) Decode(p EncodedPayload) ([]float32, error) {
 //photon:allocok
 func floatsFromBytes(raw []byte) []float32 {
 	out := make([]float32, len(raw)/4)
-	fillFloats(out, raw)
+	tensor.GetLE(out, raw)
 	return out
-}
-
-// fillFloats deserializes little-endian float32 bytes into a preallocated
-// vector — the per-element half of floatsFromBytes.
-//
-//photon:hotpath
-func fillFloats(out []float32, raw []byte) {
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
 }
 
 // packQ8 writes the q8 wire body (scales then codes) into a preallocated

@@ -20,6 +20,8 @@ import (
 	"io"
 	"math"
 	"sort"
+
+	"photon/internal/tensor"
 )
 
 // MsgType identifies the purpose of a message.
@@ -372,19 +374,8 @@ func Decode(r io.Reader) (*Message, error) {
 //photon:allocok
 func payloadBytes(p []float32) []byte {
 	out := make([]byte, len(p)*4)
-	packFloats(out, p)
+	tensor.PutLE(out, p)
 	return out
-}
-
-// packFloats serializes float32s little-endian into a preallocated buffer —
-// the per-element half of payloadBytes, kept allocation-free so encode
-// throughput scales with the model size alone.
-//
-//photon:hotpath
-func packFloats(out []byte, p []float32) {
-	for i, v := range p {
-		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(v))
-	}
 }
 
 func sortedKeys(m map[string]float64) []string {

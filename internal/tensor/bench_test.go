@@ -6,30 +6,33 @@ import (
 	"testing"
 )
 
-// Transformer-step shapes: activations[N,k]·weights[k,n] with N = B·T.
-var mmShapes = []struct {
-	name    string
-	m, k, n int
-}{
-	{"512x64x256", 512, 64, 256},   // FC1 forward
-	{"512x256x64", 512, 256, 64},   // FC2 forward
-	{"512x64x192", 512, 64, 192},   // fused QKV forward
-	{"128x128x128", 128, 128, 128}, // square reference
+// Transformer-step shapes m×k×n: activations[N,k]·weights[k,n] with N = B·T,
+// then a decode step's one to four rows a shard over the same weights.
+var mmShapes = [][3]int{
+	{512, 64, 256},  // FC1 forward
+	{512, 256, 64},  // FC2 forward
+	{512, 64, 192},  // fused QKV forward
+	{128, 128, 128}, // square reference
+	// Decode: one to three rows run axpyRow's register tile, four tile4x16.
+	{1, 64, 192}, {2, 64, 192}, {3, 64, 192}, {4, 64, 192},
+	{1, 64, 256}, {2, 64, 256}, {3, 64, 256}, {4, 64, 256},
+	{1, 256, 64}, {2, 256, 64}, {3, 256, 64}, {4, 256, 64},
 }
 
 func BenchmarkMatMul(b *testing.B) {
 	for _, sh := range mmShapes {
-		b.Run(sh.name, func(b *testing.B) {
+		m, k, n := sh[0], sh[1], sh[2]
+		b.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
-			a := randMatrix(rng, sh.m, sh.k)
-			bb := randMatrix(rng, sh.k, sh.n)
-			c := NewMatrix(sh.m, sh.n)
+			a := randMatrix(rng, m, k)
+			bb := randMatrix(rng, k, n)
+			c := NewMatrix(m, n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMul(c, a, bb)
 			}
-			reportGFLOPs(b, 2*float64(sh.m)*float64(sh.k)*float64(sh.n))
+			reportGFLOPs(b, 2*float64(m)*float64(k)*float64(n))
 		})
 	}
 }

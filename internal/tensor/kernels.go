@@ -6,14 +6,16 @@ import (
 )
 
 // This file holds the band-level compute kernels the worker pool executes.
-// Their flops go through seven micro-kernels: the A·B and Aᵀ·B products run
+// Their flops go through eight micro-kernels: the A·B and Aᵀ·B products run
 // on tile4x16, a 4×16 block of C held in registers across a kcBlock-deep K
-// panel (the register tile of an sgemm), with axpy for the rows and columns
-// a tile leaves over; the Bᵀ products run on dot3x4, twelve dot products of
-// three A rows against four B rows held in registers across the whole depth
-// and repeated over a row of column blocks in one call, with dot4x2, dot4
-// and Dot for the rows and columns it leaves over; decode adds axpy4in (four
-// input rows into one output row).
+// panel (the register tile of an sgemm), with axpy for the columns a tile
+// leaves over and axpyRow for the A·B rows (decode's one to three rows a
+// shard), one C row's 32 or 16 elements held in registers across the panel;
+// the Bᵀ products run on dot3x4, twelve dot products of three A rows
+// against four B rows held in registers across the whole depth and repeated
+// over a row of column blocks in one call, with dot4x2, dot4 and Dot for the
+// rows and columns it leaves over; decode adds axpy4in (four input rows into
+// one output row).
 //
 // Each micro-kernel is a Go loop — the reference, and what every machine but
 // an amd64 with AVX2+FMA runs — behind an assembly body (kernels_amd64.s)
@@ -41,8 +43,10 @@ const kcBlock = 128
 
 // bandMatMul computes C[lo:hi] = A[lo:hi]·B one kcBlock-deep K panel at a
 // time: each group of four rows runs tile4x16 across the 16-column blocks of
-// the panel, and the rows and columns left over go through axpy, which
-// computes the same FMA chain per element.
+// the panel, and the rows and columns left over go through axpyRow, which
+// computes the same FMA chain per element. The rows left over — a decode
+// step's one to three rows a shard, prefill's m mod 4 — take axpyRow's
+// one-row register tile on AVX2.
 //
 //photon:hotpath
 func bandMatMul(c, a, b *Matrix, lo, hi int) {
@@ -69,15 +73,28 @@ func bandMatMul(c, a, b *Matrix, lo, hi int) {
 	}
 }
 
-// axpyRow adds Σ_p ai[p]·B[p][j0:] into ci[j0:] for p in [p0, p1), one axpy
-// per p, where B is bd with rows as long as ci: the remainder loop of the
-// A·B kernels. It adds every term, zeros too, as tile4x16 does.
+// axpyRow adds Σ_p ai[p]·B[p][j0:] into ci[j0:] for p in [p0, p1), where B
+// is bd with rows as long as ci: the remainder loop of the A·B kernels. It
+// adds every term, zeros too, as tile4x16 does. On AVX2 the columns up to
+// the last multiple of 16 past j0 run on axpyRowAVX2, the one-row register
+// tile, which holds 32 (then 16) elements of ci in registers across the
+// whole p range; the columns after them, and every column on the Go path,
+// take one axpy per p. Each element is the same fma32 chain in p order
+// either way.
 //
 //photon:hotpath
 func axpyRow(ai, bd, ci []float32, j0, p0, p1 int) {
 	n := len(ci)
-	for p := p0; p < p1; p++ {
-		axpy(ai[p], bd[p*n+j0:(p+1)*n], ci[j0:])
+	if n16 := j0 + (n-j0)&^15; useAVX2 && n16 > j0 && p1 > p0 {
+		_ = ai[p1-1]
+		_ = bd[(p1-1)*n+n16-1]
+		axpyRowAVX2(&ai[p0], &bd[p0*n+j0], n, &ci[j0], p1-p0, n16-j0)
+		j0 = n16
+	}
+	if j0 < n {
+		for p := p0; p < p1; p++ {
+			axpy(ai[p], bd[p*n+j0:(p+1)*n], ci[j0:])
+		}
 	}
 }
 

@@ -16,6 +16,10 @@ func tile4x16AVX2(a *float32, ars, aps int, b *float32, ldb int, c *float32, ldc
 
 //go:noescape
 //photon:hotpath
+func axpyRowAVX2(a, b *float32, ldb int, c *float32, kc, n int)
+
+//go:noescape
+//photon:hotpath
 func axpy4inAVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y *float32, n int)
 
 //go:noescape

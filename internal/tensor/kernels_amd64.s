@@ -5,12 +5,14 @@
 // VFMADD231SS).
 //
 // Numerics, which the strict-bits kernel tests pin on both paths:
-//   - axpy family (axpy, axpy4in, tile4x16): every output element is one
-//     chain of VFMADD231 in p order, the same chain in the 8-lane body, the
-//     scalar tail and the 4×16 register tile, so an element's value does not
-//     depend on which kernel (tile, remainder row or column) or which lane
-//     produced it. A term is skipped only where the Go loops' rule says so
-//     (tile4x16's skip mode), never by the vector width.
+//   - axpy family (axpy, axpy4in, tile4x16, axpyRow): every output element
+//     is one chain of VFMADD231 in p order starting from C's value, the same
+//     chain in the 8-lane body, the scalar tail, the 4×16 register tile and
+//     the one-row register tile, so an element's value does not depend on
+//     which kernel (tile, remainder row or column) or which lane produced
+//     it. A term is skipped only where the Go loops' rule says so
+//     (tile4x16's skip mode), never by the vector width: the row tile adds
+//     every term, zeros too.
 //   - dot family (Dot, dot4, dot4x2, dot3x4): element i of the 8·⌊n/8⌋ prefix
 //     accumulates by FMA into lane i mod 8 of one accumulator per dot
 //     product; the lanes reduce by the fixed tree
@@ -39,9 +41,10 @@
 // first 4·⌊n/4⌋, or 8·⌊n/8⌋ plus a scalar tail for the maxima; AdamW: the
 // first 8·⌊n/8⌋; FoldMarks: the first 64·⌊n/64⌋, a bitmap word each;
 // tile4x16: kc ≥ 1 steps over the strided 4×kc A block, kc×16 B panel and
-// 4×16 C block its wrapper bounds-checks; dot3x4: k ≥ 1 elements of three
-// strided A rows and 4·nb strided B rows, and 3×4·nb strided C elements,
-// nb ≥ 1).
+// 4×16 C block its wrapper bounds-checks; axpyRow: kc ≥ 1 A values, n
+// elements (a multiple of 16) of kc strided B rows and n of C; dot3x4: k ≥ 1
+// elements of three strided A rows and 4·nb strided B rows, and 3×4·nb
+// strided C elements, nb ≥ 1).
 
 #include "textflag.h"
 
@@ -302,6 +305,68 @@ store:
 	VMOVUPS Y5, 32(AX)
 	VMOVUPS Y6, (AX)(R8*1)
 	VMOVUPS Y7, 32(AX)(R8*1)
+	VZEROUPPER
+	RET
+
+// func axpyRowAVX2(a, b *float32, ldb int, c *float32, kc, n int)
+// c[j] = fma(a[p], B[p][j], c[j]) for p = 0 … kc−1 and j < n, n a multiple
+// of 16, with B[p] at b + p·ldb: the one-row register tile. Each 32-column
+// chunk of c lives in Y0–Y3 across all kc steps (per p, one broadcast of
+// a[p] into Y4 and four FMAs from B's row), then a last 16-column chunk in
+// Y0–Y1; c is loaded and stored once per chunk.
+TEXT ·axpyRowAVX2(SB), NOSPLIT, $0-48
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), R8
+	MOVQ ldb+16(FP), R9
+	SHLQ $2, R9
+	MOVQ c+24(FP), BX
+	MOVQ kc+32(FP), R10
+	MOVQ n+40(FP), R11
+	SUBQ $32, R11
+	JLT  half
+chunk:
+	VMOVUPS (BX), Y0
+	VMOVUPS 32(BX), Y1
+	VMOVUPS 64(BX), Y2
+	VMOVUPS 96(BX), Y3
+	MOVQ    R8, DI
+	XORQ    DX, DX
+ploop:
+	VBROADCASTSS (SI)(DX*4), Y4
+	VFMADD231PS  (DI), Y4, Y0
+	VFMADD231PS  32(DI), Y4, Y1
+	VFMADD231PS  64(DI), Y4, Y2
+	VFMADD231PS  96(DI), Y4, Y3
+	ADDQ         R9, DI
+	INCQ         DX
+	CMPQ         DX, R10
+	JNE          ploop
+	VMOVUPS      Y0, (BX)
+	VMOVUPS      Y1, 32(BX)
+	VMOVUPS      Y2, 64(BX)
+	VMOVUPS      Y3, 96(BX)
+	ADDQ         $128, BX
+	ADDQ         $128, R8
+	SUBQ         $32, R11
+	JGE          chunk
+half:
+	ADDQ $32, R11
+	JZ   done
+	VMOVUPS (BX), Y0
+	VMOVUPS 32(BX), Y1
+	MOVQ    R8, DI
+	XORQ    DX, DX
+hloop:
+	VBROADCASTSS (SI)(DX*4), Y4
+	VFMADD231PS  (DI), Y4, Y0
+	VFMADD231PS  32(DI), Y4, Y1
+	ADDQ         R9, DI
+	INCQ         DX
+	CMPQ         DX, R10
+	JNE          hloop
+	VMOVUPS      Y0, (BX)
+	VMOVUPS      Y1, 32(BX)
+done:
 	VZEROUPPER
 	RET
 

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -358,6 +360,125 @@ func TestTile4x16MatchesGo(t *testing.T) {
 	}
 }
 
+// checkRowTile runs axpyRow(ai, bd, ci, j0, p0, p1) on the assembly and
+// fails unless ci comes out bitwise the chain of one AVX2 axpy per p (the
+// chain the remainder loops computed before the row tile), the Go loop's
+// bits (any NaN matching any NaN, as in FuzzFMA32: the Go loop and
+// VFMADD231 may pick different NaN operands to propagate), ci[:j0] as it
+// was, and nothing outside ci in cbuf written.
+func checkRowTile(t *testing.T, what string, ai, bd, cbuf, ci []float32, j0, p0, p1 int) {
+	t.Helper()
+	n := len(ci)
+	before, ref, chain := slices.Clone(ci), slices.Clone(ci), slices.Clone(ci)
+	useAVX2 = false
+	axpyRow(ai, bd, ref, j0, p0, p1)
+	useAVX2 = true
+	for p := p0; p < p1; p++ {
+		axpy(ai[p], bd[p*n+j0:(p+1)*n], chain[j0:])
+	}
+	axpyRow(ai, bd, ci, j0, p0, p1)
+	checkGuards(t, what, n, cbuf, ci)
+	for j, v := range ci {
+		got := math.Float32bits(v)
+		switch {
+		case j < j0 && got != math.Float32bits(before[j]):
+			t.Fatalf("%s: wrote ci[%d] before j0 = %d", what, j, j0)
+		case got != math.Float32bits(chain[j]):
+			t.Fatalf("%s ci[%d]: %#x is not the axpy chain's %#x", what, j, got, math.Float32bits(chain[j]))
+		case got != math.Float32bits(ref[j]) && !(v != v && ref[j] != ref[j]):
+			t.Fatalf("%s ci[%d]: asm %#x, go %#x", what, j, got, math.Float32bits(ref[j]))
+		}
+	}
+}
+
+// TestRowTileMatchesGo holds axpyRow's register tile to the Go loop and to
+// the chain of one axpy per p, for every kc 0…67 and one past kcBlock, over
+// row lengths around the tile's 16- and 32-column chunks, with j0 and p0
+// past the start and operands at odd offsets inside guard words. Half the
+// cases plant a zero a[p] over an infinite B value (the tile adds the
+// 0·Inf term, as every kernel of the axpy family does) and signed zeros,
+// infinities and NaN elsewhere.
+func TestRowTileMatchesGo(t *testing.T) {
+	requireAVX2(t)
+	rng := rand.New(rand.NewSource(53))
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	kcs := []int{kcBlock + 3}
+	for kc := 0; kc <= 67; kc++ {
+		kcs = append(kcs, kc)
+	}
+	ns := []int{16, 17, 31, 32, 33, 48, 64, 65, 200}
+	for n := 1; n <= 15; n++ {
+		ns = append(ns, n)
+	}
+	for _, kc := range kcs {
+		for _, n := range ns {
+			j0s := []int{0}
+			if n > 1 {
+				j0s = append(j0s, 1+rng.Intn(n-1))
+			}
+			for _, j0 := range j0s {
+				p0 := 1 + rng.Intn(3)
+				p1 := p0 + kc
+				_, ai := guarded(rng, p1+2)
+				_, bd := guarded(rng, (p1+1)*n)
+				cbuf, ci := guarded(rng, n)
+				for p := range ai {
+					if rng.Intn(4) == 0 {
+						ai[p] = 0
+					}
+				}
+				if kc > 0 && rng.Intn(2) == 0 {
+					p, j := p0+rng.Intn(kc), j0+rng.Intn(n-j0)
+					ai[p], bd[p*n+j] = 0, float32(math.Inf(1))
+					ai[p0+rng.Intn(kc)] = specials[rng.Intn(len(specials))]
+					bd[(p0+rng.Intn(kc))*n+rng.Intn(n)] = specials[rng.Intn(len(specials))]
+					ci[rng.Intn(n)] = specials[rng.Intn(len(specials))]
+				}
+				checkRowTile(t, fmt.Sprintf("axpyRow kc=%d n=%d j0=%d p0=%d", kc, n, j0, p0), ai, bd, cbuf, ci, j0, p0, p1)
+			}
+		}
+	}
+}
+
+// FuzzRowTile holds axpyRow's register tile to checkRowTile's rules on any
+// operand bits: the input picks kc (up to past kcBlock), the row length n
+// (up to three 32-column chunks, a 16-column one and a tail), j0, and the
+// values, read as little-endian float32 words, cycled over ai, B and ci —
+// NaN payloads, infinities, signed zeros and subnormals included.
+func FuzzRowTile(f *testing.F) {
+	word := func(v float32) []byte { return binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)) }
+	f.Add(uint8(5), uint8(47), uint8(3), slices.Concat(word(1.5), word(0), word(float32(math.Inf(1))), word(-2)))
+	f.Add(uint8(130), uint8(95), uint8(0), slices.Concat(word(0x1p-140), word(float32(math.Copysign(0, -1))), word(3)))
+	f.Add(uint8(1), uint8(15), uint8(15), slices.Concat(word(float32(math.NaN())), word(-0.25), word(7)))
+	if !hasAVX2FMA() {
+		f.Skip("CPU lacks AVX2+FMA")
+	}
+	f.Fuzz(func(t *testing.T, kcIn, nIn, j0In uint8, vals []byte) {
+		saved := useAVX2
+		defer func() { useAVX2 = saved }()
+		kc, n := int(kcIn)%(kcBlock+8), 1+int(nIn)%96
+		j0, p0 := int(j0In)%n, 1
+		if len(vals) < 4 {
+			vals = word(1)
+		}
+		w, next := len(vals)/4, 0
+		fill := func(s []float32) {
+			for i := range s {
+				s[i] = math.Float32frombits(binary.LittleEndian.Uint32(vals[4*(next%w):]) ^ uint32(next/w))
+				next++
+			}
+		}
+		rng := rand.New(rand.NewSource(int64(kc*1000 + n)))
+		_, ai := guarded(rng, p0+kc)
+		_, bd := guarded(rng, (p0+kc)*n)
+		cbuf, ci := guarded(rng, n)
+		fill(ai)
+		fill(bd)
+		fill(ci)
+		checkRowTile(t, fmt.Sprintf("axpyRow kc=%d n=%d j0=%d", kc, n, j0), ai, bd, cbuf, ci, j0, p0, p0+kc)
+	})
+}
+
 // TestDot3x4MatchesGo compares dot3x4's assembly with its Go loop for every
 // depth k 0…67 over 1, 2 and 5 column blocks, with row strides wider than k
 // and operands at odd offsets inside guard words: the same bits for every
@@ -530,12 +651,16 @@ func TestTileInvarianceBitwise(t *testing.T) {
 func testTileInvarianceBitwise(t *testing.T) {
 	// {13, 37, 16} through {8, 5, 32} reach tile4x16: four rows or more, n a
 	// multiple of 16 (causal items of head dim 16 among them) and k not
-	// always one of 4. The last three put attention's head dims (k = 16: two
+	// always one of 4. The next three put attention's head dims (k = 16: two
 	// 8-lane chunks and no tail; k = 8: one) under dot3x4 in the causal Q·Kᵀ
-	// triangle, with rows left over after the triples in two of them.
+	// triangle, with rows left over after the triples in two of them. The
+	// last four are a decode step's one to three rows a shard over the serve
+	// model's weight shapes (QKV, FC1, FC2, output projection): every row
+	// runs axpyRow's register tile.
 	shapes := [][3]int{{11, 29, 37}, {7, 13, 19}, {5, 131, 9}, {37, 67, 45}, {6, 7, 3},
 		{13, 37, 16}, {9, 131, 48}, {21, 64, 64}, {8, 5, 32},
-		{12, 16, 16}, {14, 8, 32}, {25, 16, 19}}
+		{12, 16, 16}, {14, 8, 32}, {25, 16, 19},
+		{1, 64, 192}, {2, 64, 256}, {3, 256, 64}, {2, 64, 64}}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)

@@ -13,6 +13,9 @@ func tile4x16AVX2(a *float32, ars, aps int, b *float32, ldb int, c *float32, ldc
 }
 
 //photon:hotpath
+func axpyRowAVX2(a, b *float32, ldb int, c *float32, kc, n int) {}
+
+//photon:hotpath
 func axpy4inAVX2(a0, a1, a2, a3 float32, x0, x1, x2, x3, y *float32, n int) {}
 
 //photon:hotpath
