@@ -244,7 +244,7 @@ func asyncCrashResumeRun(t *testing.T, site string, seed int64, versions, k int,
 }
 
 // TestAsyncCrashPointSweep kills and restarts the async aggregator after
-// each async WAL record type — including mid-buffer, after a buffer_fold
+// each async WAL record type — including mid-buffer, after a member_update
 // landed but before its version committed — and asserts recovery each time:
 // the resumed run re-folds the journaled pending buffer, completes all
 // versions, never trains a client round twice (an async round is the
@@ -265,7 +265,7 @@ func TestAsyncCrashPointSweep(t *testing.T) {
 
 	// round_open is excluded: async journals none.
 	sites := []ckpt.RecordType{
-		ckpt.RecBufferFold, ckpt.RecVersionCommit,
+		ckpt.RecMemberUpdate, ckpt.RecRoundCommit,
 	}
 	for _, rt := range sites {
 		site := "wal:" + rt.String()

@@ -43,7 +43,7 @@ func main() {
 		upCodec    = flag.String("up-codec", "", "relay: require the parent to announce exactly this codec (default: accept any)")
 		id         = flag.String("id", "", "relay identity presented to the parent (default: relay@<listen-addr>)")
 		metricsAt  = flag.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty disables)")
-		walDir     = flag.String("wal", "", "write-ahead-log directory: journal round state and resume an interrupted run when restarted on the same directory (empty disables)")
+		walDir     = flag.String("wal", "", "write-ahead-log directory: journal round state and resume an interrupted run when restarted on the same directory; a restart in another mode, model size or codec is refused (empty disables)")
 		registryAt = flag.String("registry", "", "content-addressed model registry directory: publish every committed round's checkpoint and move the latest tag (empty disables)")
 		async      = flag.Bool("async", false, "buffered asynchronous (FedBuff) aggregation: members train at their own pace and -rounds counts version commits")
 		asyncK     = flag.Int("async-k", 2, "async: updates buffered per version commit")

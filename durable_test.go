@@ -294,7 +294,7 @@ func TestEveryRoundRecordedOnceAcrossCrash(t *testing.T) {
 			ckpt.RecRoundOpen, ckpt.RecMemberUpdate, ckpt.RecRoundCommit,
 		}, func() fed.ServerConfig { return durableServerConfig(77, rounds, newOuter()) }},
 		{"async", []ckpt.RecordType{
-			ckpt.RecBufferFold, ckpt.RecVersionCommit,
+			ckpt.RecMemberUpdate, ckpt.RecRoundCommit,
 		}, func() fed.ServerConfig { return asyncServerConfig(83, rounds, 2, newOuter()) }},
 	} {
 		for _, rt := range mode.sites {

@@ -15,40 +15,43 @@ import (
 // RecordType identifies what state transition a WAL record journals.
 type RecordType uint8
 
-// The round-loop state transitions the aggregator journals. Replay applies
-// them in order on top of the compacted base checkpoint.
+// The state transitions the aggregator journals. Replay applies them in
+// order on top of the compacted base checkpoint. Every mode journals the
+// same records; the RecWALOpen header says whose log it is.
 const (
-	// RecRoundOpen opens a round: the round number, the membership epoch,
-	// and the sampled cohort's member IDs.
+	// RecRoundOpen opens a sync round: the round number and the sampled
+	// cohort's member IDs.
 	RecRoundOpen RecordType = iota + 1
-	// RecMemberUpdate records one cohort member's update as it was accepted
-	// into the round: Data carries the encoded wire payload exactly as it
-	// arrived. A record without Data is unreadable to the aggregator's
-	// replay, which re-asks the member instead.
+	// RecMemberUpdate records one update as it was accepted into a window:
+	// Round carries the round the member was sent, Epoch the model version
+	// it trained on (Round−1), Member the member ID and Data the encoded
+	// wire payload exactly as it arrived. A relay journals its own reply
+	// upstream under Member "up", with Epoch the count of cohort updates
+	// folded into it. A record without Data is unreadable to the
+	// aggregator's replay, which re-asks the member instead.
 	RecMemberUpdate
-	// RecOuterStep records post-step global parameters in Vec. The fed
-	// aggregators no longer write it — their replay redoes each committed
-	// step from the journaled updates — but the benchmark's layer replay
-	// still does, until that replay is deleted.
+	// RecOuterStep records post-step global parameters in Vec. Only the
+	// benchmark's layer replay still writes it; it goes with that replay.
 	RecOuterStep
-	// RecRoundCommit seals a round. It is the WAL's fsync point: everything
-	// up to and including the commit is durable once Append returns.
+	// RecRoundCommit seals a window: a sync round, an async version or a
+	// relay's reply, numbered by Round. It is the WAL's fsync point:
+	// everything up to and including the commit is durable once Append
+	// returns.
 	RecRoundCommit
 	// RecStateSnapshot records a named auxiliary state vector — "outer" for
 	// the server optimizer's momentum, "codec" for a lossy uplink codec's
 	// error-feedback residual. Member carries the name.
 	RecStateSnapshot
-	// RecBufferFold records one update folded into an async aggregator's
-	// staleness-weighted buffer: Round carries the round the member was
-	// sent (the version it trained on + 1), Epoch that version, Member the
-	// member ID, and Data the update's wire payload as received. Replay
-	// re-folds every journaled buffer, so an async aggregator redoes its
-	// committed versions and resumes mid-buffer.
+	// RecBufferFold and RecVersionCommit were the async driver's own fold
+	// and commit records. Only the benchmark's layer replay still writes
+	// them; they go with that replay.
 	RecBufferFold
-	// RecVersionCommit seals one async model-version commit (the async
-	// counterpart of RecRoundCommit, and an fsync point like it): Round
-	// carries the new global model version, Epoch the membership epoch.
 	RecVersionCommit
+	// RecWALOpen is a log's header, the first record of every segment: Member
+	// names the mode that journals it ("sync", "async" or "relay"), Round the
+	// model's element count, and Data the codec whose bytes its payloads
+	// hold.
+	RecWALOpen
 )
 
 // String names the record type for failpoint sites and logs.
@@ -68,6 +71,8 @@ func (t RecordType) String() string {
 		return "buffer_fold"
 	case RecVersionCommit:
 		return "version_commit"
+	case RecWALOpen:
+		return "wal_open"
 	default:
 		return fmt.Sprintf("record(%d)", uint8(t))
 	}
@@ -78,8 +83,8 @@ func (t RecordType) String() string {
 type Record struct {
 	Type   RecordType
 	Round  int
-	Epoch  uint64   // membership epoch at round open/commit
-	Member string   // member ID (RecMemberUpdate) or state name (RecStateSnapshot)
+	Epoch  uint64   // trained version (RecMemberUpdate; a relay's reply: its cohort count)
+	Member string   // member ID (RecMemberUpdate), state name (RecStateSnapshot) or mode (RecWALOpen)
 	IDs    []string // cohort member IDs (RecRoundOpen)
 	Vec    []float32
 	Data   []byte // opaque payload (an encoded wire payload, as received or to re-send)

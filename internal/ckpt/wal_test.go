@@ -11,12 +11,13 @@ import (
 
 func testRecords() []Record {
 	return []Record{
-		{Type: RecRoundOpen, Round: 1, Epoch: 3, IDs: []string{"c1", "c2"}},
+		{Type: RecWALOpen, Round: 3, Member: "sync", Data: []byte("q8")},
+		{Type: RecRoundOpen, Round: 1, IDs: []string{"c1", "c2"}},
 		{Type: RecMemberUpdate, Round: 1, Member: "c1", Vec: []float32{0.5, -1.25, 3}},
 		{Type: RecMemberUpdate, Round: 1, Member: "c2", Vec: []float32{1, 2, -0.5}},
 		{Type: RecOuterStep, Round: 1, Vec: []float32{9, 8, 7}},
 		{Type: RecStateSnapshot, Round: 1, Member: "outer", Vec: []float32{0.1, 0.2, 0.3}},
-		{Type: RecRoundCommit, Round: 1, Epoch: 3},
+		{Type: RecRoundCommit, Round: 1},
 	}
 }
 

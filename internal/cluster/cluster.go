@@ -117,8 +117,8 @@ type Info struct {
 	EvictedFor   string // reason, when State == StateEvicted
 }
 
-// Stats counts membership churn. Registry keeps both running totals and a
-// resettable window (RoundDelta) the aggregator drains once per round.
+// Stats counts membership churn over a resettable window (RoundDelta) the
+// aggregator drains once per round.
 type Stats struct {
 	Joins      int // first-time joins
 	Rejoins    int // previously-seen identities that came back
@@ -163,14 +163,10 @@ type Registry struct {
 	members map[string]*member
 	nextIdx int
 
-	totals    Stats
 	window    Stats
 	winBeats  int
 	winRTTSum time.Duration
-	totBeats  int
-	totRTTSum time.Duration
 	winRTT    obsv.Ring
-	totRTT    obsv.Ring
 }
 
 // New builds a registry. The zero Config is valid: no liveness expiry, the
@@ -200,7 +196,6 @@ func (r *Registry) Join(id string) (rejoined bool) {
 		}
 		r.nextIdx++
 		r.window.Joins++
-		r.totals.Joins++
 		return false
 	}
 	m.state = StateAlive
@@ -210,7 +205,6 @@ func (r *Registry) Join(id string) (rejoined bool) {
 	m.evictedFor = ""
 	m.health = math.Max(healthFloor, m.health*rejoinPenalty)
 	r.window.Rejoins++
-	r.totals.Rejoins++
 	return true
 }
 
@@ -232,7 +226,6 @@ func (r *Registry) evictLocked(id, reason string) bool {
 	m.failures++
 	m.health = math.Max(healthFloor, m.health+healthAlpha*(healthFailed-m.health))
 	r.window.Evictions++
-	r.totals.Evictions++
 	return true
 }
 
@@ -254,10 +247,7 @@ func (r *Registry) Heartbeat(id string, rtt time.Duration) bool {
 		}
 		r.winBeats++
 		r.winRTTSum += rtt
-		r.totBeats++
-		r.totRTTSum += rtt
 		r.winRTT.Add(rtt)
-		r.totRTT.Add(rtt)
 	}
 	return true
 }
@@ -280,7 +270,6 @@ func (r *Registry) ObserveRound(id string, latency time.Duration, outcome RoundO
 		target = healthStraggler
 		m.straggles++
 		r.window.Stragglers++
-		r.totals.Stragglers++
 	case OutcomeFailed:
 		target = healthFailed
 		m.failures++
@@ -421,16 +410,6 @@ func (r *Registry) RoundDelta() Stats {
 	r.window = Stats{}
 	r.winBeats, r.winRTTSum = 0, 0
 	r.winRTT.Reset()
-	return out
-}
-
-// Totals returns the running churn totals for the whole run.
-func (r *Registry) Totals() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out Stats
-	out.add(r.totals, r.totBeats, r.totRTTSum)
-	out.HeartbeatRTTP99Ms = p99Ms(&r.totRTT)
 	return out
 }
 

@@ -54,9 +54,9 @@ func TestJoinLeaveEvictRejoin(t *testing.T) {
 	if info.Health >= 1 {
 		t.Fatalf("rejoin should carry a health penalty, got %v", info.Health)
 	}
-	tot := r.Totals()
+	tot := r.RoundDelta()
 	if tot.Joins != 2 || tot.Rejoins != 1 || tot.Evictions != 1 {
-		t.Fatalf("totals = %+v", tot)
+		t.Fatalf("window = %+v", tot)
 	}
 }
 
@@ -227,7 +227,7 @@ func TestRoundDeltaWindows(t *testing.T) {
 	if d.HeartbeatRTTMs < 25 || d.HeartbeatRTTMs > 35 {
 		t.Fatalf("mean RTT = %v, want ~30ms", d.HeartbeatRTTMs)
 	}
-	// The window resets; totals persist.
+	// The window resets.
 	d2 := r.RoundDelta()
 	if d2 != (Stats{}) {
 		t.Fatalf("window not reset: %+v", d2)
@@ -236,10 +236,6 @@ func TestRoundDeltaWindows(t *testing.T) {
 	d3 := r.RoundDelta()
 	if d3.Evictions != 1 || d3.Joins != 0 {
 		t.Fatalf("second window = %+v", d3)
-	}
-	tot := r.Totals()
-	if tot.Joins != 2 || tot.Evictions != 1 || tot.Stragglers != 1 {
-		t.Fatalf("totals = %+v", tot)
 	}
 }
 
@@ -259,12 +255,9 @@ func TestHeartbeatRTTP99(t *testing.T) {
 	if d.HeartbeatRTTP99Ms != 80 {
 		t.Fatalf("p99 RTT = %vms, want 80ms", d.HeartbeatRTTP99Ms)
 	}
-	// Window sketch resets with the window; totals sketch persists.
+	// The sketch resets with the window.
 	if d2 := r.RoundDelta(); d2.HeartbeatRTTP99Ms != 0 {
 		t.Fatalf("window p99 survived reset: %v", d2.HeartbeatRTTP99Ms)
-	}
-	if tot := r.Totals(); tot.HeartbeatRTTP99Ms != 80 {
-		t.Fatalf("totals p99 = %v, want 80", tot.HeartbeatRTTP99Ms)
 	}
 	// Sketch overflow keeps only the most recent beats.
 	for i := 0; i < rttSketchSize; i++ {

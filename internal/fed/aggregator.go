@@ -86,15 +86,15 @@ type aggState struct {
 	registry *ckpt.Registry
 	lineage  map[string]string
 
-	// foldRec is the record type an update journals as (0: none — a relay
-	// journals its upstream replies, not its cohort's updates), commitRec
-	// the one that seals a window, and carry, when non-nil, supplies the
-	// driver's records that must survive a compaction beside the
-	// outer-optimizer snapshot.
-	foldRec   ckpt.RecordType
-	commitRec ckpt.RecordType
-	carry     func() []ckpt.Record
-	commits   int
+	// header is the journal's wal_open record: the driver's mode ("sync",
+	// "async" or "relay" — a relay journals its upstream replies, not its
+	// cohort's updates), the model's size, and the codec whose bytes the
+	// log holds (at a relay the upstream one, "" when it takes the
+	// parent's). carry, when non-nil, supplies the driver's records that
+	// must survive a compaction beside the header and the outer snapshot.
+	header  ckpt.Record
+	carry   func() []ckpt.Record
+	commits int
 
 	// The asks in flight, run-loop-only: each member's current ask, the one
 	// channel every ask answers on, and the goroutines a driver waits for
@@ -120,13 +120,14 @@ type aggState struct {
 // the server with openServer.
 func newAggState(cfg ServerConfig) *aggState {
 	a := &aggState{
-		cfg: cfg, hist: &metrics.History{}, foldRec: ckpt.RecMemberUpdate, commitRec: ckpt.RecRoundCommit,
+		cfg: cfg, hist: &metrics.History{},
 		k: cfg.ClientsPerRound, minClients: cfg.MinClients, evalEvery: cfg.EvalEvery,
 		depth: 1, rng: rand.New(rand.NewSource(cfg.Seed)),
 		asking: make(map[string]*asking), answers: make(chan *asking),
+		header: ckpt.Record{Type: ckpt.RecWALOpen, Member: "sync", Round: int(cfg.ModelConfig.ParamCount()), Data: []byte(cmp.Or(cfg.Codec, "dense"))},
 	}
 	if cfg.Async != nil {
-		a.alpha, a.foldRec, a.commitRec = cfg.Async.norm().Alpha, ckpt.RecBufferFold, ckpt.RecVersionCommit
+		a.alpha, a.header.Member = cfg.Async.norm().Alpha, "async"
 	}
 	if a.k <= 0 || a.k > cfg.ExpectClients {
 		a.k = cfg.ExpectClients
@@ -142,23 +143,36 @@ func newAggState(cfg ServerConfig) *aggState {
 
 // openServer adds what Serve and RunRelay share before any connection is
 // accepted: the cohort-side server and — with cfg.WALDir set — the journal,
-// whose prior contents are returned for the driver to replay. The caller
-// closes a.jrn.
+// whose prior contents are returned for the driver to replay. A new log
+// gets a.header, unsynced: recovery returns a valid prefix, so the log
+// holds it or nothing until the first commit's fsync. A log with another
+// header, or with records or a base but no header, is refused before
+// anything replays it. The caller closes a.jrn.
 func (a *aggState) openServer() (*ckpt.Recovery, error) {
 	s, err := newServer(a.cfg)
-	if err != nil {
-		return nil, err
-	}
 	a.s = s
-	if a.cfg.WALDir == "" {
-		return nil, nil
+	if err != nil || a.cfg.WALDir == "" {
+		return nil, err
 	}
-	wal, recovered, err := ckpt.OpenWAL(a.cfg.WALDir, a.cfg.Failpoint)
+	wal, rv, err := ckpt.OpenWAL(a.cfg.WALDir, a.cfg.Failpoint)
 	if err != nil {
 		return nil, err
 	}
-	a.jrn = newJournal(wal)
-	return recovered, nil
+	want, found := describeWAL(a.header), "a log with no header"
+	if rv.Base == nil && len(rv.Records) == 0 {
+		found, err = want, wal.Append(&a.header)
+	} else if h := rv.Records; len(h) > 0 && h[0].Type == ckpt.RecWALOpen {
+		found = describeWAL(h[0])
+	}
+	if err == nil && found != want {
+		err = fmt.Errorf("%w: %s holds %s, want %s", errWALMismatch, a.cfg.WALDir, found, want)
+	}
+	if err != nil {
+		wal.Close()
+		return nil, err
+	}
+	a.jrn = &journal{wal}
+	return rv, nil
 }
 
 // initModel draws the global model from rng — always, even when init then
@@ -220,7 +234,6 @@ type window struct {
 	rec    metrics.Round
 	start  time.Time
 	pn     obsv.PhaseNanos
-	epoch  uint64         // membership epoch journaled on the commit
 	folded bool           // the window advanced state: commit it
 	stale  map[string]int // per-member version lag for observers (async only)
 	sealed time.Time      // when seal stamped WallMs; the next async window opens here
@@ -428,15 +441,10 @@ func (a *aggState) stopAsks() {
 // order, so the journal's order is the fold's: replay redoes it, and a crash
 // after an append re-asks nothing from that member.
 func (a *aggState) take(w *window, ans answer) error {
-	var err error
-	switch a.foldRec {
-	case ckpt.RecMemberUpdate:
-		err = a.jrn.memberUpdate(ans.round, ans.mc.id, ans.payload)
-	case ckpt.RecBufferFold:
-		err = a.jrn.bufferFold(ans.mc.id, ans.round-1, ans.payload)
-	}
-	if err != nil {
-		return err
+	if a.header.Member != "relay" {
+		if err := a.jrn.memberUpdate(ans.round, ans.mc.id, ans.payload); err != nil {
+			return err
+		}
 	}
 	a.add(w, ans.round-1, ans.update, ans.meta)
 	w.decNs += ans.srvDecNs
@@ -560,7 +568,7 @@ func (a *aggState) seal(w *window) error {
 	}
 	// The commit is the journal's one fsync; the registry then publishes
 	// the checkpoint it made durable.
-	if err := a.jrn.append(ckpt.Record{Type: a.commitRec, Round: rec.Round, Epoch: w.epoch}); err != nil {
+	if err := a.jrn.append(ckpt.Record{Type: ckpt.RecRoundCommit, Round: rec.Round}); err != nil {
 		return err
 	}
 	a.commits++
@@ -573,10 +581,10 @@ func (a *aggState) seal(w *window) error {
 	snap := make([]float32, len(a.global))
 	copy(snap, a.global)
 	base := &ckpt.Checkpoint{Round: rec.Round, Meta: map[string]float64{"loss": rec.TrainLoss}, Params: snap}
-	// The base checkpoint holds params only, so the outer optimizer's
-	// momentum must be carried into the fresh log segment or a
-	// post-compaction resume would lose it.
-	var carry []ckpt.Record
+	// The base checkpoint holds params only, so the header and the outer
+	// optimizer's momentum must be carried into the fresh log segment or a
+	// post-compaction resume would refuse the log or lose the momentum.
+	carry := []ckpt.Record{a.header}
 	if so, ok := a.cfg.Outer.(OuterState); ok {
 		carry = append(carry, ckpt.Record{Type: ckpt.RecStateSnapshot, Round: rec.Round, Member: snapOuter, Vec: so.Snapshot()})
 	}
@@ -656,7 +664,6 @@ func (a *aggState) runSync(ctx context.Context, resume *walResume, stopAtPPL flo
 			})
 			reask = slices.DeleteFunc(append([]string{}, resume.cohort...), func(id string) bool { return done[id] })
 		}
-		epoch := a.s.membershipEpoch()
 		cohort, err := a.draw(ctx, reask)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -678,12 +685,12 @@ func (a *aggState) runSync(ctx context.Context, resume *walResume, stopAtPPL flo
 			for i, mc := range cohort {
 				ids[i] = mc.id
 			}
-			if err := a.jrn.roundOpen(round, epoch, ids); err != nil {
+			if err := a.jrn.roundOpen(round, ids); err != nil {
 				return a.fail(round, err)
 			}
 		}
 
-		w.rec.TraceID, w.start, w.epoch = mintTrace(a.traceRng), time.Now(), epoch
+		w.rec.TraceID, w.start = mintTrace(a.traceRng), time.Now()
 		if err := a.collect(ctx, w, a.cohortPolicy(w, cohort, resumed)); ctx.Err() != nil {
 			runErr = ctx.Err()
 			break

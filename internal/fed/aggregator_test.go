@@ -70,7 +70,7 @@ func TestSyncStepErrorKeepsCompletedHistory(t *testing.T) {
 
 // TestAsyncFoldsAtDispatchedVersion: a member that stamps its update with a
 // version newer than the one it was sent cannot claim zero staleness — the
-// journaled buffer_fold record carries the version the aggregator
+// journaled member_update record carries the version the aggregator
 // dispatched with that task.
 func TestAsyncFoldsAtDispatchedVersion(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -130,7 +130,7 @@ func TestAsyncFoldsAtDispatchedVersion(t *testing.T) {
 	wal.Close()
 	folds := 0
 	for _, rec := range rv.Records {
-		if rec.Type != ckpt.RecBufferFold || rec.Member != "liar" {
+		if rec.Type != ckpt.RecMemberUpdate || rec.Member != "liar" {
 			continue
 		}
 		folds++
@@ -139,7 +139,7 @@ func TestAsyncFoldsAtDispatchedVersion(t *testing.T) {
 		}
 	}
 	if folds == 0 {
-		t.Fatal("no buffer_fold record from the liar")
+		t.Fatal("no member_update record from the liar")
 	}
 }
 
@@ -203,7 +203,7 @@ func TestAsyncRoundIsVersionPlusOne(t *testing.T) {
 			}
 		}
 	}
-	// An async journal opens no rounds: a buffer_fold names its round.
+	// An async journal opens no rounds: a member_update names its round.
 	wal, rv, err := ckpt.OpenWAL(dir, nil)
 	if err != nil {
 		t.Fatal(err)

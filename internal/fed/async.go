@@ -213,7 +213,6 @@ func stalenessWeight(current, trained int, alpha float64) float64 {
 // each member's version lag. Replay redoes the version from the buffer's
 // journaled folds.
 func (a *asyncAggregator) commitVersion(w *window) error {
-	w.epoch = a.s.membershipEpoch()
 	a.commit(w)
 	w.rec.ModelVersion, w.rec.BufferFill = w.rec.Round, a.fold.n
 	w.stale = make(map[string]int, len(a.trained))

@@ -2,20 +2,19 @@ package fed
 
 // Durable control plane: the journal wraps the ckpt write-ahead log with
 // fed-level record semantics, and replayWAL folds a recovered record stream
-// back into aggregator state. A sync aggregator journals per round, an async
-// (FedBuff-mode) one per model version:
+// back into aggregator state. Every mode journals one vocabulary:
 //
-//	sync                                  async
-//	round_open(round, epoch, cohort IDs)  —
-//	member_update(round, member, payload) buffer_fold(version+1, version, member, payload)
-//	round_commit(round, epoch)            version_commit(version, epoch)
+//	wal_open(mode, elems, codec)                    each segment's header
+//	round_open(round, cohort IDs)                   sync only
+//	member_update(round, trained, member, payload)  one per fold
+//	round_commit(round)                             a sync round or an async version
 //
-// Both number an update by the round its member was sent, the version it
-// trained on plus one (a sync round r trains on what r−1 commits made).
-// The journal holds inputs, never post-step state, and the commit record is
-// its only fsync. Every compactEvery commits the log folds into the base
-// checkpoint; the fresh segment starts with what a checkpoint cannot hold,
-// the outer optimizer's state_snapshot("outer").
+// An update is numbered by the round its member was sent, the version it
+// trained on plus one. The journal holds inputs, never post-step state, and
+// the commit record is its only fsync. Every compactEvery commits the log
+// folds into the base checkpoint; the fresh segment starts with the header
+// and the outer optimizer's state_snapshot("outer"). A log whose header
+// names another mode, size or codec, or that has none, is refused.
 //
 // Replay has one rule: it always redoes. From the base params and carried
 // outer state, each committed window's updates fold again in log order and
@@ -25,14 +24,16 @@ package fed
 // driver finishes: a sync round re-asks only the cohort members they do not
 // cover; an async buffer re-folds without asking anyone.
 //
-// Relays journal a smaller protocol: the encoded upstream reply bytes
-// (member "up"), the upstream codec's error-feedback residual
+// A relay journals no cohort update: its log holds the encoded upstream
+// reply bytes (member "up"), the upstream codec's error-feedback residual
 // (state_snapshot "codec"), and a commit per served round. Re-encoding an
 // update after a crash would double-apply the top-k residual, so the relay
 // journals the exact bytes it sent and replays them on redelivery.
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"log"
 	"strconv"
 
@@ -57,14 +58,7 @@ type journal struct {
 	wal *ckpt.WAL
 }
 
-func newJournal(w *ckpt.WAL) *journal {
-	if w == nil {
-		return nil
-	}
-	return &journal{wal: w}
-}
-
-func (j *journal) enabled() bool { return j != nil && j.wal != nil }
+func (j *journal) enabled() bool { return j != nil }
 
 // append journals recs in order.
 func (j *journal) append(recs ...ckpt.Record) error {
@@ -85,20 +79,31 @@ func (j *journal) close() {
 	}
 }
 
-// roundOpen journals the start of a round with its sampled cohort.
-func (j *journal) roundOpen(round int, epoch uint64, cohort []string) error {
-	return j.append(ckpt.Record{Type: ckpt.RecRoundOpen, Round: round, Epoch: epoch, IDs: cohort})
+// errWALMismatch refuses a WAL that another mode, model size or codec
+// wrote, or one with no header.
+var errWALMismatch = errors.New("fed: WAL belongs to another run")
+
+// describeWAL names whose log a header says it is.
+func describeWAL(h ckpt.Record) string {
+	return fmt.Sprintf("mode=%s elems=%d codec=%q", h.Member, h.Round, h.Data)
 }
 
-// memberUpdate journals one client update as it arrives — the encoded wire
-// payload the member sent, not a re-serialisation of the decoded vector:
-// under a sparse or quantized codec that is a fraction of the bytes, and
-// Codec.Decode is stateless, so replay decodes it to the same bits.
+// roundOpen journals the start of a sync round with its sampled cohort.
+func (j *journal) roundOpen(round int, cohort []string) error {
+	return j.append(ckpt.Record{Type: ckpt.RecRoundOpen, Round: round, IDs: cohort})
+}
+
+// memberUpdate journals one update before it folds, in every mode: the
+// round the member was sent, the version it trained on (round−1), and the
+// encoded wire payload the member sent, not a re-serialisation of the
+// decoded vector: under a sparse or quantized codec that is a fraction of
+// the bytes, and Codec.Decode is stateless, so replay decodes it to the same
+// bits.
 func (j *journal) memberUpdate(round int, member string, p link.EncodedPayload) error {
 	if !j.enabled() {
 		return nil // skip the payload copy
 	}
-	return j.append(ckpt.Record{Type: ckpt.RecMemberUpdate, Round: round, Member: member, Data: encodePayloadBytes(p)})
+	return j.append(ckpt.Record{Type: ckpt.RecMemberUpdate, Round: round, Epoch: uint64(round - 1), Member: member, Data: encodePayloadBytes(p)})
 }
 
 // upstreamReply journals what a relay sent upstream for a round: the exact
@@ -127,23 +132,11 @@ func upstreamReplyRecords(round, cohort int, p link.EncodedPayload, codec link.C
 	return recs
 }
 
-// bufferFold journals one update folded into the async staleness-weighted
-// buffer: the round the member was sent (trained+1), the model version it
-// trained on, and the update's wire payload as received. Appended before the
-// in-memory fold, so a crash after the append loses nothing and a crash
-// before it folds nothing.
-func (j *journal) bufferFold(member string, trained int, p link.EncodedPayload) error {
-	if !j.enabled() {
-		return nil // skip the payload copy
-	}
-	return j.append(ckpt.Record{Type: ckpt.RecBufferFold, Round: trained + 1, Epoch: uint64(trained), Member: member, Data: encodePayloadBytes(p)})
-}
-
 // pendingUpdate is one journaled update.
 type pendingUpdate struct {
 	member  string              // member that produced it
 	round   int                 // round the member was sent
-	trained int                 // async: global model version it was trained on
+	trained int                 // global model version it was trained on
 	payload link.EncodedPayload // the update as received
 }
 
@@ -166,14 +159,14 @@ type walResume struct {
 }
 
 // replayWAL splits a recovery into the base, the committed windows and the
-// open window. foldRec is the record type the driver journals updates as:
-// member_update (sync) or buffer_fold (async). A commit takes the updates
+// open window, the same way for every mode. A commit takes the updates
 // journaled for its round or earlier — an async update's round never passes
 // the version its buffer commits — so a sync round opened past an empty one
 // stays open with its own. A crash inside a compaction can leave the old log
 // beside the new base: windows the base holds are dropped, and the carry is
-// the outer snapshot stamped with the base's round. Records is a valid prefix, so replay is infallible.
-func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
+// the outer snapshot stamped with the base's round. Records is a valid
+// prefix, so replay is infallible.
+func replayWAL(rv *ckpt.Recovery) *walResume {
 	res := &walResume{}
 	if rv == nil {
 		return res
@@ -188,7 +181,7 @@ func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 			if rec.Round >= res.open {
 				res.open, res.cohort = rec.Round, rec.IDs
 			}
-		case foldRec:
+		case ckpt.RecMemberUpdate:
 			p, ok := decodePayloadBytes(rec.Data)
 			if !ok {
 				break // unreadable: as if never journaled, the member is re-asked
@@ -198,7 +191,7 @@ func replayWAL(rv *ckpt.Recovery, foldRec ckpt.RecordType) *walResume {
 			if rec.Member == snapOuter && rec.Round == base {
 				res.outer = rec.Vec
 			}
-		case ckpt.RecRoundCommit, ckpt.RecVersionCommit:
+		case ckpt.RecRoundCommit:
 			var win []pendingUpdate
 			keep := res.pending[:0]
 			for _, u := range res.pending {
@@ -319,15 +312,6 @@ func decodePayloadBytes(b []byte) (link.EncodedPayload, bool) {
 		Elems:   int(binary.LittleEndian.Uint32(b[1:5])),
 		Data:    b[5:],
 	}, true
-}
-
-// membershipEpoch derives a monotonic (within one process run) membership
-// epoch from cumulative churn: every join, rejoin, and eviction advances
-// it. It is journaled on round_open/round_commit records so a
-// replayed log tells membership eras apart.
-func (s *server) membershipEpoch() uint64 {
-	tot := s.reg.Totals()
-	return uint64(tot.Joins + tot.Rejoins + tot.Evictions)
 }
 
 // publishRegistry publishes a committed round's params into the

@@ -11,9 +11,9 @@ import (
 
 // TestJournaledPayloadReplaysLikeVec: a member update journaled as the wire
 // payload it arrived in (Record.Data) must replay to the same bits as folding
-// the live decoded vectors directly — through a real log on disk, for both
-// the sync round records and the async fold records, under every built-in
-// codec.
+// the live decoded vectors directly — through a real log on disk, under
+// every built-in codec. Sync and async journal the same records, so one
+// replay covers both.
 func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 	const elems = 777
 	members := []string{"silo-a", "silo-b", "silo-c"}
@@ -45,22 +45,18 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Journal one open round and one pending async buffer.
+			// Journal one open round.
 			dir := t.TempDir()
 			wal, _, err := ckpt.OpenWAL(dir, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			j := newJournal(wal)
-			if err := j.roundOpen(3, 1, members); err != nil {
+			j := &journal{wal}
+			if err := j.roundOpen(3, members); err != nil {
 				t.Fatal(err)
 			}
 			for i, id := range members {
-				err = j.memberUpdate(3, id, payloads[i])
-				if err == nil {
-					err = j.bufferFold(id, i, payloads[i])
-				}
-				if err != nil {
+				if err := j.memberUpdate(3, id, payloads[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,14 +67,14 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 			}
 			reopened.Close()
 
-			res := replayWAL(rv, ckpt.RecMemberUpdate)
+			res := replayWAL(rv)
 			if res.open != 3 || len(res.pending) != len(members) {
-				t.Fatalf("sync replay lost the open round: %+v", res)
+				t.Fatalf("replay lost the open round: %+v", res)
 			}
 			var updates [][]float32
 			for i, u := range res.pending {
-				if u.member != members[i] {
-					t.Fatalf("arrival order %+v, want %v", res.pending, members)
+				if u.member != members[i] || u.round != 3 || u.trained != 2 {
+					t.Fatalf("arrival order %+v, want %v at round 3, trained on 2", res.pending, members)
 				}
 				vec, err := decodeUpdate(s.codec, u.payload, elems)
 				if err != nil {
@@ -96,30 +92,11 @@ func TestJournaledPayloadReplaysLikeVec(t *testing.T) {
 				}
 			}
 
-			pending := replayWAL(rv, ckpt.RecBufferFold).pending
-			if len(pending) != len(members) {
-				t.Fatalf("async replay kept %d folds, want %d", len(pending), len(members))
-			}
-			for i, pf := range pending {
-				if pf.member != members[i] || pf.round != i+1 || pf.trained != i {
-					t.Fatalf("fold %d replayed as %+v", i, pf)
-				}
-				vec, err := decodeUpdate(s.codec, pf.payload, elems)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := range vec {
-					if math.Float32bits(vec[k]) != math.Float32bits(decoded[i][k]) {
-						t.Fatalf("fold %d elem %d differs from the live decode", i, k)
-					}
-				}
-			}
 		})
 	}
 }
 
-// TestUnreadableJournaledUpdateIsNotReplayed: a member_update / buffer_fold
-// record whose Data is not a payload — or that has no Data, only a decoded
+// TestUnreadableJournaledUpdateIsNotReplayed: a member_update record whose Data is not a payload — or that has no Data, only a decoded
 // Vec — is dropped by replay (the member is re-asked); one that frames correctly but fails its codec survives replay
 // and is refused by decodeUpdate, which the resuming aggregator treats the
 // same way.
@@ -137,10 +114,10 @@ func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
 		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "b", Data: encodePayloadBytes(torn)},
 		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "c", Data: encodePayloadBytes(good)},
 		{Type: ckpt.RecMemberUpdate, Round: 1, Member: "d", Vec: []float32{1, 2}},
-		{Type: ckpt.RecBufferFold, Round: 9, Member: "a", Data: []byte{4}},
-		{Type: ckpt.RecBufferFold, Round: 8, Member: "b", Vec: []float32{1, 2}},
+		{Type: ckpt.RecMemberUpdate, Round: 9, Member: "a", Data: []byte{4}},
+		{Type: ckpt.RecMemberUpdate, Round: 8, Member: "b", Vec: []float32{1, 2}},
 	}}
-	res := replayWAL(rv, ckpt.RecMemberUpdate)
+	res := replayWAL(rv)
 	updates := map[string]link.EncodedPayload{}
 	for _, u := range res.pending {
 		updates[u.member] = u.payload
@@ -158,8 +135,5 @@ func TestUnreadableJournaledUpdateIsNotReplayed(t *testing.T) {
 	}
 	if _, err := decodeUpdate(s.codec, updates["c"], good.Elems); err != nil {
 		t.Fatal(err)
-	}
-	if res := replayWAL(rv, ckpt.RecBufferFold); len(res.pending) != 0 {
-		t.Fatalf("unframed fold replayed: %+v", res)
 	}
 }

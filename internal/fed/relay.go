@@ -135,6 +135,8 @@ func runRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 		OnRound:           cfg.OnRound,
 		WALDir:            cfg.WALDir,
 	})
+	// The relay's log holds replies in the upstream codec's bytes.
+	st.header.Member, st.header.Data = "relay", []byte(cfg.Parent.Codec)
 	recovered, err := st.openServer()
 	if err != nil {
 		return nil, err
@@ -149,10 +151,9 @@ func runRelay(ctx context.Context, l *link.Listener, dial func(context.Context) 
 			want:    int(cfg.ModelConfig.ParamCount()),
 		},
 	}
-	// The relay journals its upstream replies, not its cohort's updates. A
-	// compaction must keep what a restart redelivers from, and a restart
+	// A compaction must keep what a restart redelivers from, and a restart
 	// seeds the session's reply cache with the last committed reply.
-	st.foldRec, st.carry = 0, r.replyCarry
+	st.carry = r.replyCarry
 	r.up.recoverReply(recovered)
 	cfg.Parent.fill()
 	if setup != nil {

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,7 +79,7 @@ func replayLive(t *testing.T, cfg ServerConfig, commits int, after func(v int, s
 		w := st.open(v, uint64(v), time.Now())
 		if async == nil {
 			// collect's order: journal each update, then fold it.
-			if err := st.jrn.roundOpen(v, 0, []string{"a", "b"}); err != nil {
+			if err := st.jrn.roundOpen(v, []string{"a", "b"}); err != nil {
 				t.Fatal(err)
 			}
 			for _, id := range []string{"a", "b"} {
@@ -122,11 +125,7 @@ func resumeFrom(t *testing.T, dir string, async bool) (*aggState, *walResume) {
 		t.Fatal(err)
 	}
 	wal.Close()
-	foldRec := ckpt.RecMemberUpdate
-	if async {
-		foldRec = ckpt.RecBufferFold
-	}
-	res := replayWAL(rv, foldRec)
+	res := replayWAL(rv)
 	st := newAggState(replayCfg("", async))
 	if _, err := st.openServer(); err != nil {
 		t.Fatal(err)
@@ -230,8 +229,8 @@ func TestResumeFinishesFullyJournaledRound(t *testing.T) {
 	ids := []string{"a", "b"}
 
 	want := nn.NewModel(cfg.ModelConfig, rand.New(rand.NewSource(cfg.Seed))).Params().Flatten(nil)
-	wal, _, err := ckpt.OpenWAL(cfg.WALDir, nil)
-	if err != nil {
+	st := newAggState(cfg)
+	if _, err := st.openServer(); err != nil { // writes the header Serve expects
 		t.Fatal(err)
 	}
 	recs := []ckpt.Record{{Type: ckpt.RecRoundOpen, Round: 1, IDs: ids}}
@@ -247,12 +246,10 @@ func TestResumeFinishesFullyJournaledRound(t *testing.T) {
 		fold.add(v, 1)
 	}
 	NewFedMom(1, 0.9).Step(want, fold.mean(), 1)
-	for i := range recs {
-		if err := wal.Append(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := st.jrn.append(recs...); err != nil {
+		t.Fatal(err)
 	}
-	wal.Close()
+	st.jrn.close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -316,7 +313,7 @@ func TestReplayKeepsLaterRoundOpen(t *testing.T) {
 		{Type: ckpt.RecMemberUpdate, Round: 3, Member: "a", Data: pay},
 		{Type: ckpt.RecRoundCommit, Round: 3},
 	}}
-	res := replayWAL(rv, ckpt.RecMemberUpdate)
+	res := replayWAL(rv)
 	if res.committed != 3 || len(res.windows) != 1 || res.windows[0].step != 3 || len(res.windows[0].updates) != 2 ||
 		res.windows[0].updates[0].member != "b" || res.windows[0].updates[1].round != 3 {
 		t.Fatalf("committed %d, windows %+v: want round 3's two updates", res.committed, res.windows)
@@ -324,4 +321,166 @@ func TestReplayKeepsLaterRoundOpen(t *testing.T) {
 	if res.open != 4 || len(res.cohort) != 2 || len(res.pending) != 1 || res.pending[0].round != 4 {
 		t.Fatalf("open %d cohort %v pending %+v: want round 4 open with a's update", res.open, res.cohort, res.pending)
 	}
+}
+
+// TestServeRefusesAnotherRunsWAL: Serve refuses a WAL whose header names
+// another mode, model size or codec, or that has none, with errWALMismatch,
+// before it asks a member or redoes a window, and leaves the log as it was.
+// Each log holds one commit or compactEvery+1, so the header a compaction
+// carries into the fresh segment is read too: the error names it, and the
+// log's own mode still opens it.
+func TestServeRefusesAnotherRunsWAL(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	bigger := tinyCfg()
+	bigger.Blocks++
+	live := func(async bool) func(t *testing.T, dir string, commits int) {
+		return func(t *testing.T, dir string, commits int) {
+			if _, err := replayLive(t, replayCfg(dir, async), commits, func(int, *aggState) {}); err != nil {
+				t.Fatal(err)
+			}
+			st := newAggState(replayCfg(dir, async))
+			if _, err := st.openServer(); err != nil {
+				t.Fatalf("the log's own mode refused it: %v", err)
+			}
+			st.jrn.close()
+		}
+	}
+	// relay journals commits windows the way runRelay's seal does, under
+	// the header runRelay writes.
+	relay := func(t *testing.T, dir string, commits int) {
+		st := newAggState(replayCfg(dir, false))
+		st.header.Member, st.header.Data = "relay", []byte("q8")
+		if _, err := st.openServer(); err != nil {
+			t.Fatal(err)
+		}
+		defer st.jrn.close()
+		if err := st.initModel(nil); err != nil {
+			t.Fatal(err)
+		}
+		for v := 1; v <= commits; v++ {
+			w := st.open(v, uint64(v), time.Now())
+			w.folded = true
+			if err := st.seal(w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// headless is a sync log rewritten without its header records.
+	headless := func(t *testing.T, dir string, commits int) {
+		live(false)(t, dir, commits)
+		wal, rv, err := ckpt.OpenWAL(dir, nil)
+		if err == nil {
+			wal.Close()
+			err = os.Remove(filepath.Join(dir, "wal.log"))
+		}
+		if err == nil {
+			wal, _, err = ckpt.OpenWAL(dir, nil)
+		}
+		for i := 0; err == nil && i < len(rv.Records); i++ {
+			if rv.Records[i].Type != ckpt.RecWALOpen {
+				err = wal.Append(&rv.Records[i])
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		wal.Close()
+	}
+	sync8 := describeWAL(newAggState(replayCfg("", false)).header)
+	for _, tc := range []struct {
+		name  string
+		write func(t *testing.T, dir string, commits int)
+		cfg   func(dir string) ServerConfig
+		found string // what the error names the log as
+	}{
+		{"sync-by-async", live(false), func(dir string) ServerConfig { return replayCfg(dir, true) }, sync8},
+		{"async-by-sync", live(true), func(dir string) ServerConfig { return replayCfg(dir, false) },
+			describeWAL(newAggState(replayCfg("", true)).header)},
+		{"relay-by-root", relay, func(dir string) ServerConfig { return replayCfg(dir, false) }, "mode=relay "},
+		{"model-size", live(false), func(dir string) ServerConfig {
+			cfg := replayCfg(dir, false)
+			cfg.ModelConfig = bigger
+			return cfg
+		}, sync8},
+		{"codec", live(false), func(dir string) ServerConfig {
+			cfg := replayCfg(dir, false)
+			cfg.Codec = "dense"
+			return cfg
+		}, sync8},
+		{"no-header", headless, func(dir string) ServerConfig { return replayCfg(dir, false) }, "a log with no header"},
+	} {
+		for _, commits := range []int{1, compactEvery + 1} {
+			t.Run(fmt.Sprintf("%s/%d", tc.name, commits), func(t *testing.T) {
+				dir := t.TempDir()
+				tc.write(t, dir, commits)
+				before := walFiles(t, dir)
+				cfg := tc.cfg(dir)
+				cfg.Rounds, cfg.RoundDeadline = commits+1, 2*time.Second
+				recorded := 0
+				cfg.OnRound = func(metrics.Round) { recorded++ }
+				asked := serveMembers(t, cfg, []string{"a", "b"}, func(err error) {
+					if !errors.Is(err, errWALMismatch) || !strings.Contains(err.Error(), "holds "+tc.found) {
+						t.Fatalf("Serve was not refused as holding %s: %v", tc.found, err)
+					}
+				})
+				if asked > 0 || recorded > 0 {
+					t.Fatalf("refused Serve asked %d members and recorded %d windows", asked, recorded)
+				}
+				if after := walFiles(t, dir); after != before {
+					t.Fatal("refused Serve changed the log")
+				}
+			})
+		}
+	}
+}
+
+// walFiles returns the WAL directory's base and log, concatenated.
+func walFiles(t *testing.T, dir string) string {
+	t.Helper()
+	var all []byte
+	for _, name := range []string{"base.ckpt", "wal.log"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		all = append(all, b...)
+	}
+	return string(all)
+}
+
+// serveMembers runs Serve under cfg with members ids dialled in, each of
+// which hangs up on the first model it is asked to train, hands Serve's
+// error to check, and returns how many members were asked.
+func serveMembers(t *testing.T, cfg ServerConfig, ids []string, check func(error)) int {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	l, err := link.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members sync.WaitGroup
+	asked := make(chan string, len(ids))
+	for _, id := range ids {
+		members.Add(1)
+		go func(id string) {
+			defer members.Done()
+			conn, err := link.Dial(l.Addr())
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, err := Handshake(conn, id, ""); err != nil {
+				return
+			}
+			if msg, err := conn.Recv(); err == nil && msg.Type == link.MsgModel {
+				asked <- id
+			}
+		}(id)
+	}
+	_, err = Serve(ctx, l, cfg)
+	l.Close()
+	members.Wait()
+	check(err)
+	return len(asked)
 }

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -161,10 +162,7 @@ type server struct {
 // (RunRelay): the membership registry, the connection map, and the wire
 // meter.
 func newServer(cfg ServerConfig) (*server, error) {
-	codecName := cfg.Codec
-	if codecName == "" {
-		codecName = "dense"
-	}
+	codecName := cmp.Or(cfg.Codec, "dense")
 	sessionCodec, err := link.NewCodec(codecName)
 	if err != nil {
 		return nil, fmt.Errorf("fed: server codec: %w", err)
@@ -394,11 +392,10 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 		return nil, err
 	}
 
-	// One replay for both modes; they differ only in the record type that
-	// journals an update, so a WAL written in one mode does not resume the
-	// other. The base params overwrite the fresh init in place, and the
-	// committed windows are redone on top of them.
-	resume := replayWAL(recovered, st.foldRec)
+	// One replay for both modes: openServer refused a WAL another mode,
+	// model size or codec wrote. The base params overwrite the fresh init in
+	// place, and the committed windows are redone on top of them.
+	resume := replayWAL(recovered)
 	if err := st.restore(resume); err != nil {
 		return nil, err
 	}
@@ -406,13 +403,12 @@ func Serve(ctx context.Context, l *link.Listener, cfg ServerConfig) (*Result, er
 	st.lineage = map[string]string{
 		"job": fmt.Sprintf("seed=%d rounds=%d expect=%d cohort=%d codec=%s outer=%s params=%d",
 			cfg.Seed, cfg.Rounds, cfg.ExpectClients, st.k, s.codecName, cfg.Outer.Name(), len(st.global)),
+		"mode": st.header.Member,
 	}
 	st.sentPrev, st.recvPrev = s.meter.Totals()
 	if cfg.Async != nil {
-		st.lineage["mode"] = "async"
 		return newAsyncAggregator(st).run(ctx, resume)
 	}
-	st.lineage["mode"] = "sync"
 	return st.runSync(ctx, resume, 0)
 }
 

@@ -34,6 +34,7 @@ func TestWireAndDiskIDsArePinned(t *testing.T) {
 		{"RecStateSnapshot", uint8(ckpt.RecStateSnapshot), 5},
 		{"RecBufferFold", uint8(ckpt.RecBufferFold), 6},
 		{"RecVersionCommit", uint8(ckpt.RecVersionCommit), 7},
+		{"RecWALOpen", uint8(ckpt.RecWALOpen), 8},
 
 		{"CodecDense", CodecDense, 1},
 		{"CodecFlate", CodecFlate, 2},

@@ -270,6 +270,8 @@ func WithReconnect(attempts int) JobOption {
 // off — global parameters, outer-optimizer momentum, and any in-flight
 // round — instead of starting over. On a relay (WithParent) the log holds
 // the last upstream reply and codec residual for crash-safe redelivery.
+// The log's header names its mode (sync, async or relay), model size and
+// codec: a restart in another mode, model size or codec is refused.
 func WithWAL(dir string) JobOption { return func(c *jobConfig) { c.walDir = dir } }
 
 // WithAsync switches the aggregator backend from synchronous rounds to
